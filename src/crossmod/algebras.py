@@ -72,11 +72,6 @@ class CrossedCAlgebra:
         return self.cm.top
 
     @property
-    def space(self):
-        from .linalg import GradedSpace
-        return GradedSpace(self.P.order, self.dims, self.basis_names)
-
-    @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
@@ -86,15 +81,6 @@ class CrossedCAlgebra:
             offs.append(acc)
             acc += d
         return offs
-
-    def mul_block(self, g: int, h: int):
-        return self.mul[(g, h)]
-
-    def rho_mat(self, g: int) -> Matrix:
-        return self.rho[g]
-
-    def phi_mat(self, h: int, g: int) -> Matrix:
-        return self.phi[(h, g)]
 
     # -- arithmetic on homogeneous vectors -----------------------------------
 
@@ -372,13 +358,9 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             comm = P.commutator(g, h)
             if L.dims[comm] == 0 or L.dims[g] == 0 or L.dims[h] == 0:
                 continue
-            hgh = P.conj(h, g)
-            ghg = P.conj(g, h)
             for t in range(L.dims[comm]):
-                c = unit_vector(f, L.dims[comm], t)
-                m1 = L.left_mul_matrix(comm, c, hgh) @ L.phi[(h, g)]
-                m2 = L.phi[(P.inv[g], ghg)] @ L.left_mul_matrix(comm, c, h)
-                if m1.trace() != m2.trace():
+                t1, t2 = torus_traces(L, g, h, unit_vector(f, L.dims[comm], t))
+                if t1 != t2:
                     fails.append((f"(g={P.names[g]},h={P.names[h]},c={L.basis_names[comm][t]})",
                                   "trace axiom fails"))
     report.add("trace", fails)
@@ -408,6 +390,17 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     report.add("tilde_equivariant", fails)
 
     return report
+
+
+def torus_traces(L: CrossedCAlgebra, g: int, h: int, c_vec):
+    """Both traces of the torus-compatibility condition for a vector c in the
+    commutator grade of (g, h): tr(x |-> c phi_h(x)) on L_g and
+    tr(x |-> phi_{g^-1}(c x)) on L_h. They agree on a valid algebra."""
+    P = L.P
+    comm = P.commutator(g, h)
+    m1 = L.left_mul_matrix(comm, c_vec, P.conj(h, g)) @ L.phi[(h, g)]
+    m2 = L.phi[(P.inv[g], P.conj(g, h))] @ L.left_mul_matrix(comm, c_vec, h)
+    return m1.trace(), m2.trace()
 
 
 # --------------------------------------------------------------------------
@@ -478,7 +471,7 @@ def theta(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
 
     Always invertible on a valid algebra; a singular result signals an axiom
     violation upstream."""
-    m = L.left_mul_matrix(L.cm.d(c), L.tilde[c], g)
+    m = _theta_raw(L, c, g)
     if m.rows != m.cols:
         raise SingularTheta(
             f"theta({L.C.names[c]},{L.P.names[g]}) maps dim {m.cols} to dim {m.rows}")
@@ -796,12 +789,15 @@ class PushforwardData:
         self.class_dim = class_dim  # q -> total dim of the class block
         self.spans = spans          # q -> RowSpace (the ideal, per class)
 
-    def embed(self, q, p, vec):
+    def class_vector(self, q, terms):
+        """The vector of class q that sums each (p, grade-p vector) of
+        `terms` into the slot of grade p."""
         field = self.source.field
         out = [field.zero] * self.class_dim[q]
-        o = self.offsets[q][p]
-        for i, x in enumerate(vec):
-            out[o + i] = x
+        for p, vec in terms:
+            o = self.offsets[q][p]
+            for i, x in enumerate(vec):
+                out[o + i] = field.add(out[o + i], x)
         return tuple(out)
 
     def components(self, q, vec):
@@ -943,14 +939,14 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
             for i in range(L.dims[p]):
                 e = unit_vector(field, L.dims[p], i)
                 vec = vec_sub(field,
-                              data.embed(f0[p], npn, L.apply_phi(n, p, e)),
-                              data.embed(f0[p], p, e))
+                              data.class_vector(f0[p], [(npn, L.apply_phi(n, p, e))]),
+                              data.class_vector(f0[p], [(p, e)]))
                 generators.append((f0[p], vec))
     for b in (c for c in C.elements() if f1[c] == 0 and c != 0):
         db = L.cm.d(b)
         vec = vec_sub(field,
-                      data.embed(0, db, L.tilde[b]),
-                      data.embed(0, 0, L.unit))
+                      data.class_vector(0, [(db, L.tilde[b])]),
+                      data.class_vector(0, [(0, L.unit)]))
         generators.append((0, vec))
 
     queue = [(qq, vec) for qq, vec in generators if spans[qq].add(vec)]
@@ -961,23 +957,13 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
         comps = data.components(qq, vec)
         for r, _, e in basis_units:
             qr_left = Q.mul(f0[r], qq)
-            out = [field.zero] * class_dim[qr_left]
-            for p in members[qq]:
-                prod = L.multiply(r, e, p, comps[p])
-                o = offsets[qr_left][P.mul(r, p)]
-                for i, x in enumerate(prod):
-                    out[o + i] = field.add(out[o + i], x)
-            out = tuple(out)
+            out = data.class_vector(qr_left, ((P.mul(r, p), L.multiply(r, e, p, comps[p]))
+                                              for p in members[qq]))
             if not vec_is_zero(field, out) and spans[qr_left].add(out):
                 queue.append((qr_left, out))
             qr_right = Q.mul(qq, f0[r])
-            out = [field.zero] * class_dim[qr_right]
-            for p in members[qq]:
-                prod = L.multiply(p, comps[p], r, e)
-                o = offsets[qr_right][P.mul(p, r)]
-                for i, x in enumerate(prod):
-                    out[o + i] = field.add(out[o + i], x)
-            out = tuple(out)
+            out = data.class_vector(qr_right, ((P.mul(p, r), L.multiply(p, comps[p], r, e))
+                                               for p in members[qq]))
             if not vec_is_zero(field, out) and spans[qr_right].add(out):
                 queue.append((qr_right, out))
     return data
@@ -994,11 +980,10 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     the CM-Mod group algebra for a concrete instance).
     """
     data = pushforward_ideal(fmor, L)
-    members, offsets, class_dim, spans = (data.members, data.offsets,
-                                          data.class_dim, data.spans)
+    members, class_dim, spans = data.members, data.class_dim, data.spans
     tgt = fmor.target
     P, Q, C, D = fmor.source.base, tgt.base, fmor.source.top, tgt.top
-    f0, f1 = fmor.f_base.map, fmor.f_top.map
+    f1 = fmor.f_top.map
     field = L.field
 
     dims_new = [class_dim[qq] - spans[qq].dim for qq in Q.elements()]
@@ -1019,18 +1004,14 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                 row = []
                 for b in lifts(q2):
                     comps_b = data.components(q2, b)
-                    out = [field.zero] * class_dim[q12]
-                    for p1 in members[q1]:
-                        for p2 in members[q2]:
-                            prod = L.multiply(p1, comps_a[p1], p2, comps_b[p2])
-                            o = offsets[q12][P.mul(p1, p2)]
-                            for i, x in enumerate(prod):
-                                out[o + i] = field.add(out[o + i], x)
-                    row.append(list(data.project(q12, tuple(out))))
+                    out = data.class_vector(q12, (
+                        (P.mul(p1, p2), L.multiply(p1, comps_a[p1], p2, comps_b[p2]))
+                        for p1 in members[q1] for p2 in members[q2]))
+                    row.append(list(data.project(q12, out)))
                 block.append(row)
             mul_new[(q1, q2)] = block
 
-    unit_new = data.project(0, data.embed(0, 0, L.unit))
+    unit_new = data.project(0, data.class_vector(0, [(0, L.unit)]))
 
     # pairing via matched representative pairs (p, p^-1); representative
     # independence (every usable grade gives the same matrix) is the
@@ -1068,16 +1049,10 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                 cols = []
                 for a in lifts(qq):
                     comps_a = data.components(qq, a)
-                    out = [field.zero] * class_dim[qc]
-                    for p in members[qq]:
-                        img = L.apply_phi(pa, p, comps_a[p])
-                        o = offsets[qc][P.conj(pa, p)]
-                        for i, x in enumerate(img):
-                            out[o + i] = field.add(out[o + i], x)
-                    cols.append(data.project(qc, tuple(out)))
-                candidates.append(Matrix(field, [[col[k] for col in cols]
-                                                 for k in range(dims_new[qc])],
-                                         cols=dims_new[qq]))
+                    out = data.class_vector(qc, ((P.conj(pa, p), L.apply_phi(pa, p, comps_a[p]))
+                                                 for p in members[qq]))
+                    cols.append(data.project(qc, out))
+                candidates.append(Matrix(field, cols, cols=dims_new[qc]).transpose())
             if any(cand != candidates[0] for cand in candidates[1:]):
                 raise ValueError(
                     f"action on the quotient depends on the representative of {Q.names[qa]}")
@@ -1087,7 +1062,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     for d in D.elements():
         choices = [c for c in C.elements() if f1[c] == d]
         qd = tgt.d(d)
-        images = {data.project(qd, data.embed(qd, L.cm.d(c), L.tilde[c]))
+        images = {data.project(qd, data.class_vector(qd, [(L.cm.d(c), L.tilde[c])]))
                   for c in choices}
         if len(images) != 1:
             raise ValueError(
@@ -1157,8 +1132,7 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
     for qq in Q.elements():
         cols = [image_of_class_vector(qq, data.lift(qq, unit_vector(field, fL.dims[qq], k)))
                 for k in range(fL.dims[qq])]
-        blocks[qq] = Matrix(field, [[col[i] for col in cols]
-                                    for i in range(Lp.dims[qq])], cols=fL.dims[qq])
+        blocks[qq] = Matrix(field, cols, cols=Lp.dims[qq]).transpose()
     return CrossedAlgebraMorphism(identity_morphism(m.over.target), fL, Lp, blocks)
 
 
@@ -1175,10 +1149,9 @@ def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMo
         qq = f0[p]
         cols = []
         for i in range(L.dims[p]):
-            coords = data.project(qq, data.embed(qq, p, unit_vector(field, L.dims[p], i)))
+            coords = data.project(qq, data.class_vector(qq, [(p, unit_vector(field, L.dims[p], i))]))
             cols.append(m2.blocks[qq].apply(coords))
-        blocks[p] = Matrix(field, [[col[k] for col in cols]
-                                   for k in range(m2.target.dims[qq])], cols=L.dims[p])
+        blocks[p] = Matrix(field, cols, cols=m2.target.dims[qq]).transpose()
     return CrossedAlgebraMorphism(fmor, L, m2.target, blocks)
 
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fixtures, verify
+from . import verify
 from .algebras import (
     check_algebra_morphism,
     check_crossed_algebra,
@@ -31,7 +31,7 @@ from .serialize import (
     UnknownObject,
     Workspace,
     dumps,
-    from_doc,
+    group_table_from_doc,
     load_file,
     to_doc,
 )
@@ -83,21 +83,15 @@ def cmd_check(args) -> int:
             # groups validate at construction; check runs the report-based
             # table checker so axiom failures exit 1 with a counterexample
             import json
-            doc = json.loads(Path(args.target).read_text())
-            if not isinstance(doc, dict) or "names" not in doc or "table" not in doc:
-                raise SerializationError("group document needs names and table")
-            report = check_group_table(doc["names"], doc["table"])
+            names, table = group_table_from_doc(json.loads(Path(args.target).read_text()))
+            report = check_group_table(names, table)
         else:
             obj = _load_target(ws, args.kind, args.target)
             report = CHECKABLE[args.kind](obj)
-    except SerializationError as exc:
-        print(dumps({"error": str(exc)}), end="")
-        return 2
-    except (OSError, ValueError) as exc:
-        print(dumps({"error": str(exc)}), end="")
-        return 2
-    except UnknownObject as exc:
-        print(dumps({"error": str(exc.args[0])}), end="")
+    except (OSError, ValueError, UnknownObject) as exc:
+        # str() of a KeyError such as UnknownObject quotes its message
+        message = exc.args[0] if isinstance(exc, UnknownObject) else exc
+        print(dumps({"error": str(message)}), end="")
         return 2
     print(dumps(report.to_json()), end="")
     return 0 if report.ok else 1
@@ -111,54 +105,35 @@ def _write_out(args, doc) -> None:
         print(text, end="")
 
 
+# construction -> (kind of the result, its constructor on the workspace and inputs)
+CONSTRUCTIONS = {
+    "kC": ("algebra", lambda ws, a: group_algebra_C(ws.get(a[0], "crossed_module"), ws.field)),
+    "kP": ("algebra", lambda ws, a: group_algebra_P(ws.get(a[0], "crossed_module"), ws.field)),
+    "pullback": ("algebra", lambda ws, a: pullback(ws.get(a[0], "morphism"),
+                                                   _load_target(ws, "algebra", a[1]))),
+    "pushforward": ("algebra", lambda ws, a: pushforward(ws.get(a[0], "morphism"),
+                                                         _load_target(ws, "algebra", a[1]))),
+    "kp_iso": ("algebra-morphism",
+               lambda ws, a: kp_iso_witness(ws.get(a[0], "crossed_module"), ws.field)),
+}
+
+
 def cmd_build(args) -> int:
     ws = _workspace(args)
-    field = ws.field
+    kind, build = CONSTRUCTIONS[args.construction]
     try:
-        if args.construction in ("kC", "kP"):
-            cm = ws.get(args.args[0], "crossed_module")
-            make = group_algebra_C if args.construction == "kC" else group_algebra_P
-            alg = make(cm, field)
-            rep = check_crossed_algebra(alg)
-            if not rep.ok:
-                print(dumps(rep.to_json()), end="")
-                return 1
-            _write_out(args, to_doc("algebra", alg))
-        elif args.construction == "pullback":
-            fmor = ws.get(args.args[0], "morphism")
-            target_alg = _load_target(ws, "algebra", args.args[1])
-            alg = pullback(fmor, target_alg)
-            rep = check_crossed_algebra(alg)
-            if not rep.ok:
-                print(dumps(rep.to_json()), end="")
-                return 1
-            _write_out(args, to_doc("algebra", alg))
-        elif args.construction == "pushforward":
-            fmor = ws.get(args.args[0], "morphism")
-            source_alg = _load_target(ws, "algebra", args.args[1])
-            alg = pushforward(fmor, source_alg)
-            rep = check_crossed_algebra(alg)
-            if not rep.ok:
-                print(dumps(rep.to_json()), end="")
-                return 1
-            _write_out(args, to_doc("algebra", alg))
-        elif args.construction == "kp_iso":
-            cm = ws.get(args.args[0], "crossed_module")
-            witness = kp_iso_witness(cm, field)
-            rep = check_algebra_morphism(witness)
-            if not rep.ok:
-                print(dumps(rep.to_json()), end="")
-                return 1
-            _write_out(args, to_doc("algebra_morphism", witness))
-        else:
-            print(dumps({"error": f"unknown construction {args.construction!r}"}), end="")
-            return 2
+        obj = build(ws, args.args)
+        rep = CHECKABLE[kind](obj)
     except (SerializationError, UnknownObject, IndexError) as exc:
         print(dumps({"error": str(exc)}), end="")
         return 2
     except ValueError as exc:
         print(dumps({"error": str(exc)}), end="")
         return 1
+    if not rep.ok:
+        print(dumps(rep.to_json()), end="")
+        return 1
+    _write_out(args, to_doc(_KIND_ALIASES[kind], obj))
     return 0
 
 
@@ -247,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("build", help="run a construction and emit its JSON")
-    p.add_argument("construction", choices=["kC", "kP", "pullback", "pushforward", "kp_iso"])
+    p.add_argument("construction", choices=list(CONSTRUCTIONS))
     p.add_argument("args", nargs="+", help="construction inputs (names or files)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_build)
@@ -271,11 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except ScalarParseError:
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScalarParseError as exc:

@@ -167,7 +167,12 @@ def field_from_json(spec) -> "RationalField | PrimeField":
     if spec == "Q" or spec is None:
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
-        return GF(int(spec["Fp"]))
-    if isinstance(spec, str) and spec.startswith("Fp:"):
-        return GF(int(spec.split(":", 1)[1]))
-    raise ScalarParseError(f"unknown field spec {spec!r}")
+        modulus = spec["Fp"]
+    elif isinstance(spec, str) and spec.startswith("Fp:"):
+        modulus = spec.split(":", 1)[1]
+    else:
+        raise ScalarParseError(f"unknown field spec {spec!r}")
+    try:
+        return GF(int(modulus))
+    except (TypeError, ValueError) as exc:
+        raise ScalarParseError(f"bad field spec {spec!r}: {exc}") from exc

@@ -9,7 +9,6 @@ from .algebras import (
     group_algebra_C,
     group_algebra_P,
     kp_iso_witness,
-    pullback,
     pushforward,
 )
 from .crossed_modules import (

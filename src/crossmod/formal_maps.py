@@ -123,14 +123,6 @@ def cell_v_inverse(a: LabeledCell) -> LabeledCell:
     return LabeledCell(a.cm, a.cm.top.inv[a.c], a.target)
 
 
-def cell_from_sd(x: SemidirectElement) -> LabeledCell:
-    return LabeledCell(x.parent, x.c, x.p)
-
-
-def cell_to_sd(a: LabeledCell) -> SemidirectElement:
-    return SemidirectElement(a.cm, a.c, a.p)
-
-
 def pants_semidirect_reduction(cm: CrossedModule, c1: int, c2: int,
                                g1: int, g2: int) -> LabeledCell:
     """Two labeled legs pushed onto one pants 2-cell: (c1 * ^{g1}c2, g1 g2).

@@ -171,6 +171,7 @@ def _perm_compose(a, b):
 
 
 def permutation_group(perms, names) -> FiniteGroup:
+    """The group of a composition-closed list of permutations, in list order."""
     perms = [tuple(p) for p in perms]
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[_perm_compose(a, b)] for b in perms] for a in perms]
@@ -187,8 +188,7 @@ def symmetric_group_3() -> FiniteGroup:
         (1, 2, 0),   # (123): 1->2, 2->3, 3->1
         (2, 0, 1),   # (132): 1->3, 3->2, 2->1
     ]
-    names = ["e", "(12)", "(13)", "(23)", "(123)", "(132)"]
-    return make_group(names, [[perms.index(_perm_compose(a, b)) for b in perms] for a in perms])
+    return permutation_group(perms, ["e", "(12)", "(13)", "(23)", "(123)", "(132)"])
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,6 @@ class GroupHomomorphism:
 
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.order
-
-    def is_injective(self) -> bool:
-        return len(set(self.map)) == self.source.order
 
     def kernel(self) -> tuple[int, ...]:
         return tuple(x for x in self.source.elements() if self.map[x] == 0)
@@ -254,13 +251,6 @@ def identity_hom(g: FiniteGroup) -> GroupHomomorphism:
 
 def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> GroupHomomorphism:
     return GroupHomomorphism(source, target, (0,) * source.order)
-
-
-def compose_homs(outer: GroupHomomorphism, inner: GroupHomomorphism) -> GroupHomomorphism:
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise ValueError("homomorphisms do not compose")
-    return GroupHomomorphism(inner.source, outer.target,
-                             tuple(outer.map[x] for x in inner.map))
 
 
 @dataclass(frozen=True)
@@ -338,19 +328,6 @@ def is_subgroup(g: FiniteGroup, members) -> bool:
         return False
     return all(g.mul(a, b) in members for a in members for b in members) and \
         all(g.inv[a] in members for a in members)
-
-
-def subgroup_closure(g: FiniteGroup, gens) -> tuple[int, ...]:
-    members = {0, *gens}
-    frontier = list(members)
-    while frontier:
-        a = frontier.pop()
-        for b in list(members):
-            for x in (g.mul(a, b), g.mul(b, a), g.inv[a]):
-                if x not in members:
-                    members.add(x)
-                    frontier.append(x)
-    return tuple(sorted(members))
 
 
 def is_normal(g: FiniteGroup, members) -> bool:
@@ -457,10 +434,8 @@ def automorphism_group(g: FiniteGroup, order_bound: int = 12) -> AutomorphismGro
     if g.order > order_bound:
         raise OrderBoundExceeded(f"|G| = {g.order} exceeds bound {order_bound}")
     perms = _automorphism_perms(g)
+    aut = permutation_group(perms, [f"a{i}" for i in range(len(perms))])
     index = {p: i for i, p in enumerate(perms)}
-    names = [f"a{i}" for i in range(len(perms))]
-    table = [[index[_perm_compose(a, b)] for b in perms] for a in perms]
-    aut = make_group(names, table)
     inner = tuple(index[tuple(g.conj(x, y) for y in g.elements())] for x in g.elements())
     alpha = hom(g, aut, inner)
     std = action(aut, g, [list(p) for p in perms])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebras import CrossedCAlgebra, check_crossed_algebra
+from .algebras import CrossedCAlgebra, check_crossed_algebra, torus_traces
 from .formal_maps import (
     Cap,
     CobordismExpression,
@@ -178,14 +178,11 @@ def trace_axiom_probe(tau: FormalHQFT, g: int, h: int, c_vec):
     """Both traces of the torus-compatibility condition, for a vector in the
     commutator grade; they agree on a valid algebra."""
     L = tau.algebra
-    P = L.P
-    comm = P.commutator(g, h)
+    comm = L.P.commutator(g, h)
     if len(c_vec) != L.dims[comm]:
         raise GradeMismatch(
-            f"vector of length {len(c_vec)} is not in grade {P.names[comm]}")
-    m1 = L.left_mul_matrix(comm, c_vec, P.conj(h, g)) @ L.phi[(h, g)]
-    m2 = L.phi[(P.inv[g], P.conj(g, h))] @ L.left_mul_matrix(comm, c_vec, h)
-    return m1.trace(), m2.trace()
+            f"vector of length {len(c_vec)} is not in grade {L.P.names[comm]}")
+    return torus_traces(L, g, h, c_vec)
 
 
 # --------------------------------------------------------------------------

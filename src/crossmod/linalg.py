@@ -132,86 +132,62 @@ class Matrix:
             acc = f.add(acc, self.data[i][i])
         return acc
 
+    def _eliminate(self, extra):
+        """Gauss-Jordan reduction of [A | extra], pivoting on the columns of A
+        only; `extra` holds the appended entries of each row. Returns the
+        reduced rows and the pivot columns, in order."""
+        f = self.field
+        work = [list(row) + list(more) for row, more in zip(self.data, extra, strict=True)]
+        pivots = []
+        for col in range(self.cols):
+            r = len(pivots)
+            pivot = next((k for k in range(r, self.rows)
+                          if not f.is_zero(work[k][col])), None)
+            if pivot is None:
+                continue
+            work[r], work[pivot] = work[pivot], work[r]
+            inv_p = f.div(f.one, work[r][col])
+            work[r] = [f.mul(inv_p, x) for x in work[r]]
+            for k in range(self.rows):
+                if k != r and not f.is_zero(work[k][col]):
+                    factor = work[k][col]
+                    work[k] = [f.sub(x, f.mul(factor, y))
+                               for x, y in zip(work[k], work[r])]
+            pivots.append(col)
+        return work, pivots
+
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise SingularMatrixError("cannot invert non-square matrix")
         n = self.rows
-        f = self.field
-        work = [list(row) + list(ident_row)
-                for row, ident_row in zip(self.data, Matrix.identity(f, n).data)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not f.is_zero(work[r][col])), None)
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv_p = f.div(f.one, work[col][col])
-            work[col] = [f.mul(inv_p, x) for x in work[col]]
-            for r in range(n):
-                if r != col and not f.is_zero(work[r][col]):
-                    factor = work[r][col]
-                    work[r] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(work[r], work[col])]
-        return Matrix(f, [row[n:] for row in work])
+        work, pivots = self._eliminate(Matrix.identity(self.field, n).data)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular")
+        return Matrix(self.field, [row[n:] for row in work], cols=n)
 
     def solve(self, b):
         """One solution x of A x = b, or None if the system is inconsistent."""
         f = self.field
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        work = [list(row) + [b[i]] for i, row in enumerate(self.data)]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            pivot = next((k for k in range(r, self.rows)
-                          if not f.is_zero(work[k][col])), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv_p = f.div(f.one, work[r][col])
-            work[r] = [f.mul(inv_p, x) for x in work[r]]
-            for k in range(self.rows):
-                if k != r and not f.is_zero(work[k][col]):
-                    factor = work[k][col]
-                    work[k] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(work[k], work[r])]
-            pivots.append(col)
-            r += 1
-        for k in range(r, self.rows):
-            if not f.is_zero(work[k][self.cols]):
-                return None
+        work, pivots = self._eliminate([(x,) for x in b])
+        if any(not f.is_zero(row[-1]) for row in work[len(pivots):]):
+            return None
         x = [f.zero] * self.cols
-        for k, col in enumerate(pivots):
-            x[col] = work[k][self.cols]
+        for row, col in zip(work, pivots):
+            x[col] = row[-1]
         return tuple(x)
 
     def nullspace(self):
         """A basis of the right kernel {x : A x = 0}."""
         f = self.field
-        work = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            pivot = next((k for k in range(r, self.rows)
-                          if not f.is_zero(work[k][col])), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv_p = f.div(f.one, work[r][col])
-            work[r] = [f.mul(inv_p, x) for x in work[r]]
-            for k in range(self.rows):
-                if k != r and not f.is_zero(work[k][col]):
-                    factor = work[k][col]
-                    work[k] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(work[k], work[r])]
-            pivots.append(col)
-            r += 1
-        free = [c for c in range(self.cols) if c not in pivots]
+        work, pivots = self._eliminate([()] * self.rows)
         basis = []
-        for fc in free:
+        for fc in (c for c in range(self.cols) if c not in pivots):
             vec = [f.zero] * self.cols
             vec[fc] = f.one
-            for k, pc in enumerate(pivots):
-                vec[pc] = f.neg(work[k][fc])
+            for row, pc in zip(work, pivots):
+                vec[pc] = f.neg(row[fc])
             basis.append(tuple(vec))
         return basis
 
@@ -249,22 +225,6 @@ class Matrix:
         return m
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def mat_trace(m: Matrix):
-    return m.trace()
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    return m.inverse()
-
-
 def dual_basis(pairing: Matrix) -> Matrix:
     """Copairing matrix of a nondegenerate pairing: columns express the dual
     basis, so ``pairing @ dual_basis(pairing)`` is the identity."""
@@ -276,9 +236,6 @@ def vec_add(field, a, b):
 
 def vec_sub(field, a, b):
     return tuple(field.sub(x, y) for x, y in zip(a, b, strict=True))
-
-def vec_scale(field, s, a):
-    return tuple(field.mul(s, x) for x in a)
 
 def vec_is_zero(field, a) -> bool:
     return all(field.is_zero(x) for x in a)

@@ -8,6 +8,7 @@ name. Scalars are serialized as strings ("3/4", "2 mod 5"); indices are
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -111,16 +112,11 @@ def algebra_morphism_to_doc(m: CrossedAlgebraMorphism, name=None):
     }
 
 
-_PIECE_DOCS = {
-    Disc: lambda p: {"piece": "disc", "c": p.c},
-    Cyl: lambda p: {"piece": "cyl", "c": p.c, "g": p.g, "h": p.h},
-    Pants: lambda p: {"piece": "pants", "c": p.c, "g1": p.g1, "g2": p.g2},
-    Copants: lambda p: {"piece": "copants", "g1": p.g1, "g2": p.g2},
-    Cup: lambda p: {"piece": "cup", "g": p.g},
-    Cap: lambda p: {"piece": "cap", "g": p.g},
-    Id: lambda p: {"piece": "id", "g": p.g},
-    Swap: lambda p: {"piece": "swap", "g1": p.g1, "g2": p.g2},
-}
+# a piece's document is its kind and its dataclass fields; field c indexes
+# the top group, every other field the base group
+_PIECE_CLASSES = {"disc": Disc, "cyl": Cyl, "pants": Pants, "copants": Copants,
+                  "cup": Cup, "cap": Cap, "id": Id, "swap": Swap}
+_PIECE_KINDS = {cls: kind for kind, cls in _PIECE_CLASSES.items()}
 
 
 def expression_to_doc(e: CobordismExpression, name=None):
@@ -129,7 +125,8 @@ def expression_to_doc(e: CobordismExpression, name=None):
         "name": name or "expression",
         "crossed_module": cm_to_doc(e.cm),
         "source": [list(c.labels) for c in e.source.circuits],
-        "layers": [[_PIECE_DOCS[type(p)](p) for p in layer] for layer in e.layers],
+        "layers": [[{"piece": _PIECE_KINDS[type(p)], **dataclasses.asdict(p)} for p in layer]
+                   for layer in e.layers],
         "target": [list(c.labels) for c in e.target.circuits],
     }
 
@@ -228,11 +225,28 @@ def _require(doc, *keys):
             raise SerializationError(f"missing field {key!r}")
 
 
+def _is_index(x, n) -> bool:
+    """A JSON integer (not a boolean) in range(n)."""
+    return type(x) is int and 0 <= x < n
+
+
+def group_table_from_doc(doc):
+    """The names and table of a group document. Table entries must be
+    integers; whether the table is a group is the table checker's question."""
+    if not isinstance(doc, dict) or "names" not in doc or "table" not in doc:
+        raise SerializationError("group document needs names and table")
+    names, table = doc["names"], doc["table"]
+    if not isinstance(names, list) or not isinstance(table, list) or \
+       not all(isinstance(row, list) and all(type(x) is int for x in row) for row in table):
+        raise SerializationError("group document needs a list of names and a table of integers")
+    return names, table
+
+
 def group_from_doc(doc, ws=None) -> FiniteGroup:
-    _require(doc, "names", "table")
+    names, table = group_table_from_doc(doc)
     from .groups import GroupConstructionError
     try:
-        return make_group(doc["names"], doc["table"])
+        return make_group(names, table)
     except GroupConstructionError as exc:
         raise SerializationError(f"invalid group: {exc}") from exc
 
@@ -334,37 +348,35 @@ def algebra_morphism_from_doc(doc, ws) -> CrossedAlgebraMorphism:
     return CrossedAlgebraMorphism(over, src, tgt, blocks)
 
 
-def _piece_from_doc(doc):
-    try:
-        kind = doc["piece"]
-        if kind == "disc":
-            return Disc(int(doc["c"]))
-        if kind == "cyl":
-            return Cyl(int(doc["c"]), int(doc["g"]), int(doc["h"]))
-        if kind == "pants":
-            return Pants(int(doc["c"]), int(doc["g1"]), int(doc["g2"]))
-        if kind == "copants":
-            return Copants(int(doc["g1"]), int(doc["g2"]))
-        if kind == "cup":
-            return Cup(int(doc["g"]))
-        if kind == "cap":
-            return Cap(int(doc["g"]))
-        if kind == "id":
-            return Id(int(doc["g"]))
-        if kind == "swap":
-            return Swap(int(doc["g1"]), int(doc["g2"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"bad piece {doc!r}") from exc
-    raise SerializationError(f"unknown piece kind {doc!r}")
+def _piece_from_doc(doc, cm: CrossedModule):
+    if not isinstance(doc, dict) or doc.get("piece") not in _PIECE_CLASSES:
+        raise SerializationError(f"unknown piece kind {doc!r}")
+    cls = _PIECE_CLASSES[doc["piece"]]
+    args = []
+    for field in dataclasses.fields(cls):
+        n = cm.top.order if field.name == "c" else cm.base.order
+        if not _is_index(doc.get(field.name), n):
+            raise SerializationError(f"bad piece {doc!r}: {field.name} must be an index below {n}")
+        args.append(doc[field.name])
+    return cls(*args)
+
+
+def _boundary_from_doc(circuits, cm: CrossedModule) -> FormalBoundary:
+    n = cm.base.order
+    for circ in circuits:
+        for g in circ:
+            if not _is_index(g, n):
+                raise SerializationError(f"circuit label {g!r} is not an index below {n}")
+    return FormalBoundary.of(*circuits)
 
 
 def expression_from_doc(doc, ws) -> CobordismExpression:
     _require(doc, "crossed_module", "source", "layers", "target")
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
     try:
-        source = FormalBoundary.of(*[[int(g) for g in circ] for circ in doc["source"]])
-        target = FormalBoundary.of(*[[int(g) for g in circ] for circ in doc["target"]])
-        layers = tuple(tuple(_piece_from_doc(p) for p in layer)
+        source = _boundary_from_doc(doc["source"], cm)
+        target = _boundary_from_doc(doc["target"], cm)
+        layers = tuple(tuple(_piece_from_doc(p, cm) for p in layer)
                        for layer in doc["layers"])
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"bad expression document: {exc}") from exc

@@ -15,15 +15,11 @@ from .algebras import (
     check_boxed_identities,
     check_crossed_algebra,
     enumerate_algebra_morphisms,
-    group_algebra_C,
-    group_algebra_P,
-    identity_algebra_morphism,
     kp_iso_witness,
     is_isomorphism,
     morphisms_equal,
     pullback,
     pushforward_data,
-    pushforward_ideal,
     pushforward_rho_via_grade,
     transpose_from_pushforward,
     transpose_to_pullback,
@@ -57,7 +53,6 @@ from .hqft import (
     extract_algebra,
     make_hqft,
     random_expression,
-    state_space,
 )
 from .linalg import Matrix
 from .algebras import same_structure

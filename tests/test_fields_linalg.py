@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +108,64 @@ def test_solve():
     assert m.apply(x) == (QQ.of(5), QQ.of(11))
     inconsistent = Matrix.from_ints(QQ, [[1, 1], [1, 1]])
     assert inconsistent.solve((QQ.of(0), QQ.of(1))) is None
+
+
+def _naive_det(f, rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return f.one
+    acc = f.zero
+    for j, a in enumerate(rows[0]):
+        term = f.mul(a, _naive_det(f, [row[:j] + row[j + 1:] for row in rows[1:]]))
+        acc = f.add(acc, term) if j % 2 == 0 else f.sub(acc, term)
+    return acc
+
+
+def _naive_rank(f, rows, ncols):
+    """The size of the largest square minor with a nonzero determinant."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(ncols), k):
+                if not f.is_zero(_naive_det(f, [[rows[r][c] for c in cs] for r in rs])):
+                    return k
+    return 0
+
+
+def _random_matrices(f, rng):
+    """Square, rectangular and empty shapes; each with at least two rows also
+    comes with a singular twin whose last row combines the first two."""
+    shapes = [(n, n) for n in range(1, 5)] * 3
+    shapes += [(2, 3), (3, 2), (4, 2), (2, 4), (3, 5), (0, 3), (3, 0), (0, 0)]
+    for rows, cols in shapes:
+        data = [[f.of(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+        yield Matrix(f, data, cols=cols)
+        if rows >= 2:
+            k = f.of(rng.randint(-2, 2))
+            data[-1] = [f.add(a, f.mul(k, b)) for a, b in zip(data[0], data[1])]
+            yield Matrix(f, data, cols=cols)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_elimination_against_naive_rank(f):
+    rng = random.Random(7)
+    for A in _random_matrices(f, rng):
+        rank = _naive_rank(f, A.data, A.cols)
+        if A.rows == A.cols and rank == A.rows:
+            inv = A.inverse()
+            assert A @ inv == Matrix.identity(f, A.rows) == inv @ A
+        else:
+            with pytest.raises(SingularMatrixError):
+                A.inverse()
+        y = tuple(f.of(rng.randint(-2, 2)) for _ in range(A.cols))
+        for b in (A.apply(y), tuple(f.of(rng.randint(-2, 2)) for _ in range(A.rows))):
+            in_span = _naive_rank(f, [row + (x,) for row, x in zip(A.data, b)], A.cols + 1) == rank
+            x = A.solve(b)
+            assert (x is not None) == in_span
+            assert x is None or A.apply(x) == b
+        null = A.nullspace()
+        assert len(null) == A.cols - rank
+        assert all(A.apply(v) == (f.zero,) * A.rows for v in null)
+        assert _naive_rank(f, null, A.cols) == len(null)
 
 
 def test_rowspace_quotient():

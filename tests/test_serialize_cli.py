@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from crossmod.algebras import check_crossed_algebra, kp_iso_witness, same_structure
+from crossmod.algebras import (
+    check_crossed_algebra,
+    group_algebra_C,
+    kp_iso_witness,
+    same_structure,
+)
 from crossmod.cli import main
 from crossmod.fields import QQ
 from crossmod.fixtures import std_morphisms
@@ -111,12 +116,64 @@ def test_cli_check_mutated_file_fails(tmp_path, capsys, groups):
     assert failing and failing[0]["instance"]
 
 
-def test_cli_check_malformed_exits_2(tmp_path, capsys):
+def test_cli_check_malformed_exits_2(tmp_path, capsys, cms):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["check", "group", str(path)]) == 2
     path2 = tmp_path / "unknown.json"
     assert main(["check", "group", "NoSuchGroup"]) == 2
+    capsys.readouterr()
+    # a non-integer group-table entry, alone and inside the documents that
+    # embed a group
+    group = to_doc("group", cms["CM-A3S3"].top)
+    group["table"][1][1] = "x"
+    cm = to_doc("crossed_module", cms["CM-A3S3"])
+    cm["top"] = group
+    alg = to_doc("algebra", group_algebra_C(cms["CM-A3S3"], QQ))
+    alg["crossed_module"] = cm
+    for kind, doc in (("group", group), ("crossed-module", cm), ("algebra", alg)):
+        path = tmp_path / f"bad-{kind}.json"
+        path.write_text(dumps(doc))
+        assert main(["check", kind, str(path)]) == 2
+        assert "error" in json.loads(capsys.readouterr().out)
+    # a field spec with a modulus that is not a prime
+    for argv in (["--field", "Fp:4", "check", "algebra", "KP.CM-Mod"],
+                 ["--field", "Fp:x", "build", "kC", "CM-Mod"]):
+        assert main(argv) == 2
+        assert "error" in json.loads(capsys.readouterr().out)
+
+
+# every index field of every piece kind, and the expression's boundary labels;
+# in CM-A3S3, c indexes the top group A3 and every other field the base S3
+PIECE_FIELDS = {"disc": ["c"], "cyl": ["c", "g", "h"], "pants": ["c", "g1", "g2"],
+                "copants": ["g1", "g2"], "cup": ["g"], "cap": ["g"], "id": ["g"],
+                "swap": ["g1", "g2"]}
+INDEX_CASES = [(kind, field) for kind, fields in PIECE_FIELDS.items() for field in fields]
+INDEX_CASES += [("source", None), ("target", None)]
+
+
+@pytest.mark.parametrize("kind,field", INDEX_CASES,
+                         ids=[f"{k}.{f}" if f else k for k, f in INDEX_CASES])
+def test_cli_out_of_range_indices_exit_2(tmp_path, capsys, ws, kind, field):
+    order = 3 if field == "c" else 6
+
+    def doc_with(value):
+        doc = {"kind": "expression", "crossed_module": "CM-A3S3",
+               "source": [], "layers": [], "target": []}
+        if field is None:
+            doc[kind] = [[value]]
+        else:
+            doc["layers"] = [[{"piece": kind, **dict.fromkeys(PIECE_FIELDS[kind], 0),
+                               field: value}]]
+        return doc
+
+    from_doc(doc_with(order - 1), ws)  # the largest index parses
+    path = tmp_path / "bad.json"
+    for value in (order, 99, -1, "x", "1", True):
+        path.write_text(json.dumps(doc_with(value)))
+        for argv in (["check", "expression", str(path)], ["eval", "KC.CM-A3S3", str(path)]):
+            assert main(argv) == 2, (argv, value)
+            assert "error" in json.loads(capsys.readouterr().out)
 
 
 def test_cli_build_kc_roundtrips(tmp_path, capsys):
