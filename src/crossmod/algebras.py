@@ -1163,8 +1163,12 @@ def morphisms_equal(a: CrossedAlgebraMorphism, b: CrossedAlgebraMorphism) -> boo
 # bounded exhaustive morphism enumeration (small prime fields)
 # --------------------------------------------------------------------------
 
+# the search visits p ** (free entries) candidates: 20 free entries over F2
+MAX_CANDIDATES = 2 ** 20
+
+
 def enumerate_algebra_morphisms(fmor: CrossedModuleMorphism, L: CrossedCAlgebra,
-                                Lp: CrossedCAlgebra, max_entries: int = 20):
+                                Lp: CrossedCAlgebra):
     """All crossed algebra morphisms L -> Lp over fmor, by exhausting every
     grade-block matrix over a finite field. Witness-based checking makes
     search over Q unbounded, so this requires a prime field."""
@@ -1174,8 +1178,8 @@ def enumerate_algebra_morphisms(fmor: CrossedModuleMorphism, L: CrossedCAlgebra,
     f0 = fmor.f_base.map
     shapes = [(p, Lp.dims[f0[p]], L.dims[p]) for p in L.P.elements()]
     total = sum(r * c for _, r, c in shapes)
-    if total > max_entries:
-        raise ValueError(f"{total} free entries exceeds bound {max_entries}")
+    if field.p ** total > MAX_CANDIDATES:
+        raise ValueError(f"{field.p}**{total} candidates exceed the bound {MAX_CANDIDATES}")
     found = []
     for assignment in itertools.product(range(field.p), repeat=total):
         blocks, k = {}, 0

@@ -33,6 +33,7 @@ from .serialize import (
     dumps,
     group_table_from_doc,
     load_file,
+    read_doc,
     to_doc,
 )
 
@@ -48,15 +49,6 @@ CHECKABLE = {
     "simplicial": validate_simplicial,
 }
 
-_KIND_ALIASES = {
-    "group": "group", "homomorphism": "homomorphism", "hom": "homomorphism",
-    "action": "action", "crossed-module": "crossed_module",
-    "morphism": "morphism", "algebra": "algebra",
-    "algebra-morphism": "algebra_morphism", "expression": "expression",
-    "simplicial": "simplicial",
-}
-
-
 def _workspace(args) -> Workspace:
     field = field_from_json(getattr(args, "field", "Q") or "Q")
     ws = Workspace(field)
@@ -67,7 +59,7 @@ def _workspace(args) -> Workspace:
 
 
 def _load_target(ws: Workspace, kind_cli: str, target: str):
-    kind = _KIND_ALIASES[kind_cli]
+    kind = kind_cli.replace("-", "_")
     if Path(target).is_file():
         got_kind, name, obj = load_file(target, ws)
         if got_kind != kind:
@@ -78,21 +70,12 @@ def _load_target(ws: Workspace, kind_cli: str, target: str):
 
 def cmd_check(args) -> int:
     ws = _workspace(args)
-    try:
-        if args.kind == "group" and Path(args.target).is_file():
-            # groups validate at construction; check runs the report-based
-            # table checker so axiom failures exit 1 with a counterexample
-            import json
-            names, table = group_table_from_doc(json.loads(Path(args.target).read_text()))
-            report = check_group_table(names, table)
-        else:
-            obj = _load_target(ws, args.kind, args.target)
-            report = CHECKABLE[args.kind](obj)
-    except (OSError, ValueError, UnknownObject) as exc:
-        # str() of a KeyError such as UnknownObject quotes its message
-        message = exc.args[0] if isinstance(exc, UnknownObject) else exc
-        print(dumps({"error": str(message)}), end="")
-        return 2
+    if args.kind == "group" and Path(args.target).is_file():
+        # groups validate at construction; check runs the report-based
+        # table checker so axiom failures exit 1 with a counterexample
+        report = check_group_table(*group_table_from_doc(read_doc(args.target)))
+    else:
+        report = CHECKABLE[args.kind](_load_target(ws, args.kind, args.target))
     print(dumps(report.to_json()), end="")
     return 0 if report.ok else 1
 
@@ -105,46 +88,47 @@ def _write_out(args, doc) -> None:
         print(text, end="")
 
 
-# construction -> (kind of the result, its constructor on the workspace and inputs)
+# construction -> (kind of the result, number of inputs, its constructor on
+# the workspace and inputs)
 CONSTRUCTIONS = {
-    "kC": ("algebra", lambda ws, a: group_algebra_C(ws.get(a[0], "crossed_module"), ws.field)),
-    "kP": ("algebra", lambda ws, a: group_algebra_P(ws.get(a[0], "crossed_module"), ws.field)),
-    "pullback": ("algebra", lambda ws, a: pullback(ws.get(a[0], "morphism"),
-                                                   _load_target(ws, "algebra", a[1]))),
-    "pushforward": ("algebra", lambda ws, a: pushforward(ws.get(a[0], "morphism"),
-                                                         _load_target(ws, "algebra", a[1]))),
-    "kp_iso": ("algebra-morphism",
+    "kC": ("algebra", 1,
+           lambda ws, a: group_algebra_C(ws.get(a[0], "crossed_module"), ws.field)),
+    "kP": ("algebra", 1,
+           lambda ws, a: group_algebra_P(ws.get(a[0], "crossed_module"), ws.field)),
+    "pullback": ("algebra", 2, lambda ws, a: pullback(ws.get(a[0], "morphism"),
+                                                      _load_target(ws, "algebra", a[1]))),
+    "pushforward": ("algebra", 2, lambda ws, a: pushforward(ws.get(a[0], "morphism"),
+                                                            _load_target(ws, "algebra", a[1]))),
+    "kp_iso": ("algebra-morphism", 1,
                lambda ws, a: kp_iso_witness(ws.get(a[0], "crossed_module"), ws.field)),
 }
 
 
 def cmd_build(args) -> int:
     ws = _workspace(args)
-    kind, build = CONSTRUCTIONS[args.construction]
+    kind, n_inputs, build = CONSTRUCTIONS[args.construction]
+    if len(args.args) != n_inputs:
+        raise SerializationError(f"{args.construction} takes {n_inputs} input(s), "
+                                 f"got {len(args.args)}")
     try:
         obj = build(ws, args.args)
         rep = CHECKABLE[kind](obj)
-    except (SerializationError, UnknownObject, IndexError) as exc:
-        print(dumps({"error": str(exc)}), end="")
-        return 2
-    except ValueError as exc:
+    except (SerializationError, ScalarParseError):
+        raise       # malformed input: main maps it to 2
+    except ValueError as exc:   # a construction that fails, such as RhoIllDefined
         print(dumps({"error": str(exc)}), end="")
         return 1
     if not rep.ok:
         print(dumps(rep.to_json()), end="")
         return 1
-    _write_out(args, to_doc(_KIND_ALIASES[kind], obj))
+    _write_out(args, to_doc(kind.replace("-", "_"), obj))
     return 0
 
 
 def cmd_eval(args) -> int:
     ws = _workspace(args)
-    try:
-        alg = _load_target(ws, "algebra", args.algebra)
-        expr = _load_target(ws, "expression", args.expression)
-    except (SerializationError, UnknownObject) as exc:
-        print(dumps({"error": str(exc)}), end="")
-        return 2
+    alg = _load_target(ws, "algebra", args.algebra)
+    expr = _load_target(ws, "expression", args.expression)
     rep = check_crossed_algebra(alg)
     if not rep.ok:
         print(dumps(rep.to_json()), end="")
@@ -249,8 +233,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScalarParseError as exc:
-        print(dumps({"error": str(exc)}), end="")
+    except (SerializationError, UnknownObject, ScalarParseError) as exc:
+        # malformed input; args[0], since str() of a KeyError such as
+        # UnknownObject quotes its message
+        print(dumps({"error": str(exc.args[0])}), end="")
         return 2
 
 

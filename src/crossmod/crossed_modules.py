@@ -48,14 +48,6 @@ class CrossedModule:
     boundary: GroupHomomorphism
     act: GroupAction
 
-    @property
-    def C(self) -> FiniteGroup:
-        return self.top
-
-    @property
-    def P(self) -> FiniteGroup:
-        return self.base
-
     def d(self, c: int) -> int:
         return self.boundary.map[c]
 

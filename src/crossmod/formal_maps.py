@@ -54,9 +54,6 @@ class FormalBoundary:
     def of(cls, *label_lists) -> "FormalBoundary":
         return cls(tuple(FormalCircuit(tuple(ls)) for ls in label_lists))
 
-    def labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.labels for c in self.circuits)
-
 
 def circuit_normalize(group: FiniteGroup, b: FormalCircuit) -> FormalCircuit:
     """Collapse to the single ordered product of the labels."""

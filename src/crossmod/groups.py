@@ -88,9 +88,6 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({'{'}{', '.join(self.names)}{'}'})"
 
-    def to_json(self):
-        return {"names": list(self.names), "table": [list(r) for r in self.table]}
-
 
 def check_group_table(names, table) -> CheckReport:
     """Report-based validation of a multiplication table: shape, identity at
@@ -197,20 +194,11 @@ class GroupHomomorphism:
     target: FiniteGroup
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.order
 
     def kernel(self) -> tuple[int, ...]:
         return tuple(x for x in self.source.elements() if self.map[x] == 0)
-
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.map)))
-
-    def to_json(self):
-        return {"map": list(self.map)}
 
 
 def check_homomorphism(h: GroupHomomorphism) -> CheckReport:
@@ -260,12 +248,6 @@ class GroupAction:
     actor: FiniteGroup
     space: FiniteGroup
     table: tuple[tuple[int, ...], ...]
-
-    def act(self, p: int, c: int) -> int:
-        return self.table[p][c]
-
-    def to_json(self):
-        return {"table": [list(r) for r in self.table]}
 
 
 def check_action(act: GroupAction) -> CheckReport:

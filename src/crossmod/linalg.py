@@ -45,11 +45,6 @@ class Matrix:
     def column(cls, field, vec) -> "Matrix":
         return cls(field, [[x] for x in vec])
 
-    @classmethod
-    def row(cls, field, vec) -> "Matrix":
-        m = cls(field, [tuple(vec)])
-        return m
-
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
@@ -68,26 +63,6 @@ class Matrix:
         fmt = self.field.format
         body = "; ".join(" ".join(fmt(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols}]({body})"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch in matrix addition")
-        f = self.field
-        return Matrix(f, [
-            [f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch in matrix subtraction")
-        f = self.field
-        return Matrix(f, [
-            [f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ])
-
-    def scale(self, scalar) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(scalar, x) for x in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -206,10 +181,6 @@ class Matrix:
                     for l in range(other.cols):
                         out[i * other.rows + k][j * other.cols + l] = f.mul(a, other.data[k][l])
         return Matrix(f, out)
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
 
     def to_json(self):
         fmt = self.field.format

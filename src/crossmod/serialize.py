@@ -31,7 +31,7 @@ from .formal_maps import (
     SimplicialFormalMap,
     Swap,
 )
-from .linalg import Matrix
+from .linalg import GradedSpace, Matrix
 
 
 class SerializationError(ValueError):
@@ -200,11 +200,7 @@ class Workspace:
 
     def load_dir(self, path):
         for file in sorted(Path(path).glob("*.json")):
-            try:
-                doc = json.loads(file.read_text())
-                kind, name, obj = from_doc(doc, self)
-            except (SerializationError, json.JSONDecodeError, KeyError, ValueError):
-                continue
+            kind, name, obj = load_file(file, self)
             self.add(name, kind, obj)
 
     def resolve(self, ref, kind: str):
@@ -219,15 +215,36 @@ class Workspace:
         raise SerializationError(f"bad reference {ref!r}")
 
 
-def _require(doc, *keys):
-    for key in keys:
-        if key not in doc:
-            raise SerializationError(f"missing field {key!r}")
-
-
 def _is_index(x, n) -> bool:
     """A JSON integer (not a boolean) in range(n)."""
     return type(x) is int and 0 <= x < n
+
+
+def _indices(value, n, length, field) -> tuple[int, ...]:
+    """A JSON list of `length` indices below n (any length when `length` is
+    None), as a tuple. Every index list of every document goes through here."""
+    if not isinstance(value, list) or length is not None and len(value) != length \
+       or not all(_is_index(x, n) for x in value):
+        count = "" if length is None else f"{length} "
+        raise SerializationError(f"{field} must be a list of {count}indices below {n}")
+    return tuple(value)
+
+
+def _count(x, field) -> int:
+    if type(x) is not int or x < 0:
+        raise SerializationError(f"{field} must be a non-negative integer, not {x!r}")
+    return x
+
+
+def _hom(source: FiniteGroup, target: FiniteGroup, value, field) -> GroupHomomorphism:
+    return GroupHomomorphism(source, target, _indices(value, target.order, source.order, field))
+
+
+def _action(actor: FiniteGroup, space: FiniteGroup, table, field) -> GroupAction:
+    if not isinstance(table, list) or len(table) != actor.order:
+        raise SerializationError(f"{field} must be a list of {actor.order} rows")
+    return GroupAction(actor, space, tuple(_indices(row, space.order, space.order, f"{field} row")
+                                           for row in table))
 
 
 def group_table_from_doc(doc):
@@ -243,109 +260,73 @@ def group_table_from_doc(doc):
 
 
 def group_from_doc(doc, ws=None) -> FiniteGroup:
-    names, table = group_table_from_doc(doc)
-    from .groups import GroupConstructionError
-    try:
-        return make_group(names, table)
-    except GroupConstructionError as exc:
-        raise SerializationError(f"invalid group: {exc}") from exc
+    return make_group(*group_table_from_doc(doc))
 
 
 def hom_from_doc(doc, ws) -> GroupHomomorphism:
-    _require(doc, "source", "target", "map")
-    src = ws.resolve(doc["source"], "group")
-    tgt = ws.resolve(doc["target"], "group")
-    m = tuple(int(x) for x in doc["map"])
-    if len(m) != src.order or any(not (0 <= x < tgt.order) for x in m):
-        raise SerializationError("homomorphism map out of range")
-    return GroupHomomorphism(src, tgt, m)
+    return _hom(ws.resolve(doc["source"], "group"), ws.resolve(doc["target"], "group"),
+                doc["map"], "map")
 
 
 def action_from_doc(doc, ws) -> GroupAction:
-    _require(doc, "actor", "space", "table")
-    actor = ws.resolve(doc["actor"], "group")
-    space = ws.resolve(doc["space"], "group")
-    table = tuple(tuple(int(x) for x in row) for row in doc["table"])
-    if len(table) != actor.order or any(len(r) != space.order for r in table) or \
-       any(not (0 <= x < space.order) for r in table for x in r):
-        raise SerializationError("action table out of range")
-    return GroupAction(actor, space, table)
+    return _action(ws.resolve(doc["actor"], "group"), ws.resolve(doc["space"], "group"),
+                   doc["table"], "table")
 
 
 def cm_from_doc(doc, ws) -> CrossedModule:
-    _require(doc, "top", "base", "boundary", "action")
     top = ws.resolve(doc["top"], "group")
     base = ws.resolve(doc["base"], "group")
-    boundary = hom_from_doc({"source": doc["top"], "target": doc["base"],
-                             "map": doc["boundary"]}, ws)
-    boundary = GroupHomomorphism(top, base, boundary.map)
-    act = action_from_doc({"actor": doc["base"], "space": doc["top"],
-                           "table": doc["action"]}, ws)
-    act = GroupAction(base, top, act.table)
-    return CrossedModule(doc.get("name", "crossed_module"), top, base, boundary, act)
+    return CrossedModule(doc.get("name", "crossed_module"), top, base,
+                         _hom(top, base, doc["boundary"], "boundary"),
+                         _action(base, top, doc["action"], "action"))
 
 
 def morphism_from_doc(doc, ws) -> CrossedModuleMorphism:
-    _require(doc, "source", "target", "f_top", "f_base")
     src = ws.resolve(doc["source"], "crossed_module")
     tgt = ws.resolve(doc["target"], "crossed_module")
-    f_top = GroupHomomorphism(src.top, tgt.top, tuple(int(x) for x in doc["f_top"]))
-    f_base = GroupHomomorphism(src.base, tgt.base, tuple(int(x) for x in doc["f_base"]))
-    if len(f_top.map) != src.top.order or len(f_base.map) != src.base.order:
-        raise SerializationError("morphism maps have wrong length")
-    return CrossedModuleMorphism(src, tgt, f_top, f_base)
+    return CrossedModuleMorphism(src, tgt, _hom(src.top, tgt.top, doc["f_top"], "f_top"),
+                                 _hom(src.base, tgt.base, doc["f_base"], "f_base"))
 
 
 def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
-    _require(doc, "crossed_module", "field", "dims", "mul", "unit", "rho", "phi", "tilde")
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
     field = field_from_json(doc["field"])
     P, C = cm.base, cm.top
-    try:
-        dims = tuple(int(doc["dims"][str(g)]) for g in P.elements())
-        names_doc = doc.get("basis_names")
-        if names_doc is None:
-            basis_names = tuple(tuple(f"{P.names[g]}#{k}" for k in range(dims[g]))
-                                for g in P.elements())
-        else:
-            basis_names = tuple(tuple(names_doc[str(g)]) for g in P.elements())
-        mul = {}
-        for g in P.elements():
-            for h in P.elements():
-                raw = doc["mul"][f"{g},{h}"]
-                mul[(g, h)] = [[[field.parse(s) for s in cell] for cell in row]
-                               for row in raw]
-        unit = tuple(field.parse(x) for x in doc["unit"])
-        rho = {g: Matrix.from_json(field, doc["rho"][str(g)],
-                                   rows=dims[g], cols=dims[P.inv[g]])
-               for g in P.elements()}
-        phi = {(h, g): Matrix.from_json(field, doc["phi"][f"{h},{g}"],
-                                        rows=dims[P.conj(h, g)], cols=dims[g])
-               for h in P.elements() for g in P.elements()}
-        tilde = [tuple(field.parse(x) for x in doc["tilde"][str(c)])
-                 for c in C.elements()]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SerializationError(f"bad algebra document: {exc}") from exc
+    dims = tuple(_count(doc["dims"][str(g)], "dims") for g in P.elements())
+    names_doc = doc.get("basis_names")
+    if names_doc is None:
+        basis_names = tuple(tuple(f"{P.names[g]}#{k}" for k in range(dims[g]))
+                            for g in P.elements())
+    else:
+        basis_names = tuple(tuple(names_doc[str(g)]) for g in P.elements())
+    # rejects a name count that is not the grade's dimension, and duplicate names
+    GradedSpace(P.order, dims, basis_names)
+    mul = {}
+    for g in P.elements():
+        for h in P.elements():
+            raw = doc["mul"][f"{g},{h}"]
+            mul[(g, h)] = [[[field.parse(s) for s in cell] for cell in row] for row in raw]
+    unit = tuple(field.parse(x) for x in doc["unit"])
+    rho = {g: Matrix.from_json(field, doc["rho"][str(g)], rows=dims[g], cols=dims[P.inv[g]])
+           for g in P.elements()}
+    phi = {(h, g): Matrix.from_json(field, doc["phi"][f"{h},{g}"],
+                                    rows=dims[P.conj(h, g)], cols=dims[g])
+           for h in P.elements() for g in P.elements()}
+    tilde = [tuple(field.parse(x) for x in doc["tilde"][str(c)]) for c in C.elements()]
     return CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
                            mul, unit, rho, phi, tilde)
 
 
 def algebra_morphism_from_doc(doc, ws) -> CrossedAlgebraMorphism:
-    _require(doc, "source", "target", "f_top", "f_base", "blocks")
     src = ws.resolve(doc["source"], "algebra")
     tgt = ws.resolve(doc["target"], "algebra")
-    f_top = GroupHomomorphism(src.cm.top, tgt.cm.top,
-                              tuple(int(x) for x in doc["f_top"]))
-    f_base = GroupHomomorphism(src.cm.base, tgt.cm.base,
-                               tuple(int(x) for x in doc["f_base"]))
-    over = CrossedModuleMorphism(src.cm, tgt.cm, f_top, f_base)
-    try:
-        blocks = {p: Matrix.from_json(src.field, doc["blocks"][str(p)],
-                                      rows=tgt.dims[f_base.map[p]], cols=src.dims[p])
-                  for p in src.P.elements()}
-    except (KeyError, ValueError) as exc:
-        raise SerializationError(f"bad morphism blocks: {exc}") from exc
-    return CrossedAlgebraMorphism(over, src, tgt, blocks)
+    f_top = _hom(src.cm.top, tgt.cm.top, doc["f_top"], "f_top")
+    f_base = _hom(src.cm.base, tgt.cm.base, doc["f_base"], "f_base")
+    blocks = {p: Matrix.from_json(src.field, doc["blocks"][str(p)],
+                                  rows=tgt.dims[f_base.map[p]], cols=src.dims[p])
+              for p in src.P.elements()}
+    return CrossedAlgebraMorphism(CrossedModuleMorphism(src.cm, tgt.cm, f_top, f_base),
+                                  src, tgt, blocks)
 
 
 def _piece_from_doc(doc, cm: CrossedModule):
@@ -361,45 +342,34 @@ def _piece_from_doc(doc, cm: CrossedModule):
     return cls(*args)
 
 
-def _boundary_from_doc(circuits, cm: CrossedModule) -> FormalBoundary:
-    n = cm.base.order
-    for circ in circuits:
-        for g in circ:
-            if not _is_index(g, n):
-                raise SerializationError(f"circuit label {g!r} is not an index below {n}")
-    return FormalBoundary.of(*circuits)
+def _boundary_from_doc(circuits, cm: CrossedModule, side) -> FormalBoundary:
+    return FormalBoundary.of(*(_indices(c, cm.base.order, None, f"{side} circuit")
+                               for c in circuits))
 
 
 def expression_from_doc(doc, ws) -> CobordismExpression:
-    _require(doc, "crossed_module", "source", "layers", "target")
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
-    try:
-        source = _boundary_from_doc(doc["source"], cm)
-        target = _boundary_from_doc(doc["target"], cm)
-        layers = tuple(tuple(_piece_from_doc(p, cm) for p in layer)
-                       for layer in doc["layers"])
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"bad expression document: {exc}") from exc
+    source = _boundary_from_doc(doc["source"], cm, "source")
+    target = _boundary_from_doc(doc["target"], cm, "target")
+    layers = tuple(tuple(_piece_from_doc(p, cm) for p in layer) for layer in doc["layers"])
     return CobordismExpression(cm, source, layers, target)
 
 
 def simplicial_from_doc(doc, ws) -> SimplicialFormalMap:
-    _require(doc, "crossed_module", "vertices", "order", "simplices",
-             "edge_labels", "tri_labels", "start_vertices")
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
-    try:
-        simp = doc["simplices"]
-        complex_ = OrderedComplex(
-            int(doc["vertices"]), tuple(int(r) for r in doc["order"]),
-            tuple(tuple(int(v) for v in e) for e in simp.get("1", [])),
-            tuple(tuple(int(v) for v in t) for t in simp.get("2", [])),
-            tuple(tuple(int(v) for v in s) for s in simp.get("3", [])))
-        return SimplicialFormalMap(
-            cm, complex_, tuple(int(x) for x in doc["edge_labels"]),
-            tuple(int(x) for x in doc["tri_labels"]),
-            tuple(int(x) for x in doc["start_vertices"]))
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"bad simplicial document: {exc}") from exc
+    n = _count(doc["vertices"], "vertices")
+    simp = doc["simplices"]
+    if not isinstance(simp, dict):
+        raise SerializationError("simplices must be an object keyed by dimension")
+    edges, triangles, tetrahedra = (
+        tuple(_indices(s, n, k + 1, f"{k}-simplex") for s in simp.get(str(k), []))
+        for k in (1, 2, 3))
+    complex_ = OrderedComplex(n, _indices(doc["order"], n, n, "order"),
+                              edges, triangles, tetrahedra)
+    return SimplicialFormalMap(
+        cm, complex_, _indices(doc["edge_labels"], cm.base.order, len(edges), "edge_labels"),
+        _indices(doc["tri_labels"], cm.top.order, len(triangles), "tri_labels"),
+        _indices(doc["start_vertices"], n, len(triangles), "start_vertices"))
 
 
 FROM_DOC = {
@@ -416,18 +386,36 @@ FROM_DOC = {
 
 
 def from_doc(doc, ws: Workspace):
+    """Decode one document into (kind, name, object). Every fault of the
+    document raises SerializationError, or UnknownObject for a name that does
+    not resolve. An IndexError is not caught: every index is checked before
+    use, so one is a bug."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SerializationError("document must be an object with a 'kind' field")
-    kind = doc["kind"]
-    if kind not in FROM_DOC:
+    kind, name = doc["kind"], doc.get("name", doc["kind"])
+    if not isinstance(kind, str) or kind not in FROM_DOC:
         raise SerializationError(f"unknown kind {kind!r}")
-    obj = FROM_DOC[kind](doc, ws)
-    return kind, doc.get("name", kind), obj
+    if not isinstance(name, str):
+        raise SerializationError(f"name must be a string, not {name!r}")
+    try:
+        return kind, name, FROM_DOC[kind](doc, ws)
+    except (SerializationError, UnknownObject):
+        raise
+    except KeyError as exc:
+        raise SerializationError(f"bad {kind} document: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        # scalar parse errors, matrix shapes, and the validation of the
+        # complex and of the simplicial map
+        raise SerializationError(f"bad {kind} document: {exc}") from exc
+
+
+def read_doc(path):
+    """The JSON document in a file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:    # ValueError: JSON or UTF-8 decoding
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
 
 
 def load_file(path, ws: Workspace):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"cannot read {path}: {exc}") from exc
-    return from_doc(doc, ws)
+    return from_doc(read_doc(path), ws)

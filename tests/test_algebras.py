@@ -1,5 +1,6 @@
 import pytest
 
+from crossmod import algebras as algebras_module
 from crossmod.algebras import (
     SingularTheta,
     aut_square_check,
@@ -27,10 +28,10 @@ from crossmod.algebras import (
     untranspose_from_pullback,
     untranspose_to_pushforward,
 )
-from crossmod.crossed_modules import identity_morphism, quotient_morphism
+from crossmod.crossed_modules import from_normal_inclusion, identity_morphism, quotient_morphism
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_morphisms
-from crossmod.groups import trivial_group, trivial_hom, trivial_action
+from crossmod.groups import cyclic_group, trivial_group, trivial_hom, trivial_action
 from crossmod.linalg import Matrix, unit_vector
 
 
@@ -319,6 +320,20 @@ def test_pushforward_transposes_round_trip():
         assert check_algebra_morphism(m2).ok
         back = untranspose_to_pushforward(m2, fmor, L, data)
         assert morphisms_equal(back, m)
+
+
+def test_morphism_search_bounds_candidates_before_enumerating(monkeypatch):
+    # identity of K[Z/13] over F3: 13 free entries, so 3**13 > 2**20
+    # candidates, although 13 entries are fewer than the 20 allowed over F2
+    cm = from_normal_inclusion(cyclic_group(13), range(13))
+    L = group_algebra_P(cm, GF(3))
+
+    def checked(m):
+        raise AssertionError("a candidate was enumerated")
+
+    monkeypatch.setattr(algebras_module, "check_algebra_morphism", checked)
+    with pytest.raises(ValueError, match="candidates"):
+        enumerate_algebra_morphisms(identity_morphism(cm), L, L)
 
 
 def test_hom_set_counts_match():

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from crossmod.algebras import (
 )
 from crossmod.cli import main
 from crossmod.fields import QQ
-from crossmod.fixtures import std_morphisms
+from crossmod.fixtures import std_crossed_modules, std_morphisms
 from crossmod.formal_maps import Cap, Cup, Cyl, Disc, expression, annulus_labeling
 from crossmod.groups import symmetric_group_3
 from crossmod.serialize import (
@@ -174,6 +175,135 @@ def test_cli_out_of_range_indices_exit_2(tmp_path, capsys, ws, kind, field):
         for argv in (["check", "expression", str(path)], ["eval", "KC.CM-A3S3", str(path)]):
             assert main(argv) == 2, (argv, value)
             assert "error" in json.loads(capsys.readouterr().out)
+
+
+# --- malformed-document corpus ---------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _fixture_doc_text(kind):
+    """A valid document of each kind (named as on the command line), built
+    from the fixtures and kept as text, so that every case mutates a copy."""
+    cm = std_crossed_modules()["CM-A3S3"]
+    obj = {
+        "homomorphism": lambda: cm.boundary,
+        "action": lambda: cm.act,
+        "crossed-module": lambda: cm,
+        "morphism": lambda: std_morphisms()["q.CM-A3S3"],
+        "algebra": lambda: group_algebra_C(cm, QQ),
+        "algebra-morphism": lambda: kp_iso_witness(cm, QQ),
+        "expression": lambda: expression(cm, [1, 2], [], [1, 2]),
+        "simplicial": lambda: annulus_labeling(cm, 1, 4, 1),
+    }[kind]()
+    return dumps(to_doc(kind.replace("-", "_"), obj))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# every index list of every document kind: (the path to the list, the path
+# to what bounds its entries: a group's names, or the vertex count)
+INDEX_LISTS = {
+    "homomorphism": [(("map",), ("target", "names"))],
+    "action": [(("table", 1), ("space", "names"))],
+    "crossed-module": [(("boundary",), ("base", "names")),
+                       (("action", 1), ("top", "names"))],
+    "morphism": [(("f_top",), ("target", "top", "names")),
+                 (("f_base",), ("target", "base", "names"))],
+    "algebra": [(("crossed_module", "boundary"), ("crossed_module", "base", "names")),
+                (("crossed_module", "action", 1), ("crossed_module", "top", "names"))],
+    "algebra-morphism": [(("f_top",), ("target", "crossed_module", "top", "names")),
+                         (("f_base",), ("target", "crossed_module", "base", "names"))],
+    "expression": [(("source", 0), ("crossed_module", "base", "names")),
+                   (("target", 1), ("crossed_module", "base", "names"))],
+    "simplicial": [(("order",), ("vertices",)),
+                   (("simplices", "1", 0), ("vertices",)),
+                   (("simplices", "2", 1), ("vertices",)),
+                   (("edge_labels",), ("crossed_module", "base", "names")),
+                   (("tri_labels",), ("crossed_module", "top", "names")),
+                   (("start_vertices",), ("vertices",))],
+}
+ORDER = object()    # stands for the bound itself: the first index out of range
+
+
+def _check_mutated(kind, mutate):
+    """argv of `check <kind>` on a fixture document changed by `mutate`."""
+    def argv(tmp_path, ws):
+        doc = json.loads(_fixture_doc_text(kind))
+        from_doc(doc, ws)   # unchanged, the document decodes
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return ["check", kind, str(path)]
+    return argv
+
+
+def _set_entry(list_path, bound_path, value):
+    def mutate(doc):
+        bound = _at(doc, bound_path)
+        n = len(bound) if isinstance(bound, list) else bound
+        _at(doc, list_path)[-1] = n if value is ORDER else value
+    return mutate
+
+
+def _set(path, value):
+    def mutate(doc):
+        _at(doc, path[:-1])[path[-1]] = value
+    return mutate
+
+
+def _fixtures_dir_with(text):
+    def argv(tmp_path, ws):
+        (tmp_path / "bad.json").write_text(text)
+        return ["--fixtures-dir", str(tmp_path), "check", "group", "Z2"]
+    return argv
+
+
+def _eval_file(data: bytes):
+    def argv(tmp_path, ws):
+        (tmp_path / "bad.json").write_bytes(data)
+        return ["eval", "KC.CM-A3S3", str(tmp_path / "bad.json")]
+    return argv
+
+
+CORPUS = [(f"{kind}.{'.'.join(map(str, list_path))}={'order' if value is ORDER else repr(value)}",
+           _check_mutated(kind, _set_entry(list_path, bound_path, value)))
+          for kind, lists in INDEX_LISTS.items() for list_path, bound_path in lists
+          for value in (ORDER, 99, -1, 1.5, True, "1")]
+CORPUS += [
+    ("morphism.f_top=5", _check_mutated("morphism", _set(("f_top",), 5))),
+    ("algebra-morphism.f_top=5", _check_mutated("algebra-morphism", _set(("f_top",), 5))),
+    ("algebra.dims=1.7", _check_mutated("algebra", _set(("dims", "0"), 1.7))),
+    ("algebra.dims=-1", _check_mutated("algebra", _set(("dims", "0"), -1))),
+    ("algebra.basis_names-count", _check_mutated(
+        "algebra", lambda doc: doc["basis_names"]["0"].append("extra"))),
+    ("simplicial.simplices=list", _check_mutated("simplicial", _set(("simplices",), [[0, 1]]))),
+    ("expression.kind=list", _check_mutated("expression", _set(("kind",), ["expression"]))),
+    ("eval-not-utf8", _eval_file(b"\xff\xfe")),
+    ("build-too-few", lambda tmp_path, ws: ["build", "pullback", "q.CM-A3S3"]),
+    ("build-too-many", lambda tmp_path, ws: ["build", "kC", "CM-A3S3", "extra"]),
+    ("fixtures-dir-not-json", _fixtures_dir_with("{not json")),
+    ("fixtures-dir-bad-index", _fixtures_dir_with(json.dumps(
+        {"kind": "homomorphism", "source": "Z2", "target": "Z2", "map": [0, 2]}))),
+    ("fixtures-dir-name-not-a-string", _fixtures_dir_with(json.dumps(
+        {"kind": "group", "name": ["Z1"], "names": ["e"], "table": [[0]]}))),
+]
+
+
+@pytest.mark.parametrize("make_argv", [make for _, make in CORPUS],
+                         ids=[case for case, _ in CORPUS])
+def test_cli_malformed_corpus_exits_2(tmp_path, capsys, ws, make_argv):
+    argv = make_argv(tmp_path, ws)
+    assert main(argv) == 2, argv
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
+def test_cli_unknown_name_error_is_not_requoted(capsys):
+    assert main(["eval", "KC.CM-A3S3", "no-such-file.json"]) == 2
+    out = capsys.readouterr().out
+    assert "no-such-file.json" in json.loads(out)["error"] and '\\"' not in out
 
 
 def test_cli_build_kc_roundtrips(tmp_path, capsys):
