@@ -20,10 +20,8 @@ from .linalg import (
     RowSpace,
     SingularMatrixError,
     unit_vector,
-    vec_add,
     vec_is_zero,
     vec_sub,
-    zero_vector,
 )
 from .report import CheckReport
 
@@ -42,6 +40,20 @@ class DoesNotFactor(ValueError):
 
 class SectionRequired(ValueError):
     pass
+
+
+def _combine(field, n, terms):
+    """The n-vector sum of c * v over the (c, v) terms, skipping zero
+    coefficients and zero entries. Every contraction of the structure
+    constants, and every combination of ideal basis rows, goes through here."""
+    out = [field.zero] * n
+    for c, v in terms:
+        if field.is_zero(c):
+            continue
+        for k, x in enumerate(v):
+            if not field.is_zero(x):
+                out[k] = field.add(out[k], field.mul(c, x))
+    return tuple(out)
 
 
 class CrossedCAlgebra:
@@ -88,72 +100,39 @@ class CrossedCAlgebra:
         """Product of x in grade g with y in grade h; lands in grade g*h."""
         f = self.field
         block = self.mul[(g, h)]
-        gh = self.P.mul(g, h)
-        out = [f.zero] * self.dims[gh]
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                coeff = f.mul(xi, yj)
-                for k, s in enumerate(block[i][j]):
-                    if not f.is_zero(s):
-                        out[k] = f.add(out[k], f.mul(coeff, s))
-        return tuple(out)
+        return _combine(f, self.dims[self.P.mul(g, h)],
+                        ((f.mul(xi, yj), block[i][j])
+                         for i, xi in enumerate(x) if not f.is_zero(xi)
+                         for j, yj in enumerate(y) if not f.is_zero(yj)))
 
     def mul_matrix(self, g: int, h: int) -> Matrix:
-        """Multiplication L_g (x) L_h -> L_{gh} as a matrix on the pair basis."""
-        f = self.field
-        dg, dh = self.dims[g], self.dims[h]
-        dgh = self.dims[self.P.mul(g, h)]
-        block = self.mul[(g, h)]
-        data = [[f.zero] * (dg * dh) for _ in range(dgh)]
-        for i in range(dg):
-            for j in range(dh):
-                for k in range(dgh):
-                    data[k][i * dh + j] = block[i][j][k]
-        return Matrix(f, data, cols=dg * dh)
+        """Multiplication L_g (x) L_h -> L_{gh} as a matrix on the pair basis:
+        the column of the pair (i, j) is the structure vector block[i][j]."""
+        cells = [cell for row in self.mul[(g, h)] for cell in row]
+        return Matrix.from_columns(self.field, cells, self.dims[self.P.mul(g, h)])
 
     def left_mul_matrix(self, g: int, a, h: int) -> Matrix:
         """Matrix of x |-> a*x with a in grade g, acting L_h -> L_{gh}."""
-        f = self.field
         block = self.mul[(g, h)]
         dgh = self.dims[self.P.mul(g, h)]
-        data = [[f.zero] * self.dims[h] for _ in range(dgh)]
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            for j in range(self.dims[h]):
-                for k in range(dgh):
-                    data[k][j] = f.add(data[k][j], f.mul(ai, block[i][j][k]))
-        return Matrix(f, data, cols=self.dims[h])
+        cols = [_combine(self.field, dgh, ((ai, block[i][j]) for i, ai in enumerate(a)))
+                for j in range(self.dims[h])]
+        return Matrix.from_columns(self.field, cols, dgh)
 
     def right_mul_matrix(self, h: int, b, g: int) -> Matrix:
         """Matrix of x |-> x*b with b in grade h, acting L_g -> L_{gh}."""
-        f = self.field
         block = self.mul[(g, h)]
         dgh = self.dims[self.P.mul(g, h)]
-        data = [[f.zero] * self.dims[g] for _ in range(dgh)]
-        for i in range(self.dims[g]):
-            for j, bj in enumerate(b):
-                if f.is_zero(bj):
-                    continue
-                for k in range(dgh):
-                    data[k][i] = f.add(data[k][i], f.mul(bj, block[i][j][k]))
-        return Matrix(f, data, cols=self.dims[g])
+        cols = [_combine(self.field, dgh, zip(b, block[i])) for i in range(self.dims[g])]
+        return Matrix.from_columns(self.field, cols, dgh)
 
     def pairing(self, g: int, x, y):
         """rho(x, y) for x in grade g, y in grade g^-1."""
         f = self.field
-        acc = f.zero
-        mat = self.rho[g]
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                acc = f.add(acc, f.mul(f.mul(xi, yj), mat.data[i][j]))
-        return acc
+        rows = self.rho[g].data
+        return _combine(f, 1, ((f.mul(xi, yj), (rows[i][j],))
+                               for i, xi in enumerate(x) if not f.is_zero(xi)
+                               for j, yj in enumerate(y)))[0]
 
     def apply_phi(self, h: int, g: int, x):
         return self.phi[(h, g)].apply(x)
@@ -179,8 +158,10 @@ def same_structure(a: CrossedCAlgebra, b: CrossedCAlgebra) -> bool:
 # the axiom checker
 # --------------------------------------------------------------------------
 
-def _well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
-    P, C, f = L.P, L.C, L.field
+def well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
+    """The shape faults of L: a structure map whose blocks do not fit the
+    grade dimensions. Every other axiom assumes there are none."""
+    P, C = L.P, L.C
     bad = []
     if len(L.dims) != P.order:
         return [("dims", "one dimension per base element required")]
@@ -218,39 +199,34 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     """Every axiom family, exhaustively; the report carries the first
     counterexample instance per family."""
     report = CheckReport(f"crossed algebra {L.name}")
-    shape = _well_formed(L)
+    shape = well_formed(L)
     report.add("well_formed", shape)
     if shape:
         return report
     P, C, f = L.P, L.C, L.field
     nonzero = [g for g in P.elements() if L.dims[g] > 0]
+    units = _basis_units(L)
 
     fails = []
     for g in nonzero:
-        for i in range(L.dims[g]):
-            e = unit_vector(f, L.dims[g], i)
+        for name, e in units[g]:
             if L.multiply(0, L.unit, g, e) != e:
-                fails.append((f"1*{L.basis_names[g][i]}", "left unit fails"))
+                fails.append((f"1*{name}", "left unit fails"))
             if L.multiply(g, e, 0, L.unit) != e:
-                fails.append((f"{L.basis_names[g][i]}*1", "right unit fails"))
+                fails.append((f"{name}*1", "right unit fails"))
     report.add("unit", fails)
 
     fails = []
     for g, h, k in itertools.product(nonzero, repeat=3):
-        for i in range(L.dims[g]):
-            ei = unit_vector(f, L.dims[g], i)
-            for j in range(L.dims[h]):
-                ej = unit_vector(f, L.dims[h], j)
+        gh, hk = P.mul(g, h), P.mul(h, k)
+        for ni, ei in units[g]:
+            for nj, ej in units[h]:
                 ij = L.multiply(g, ei, h, ej)
-                gh = P.mul(g, h)
-                for l in range(L.dims[k]):
-                    el = unit_vector(f, L.dims[k], l)
+                for nl, el in units[k]:
                     lhs = L.multiply(gh, ij, k, el)
-                    rhs = L.multiply(g, ei, P.mul(h, k), L.multiply(h, ej, k, el))
+                    rhs = L.multiply(g, ei, hk, L.multiply(h, ej, k, el))
                     if lhs != rhs:
-                        fails.append(
-                            (f"({L.basis_names[g][i]},{L.basis_names[h][j]},{L.basis_names[k][l]})",
-                             "associativity fails"))
+                        fails.append((f"({ni},{nj},{nl})", "associativity fails"))
     report.add("associativity", fails)
 
     fails = []
@@ -272,21 +248,15 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
 
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
-        ghinv = P.inv[P.mul(g, h)]
-        if L.dims[ghinv] == 0:
-            continue
-        for i in range(L.dims[g]):
-            ei = unit_vector(f, L.dims[g], i)
-            for j in range(L.dims[h]):
-                ej = unit_vector(f, L.dims[h], j)
-                for k in range(L.dims[ghinv]):
-                    ek = unit_vector(f, L.dims[ghinv], k)
-                    lhs = L.pairing(P.mul(g, h), L.multiply(g, ei, h, ej), ek)
+        gh = P.mul(g, h)
+        ghinv = P.inv[gh]
+        for ni, ei in units[g]:
+            for nj, ej in units[h]:
+                for nk, ek in units[ghinv]:
+                    lhs = L.pairing(gh, L.multiply(g, ei, h, ej), ek)
                     rhs = L.pairing(g, ei, L.multiply(h, ej, ghinv, ek))
                     if lhs != rhs:
-                        fails.append(
-                            (f"({L.basis_names[g][i]},{L.basis_names[h][j]},{L.basis_names[ghinv][k]})",
-                             "rho(ab,c) != rho(a,bc)"))
+                        fails.append((f"({ni},{nj},{nk})", "rho(ab,c) != rho(a,bc)"))
     report.add("rho_invariant", fails)
 
     fails = []
@@ -308,17 +278,14 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
         for g1, g2 in itertools.product(nonzero, repeat=2):
             g12 = P.mul(g1, g2)
-            for i in range(L.dims[g1]):
-                ei = unit_vector(f, L.dims[g1], i)
-                for j in range(L.dims[g2]):
-                    ej = unit_vector(f, L.dims[g2], j)
+            for ni, ei in units[g1]:
+                for nj, ej in units[g2]:
                     lhs = L.phi[(h, g12)].apply(L.multiply(g1, ei, g2, ej))
                     rhs = L.multiply(P.conj(h, g1), L.apply_phi(h, g1, ei),
                                      P.conj(h, g2), L.apply_phi(h, g2, ej))
                     if lhs != rhs:
-                        fails.append(
-                            (f"(h={P.names[h]},{L.basis_names[g1][i]},{L.basis_names[g2][j]})",
-                             "phi_h(xy) != phi_h(x) phi_h(y)"))
+                        fails.append((f"(h={P.names[h]},{ni},{nj})",
+                                      "phi_h(xy) != phi_h(x) phi_h(y)"))
     report.add("phi_multiplicative", fails)
 
     fails = []
@@ -338,14 +305,11 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
 
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
-        for i in range(L.dims[g]):
-            a = unit_vector(f, L.dims[g], i)
+        for na, a in units[g]:
             fa = L.apply_phi(h, g, a)
-            for j in range(L.dims[h]):
-                b = unit_vector(f, L.dims[h], j)
+            for nb, b in units[h]:
                 if L.multiply(P.conj(h, g), fa, h, b) != L.multiply(h, b, g, a):
-                    fails.append((f"(a={L.basis_names[g][i]},b={L.basis_names[h][j]})",
-                                  "phi_h(a)b != ba"))
+                    fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
     report.add("twisted_commutativity", fails)
 
     # the trace condition compares the two cuttings of the labeled torus; it
@@ -355,13 +319,12 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     fails = []
     for g in P.elements():
         for h in P.elements():
-            comm = P.commutator(g, h)
-            if L.dims[comm] == 0 or L.dims[g] == 0 or L.dims[h] == 0:
+            if L.dims[g] == 0 or L.dims[h] == 0:
                 continue
-            for t in range(L.dims[comm]):
-                t1, t2 = torus_traces(L, g, h, unit_vector(f, L.dims[comm], t))
+            for nt, t in units[P.commutator(g, h)]:
+                t1, t2 = torus_traces(L, g, h, t)
                 if t1 != t2:
-                    fails.append((f"(g={P.names[g]},h={P.names[h]},c={L.basis_names[comm][t]})",
+                    fails.append((f"(g={P.names[g]},h={P.names[h]},c={nt})",
                                   "trace axiom fails"))
     report.add("trace", fails)
 
@@ -390,6 +353,12 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     report.add("tilde_equivariant", fails)
 
     return report
+
+
+def _basis_units(L: CrossedCAlgebra):
+    """Per grade, the (name, unit vector) of each basis vector."""
+    return [[(L.basis_names[g][i], unit_vector(L.field, L.dims[g], i)) for i in range(L.dims[g])]
+            for g in L.P.elements()]
 
 
 def torus_traces(L: CrossedCAlgebra, g: int, h: int, c_vec):
@@ -612,7 +581,7 @@ class CrossedAlgebraMorphism:
 def check_algebra_morphism(m: CrossedAlgebraMorphism) -> CheckReport:
     report = CheckReport("crossed algebra morphism")
     L, Lp = m.source, m.target
-    P, C, f = L.P, L.C, L.field
+    P, C = L.P, L.C
     bad = []
     for p in P.elements():
         blk = m.blocks.get(p)
@@ -627,18 +596,16 @@ def check_algebra_morphism(m: CrossedAlgebraMorphism) -> CheckReport:
                [] if m.apply(0, L.unit) == Lp.unit else [("1", "theta(1) != 1'")])
 
     fails = []
+    units = _basis_units(L)
     for g in P.elements():
         for h in P.elements():
             gh = P.mul(g, h)
-            for i in range(L.dims[g]):
-                ei = unit_vector(f, L.dims[g], i)
-                for j in range(L.dims[h]):
-                    ej = unit_vector(f, L.dims[h], j)
+            for ni, ei in units[g]:
+                for nj, ej in units[h]:
                     lhs = m.apply(gh, L.multiply(g, ei, h, ej))
                     rhs = Lp.multiply(m.f0(g), m.apply(g, ei), m.f0(h), m.apply(h, ej))
                     if lhs != rhs:
-                        fails.append((f"({L.basis_names[g][i]},{L.basis_names[h][j]})",
-                                      "theta(xy) != theta(x) theta(y)"))
+                        fails.append((f"({ni},{nj})", "theta(xy) != theta(x) theta(y)"))
     report.add("multiplicative", fails)
 
     fails = []
@@ -815,51 +782,40 @@ class PushforwardData:
         return self.spans[q].dim
 
 
+def _outside_grade(data: PushforwardData, q, p):
+    """The coordinates of class q outside grade p, and the matrix whose
+    columns are the ideal's basis rows restricted to those coordinates."""
+    L = data.source
+    other = [i for r in data.members[q] if r != p
+             for i in range(data.offsets[q][r], data.offsets[q][r] + L.dims[r])]
+    basis = data.spans[q].basis
+    return other, Matrix(L.field, [[row[i] for row in basis] for i in other], cols=len(basis))
+
+
 def concentrate_representative(data: PushforwardData, q, vec, p):
     """A representative of vec + ideal supported in the single grade p, or
     None if the class has no such representative."""
-    L = data.source
-    field = L.field
+    field = data.source.field
     span = data.spans[q]
+    other, outside = _outside_grade(data, q, p)
     if not span.basis:
-        comps = data.components(q, vec)
-        return vec if all(vec_is_zero(field, comps[r]) for r in data.members[q]
-                          if r != p) else None
-    other = [i for r in data.members[q] if r != p
-             for i in range(data.offsets[q][r], data.offsets[q][r] + L.dims[r])]
-    mat = Matrix(field, [[row[i] for row in span.basis] for i in other],
-                 cols=len(span.basis))
-    rhs = tuple(field.neg(vec[i]) for i in other)
-    coeffs = mat.solve(rhs)
+        return vec if all(field.is_zero(vec[i]) for i in other) else None
+    coeffs = outside.solve(tuple(field.neg(vec[i]) for i in other))
     if coeffs is None:
         return None
-    out = list(vec)
-    for coeff, row in zip(coeffs, span.basis):
-        for i, x in enumerate(row):
-            out[i] = field.add(out[i], field.mul(coeff, x))
-    return tuple(out)
+    return _combine(field, len(vec), [(field.one, vec), *zip(coeffs, span.basis)])
 
 
 def _ideal_grade_slice(data: PushforwardData, q, p):
     """A basis of the single-grade slice (ideal at class q) intersect L_p,
     as grade-p coordinate vectors."""
-    L = data.source
-    field = L.field
     span = data.spans[q]
     if not span.basis:
         return []
-    other = [i for r in data.members[q] if r != p
-             for i in range(data.offsets[q][r], data.offsets[q][r] + L.dims[r])]
-    outside = Matrix(field, [[row[i] for row in span.basis] for i in other],
-                     cols=len(span.basis))
-    slice_vectors = []
-    for combo in outside.nullspace():
-        vec = [field.zero] * data.class_dim[q]
-        for coeff, row in zip(combo, span.basis):
-            for i, x in enumerate(row):
-                vec[i] = field.add(vec[i], field.mul(coeff, x))
-        slice_vectors.append(data.components(q, tuple(vec))[p])
-    return slice_vectors
+    _, outside = _outside_grade(data, q, p)
+    return [data.components(q, _combine(data.source.field, data.class_dim[q],
+                                        zip(combo, span.basis)))[p]
+            for combo in outside.nullspace()]
 
 
 def pushforward_rho_via_grade(data: PushforwardData, q, p):
@@ -932,12 +888,12 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
     spans = {qq: RowSpace(field, class_dim[qq]) for qq in Q.elements()}
     data = PushforwardData(fmor, L, None, members, offsets, class_dim, spans)
 
+    units = _basis_units(L)
     generators = []
     for n in (p for p in members[0] if p != 0):
         for p in P.elements():
             npn = P.conj(n, p)
-            for i in range(L.dims[p]):
-                e = unit_vector(field, L.dims[p], i)
+            for _, e in units[p]:
                 vec = vec_sub(field,
                               data.class_vector(f0[p], [(npn, L.apply_phi(n, p, e))]),
                               data.class_vector(f0[p], [(p, e)]))
@@ -950,22 +906,20 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
         generators.append((0, vec))
 
     queue = [(qq, vec) for qq, vec in generators if spans[qq].add(vec)]
-    basis_units = [(r, j, unit_vector(field, L.dims[r], j))
-                   for r in P.elements() for j in range(L.dims[r])]
     while queue:
         qq, vec = queue.pop()
         comps = data.components(qq, vec)
-        for r, _, e in basis_units:
-            qr_left = Q.mul(f0[r], qq)
-            out = data.class_vector(qr_left, ((P.mul(r, p), L.multiply(r, e, p, comps[p]))
-                                              for p in members[qq]))
-            if not vec_is_zero(field, out) and spans[qr_left].add(out):
-                queue.append((qr_left, out))
-            qr_right = Q.mul(qq, f0[r])
-            out = data.class_vector(qr_right, ((P.mul(p, r), L.multiply(p, comps[p], r, e))
-                                               for p in members[qq]))
-            if not vec_is_zero(field, out) and spans[qr_right].add(out):
-                queue.append((qr_right, out))
+        for r in P.elements():
+            qr_left, qr_right = Q.mul(f0[r], qq), Q.mul(qq, f0[r])
+            for _, e in units[r]:
+                out = data.class_vector(qr_left, ((P.mul(r, p), L.multiply(r, e, p, comps[p]))
+                                                  for p in members[qq]))
+                if not vec_is_zero(field, out) and spans[qr_left].add(out):
+                    queue.append((qr_left, out))
+                out = data.class_vector(qr_right, ((P.mul(p, r), L.multiply(p, comps[p], r, e))
+                                                   for p in members[qq]))
+                if not vec_is_zero(field, out) and spans[qr_right].add(out):
+                    queue.append((qr_right, out))
     return data
 
 
@@ -1052,7 +1006,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                     out = data.class_vector(qc, ((P.conj(pa, p), L.apply_phi(pa, p, comps_a[p]))
                                                  for p in members[qq]))
                     cols.append(data.project(qc, out))
-                candidates.append(Matrix(field, cols, cols=dims_new[qc]).transpose())
+                candidates.append(Matrix.from_columns(field, cols, dims_new[qc]))
             if any(cand != candidates[0] for cand in candidates[1:]):
                 raise ValueError(
                     f"action on the quotient depends on the representative of {Q.names[qa]}")
@@ -1116,10 +1070,8 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
 
     def image_of_class_vector(qq, vec):
         comps = data.components(qq, vec)
-        out = zero_vector(field, Lp.dims[qq])
-        for p in data.members[qq]:
-            out = vec_add(field, out, m.blocks[p].apply(comps[p]))
-        return out
+        return _combine(field, Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
+                                             for p in data.members[qq]))
 
     for qq in Q.elements():
         for kvec in data.spans[qq].basis:
@@ -1132,7 +1084,7 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
     for qq in Q.elements():
         cols = [image_of_class_vector(qq, data.lift(qq, unit_vector(field, fL.dims[qq], k)))
                 for k in range(fL.dims[qq])]
-        blocks[qq] = Matrix(field, cols, cols=Lp.dims[qq]).transpose()
+        blocks[qq] = Matrix.from_columns(field, cols, Lp.dims[qq])
     return CrossedAlgebraMorphism(identity_morphism(m.over.target), fL, Lp, blocks)
 
 
@@ -1151,7 +1103,7 @@ def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMo
         for i in range(L.dims[p]):
             coords = data.project(qq, data.class_vector(qq, [(p, unit_vector(field, L.dims[p], i))]))
             cols.append(m2.blocks[qq].apply(coords))
-        blocks[p] = Matrix(field, cols, cols=m2.target.dims[qq]).transpose()
+        blocks[p] = Matrix.from_columns(field, cols, m2.target.dims[qq])
     return CrossedAlgebraMorphism(fmor, L, m2.target, blocks)
 
 

@@ -86,7 +86,7 @@ def eval_piece(tau: FormalHQFT, piece) -> EvaluatedMap:
     tgt = piece_target(piece, cm)
     match piece:
         case Disc(c):
-            mat = Matrix.column(f, L.tilde[c])
+            mat = Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
         case Cyl(c, g, h):
             hinv = P.inv[h]
             conj = P.conj(hinv, g)

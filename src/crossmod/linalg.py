@@ -42,8 +42,9 @@ class Matrix:
         return cls(field, [[field.of(x) for x in row] for row in data])
 
     @classmethod
-    def column(cls, field, vec) -> "Matrix":
-        return cls(field, [[x] for x in vec])
+    def from_columns(cls, field, columns, rows: int) -> "Matrix":
+        """The matrix whose columns are the given vectors of length `rows`."""
+        return cls(field, zip(*columns) if columns else [()] * rows, cols=len(columns))
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -95,8 +96,7 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)], cols=self.rows)
+        return Matrix.from_columns(self.field, self.data, self.cols)
 
     def trace(self):
         if self.rows != self.cols:
@@ -202,9 +202,6 @@ def dual_basis(pairing: Matrix) -> Matrix:
     return pairing.inverse()
 
 
-def vec_add(field, a, b):
-    return tuple(field.add(x, y) for x, y in zip(a, b, strict=True))
-
 def vec_sub(field, a, b):
     return tuple(field.sub(x, y) for x, y in zip(a, b, strict=True))
 
@@ -213,9 +210,6 @@ def vec_is_zero(field, a) -> bool:
 
 def unit_vector(field, n: int, i: int):
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-def zero_vector(field, n: int):
-    return (field.zero,) * n
 
 
 class RowSpace:
@@ -250,23 +244,17 @@ class RowSpace:
         return vec_is_zero(self.field, self.reduce(vec))
 
     def add(self, vec) -> bool:
-        """Insert a vector; returns True if the space grew."""
-        f = self.field
-        residual = self.reduce(vec)
-        piv = next((i for i, x in enumerate(residual) if not f.is_zero(x)), None)
-        if piv is None:
+        """Insert a vector; returns True if the space grew. The reduced
+        row-echelon form of [basis; vec] is unique, so re-reducing it keeps
+        the basis canonical."""
+        rows = self.basis + [tuple(vec)]
+        if len(rows[-1]) != self.n:
+            raise ValueError("vector length mismatch")
+        work, pivots = Matrix(self.field, rows, cols=self.n)._eliminate([()] * len(rows))
+        if len(pivots) == self.dim:
             return False
-        inv = f.div(f.one, residual[piv])
-        residual = tuple(f.mul(inv, x) for x in residual)
-        for k, (row, p) in enumerate(zip(self.basis, self.pivots)):
-            c = row[piv]
-            if not f.is_zero(c):
-                self.basis[k] = tuple(f.sub(x, f.mul(c, y)) for x, y in zip(row, residual))
-        self.basis.append(residual)
-        self.pivots.append(piv)
-        order = sorted(range(len(self.pivots)), key=lambda k: self.pivots[k])
-        self.basis = [self.basis[k] for k in order]
-        self.pivots = [self.pivots[k] for k in order]
+        self.basis = [tuple(row) for row in work[:len(pivots)]]
+        self.pivots = pivots
         return True
 
     def free_columns(self) -> list[int]:

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from . import fixtures
-from .algebras import CrossedAlgebraMorphism, CrossedCAlgebra
+from .algebras import CrossedAlgebraMorphism, CrossedCAlgebra, well_formed
 from .crossed_modules import CrossedModule, CrossedModuleMorphism
 from .fields import field_from_json
 from .groups import FiniteGroup, GroupAction, GroupHomomorphism, make_group
@@ -293,6 +293,13 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     field = field_from_json(doc["field"])
     P, C = cm.base, cm.top
     dims = tuple(_count(doc["dims"][str(g)], "dims") for g in P.elements())
+    # rho and phi compare every grade's dimension with the document's own
+    # data, so a huge dimension fails here, before anything of that size is built
+    rho = {g: Matrix.from_json(field, doc["rho"][str(g)], rows=dims[g], cols=dims[P.inv[g]])
+           for g in P.elements()}
+    phi = {(h, g): Matrix.from_json(field, doc["phi"][f"{h},{g}"],
+                                    rows=dims[P.conj(h, g)], cols=dims[g])
+           for h in P.elements() for g in P.elements()}
     names_doc = doc.get("basis_names")
     if names_doc is None:
         basis_names = tuple(tuple(f"{P.names[g]}#{k}" for k in range(dims[g]))
@@ -307,14 +314,13 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
             raw = doc["mul"][f"{g},{h}"]
             mul[(g, h)] = [[[field.parse(s) for s in cell] for cell in row] for row in raw]
     unit = tuple(field.parse(x) for x in doc["unit"])
-    rho = {g: Matrix.from_json(field, doc["rho"][str(g)], rows=dims[g], cols=dims[P.inv[g]])
-           for g in P.elements()}
-    phi = {(h, g): Matrix.from_json(field, doc["phi"][f"{h},{g}"],
-                                    rows=dims[P.conj(h, g)], cols=dims[g])
-           for h in P.elements() for g in P.elements()}
     tilde = [tuple(field.parse(x) for x in doc["tilde"][str(c)]) for c in C.elements()]
-    return CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
-                           mul, unit, rho, phi, tilde)
+    L = CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
+                        mul, unit, rho, phi, tilde)
+    shape = well_formed(L)
+    if shape:
+        raise SerializationError(f"bad algebra document: {shape[0][0]}: {shape[0][1]}")
+    return L
 
 
 def algebra_morphism_from_doc(doc, ws) -> CrossedAlgebraMorphism:

@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
 
 from crossmod import algebras as algebras_module
 from crossmod.algebras import (
+    CrossedCAlgebra,
     SingularTheta,
     aut_square_check,
     check_algebra_morphism,
@@ -30,7 +34,7 @@ from crossmod.algebras import (
 )
 from crossmod.crossed_modules import from_normal_inclusion, identity_morphism, quotient_morphism
 from crossmod.fields import GF, QQ
-from crossmod.fixtures import fixture_algebra_names, std_morphisms
+from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
 from crossmod.groups import cyclic_group, trivial_group, trivial_hom, trivial_action
 from crossmod.linalg import Matrix, unit_vector
 
@@ -387,3 +391,51 @@ def test_pushforward_of_ks3_looks_like_kz2(algebras):
         for q2 in Q.elements():
             assert L.phi[(q1, q2)] == Matrix(QQ, [[one]])
     assert L.tilde[0] == (one,)
+
+
+def _naive_product(L, g, x, h, y):
+    """sum over i, j, k of x_i y_j mul[g,h][i][j][k] e_k, with no skipping."""
+    f, block = L.field, L.mul[(g, h)]
+    out = [f.zero] * L.dims[L.P.mul(g, h)]
+    for i, j, k in itertools.product(range(len(x)), range(len(y)), range(len(out))):
+        out[k] = f.add(out[k], f.mul(f.mul(x[i], y[j]), block[i][j][k]))
+    return tuple(out)
+
+
+def _naive_pairing(L, g, x, y):
+    f, acc = L.field, L.field.zero
+    for i, j in itertools.product(range(len(x)), range(len(y))):
+        acc = f.add(acc, f.mul(f.mul(x[i], y[j]), L.rho[g].data[i][j]))
+    return acc
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_product_contraction_against_naive_sum(f):
+    """multiply, pairing and the three product matrices against a plain sum
+    over the structure constants, on every fixture algebra and on a copy with
+    random dense constants and pairing (the contraction does not need an
+    algebra, and an asymmetric block shows a swapped index)."""
+    rng = random.Random(11)
+
+    def dense(n):
+        return tuple(f.of(rng.choice((-3, -2, -1, 1, 2, 3, 4))) for _ in range(n))
+
+    for L in std_algebras(f).values():
+        P = L.P
+        constants = {(g, h): [[list(dense(L.dims[P.mul(g, h)])) for _ in range(L.dims[h])]
+                             for _ in range(L.dims[g])] for g, h in L.mul}
+        rho = {g: Matrix(f, [dense(L.dims[P.inv[g]]) for _ in range(L.dims[g])],
+                         cols=L.dims[P.inv[g]]) for g in P.elements()}
+        scrambled = CrossedCAlgebra(L.name, L.cm, f, L.dims, L.basis_names, constants,
+                                    L.unit, rho, L.phi, L.tilde)
+        for A in (L, scrambled):
+            for g, h, _ in itertools.product(P.elements(), P.elements(), range(3)):
+                x, y = dense(L.dims[g]), dense(L.dims[h])
+                prod = A.multiply(g, x, h, y)
+                assert prod == _naive_product(A, g, x, h, y)
+                assert A.left_mul_matrix(g, x, h).apply(y) == prod
+                assert A.right_mul_matrix(h, y, g).apply(x) == prod
+                assert A.mul_matrix(g, h).apply(tuple(f.mul(a, b) for a in x for b in y)) == prod
+            for g in P.elements():
+                x, y = dense(L.dims[g]), dense(L.dims[P.inv[g]])
+                assert A.pairing(g, x, y) == _naive_pairing(A, g, x, y)

@@ -168,6 +168,43 @@ def test_elimination_against_naive_rank(f):
         assert _naive_rank(f, null, A.cols) == len(null)
 
 
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_rowspace_against_naive_rank(f):
+    """add grows the space exactly when the Laplace-minor rank grows, contains
+    agrees with that rank, and the basis stays in reduced row-echelon form."""
+    rng = random.Random(9)
+    for n in range(6):
+        space, independent = RowSpace(f, n), []
+        for _ in range(3 * n + 2):
+            pick = rng.random()
+            if pick < 0.2:
+                v = (f.zero,) * n
+            elif pick < 0.5 and len(independent) >= 2:
+                a, b = rng.sample(independent, 2)
+                k = f.of(rng.randint(-2, 2))
+                v = tuple(f.add(x, f.mul(k, y)) for x, y in zip(a, b))
+            else:
+                v = tuple(f.of(rng.randint(-2, 2)) for _ in range(n))
+            grows = _naive_rank(f, independent + [v], n) > len(independent)
+            assert space.contains(v) == (not grows)
+            assert space.add(v) == grows
+            if grows:
+                independent.append(v)
+            assert space.dim == len(independent) == _naive_rank(f, space.basis, n)
+            assert space.pivots == sorted(space.pivots)
+            for r, (row, p) in enumerate(zip(space.basis, space.pivots)):
+                assert row[p] == f.one and all(f.is_zero(x) for x in row[:p])
+                assert all(f.is_zero(other[p]) for s, other in enumerate(space.basis) if s != r)
+            assert all(space.contains(v) for v in independent)
+        # a wrong length, on the filled space and on an empty one
+        for wrong in [(f.one,) * (n + 1)] + [(f.one,) * (n - 1)] * (n > 0):
+            for target in (space, RowSpace(f, n)):
+                with pytest.raises(ValueError):
+                    target.add(wrong)
+                with pytest.raises(ValueError):
+                    target.contains(wrong)
+
+
 def test_rowspace_quotient():
     space = RowSpace(QQ, 3)
     assert space.add((QQ.of(-1), QQ.of(1), QQ.of(0)))

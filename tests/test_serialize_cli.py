@@ -279,6 +279,15 @@ CORPUS += [
     ("algebra.dims=-1", _check_mutated("algebra", _set(("dims", "0"), -1))),
     ("algebra.basis_names-count", _check_mutated(
         "algebra", lambda doc: doc["basis_names"]["0"].append("extra"))),
+    # without basis_names, a grade's default names are built only after rho
+    # and phi have compared its dimension with the document
+    ("algebra.dims-huge", _check_mutated(
+        "algebra", lambda doc: (doc.pop("basis_names"), doc["dims"].update({"1": 10 ** 9})))),
+    # shape faults that decode: the algebra checker's well_formed family
+    ("algebra.unit-extra", _check_mutated("algebra", lambda doc: doc["unit"].append("0"))),
+    ("algebra.mul-reshaped", _check_mutated(
+        "algebra", lambda doc: doc["mul"]["0,0"][0].append(["0"]))),
+    ("algebra.tilde-extra", _check_mutated("algebra", lambda doc: doc["tilde"]["0"].append("0"))),
     ("simplicial.simplices=list", _check_mutated("simplicial", _set(("simplices",), [[0, 1]]))),
     ("expression.kind=list", _check_mutated("expression", _set(("kind",), ["expression"]))),
     ("eval-not-utf8", _eval_file(b"\xff\xfe")),
@@ -382,12 +391,16 @@ def test_cli_output_deterministic(tmp_path):
 
 def test_cli_verify_suite(capsys):
     assert main(["verify", "interchange"]) == 0
-    assert main(["verify", "nosuchsuite"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuchsuite"])
+    assert exc.value.code == 2
 
 
 def test_cli_verify_mutation_injection(capsys):
     assert main(["verify", "--mutate", "trace"]) == 1  # detected: suite fails
-    assert main(["verify", "--mutate", "nosuch"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--mutate", "nosuch"])
+    assert exc.value.code == 2
 
 
 def test_cli_fixtures_dir(tmp_path, capsys, groups):
