@@ -19,9 +19,8 @@ from .linalg import (
     Matrix,
     RowSpace,
     SingularMatrixError,
+    combine,
     unit_vector,
-    vec_is_zero,
-    vec_sub,
 )
 from .report import CheckReport
 
@@ -40,20 +39,6 @@ class DoesNotFactor(ValueError):
 
 class SectionRequired(ValueError):
     pass
-
-
-def _combine(field, n, terms):
-    """The n-vector sum of c * v over the (c, v) terms, skipping zero
-    coefficients and zero entries. Every contraction of the structure
-    constants, and every combination of ideal basis rows, goes through here."""
-    out = [field.zero] * n
-    for c, v in terms:
-        if field.is_zero(c):
-            continue
-        for k, x in enumerate(v):
-            if not field.is_zero(x):
-                out[k] = field.add(out[k], field.mul(c, x))
-    return tuple(out)
 
 
 class CrossedCAlgebra:
@@ -100,10 +85,10 @@ class CrossedCAlgebra:
         """Product of x in grade g with y in grade h; lands in grade g*h."""
         f = self.field
         block = self.mul[(g, h)]
-        return _combine(f, self.dims[self.P.mul(g, h)],
-                        ((f.mul(xi, yj), block[i][j])
-                         for i, xi in enumerate(x) if not f.is_zero(xi)
-                         for j, yj in enumerate(y) if not f.is_zero(yj)))
+        return combine(f, self.dims[self.P.mul(g, h)],
+                       ((f.mul(xi, yj), block[i][j])
+                        for i, xi in enumerate(x) if xi
+                        for j, yj in enumerate(y) if yj))
 
     def mul_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication L_g (x) L_h -> L_{gh} as a matrix on the pair basis:
@@ -115,7 +100,7 @@ class CrossedCAlgebra:
         """Matrix of x |-> a*x with a in grade g, acting L_h -> L_{gh}."""
         block = self.mul[(g, h)]
         dgh = self.dims[self.P.mul(g, h)]
-        cols = [_combine(self.field, dgh, ((ai, block[i][j]) for i, ai in enumerate(a)))
+        cols = [combine(self.field, dgh, ((ai, block[i][j]) for i, ai in enumerate(a)))
                 for j in range(self.dims[h])]
         return Matrix.from_columns(self.field, cols, dgh)
 
@@ -123,16 +108,16 @@ class CrossedCAlgebra:
         """Matrix of x |-> x*b with b in grade h, acting L_g -> L_{gh}."""
         block = self.mul[(g, h)]
         dgh = self.dims[self.P.mul(g, h)]
-        cols = [_combine(self.field, dgh, zip(b, block[i])) for i in range(self.dims[g])]
+        cols = [combine(self.field, dgh, zip(b, block[i])) for i in range(self.dims[g])]
         return Matrix.from_columns(self.field, cols, dgh)
 
     def pairing(self, g: int, x, y):
         """rho(x, y) for x in grade g, y in grade g^-1."""
         f = self.field
         rows = self.rho[g].data
-        return _combine(f, 1, ((f.mul(xi, yj), (rows[i][j],))
-                               for i, xi in enumerate(x) if not f.is_zero(xi)
-                               for j, yj in enumerate(y)))[0]
+        return combine(f, 1, ((f.mul(xi, yj), (rows[i][j],))
+                              for i, xi in enumerate(x) if xi
+                              for j, yj in enumerate(y)))[0]
 
     def apply_phi(self, h: int, g: int, x):
         return self.phi[(h, g)].apply(x)
@@ -803,7 +788,7 @@ def concentrate_representative(data: PushforwardData, q, vec, p):
     coeffs = outside.solve(tuple(field.neg(vec[i]) for i in other))
     if coeffs is None:
         return None
-    return _combine(field, len(vec), [(field.one, vec), *zip(coeffs, span.basis)])
+    return combine(field, len(vec), [(field.one, vec), *zip(coeffs, span.basis)])
 
 
 def _ideal_grade_slice(data: PushforwardData, q, p):
@@ -813,8 +798,8 @@ def _ideal_grade_slice(data: PushforwardData, q, p):
     if not span.basis:
         return []
     _, outside = _outside_grade(data, q, p)
-    return [data.components(q, _combine(data.source.field, data.class_dim[q],
-                                        zip(combo, span.basis)))[p]
+    return [data.components(q, combine(data.source.field, data.class_dim[q],
+                                       zip(combo, span.basis)))[p]
             for combo in outside.nullspace()]
 
 
@@ -894,15 +879,12 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
         for p in P.elements():
             npn = P.conj(n, p)
             for _, e in units[p]:
-                vec = vec_sub(field,
-                              data.class_vector(f0[p], [(npn, L.apply_phi(n, p, e))]),
-                              data.class_vector(f0[p], [(p, e)]))
+                vec = data.class_vector(f0[p], [(npn, L.apply_phi(n, p, e)),
+                                                (p, map(field.neg, e))])
                 generators.append((f0[p], vec))
     for b in (c for c in C.elements() if f1[c] == 0 and c != 0):
         db = L.cm.d(b)
-        vec = vec_sub(field,
-                      data.class_vector(0, [(db, L.tilde[b])]),
-                      data.class_vector(0, [(0, L.unit)]))
+        vec = data.class_vector(0, [(db, L.tilde[b]), (0, map(field.neg, L.unit))])
         generators.append((0, vec))
 
     queue = [(qq, vec) for qq, vec in generators if spans[qq].add(vec)]
@@ -914,11 +896,11 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
             for _, e in units[r]:
                 out = data.class_vector(qr_left, ((P.mul(r, p), L.multiply(r, e, p, comps[p]))
                                                   for p in members[qq]))
-                if not vec_is_zero(field, out) and spans[qr_left].add(out):
+                if any(out) and spans[qr_left].add(out):
                     queue.append((qr_left, out))
                 out = data.class_vector(qr_right, ((P.mul(p, r), L.multiply(p, comps[p], r, e))
                                                    for p in members[qq]))
-                if not vec_is_zero(field, out) and spans[qr_right].add(out):
+                if any(out) and spans[qr_right].add(out):
                     queue.append((qr_right, out))
     return data
 
@@ -1070,12 +1052,12 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
 
     def image_of_class_vector(qq, vec):
         comps = data.components(qq, vec)
-        return _combine(field, Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
-                                             for p in data.members[qq]))
+        return combine(field, Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
+                                            for p in data.members[qq]))
 
     for qq in Q.elements():
         for kvec in data.spans[qq].basis:
-            if not vec_is_zero(field, image_of_class_vector(qq, kvec)):
+            if any(image_of_class_vector(qq, kvec)):
                 raise DoesNotFactor(
                     f"morphism does not kill the ideal in class {Q.names[qq]}")
 

@@ -1,34 +1,40 @@
 """Exact scalar fields: arbitrary-precision rationals and prime fields.
 
-Scalars are raw values (``Fraction`` for the rationals, ``int`` residues for a
-prime field); all arithmetic is routed through a field object so matrix code
-stays field-agnostic and never mixes representations.
+Scalars are raw values: a rational is an ``int`` when it is integral and a
+reduced ``Fraction`` otherwise, a prime-field element an ``int`` residue. All
+arithmetic is routed through a field object so matrix code stays
+field-agnostic. A stored zero is falsy in both fields, so the matrix kernels
+skip zeros by truthiness.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+# a prime modulus lies below this, so testing it by trial division up to its
+# square root takes at most 46,339 divisions
+MAX_MODULUS = 2 ** 31
 
 
 class ScalarParseError(ValueError):
     pass
 
 
+def _integral_as_int(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
-    """The rationals. Values are ``fractions.Fraction`` (always reduced)."""
+    """The rationals: an integral value is an ``int``, any other a reduced
+    ``fractions.Fraction``."""
 
     name = "Q"
+    zero = 0
+    one = 1
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def of(self, n: int) -> Fraction:
-        return Fraction(n)
+    def of(self, n: int) -> int:
+        return n
 
     def add(self, a, b):
         return a + b
@@ -45,7 +51,7 @@ class RationalField:
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        return _integral_as_int(Fraction(a, b))
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -56,12 +62,12 @@ class RationalField:
             return str(a.numerator)
         return f"{a.numerator}/{a.denominator}"
 
-    def parse(self, s) -> Fraction:
+    def parse(self, s):
         if isinstance(s, int):
-            return Fraction(s)
+            return int(s)   # a JSON bool is stored as its int
         if isinstance(s, str):
             try:
-                return Fraction(s.strip())
+                return _integral_as_int(Fraction(s.strip()))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ScalarParseError(f"bad rational {s!r}") from exc
         raise ScalarParseError(f"bad rational {s!r}")
@@ -82,19 +88,16 @@ class RationalField:
 class PrimeField:
     """Integers modulo a prime. Values are ints in ``range(p)``."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= MAX_MODULUS:
+            raise ValueError(f"modulus {p} is not below 2**31")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def of(self, n: int) -> int:
         return n % self.p

@@ -3,6 +3,7 @@
 Everything here is field-agnostic: entries are raw scalar values and all
 arithmetic goes through the attached field object. Zero-dimensional shapes
 (0xn, nx0) are first-class, since graded algebras routinely have empty grades.
+Products skip zero entries, which are falsy in every field.
 """
 
 from __future__ import annotations
@@ -12,6 +13,20 @@ from dataclasses import dataclass
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
+
+
+def combine(field, n, terms):
+    """The n-vector sum of c * v over the (c, v) terms, skipping zero
+    coefficients and zero entries. Every matrix product, and every
+    contraction of an algebra's structure constants, goes through here."""
+    add, mul = field.add, field.mul
+    out = [field.zero] * n
+    for c, v in terms:
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] = add(out[k], mul(c, x))
+    return tuple(out)
 
 
 class Matrix:
@@ -71,29 +86,14 @@ class Matrix:
                 f"shape mismatch in matrix product: {self.shape()} @ {other.shape()}"
             )
         f = self.field
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = f.zero
-                for k in range(self.cols):
-                    acc = f.add(acc, f.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(f, out, cols=other.cols)
+        return Matrix(f, [combine(f, other.cols, zip(row, other.data)) for row in self.data],
+                      cols=other.cols)
 
     def apply(self, vec):
         """Matrix times column vector, given and returned as plain tuples."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        out = []
-        for i in range(self.rows):
-            acc = f.zero
-            for k in range(self.cols):
-                acc = f.add(acc, f.mul(self.data[i][k], vec[k]))
-            out.append(acc)
-        return tuple(out)
+        return combine(self.field, self.rows, zip(vec, zip(*self.data)))
 
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.data, self.cols)
@@ -169,18 +169,10 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; the left factor is the most significant index."""
         f = self.field
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        if rows == 0 or cols == 0:
-            return Matrix.zeros(f, rows, cols)
-        out = [[f.zero] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        out[i * other.rows + k][j * other.cols + l] = f.mul(a, other.data[k][l])
-        return Matrix(f, out)
+        mul, zero = f.mul, f.zero
+        return Matrix(f, [[mul(a, b) if a and b else zero for a in arow for b in brow]
+                          for arow in self.data for brow in other.data],
+                      cols=self.cols * other.cols)
 
     def to_json(self):
         fmt = self.field.format
@@ -201,12 +193,6 @@ def dual_basis(pairing: Matrix) -> Matrix:
     basis, so ``pairing @ dual_basis(pairing)`` is the identity."""
     return pairing.inverse()
 
-
-def vec_sub(field, a, b):
-    return tuple(field.sub(x, y) for x, y in zip(a, b, strict=True))
-
-def vec_is_zero(field, a) -> bool:
-    return all(field.is_zero(x) for x in a)
 
 def unit_vector(field, n: int, i: int):
     return tuple(field.one if j == i else field.zero for j in range(n))
@@ -230,18 +216,19 @@ class RowSpace:
         return len(self.basis)
 
     def reduce(self, vec):
+        """The residue of vec modulo the space: vec minus each basis row
+        times vec's entry at that row's pivot. That entry needs no update as
+        rows are subtracted, because in reduced row-echelon form every other
+        basis row is 0 at the pivot."""
         f = self.field
         vec = tuple(vec)
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        for row, piv in zip(self.basis, self.pivots):
-            c = vec[piv]
-            if not f.is_zero(c):
-                vec = tuple(f.sub(x, f.mul(c, y)) for x, y in zip(vec, row))
-        return vec
+        return combine(f, self.n, [(f.one, vec), *((f.neg(vec[p]), row)
+                                                   for row, p in zip(self.basis, self.pivots))])
 
     def contains(self, vec) -> bool:
-        return vec_is_zero(self.field, self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if the space grew. The reduced

@@ -10,6 +10,7 @@ from crossmod.linalg import (
     RowSpace,
     SingularMatrixError,
     TensorSpace,
+    combine,
     dual_basis,
     tensor,
     unit_vector,
@@ -23,6 +24,17 @@ def test_rational_field_roundtrip():
     assert QQ.div(QQ.of(1), QQ.of(3)) == Fraction(1, 3)
     with pytest.raises(ScalarParseError):
         QQ.parse("x")
+
+
+def test_rational_scalar_types():
+    """Integral rationals are held as int, never as a bool or an integral
+    Fraction, and format writes both representations alike."""
+    for value in (QQ.parse("4/2"), QQ.div(4, 2), QQ.of(3), QQ.parse(7), QQ.parse(" -6/3 ")):
+        assert type(value) is int
+    assert type(QQ.parse("3/4")) is Fraction and type(QQ.div(3, 4)) is Fraction
+    assert QQ.parse(True) == 1 and type(QQ.parse(True)) is int
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert [QQ.format(x) for x in (0, 5, Fraction(-3, 4), Fraction(6, 3))] == ["0", "5", "-3/4", "2"]
 
 
 def test_prime_field_arithmetic():
@@ -108,6 +120,73 @@ def test_solve():
     assert m.apply(x) == (QQ.of(5), QQ.of(11))
     inconsistent = Matrix.from_ints(QQ, [[1, 1], [1, 1]])
     assert inconsistent.solve((QQ.of(0), QQ.of(1))) is None
+
+
+# -- the fast path against a naive dense oracle over Fraction ----------------
+
+def _to_field(f, x):
+    """An oracle value (a Fraction) as a scalar of f."""
+    return x if f is QQ else f.of(int(x))
+
+
+def _oracle_matmul(f, A, B):
+    """The dense triple sum over Fraction, zeros included."""
+    return [[_to_field(f, sum((Fraction(A.data[i][k]) * Fraction(B.data[k][j])
+                               for k in range(A.cols)), Fraction(0)))
+             for j in range(B.cols)] for i in range(A.rows)]
+
+
+def _oracle_kron(f, A, B):
+    return [[_to_field(f, Fraction(A.data[i // B.rows][j // B.cols])
+                       * Fraction(B.data[i % B.rows][j % B.cols]))
+             for j in range(A.cols * B.cols)] for i in range(A.rows * B.rows)]
+
+
+def _fast_path_matrices(f, rng):
+    """Sparse, dense, identity and (over Q) non-integral matrices, with the
+    empty shapes 0xn and nx0 and the 1x1 shape among them."""
+    entries = {"sparse": lambda: f.of(rng.choice([0] * 5 + [1, -1, 2])),
+               "dense": lambda: f.of(rng.choice([1, 2, 3, -1, -2]))}
+    if f is QQ:
+        entries["non-integral"] = lambda: QQ.div(rng.randint(-4, 4), rng.randint(1, 3))
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (4, 4)]
+    out = [Matrix.identity(f, n) for n in (0, 1, 3, 4)]
+    for entry in entries.values():
+        for rows, cols in shapes:
+            out.append(Matrix(f, [[entry() for _ in range(cols)]
+                                  for _ in range(rows)], cols=cols))
+    return out
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_fast_path_against_dense_fraction_oracle(f):
+    """@, kron and combine against dense sums that skip nothing; over Q,
+    integral operands give int entries."""
+    rng = random.Random(11)
+    mats = _fast_path_matrices(f, rng)
+    products = krons = 0
+    for A in mats:
+        for B in mats:
+            if A.cols == B.rows:
+                AB = A @ B
+                assert AB.shape() == (A.rows, B.cols)
+                assert AB.data == tuple(map(tuple, _oracle_matmul(f, A, B)))
+                if all(type(x) is int for m in (A, B) for row in m.data for x in row):
+                    assert all(type(x) is int for row in AB.data for x in row)
+                products += 1
+            if A.rows * B.rows <= 16:
+                K = A.kron(B)
+                assert K.shape() == (A.rows * B.rows, A.cols * B.cols)
+                assert K.data == tuple(map(tuple, _oracle_kron(f, A, B)))
+                krons += 1
+        coeffs = [f.of(rng.choice([0, 0, 1, -2, 3])) for _ in range(A.rows)]
+        want = [_to_field(f, sum((Fraction(c) * Fraction(row[k])
+                                  for c, row in zip(coeffs, A.data)), Fraction(0)))
+                for k in range(A.cols)]
+        assert combine(f, A.cols, zip(coeffs, A.data)) == tuple(want)
+        y = Matrix(f, [[f.of(rng.choice([0, 1, -3]))] for _ in range(A.cols)], cols=1)
+        assert A.apply(tuple(x for x, in y.data)) == tuple(x for x, in _oracle_matmul(f, A, y))
+    assert products > 50 and krons > 100
 
 
 def _naive_det(f, rows):

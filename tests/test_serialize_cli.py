@@ -299,6 +299,15 @@ CORPUS += [
     ("fixtures-dir-name-not-a-string", _fixtures_dir_with(json.dumps(
         {"kind": "group", "name": ["Z1"], "names": ["e"], "table": [[0]]}))),
 ]
+# field moduli past the float range (10**400) and prime but too large to test
+# by trial division (2**61 - 1), from --field and from a document's field
+for label, modulus in (("10**400", 10 ** 400), ("2**61-1", 2 ** 61 - 1)):
+    CORPUS += [
+        (f"field-flag-Fp:{label}", lambda tmp_path, ws, modulus=modulus:
+            ["--field", f"Fp:{modulus}", "check", "algebra", "KP.CM-Mod"]),
+        (f"algebra.field-Fp:{label}",
+         _check_mutated("algebra", _set(("field",), {"Fp": modulus}))),
+    ]
 
 
 @pytest.mark.parametrize("make_argv", [make for _, make in CORPUS],
