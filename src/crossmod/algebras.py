@@ -19,7 +19,6 @@ from .linalg import (
     Matrix,
     RowSpace,
     SingularMatrixError,
-    combine,
     unit_vector,
 )
 from .report import CheckReport
@@ -85,10 +84,10 @@ class CrossedCAlgebra:
         """Product of x in grade g with y in grade h; lands in grade g*h."""
         f = self.field
         block = self.mul[(g, h)]
-        return combine(f, self.dims[self.P.mul(g, h)],
-                       ((f.mul(xi, yj), block[i][j])
-                        for i, xi in enumerate(x) if xi
-                        for j, yj in enumerate(y) if yj))
+        return f.combine(self.dims[self.P.mul(g, h)],
+                         ((f.mul(xi, yj), block[i][j])
+                          for i, xi in enumerate(x) if xi
+                          for j, yj in enumerate(y) if yj))
 
     def mul_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication L_g (x) L_h -> L_{gh} as a matrix on the pair basis:
@@ -100,7 +99,7 @@ class CrossedCAlgebra:
         """Matrix of x |-> a*x with a in grade g, acting L_h -> L_{gh}."""
         block = self.mul[(g, h)]
         dgh = self.dims[self.P.mul(g, h)]
-        cols = [combine(self.field, dgh, ((ai, block[i][j]) for i, ai in enumerate(a)))
+        cols = [self.field.combine(dgh, ((ai, block[i][j]) for i, ai in enumerate(a)))
                 for j in range(self.dims[h])]
         return Matrix.from_columns(self.field, cols, dgh)
 
@@ -108,16 +107,16 @@ class CrossedCAlgebra:
         """Matrix of x |-> x*b with b in grade h, acting L_g -> L_{gh}."""
         block = self.mul[(g, h)]
         dgh = self.dims[self.P.mul(g, h)]
-        cols = [combine(self.field, dgh, zip(b, block[i])) for i in range(self.dims[g])]
+        cols = [self.field.combine(dgh, zip(b, block[i])) for i in range(self.dims[g])]
         return Matrix.from_columns(self.field, cols, dgh)
 
     def pairing(self, g: int, x, y):
         """rho(x, y) for x in grade g, y in grade g^-1."""
         f = self.field
         rows = self.rho[g].data
-        return combine(f, 1, ((f.mul(xi, yj), (rows[i][j],))
-                              for i, xi in enumerate(x) if xi
-                              for j, yj in enumerate(y)))[0]
+        return f.combine(1, ((f.mul(xi, yj), (rows[i][j],))
+                             for i, xi in enumerate(x) if xi
+                             for j, yj in enumerate(y) if yj))[0]
 
     def apply_phi(self, h: int, g: int, x):
         return self.phi[(h, g)].apply(x)
@@ -788,7 +787,7 @@ def concentrate_representative(data: PushforwardData, q, vec, p):
     coeffs = outside.solve(tuple(field.neg(vec[i]) for i in other))
     if coeffs is None:
         return None
-    return combine(field, len(vec), [(field.one, vec), *zip(coeffs, span.basis)])
+    return field.combine(len(vec), [(field.one, vec), *zip(coeffs, span.basis)])
 
 
 def _ideal_grade_slice(data: PushforwardData, q, p):
@@ -798,8 +797,8 @@ def _ideal_grade_slice(data: PushforwardData, q, p):
     if not span.basis:
         return []
     _, outside = _outside_grade(data, q, p)
-    return [data.components(q, combine(data.source.field, data.class_dim[q],
-                                       zip(combo, span.basis)))[p]
+    return [data.components(q, data.source.field.combine(data.class_dim[q],
+                                                         zip(combo, span.basis)))[p]
             for combo in outside.nullspace()]
 
 
@@ -1052,8 +1051,8 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
 
     def image_of_class_vector(qq, vec):
         comps = data.components(qq, vec)
-        return combine(field, Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
-                                            for p in data.members[qq]))
+        return field.combine(Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
+                                           for p in data.members[qq]))
 
     for qq in Q.elements():
         for kvec in data.spans[qq].basis:

@@ -5,6 +5,12 @@ reduced ``Fraction`` otherwise, a prime-field element an ``int`` residue. All
 arithmetic is routed through a field object so matrix code stays
 field-agnostic. A stored zero is falsy in both fields, so the matrix kernels
 skip zeros by truthiness.
+
+Each field has its own contraction kernel, ``combine(n, terms)``, and every
+matrix product and structure-constant contraction goes through it. It sums
+in plain integers and normalizes once per output entry: over Q each entry is
+an integer numerator over one common denominator until the end, over GF(p)
+an unreduced integer until its one ``% p``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,46 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def combine(self, n, terms):
+        """The n-vector sum of c * v over the (c, v) terms, skipping zero
+        coefficients and zero entries. Each entry is an integer numerator
+        over one common denominator `den`, which is multiplied up only when
+        a term would not be an integer over it; each entry is reduced once
+        at the end. With integer input `den` stays 1."""
+        out = [0] * n
+        den = 1
+        for c, v in terms:
+            if type(c) is int:
+                if not c:
+                    continue
+                scale = c * den
+            else:
+                cn, cd = c.as_integer_ratio()
+                if not cn:
+                    continue
+                if den % cd:
+                    s = cd // math.gcd(den, cd)
+                    out = [y * s for y in out]
+                    den *= s
+                scale = cn * (den // cd)
+            # scale is c * den, an integer
+            for k, x in enumerate(v):
+                if type(x) is int:
+                    if x:
+                        out[k] += scale * x
+                else:
+                    xn, xd = x.as_integer_ratio()
+                    if xn:
+                        if scale % xd:
+                            s = xd // math.gcd(scale, xd)
+                            out = [y * s for y in out]
+                            den *= s
+                            scale *= s
+                        out[k] += scale // xd * xn
+        if den == 1:
+            return tuple(out)
+        return tuple([Fraction(y, den) if y % den else y // den for y in out])
 
     def format(self, a) -> str:
         a = Fraction(a)
@@ -122,6 +168,19 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
+    def combine(self, n, terms):
+        """The n-vector sum of c * v over the (c, v) terms, skipping zero
+        coefficients and zero entries, summed in int and reduced mod p once
+        per entry."""
+        out = [0] * n
+        for c, v in terms:
+            if c:
+                for k, x in enumerate(v):
+                    if x:
+                        out[k] += c * x
+        p = self.p
+        return tuple([y % p for y in out])
+
     def format(self, a) -> str:
         return f"{a % self.p} mod {self.p}"
 
@@ -166,16 +225,21 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_json(spec) -> "RationalField | PrimeField":
-    """Parse ``"Q"`` or ``{"Fp": p}`` (also accepts ``"Fp:<p>"`` from the CLI)."""
+    """Parse ``"Q"`` or ``{"Fp": p}`` with p a JSON integer (also accepts
+    ``"Fp:<p>"`` from the CLI, with p in ASCII digits)."""
     if spec == "Q" or spec is None:
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         modulus = spec["Fp"]
+        if type(modulus) is not int:
+            raise ScalarParseError(f"bad field spec {spec!r}: modulus is not an integer")
     elif isinstance(spec, str) and spec.startswith("Fp:"):
-        modulus = spec.split(":", 1)[1]
+        modulus = spec[3:]
+        if not (modulus.isascii() and modulus.isdigit()):
+            raise ScalarParseError(f"bad field spec {spec!r}: modulus is not a decimal integer")
     else:
         raise ScalarParseError(f"unknown field spec {spec!r}")
     try:
         return GF(int(modulus))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScalarParseError(f"bad field spec {spec!r}: {exc}") from exc

@@ -3,7 +3,10 @@
 Everything here is field-agnostic: entries are raw scalar values and all
 arithmetic goes through the attached field object. Zero-dimensional shapes
 (0xn, nx0) are first-class, since graded algebras routinely have empty grades.
-Products skip zero entries, which are falsy in every field.
+Every product (``@``, ``apply`` and ``RowSpace.reduce``) is one call of the
+field's contraction kernel ``combine``, which skips zero entries (falsy in
+every field) and normalizes each output entry once, so the entries of a
+product are canonical scalars of the field.
 """
 
 from __future__ import annotations
@@ -13,20 +16,6 @@ from dataclasses import dataclass
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
-
-
-def combine(field, n, terms):
-    """The n-vector sum of c * v over the (c, v) terms, skipping zero
-    coefficients and zero entries. Every matrix product, and every
-    contraction of an algebra's structure constants, goes through here."""
-    add, mul = field.add, field.mul
-    out = [field.zero] * n
-    for c, v in terms:
-        if c:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] = add(out[k], mul(c, x))
-    return tuple(out)
 
 
 class Matrix:
@@ -51,10 +40,6 @@ class Matrix:
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_ints(cls, field, data) -> "Matrix":
-        return cls(field, [[field.of(x) for x in row] for row in data])
 
     @classmethod
     def from_columns(cls, field, columns, rows: int) -> "Matrix":
@@ -86,14 +71,14 @@ class Matrix:
                 f"shape mismatch in matrix product: {self.shape()} @ {other.shape()}"
             )
         f = self.field
-        return Matrix(f, [combine(f, other.cols, zip(row, other.data)) for row in self.data],
+        return Matrix(f, [f.combine(other.cols, zip(row, other.data)) for row in self.data],
                       cols=other.cols)
 
     def apply(self, vec):
         """Matrix times column vector, given and returned as plain tuples."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return combine(self.field, self.rows, zip(vec, zip(*self.data)))
+        return self.field.combine(self.rows, zip(vec, zip(*self.data)))
 
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.data, self.cols)
@@ -188,12 +173,6 @@ class Matrix:
         return m
 
 
-def dual_basis(pairing: Matrix) -> Matrix:
-    """Copairing matrix of a nondegenerate pairing: columns express the dual
-    basis, so ``pairing @ dual_basis(pairing)`` is the identity."""
-    return pairing.inverse()
-
-
 def unit_vector(field, n: int, i: int):
     return tuple(field.one if j == i else field.zero for j in range(n))
 
@@ -224,8 +203,8 @@ class RowSpace:
         vec = tuple(vec)
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        return combine(f, self.n, [(f.one, vec), *((f.neg(vec[p]), row)
-                                                   for row, p in zip(self.basis, self.pivots))])
+        return f.combine(self.n, [(f.one, vec), *((f.neg(vec[p]), row)
+                                                  for row, p in zip(self.basis, self.pivots))])
 
     def contains(self, vec) -> bool:
         return not any(self.reduce(vec))
@@ -285,9 +264,6 @@ class GradedSpace:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def summand(self, g: int) -> "TensorSpace":
-        return TensorSpace(((g, self.dims[g]),))
-
 
 @dataclass(frozen=True)
 class TensorSpace:
@@ -308,16 +284,3 @@ class TensorSpace:
     def dims(self) -> tuple[int, ...]:
         return tuple(k for _, k in self.factors)
 
-
-def tensor(a: TensorSpace, b: TensorSpace) -> TensorSpace:
-    """Tensor product: factors concatenate, basis is lexicographic pairs."""
-    return TensorSpace(a.factors + b.factors)
-
-
-def tensor_graded(a, b) -> TensorSpace:
-    """Tensor of graded summands under product-of-grades bookkeeping: the
-    result carries the ordered grade list; dimensions multiply and the basis
-    is ordered (lexicographic) pairs. Accepts summands or tensor products."""
-    if isinstance(a, GradedSpace) or isinstance(b, GradedSpace):
-        raise ValueError("pick a summand first: tensor_graded(x.summand(g), ...)")
-    return tensor(a, b)

@@ -94,7 +94,7 @@ def test_theta_examples(cms):
     for g in cm.base.elements():
         assert theta(L, 0, g) == Matrix.identity(QQ, 1)
     # theta(sigma, 1): e_1 |-> e_sigma, a 1x1 identity block between grades
-    assert theta(L, 1, 0) == Matrix.from_ints(QQ, [[1]])
+    assert theta(L, 1, 0) == Matrix(QQ, [[1]])
     # composition law, exhaustively
     P, C = cm.base, cm.top
     for c2 in C.elements():

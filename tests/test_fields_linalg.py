@@ -10,9 +10,6 @@ from crossmod.linalg import (
     RowSpace,
     SingularMatrixError,
     TensorSpace,
-    combine,
-    dual_basis,
-    tensor,
     unit_vector,
 )
 
@@ -64,37 +61,29 @@ def test_trace_of_identity():
 
 
 def test_scalar_inverse():
-    assert Matrix.from_ints(QQ, [[2]]).inverse() == Matrix(QQ, [[Fraction(1, 2)]])
+    assert Matrix(QQ, [[2]]).inverse() == Matrix(QQ, [[Fraction(1, 2)]])
 
 
 def test_inverse_2x2_adjugate_oracle():
     # oracle: inverse of [[a,b],[c,d]] is adjugate over determinant
-    m = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
+    m = Matrix(QQ, [[1, 1], [0, 1]])
     a, b, c, d = (Fraction(x) for x in (1, 1, 0, 1))
     det = a * d - b * c
     oracle = Matrix(QQ, [[d / det, -b / det], [-c / det, a / det]])
     assert m.inverse() == oracle
-    assert m.inverse() == Matrix.from_ints(QQ, [[1, -1], [0, 1]])
+    assert m.inverse() == Matrix(QQ, [[1, -1], [0, 1]])
 
 
 def test_inverse_roundtrip_and_singular():
-    m = Matrix.from_ints(QQ, [[2, 1, 0], [1, 1, 1], [0, 3, 1]])
+    m = Matrix(QQ, [[2, 1, 0], [1, 1, 1], [0, 3, 1]])
     assert m.inverse() @ m == Matrix.identity(QQ, 3)
     with pytest.raises(SingularMatrixError):
-        Matrix.from_ints(QQ, [[1, 2], [2, 4]]).inverse()
-
-
-def test_dual_basis_contract():
-    swap = Matrix.from_ints(QQ, [[0, 1], [1, 0]])
-    assert dual_basis(swap) == swap
-    assert swap @ dual_basis(swap) == Matrix.identity(QQ, 2)
-    assert dual_basis(Matrix.from_ints(QQ, [[1]])) == Matrix.from_ints(QQ, [[1]])
-    assert dual_basis(Matrix.from_ints(QQ, [[2]])) == Matrix(QQ, [[Fraction(1, 2)]])
+        Matrix(QQ, [[1, 2], [2, 4]]).inverse()
 
 
 def test_kron_block_structure():
-    a = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
-    b = Matrix.from_ints(QQ, [[0, 1], [1, 0]])
+    a = Matrix(QQ, [[1, 2], [3, 4]])
+    b = Matrix(QQ, [[0, 1], [1, 0]])
     k = a.kron(b)
     assert k.shape() == (4, 4)
     for i in range(2):
@@ -115,10 +104,10 @@ def test_zero_dimensional_shapes():
 
 
 def test_solve():
-    m = Matrix.from_ints(QQ, [[1, 2], [3, 4]])
+    m = Matrix(QQ, [[1, 2], [3, 4]])
     x = m.solve((QQ.of(5), QQ.of(11)))
     assert m.apply(x) == (QQ.of(5), QQ.of(11))
-    inconsistent = Matrix.from_ints(QQ, [[1, 1], [1, 1]])
+    inconsistent = Matrix(QQ, [[1, 1], [1, 1]])
     assert inconsistent.solve((QQ.of(0), QQ.of(1))) is None
 
 
@@ -158,10 +147,64 @@ def _fast_path_matrices(f, rng):
     return out
 
 
-@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def _oracle_combine(f, n, terms):
+    """The naive sum of every c * v[k]: over Q in Fraction, over GF(p) in
+    int reduced mod p, zeros included."""
+    if f is QQ:
+        out = [Fraction(0)] * n
+        for c, v in terms:
+            for k in range(n):
+                out[k] += Fraction(c) * Fraction(v[k])
+        return out
+    out = [0] * n
+    for c, v in terms:
+        for k in range(n):
+            out[k] += c * v[k]
+    return [x % f.p for x in out]
+
+
+def _kernel_cases(f, rng):
+    """(n, terms) cases for the contraction kernel: no terms, n = 0, seeded
+    random terms and, over Q, large coprime denominators, mixed int and
+    Fraction values of both signs, integral Fractions, and sums that cancel
+    to an integer and to zero."""
+    cases = [(0, []), (3, []), (0, [(f.one, ())]), (2, [(f.zero, (f.one, f.one))])]
+    if f is QQ:
+        big = [10 ** 9 + 7, 10 ** 9 + 9, 998244353, 2 ** 61 - 1]
+        pool = [0, 0, 1, -1, 3, -7, Fraction(0), Fraction(4), Fraction(1, 2), Fraction(-2, 3),
+                Fraction(5, 6), *(Fraction(rng.randint(-10 ** 12, 10 ** 12) or 1, d) for d in big)]
+        third, sixth = Fraction(1, 3), Fraction(1, 6)
+        cases += [
+            (2, [(third, (1, 2)), (Fraction(2, 3), (1, 1))]),          # 1 and 4/3
+            (3, [(sixth, (1, third, 5)), (-sixth, (1, third, -1))]),     # 0, 0 and 1
+            (2, [(Fraction(1, big[0]), (1, big[1])), (Fraction(-1, big[0]), (1, big[1]))]),
+            (1, [(Fraction(1, d), (1,)) for d in big] + [(Fraction(-1, d), (1,)) for d in big]),
+            (2, [(Fraction(1, big[0]), (Fraction(1, big[1]), 1)),
+                 (Fraction(1, big[2]), (1, Fraction(1, big[3])))]),
+        ]
+    else:
+        pool = [0, 0, 1, f.p - 1, f.p // 2, rng.randrange(f.p)]
+    for n in (1, 2, 5):
+        for count in (1, 2, 6):
+            cases.append((n, [(rng.choice(pool), tuple(rng.choice(pool) for _ in range(n)))
+                              for _ in range(count)]))
+    return cases
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5), GF(2), GF(2 ** 31 - 1)],
+                         ids=["QQ", "GF5", "GF2", "GF2147483647"])
 def test_fast_path_against_dense_fraction_oracle(f):
     """@, kron and combine against dense sums that skip nothing; over Q,
-    integral operands give int entries."""
+    integral operands give int entries, and every entry of a contraction is
+    an int when integral and a reduced, non-integral Fraction otherwise."""
+    for n, terms in _kernel_cases(f, random.Random(13)):
+        got = f.combine(n, iter(terms))
+        assert got == tuple(_oracle_combine(f, n, terms)), terms
+        assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                   for x in got), got
+        assert all(type(x) is int for x in got if x == 0)
+        if f is not QQ:
+            assert all(0 <= x < f.p for x in got)
     rng = random.Random(11)
     mats = _fast_path_matrices(f, rng)
     products = krons = 0
@@ -183,7 +226,7 @@ def test_fast_path_against_dense_fraction_oracle(f):
         want = [_to_field(f, sum((Fraction(c) * Fraction(row[k])
                                   for c, row in zip(coeffs, A.data)), Fraction(0)))
                 for k in range(A.cols)]
-        assert combine(f, A.cols, zip(coeffs, A.data)) == tuple(want)
+        assert f.combine(A.cols, zip(coeffs, A.data)) == tuple(want)
         y = Matrix(f, [[f.of(rng.choice([0, 1, -3]))] for _ in range(A.cols)], cols=1)
         assert A.apply(tuple(x for x, in y.data)) == tuple(x for x, in _oracle_matmul(f, A, y))
     assert products > 50 and krons > 100
@@ -298,23 +341,11 @@ def test_rowspace_quotient():
 
 
 def test_tensor_spaces():
-    a = TensorSpace(((0, 2),))
-    b = TensorSpace(((1, 3),))
-    assert tensor(a, b).dim == 6
-    assert tensor(a, b).grades() == (0, 1)
+    t = TensorSpace(((0, 2), (1, 3)))
+    assert t.dim == 6
+    assert t.grades() == (0, 1) and t.dims() == (2, 3)
     assert TensorSpace(()).dim == 1  # empty boundary is the ground field
     assert unit_vector(QQ, 3, 1) == (QQ.of(0), QQ.of(1), QQ.of(0))
-
-
-def test_tensor_graded_examples():
-    from crossmod.linalg import GradedSpace, tensor_graded
-    space = GradedSpace(2, (1, 2), (("a",), ("b", "c")))
-    one = space.summand(0)
-    two = space.summand(1)
-    assert tensor_graded(one, one).dim == 1
-    t = tensor_graded(two, TensorSpace(((0, 3),)))
-    assert t.dim == 6 and t.grades() == (1, 0)
-    assert TensorSpace(()).dim == 1
 
 
 def test_dual_basis_on_every_fixture_grade_block():
@@ -325,4 +356,4 @@ def test_dual_basis_on_every_fixture_grade_block():
         for g in L.P.elements():
             if L.dims[g] == 0:
                 continue
-            assert L.rho[g] @ dual_basis(L.rho[g]) == Matrix.identity(QQ, L.dims[g])
+            assert L.rho[g] @ L.rho[g].inverse() == Matrix.identity(QQ, L.dims[g])

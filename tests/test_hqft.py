@@ -47,7 +47,7 @@ def test_state_space_examples(cms, algebras):
 def test_eval_disc(algebras):
     tau = make_hqft(algebras["KP.CM-A3S3"])
     out = eval_piece(tau, Disc(0))
-    assert out.matrix == Matrix.from_ints(QQ, [[1]])  # the unit of L_1
+    assert out.matrix == Matrix(QQ, [[1]])  # the unit of L_1
     tau = make_hqft(algebras["KC.CM-Mod"])
     out = eval_piece(tau, Disc(2))
     assert out.matrix.transpose().data[0] == (QQ.zero, QQ.zero, QQ.one)
@@ -62,7 +62,7 @@ def test_eval_cylinder(cms, algebras):
     # Cyl(1,(123),(12)): e_(123) |-> e_(132); in the 1-dim grade bases this is [[1]]
     h = P.names.index("(12)")
     out = eval_piece(tau, Cyl(0, g, h))
-    assert out.matrix == Matrix.from_ints(QQ, [[1]])
+    assert out.matrix == Matrix(QQ, [[1]])
     assert out.target.circuits[0].labels == (P.names.index("(132)"),)
 
 

@@ -308,6 +308,14 @@ for label, modulus in (("10**400", 10 ** 400), ("2**61-1", 2 ** 61 - 1)):
         (f"algebra.field-Fp:{label}",
          _check_mutated("algebra", _set(("field",), {"Fp": modulus}))),
     ]
+# a document's modulus is a JSON integer and a --field modulus ASCII digits;
+# int() would read each of these as a prime
+CORPUS += [
+    ("algebra.field-Fp:5.5", _check_mutated("algebra", _set(("field",), {"Fp": 5.5}))),
+    ("algebra.field-Fp:'5'", _check_mutated("algebra", _set(("field",), {"Fp": "5"}))),
+    ("field-flag-Fp:1_1",
+     lambda tmp_path, ws: ["--field", "Fp:1_1", "check", "algebra", "KP.CM-Mod"]),
+]
 
 
 @pytest.mark.parametrize("make_argv", [make for _, make in CORPUS],
