@@ -181,7 +181,14 @@ def well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
 
 def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     """Every axiom family, exhaustively; the report carries the first
-    counterexample instance per family."""
+    counterexample instance per family.
+
+    Tables built once per call replace the multiplication of unit vectors:
+    the basis product table prod[(g, h)][i][j] = e_i e_j and the action
+    images phis[(h, g)][i] = phi_h(e_i), over the grades that carry states,
+    and the columns cols[(g, h)][l] = [mul(g, h)[i][l] over i] of every
+    structure-constant block. A product of a vector x in grade g with e_l in
+    grade h is then the contraction of x with cols[(g, h)][l]."""
     report = CheckReport(f"crossed algebra {L.name}")
     shape = well_formed(L)
     report.add("well_formed", shape)
@@ -190,6 +197,13 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     P, C, f = L.P, L.C, L.field
     nonzero = [g for g in P.elements() if L.dims[g] > 0]
     units = _basis_units(L)
+    names = [[n for n, _ in grade] for grade in units]
+    prod = {(g, h): [[L.multiply(g, ei, h, ej) for _, ej in units[h]] for _, ei in units[g]]
+            for g in nonzero for h in nonzero}
+    phis = {(h, g): [L.apply_phi(h, g, e) for _, e in units[g]]
+            for h in P.elements() for g in nonzero}
+    cols = {(g, h): [[row[l] for row in L.mul[(g, h)]] for l in range(L.dims[h])]
+            for g in P.elements() for h in P.elements()}
 
     fails = []
     for g in nonzero:
@@ -200,16 +214,18 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
                 fails.append((f"{name}*1", "right unit fails"))
     report.add("unit", fails)
 
+    # (e_i e_j) e_l contracts e_i e_j with column l of mul(gh, k), and
+    # e_i (e_j e_l) contracts e_j e_l with row i of mul(g, hk)
     fails = []
     for g, h, k in itertools.product(nonzero, repeat=3):
         gh, hk = P.mul(g, h), P.mul(h, k)
-        for ni, ei in units[g]:
-            for nj, ej in units[h]:
-                ij = L.multiply(g, ei, h, ej)
-                for nl, el in units[k]:
-                    lhs = L.multiply(gh, ij, k, el)
-                    rhs = L.multiply(g, ei, hk, L.multiply(h, ej, k, el))
-                    if lhs != rhs:
+        d, col = L.dims[P.mul(gh, k)], cols[(gh, k)]
+        for i, ni in enumerate(names[g]):
+            row = L.mul[(g, hk)][i]
+            for j, nj in enumerate(names[h]):
+                ij, jls = prod[(g, h)][i][j], prod[(h, k)][j]
+                for l, nl in enumerate(names[k]):
+                    if f.combine(d, zip(ij, col[l])) != f.combine(d, zip(jls[l], row)):
                         fails.append((f"({ni},{nj},{nl})", "associativity fails"))
     report.add("associativity", fails)
 
@@ -230,16 +246,19 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             fails.append((f"g={P.names[g]}", "rho block is singular"))
     report.add("rho_nondegenerate", fails)
 
+    # rho(e_i e_j, e_k) for every k at once contracts e_i e_j with the rows
+    # of rho_gh; rho(e_i, e_j e_k) contracts e_j e_k with row i of rho_g
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
         gh = P.mul(g, h)
         ghinv = P.inv[gh]
-        for ni, ei in units[g]:
-            for nj, ej in units[h]:
-                for nk, ek in units[ghinv]:
-                    lhs = L.pairing(gh, L.multiply(g, ei, h, ej), ek)
-                    rhs = L.pairing(g, ei, L.multiply(h, ej, ghinv, ek))
-                    if lhs != rhs:
+        rho_gh, dk = L.rho[gh].data, L.dims[ghinv]
+        for i, ni in enumerate(names[g]):
+            row = [(x,) for x in L.rho[g].data[i]]
+            for j, nj in enumerate(names[h]):
+                lhs = f.combine(dk, zip(prod[(g, h)][i][j], rho_gh))
+                for k, nk in enumerate(names[ghinv]):
+                    if lhs[k] != f.combine(1, zip(prod[(h, ghinv)][j][k], row))[0]:
                         fails.append((f"({ni},{nj},{nk})", "rho(ab,c) != rho(a,bc)"))
     report.add("rho_invariant", fails)
 
@@ -261,12 +280,12 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         if L.phi[(h, 0)].apply(L.unit) != L.unit:
             fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
         for g1, g2 in itertools.product(nonzero, repeat=2):
-            g12 = P.mul(g1, g2)
-            for ni, ei in units[g1]:
-                for nj, ej in units[g2]:
-                    lhs = L.phi[(h, g12)].apply(L.multiply(g1, ei, g2, ej))
-                    rhs = L.multiply(P.conj(h, g1), L.apply_phi(h, g1, ei),
-                                     P.conj(h, g2), L.apply_phi(h, g2, ej))
+            phi12 = L.phi[(h, P.mul(g1, g2))]
+            hg1, hg2 = P.conj(h, g1), P.conj(h, g2)
+            for i, ni in enumerate(names[g1]):
+                for j, nj in enumerate(names[g2]):
+                    lhs = phi12.apply(prod[(g1, g2)][i][j])
+                    rhs = L.multiply(hg1, phis[(h, g1)][i], hg2, phis[(h, g2)][j])
                     if lhs != rhs:
                         fails.append((f"(h={P.names[h]},{ni},{nj})",
                                       "phi_h(xy) != phi_h(x) phi_h(y)"))
@@ -287,12 +306,15 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             fails.append((f"g={P.names[g]}", "phi_g is not the identity on L_g"))
     report.add("phi_fixes_own_grade", fails)
 
+    # phi_h(e_i) e_j contracts phi_h(e_i) with cols[(hgh^-1, h)][j]
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
-        for na, a in units[g]:
-            fa = L.apply_phi(h, g, a)
-            for nb, b in units[h]:
-                if L.multiply(P.conj(h, g), fa, h, b) != L.multiply(h, b, g, a):
+        hg = P.conj(h, g)
+        d = L.dims[P.mul(hg, h)]
+        for i, na in enumerate(names[g]):
+            fa = phis[(h, g)][i]
+            for j, nb in enumerate(names[h]):
+                if f.combine(d, zip(fa, cols[(hg, h)][j])) != prod[(h, g)][j][i]:
                     fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
     report.add("twisted_commutativity", fails)
 
@@ -317,13 +339,18 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         fails.append(("c=1", "tilde(1) != 1"))
     report.add("tilde_unit", fails)
 
+    # tilde(c') tilde(c) contracts tilde(c) with the products tilde(c') e_l,
+    # built once per c' and grade d(c)
     fails = []
+    image = {L.cm.d(c) for c in C.elements()}
     for c2 in C.elements():
+        d2 = L.cm.d(c2)
+        left = {g: [f.combine(L.dims[P.mul(d2, g)], zip(L.tilde[c2], col))
+                    for col in cols[(d2, g)]] for g in image}
         for c in C.elements():
-            prod = C.mul(c2, c)
-            lhs = L.tilde[prod]
-            rhs = L.multiply(L.cm.d(c2), L.tilde[c2], L.cm.d(c), L.tilde[c])
-            if lhs != rhs:
+            dc = L.cm.d(c)
+            rhs = f.combine(L.dims[P.mul(d2, dc)], zip(L.tilde[c], left[dc]))
+            if L.tilde[C.mul(c2, c)] != rhs:
                 fails.append((f"(c'={C.names[c2]},c={C.names[c]})",
                               "tilde(c'c) != tilde(c') tilde(c)"))
     report.add("tilde_multiplicative", fails)
@@ -442,17 +469,19 @@ def _theta_raw(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
 
 def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     """The four composition identities relating theta, the product, rho and
-    phi, swept over every (c, c', g, h) in the crossed module."""
+    phi, swept over every (c, c', g, h) in the crossed module. Each
+    theta(c, g) is built once per call."""
     report = CheckReport(f"boxed identities for {L.name}")
-    P, C, f = L.P, L.C, L.field
+    P, C = L.P, L.C
     d = L.cm.d
+    theta = {(c, g): _theta_raw(L, c, g) for c in C.elements() for g in P.elements()}
 
     fails = []
     for c2 in C.elements():
         for c in C.elements():
             for g in P.elements():
-                lhs = _theta_raw(L, C.mul(c2, c), g)
-                rhs = _theta_raw(L, c2, P.mul(d(c), g)) @ _theta_raw(L, c, g)
+                lhs = theta[(C.mul(c2, c), g)]
+                rhs = theta[(c2, P.mul(d(c), g))] @ theta[(c, g)]
                 if lhs != rhs:
                     fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
                                   "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
@@ -462,9 +491,7 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         for g in P.elements():
             lhs = L.right_mul_matrix(d(c), L.tilde[c], g)
-            gc = L.cm.action(g, c)
-            rhs = L.left_mul_matrix(d(gc), L.tilde[gc], g)
-            if lhs != rhs:
+            if lhs != theta[(L.cm.action(g, c), g)]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "x tilde(c) != tilde(^g c) x"))
     report.add("theta_translation", fails)
@@ -473,9 +500,9 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         for g in P.elements():
             dcg = P.mul(d(c), g)
-            lhs = _theta_raw(L, c, g).transpose() @ L.rho[dcg]
+            lhs = theta[(c, g)].transpose() @ L.rho[dcg]
             cg = L.cm.action(P.inv[g], c)
-            rhs = L.rho[g] @ _theta_raw(L, cg, P.inv[dcg])
+            rhs = L.rho[g] @ theta[(cg, P.inv[dcg])]
             if lhs != rhs:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "rho(tilde(c) x, y) != rho(x, tilde(^{g^-1}c) y)"))
@@ -485,8 +512,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         for g in P.elements():
             for h in P.elements():
-                lhs = L.phi[(h, P.mul(d(c), g))] @ _theta_raw(L, c, g)
-                rhs = _theta_raw(L, L.cm.action(h, c), P.conj(h, g)) @ L.phi[(h, g)]
+                lhs = L.phi[(h, P.mul(d(c), g))] @ theta[(c, g)]
+                rhs = theta[(L.cm.action(h, c), P.conj(h, g))] @ L.phi[(h, g)]
                 if lhs != rhs:
                     fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
                                   "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))
@@ -627,11 +654,6 @@ def is_isomorphism(m: CrossedAlgebraMorphism) -> bool:
         except SingularMatrixError:
             return False
     return True
-
-
-def identity_algebra_morphism(L: CrossedCAlgebra) -> CrossedAlgebraMorphism:
-    blocks = {p: Matrix.identity(L.field, L.dims[p]) for p in L.P.elements()}
-    return CrossedAlgebraMorphism(identity_morphism(L.cm), L, L, blocks)
 
 
 # --------------------------------------------------------------------------

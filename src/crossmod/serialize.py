@@ -236,6 +236,14 @@ def _count(x, field) -> int:
     return x
 
 
+def _object(doc, key):
+    """The field `key` of an algebra document, which must be a JSON object."""
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise SerializationError(f"bad algebra document: {key} must be an object")
+    return value
+
+
 def _hom(source: FiniteGroup, target: FiniteGroup, value, field) -> GroupHomomorphism:
     return GroupHomomorphism(source, target, _indices(value, target.order, source.order, field))
 
@@ -292,29 +300,31 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
     field = field_from_json(doc["field"])
     P, C = cm.base, cm.top
-    dims = tuple(_count(doc["dims"][str(g)], "dims") for g in P.elements())
+    dims_doc, rho_doc, phi_doc, mul_doc, tilde_doc = (
+        _object(doc, key) for key in ("dims", "rho", "phi", "mul", "tilde"))
+    dims = tuple(_count(dims_doc[str(g)], "dims") for g in P.elements())
     # rho and phi compare every grade's dimension with the document's own
     # data, so a huge dimension fails here, before anything of that size is built
-    rho = {g: Matrix.from_json(field, doc["rho"][str(g)], rows=dims[g], cols=dims[P.inv[g]])
+    rho = {g: Matrix.from_json(field, rho_doc[str(g)], rows=dims[g], cols=dims[P.inv[g]])
            for g in P.elements()}
-    phi = {(h, g): Matrix.from_json(field, doc["phi"][f"{h},{g}"],
+    phi = {(h, g): Matrix.from_json(field, phi_doc[f"{h},{g}"],
                                     rows=dims[P.conj(h, g)], cols=dims[g])
            for h in P.elements() for g in P.elements()}
-    names_doc = doc.get("basis_names")
-    if names_doc is None:
+    if doc.get("basis_names") is None:
         basis_names = tuple(tuple(f"{P.names[g]}#{k}" for k in range(dims[g]))
                             for g in P.elements())
     else:
+        names_doc = _object(doc, "basis_names")
         basis_names = tuple(tuple(names_doc[str(g)]) for g in P.elements())
     # rejects a name count that is not the grade's dimension, and duplicate names
     GradedSpace(P.order, dims, basis_names)
     mul = {}
     for g in P.elements():
         for h in P.elements():
-            raw = doc["mul"][f"{g},{h}"]
+            raw = mul_doc[f"{g},{h}"]
             mul[(g, h)] = [[[field.parse(s) for s in cell] for cell in row] for row in raw]
     unit = tuple(field.parse(x) for x in doc["unit"])
-    tilde = [tuple(field.parse(x) for x in doc["tilde"][str(c)]) for c in C.elements()]
+    tilde = [tuple(field.parse(x) for x in tilde_doc[str(c)]) for c in C.elements()]
     L = CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
                         mul, unit, rho, phi, tilde)
     shape = well_formed(L)

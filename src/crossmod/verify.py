@@ -72,23 +72,23 @@ class CriterionResult:
 
 
 def _result(number, title, started, ok, lines) -> CriterionResult:
-    return CriterionResult(number, title, ok, time.time() - started, lines)
+    return CriterionResult(number, title, ok, time.perf_counter() - started, lines)
 
 
 def criterion_1() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     for name, cm in fixtures.std_crossed_modules().items():
-        started = time.time()
+        started = time.perf_counter()
         rep = check_crossed_module(cm)
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         ok &= rep.ok and elapsed < 1.0
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()} ({elapsed:.3f}s)")
     return _result(1, "crossed-module axioms on all fixtures", t0, ok, lines)
 
 
 def criterion_2() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     cms = fixtures.std_crossed_modules()
@@ -106,12 +106,12 @@ def criterion_2() -> CriterionResult:
             count = sum(1 for c in cm.top.elements() if cm.d(c) == p)
             ok &= L.dims[p] == formula == count
         lines.append(f"  KC.{name}: grade dims match |ker d| * [p in dC]")
-    ok &= (time.time() - t0) < 5.0
+    ok &= (time.perf_counter() - t0) < 5.0
     return _result(2, "group algebras pass the full checker; dim formula", t0, ok, lines)
 
 
 def criterion_3() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cm = fixtures.std_crossed_modules()["CM-A3S3"]
     lines = []
     try:
@@ -123,12 +123,12 @@ def criterion_3() -> CriterionResult:
     except AssertionError as exc:
         ok = False
         lines.append(f"  {exc}")
-    ok &= (time.time() - t0) < 1.0
+    ok &= (time.perf_counter() - t0) < 1.0
     return _result(3, "K[P] ~ q*(K[G]) with the cocycle multiplication law", t0, ok, lines)
 
 
 def criterion_4() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     for name, cm in fixtures.std_crossed_modules().items():
         size = cm.top.order * cm.base.order
@@ -149,7 +149,7 @@ def criterion_4() -> CriterionResult:
         ok &= agree and whisker
         lines.append(f"  {name}: compose_h = sd_mul on {len(pairs) ** 2} pairs; "
                      f"whiskering orders agree ({'ok' if agree and whisker else 'FAIL'})")
-    ok &= (time.time() - t0) < 1.0
+    ok &= (time.perf_counter() - t0) < 1.0
     return _result(4, "interchange/Peiffer: #0 = semidirect product", t0, ok, lines)
 
 
@@ -159,7 +159,7 @@ def _cell(cm, sd):
 
 
 def criterion_5() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in ["KC.CM-Id2", "KC.CM-A3S3", "KC.CM-Mod", "KC.CM-AutS3",
@@ -168,12 +168,12 @@ def criterion_5() -> CriterionResult:
         rep = check_boxed_identities(algs[name])
         ok &= rep.ok
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")
-    ok &= (time.time() - t0) < 10.0
+    ok &= (time.perf_counter() - t0) < 10.0
     return _result(5, "all four boxed identity families, exhaustively", t0, ok, lines)
 
 
 def criterion_6() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in fixtures.fixture_algebra_names():
@@ -200,19 +200,19 @@ def criterion_6() -> CriterionResult:
         lines.append(f"  {name}: snakes {'ok' if snakes else 'FAIL'}, "
                      f"functoriality x100 {'ok' if functorial else 'FAIL'}, "
                      f"round trip {'ok' if roundtrip else 'FAIL'}")
-    ok &= (time.time() - t0) < 30.0
+    ok &= (time.perf_counter() - t0) < 30.0
     return _result(6, "evaluator coherence: snakes, functoriality, round trip", t0, ok, lines)
 
 
 def criterion_7() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in fixtures.fixture_algebra_names():
         rep = check_equivalence_invariance(make_hqft(algs[name]))
         ok &= rep.ok
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")
-    ok &= (time.time() - t0) < 10.0
+    ok &= (time.perf_counter() - t0) < 10.0
     return _result(7, "equivalence-invariance families (a)-(d)", t0, ok, lines)
 
 
@@ -313,7 +313,7 @@ def _naive_ideal_dims(fmor, L):
 
 
 def criterion_8() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     fmor = fixtures.std_morphisms()["q.CM-A3S3"]
     L = fixtures.std_algebras(QQ)["KP.CM-A3S3"]
@@ -335,12 +335,12 @@ def criterion_8() -> CriterionResult:
     ok &= match
     lines.append(f"  ideal dims {dict((Q.names[q], data.ideal_dim(q)) for q in Q.elements())} "
                  f"match brute-force oracle: {match}")
-    ok &= (time.time() - t0) < 5.0
+    ok &= (time.perf_counter() - t0) < 5.0
     return _result(8, "pushforward checker, rho independence, ideal oracle", t0, ok, lines)
 
 
 def criterion_9() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     f2 = GF(2)
     algs = fixtures.std_algebras(f2)
@@ -373,12 +373,12 @@ def criterion_9() -> CriterionResult:
             transpose_from_pushforward(untranspose_to_pushforward(m2, fmor, L, data), data),
             m2)
     lines.append("  transposes are mutually inverse on every enumerated morphism")
-    ok &= (time.time() - t0) < 60.0
+    ok &= (time.perf_counter() - t0) < 60.0
     return _result(9, "adjunction transposes over F2, bounded enumeration", t0, ok, lines)
 
 
 def criterion_10() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines, ok = [], True
     cms = fixtures.std_crossed_modules()
     # identity-labeled (potential-derived) complexes always validate
@@ -417,12 +417,12 @@ def criterion_10() -> CriterionResult:
                 pieces.add(annulus_flatten(m))
         ok &= len(pieces) == 1
     lines.append("  CM-A3S3: 50 random tuples, both triangulations agree")
-    ok &= (time.time() - t0) < 5.0
+    ok &= (time.perf_counter() - t0) < 5.0
     return _result(10, "simplicial validation and annulus flattening", t0, ok, lines)
 
 
 def criterion_11() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = mutations.run_all()
     missed = [d for d in results if not d.detected]
     lines = [f"  {d.mutation}: {'detected at ' + str(d.instance) if d.detected else 'MISSED'}"

@@ -5,6 +5,7 @@ import pytest
 
 from crossmod import algebras as algebras_module
 from crossmod.algebras import (
+    CrossedAlgebraMorphism,
     CrossedCAlgebra,
     SingularTheta,
     aut_square_check,
@@ -15,7 +16,6 @@ from crossmod.algebras import (
     enumerate_algebra_morphisms,
     group_algebra_C,
     group_algebra_P,
-    identity_algebra_morphism,
     is_isomorphism,
     kp_iso_witness,
     morphisms_equal,
@@ -305,7 +305,8 @@ def test_transposes_on_kp_iso(cms):
 
 def test_transpose_identity_morphism(algebras):
     L = algebras["KP.CM-A3S3"]
-    ident = identity_algebra_morphism(L)
+    blocks = {p: Matrix.identity(L.field, L.dims[p]) for p in L.P.elements()}
+    ident = CrossedAlgebraMorphism(identity_morphism(L.cm), L, L, blocks)
     tp = transpose_to_pullback(ident)
     assert morphisms_equal(untranspose_from_pullback(tp, ident.over, L), ident)
 

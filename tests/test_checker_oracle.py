@@ -1,0 +1,326 @@
+"""The exhaustive checkers against a slow oracle.
+
+check_crossed_algebra reads products of basis vectors from a table and
+contracts them against the structure constants, and check_boxed_identities
+builds each theta(c, g) once. The oracle below keeps the direct loops that
+multiply unit vectors with `multiply` and `pairing` and rebuild theta with
+`_theta_raw` for every instance; both must give byte-identical reports on
+the fixtures, on seeded changes of basis and on seeded one-entry
+corruptions.
+"""
+
+import copy
+import functools
+import itertools
+import random
+
+import pytest
+
+from crossmod.algebras import (
+    CrossedCAlgebra,
+    _theta_raw,
+    check_boxed_identities,
+    check_crossed_algebra,
+    group_algebra_C,
+)
+from crossmod.crossed_modules import crossed_module
+from crossmod.fields import GF, QQ
+from crossmod.fixtures import std_algebras
+from crossmod.groups import action, cyclic_group, hom, trivial_action
+from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
+from crossmod.report import CheckReport
+
+FIELDS = {"QQ": QQ, "GF5": GF(5)}
+
+
+# --------------------------------------------------------------------------
+# the oracle: unit vectors through multiply, pairing and _theta_raw
+# --------------------------------------------------------------------------
+
+def _units(L, g):
+    return [(L.basis_names[g][i], unit_vector(L.field, L.dims[g], i)) for i in range(L.dims[g])]
+
+
+def slow_associativity(L, nonzero):
+    P, fails = L.P, []
+    for g, h, k in itertools.product(nonzero, repeat=3):
+        gh, hk = P.mul(g, h), P.mul(h, k)
+        for ni, ei in _units(L, g):
+            for nj, ej in _units(L, h):
+                ij = L.multiply(g, ei, h, ej)
+                for nl, el in _units(L, k):
+                    lhs = L.multiply(gh, ij, k, el)
+                    rhs = L.multiply(g, ei, hk, L.multiply(h, ej, k, el))
+                    if lhs != rhs:
+                        fails.append((f"({ni},{nj},{nl})", "associativity fails"))
+    return fails
+
+
+def slow_rho_invariant(L, nonzero):
+    P, fails = L.P, []
+    for g, h in itertools.product(nonzero, repeat=2):
+        gh = P.mul(g, h)
+        ghinv = P.inv[gh]
+        for ni, ei in _units(L, g):
+            for nj, ej in _units(L, h):
+                for nk, ek in _units(L, ghinv):
+                    lhs = L.pairing(gh, L.multiply(g, ei, h, ej), ek)
+                    rhs = L.pairing(g, ei, L.multiply(h, ej, ghinv, ek))
+                    if lhs != rhs:
+                        fails.append((f"({ni},{nj},{nk})", "rho(ab,c) != rho(a,bc)"))
+    return fails
+
+
+def slow_phi_multiplicative(L, nonzero):
+    P, fails = L.P, []
+    for h in P.elements():
+        if L.phi[(h, 0)].apply(L.unit) != L.unit:
+            fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
+        for g1, g2 in itertools.product(nonzero, repeat=2):
+            g12 = P.mul(g1, g2)
+            for ni, ei in _units(L, g1):
+                for nj, ej in _units(L, g2):
+                    lhs = L.phi[(h, g12)].apply(L.multiply(g1, ei, g2, ej))
+                    rhs = L.multiply(P.conj(h, g1), L.apply_phi(h, g1, ei),
+                                     P.conj(h, g2), L.apply_phi(h, g2, ej))
+                    if lhs != rhs:
+                        fails.append((f"(h={P.names[h]},{ni},{nj})",
+                                      "phi_h(xy) != phi_h(x) phi_h(y)"))
+    return fails
+
+
+def slow_twisted_commutativity(L, nonzero):
+    P, fails = L.P, []
+    for g, h in itertools.product(nonzero, repeat=2):
+        for na, a in _units(L, g):
+            fa = L.apply_phi(h, g, a)
+            for nb, b in _units(L, h):
+                if L.multiply(P.conj(h, g), fa, h, b) != L.multiply(h, b, g, a):
+                    fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
+    return fails
+
+
+def slow_tilde_multiplicative(L, nonzero):
+    C, d, fails = L.C, L.cm.d, []
+    for c2, c in itertools.product(C.elements(), repeat=2):
+        if L.tilde[C.mul(c2, c)] != L.multiply(d(c2), L.tilde[c2], d(c), L.tilde[c]):
+            fails.append((f"(c'={C.names[c2]},c={C.names[c]})",
+                          "tilde(c'c) != tilde(c') tilde(c)"))
+    return fails
+
+
+SLOW_FAMILIES = {
+    "associativity": slow_associativity,
+    "rho_invariant": slow_rho_invariant,
+    "phi_multiplicative": slow_phi_multiplicative,
+    "twisted_commutativity": slow_twisted_commutativity,
+    "tilde_multiplicative": slow_tilde_multiplicative,
+}
+
+
+def slow_crossed_report(L, fast: CheckReport) -> CheckReport:
+    """The report of check_crossed_algebra with every family that reads the
+    product, action or column tables recomputed by the oracle; the other
+    families are copied from `fast`, so their order and subject are compared
+    too."""
+    slow = CheckReport(fast.subject)
+    if fast.results[0].ok:      # well formed: every family ran
+        assert set(SLOW_FAMILIES) <= {r.axiom for r in fast.results}
+    nonzero = [g for g in L.P.elements() if L.dims[g] > 0]
+    for r in fast.results:
+        if r.axiom in SLOW_FAMILIES:
+            slow.add(r.axiom, SLOW_FAMILIES[r.axiom](L, nonzero))
+        else:
+            slow.results.append(r)
+    return slow
+
+
+def slow_boxed_report(L) -> CheckReport:
+    report = CheckReport(f"boxed identities for {L.name}")
+    P, C, d = L.P, L.C, L.cm.d
+
+    fails = []
+    for c2, c, g in itertools.product(C.elements(), C.elements(), P.elements()):
+        lhs = _theta_raw(L, C.mul(c2, c), g)
+        rhs = _theta_raw(L, c2, P.mul(d(c), g)) @ _theta_raw(L, c, g)
+        if lhs != rhs:
+            fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
+                          "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
+    report.add("theta_composition", fails)
+
+    fails = []
+    for c, g in itertools.product(C.elements(), P.elements()):
+        gc = L.cm.action(g, c)
+        if L.right_mul_matrix(d(c), L.tilde[c], g) != L.left_mul_matrix(d(gc), L.tilde[gc], g):
+            fails.append((f"(c={C.names[c]},g={P.names[g]})", "x tilde(c) != tilde(^g c) x"))
+    report.add("theta_translation", fails)
+
+    fails = []
+    for c, g in itertools.product(C.elements(), P.elements()):
+        dcg = P.mul(d(c), g)
+        lhs = _theta_raw(L, c, g).transpose() @ L.rho[dcg]
+        rhs = L.rho[g] @ _theta_raw(L, L.cm.action(P.inv[g], c), P.inv[dcg])
+        if lhs != rhs:
+            fails.append((f"(c={C.names[c]},g={P.names[g]})",
+                          "rho(tilde(c) x, y) != rho(x, tilde(^{g^-1}c) y)"))
+    report.add("theta_rho", fails)
+
+    fails = []
+    for c, g, h in itertools.product(C.elements(), P.elements(), P.elements()):
+        lhs = L.phi[(h, P.mul(d(c), g))] @ _theta_raw(L, c, g)
+        rhs = _theta_raw(L, L.cm.action(h, c), P.conj(h, g)) @ L.phi[(h, g)]
+        if lhs != rhs:
+            fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
+                          "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))
+    report.add("theta_phi", fails)
+    return report
+
+
+# --------------------------------------------------------------------------
+# test algebras: fixtures, crossed modules with two-dimensional grades,
+# seeded changes of basis and seeded corruptions
+# --------------------------------------------------------------------------
+
+def doubling_module(n, invert):
+    """Z/n --x2--> Z/n (n even); the base acts trivially, or by inversion
+    through its parity, which fixes the image {0, 2, ...} of the boundary."""
+    z = cyclic_group(n)
+    if invert:
+        act = action(z, z, [[(-c if p % 2 else c) % n for c in range(n)] for p in range(n)])
+    else:
+        act = trivial_action(z, z)
+    return crossed_module(f"Z{n}-x2-Z{n}", z, z, hom(z, z, [2 * c % n for c in range(n)]), act)
+
+
+def random_invertible(f, n, rng):
+    if n == 0:
+        return Matrix.identity(f, 0), Matrix.identity(f, 0)
+    while True:
+        m = Matrix(f, [[f.div(f.of(rng.randint(-2, 2)), f.of(rng.choice((1, 2, 3))))
+                        for _ in range(n)] for _ in range(n)])
+        try:
+            return m, m.inverse()
+        except SingularMatrixError:
+            continue
+
+
+def gauge(L, rng):
+    """L in the basis whose vectors in grade g are the columns of a random
+    invertible S_g: an isomorphic algebra with dense structure data."""
+    P, f = L.P, L.field
+    S, Sinv = {}, {}
+    for g in P.elements():
+        S[g], Sinv[g] = random_invertible(f, L.dims[g], rng)
+
+    def basis(g, i):
+        return tuple(row[i] for row in S[g].data)
+
+    mul = {(g, h): [[list(Sinv[P.mul(g, h)].apply(L.multiply(g, basis(g, i), h, basis(h, j))))
+                     for j in range(L.dims[h])] for i in range(L.dims[g])]
+           for g in P.elements() for h in P.elements()}
+    rho = {g: S[g].transpose() @ L.rho[g] @ S[P.inv[g]] for g in P.elements()}
+    phi = {(h, g): Sinv[P.conj(h, g)] @ L.phi[(h, g)] @ S[g]
+           for h in P.elements() for g in P.elements()}
+    tilde = [Sinv[L.cm.d(c)].apply(L.tilde[c]) for c in L.C.elements()]
+    return CrossedCAlgebra(f"gauge({L.name})", L.cm, f, L.dims, L.basis_names,
+                           mul, Sinv[0].apply(L.unit), rho, phi, tilde)
+
+
+TARGETS = ("mul", "unit", "rho", "phi", "tilde")
+
+
+def corrupt(L, rng, target):
+    """A copy of L with one entry of one structure map moved, in grades
+    that carry states."""
+    P, f = L.P, L.field
+    mul, unit, rho, phi, tilde = L.mul, L.unit, L.rho, L.phi, L.tilde
+
+    def moved(x):
+        return f.add(x, f.of(rng.choice((1, 2))))
+
+    if target == "mul":
+        key = rng.choice([k for k in sorted(mul)
+                          if L.dims[k[0]] and L.dims[k[1]] and L.dims[P.mul(*k)]])
+        block = copy.deepcopy(mul[key])
+        cell = block[rng.randrange(len(block))][rng.randrange(L.dims[key[1]])]
+        k = rng.randrange(len(cell))
+        cell[k] = moved(cell[k])
+        mul = {**mul, key: block}
+    elif target == "unit":
+        k = rng.randrange(len(unit))
+        unit = unit[:k] + (moved(unit[k]),) + unit[k + 1:]
+    elif target in ("rho", "phi"):
+        table = rho if target == "rho" else phi
+        key = rng.choice([k for k in sorted(table) if table[k].rows and table[k].cols])
+        data = [list(row) for row in table[key].data]
+        i, j = rng.randrange(len(data)), rng.randrange(len(data[0]))
+        data[i][j] = moved(data[i][j])
+        table = {**table, key: Matrix(f, data)}
+        rho, phi = (table, phi) if target == "rho" else (rho, table)
+    else:
+        c = rng.choice([c for c in L.C.elements() if tilde[c]])
+        k = rng.randrange(len(tilde[c]))
+        tilde = tilde[:c] + (tilde[c][:k] + (moved(tilde[c][k]),) + tilde[c][k + 1:],) + \
+            tilde[c + 1:]
+    return CrossedCAlgebra(f"{L.name}+{target}", L.cm, f, L.dims, L.basis_names,
+                           mul, unit, rho, phi, tilde)
+
+
+def base_algebras(field):
+    """The fixtures, and K[C] of two doubling modules, whose grades are two
+    dimensional and, for Z/6, include mutually inverse grades 2 and 4."""
+    algs = dict(std_algebras(field))
+    for n, invert in ((4, True), (6, False)):
+        cm = doubling_module(n, invert)
+        algs[f"KC.{cm.name}"] = group_algebra_C(cm, field, name=f"KC.{cm.name}")
+    return algs
+
+
+GAUGED = ("KC.CM-A3S3", "KC.CM-Mod", "KC.CM-AutS3", "KP.CM-A3S3", "PUSH.CM-A3S3",
+          "KC.Z4-x2-Z4", "KC.Z6-x2-Z6")
+
+
+def _cases():
+    for fname, field in FIELDS.items():
+        algs = base_algebras(field)
+        for name, L in algs.items():
+            yield f"{fname}/{name}", L
+        for name in GAUGED:
+            G = gauge(algs[name], random.Random(f"{fname}/{name}"))
+            yield f"{fname}/{G.name}", G
+            rng = random.Random(f"corrupt/{fname}/{name}")
+            for n, target in enumerate(TARGETS):
+                bad = corrupt((algs[name], G)[n % 2], rng, target)
+                yield f"{fname}/{bad.name}", bad
+
+
+CASES = dict(_cases())
+
+
+@functools.lru_cache(maxsize=None)
+def fast_reports(name):
+    L = CASES[name]
+    return check_crossed_algebra(L), check_boxed_identities(L)
+
+
+def test_case_set():
+    # 12 fixtures and 2 doubling modules per field; the gauge algebras are
+    # crossed algebras, and the corruptions reach every family the oracle
+    # recomputes
+    assert sum("gauge" not in name and "+" not in name for name in CASES) == 28
+    failed = set()
+    for name in CASES:
+        reports = fast_reports(name)
+        if "gauge" in name and "+" not in name:
+            assert all(rep.ok for rep in reports), name
+        failed |= {r.axiom for rep in reports for r in rep.failures()}
+    assert set(SLOW_FAMILIES) <= failed
+    assert {r.axiom for r in slow_boxed_report(CASES["QQ/KC.CM-Id2"]).results} <= failed
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_checkers_match_oracle(name):
+    L = CASES[name]
+    fast, boxed = fast_reports(name)
+    assert fast.to_json() == slow_crossed_report(L, fast).to_json()
+    assert boxed.to_json() == slow_boxed_report(L).to_json()

@@ -316,6 +316,11 @@ CORPUS += [
     ("field-flag-Fp:1_1",
      lambda tmp_path, ws: ["--field", "Fp:1_1", "check", "algebra", "KP.CM-Mod"]),
 ]
+# an algebra's keyed fields must be JSON objects; a string in their place is
+# reported by crossmod, not by the interpreter's own TypeError text
+OBJECT_FIELDS = ("dims", "rho", "phi", "mul", "tilde", "basis_names")
+CORPUS += [(f"algebra.{key}='x'", _check_mutated("algebra", _set((key,), "x")))
+           for key in OBJECT_FIELDS]
 
 
 @pytest.mark.parametrize("make_argv", [make for _, make in CORPUS],
@@ -324,6 +329,13 @@ def test_cli_malformed_corpus_exits_2(tmp_path, capsys, ws, make_argv):
     argv = make_argv(tmp_path, ws)
     assert main(argv) == 2, argv
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("key", OBJECT_FIELDS)
+def test_cli_algebra_field_not_an_object_is_named(tmp_path, capsys, ws, key):
+    assert main(_check_mutated("algebra", _set((key,), "x"))(tmp_path, ws)) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.endswith(f"bad algebra document: {key} must be an object"), error
 
 
 def test_cli_unknown_name_error_is_not_requoted(capsys):
