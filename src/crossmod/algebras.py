@@ -144,7 +144,8 @@ def same_structure(a: CrossedCAlgebra, b: CrossedCAlgebra) -> bool:
 
 def well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
     """The shape faults of L: a structure map whose blocks do not fit the
-    grade dimensions. Every other axiom assumes there are none."""
+    grade dimensions, or basis names that do not name each grade's basis
+    once. Every other axiom assumes there are none."""
     P, C = L.P, L.C
     bad = []
     if len(L.dims) != P.order:
@@ -176,6 +177,15 @@ def well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
         for c in C.elements():
             if len(L.tilde[c]) != L.dims[L.cm.d(c)]:
                 bad.append((f"tilde({C.names[c]})", "vector not in grade d(c)"))
+    if len(L.basis_names) != P.order:
+        bad.append(("basis_names", "one name tuple per base element required"))
+    else:
+        for g, names in enumerate(L.basis_names):
+            if len(names) != L.dims[g]:
+                bad.append((f"basis_names({P.names[g]})",
+                            f"{len(names)} names for dim {L.dims[g]}"))
+            elif len(set(names)) != len(names):
+                bad.append((f"basis_names({P.names[g]})", "duplicate names"))
     return bad
 
 
@@ -778,15 +788,6 @@ class PushforwardData:
         return {p: tuple(vec[self.offsets[q][p]:self.offsets[q][p] + L.dims[p]])
                 for p in self.members[q]}
 
-    def project(self, q, vec):
-        return self.spans[q].quotient_coords(vec)
-
-    def lift(self, q, coords):
-        return self.spans[q].quotient_lift(coords)
-
-    def ideal_dim(self, q) -> int:
-        return self.spans[q].dim
-
 
 def _outside_grade(data: PushforwardData, q, p):
     """The coordinates of class q outside grade p, and the matrix whose
@@ -841,13 +842,13 @@ def pushforward_rho_via_grade(data: PushforwardData, q, p):
     reps_a, reps_b = [], []
     for k in range(dim_q):
         rep = concentrate_representative(
-            data, q, data.lift(q, unit_vector(field, dim_q, k)), p)
+            data, q, data.spans[q].quotient_lift(unit_vector(field, dim_q, k)), p)
         if rep is None:
             return None
         reps_a.append(data.components(q, rep)[p])
     for k in range(dim_qinv):
         rep = concentrate_representative(
-            data, qinv, data.lift(qinv, unit_vector(field, dim_qinv, k)), pinv)
+            data, qinv, data.spans[qinv].quotient_lift(unit_vector(field, dim_qinv, k)), pinv)
         if rep is None:
             return None
         reps_b.append(data.components(qinv, rep)[pinv])
@@ -948,7 +949,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                    for qq in Q.elements()]
 
     def lifts(qq):
-        return [data.lift(qq, unit_vector(field, dims_new[qq], k))
+        return [spans[qq].quotient_lift(unit_vector(field, dims_new[qq], k))
                 for k in range(dims_new[qq])]
 
     mul_new = {}
@@ -964,11 +965,11 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                     out = data.class_vector(q12, (
                         (P.mul(p1, p2), L.multiply(p1, comps_a[p1], p2, comps_b[p2]))
                         for p1 in members[q1] for p2 in members[q2]))
-                    row.append(list(data.project(q12, out)))
+                    row.append(list(spans[q12].quotient_coords(out)))
                 block.append(row)
             mul_new[(q1, q2)] = block
 
-    unit_new = data.project(0, data.class_vector(0, [(0, L.unit)]))
+    unit_new = spans[0].quotient_coords(data.class_vector(0, [(0, L.unit)]))
 
     # pairing via matched representative pairs (p, p^-1); representative
     # independence (every usable grade gives the same matrix) is the
@@ -1008,7 +1009,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                     comps_a = data.components(qq, a)
                     out = data.class_vector(qc, ((P.conj(pa, p), L.apply_phi(pa, p, comps_a[p]))
                                                  for p in members[qq]))
-                    cols.append(data.project(qc, out))
+                    cols.append(spans[qc].quotient_coords(out))
                 candidates.append(Matrix.from_columns(field, cols, dims_new[qc]))
             if any(cand != candidates[0] for cand in candidates[1:]):
                 raise ValueError(
@@ -1019,7 +1020,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     for d in D.elements():
         choices = [c for c in C.elements() if f1[c] == d]
         qd = tgt.d(d)
-        images = {data.project(qd, data.class_vector(qd, [(L.cm.d(c), L.tilde[c])]))
+        images = {spans[qd].quotient_coords(data.class_vector(qd, [(L.cm.d(c), L.tilde[c])]))
                   for c in choices}
         if len(images) != 1:
             raise ValueError(
@@ -1085,7 +1086,8 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
     blocks = {}
     fL = data.algebra
     for qq in Q.elements():
-        cols = [image_of_class_vector(qq, data.lift(qq, unit_vector(field, fL.dims[qq], k)))
+        span = data.spans[qq]
+        cols = [image_of_class_vector(qq, span.quotient_lift(unit_vector(field, fL.dims[qq], k)))
                 for k in range(fL.dims[qq])]
         blocks[qq] = Matrix.from_columns(field, cols, Lp.dims[qq])
     return CrossedAlgebraMorphism(identity_morphism(m.over.target), fL, Lp, blocks)
@@ -1104,8 +1106,8 @@ def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMo
         qq = f0[p]
         cols = []
         for i in range(L.dims[p]):
-            coords = data.project(qq, data.class_vector(qq, [(p, unit_vector(field, L.dims[p], i))]))
-            cols.append(m2.blocks[qq].apply(coords))
+            vec = data.class_vector(qq, [(p, unit_vector(field, L.dims[p], i))])
+            cols.append(m2.blocks[qq].apply(data.spans[qq].quotient_coords(vec)))
         blocks[p] = Matrix.from_columns(field, cols, m2.target.dims[qq])
     return CrossedAlgebraMorphism(fmor, L, m2.target, blocks)
 

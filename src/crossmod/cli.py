@@ -140,8 +140,8 @@ def cmd_eval(args) -> int:
         return 1
     result = eval_expression(tau, expr)
     doc = {
-        "source_dims": list(state_space(tau, expr.source).dims()),
-        "target_dims": list(state_space(tau, expr.target).dims()),
+        "source_dims": list(state_space(tau, expr.source)),
+        "target_dims": list(state_space(tau, expr.target)),
         "matrix": result.matrix.to_json(),
     }
     _write_out(args, doc)

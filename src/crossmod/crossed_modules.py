@@ -20,7 +20,6 @@ from .groups import (
     identity_hom,
     is_normal,
     is_subgroup,
-    make_group,
     quotient_group,
     restrict_subgroup,
     trivial_action,
@@ -128,13 +127,6 @@ def kernel_and_image(cm: CrossedModule):
     return ker, img, quot, proj
 
 
-def kernel_action_descends(cm: CrossedModule) -> bool:
-    """Derived check: the base action on ker d factors through base/im d,
-    because the image acts trivially on the kernel."""
-    ker, img, _, _ = kernel_and_image(cm)
-    return all(cm.action(p, k) == k for p in img for k in ker)
-
-
 @dataclass(frozen=True)
 class CrossedModuleMorphism:
     source: CrossedModule
@@ -210,29 +202,3 @@ def sd_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
     cm = a.parent
     return SemidirectElement(cm, cm.top.mul(a.c, cm.action(a.p, b.c)),
                              cm.base.mul(a.p, b.p))
-
-
-def sd_identity(cm: CrossedModule) -> SemidirectElement:
-    return SemidirectElement(cm, 0, 0)
-
-
-def sd_inverse(a: SemidirectElement) -> SemidirectElement:
-    cm = a.parent
-    pinv = cm.base.inv[a.p]
-    return SemidirectElement(cm, cm.action(pinv, cm.top.inv[a.c]), pinv)
-
-
-def semidirect_product_group(cm: CrossedModule) -> FiniteGroup:
-    """The group C x| P on pairs (c, p), identity first."""
-    pairs = [(c, p) for p in cm.base.elements() for c in cm.top.elements()]
-    pairs.sort(key=lambda cp: (cp[1], cp[0]))  # (0,0) first
-    index = {cp: i for i, cp in enumerate(pairs)}
-    names = [f"({cm.top.names[c]},{cm.base.names[p]})" for c, p in pairs]
-    table = []
-    for c1, p1 in pairs:
-        row = []
-        for c2, p2 in pairs:
-            prod = sd_mul(SemidirectElement(cm, c1, p1), SemidirectElement(cm, c2, p2))
-            row.append(index[(prod.c, prod.p)])
-        table.append(row)
-    return make_group(names, table)

@@ -1,9 +1,13 @@
 """Built-in fixture objects: the standard small groups, the four crossed
-modules every suite runs on, and the derived algebras."""
+modules every suite runs on, and the derived algebras.
+
+Each registry is built once and handed out as a read-only view, so no caller
+can add, replace or remove an entry that every later caller would see."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .algebras import (
     group_algebra_C,
@@ -32,14 +36,13 @@ from .groups import (
 
 @lru_cache(maxsize=None)
 def std_groups():
-    s3 = symmetric_group_3()
-    return {
+    return MappingProxyType({
         "triv": trivial_group(),
         "Z2": cyclic_group(2),
         "Z3": cyclic_group(3),
         "Z4": cyclic_group(4),
-        "S3": s3,
-    }
+        "S3": symmetric_group_3(),
+    })
 
 
 A3 = (0, 4, 5)  # e, (123), (132) in the S3 element order
@@ -59,7 +62,7 @@ def std_crossed_modules():
         "CM-Mod": from_module(g["Z3"], g["Z2"], inversion_action(), name="CM-Mod"),
         "CM-AutS3": from_conjugation_aut(g["S3"], name="CM-AutS3"),
     }
-    return cms
+    return MappingProxyType(cms)
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +81,7 @@ def std_morphisms():
     src, tgt = cms["CM-Id2"], one_to_z2()
     mors["collapse.CM-Id2"] = morphism(src, tgt, trivial_hom(src.top, tgt.top),
                                        trivial_hom(src.base, tgt.base))
-    return mors
+    return MappingProxyType(mors)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +101,7 @@ def std_algebras(field=QQ):
     algebras["PUSH.CM-Id2"] = pushforward(collapse, algebras["KC.CM-Id2"],
                                           name="PUSH.CM-Id2")
     algebras["KQ.1Z2"] = group_algebra_P(one_to_z2(), field, name="KQ.1Z2")
-    return algebras
+    return MappingProxyType(algebras)
 
 
 def fixture_algebra_names():

@@ -450,41 +450,26 @@ def _square_of(m: SimplicialFormalMap, t1: int, t2: int):
     return tuple(sorted(shared, key=lambda v: K.rank[v])), corners, verts
 
 
-def combine_triangles(m: SimplicialFormalMap, t1: int, t2: int,
-                      mode: str = "concentrate-down") -> LabeledCell:
+def combine_triangles(m: SimplicialFormalMap, t1: int, t2: int) -> LabeledCell:
     """Compose two adjacent triangle cells into the square cell they bound.
 
-    The two modes correspond to the two intermediate relabelings that
-    concentrate the whole 2-label in one triangle (the other becoming
-    trivial, with the shared edge relabeled); both produce the same combined
-    cell, and the chosen mode's relabeling is rebuilt and revalidated."""
-    if mode not in ("concentrate-up", "concentrate-down"):
-        raise ValueError(f"unknown mode {mode!r}")
-    diag, corners, verts = _square_of(m, t1, t2)
-    w0, w1, w2, w3 = verts
+    Each of the two relabelings that concentrate the whole 2-label in one
+    triangle (the other becoming trivial, with the shared edge relabeled) is
+    rebuilt and must combine to the same cell."""
     combined = _combined_square_cell(m, t1, t2)
-
-    # rebuild per the requested concentration and check it gives the same cell
-    up_first = min(corners, key=lambda v: m.complex.rank[v])
-    tri_up = t1 if up_first in m.complex.triangles[t1] else t2
-    tri_down = t2 if tri_up == t1 else t1
-    target_tri = tri_up if mode == "concentrate-up" else tri_down
-    recomposed = _combined_square_cell(m, t1, t2, concentrate_in=target_tri)
-    if (recomposed.c, recomposed.p) != (combined.c, combined.p):
-        raise AssertionError("concentration modes disagree; labeling invalid")
+    for keep, clear in ((t1, t2), (t2, t1)):
+        moved = _combined_square_cell(
+            _concentrated_relabeling(m, t1, t2, keep, clear, combined), t1, t2)
+        if (moved.c, moved.p) != (combined.c, combined.p):
+            raise AssertionError("concentrated relabelings disagree; labeling invalid")
     return combined
 
 
-def _combined_square_cell(m: SimplicialFormalMap, t1: int, t2: int,
-                          concentrate_in: int | None = None) -> LabeledCell:
+def _combined_square_cell(m: SimplicialFormalMap, t1: int, t2: int) -> LabeledCell:
     diag, corners, verts = _square_of(m, t1, t2)
     K = m.complex
     w0, w1, w2, w3 = verts
     cm = m.cm
-    if concentrate_in is not None:
-        other = t2 if concentrate_in == t1 else t1
-        plain = _combined_square_cell(m, t1, t2)
-        m = _concentrated_relabeling(m, t1, t2, concentrate_in, other, plain)
     cell1 = triangle_cell(m, t1)
     cell2 = triangle_cell(m, t2)
     tri1, tri2 = K.triangles[t1], K.triangles[t2]
@@ -649,18 +634,3 @@ def annulus_labeling(cm: CrossedModule, c: int, g: int, h: int,
         return SimplicialFormalMap(cm, annulus_square_complex("down"),
                                    (g, h, b, h, k), tris, (0, 1))
     raise ValueError("diagonal must be 'up' or 'down'")
-
-
-def concentration_square(cm: CrossedModule, c: int, c2: int, g: int, g2: int,
-                         h: int) -> SimplicialFormalMap:
-    """The two-triangle square with labels c (upper) and c' (lower), edge
-    route g, g', h on the source side; combining concentrates c'c."""
-    P = cm.base
-    mid = P.product((cm.d(c), g, g2))
-    bottom = P.product((cm.d(cm.top.mul(c2, c)), g, g2, h))
-    complex_ = OrderedComplex(4, (0, 1, 2, 3),
-                              edges=((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)),
-                              triangles=((0, 1, 2), (0, 2, 3)))
-    # edges: (0,1)=g, (0,2)=mid, (0,3)=bottom, (1,2)=g', (2,3)=h
-    return SimplicialFormalMap(cm, complex_, (g, mid, bottom, g2, h),
-                               (c, c2), (0, 0))

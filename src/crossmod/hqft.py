@@ -6,6 +6,7 @@ significant), so functoriality and monoidality are exact matrix identities.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -22,13 +23,11 @@ from .formal_maps import (
     Pants,
     Swap,
     TypecheckFailed,
-    circuit_normalize,
     expression,
-    piece_source,
     piece_target,
     typecheck,
 )
-from .linalg import Matrix, SingularMatrixError, TensorSpace
+from .linalg import Matrix, SingularMatrixError
 from .report import CheckReport
 
 
@@ -68,64 +67,54 @@ class EvaluatedMap:
     matrix: Matrix
 
 
-def state_space(tau: FormalHQFT, b: FormalBoundary) -> TensorSpace:
-    """Ordered tensor of the grade summands; the empty boundary is the field."""
+def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
+    """The dimensions of the ordered tensor factors of b's state space, one
+    grade per circuit; the empty boundary is the field, with no factors."""
     L = tau.algebra
-    factors = []
-    for circ in b.circuits:
-        g = circuit_normalize(L.P, circ).labels[0]
-        factors.append((g, L.dims[g]))
-    return TensorSpace(tuple(factors))
+    return tuple(L.dims[L.P.product(circ.labels)] for circ in b.circuits)
 
 
-def eval_piece(tau: FormalHQFT, piece) -> EvaluatedMap:
+def eval_piece(tau: FormalHQFT, piece) -> Matrix:
+    """The matrix of one elementary piece, from the tensor of its source
+    grades to the tensor of its target grades."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
-    src = piece_source(piece, cm)
-    tgt = piece_target(piece, cm)
     match piece:
         case Disc(c):
-            mat = Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
+            return Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
         case Cyl(c, g, h):
             hinv = P.inv[h]
             conj = P.conj(hinv, g)
-            mat = L.left_mul_matrix(cm.d(c), L.tilde[c], conj) @ L.phi[(hinv, g)]
+            return L.left_mul_matrix(cm.d(c), L.tilde[c], conj) @ L.phi[(hinv, g)]
         case Pants(c, g1, g2):
             g12 = P.mul(g1, g2)
-            mat = L.left_mul_matrix(cm.d(c), L.tilde[c], g12) @ L.mul_matrix(g1, g2)
+            return L.left_mul_matrix(cm.d(c), L.tilde[c], g12) @ L.mul_matrix(g1, g2)
         case Cap(g):
-            d1, d2 = L.dims[g], L.dims[P.inv[g]]
-            mat = Matrix(f, [[L.rho[g].data[i][j] for i in range(d1) for j in range(d2)]],
-                         cols=d1 * d2)
+            return Matrix(f, [[x for row in L.rho[g].data for x in row]])
         case Cup(g):
             ginv = P.inv[g]
             try:
                 co = L.rho[ginv].inverse()
             except SingularMatrixError as exc:
                 raise SingularRho(f"pairing at grade {P.names[ginv]} is singular") from exc
-            column = [[co.data[k][l]] for k in range(L.dims[g]) for l in range(L.dims[ginv])]
-            mat = Matrix(f, column, cols=1)
+            return Matrix(f, [[x] for row in co.data for x in row], cols=1)
         case Id(g):
-            mat = Matrix.identity(f, L.dims[g])
+            return Matrix.identity(f, L.dims[g])
         case Swap(g1, g2):
+            # row j*d1 + i (target L_g2 (x) L_g1) has its one at column i*d2 + j
             d1, d2 = L.dims[g1], L.dims[g2]
-            mat = Matrix.zeros(f, d2 * d1, d1 * d2)
-            data = [list(row) for row in mat.data]
-            for i in range(d1):
-                for j in range(d2):
-                    data[j * d1 + i][i * d2 + j] = f.one
-            mat = Matrix(f, data, cols=d1 * d2)
+            z, o = f.zero, f.one
+            return Matrix(f, [[o if c == i * d2 + j else z for c in range(d1 * d2)]
+                              for j in range(d2) for i in range(d1)], cols=d1 * d2)
         case Copants(g1, g2):
             g12 = P.mul(g1, g2)
-            first = eval_piece(tau, Cup(g1)).matrix.kron(Matrix.identity(f, L.dims[g12]))
+            first = eval_piece(tau, Cup(g1)).kron(Matrix.identity(f, L.dims[g12]))
             second = Matrix.identity(f, L.dims[g1]).kron(
-                eval_piece(tau, Pants(0, P.inv[g1], g12)).matrix)
-            mat = second @ first
+                eval_piece(tau, Pants(0, P.inv[g1], g12)))
+            return second @ first
         case _:
             raise TypeError(f"not a piece: {piece!r}")
-    return EvaluatedMap(FormalBoundary.of(*[[g] for g in src]),
-                        FormalBoundary.of(*[[g] for g in tgt]), mat)
 
 
 def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
@@ -135,11 +124,11 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
         fail = rep.first_failure()
         raise TypecheckFailed(f"{fail.axiom} at {fail.instance}: {fail.detail}")
     f = tau.field
-    total = Matrix.identity(f, state_space(tau, e.source).dim)
+    total = Matrix.identity(f, math.prod(state_space(tau, e.source)))
     for layer in e.layers:
         layer_mat = Matrix.identity(f, 1)
         for piece in layer:
-            layer_mat = layer_mat.kron(eval_piece(tau, piece).matrix)
+            layer_mat = layer_mat.kron(eval_piece(tau, piece))
         total = layer_mat @ total
     return EvaluatedMap(e.source, e.target, total)
 
@@ -149,26 +138,26 @@ def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:
     pairing from caps, action from cylinders, units from discs."""
     L = tau.algebra
     cm, f, P, C = L.cm, L.field, L.P, L.C
-    dims = [state_space(tau, FormalBoundary.of([g])).dim for g in P.elements()]
+    dims = state_space(tau, FormalBoundary.of(*[[g] for g in P.elements()]))
     mul = {}
     for g in P.elements():
         for h in P.elements():
-            m = eval_piece(tau, Pants(0, g, h)).matrix
+            m = eval_piece(tau, Pants(0, g, h))
             gh = P.mul(g, h)
             mul[(g, h)] = [[[m.data[k][i * dims[h] + j] for k in range(dims[gh])]
                             for j in range(dims[h])] for i in range(dims[g])]
-    unit = tuple(row[0] for row in eval_piece(tau, Disc(0)).matrix.data)
+    unit = tuple(row[0] for row in eval_piece(tau, Disc(0)).data)
     rho = {}
     for g in P.elements():
-        m = eval_piece(tau, Cap(g)).matrix
+        m = eval_piece(tau, Cap(g))
         ginv = P.inv[g]
         rho[g] = Matrix(f, [[m.data[0][i * dims[ginv] + j] for j in range(dims[ginv])]
                             for i in range(dims[g])], cols=dims[ginv])
     phi = {}
     for h in P.elements():
         for g in P.elements():
-            phi[(h, g)] = eval_piece(tau, Cyl(0, g, P.inv[h])).matrix
-    tilde = [tuple(row[0] for row in eval_piece(tau, Disc(c)).matrix.data)
+            phi[(h, g)] = eval_piece(tau, Cyl(0, g, P.inv[h]))
+    tilde = [tuple(row[0] for row in eval_piece(tau, Disc(c)).data)
              for c in C.elements()]
     return CrossedCAlgebra(f"extracted({L.name})", cm, f, dims, L.basis_names,
                            mul, unit, rho, phi, tilde)

@@ -1,4 +1,4 @@
-"""Dense exact matrices, row spaces, and graded/tensor space bookkeeping.
+"""Dense exact matrices, row spaces, and unit vectors.
 
 Everything here is field-agnostic: entries are raw scalar values and all
 arithmetic goes through the attached field object. Zero-dimensional shapes
@@ -10,8 +10,6 @@ product are canonical scalars of the field.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class SingularMatrixError(ValueError):
@@ -241,46 +239,3 @@ class RowSpace:
         for j, c in zip(free, coords):
             vec[j] = c
         return tuple(vec)
-
-
-@dataclass(frozen=True)
-class GradedSpace:
-    """Finite-dimensional space split into summands indexed by group elements."""
-
-    group_order: int
-    dims: tuple[int, ...]
-    basis_names: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if len(self.dims) != self.group_order or len(self.basis_names) != self.group_order:
-            raise ValueError("dims/basis_names must have one entry per group element")
-        for g, names in enumerate(self.basis_names):
-            if len(names) != self.dims[g]:
-                raise ValueError(f"grade {g}: {len(names)} names for dim {self.dims[g]}")
-            if len(set(names)) != len(names):
-                raise ValueError(f"grade {g}: duplicate basis names")
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-
-@dataclass(frozen=True)
-class TensorSpace:
-    """Ordered tensor product of graded summands; empty product is the field."""
-
-    factors: tuple[tuple[int, int], ...]  # (grade, dim) per factor
-
-    @property
-    def dim(self) -> int:
-        d = 1
-        for _, k in self.factors:
-            d *= k
-        return d
-
-    def grades(self) -> tuple[int, ...]:
-        return tuple(g for g, _ in self.factors)
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(k for _, k in self.factors)
-

@@ -31,7 +31,7 @@ from .formal_maps import (
     SimplicialFormalMap,
     Swap,
 )
-from .linalg import GradedSpace, Matrix
+from .linalg import Matrix
 
 
 class SerializationError(ValueError):
@@ -244,6 +244,15 @@ def _object(doc, key):
     return value
 
 
+def _names(x, g) -> tuple[str, ...]:
+    """Grade g's entry of an algebra document's basis_names: a list of strings.
+    Their count and distinctness are checked by `well_formed`."""
+    if not isinstance(x, list) or not all(isinstance(name, str) for name in x):
+        raise SerializationError(
+            f"bad algebra document: basis_names {g} must be a list of strings")
+    return tuple(x)
+
+
 def _hom(source: FiniteGroup, target: FiniteGroup, value, field) -> GroupHomomorphism:
     return GroupHomomorphism(source, target, _indices(value, target.order, source.order, field))
 
@@ -315,9 +324,7 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
                             for g in P.elements())
     else:
         names_doc = _object(doc, "basis_names")
-        basis_names = tuple(tuple(names_doc[str(g)]) for g in P.elements())
-    # rejects a name count that is not the grade's dimension, and duplicate names
-    GradedSpace(P.order, dims, basis_names)
+        basis_names = tuple(_names(names_doc[str(g)], g) for g in P.elements())
     mul = {}
     for g in P.elements():
         for h in P.elements():

@@ -331,9 +331,9 @@ def criterion_8() -> CriterionResult:
         lines.append(f"  rho via every representative grade of {Q.names[q]}: "
                      f"{len(usable)}/{len(mats)} usable, all equal: {same}")
     oracle = _naive_ideal_dims(fmor, L)
-    match = all(data.ideal_dim(q) == oracle[q] for q in Q.elements())
+    match = all(data.spans[q].dim == oracle[q] for q in Q.elements())
     ok &= match
-    lines.append(f"  ideal dims {dict((Q.names[q], data.ideal_dim(q)) for q in Q.elements())} "
+    lines.append(f"  ideal dims {dict((Q.names[q], data.spans[q].dim) for q in Q.elements())} "
                  f"match brute-force oracle: {match}")
     ok &= (time.perf_counter() - t0) < 5.0
     return _result(8, "pushforward checker, rho independence, ideal oracle", t0, ok, lines)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from crossmod import algebras as algebras_module
+from crossmod import fixtures
 from crossmod.algebras import (
     CrossedAlgebraMorphism,
     CrossedCAlgebra,
@@ -119,6 +120,29 @@ def test_theta_singular_on_broken_algebra(cms):
         theta(L, 1, 0)
 
 
+@pytest.mark.parametrize("registry", ["std_groups", "std_crossed_modules",
+                                      "std_morphisms", "std_algebras"])
+def test_fixture_registries_are_read_only(registry):
+    get = getattr(fixtures, registry)
+    keys = list(get())
+    with pytest.raises(TypeError):
+        get()["x"] = 1
+    with pytest.raises(TypeError):
+        del get()[keys[0]]
+    assert list(get()) == keys
+
+
+@pytest.mark.parametrize("basis_names", [[["a"], []], [["a", "b", "a"], []],
+                                         [["a", "b", "c"]]])
+def test_bad_basis_names_are_a_well_formed_fault(algebras, basis_names):
+    L = algebras["KC.CM-Mod"]  # dims (3, 0)
+    bad = CrossedCAlgebra(L.name, L.cm, L.field, L.dims, basis_names, L.mul,
+                          L.unit, L.rho, L.phi, L.tilde)
+    report = check_crossed_algebra(bad)
+    fail = report.first_failure()
+    assert fail.axiom == "well_formed" and fail.instance.startswith("basis_names"), fail
+
+
 def test_boxed_identities_all_fixtures(algebras):
     for name in ["KC.CM-A3S3", "KP.CM-A3S3", "QKG.CM-A3S3", "PUSH.CM-A3S3"]:
         assert check_boxed_identities(algebras[name]).ok, name
@@ -220,7 +244,7 @@ def test_kp_iso_split_section_trivial_cocycle(cms):
 def test_pushforward_along_identity(algebras):
     L = algebras["KP.CM-A3S3"]
     data = pushforward_data(identity_morphism(L.cm), L)
-    assert all(data.ideal_dim(q) == 0 for q in L.P.elements())
+    assert all(data.spans[q].dim == 0 for q in L.P.elements())
     assert same_structure(data.algebra, L)
 
 
@@ -230,7 +254,7 @@ def test_pushforward_of_ks3(algebras, cms):
     assert data.algebra.dims == (1, 1)
     assert check_crossed_algebra(data.algebra).ok
     # conjugacy-class directions collapse: ideal is 2-dimensional per class
-    assert data.ideal_dim(0) == 2 and data.ideal_dim(1) == 2
+    assert data.spans[0].dim == 2 and data.spans[1].dim == 2
 
 
 def test_pushforward_ideal_closure_oracle(algebras):
@@ -242,7 +266,7 @@ def test_pushforward_ideal_closure_oracle(algebras):
     data = pushforward_ideal(q, L)
     oracle = _naive_ideal_dims(q, L)
     for qq in q.target.base.elements():
-        assert data.ideal_dim(qq) == oracle[qq]
+        assert data.spans[qq].dim == oracle[qq]
 
 
 def test_pushforward_rho_every_representative(algebras):
@@ -261,8 +285,8 @@ def test_pushforward_cm_mod_ideal_dims_and_ill_defined_rho(algebras, cms):
     q = std_morphisms()["q.CM-Mod"]
     L = algebras["KC.CM-Mod"]
     data = pushforward_ideal(q, L)
-    assert data.ideal_dim(0) == 2  # quotient L-bar_1 has dim 3 - 2 = 1
-    assert data.class_dim[0] - data.ideal_dim(0) == 1
+    assert data.spans[0].dim == 2  # quotient L-bar_1 has dim 3 - 2 = 1
+    assert data.class_dim[0] - data.spans[0].dim == 1
     with pytest.raises(RhoIllDefined):
         pushforward(q, L)
 
@@ -273,14 +297,14 @@ def test_concentrate_representative(algebras):
     data = pushforward_data(q, L)
     for qq in (0, 1):
         for p in data.members[qq]:
-            lift = data.lift(qq, unit_vector(QQ, 1, 0))
+            lift = data.spans[qq].quotient_lift(unit_vector(QQ, 1, 0))
             rep = concentrate_representative(data, qq, lift, p)
             assert rep is not None
             comps = data.components(qq, rep)
             assert all(all(x == 0 for x in comps[r])
                        for r in data.members[qq] if r != p)
             # still the same class
-            assert data.project(qq, rep) == data.project(qq, lift)
+            assert data.spans[qq].quotient_coords(rep) == data.spans[qq].quotient_coords(lift)
 
 
 # --- adjunction transposes --------------------------------------------------

@@ -9,7 +9,6 @@ from crossmod.linalg import (
     Matrix,
     RowSpace,
     SingularMatrixError,
-    TensorSpace,
     unit_vector,
 )
 
@@ -340,11 +339,7 @@ def test_rowspace_quotient():
     assert space.contains(tuple(a - b for a, b in zip(lift, (QQ.of(1), QQ.of(0), QQ.of(0)))))
 
 
-def test_tensor_spaces():
-    t = TensorSpace(((0, 2), (1, 3)))
-    assert t.dim == 6
-    assert t.grades() == (0, 1) and t.dims() == (2, 3)
-    assert TensorSpace(()).dim == 1  # empty boundary is the ground field
+def test_unit_vector():
     assert unit_vector(QQ, 3, 1) == (QQ.of(0), QQ.of(1), QQ.of(0))
 
 

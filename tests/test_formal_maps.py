@@ -30,7 +30,6 @@ from crossmod.formal_maps import (
     compose_expressions,
     compose_h,
     compose_v,
-    concentration_square,
     expression,
     labeling_from_vertex_potential,
     pants_semidirect_reduction,
@@ -236,6 +235,19 @@ def test_start_vertex_transport(cms):
             assert transport_label(moved, 0, 0) == c
 
 
+def concentration_square(cm, c, c2, g, g2, h):
+    """The two-triangle square with labels c (upper) and c' (lower), edge
+    route g, g', h on the source side; combining concentrates c'c."""
+    P = cm.base
+    mid = P.product((cm.d(c), g, g2))
+    bottom = P.product((cm.d(cm.top.mul(c2, c)), g, g2, h))
+    complex_ = OrderedComplex(4, (0, 1, 2, 3),
+                              edges=((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)),
+                              triangles=((0, 1, 2), (0, 2, 3)))
+    # edges: (0,1)=g, (0,2)=mid, (0,3)=bottom, (1,2)=g', (2,3)=h
+    return SimplicialFormalMap(cm, complex_, (g, mid, bottom, g2, h), (c, c2), (0, 0))
+
+
 def test_combine_triangles_concentrates(cms):
     cm = cms["CM-A3S3"]
     C, P = cm.top, cm.base
@@ -243,10 +255,9 @@ def test_combine_triangles_concentrates(cms):
         for g, g2, h in itertools.product((0, 1, 4), repeat=3):
             m = concentration_square(cm, c, c2, g, g2, h)
             assert validate_simplicial(m).ok
-            for mode in ("concentrate-up", "concentrate-down"):
-                cell = combine_triangles(m, 0, 1, mode)
-                assert cell.c == C.mul(c2, c)
-                assert cell.p == P.product((g, g2, h))
+            cell = combine_triangles(m, 0, 1)
+            assert cell.c == C.mul(c2, c)
+            assert cell.p == P.product((g, g2, h))
 
 
 def test_combine_triangles_trivial(cms):

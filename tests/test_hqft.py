@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +21,8 @@ from crossmod.formal_maps import (
     TypecheckFailed,
     compose_expressions,
     expression,
+    piece_source,
+    piece_target,
 )
 from crossmod.hqft import (
     GradeMismatch,
@@ -36,21 +40,20 @@ from crossmod.linalg import Matrix, unit_vector
 
 def test_state_space_examples(cms, algebras):
     tau = make_hqft(algebras["KP.CM-A3S3"])
-    assert state_space(tau, FormalBoundary.of()).dim == 1  # empty boundary
-    assert state_space(tau, FormalBoundary.of([4])).dim == 1
+    assert state_space(tau, FormalBoundary.of()) == ()  # empty boundary: the field
+    assert state_space(tau, FormalBoundary.of([4])) == (1,)
     tau = make_hqft(algebras["KC.CM-Mod"])
-    assert state_space(tau, FormalBoundary.of([0], [0])).dim == 9  # 3 (x) 3
+    assert state_space(tau, FormalBoundary.of([0], [0])) == (3, 3)  # 3 (x) 3
+    assert state_space(tau, FormalBoundary.of([0], [1])) == (3, 0)
     # circuits are normalized before reading the grade
-    assert state_space(tau, FormalBoundary.of([1, 1])).dim == 3
+    assert state_space(tau, FormalBoundary.of([1, 1])) == (3,)
 
 
 def test_eval_disc(algebras):
     tau = make_hqft(algebras["KP.CM-A3S3"])
-    out = eval_piece(tau, Disc(0))
-    assert out.matrix == Matrix(QQ, [[1]])  # the unit of L_1
+    assert eval_piece(tau, Disc(0)) == Matrix(QQ, [[1]])  # the unit of L_1
     tau = make_hqft(algebras["KC.CM-Mod"])
-    out = eval_piece(tau, Disc(2))
-    assert out.matrix.transpose().data[0] == (QQ.zero, QQ.zero, QQ.one)
+    assert eval_piece(tau, Disc(2)).transpose().data[0] == (QQ.zero, QQ.zero, QQ.one)
 
 
 def test_eval_cylinder(cms, algebras):
@@ -58,24 +61,23 @@ def test_eval_cylinder(cms, algebras):
     P = tau.algebra.P
     g = P.names.index("(123)")
     # Cyl(1,g,1) is the identity on L_g
-    assert eval_piece(tau, Cyl(0, g, 0)).matrix == Matrix.identity(QQ, 1)
+    assert eval_piece(tau, Cyl(0, g, 0)) == Matrix.identity(QQ, 1)
     # Cyl(1,(123),(12)): e_(123) |-> e_(132); in the 1-dim grade bases this is [[1]]
     h = P.names.index("(12)")
-    out = eval_piece(tau, Cyl(0, g, h))
-    assert out.matrix == Matrix(QQ, [[1]])
-    assert out.target.circuits[0].labels == (P.names.index("(132)"),)
+    assert eval_piece(tau, Cyl(0, g, h)) == Matrix(QQ, [[1]])
+    assert piece_target(Cyl(0, g, h), cms["CM-A3S3"]) == (P.names.index("(132)"),)
 
 
 def test_eval_swap_and_cap(algebras):
     tau = make_hqft(algebras["KC.CM-Mod"])
     L = tau.algebra
-    m = eval_piece(tau, Swap(0, 0)).matrix
+    m = eval_piece(tau, Swap(0, 0))
     for i in range(3):
         for j in range(3):
             vec = [QQ.zero] * 9
             vec[i * 3 + j] = QQ.one
             assert m.apply(tuple(vec))[j * 3 + i] == QQ.one
-    cap = eval_piece(tau, Cap(0)).matrix
+    cap = eval_piece(tau, Cap(0))
     for i in range(3):
         for j in range(3):
             vec = [QQ.zero] * 9
@@ -131,14 +133,36 @@ def test_copants_signature_and_value(algebras):
     tau = make_hqft(algebras["KP.CM-A3S3"])
     P = tau.algebra.P
     g1, g2 = 4, 1
-    out = eval_piece(tau, Copants(g1, g2))
-    assert out.source.circuits[0].labels == (P.mul(g1, g2),)
-    assert [c.labels for c in out.target.circuits] == [(g1,), (g2,)]
+    assert piece_source(Copants(g1, g2), tau.cm) == (P.mul(g1, g2),)
+    assert piece_target(Copants(g1, g2), tau.cm) == (g1, g2)
+    assert eval_piece(tau, Copants(g1, g2)).shape() == (1, 1)
     # copants then pants is the handle operator, not the identity in general;
     # but cap(copants) recovers the pairing against the counit side
     e = expression(tau.cm, [P.mul(g1, g2)], [[Copants(g1, g2)], [Pants(0, g1, g2)]],
                    [P.mul(g1, g2)])
     assert eval_expression(tau, e).matrix.shape() == (1, 1)
+
+
+def _every_piece(cm, kind):
+    C, P = cm.top.elements(), cm.base.elements()
+    if kind in (Disc, Cup, Cap, Id):
+        labels = C if kind is Disc else P
+        return [kind(x) for x in labels]
+    if kind in (Copants, Swap):
+        return [kind(g1, g2) for g1, g2 in itertools.product(P, repeat=2)]
+    return [kind(c, g1, g2) for c, g1, g2 in itertools.product(C, P, P)]
+
+
+@pytest.mark.parametrize("kind", [Disc, Cyl, Pants, Copants, Cup, Cap, Id, Swap],
+                         ids=lambda k: k.__name__)
+@pytest.mark.parametrize("name", fixture_algebra_names())
+def test_eval_piece_shape_is_target_by_source(algebras, name, kind):
+    tau = make_hqft(algebras[name])
+    L = tau.algebra
+    for piece in _every_piece(tau.cm, kind):
+        rows = math.prod(L.dims[g] for g in piece_target(piece, tau.cm))
+        cols = math.prod(L.dims[g] for g in piece_source(piece, tau.cm))
+        assert eval_piece(tau, piece).shape() == (rows, cols), piece
 
 
 def test_snake_identities(algebras):
@@ -182,7 +206,7 @@ def test_monoidality_of_layers(algebras):
     g, h = 4, 1
     layer = expression(cm, [g, h], [[Cyl(0, g, h), Id(h)]],
                        [cm.base.conj(cm.base.inv[h], g), h])
-    kron = eval_piece(tau, Cyl(0, g, h)).matrix.kron(eval_piece(tau, Id(h)).matrix)
+    kron = eval_piece(tau, Cyl(0, g, h)).kron(eval_piece(tau, Id(h)))
     assert eval_expression(tau, layer).matrix == kron
     # swap twice is the identity
     e = expression(cm, [g, h], [[Swap(g, h)], [Swap(h, g)]], [g, h])

@@ -316,6 +316,21 @@ CORPUS += [
     ("field-flag-Fp:1_1",
      lambda tmp_path, ws: ["--field", "Fp:1_1", "check", "algebra", "KP.CM-Mod"]),
 ]
+# each grade's basis_names must be a list of strings: a string is not split
+# into names, nor a list of numbers taken as names (grade 0 of KC.CM-Mod has
+# dimension 3, so either has the right count)
+def _kc_mod_with_names(names):
+    def argv(tmp_path, ws):
+        doc = json.loads(dumps(to_doc("algebra", ws.get("KC.CM-Mod", "algebra"))))
+        doc["basis_names"]["0"] = names
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return ["check", "algebra", str(path)]
+    return argv
+
+
+CORPUS += [("algebra.basis_names-str", _kc_mod_with_names("xyz")),
+           ("algebra.basis_names-ints", _kc_mod_with_names([1, 2, 3]))]
 # an algebra's keyed fields must be JSON objects; a string in their place is
 # reported by crossmod, not by the interpreter's own TypeError text
 OBJECT_FIELDS = ("dims", "rho", "phi", "mul", "tilde", "basis_names")
