@@ -7,6 +7,7 @@ All output is deterministic: JSON with sorted keys, canonical scalar strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -181,7 +182,10 @@ def cmd_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; parsing
+    leaves it unchanged, so every call of `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="crossmod",
         description="finite crossed modules, crossed algebras, and the formal "

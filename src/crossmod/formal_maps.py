@@ -249,18 +249,34 @@ def expression(cm, source_labels, layers, target_labels) -> CobordismExpression:
 
 
 def typecheck(e: CobordismExpression) -> CheckReport:
+    """Every label is an element index (boundary labels and piece fields of
+    the base group, a piece's `c` of the top group), boundaries are
+    normalized, and each layer's sources are the previous layer's targets."""
     report = CheckReport("cobordism expression")
     P = e.cm.base
+    n_base, n_top = P.order, e.cm.top.order
     fails = []
     for circ in e.source.circuits + e.target.circuits:
         if len(circ.labels) != 1:
             fails.append((str(circ.labels), "boundary circuits must be normalized"))
+        elif not 0 <= circ.labels[0] < n_base:
+            fails.append((str(circ.labels), f"label outside range({n_base})"))
     report.add("normalized_boundaries", fails)
     if fails:
         return report
     cur = tuple(c.labels[0] for c in e.source.circuits)
     fails = []
     for k, layer in enumerate(e.layers):
+        for piece in layer:
+            # __match_args__ names a piece's fields without materializing its
+            # __dict__; a non-piece has none and fails in piece_source
+            for name in getattr(type(piece), "__match_args__", ()):
+                x = getattr(piece, name)
+                n = n_top if name == "c" else n_base
+                if not 0 <= x < n:
+                    fails.append((f"layer {k}", f"{piece!r}: {name} outside range({n})"))
+                    report.add("layer_interfaces", fails)
+                    return report
         wanted = tuple(g for piece in layer for g in piece_source(piece, e.cm))
         if wanted != cur:
             fails.append((f"layer {k}",

@@ -91,22 +91,25 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
             g12 = P.mul(g1, g2)
             return L.left_mul_matrix(cm.d(c), L.tilde[c], g12) @ L.mul_matrix(g1, g2)
         case Cap(g):
-            return Matrix(f, [[x for row in L.rho[g].data for x in row]])
+            rho = L.rho[g]
+            return Matrix._of(f, (tuple([x for row in rho.data for x in row]),),
+                              rho.rows * rho.cols)
         case Cup(g):
             ginv = P.inv[g]
             try:
                 co = L.rho[ginv].inverse()
             except SingularMatrixError as exc:
                 raise SingularRho(f"pairing at grade {P.names[ginv]} is singular") from exc
-            return Matrix(f, [[x] for row in co.data for x in row], cols=1)
+            return Matrix._of(f, tuple([(x,) for row in co.data for x in row]), 1)
         case Id(g):
             return Matrix.identity(f, L.dims[g])
         case Swap(g1, g2):
             # row j*d1 + i (target L_g2 (x) L_g1) has its one at column i*d2 + j
             d1, d2 = L.dims[g1], L.dims[g2]
             z, o = f.zero, f.one
-            return Matrix(f, [[o if c == i * d2 + j else z for c in range(d1 * d2)]
-                              for j in range(d2) for i in range(d1)], cols=d1 * d2)
+            return Matrix._of(f, tuple([tuple([o if c == i * d2 + j else z
+                                               for c in range(d1 * d2)])
+                                        for j in range(d2) for i in range(d1)]), d1 * d2)
         case Copants(g1, g2):
             g12 = P.mul(g1, g2)
             first = eval_piece(tau, Cup(g1)).kron(Matrix.identity(f, L.dims[g12]))

@@ -7,6 +7,13 @@ Every product (``@``, ``apply`` and ``RowSpace.reduce``) is one call of the
 field's contraction kernel ``combine``, which skips zero entries (falsy in
 every field) and normalizes each output entry once, so the entries of a
 product are canonical scalars of the field.
+
+Only the public constructor ``Matrix(field, data, cols)`` copies and
+validates its data, for matrices from outside (documents, fixtures,
+mutations, tests). A matrix this module builds itself (a product, Kronecker
+product, transpose, identity, zero matrix or inverse), and the evaluator's
+cap, cup and swap pieces, are wrapped as they are by the private
+``Matrix._of``, since their rows are already tuples of one length.
 """
 
 from __future__ import annotations
@@ -30,19 +37,28 @@ class Matrix:
         self.data = rows
 
     @classmethod
+    def _of(cls, field, data: tuple, cols: int) -> "Matrix":
+        """Wrap `data`, a tuple of `cols`-length tuples, without copying or
+        checking it: only for data built by crossmod, never for outside input."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m.data = field, len(data), cols, data
+        return m
+
+    @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._of(field, ((field.zero,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(field, tuple([tuple([o if i == j else z for j in range(n)])
+                                     for i in range(n)]), n)
 
     @classmethod
     def from_columns(cls, field, columns, rows: int) -> "Matrix":
         """The matrix whose columns are the given vectors of length `rows`."""
-        return cls(field, zip(*columns) if columns else [()] * rows, cols=len(columns))
+        return cls._of(field, tuple(zip(*columns)) if columns else ((),) * rows,
+                       len(columns))
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -69,8 +85,8 @@ class Matrix:
                 f"shape mismatch in matrix product: {self.shape()} @ {other.shape()}"
             )
         f = self.field
-        return Matrix(f, [f.combine(other.cols, zip(row, other.data)) for row in self.data],
-                      cols=other.cols)
+        return Matrix._of(f, tuple([f.combine(other.cols, zip(row, other.data))
+                                    for row in self.data]), other.cols)
 
     def apply(self, vec):
         """Matrix times column vector, given and returned as plain tuples."""
@@ -121,7 +137,7 @@ class Matrix:
         work, pivots = self._eliminate(Matrix.identity(self.field, n).data)
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in work], cols=n)
+        return Matrix._of(self.field, tuple([tuple(row[n:]) for row in work]), n)
 
     def solve(self, b):
         """One solution x of A x = b, or None if the system is inconsistent."""
@@ -153,9 +169,10 @@ class Matrix:
         """Kronecker product; the left factor is the most significant index."""
         f = self.field
         mul, zero = f.mul, f.zero
-        return Matrix(f, [[mul(a, b) if a and b else zero for a in arow for b in brow]
-                          for arow in self.data for brow in other.data],
-                      cols=self.cols * other.cols)
+        return Matrix._of(f, tuple([tuple([mul(a, b) if a and b else zero
+                                           for a in arow for b in brow])
+                                    for arow in self.data for brow in other.data]),
+                          self.cols * other.cols)
 
     def to_json(self):
         fmt = self.field.format
@@ -214,7 +231,7 @@ class RowSpace:
         rows = self.basis + [tuple(vec)]
         if len(rows[-1]) != self.n:
             raise ValueError("vector length mismatch")
-        work, pivots = Matrix(self.field, rows, cols=self.n)._eliminate([()] * len(rows))
+        work, pivots = Matrix._of(self.field, tuple(rows), self.n)._eliminate([()] * len(rows))
         if len(pivots) == self.dim:
             return False
         self.basis = [tuple(row) for row in work[:len(pivots)]]

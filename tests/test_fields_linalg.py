@@ -102,6 +102,46 @@ def test_zero_dimensional_shapes():
     assert Matrix.identity(QQ, 2).kron(z).shape() == (0, 6)
 
 
+def _assert_trusted(m):
+    """m holds what the public constructor would build from its data: a
+    tuple of tuple rows, each `cols` long, equal and hash-equal to a copy."""
+    assert type(m.data) is tuple and len(m.data) == m.rows
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
+    copy = Matrix(m.field, m.data, cols=m.cols)
+    assert m == copy and hash(m) == hash(copy)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5), GF(2 ** 31 - 1)],
+                         ids=["QQ", "GF5", "GF2147483647"])
+def test_internal_matrices_hold_trusted_data(f):
+    """Every matrix linalg builds itself skips the public constructor's
+    validation, so each result must already be in the validated form."""
+    rng = random.Random(29)
+    pool = [0, 0, 1, 2, f.neg(f.one), f.div(f.one, f.of(3))]
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (3, 3)]
+
+    def rand(r, c):
+        return Matrix(f, [[rng.choice(pool) for _ in range(c)] for _ in range(r)], cols=c)
+
+    for r, c in shapes:
+        a = rand(r, c)
+        _assert_trusted(a.transpose())
+        _assert_trusted(Matrix.zeros(f, r, c))
+        _assert_trusted(Matrix.from_columns(f, list(zip(*a.data)) if r else [()] * c, r))
+        for k in (0, 1, 3):
+            _assert_trusted(a @ rand(c, k))
+        for r2, c2 in shapes:
+            _assert_trusted(a.kron(rand(r2, c2)))
+    for n in (0, 1, 3):
+        _assert_trusted(Matrix.identity(f, n))
+        # unit upper times unit lower triangular: invertible in every field
+        upper = Matrix(f, [[1 if i == j else rng.choice(pool) if j > i else 0
+                            for j in range(n)] for i in range(n)], cols=n)
+        lower = upper.transpose()
+        _assert_trusted((upper @ lower).inverse())
+        _assert_trusted(upper.inverse())
+
+
 def test_solve():
     m = Matrix(QQ, [[1, 2], [3, 4]])
     x = m.solve((QQ.of(5), QQ.of(11)))

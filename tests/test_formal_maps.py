@@ -177,7 +177,11 @@ def test_typecheck_examples(cms):
     dc = cm.d(c)
     good = expression(cm, [g], [[Disc(c), Id(g)], [Pants(0, dc, g)]],
                       [cm.base.mul(dc, g)])
-    assert typecheck(good).ok
+    assert typecheck(good).to_json() == {
+        "subject": "cobordism expression", "ok": True,
+        "checks": [{"axiom": "normalized_boundaries", "ok": True},
+                   {"axiom": "layer_interfaces", "ok": True},
+                   {"axiom": "declared_target", "ok": True}]}
     # cup into cap: a closed expression
     closed = expression(cm, [], [[Cup(g)], [Cap(g)]], [])
     assert typecheck(closed).ok

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from crossmod.fields import QQ
 from crossmod.fixtures import fixture_algebra_names
 from crossmod.formal_maps import (
     Cap,
+    CobordismExpression,
     Copants,
     Cup,
     Cyl,
@@ -23,6 +25,7 @@ from crossmod.formal_maps import (
     expression,
     piece_source,
     piece_target,
+    typecheck,
 )
 from crossmod.hqft import (
     GradeMismatch,
@@ -129,6 +132,46 @@ def test_eval_typecheck_failure(algebras):
         eval_expression(tau, bad)
 
 
+# one well-typed piece of each kind with fields, over CM-Mod (C = Z/3, P = Z/2)
+_IN_RANGE_PIECES = [Disc(1), Cyl(1, 1, 1), Pants(1, 1, 1), Copants(1, 1), Cup(1),
+                    Cap(1), Id(1), Swap(1, 0)]
+
+
+@pytest.mark.parametrize("piece", _IN_RANGE_PIECES, ids=lambda p: type(p).__name__)
+def test_out_of_range_piece_fields_fail_typecheck(algebras, piece):
+    """A piece field outside its group's index range is a layer_interfaces
+    failure, so a negative label never wraps to another grade and a large
+    one never reaches an IndexError."""
+    tau = make_hqft(algebras["KC.CM-Mod"])
+    cm = tau.cm
+    source, target = piece_source(piece, cm), piece_target(piece, cm)
+    assert eval_expression(tau, expression(cm, source, [[piece]], target))
+    for name in type(piece).__match_args__:
+        n = cm.top.order if name == "c" else cm.base.order
+        for bad in (-1, -n, n, n + 3):
+            e = expression(cm, source, [[dataclasses.replace(piece, **{name: bad})]], target)
+            report = typecheck(e)
+            assert [(r.axiom, r.ok) for r in report.results] == \
+                [("normalized_boundaries", True), ("layer_interfaces", False)], (name, bad)
+            with pytest.raises(TypecheckFailed, match="layer_interfaces"):
+                eval_expression(tau, e)
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 2, 5])
+def test_out_of_range_boundary_labels_fail_typecheck(algebras, bad):
+    tau = make_hqft(algebras["KC.CM-Mod"])
+    cm = tau.cm
+    for e in (CobordismExpression(cm, FormalBoundary.of([bad]), ((Id(bad),),),
+                                  FormalBoundary.of([bad])),
+              expression(cm, [bad], [], [0]),
+              expression(cm, [0], [], [bad]),
+              expression(cm, [], [[Disc(0)]], [bad])):
+        report = typecheck(e)
+        assert [(r.axiom, r.ok) for r in report.results] == [("normalized_boundaries", False)]
+        with pytest.raises(TypecheckFailed, match="normalized_boundaries"):
+            eval_expression(tau, e)
+
+
 def test_copants_signature_and_value(algebras):
     tau = make_hqft(algebras["KP.CM-A3S3"])
     P = tau.algebra.P
@@ -162,7 +205,12 @@ def test_eval_piece_shape_is_target_by_source(algebras, name, kind):
     for piece in _every_piece(tau.cm, kind):
         rows = math.prod(L.dims[g] for g in piece_target(piece, tau.cm))
         cols = math.prod(L.dims[g] for g in piece_source(piece, tau.cm))
-        assert eval_piece(tau, piece).shape() == (rows, cols), piece
+        m = eval_piece(tau, piece)
+        assert m.shape() == (rows, cols), piece
+        # pieces built without the public constructor hold its validated form
+        assert type(m.data) is tuple and all(type(r) is tuple and len(r) == cols
+                                             for r in m.data), piece
+        assert m == Matrix(m.field, m.data, cols=cols), piece
 
 
 def test_snake_identities(algebras):

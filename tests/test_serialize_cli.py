@@ -3,14 +3,15 @@ import json
 
 import pytest
 
+from crossmod import cli
 from crossmod.algebras import (
     check_crossed_algebra,
     group_algebra_C,
     kp_iso_witness,
     same_structure,
 )
-from crossmod.cli import main
-from crossmod.fields import QQ
+from crossmod.cli import build_parser, main
+from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_crossed_modules, std_morphisms
 from crossmod.formal_maps import Cap, Cup, Cyl, Disc, expression, annulus_labeling
 from crossmod.groups import symmetric_group_3
@@ -357,6 +358,36 @@ def test_cli_unknown_name_error_is_not_requoted(capsys):
     assert main(["eval", "KC.CM-A3S3", "no-such-file.json"]) == 2
     out = capsys.readouterr().out
     assert "no-such-file.json" in json.loads(out)["error"] and '\\"' not in out
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """Consecutive calls in one process share the parser, so an option of
+    one call (--field, --out) or an argparse exit must not leak into the
+    next."""
+    fields = []
+    monkeypatch.setitem(cli.CHECKABLE, "algebra",
+                        lambda L: fields.append(L.field) or check_crossed_algebra(L))
+    assert main(["--field", "Fp:5", "check", "algebra", "KC.CM-A3S3"]) == 0
+    assert main(["check", "algebra", "KC.CM-A3S3"]) == 0
+    assert fields == [GF(5), QQ]
+    capsys.readouterr()
+
+    out = tmp_path / "kc.json"
+    assert main(["build", "kC", "CM-A3S3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["build", "kC", "CM-A3S3"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "no-such-kind", "CM-A3S3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", "crossed-module", "CM-A3S3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_cli_build_kc_roundtrips(tmp_path, capsys):
