@@ -36,10 +36,6 @@ class DoesNotFactor(ValueError):
     pass
 
 
-class SectionRequired(ValueError):
-    pass
-
-
 class CrossedCAlgebra:
     """A graded algebra over the base group of a crossed module, with pairing
     rho, action phi, and the distinguished units indexed by the top group."""
@@ -695,7 +691,7 @@ def pullback(fmor: CrossedModuleMorphism, Lp: CrossedCAlgebra, name=None) -> Cro
 # the section/cocycle isomorphism K[P] ~ q*(K[G])
 # --------------------------------------------------------------------------
 
-def kp_iso_witness(cm: CrossedModule, field, sec=None):
+def kp_iso_witness(cm: CrossedModule, field):
     """The isomorphism e_p |-> (e_{q(p)})_n between the base group algebra and
     the pullback of the quotient group algebra, where p = n s(q(p)).
 
@@ -704,16 +700,11 @@ def kp_iso_witness(cm: CrossedModule, field, sec=None):
     twisted cocycle law. Returns the witness morphism.
     """
     from .crossed_modules import quotient_morphism
-    from .groups import cocycle_from_section, section as make_section
+    from .groups import cocycle_from_section, section
 
     qmor = quotient_morphism(cm)
     q = qmor.f_base
-    if sec is None:
-        sec = make_section(q)
-    elif sec.projection.map != q.map or sec.projection.target.names != q.target.names:
-        raise SectionRequired("section must split the canonical projection of the quotient")
-    else:
-        sec = make_section(q, sec.choice)
+    sec = section(q)
     coc = cocycle_from_section(sec)
     KG = group_algebra_P(qmor.target, field, name=f"K[G]({cm.name})")
     pulled = pullback(qmor, KG, name=f"q*(K[G])({cm.name})")
@@ -1061,13 +1052,11 @@ def untranspose_from_pullback(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMor
 
 
 def transpose_from_pushforward(m: CrossedAlgebraMorphism,
-                               data: PushforwardData | None = None) -> CrossedAlgebraMorphism:
+                               data: PushforwardData) -> CrossedAlgebraMorphism:
     """Factor a morphism over f through the pushforward of its source.
 
     Raises DoesNotFactor if the morphism does not kill the defining ideal
     (impossible for a valid morphism over f)."""
-    if data is None:
-        data = pushforward_data(m.over, m.source)
     L, Lp = m.source, m.target
     field = L.field
     Q = m.over.target.base
@@ -1095,10 +1084,8 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
 
 def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMorphism,
                                L: CrossedCAlgebra,
-                               data: PushforwardData | None = None) -> CrossedAlgebraMorphism:
+                               data: PushforwardData) -> CrossedAlgebraMorphism:
     """Inverse of transpose_from_pushforward: precompose with the quotient map."""
-    if data is None:
-        data = pushforward_data(fmor, L)
     field = L.field
     f0 = fmor.f_base.map
     blocks = {}

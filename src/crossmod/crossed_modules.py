@@ -112,9 +112,9 @@ def from_module(m: FiniteGroup, p: FiniteGroup, act: GroupAction, name=None) -> 
     return crossed_module(name or "module", m, p, trivial_hom(m, p), act)
 
 
-def from_conjugation_aut(g: FiniteGroup, order_bound: int = 12, name=None) -> CrossedModule:
+def from_conjugation_aut(g: FiniteGroup, name=None) -> CrossedModule:
     """g -> Aut(g) by inner automorphisms, with the standard action."""
-    aut = automorphism_group(g, order_bound)
+    aut = automorphism_group(g)
     return crossed_module(name or "inner", g, aut.group, aut.embedding, aut.standard_action)
 
 

@@ -11,6 +11,7 @@ condition d(c) = p1 p0^-1 p2^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .crossed_modules import CrossedModule, SemidirectElement, sd_mul
 from .groups import FiniteGroup
@@ -228,6 +229,19 @@ def piece_target(piece: ElementaryPiece, cm: CrossedModule) -> tuple[int, ...]:
     raise TypeError(f"not a piece: {piece!r}")
 
 
+def piece_range_fault(piece, cm: CrossedModule) -> str | None:
+    """Why a piece's fields are not element indices (`c` of the top group,
+    every other field of the base group), or None when they all are; a
+    negative field would otherwise wrap to another element."""
+    # __match_args__ names a piece's fields without materializing its
+    # __dict__; a non-piece has none and fails in piece_source or eval_piece
+    for name in getattr(type(piece), "__match_args__", ()):
+        n = cm.top.order if name == "c" else cm.base.order
+        if not 0 <= getattr(piece, name) < n:
+            return f"{piece!r}: {name} outside range({n})"
+    return None
+
+
 @dataclass(frozen=True)
 class CobordismExpression:
     """Layers of elementary pieces; each layer's concatenated sources must
@@ -254,7 +268,7 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     normalized, and each layer's sources are the previous layer's targets."""
     report = CheckReport("cobordism expression")
     P = e.cm.base
-    n_base, n_top = P.order, e.cm.top.order
+    n_base = P.order
     fails = []
     for circ in e.source.circuits + e.target.circuits:
         if len(circ.labels) != 1:
@@ -268,15 +282,10 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     fails = []
     for k, layer in enumerate(e.layers):
         for piece in layer:
-            # __match_args__ names a piece's fields without materializing its
-            # __dict__; a non-piece has none and fails in piece_source
-            for name in getattr(type(piece), "__match_args__", ()):
-                x = getattr(piece, name)
-                n = n_top if name == "c" else n_base
-                if not 0 <= x < n:
-                    fails.append((f"layer {k}", f"{piece!r}: {name} outside range({n})"))
-                    report.add("layer_interfaces", fails)
-                    return report
+            fault = piece_range_fault(piece, e.cm)
+            if fault:
+                report.add("layer_interfaces", [(f"layer {k}", fault)])
+                return report
         wanted = tuple(g for piece in layer for g in piece_source(piece, e.cm))
         if wanted != cur:
             fails.append((f"layer {k}",
@@ -337,7 +346,9 @@ class OrderedComplex:
                 if face not in tri_set:
                     raise ValueError(f"tetrahedron {s} missing face {face}")
 
-    def edge_index(self):
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Position of each edge in `edges`, built once per complex."""
         return {e: i for i, e in enumerate(self.edges)}
 
     def triangle_index(self):
@@ -366,7 +377,7 @@ class SimplicialFormalMap:
 
     def label_of(self, u: int, v: int) -> int:
         """The label of the oriented path u -> v along a single edge."""
-        idx = self.complex.edge_index()
+        idx = self.complex.edge_index
         if (u, v) in idx:
             return self.edge_labels[idx[(u, v)]]
         if (v, u) in idx:
@@ -521,7 +532,7 @@ def _concentrated_relabeling(m: SimplicialFormalMap, t1: int, t2: int,
     cm = m.cm
     P, C = cm.base, cm.top
     tri_clear = K.triangles[clear]
-    edge_idx = K.edge_index()
+    edge_idx = K.edge_index
     labels = list(m.edge_labels)
     v0, v1, v2 = tri_clear
     # trivial label on the cleared triangle forces label(v0,v2) = label(v0,v1)*label(v1,v2)
@@ -533,7 +544,6 @@ def _concentrated_relabeling(m: SimplicialFormalMap, t1: int, t2: int,
         labels[edge_idx[diag]] = P.mul(m.label_of(v0, v2), P.inv[m.label_of(v1, v2)])
     else:
         raise UnsupportedTriangulation(f"diagonal {diag} not supported")
-    relab = lambda u, v: _label_in(labels, edge_idx, P, u, v)
 
     keep_tri = K.triangles[keep]
     if diag == (w0, w2):
@@ -544,19 +554,14 @@ def _concentrated_relabeling(m: SimplicialFormalMap, t1: int, t2: int,
         if w0 in keep_tri:
             keep_label = combined.c
         else:
-            keep_label = cm.action(P.inv[relab(w0, w1)], C.inv[combined.c])
+            # only the shared edge (w1,w2) was relabeled, so (w0,w1) keeps its label
+            keep_label = cm.action(P.inv[m.label_of(w0, w1)], C.inv[combined.c])
 
     tris = list(m.tri_labels)
     starts = list(m.start_vertices)
     tris[clear], starts[clear] = 0, tri_clear[0]
     tris[keep], starts[keep] = keep_label, keep_tri[0]
     return SimplicialFormalMap(cm, K, tuple(labels), tuple(tris), tuple(starts))
-
-
-def _label_in(labels, edge_idx, P, u, v):
-    if (u, v) in edge_idx:
-        return labels[edge_idx[(u, v)]]
-    return P.inv[labels[edge_idx[(v, u)]]]
 
 
 def annulus_square_complex(diagonal: str) -> OrderedComplex:
@@ -583,12 +588,8 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
     K = m.complex
     cm = m.cm
     P = cm.base
-    up, down = annulus_square_complex("up"), annulus_square_complex("down")
-    if (K.edges, K.triangles) == (up.edges, up.triangles):
-        t_inner, t_outer = 0, 1  # (0,1,3) carries the inner route
-    elif (K.edges, K.triangles) == (down.edges, down.triangles):
-        t_inner, t_outer = 0, 1
-    else:
+    if not any((K.edges, K.triangles) == (sq.edges, sq.triangles)
+               for sq in map(annulus_square_complex, ("up", "down"))):
         raise UnsupportedTriangulation("not one of the two annulus squares")
     if m.label_of(0, 2) != m.label_of(1, 3):
         raise UnsupportedTriangulation("seam edges carry different labels")
@@ -598,7 +599,7 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
         raise ValueError(f"labeling invalid: {fail.axiom} at {fail.instance}")
     g = m.label_of(0, 1)
     h = m.label_of(0, 2)
-    square = _combined_square_cell(m, t_inner, t_outer)
+    square = _combined_square_cell(m, 0, 1)  # triangle 0 carries the inner route
     # square: g*h => h*k based at the inner vertex; rebase at the outer circle
     c_star = cm.action(P.inv[h], square.c)
     piece = Cyl(c_star, g, h)

@@ -43,16 +43,15 @@ class CocycleIdentityViolated(GroupConstructionError):
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("names", "table", "inv")
+    __slots__ = ("names", "table", "inv", "order")
 
     def __init__(self, names, table, inv):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
         self.inv = tuple(inv)
-
-    @property
-    def order(self) -> int:
-        return len(self.names)
+        # a plain slot, not a property: eval_piece range-checks every piece
+        # field against it
+        self.order = len(self.names)
 
     def elements(self) -> range:
         return range(self.order)

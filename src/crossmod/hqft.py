@@ -24,6 +24,7 @@ from .formal_maps import (
     Swap,
     TypecheckFailed,
     expression,
+    piece_range_fault,
     piece_target,
     typecheck,
 )
@@ -76,10 +77,14 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
 
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
-    grades to the tensor of its target grades."""
+    grades to the tensor of its target grades. A field that is not an element
+    index raises TypecheckFailed."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
+    fault = piece_range_fault(piece, cm)
+    if fault:
+        raise TypecheckFailed(fault)
     match piece:
         case Disc(c):
             return Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
@@ -264,9 +269,10 @@ def check_equivalence_invariance(tau: FormalHQFT) -> CheckReport:
 # randomized well-typed expressions
 # --------------------------------------------------------------------------
 
-def random_expression(tau: FormalHQFT, rng: random.Random, source=None,
-                      max_depth: int = 4, max_width: int = 3) -> CobordismExpression:
-    """A random well-typed expression from a (possibly random) source."""
+def random_expression(tau: FormalHQFT, rng: random.Random, source=None) -> CobordismExpression:
+    """A random well-typed expression from a (possibly random) source, with
+    1 to `max_depth` layers between boundaries of at most `max_width` circuits."""
+    max_depth, max_width = 4, 3
     L = tau.algebra
     cm, P, C = L.cm, L.P, L.C
     if source is None:

@@ -1,9 +1,10 @@
-"""The shipped mutation corpus: for every axiom family, a single-entry
-mutation of a passing fixture that its checker must detect.
+"""The shipped mutation corpus: single-entry mutations of passing fixtures,
+each naming the one axiom family that must catch it.
 
-Each mutation runs the relevant checker on the corrupted object and reports
-whether the corruption was detected (a failing report entry or a raised
-construction error), together with the first counterexample instance.
+Each mutation runs the relevant checker on the corrupted object. It is
+detected when the report's result for its family fails (for the section
+mutation, when construction raises), and it carries that result's first
+counterexample instance.
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ class Detection:
     detail: str | None
 
 
-def _from_report(name, family, report, want_axiom=None) -> Detection:
-    relevant = [r for r in report.results if not r.ok]
-    if want_axiom is not None:
-        named = [r for r in relevant if r.axiom == want_axiom]
-        relevant = named or relevant
-    if relevant:
-        first = relevant[0]
-        return Detection(name, family, True, first.instance, first.detail)
+def _from_report(name, family, report) -> Detection:
+    """Detected only when a result of `family` fails; the Detection carries
+    that result's instance and detail."""
+    for r in report.results:
+        if r.axiom == family and not r.ok:
+            return Detection(name, family, True, r.instance, r.detail)
     return Detection(name, family, False, None, None)
 
 
@@ -103,7 +102,7 @@ def _algs():
 def mut_group_associativity():
     s3 = _grp()["S3"]
     report = check_group_table(s3.names, _mutate_table(s3.table, 1, 2, 0))
-    return _from_report("group.table_entry", "group_axioms", report)
+    return _from_report("group.table_entry", "latin_square", report)
 
 
 def mut_homomorphism():
@@ -118,7 +117,7 @@ def mut_action():
     z2, z3 = _grp()["Z2"], _grp()["Z3"]
     table = _mutate_table(((0, 1, 2), (0, 2, 1)), 1, 1, 1)
     report = check_action(GroupAction(z2, z3, table))
-    return _from_report("action.table_entry", "action_axioms", report)
+    return _from_report("action.table_entry", "action_compatible", report)
 
 
 def mut_cm_equivariance():
@@ -136,8 +135,7 @@ def mut_cm_peiffer():
     zero = GroupHomomorphism(cm.top, cm.base, (0,) * cm.top.order)
     mutated = CrossedModule("CM-AutS3*", cm.top, cm.base, zero, cm.act)
     report = check_crossed_module(mutated)
-    return _from_report("crossed_module.zero_boundary", "CM2_peiffer", report,
-                        want_axiom="CM2_peiffer")
+    return _from_report("crossed_module.zero_boundary", "CM2_peiffer", report)
 
 
 def mut_cm_action_entry():
@@ -145,7 +143,7 @@ def mut_cm_action_entry():
     act = GroupAction(cm.base, cm.top, _mutate_table(cm.act.table, 1, 1, 1))
     mutated = CrossedModule("CM-A3S3*", cm.top, cm.base, cm.boundary, act)
     report = check_crossed_module(mutated)
-    return _from_report("crossed_module.action_entry", "CM2_peiffer", report)
+    return _from_report("crossed_module.action_entry", "action_compatible", report)
 
 
 def mut_morphism_square():
@@ -154,14 +152,14 @@ def mut_morphism_square():
                                _mutate_table((m.f_base.map,), 0, 1, 0)[0])
     mutated = CrossedModuleMorphism(m.source, m.target, m.f_top, f_base)
     report = check_morphism(mutated)
-    return _from_report("morphism.base_entry", "square_commutes", report)
+    return _from_report("morphism.base_entry", "homomorphism", report)
 
 
 def mut_algebra_unit():
     L = _algs()["KP.CM-A3S3"]
     two = L.field.of(2)
     report = check_crossed_algebra(_clone_algebra(L, unit=(two,)))
-    return _from_report("algebra.unit_entry", "unit", report, want_axiom="unit")
+    return _from_report("algebra.unit_entry", "unit", report)
 
 
 def mut_algebra_associativity():
@@ -171,8 +169,7 @@ def mut_algebra_associativity():
     block[1][1] = [L.field.one, L.field.zero, L.field.zero]  # e1*e1 := e0
     mul[(0, 0)] = block
     report = check_crossed_algebra(_clone_algebra(L, mul=mul))
-    return _from_report("algebra.mul_entry", "associativity", report,
-                        want_axiom="associativity")
+    return _from_report("algebra.mul_entry", "associativity", report)
 
 
 def mut_rho_symmetric():
@@ -180,8 +177,7 @@ def mut_rho_symmetric():
     rho = dict(L.rho)
     rho[4] = Matrix(L.field, [[L.field.of(2)]])  # grade (123), inverse (132) untouched
     report = check_crossed_algebra(_clone_algebra(L, rho=rho))
-    return _from_report("algebra.rho_symmetry_entry", "rho_symmetric", report,
-                        want_axiom="rho_symmetric")
+    return _from_report("algebra.rho_symmetry_entry", "rho_symmetric", report)
 
 
 def mut_rho_nondegenerate():
@@ -189,8 +185,7 @@ def mut_rho_nondegenerate():
     rho = dict(L.rho)
     rho[1] = Matrix(L.field, [[L.field.zero]])  # (12) is self-inverse
     report = check_crossed_algebra(_clone_algebra(L, rho=rho))
-    return _from_report("algebra.rho_zero_entry", "rho_nondegenerate", report,
-                        want_axiom="rho_nondegenerate")
+    return _from_report("algebra.rho_zero_entry", "rho_nondegenerate", report)
 
 
 def mut_rho_invariance():
@@ -198,8 +193,7 @@ def mut_rho_invariance():
     rho = dict(L.rho)
     rho[0] = _scaled_matrix(rho[0], 1, 1, L.field.one)
     report = check_crossed_algebra(_clone_algebra(L, rho=rho))
-    return _from_report("algebra.rho_diag_entry", "rho_invariant", report,
-                        want_axiom="rho_invariant")
+    return _from_report("algebra.rho_diag_entry", "rho_invariant", report)
 
 
 def mut_phi_homomorphism():
@@ -207,8 +201,7 @@ def mut_phi_homomorphism():
     phi = dict(L.phi)
     phi[(1, 4)] = Matrix(L.field, [[L.field.of(2)]])
     report = check_crossed_algebra(_clone_algebra(L, phi=phi))
-    return _from_report("algebra.phi_entry", "phi_homomorphism", report,
-                        want_axiom="phi_homomorphism")
+    return _from_report("algebra.phi_entry", "phi_homomorphism", report)
 
 
 def mut_phi_multiplicative():
@@ -224,8 +217,7 @@ def mut_phi_fixes_own_grade():
     phi = dict(L.phi)
     phi[(4, 4)] = Matrix(L.field, [[L.field.of(2)]])
     report = check_crossed_algebra(_clone_algebra(L, phi=phi))
-    return _from_report("algebra.phi_own_grade_entry", "phi_fixes_own_grade",
-                        report, want_axiom="phi_fixes_own_grade")
+    return _from_report("algebra.phi_own_grade_entry", "phi_fixes_own_grade", report)
 
 
 def mut_twisted_commutativity():
@@ -233,8 +225,7 @@ def mut_twisted_commutativity():
     mul = dict(L.mul)
     mul[(1, 2)] = [[[L.field.of(2)]]]
     report = check_crossed_algebra(_clone_algebra(L, mul=mul))
-    return _from_report("algebra.mul_offdiag_entry", "twisted_commutativity",
-                        report, want_axiom="twisted_commutativity")
+    return _from_report("algebra.mul_offdiag_entry", "twisted_commutativity", report)
 
 
 def mut_trace():
@@ -242,8 +233,7 @@ def mut_trace():
     phi = dict(L.phi)
     phi[(2, 4)] = Matrix(L.field, [[L.field.of(2)]])  # phi_(13) on L_(123)
     report = check_crossed_algebra(_clone_algebra(L, phi=phi))
-    return _from_report("algebra.phi_trace_entry", "trace", report,
-                        want_axiom="trace")
+    return _from_report("algebra.phi_trace_entry", "trace", report)
 
 
 def mut_tilde_unit():
@@ -251,8 +241,7 @@ def mut_tilde_unit():
     tilde = list(L.tilde)
     tilde[0] = (L.field.of(2),)
     report = check_crossed_algebra(_clone_algebra(L, tilde=tilde))
-    return _from_report("algebra.tilde_unit_entry", "tilde_unit", report,
-                        want_axiom="tilde_unit")
+    return _from_report("algebra.tilde_unit_entry", "tilde_unit", report)
 
 
 def mut_tilde_multiplicative():
@@ -260,8 +249,7 @@ def mut_tilde_multiplicative():
     tilde = list(L.tilde)
     tilde[1] = (L.field.zero,)  # kills the distinguished unit over sigma
     report = check_crossed_algebra(_clone_algebra(L, tilde=tilde))
-    return _from_report("algebra.tilde_entry", "tilde_multiplicative", report,
-                        want_axiom="tilde_multiplicative")
+    return _from_report("algebra.tilde_entry", "tilde_multiplicative", report)
 
 
 def mut_tilde_equivariant():
@@ -269,8 +257,7 @@ def mut_tilde_equivariant():
     tilde = list(L.tilde)
     tilde[1] = (L.field.of(-1),)
     report = check_crossed_algebra(_clone_algebra(L, tilde=tilde))
-    return _from_report("algebra.tilde_sign_entry", "tilde_equivariant", report,
-                        want_axiom="tilde_equivariant")
+    return _from_report("algebra.tilde_sign_entry", "tilde_equivariant", report)
 
 
 def mut_boxed_composition():
@@ -278,8 +265,7 @@ def mut_boxed_composition():
     tilde = list(L.tilde)
     tilde[1] = (L.field.of(2),)
     report = check_boxed_identities(_clone_algebra(L, tilde=tilde))
-    return _from_report("boxed.tilde_entry", "theta_composition", report,
-                        want_axiom="theta_composition")
+    return _from_report("boxed.tilde_entry", "theta_composition", report)
 
 
 def mut_boxed_phi():
@@ -287,8 +273,7 @@ def mut_boxed_phi():
     phi = dict(L.phi)
     phi[(1, 4)] = Matrix(L.field, [[L.field.of(2)]])
     report = check_boxed_identities(_clone_algebra(L, phi=phi))
-    return _from_report("boxed.phi_entry", "theta_phi", report,
-                        want_axiom="theta_phi")
+    return _from_report("boxed.phi_entry", "theta_phi", report)
 
 
 def mut_aut_square():
@@ -296,15 +281,14 @@ def mut_aut_square():
     tilde = list(L.tilde)
     tilde[1] = (L.field.of(3),)
     report = aut_square_check(_clone_algebra(L, tilde=tilde))
-    return _from_report("aut_square.tilde_entry", "delta_tilde_equals_phi_boundary",
-                        report)
+    return _from_report("aut_square.tilde_entry", "delta_tilde_equals_phi_boundary", report)
 
 
 def mut_expression_typecheck():
     cm = _cms()["CM-A3S3"]
     e = expression(cm, [], [[Disc(1)], [Cap(cm.d(1))]], [])
     report = typecheck(e)
-    return _from_report("expression.disc_into_cap", "typecheck", report)
+    return _from_report("expression.disc_into_cap", "layer_interfaces", report)
 
 
 def mut_simplicial_boundary():
@@ -314,8 +298,7 @@ def mut_simplicial_boundary():
     m = labeling_from_vertex_potential(cm, complex_, (0, 1, 4))
     mutated = SimplicialFormalMap(cm, complex_, m.edge_labels, (1,), m.start_vertices)
     report = validate_simplicial(mutated)
-    return _from_report("simplicial.tri_label", "boundary_condition", report,
-                        want_axiom="boundary_condition")
+    return _from_report("simplicial.tri_label", "boundary_condition", report)
 
 
 def mut_simplicial_cocycle():
@@ -333,8 +316,7 @@ def mut_simplicial_cocycle():
     mutated = SimplicialFormalMap(cm, complex_, m.edge_labels, tuple(tris),
                                   m.start_vertices)
     report = validate_simplicial(mutated)
-    return _from_report("simplicial.kernel_label", "cocycle_condition", report,
-                        want_axiom="cocycle_condition")
+    return _from_report("simplicial.kernel_label", "cocycle_condition", report)
 
 
 def mut_section():

@@ -1,11 +1,13 @@
-"""The acceptance suites: every criterion as a callable returning pass/fail
-plus log lines, shared by the CLI `verify` command and the test suite."""
+"""The acceptance suites: one table of criteria, each with its number, title,
+suite, time budget and a check returning pass/fail plus log lines, shared by
+the CLI `verify` command and the test suite."""
 
 from __future__ import annotations
 
 import itertools
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,25 +60,38 @@ from .linalg import Matrix
 from .algebras import same_structure
 
 
-@dataclass
-class CriterionResult:
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion. Its check returns (ok, log lines); the
+    criterion passes when the check is ok and runs in under `budget` seconds."""
+
     number: int
     title: str
+    suite: str
+    budget: float
+    check: Callable[[], tuple[bool, list[str]]]
+
+    def run(self) -> CriterionResult:
+        started = time.perf_counter()
+        ok, lines = self.check()
+        seconds = time.perf_counter() - started
+        return CriterionResult(self, ok and seconds < self.budget, seconds, lines)
+
+
+@dataclass
+class CriterionResult:
+    criterion: Criterion
     ok: bool
     seconds: float
     lines: list
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
-        return f"{status} criterion {self.number}: {self.title} ({self.seconds:.2f}s)"
+        c = self.criterion
+        return f"{status} criterion {c.number}: {c.title} ({self.seconds:.2f}s)"
 
 
-def _result(number, title, started, ok, lines) -> CriterionResult:
-    return CriterionResult(number, title, ok, time.perf_counter() - started, lines)
-
-
-def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
+def _crossed_module_axioms():
     lines, ok = [], True
     for name, cm in fixtures.std_crossed_modules().items():
         started = time.perf_counter()
@@ -84,11 +99,10 @@ def criterion_1() -> CriterionResult:
         elapsed = time.perf_counter() - started
         ok &= rep.ok and elapsed < 1.0
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()} ({elapsed:.3f}s)")
-    return _result(1, "crossed-module axioms on all fixtures", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
+def _group_algebra_axioms():
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     cms = fixtures.std_crossed_modules()
@@ -106,12 +120,10 @@ def criterion_2() -> CriterionResult:
             count = sum(1 for c in cm.top.elements() if cm.d(c) == p)
             ok &= L.dims[p] == formula == count
         lines.append(f"  KC.{name}: grade dims match |ker d| * [p in dC]")
-    ok &= (time.perf_counter() - t0) < 5.0
-    return _result(2, "group algebras pass the full checker; dim formula", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
+def _kp_iso():
     cm = fixtures.std_crossed_modules()["CM-A3S3"]
     lines = []
     try:
@@ -123,12 +135,10 @@ def criterion_3() -> CriterionResult:
     except AssertionError as exc:
         ok = False
         lines.append(f"  {exc}")
-    ok &= (time.perf_counter() - t0) < 1.0
-    return _result(3, "K[P] ~ q*(K[G]) with the cocycle multiplication law", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
+def _interchange():
     lines, ok = [], True
     for name, cm in fixtures.std_crossed_modules().items():
         size = cm.top.order * cm.base.order
@@ -149,8 +159,7 @@ def criterion_4() -> CriterionResult:
         ok &= agree and whisker
         lines.append(f"  {name}: compose_h = sd_mul on {len(pairs) ** 2} pairs; "
                      f"whiskering orders agree ({'ok' if agree and whisker else 'FAIL'})")
-    ok &= (time.perf_counter() - t0) < 1.0
-    return _result(4, "interchange/Peiffer: #0 = semidirect product", t0, ok, lines)
+    return ok, lines
 
 
 def _cell(cm, sd):
@@ -158,8 +167,7 @@ def _cell(cm, sd):
     return LabeledCell(cm, sd.c, sd.p)
 
 
-def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
+def _boxed_identities():
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in ["KC.CM-Id2", "KC.CM-A3S3", "KC.CM-Mod", "KC.CM-AutS3",
@@ -168,12 +176,10 @@ def criterion_5() -> CriterionResult:
         rep = check_boxed_identities(algs[name])
         ok &= rep.ok
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")
-    ok &= (time.perf_counter() - t0) < 10.0
-    return _result(5, "all four boxed identity families, exhaustively", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
+def _evaluator_coherence():
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in fixtures.fixture_algebra_names():
@@ -200,20 +206,17 @@ def criterion_6() -> CriterionResult:
         lines.append(f"  {name}: snakes {'ok' if snakes else 'FAIL'}, "
                      f"functoriality x100 {'ok' if functorial else 'FAIL'}, "
                      f"round trip {'ok' if roundtrip else 'FAIL'}")
-    ok &= (time.perf_counter() - t0) < 30.0
-    return _result(6, "evaluator coherence: snakes, functoriality, round trip", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
+def _equivalence_invariance():
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in fixtures.fixture_algebra_names():
         rep = check_equivalence_invariance(make_hqft(algs[name]))
         ok &= rep.ok
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")
-    ok &= (time.perf_counter() - t0) < 10.0
-    return _result(7, "equivalence-invariance families (a)-(d)", t0, ok, lines)
+    return ok, lines
 
 
 def _naive_span_dim(vectors):
@@ -312,8 +315,7 @@ def _naive_ideal_dims(fmor, L):
     return dims
 
 
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+def _pushforward():
     lines, ok = [], True
     fmor = fixtures.std_morphisms()["q.CM-A3S3"]
     L = fixtures.std_algebras(QQ)["KP.CM-A3S3"]
@@ -335,12 +337,10 @@ def criterion_8() -> CriterionResult:
     ok &= match
     lines.append(f"  ideal dims {dict((Q.names[q], data.spans[q].dim) for q in Q.elements())} "
                  f"match brute-force oracle: {match}")
-    ok &= (time.perf_counter() - t0) < 5.0
-    return _result(8, "pushforward checker, rho independence, ideal oracle", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
+def _adjunction():
     lines, ok = [], True
     f2 = GF(2)
     algs = fixtures.std_algebras(f2)
@@ -373,12 +373,10 @@ def criterion_9() -> CriterionResult:
             transpose_from_pushforward(untranspose_to_pushforward(m2, fmor, L, data), data),
             m2)
     lines.append("  transposes are mutually inverse on every enumerated morphism")
-    ok &= (time.perf_counter() - t0) < 60.0
-    return _result(9, "adjunction transposes over F2, bounded enumeration", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
+def _simplicial():
     lines, ok = [], True
     cms = fixtures.std_crossed_modules()
     # identity-labeled (potential-derived) complexes always validate
@@ -417,48 +415,59 @@ def criterion_10() -> CriterionResult:
                 pieces.add(annulus_flatten(m))
         ok &= len(pieces) == 1
     lines.append("  CM-A3S3: 50 random tuples, both triangulations agree")
-    ok &= (time.perf_counter() - t0) < 5.0
-    return _result(10, "simplicial validation and annulus flattening", t0, ok, lines)
+    return ok, lines
 
 
-def criterion_11() -> CriterionResult:
-    t0 = time.perf_counter()
+def _mutation_sensitivity():
     results = mutations.run_all()
     missed = [d for d in results if not d.detected]
     lines = [f"  {d.mutation}: {'detected at ' + str(d.instance) if d.detected else 'MISSED'}"
              for d in results]
     lines.append(f"  {len(results) - len(missed)}/{len(results)} mutations detected")
-    return _result(11, "mutation sensitivity: 100% detection", t0, not missed, lines)
+    return not missed, lines
 
 
-CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-            criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-            criterion_11]
+CRITERIA = [
+    # criterion 1 also bounds each fixture at 1 s inside its check
+    Criterion(1, "crossed-module axioms on all fixtures", "axioms", 4.0,
+              _crossed_module_axioms),
+    Criterion(2, "group algebras pass the full checker; dim formula", "axioms", 5.0,
+              _group_algebra_axioms),
+    Criterion(3, "K[P] ~ q*(K[G]) with the cocycle multiplication law", "iso", 1.0,
+              _kp_iso),
+    Criterion(4, "interchange/Peiffer: #0 = semidirect product", "interchange", 1.0,
+              _interchange),
+    Criterion(5, "all four boxed identity families, exhaustively", "boxed", 10.0,
+              _boxed_identities),
+    Criterion(6, "evaluator coherence: snakes, functoriality, round trip", "evaluator", 30.0,
+              _evaluator_coherence),
+    Criterion(7, "equivalence-invariance families (a)-(d)", "invariance", 10.0,
+              _equivalence_invariance),
+    Criterion(8, "pushforward checker, rho independence, ideal oracle", "pushforward", 5.0,
+              _pushforward),
+    Criterion(9, "adjunction transposes over F2, bounded enumeration", "adjunction", 60.0,
+              _adjunction),
+    Criterion(10, "simplicial validation and annulus flattening", "simplicial", 5.0,
+              _simplicial),
+    Criterion(11, "mutation sensitivity: 100% detection", "mutations", 60.0,
+              _mutation_sensitivity),
+]
 
-SUITES = {
-    "axioms": [criterion_1, criterion_2],
-    "iso": [criterion_3],
-    "interchange": [criterion_4],
-    "boxed": [criterion_5],
-    "evaluator": [criterion_6],
-    "invariance": [criterion_7],
-    "pushforward": [criterion_8],
-    "adjunction": [criterion_9],
-    "simplicial": [criterion_10],
-    "mutations": [criterion_11],
-    "none": [],
-    "all": CRITERIA,
-}
+# one suite per distinct `suite`, in criterion order, then "none" and "all"
+SUITES = {suite: [c for c in CRITERIA if c.suite == suite]
+          for suite in dict.fromkeys(c.suite for c in CRITERIA)}
+SUITES["none"] = []
+SUITES["all"] = CRITERIA
 
 
-def run_suite(name: str, out=print) -> int:
+def run_suite(name: str) -> int:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     all_ok = True
     for criterion in SUITES[name]:
-        result = criterion()
-        out(result.summary())
+        result = criterion.run()
+        print(result.summary())
         for line in result.lines:
-            out(line)
+            print(line)
         all_ok &= result.ok
     return 0 if all_ok else 1

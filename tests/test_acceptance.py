@@ -1,76 +1,35 @@
-"""The acceptance gate: every criterion at its stated tolerance and time
-budget, one pass/fail line each. Tolerances are exact equality throughout
-(all arithmetic is exact); time budgets are the stated per-criterion bounds.
+"""The acceptance gate: every criterion of `crossmod.verify.CRITERIA` at its
+stated tolerance and time budget, one pass/fail line each. Tolerances are
+exact equality throughout (all arithmetic is exact); the budgets live in the
+table, and a criterion passes only within its budget.
 """
+
+import pytest
 
 from crossmod import verify
 
-BUDGETS = {
-    1: 4 * 1.0,  # four fixtures, < 1 s each
-    2: 5.0,
-    3: 1.0,
-    4: 1.0,
-    5: 10.0,
-    6: 30.0,
-    7: 10.0,
-    8: 5.0,
-    9: 60.0,
-    10: 5.0,
-    11: 60.0,  # no stated budget; generous cap
-}
+
+@pytest.mark.parametrize("criterion", verify.CRITERIA,
+                         ids=lambda c: f"{c.number:02d}_{c.suite}")
+def test_criterion(criterion):
+    result = criterion.run()
+    print("\n" + "\n".join([result.summary(), *result.lines]))
+    assert result.ok, f"{result.summary()}; budget {criterion.budget}s"
 
 
-def _run(criterion):
-    result = criterion()
-    print()
-    print(result.summary())
-    for line in result.lines:
-        print(line)
-    assert result.ok, result.summary()
-    assert result.seconds < BUDGETS[result.number], \
-        f"criterion {result.number} exceeded its {BUDGETS[result.number]}s budget"
-    return result
+def test_suites_partition_the_criteria():
+    everything = [c.number for c in verify.SUITES["all"]]
+    assert everything == list(range(1, 12))  # each of the 11 criteria once, in order
+    named = [name for name in verify.SUITES if name not in ("none", "all")]
+    assert named == ["axioms", "iso", "interchange", "boxed", "evaluator", "invariance",
+                     "pushforward", "adjunction", "simplicial", "mutations"]
+    assert sorted(c.number for name in named for c in verify.SUITES[name]) == everything
+    assert verify.SUITES["none"] == []
+    assert all(c.budget > 0 for c in verify.CRITERIA)
 
 
-def test_criterion_01_crossed_module_axiom_suites():
-    _run(verify.criterion_1)
-
-
-def test_criterion_02_group_algebras_full_checker_and_dim_formula():
-    _run(verify.criterion_2)
-
-
-def test_criterion_03_section_cocycle_isomorphism():
-    _run(verify.criterion_3)
-
-
-def test_criterion_04_interchange_peiffer():
-    _run(verify.criterion_4)
-
-
-def test_criterion_05_boxed_identities():
-    _run(verify.criterion_5)
-
-
-def test_criterion_06_evaluator_coherence():
-    _run(verify.criterion_6)
-
-
-def test_criterion_07_equivalence_invariance():
-    _run(verify.criterion_7)
-
-
-def test_criterion_08_pushforward():
-    _run(verify.criterion_8)
-
-
-def test_criterion_09_adjunction_transposes():
-    _run(verify.criterion_9)
-
-
-def test_criterion_10_simplicial_layer():
-    _run(verify.criterion_10)
-
-
-def test_criterion_11_mutation_sensitivity():
-    _run(verify.criterion_11)
+def test_a_passing_check_over_its_budget_fails():
+    late = verify.Criterion(0, "no time allowed", "none", 0.0, lambda: (True, ["  ran"]))
+    result = late.run()
+    assert not result.ok and result.lines == ["  ran"]
+    assert result.summary().startswith("FAIL criterion 0: no time allowed (")

@@ -140,8 +140,9 @@ _IN_RANGE_PIECES = [Disc(1), Cyl(1, 1, 1), Pants(1, 1, 1), Copants(1, 1), Cup(1)
 @pytest.mark.parametrize("piece", _IN_RANGE_PIECES, ids=lambda p: type(p).__name__)
 def test_out_of_range_piece_fields_fail_typecheck(algebras, piece):
     """A piece field outside its group's index range is a layer_interfaces
-    failure, so a negative label never wraps to another grade and a large
-    one never reaches an IndexError."""
+    failure, and eval_piece called directly raises too (Id(-2), Disc(-1), ...),
+    so a negative label never wraps to another grade and a large one never
+    reaches an IndexError."""
     tau = make_hqft(algebras["KC.CM-Mod"])
     cm = tau.cm
     source, target = piece_source(piece, cm), piece_target(piece, cm)
@@ -149,7 +150,10 @@ def test_out_of_range_piece_fields_fail_typecheck(algebras, piece):
     for name in type(piece).__match_args__:
         n = cm.top.order if name == "c" else cm.base.order
         for bad in (-1, -n, n, n + 3):
-            e = expression(cm, source, [[dataclasses.replace(piece, **{name: bad})]], target)
+            bad_piece = dataclasses.replace(piece, **{name: bad})
+            with pytest.raises(TypecheckFailed, match=f"{name} outside range"):
+                eval_piece(tau, bad_piece)
+            e = expression(cm, source, [[bad_piece]], target)
             report = typecheck(e)
             assert [(r.axiom, r.ok) for r in report.results] == \
                 [("normalized_boundaries", True), ("layer_interfaces", False)], (name, bad)
