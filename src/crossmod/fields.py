@@ -1,10 +1,12 @@
 """Exact scalar fields: arbitrary-precision rationals and prime fields.
 
-Scalars are raw values: a rational is an ``int`` when it is integral and a
-reduced ``Fraction`` otherwise, a prime-field element an ``int`` residue. All
-arithmetic is routed through a field object so matrix code stays
-field-agnostic. A stored zero is falsy in both fields, so the matrix kernels
-skip zeros by truthiness.
+Scalars are raw values in one canonical form: a rational is an ``int`` when
+it is integral and a reduced ``Fraction`` otherwise, a prime-field element an
+``int`` residue in ``range(p)``. ``of`` puts any value in that form, and every
+field operation returns it. All arithmetic is routed through a field object
+so matrix code stays field-agnostic. A stored zero is falsy in both fields,
+so the matrix kernels skip zeros by truthiness, and a stored one is equal to
+the field's ``one``, so they can copy a block scaled by it.
 
 Each field has its own contraction kernel, ``combine(n, terms)``, and every
 matrix product and structure-constant contraction goes through it. It sums
@@ -27,7 +29,9 @@ class ScalarParseError(ValueError):
     pass
 
 
-def _integral_as_int(q: Fraction):
+def _integral_as_int(q):
+    """An integral rational (an ``int`` or ``Fraction``) as its ``int``; any
+    other rational as it is."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -39,20 +43,25 @@ class RationalField:
     zero = 0
     one = 1
 
-    def of(self, n: int) -> int:
-        return n
+    def of(self, x):
+        """x as a canonical rational: an ``int`` when integral, else a
+        reduced ``Fraction``."""
+        return x if type(x) is int else _integral_as_int(Fraction(x))
+
+    # a sum, difference or product with a Fraction operand may be an
+    # integral Fraction; it is returned as its int
 
     def add(self, a, b):
-        return a + b
+        return _integral_as_int(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral_as_int(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral_as_int(a * b)
 
     def neg(self, a):
-        return -a
+        return _integral_as_int(-a)
 
     def div(self, a, b):
         if b == 0:
@@ -145,8 +154,9 @@ class PrimeField:
         self.p = p
         self.name = f"F{p}"
 
-    def of(self, n: int) -> int:
-        return n % self.p
+    def of(self, x: int) -> int:
+        """x reduced to its residue in range(p)."""
+        return x % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

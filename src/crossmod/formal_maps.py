@@ -183,6 +183,7 @@ class Swap:
 
 
 ElementaryPiece = Disc | Cyl | Pants | Copants | Cup | Cap | Id | Swap
+_PIECE_TYPES = frozenset(ElementaryPiece.__args__)
 
 
 def piece_source(piece: ElementaryPiece, cm: CrossedModule) -> tuple[int, ...]:
@@ -229,16 +230,28 @@ def piece_target(piece: ElementaryPiece, cm: CrossedModule) -> tuple[int, ...]:
     raise TypeError(f"not a piece: {piece!r}")
 
 
+def _index_fault(x, n: int) -> str | None:
+    """Why x is not an element index below n (an `int`, not a `bool`, in
+    range), or None when it is; a negative index would otherwise wrap to
+    another element."""
+    if type(x) is not int:
+        return "is not an int"
+    if not 0 <= x < n:
+        return f"outside range({n})"
+    return None
+
+
 def piece_range_fault(piece, cm: CrossedModule) -> str | None:
-    """Why a piece's fields are not element indices (`c` of the top group,
-    every other field of the base group), or None when they all are; a
-    negative field would otherwise wrap to another element."""
-    # __match_args__ names a piece's fields without materializing its
-    # __dict__; a non-piece has none and fails in piece_source or eval_piece
-    for name in getattr(type(piece), "__match_args__", ()):
-        n = cm.top.order if name == "c" else cm.base.order
-        if not 0 <= getattr(piece, name) < n:
-            return f"{piece!r}: {name} outside range({n})"
+    """Why `piece` is not a piece whose fields are element indices (`c` of
+    the top group, every other field of the base group), or None when it is."""
+    if type(piece) not in _PIECE_TYPES:
+        return f"{piece!r} is not a piece"
+    # __match_args__ names a piece's fields without materializing its __dict__
+    for name in type(piece).__match_args__:
+        fault = _index_fault(getattr(piece, name),
+                             cm.top.order if name == "c" else cm.base.order)
+        if fault:
+            return f"{piece!r}: {name} {fault}"
     return None
 
 
@@ -273,8 +286,8 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     for circ in e.source.circuits + e.target.circuits:
         if len(circ.labels) != 1:
             fails.append((str(circ.labels), "boundary circuits must be normalized"))
-        elif not 0 <= circ.labels[0] < n_base:
-            fails.append((str(circ.labels), f"label outside range({n_base})"))
+        elif fault := _index_fault(circ.labels[0], n_base):
+            fails.append((str(circ.labels), f"label {fault}"))
     report.add("normalized_boundaries", fails)
     if fails:
         return report

@@ -6,6 +6,7 @@ significant), so functoriality and monoidality are exact matrix identities.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -42,7 +43,20 @@ class GradeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class FormalHQFT:
+    """The evaluator of one crossed algebra.
+
+    `copairing` maps a grade g to the cup's column, the flattened inverse of
+    the pairing block rho_{g^-1}. It is filled one grade at a time, the first
+    time `eval_piece` evaluates `Cup(g)`, so each pairing block is inverted
+    once per evaluator; a singular block is never stored and raises
+    `SingularRho` on every call. It is filled lazily, not in `make_hqft`,
+    so an evaluation pays only for the grades its cups use. The dict is a
+    cache: it cannot be passed to the constructor and takes no part in
+    equality, hashing or repr."""
+
     algebra: CrossedCAlgebra
+    copairing: dict = dataclasses.field(default_factory=dict, init=False,
+                                        compare=False, repr=False)
 
     @property
     def cm(self):
@@ -77,8 +91,8 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
 
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
-    grades to the tensor of its target grades. A field that is not an element
-    index raises TypecheckFailed."""
+    grades to the tensor of its target grades. A non-piece, or a field that
+    is not an element index, raises TypecheckFailed."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
@@ -100,12 +114,16 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
             return Matrix._of(f, (tuple([x for row in rho.data for x in row]),),
                               rho.rows * rho.cols)
         case Cup(g):
-            ginv = P.inv[g]
-            try:
-                co = L.rho[ginv].inverse()
-            except SingularMatrixError as exc:
-                raise SingularRho(f"pairing at grade {P.names[ginv]} is singular") from exc
-            return Matrix._of(f, tuple([(x,) for row in co.data for x in row]), 1)
+            column = tau.copairing.get(g)
+            if column is None:
+                ginv = P.inv[g]
+                try:
+                    co = L.rho[ginv].inverse()
+                except SingularMatrixError as exc:
+                    raise SingularRho(f"pairing at grade {P.names[ginv]} is singular") from exc
+                column = tau.copairing[g] = Matrix._of(
+                    f, tuple([(x,) for row in co.data for x in row]), 1)
+            return column
         case Id(g):
             return Matrix.identity(f, L.dims[g])
         case Swap(g1, g2):
@@ -121,8 +139,6 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
             second = Matrix.identity(f, L.dims[g1]).kron(
                 eval_piece(tau, Pants(0, P.inv[g1], g12)))
             return second @ first
-        case _:
-            raise TypeError(f"not a piece: {piece!r}")
 
 
 def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:

@@ -8,12 +8,21 @@ field's contraction kernel ``combine``, which skips zero entries (falsy in
 every field) and normalizes each output entry once, so the entries of a
 product are canonical scalars of the field.
 
-Only the public constructor ``Matrix(field, data, cols)`` copies and
-validates its data, for matrices from outside (documents, fixtures,
-mutations, tests). A matrix this module builds itself (a product, Kronecker
-product, transpose, identity, zero matrix or inverse), and the evaluator's
-cap, cup and swap pieces, are wrapped as they are by the private
-``Matrix._of``, since their rows are already tuples of one length.
+Every stored entry is canonical, and the kernels lean on that to skip work
+that cannot change the result. ``kron`` copies the zero block for a left
+entry 0 and the right factor's row for a left entry 1, and ``@`` with a
+square identity operand returns the other operand itself. Over GF(p) both
+are exact only because entries are reduced: an unreduced 4 over GF(3) would
+be copied where ``mul`` returns 1. Over Q a copied entry equals what ``mul``
+would return in any case; the canonical form there only keeps each integral
+entry an ``int``.
+
+Only the public constructor ``Matrix(field, data, cols)`` copies, validates
+and puts into canonical form its data, for matrices from outside (documents,
+fixtures, mutations, tests). A matrix this module builds itself (a product,
+Kronecker product, transpose, identity, zero matrix or inverse), and the
+evaluator's cap, cup and swap pieces, are wrapped as they are by the private
+``Matrix._of``, since their rows are already canonical tuples of one length.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ class Matrix:
     def __init__(self, field, data, cols: int | None = None):
         # cols must be given explicitly when there are no rows
         self.field = field
-        rows = tuple(tuple(row) for row in data)
+        rows = tuple(tuple(map(field.of, row)) for row in data)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else (cols or 0)
         if any(len(row) != self.cols for row in rows):
@@ -79,11 +88,29 @@ class Matrix:
         body = "; ".join(" ".join(fmt(x) for x in row) for row in self.data)
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
+    def _is_identity(self) -> bool:
+        """Square with ones on the diagonal and zeros elsewhere; stops at
+        the first row that is not. A 0x0 matrix is the empty identity, a
+        0xn or nx0 one with n > 0 is none."""
+        if self.rows != self.cols:
+            return False
+        one = self.field.one
+        for i, row in enumerate(self.data):
+            if row[i] != one or any(row[:i]) or any(row[i + 1:]):
+                return False
+        return True
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in matrix product: {self.shape()} @ {other.shape()}"
             )
+        # entries are canonical, so the other operand holds exactly the
+        # entries that combine would build
+        if self._is_identity():
+            return other
+        if other._is_identity():
+            return self
         f = self.field
         return Matrix._of(f, tuple([f.combine(other.cols, zip(row, other.data))
                                     for row in self.data]), other.cols)
@@ -166,13 +193,25 @@ class Matrix:
         return basis
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; the left factor is the most significant index."""
+        """Kronecker product; the left factor is the most significant index.
+        A block scaled by 0 is the zero block and one scaled by 1 is the
+        right factor's row as it is; only other blocks are multiplied."""
         f = self.field
-        mul, zero = f.mul, f.zero
-        return Matrix._of(f, tuple([tuple([mul(a, b) if a and b else zero
-                                           for a in arow for b in brow])
-                                    for arow in self.data for brow in other.data]),
-                          self.cols * other.cols)
+        mul, zero, one = f.mul, f.zero, f.one
+        zeros = (zero,) * other.cols
+        data = []
+        for arow in self.data:
+            for brow in other.data:
+                row = []
+                for a in arow:
+                    if not a:
+                        row += zeros
+                    elif a == one:
+                        row += brow
+                    else:
+                        row += [mul(a, b) if b else zero for b in brow]
+                data.append(tuple(row))
+        return Matrix._of(f, tuple(data), self.cols * other.cols)
 
     def to_json(self):
         fmt = self.field.format

@@ -33,6 +33,32 @@ def test_rational_scalar_types():
     assert [QQ.format(x) for x in (0, 5, Fraction(-3, 4), Fraction(6, 3))] == ["0", "5", "-3/4", "2"]
 
 
+def test_rational_arithmetic_is_canonical():
+    """add, sub, mul and neg return an int when the result is integral, so
+    a product of Fractions never stores an integral Fraction."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for value in (QQ.add(half, half), QQ.sub(Fraction(3, 2), half), QQ.mul(half, 2),
+                  QQ.mul(Fraction(2, 3), Fraction(3, 2)), QQ.neg(Fraction(4, 2)),
+                  QQ.add(third, Fraction(2, 3))):
+        assert type(value) is int, value
+    assert QQ.add(half, third) == Fraction(5, 6) and type(QQ.mul(half, 3)) is Fraction
+    assert type(QQ.of(Fraction(6, 3))) is int and QQ.of(Fraction(3, 4)) == Fraction(3, 4)
+
+
+def test_public_matrix_stores_canonical_entries():
+    """Matrix(field, data) reduces mod p over GF(p) and stores an integral
+    rational as an int, so equal matrices compare and hash equal."""
+    f3 = GF(3)
+    assert Matrix(f3, [[4, -1]]) == Matrix(f3, [[1, 2]])
+    assert hash(Matrix(f3, [[4, -1]])) == hash(Matrix(f3, [[1, 2]]))
+    assert Matrix(f3, [[4, -1]]).data == ((1, 2),)
+    m = Matrix(QQ, [[Fraction(4, 2), Fraction(1, 2), True]])
+    assert m.data == ((2, Fraction(1, 2), 1),)
+    assert [type(x) for x in m.data[0]] == [int, Fraction, int]
+    k = Matrix(QQ, [[Fraction(1, 2)]]).kron(Matrix(QQ, [[2]]))
+    assert k.data == ((1,),) and type(k.data[0][0]) is int
+
+
 def test_prime_field_arithmetic():
     f5 = GF(5)
     assert f5.div(f5.of(1), f5.of(2)) == 3  # 2*3 = 6 = 1 mod 5
@@ -171,19 +197,44 @@ def _oracle_kron(f, A, B):
 
 
 def _fast_path_matrices(f, rng):
-    """Sparse, dense, identity and (over Q) non-integral matrices, with the
-    empty shapes 0xn and nx0 and the 1x1 shape among them."""
+    """Sparse, dense, identity, near-identity and (over Q) non-integral
+    matrices, and ones whose entries are all 0, 1 or -1, with the empty
+    shapes 0xn and nx0 and the 1x1 shape among them. The near-identity
+    squares (a permutation, a shear, diag(1, 2)) must not be taken for an
+    identity, nor a 0x3 or 3x0 matrix for the 0x0 one."""
     entries = {"sparse": lambda: f.of(rng.choice([0] * 5 + [1, -1, 2])),
-               "dense": lambda: f.of(rng.choice([1, 2, 3, -1, -2]))}
+               "dense": lambda: f.of(rng.choice([1, 2, 3, -1, -2])),
+               "units": lambda: f.of(rng.choice([0, 1, 1, -1]))}
     if f is QQ:
         entries["non-integral"] = lambda: QQ.div(rng.randint(-4, 4), rng.randint(1, 3))
     shapes = [(0, 3), (3, 0), (0, 0), (1, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (4, 4)]
-    out = [Matrix.identity(f, n) for n in (0, 1, 3, 4)]
+    out = [Matrix.identity(f, n) for n in (0, 1, 2, 3, 4)]
+    near = ([[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [0, 2]],
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]])
+    out += [Matrix(f, rows) for rows in near]
     for entry in entries.values():
         for rows, cols in shapes:
             out.append(Matrix(f, [[entry() for _ in range(cols)]
                                   for _ in range(rows)], cols=cols))
     return out
+
+
+def _uncanonical_twin(f, m, rng):
+    """The entries of m as public input need not hold them: over GF(p) as
+    unreduced residues of either sign, over Q as Fractions even when
+    integral."""
+    if f is QQ:
+        return [[Fraction(x) for x in row] for row in m.data]
+    return [[x + f.p * rng.randint(-3, 3) for x in row] for row in m.data]
+
+
+def _canonical(f, entries) -> bool:
+    """Every entry is a canonical scalar of f: over Q an int or a
+    non-integral Fraction, over GF(p) an int in range(p)."""
+    if f is QQ:
+        return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                   for x in entries)
+    return all(type(x) is int and 0 <= x < f.p for x in entries)
 
 
 def _oracle_combine(f, n, terms):
@@ -233,26 +284,30 @@ def _kernel_cases(f, rng):
 @pytest.mark.parametrize("f", [QQ, GF(5), GF(2), GF(2 ** 31 - 1)],
                          ids=["QQ", "GF5", "GF2", "GF2147483647"])
 def test_fast_path_against_dense_fraction_oracle(f):
-    """@, kron and combine against dense sums that skip nothing; over Q,
-    integral operands give int entries, and every entry of a contraction is
-    an int when integral and a reduced, non-integral Fraction otherwise."""
+    """@, kron, inverse and combine against dense sums that skip nothing,
+    so the identity pass-through of @ and the copied 0 and 1 blocks of kron
+    meet near-identities, empty shapes, unit and non-integral left factors
+    and public input that was not canonical. Over Q, integral operands give
+    int entries, and every entry of each result is canonical: an int when
+    integral and a reduced, non-integral Fraction otherwise."""
     for n, terms in _kernel_cases(f, random.Random(13)):
         got = f.combine(n, iter(terms))
         assert got == tuple(_oracle_combine(f, n, terms)), terms
-        assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
-                   for x in got), got
-        assert all(type(x) is int for x in got if x == 0)
-        if f is not QQ:
-            assert all(0 <= x < f.p for x in got)
+        assert _canonical(f, got), got
     rng = random.Random(11)
     mats = _fast_path_matrices(f, rng)
-    products = krons = 0
+    for A in mats:
+        twin = Matrix(f, _uncanonical_twin(f, A, rng), cols=A.cols)
+        assert twin == A and twin.data == A.data
+        assert _canonical(f, (x for row in twin.data for x in row))
+    products = krons = inverses = 0
     for A in mats:
         for B in mats:
             if A.cols == B.rows:
                 AB = A @ B
                 assert AB.shape() == (A.rows, B.cols)
                 assert AB.data == tuple(map(tuple, _oracle_matmul(f, A, B)))
+                assert _canonical(f, (x for row in AB.data for x in row))
                 if all(type(x) is int for m in (A, B) for row in m.data for x in row):
                     assert all(type(x) is int for row in AB.data for x in row)
                 products += 1
@@ -260,7 +315,18 @@ def test_fast_path_against_dense_fraction_oracle(f):
                 K = A.kron(B)
                 assert K.shape() == (A.rows * B.rows, A.cols * B.cols)
                 assert K.data == tuple(map(tuple, _oracle_kron(f, A, B)))
+                assert _canonical(f, (x for row in K.data for x in row))
                 krons += 1
+        if A.rows == A.cols:
+            try:
+                inv = A.inverse()
+            except SingularMatrixError:
+                pass
+            else:
+                assert _oracle_matmul(f, A, inv) == [list(row) for row in
+                                                     Matrix.identity(f, A.rows).data]
+                assert _canonical(f, (x for row in inv.data for x in row))
+                inverses += 1
         coeffs = [f.of(rng.choice([0, 0, 1, -2, 3])) for _ in range(A.rows)]
         want = [_to_field(f, sum((Fraction(c) * Fraction(row[k])
                                   for c, row in zip(coeffs, A.data)), Fraction(0)))
@@ -268,7 +334,7 @@ def test_fast_path_against_dense_fraction_oracle(f):
         assert f.combine(A.cols, zip(coeffs, A.data)) == tuple(want)
         y = Matrix(f, [[f.of(rng.choice([0, 1, -3]))] for _ in range(A.cols)], cols=1)
         assert A.apply(tuple(x for x, in y.data)) == tuple(x for x, in _oracle_matmul(f, A, y))
-    assert products > 50 and krons > 100
+    assert products > 50 and krons > 100 and inverses > 8
 
 
 def _naive_det(f, rows):

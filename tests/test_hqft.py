@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from crossmod.algebras import same_structure
+from crossmod.algebras import CrossedCAlgebra, same_structure
 from crossmod.fields import QQ
 from crossmod.fixtures import fixture_algebra_names
 from crossmod.formal_maps import (
@@ -28,7 +28,9 @@ from crossmod.formal_maps import (
     typecheck,
 )
 from crossmod.hqft import (
+    FormalHQFT,
     GradeMismatch,
+    SingularRho,
     check_equivalence_invariance,
     eval_expression,
     eval_piece,
@@ -161,8 +163,10 @@ def test_out_of_range_piece_fields_fail_typecheck(algebras, piece):
                 eval_expression(tau, e)
 
 
-@pytest.mark.parametrize("bad", [-1, -2, 2, 5])
+@pytest.mark.parametrize("bad", [-1, -2, 2, 5, 1.0, True])
 def test_out_of_range_boundary_labels_fail_typecheck(algebras, bad):
+    """A boundary label outside range(order), or one that is not an int (a
+    bool is not one either), fails normalized_boundaries."""
     tau = make_hqft(algebras["KC.CM-Mod"])
     cm = tau.cm
     for e in (CobordismExpression(cm, FormalBoundary.of([bad]), ((Id(bad),),),
@@ -174,6 +178,98 @@ def test_out_of_range_boundary_labels_fail_typecheck(algebras, bad):
         assert [(r.axiom, r.ok) for r in report.results] == [("normalized_boundaries", False)]
         with pytest.raises(TypecheckFailed, match="normalized_boundaries"):
             eval_expression(tau, e)
+
+
+@pytest.mark.parametrize("bad", [object(), "Disc(0)", Disc(1.0), Disc(True), Cap("1"),
+                                 Pants(0, 1, None)],
+                         ids=["object", "str", "float", "bool", "str-field", "none-field"])
+def test_non_pieces_and_non_int_fields_fail_typecheck(algebras, bad):
+    """A layer entry that is not a piece, or a piece with a field that is not
+    an int (a bool is not one either), is a layer_interfaces failure and
+    never a TypeError or an IndexError."""
+    tau = make_hqft(algebras["KC.CM-Mod"])
+    e = expression(tau.cm, [], [[bad]], [0])
+    report = typecheck(e)
+    assert [(r.axiom, r.ok) for r in report.results] == \
+        [("normalized_boundaries", True), ("layer_interfaces", False)]
+    with pytest.raises(TypecheckFailed, match="layer_interfaces"):
+        eval_expression(tau, e)
+    with pytest.raises(TypecheckFailed):
+        eval_piece(tau, bad)
+
+
+def _counting_inverse(monkeypatch):
+    """Count the calls of Matrix.inverse from here on."""
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["KC.CM-Mod", "KP.CM-A3S3", "QKG.CM-A3S3"])
+def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
+    """Cup and Copants evaluated twice on one evaluator equal their value on
+    a fresh one, and each grade's pairing block is inverted once."""
+    L = algebras[name]
+    P = L.P
+    pieces = [Cup(g) for g in P.elements()]
+    pieces += [Copants(g, h) for g in P.elements() for h in P.elements()]
+    want = {piece: eval_piece(make_hqft(L), piece) for piece in pieces}
+    tau = make_hqft(L)
+    calls = _counting_inverse(monkeypatch)
+    for _ in range(2):
+        for piece in pieces:
+            assert eval_piece(tau, piece) == want[piece], piece
+    assert set(tau.copairing) == set(P.elements())
+    assert len(calls) == P.order
+
+
+def test_singular_pairing_raises_on_every_call(algebras):
+    """An evaluator built directly over an algebra with a singular pairing
+    block raises SingularRho on each cup through it and never stores it."""
+    L = algebras["KC.CM-Mod"]
+    rho = dict(L.rho)
+    rho[0] = Matrix.zeros(L.field, L.dims[0], L.dims[0])
+    broken = CrossedCAlgebra(L.name + "*", L.cm, L.field, L.dims, L.basis_names,
+                             L.mul, L.unit, rho, L.phi, L.tilde)
+    tau = FormalHQFT(broken)
+    for _ in range(2):
+        with pytest.raises(SingularRho):
+            eval_piece(tau, Cup(0))
+        with pytest.raises(SingularRho):
+            eval_piece(tau, Copants(0, 0))
+        with pytest.raises(SingularRho):
+            eval_expression(tau, expression(tau.cm, [], [[Cup(0)]], [0, 0]))
+    assert 0 not in tau.copairing
+    assert eval_piece(tau, Cup(1)).shape() == (L.dims[1] ** 2, 1)  # other grades still evaluate
+
+
+def test_evaluators_over_one_algebra_are_equal(algebras):
+    """The copairing dict is a cache: two evaluators over one algebra
+    compare and hash equal whatever it holds, and it is not in the repr."""
+    L = algebras["KC.CM-Mod"]
+    used, fresh = make_hqft(L), FormalHQFT(L)
+    eval_piece(used, Cup(0))
+    assert used.copairing and not fresh.copairing
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "copairing" not in repr(used)
+    assert used != FormalHQFT(algebras["KP.CM-Mod"])
+
+
+def test_copairing_cannot_be_passed_in(algebras):
+    """Only eval_piece fills the copairing dict: the constructor takes no
+    such argument, so no caller can pre-fill or share one."""
+    L = algebras["KC.CM-Mod"]
+    with pytest.raises(TypeError):
+        FormalHQFT(L, {})
+    with pytest.raises(TypeError):
+        FormalHQFT(L, copairing={})
+    assert FormalHQFT(L).copairing is not FormalHQFT(L).copairing
 
 
 def test_copants_signature_and_value(algebras):
