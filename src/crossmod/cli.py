@@ -21,34 +21,22 @@ from .algebras import (
     pullback,
     pushforward,
 )
-from .crossed_modules import check_crossed_module, check_morphism
+from .crossed_modules import check_crossed_module
 from .fields import ScalarParseError, field_from_json
-from .formal_maps import typecheck, validate_simplicial
-from .groups import check_action, check_group_table, check_homomorphism
+from .formal_maps import typecheck
 from .hqft import eval_expression, make_hqft, state_space
 from .mutations import MUTATIONS, run_mutation
 from .serialize import (
+    CHECKABLE,
     SerializationError,
     UnknownObject,
     Workspace,
+    check_doc,
     dumps,
-    group_table_from_doc,
     load_file,
     read_doc,
     to_doc,
 )
-
-CHECKABLE = {
-    "group": lambda obj: check_group_table(obj.names, obj.table),
-    "homomorphism": check_homomorphism,
-    "action": check_action,
-    "crossed-module": check_crossed_module,
-    "morphism": check_morphism,
-    "algebra": check_crossed_algebra,
-    "algebra-morphism": check_algebra_morphism,
-    "expression": typecheck,
-    "simplicial": validate_simplicial,
-}
 
 def _workspace(args) -> Workspace:
     field = field_from_json(getattr(args, "field", "Q") or "Q")
@@ -59,8 +47,7 @@ def _workspace(args) -> Workspace:
     return ws
 
 
-def _load_target(ws: Workspace, kind_cli: str, target: str):
-    kind = kind_cli.replace("-", "_")
+def _load_target(ws: Workspace, kind: str, target: str):
     if Path(target).is_file():
         got_kind, name, obj = load_file(target, ws)
         if got_kind != kind:
@@ -71,12 +58,11 @@ def _load_target(ws: Workspace, kind_cli: str, target: str):
 
 def cmd_check(args) -> int:
     ws = _workspace(args)
-    if args.kind == "group" and Path(args.target).is_file():
-        # groups validate at construction; check runs the report-based
-        # table checker so axiom failures exit 1 with a counterexample
-        report = check_group_table(*group_table_from_doc(read_doc(args.target)))
+    kind = args.kind.replace("-", "_")
+    if Path(args.target).is_file():
+        report = check_doc(read_doc(args.target), ws, kind)
     else:
-        report = CHECKABLE[args.kind](_load_target(ws, args.kind, args.target))
+        report = CHECKABLE[kind](ws.get(args.target, kind))
     print(dumps(report.to_json()), end="")
     return 0 if report.ok else 1
 
@@ -100,7 +86,7 @@ CONSTRUCTIONS = {
                                                       _load_target(ws, "algebra", a[1]))),
     "pushforward": ("algebra", 2, lambda ws, a: pushforward(ws.get(a[0], "morphism"),
                                                             _load_target(ws, "algebra", a[1]))),
-    "kp_iso": ("algebra-morphism", 1,
+    "kp_iso": ("algebra_morphism", 1,
                lambda ws, a: kp_iso_witness(ws.get(a[0], "crossed_module"), ws.field)),
 }
 
@@ -122,7 +108,7 @@ def cmd_build(args) -> int:
     if not rep.ok:
         print(dumps(rep.to_json()), end="")
         return 1
-    _write_out(args, to_doc(kind.replace("-", "_"), obj))
+    _write_out(args, to_doc(kind, obj))
     return 0
 
 
@@ -197,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the axiom checker for an object")
-    p.add_argument("kind", choices=sorted(CHECKABLE))
+    p.add_argument("kind", choices=sorted(kind.replace("_", "-") for kind in CHECKABLE))
     p.add_argument("target", help="object name or JSON file path")
     p.set_defaults(func=cmd_check)
 

@@ -2,8 +2,9 @@
 
 Scalars are raw values in one canonical form: a rational is an ``int`` when
 it is integral and a reduced ``Fraction`` otherwise, a prime-field element an
-``int`` residue in ``range(p)``. ``of`` puts any value in that form, and every
-field operation returns it. All arithmetic is routed through a field object
+``int`` residue in ``range(p)``. ``of`` puts an ``int`` (over Q also a
+``Fraction``) in that form and refuses any other type, and every field
+operation returns it. All arithmetic is routed through a field object
 so matrix code stays field-agnostic. A stored zero is falsy in both fields,
 so the matrix kernels skip zeros by truthiness, and a stored one is equal to
 the field's ``one``, so they can copy a block scaled by it.
@@ -44,9 +45,14 @@ class RationalField:
     one = 1
 
     def of(self, x):
-        """x as a canonical rational: an ``int`` when integral, else a
-        reduced ``Fraction``."""
-        return x if type(x) is int else _integral_as_int(Fraction(x))
+        """x, an ``int`` or a ``Fraction``, as a canonical rational: an
+        ``int`` when integral, else a reduced ``Fraction``. A value of any
+        other type, such as a ``float``, raises TypeError."""
+        if type(x) is int:
+            return x
+        if isinstance(x, (int, Fraction)):     # a bool, or a Fraction
+            return _integral_as_int(Fraction(x))
+        raise TypeError(f"a rational is an int or a Fraction, not {type(x).__name__}")
 
     # a sum, difference or product with a Fraction operand may be an
     # integral Fraction; it is returned as its int
@@ -155,8 +161,11 @@ class PrimeField:
         self.name = f"F{p}"
 
     def of(self, x: int) -> int:
-        """x reduced to its residue in range(p)."""
-        return x % self.p
+        """x, an ``int``, reduced to its residue in range(p). A value of any
+        other type, such as a ``Fraction`` or ``float``, raises TypeError."""
+        if isinstance(x, int):
+            return x % self.p
+        raise TypeError(f"an element of F{self.p} is an int, not {type(x).__name__}")
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -410,10 +410,14 @@ def _automorphism_perms(g: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def automorphism_group(g: FiniteGroup, order_bound: int = 12) -> AutomorphismGroup:
+# the largest group whose automorphisms `automorphism_group` searches for
+MAX_AUT_ORDER = 12
+
+
+def automorphism_group(g: FiniteGroup) -> AutomorphismGroup:
     """Aut(g) by brute-force search over bijections fixing the identity."""
-    if g.order > order_bound:
-        raise OrderBoundExceeded(f"|G| = {g.order} exceeds bound {order_bound}")
+    if g.order > MAX_AUT_ORDER:
+        raise OrderBoundExceeded(f"|G| = {g.order} exceeds bound {MAX_AUT_ORDER}")
     perms = _automorphism_perms(g)
     aut = permutation_group(perms, [f"a{i}" for i in range(len(perms))])
     index = {p: i for i, p in enumerate(perms)}

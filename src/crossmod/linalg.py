@@ -19,7 +19,7 @@ entry an ``int``.
 
 Only the public constructor ``Matrix(field, data, cols)`` copies, validates
 and puts into canonical form its data, for matrices from outside (documents,
-fixtures, mutations, tests). A matrix this module builds itself (a product,
+fixtures, tests). A matrix this module builds itself (a product,
 Kronecker product, transpose, identity, zero matrix or inverse), and the
 evaluator's cap, cup and swap pieces, are wrapped as they are by the private
 ``Matrix._of``, since their rows are already canonical tuples of one length.

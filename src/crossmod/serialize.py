@@ -1,5 +1,6 @@
-"""Self-describing JSON documents for every object kind, plus the workspace
-that resolves named references (built-in fixtures and loaded files).
+"""Self-describing JSON documents for every object kind, each kind's checker,
+and the workspace that resolves named references (built-in fixtures and
+loaded files).
 
 Outputs always inline nested objects; inputs may reference other objects by
 name. Scalars are serialized as strings ("3/4", "2 mod 5"); indices are
@@ -13,10 +14,29 @@ import json
 from pathlib import Path
 
 from . import fixtures
-from .algebras import CrossedAlgebraMorphism, CrossedCAlgebra, well_formed
-from .crossed_modules import CrossedModule, CrossedModuleMorphism
+from .algebras import (
+    CrossedAlgebraMorphism,
+    CrossedCAlgebra,
+    check_algebra_morphism,
+    check_crossed_algebra,
+    well_formed,
+)
+from .crossed_modules import (
+    CrossedModule,
+    CrossedModuleMorphism,
+    check_crossed_module,
+    check_morphism,
+)
 from .fields import field_from_json
-from .groups import FiniteGroup, GroupAction, GroupHomomorphism, make_group
+from .groups import (
+    FiniteGroup,
+    GroupAction,
+    GroupHomomorphism,
+    check_action,
+    check_group_table,
+    check_homomorphism,
+    make_group,
+)
 from .formal_maps import (
     Cap,
     CobordismExpression,
@@ -30,6 +50,8 @@ from .formal_maps import (
     Pants,
     SimplicialFormalMap,
     Swap,
+    typecheck,
+    validate_simplicial,
 )
 from .linalg import Matrix
 
@@ -408,6 +430,20 @@ FROM_DOC = {
 }
 
 
+# each document kind's checker, which returns a CheckReport
+CHECKABLE = {
+    "group": lambda obj: check_group_table(obj.names, obj.table),
+    "homomorphism": check_homomorphism,
+    "action": check_action,
+    "crossed_module": check_crossed_module,
+    "morphism": check_morphism,
+    "algebra": check_crossed_algebra,
+    "algebra_morphism": check_algebra_morphism,
+    "expression": typecheck,
+    "simplicial": validate_simplicial,
+}
+
+
 def from_doc(doc, ws: Workspace):
     """Decode one document into (kind, name, object). Every fault of the
     document raises SerializationError, or UnknownObject for a name that does
@@ -430,6 +466,20 @@ def from_doc(doc, ws: Workspace):
         # scalar parse errors, matrix shapes, and the validation of the
         # complex and of the simplicial map
         raise SerializationError(f"bad {kind} document: {exc}") from exc
+
+
+def check_doc(doc, ws: Workspace, kind: str, checker=None):
+    """The report of `checker`, by default the kind's checker in CHECKABLE, on
+    a document of `kind`: the one decode-and-check path of `crossmod check`
+    on a file and of the mutation corpus. Groups validate at construction,
+    so a group document is checked as its bare table: a table that is not a
+    group is a failing report with a counterexample, not a decode error."""
+    if kind == "group":
+        return check_group_table(*group_table_from_doc(doc))
+    got_kind, name, obj = from_doc(doc, ws)
+    if got_kind != kind:
+        raise SerializationError(f"{name!r} is a {got_kind}, not a {kind}")
+    return (checker or CHECKABLE[kind])(obj)
 
 
 def read_doc(path):

@@ -59,6 +59,20 @@ def test_public_matrix_stores_canonical_entries():
     assert k.data == ((1,),) and type(k.data[0][0]) is int
 
 
+def test_field_of_refuses_other_types():
+    """`of`, and so the public Matrix, takes an int, and over Q also a
+    Fraction; a Fraction over GF(p), or a float anywhere, is refused rather
+    than stored as given."""
+    f5 = GF(5)
+    for value in (Fraction(1, 2), 2.5):
+        with pytest.raises(TypeError):
+            Matrix(f5, [[value]])
+    with pytest.raises(TypeError):
+        Matrix(QQ, [[0.5]])
+    assert Matrix(QQ, [[Fraction(1, 2)]]).data == ((Fraction(1, 2),),)
+    assert f5.of(True) == 1 and type(f5.of(True)) is int
+
+
 def test_prime_field_arithmetic():
     f5 = GF(5)
     assert f5.div(f5.of(1), f5.of(2)) == 3  # 2*3 = 6 = 1 mod 5

@@ -5,6 +5,7 @@ import pytest
 
 from crossmod import mutations
 from crossmod.report import CheckReport
+from crossmod.serialize import Workspace, check_doc
 
 
 @pytest.mark.parametrize("name", list(mutations.MUTATIONS))
@@ -35,3 +36,68 @@ def test_failure_of_another_family_is_not_a_detection():
     detection = mutations._from_report("algebra.phi_trace_entry", "trace", report)
     assert not detection.detected
     assert (detection.instance, detection.detail) == (None, None)
+
+
+@pytest.mark.parametrize("key", list(mutations.ROWS))
+def test_row_edits_an_existing_entry_of_a_passing_document(key):
+    """The base document decodes and passes the row's checker, the path
+    names an entry that is there, and the edit changes that entry."""
+    row, ws = mutations.ROWS[key], Workspace()
+    base = row.base_doc(ws)
+    assert check_doc(base, ws, base["kind"], row.checker).ok
+    node = base
+    for step in row.path:
+        if isinstance(node, dict):
+            assert step in node, (key, step)
+        else:
+            assert type(step) is int and 0 <= step < len(node), (key, step)
+        node = node[step]
+    assert node != row.value
+    assert row.mutant(ws) != base
+
+
+def test_corpus_keys_names_families_and_instances():
+    got = [(key, d.mutation, d.family, d.instance)
+           for key, d in zip(mutations.MUTATIONS, mutations.run_all())]
+    assert got == [
+        ("group_associativity", "group.table_entry", "latin_square", "(12)"),
+        ("homomorphism", "homomorphism.map_entry", "homomorphism", "((12),(23))"),
+        ("action", "action.table_entry", "action_compatible", "(1,1,2)"),
+        ("cm_equivariance", "crossed_module.boundary_entry", "CM1_equivariance",
+         "(p=(12), c=(123))"),
+        ("cm_peiffer", "crossed_module.zero_boundary", "CM2_peiffer", "(c=(12), c'=(13))"),
+        ("cm_action_entry", "crossed_module.action_entry", "action_compatible",
+         "((12),(12),(132))"),
+        ("morphism_square", "morphism.base_entry", "homomorphism", "((12),(13))"),
+        ("algebra_unit", "algebra.unit_entry", "unit", "1*e_e"),
+        ("algebra_associativity", "algebra.mul_entry", "associativity", "(e_1,e_1,e_2)"),
+        ("rho_symmetric", "algebra.rho_symmetry_entry", "rho_symmetric", "g=(123)"),
+        ("rho_nondegenerate", "algebra.rho_zero_entry", "rho_nondegenerate", "g=(12)"),
+        ("rho_invariance", "algebra.rho_diag_entry", "rho_invariant", "(e_0,e_1,e_1)"),
+        ("phi_homomorphism", "algebra.phi_entry", "phi_homomorphism",
+         "(h=(12),k=(12),g=(123))"),
+        ("phi_multiplicative", "algebra.phi_perm_entry", "phi_multiplicative", "(h=1,e_1,e_1)"),
+        ("phi_fixes_own_grade", "algebra.phi_own_grade_entry", "phi_fixes_own_grade",
+         "g=(123)"),
+        ("twisted_commutativity", "algebra.mul_offdiag_entry", "twisted_commutativity",
+         "(a=e_(13),b=e_(12))"),
+        ("trace", "algebra.phi_trace_entry", "trace", "(g=(13),h=(132),c=e_(132))"),
+        ("tilde_unit", "algebra.tilde_unit_entry", "tilde_unit", "c=1"),
+        ("tilde_multiplicative", "algebra.tilde_entry", "tilde_multiplicative", "(c'=1,c=1)"),
+        ("tilde_equivariant", "algebra.tilde_sign_entry", "tilde_equivariant",
+         "(h=(12),c=(123))"),
+        ("boxed_composition", "boxed.tilde_entry", "theta_composition",
+         "(c'=(123),c=(123),g=e)"),
+        ("boxed_phi", "boxed.phi_entry", "theta_phi", "(c=(123),g=e,h=(12))"),
+        ("theta_translation", "boxed.mul_entry", "theta_translation", "(c=e,g=(12))"),
+        ("theta_rho", "boxed.rho_entry", "theta_rho", "(c=1,g=0)"),
+        ("aut_square", "aut_square.tilde_entry", "delta_tilde_equals_phi_boundary",
+         "(c=(123),g=e)"),
+        ("tilde_units", "aut_square.mul_entry", "tilde_units", "c=0"),
+        ("square_equivariance", "aut_square.phi_entry", "square_equivariance", "(p=(12),c=e)"),
+        ("expression_typecheck", "expression.disc_into_cap", "layer_interfaces", "layer 1"),
+        ("simplicial_boundary", "simplicial.tri_label", "boundary_condition", "triangle (0, 1, 2)"),
+        ("simplicial_cocycle", "simplicial.kernel_label", "cocycle_condition",
+         "tetrahedron (0, 1, 2, 3)"),
+        ("section", "section.identity_choice", "section", "s(1)"),
+    ]

@@ -118,6 +118,15 @@ def test_cli_check_mutated_file_fails(tmp_path, capsys, groups):
     assert failing and failing[0]["instance"]
 
 
+def test_cli_check_file_of_another_kind_exits_2(tmp_path, capsys, cms):
+    path = tmp_path / "cm.json"
+    path.write_text(dumps(to_doc("crossed_module", cms["CM-A3S3"])))
+    assert main(["check", "algebra", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "'CM-A3S3' is a crossed_module, not a algebra"}
+    assert main(["check", "crossed-module", str(path)]) == 0
+
+
 def test_cli_check_malformed_exits_2(tmp_path, capsys, cms):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
