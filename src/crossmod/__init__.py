@@ -12,7 +12,6 @@ from .groups import (
     automorphism_group,
     check_homomorphism,
     cocycle_from_section,
-    conjugation_action,
     cyclic_group,
     make_group,
     quotient_group,
@@ -54,13 +53,9 @@ from .formal_maps import (
     LabeledCell,
     SimplicialFormalMap,
     annulus_flatten,
-    circuit_normalize,
     combine_triangles,
     compose_h,
     compose_v,
-    pants_semidirect_reduction,
-    reverse_orientation,
-    rotate_basepoint,
     typecheck,
     validate_simplicial,
 )
@@ -73,7 +68,6 @@ from .hqft import (
     extract_algebra,
     make_hqft,
     state_space,
-    trace_axiom_probe,
 )
 
 __version__ = "0.1.0"

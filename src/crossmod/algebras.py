@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .crossed_modules import CrossedModule, CrossedModuleMorphism, identity_morphism
+from .crossed_modules import CrossedModule, CrossedModuleMorphism, check_morphism, identity_morphism
 from .linalg import (
     Matrix,
     RowSpace,
@@ -22,10 +22,6 @@ from .linalg import (
     unit_vector,
 )
 from .report import CheckReport
-
-
-class SingularTheta(ValueError):
-    pass
 
 
 class RhoIllDefined(ValueError):
@@ -453,23 +449,8 @@ def group_algebra_P(cm: CrossedModule, field, name=None) -> CrossedCAlgebra:
 # --------------------------------------------------------------------------
 
 def theta(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
-    """Left multiplication by tilde(c), as a matrix L_g -> L_{d(c) g}.
-
-    Always invertible on a valid algebra; a singular result signals an axiom
-    violation upstream."""
-    m = _theta_raw(L, c, g)
-    if m.rows != m.cols:
-        raise SingularTheta(
-            f"theta({L.C.names[c]},{L.P.names[g]}) maps dim {m.cols} to dim {m.rows}")
-    try:
-        m.inverse()
-    except SingularMatrixError as exc:
-        raise SingularTheta(
-            f"theta({L.C.names[c]},{L.P.names[g]}) is singular") from exc
-    return m
-
-
-def _theta_raw(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
+    """Left multiplication by tilde(c), as a matrix L_g -> L_{d(c) g};
+    invertible on a valid algebra."""
     return L.left_mul_matrix(L.cm.d(c), L.tilde[c], g)
 
 
@@ -480,14 +461,14 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     report = CheckReport(f"boxed identities for {L.name}")
     P, C = L.P, L.C
     d = L.cm.d
-    theta = {(c, g): _theta_raw(L, c, g) for c in C.elements() for g in P.elements()}
+    thetas = {(c, g): theta(L, c, g) for c in C.elements() for g in P.elements()}
 
     fails = []
     for c2 in C.elements():
         for c in C.elements():
             for g in P.elements():
-                lhs = theta[(C.mul(c2, c), g)]
-                rhs = theta[(c2, P.mul(d(c), g))] @ theta[(c, g)]
+                lhs = thetas[(C.mul(c2, c), g)]
+                rhs = thetas[(c2, P.mul(d(c), g))] @ thetas[(c, g)]
                 if lhs != rhs:
                     fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
                                   "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
@@ -497,7 +478,7 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         for g in P.elements():
             lhs = L.right_mul_matrix(d(c), L.tilde[c], g)
-            if lhs != theta[(L.cm.action(g, c), g)]:
+            if lhs != thetas[(L.cm.action(g, c), g)]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "x tilde(c) != tilde(^g c) x"))
     report.add("theta_translation", fails)
@@ -506,9 +487,9 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         for g in P.elements():
             dcg = P.mul(d(c), g)
-            lhs = theta[(c, g)].transpose() @ L.rho[dcg]
+            lhs = thetas[(c, g)].transpose() @ L.rho[dcg]
             cg = L.cm.action(P.inv[g], c)
-            rhs = L.rho[g] @ theta[(cg, P.inv[dcg])]
+            rhs = L.rho[g] @ thetas[(cg, P.inv[dcg])]
             if lhs != rhs:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "rho(tilde(c) x, y) != rho(x, tilde(^{g^-1}c) y)"))
@@ -518,8 +499,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         for g in P.elements():
             for h in P.elements():
-                lhs = L.phi[(h, P.mul(d(c), g))] @ theta[(c, g)]
-                rhs = theta[(L.cm.action(h, c), P.conj(h, g))] @ L.phi[(h, g)]
+                lhs = L.phi[(h, P.mul(d(c), g))] @ thetas[(c, g)]
+                rhs = thetas[(L.cm.action(h, c), P.conj(h, g))] @ L.phi[(h, g)]
                 if lhs != rhs:
                     fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
                                   "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))
@@ -552,7 +533,7 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
         for g in P.elements():
             # x |-> tilde(c) x tilde(c)^-1, using tilde(c^-1) as the inverse
             inner = L.right_mul_matrix(d(cinv), L.tilde[cinv], P.mul(d(c), g)) @ \
-                _theta_raw(L, c, g)
+                theta(L, c, g)
             if inner != L.phi[(d(c), g)]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "conjugation by tilde(c) != phi_{d(c)}"))
@@ -596,7 +577,11 @@ class CrossedAlgebraMorphism:
 
 
 def check_algebra_morphism(m: CrossedAlgebraMorphism) -> CheckReport:
+    """The crossed-module morphism it lies over, then the algebra map."""
     report = CheckReport("crossed algebra morphism")
+    report.merge(check_morphism(m.over))
+    if not report.ok:
+        return report
     L, Lp = m.source, m.target
     P, C = L.P, L.C
     bad = []

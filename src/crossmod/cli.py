@@ -23,7 +23,7 @@ from .algebras import (
 )
 from .crossed_modules import check_crossed_module
 from .fields import ScalarParseError, field_from_json
-from .formal_maps import typecheck
+from .formal_maps import TypecheckFailed, typecheck
 from .hqft import eval_expression, make_hqft, state_space
 from .mutations import MUTATIONS, run_mutation
 from .serialize import (
@@ -125,7 +125,10 @@ def cmd_eval(args) -> int:
     if not tc.ok:
         print(dumps(tc.to_json()), end="")
         return 1
-    result = eval_expression(tau, expr)
+    try:
+        result = eval_expression(tau, expr)
+    except TypecheckFailed as exc:  # the expression is over another crossed module
+        raise SerializationError(str(exc)) from exc
     doc = {
         "source_dims": list(state_space(tau, expr.source)),
         "target_dims": list(state_space(tau, expr.target)),

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .crossed_modules import CrossedModule, SemidirectElement, sd_mul
-from .groups import FiniteGroup
+from .crossed_modules import CrossedModule
 from .report import CheckReport
 
 
@@ -54,22 +53,6 @@ class FormalBoundary:
     @classmethod
     def of(cls, *label_lists) -> "FormalBoundary":
         return cls(tuple(FormalCircuit(tuple(ls)) for ls in label_lists))
-
-
-def circuit_normalize(group: FiniteGroup, b: FormalCircuit) -> FormalCircuit:
-    """Collapse to the single ordered product of the labels."""
-    return FormalCircuit((group.product(b.labels),))
-
-
-def reverse_orientation(group: FiniteGroup, b: FormalCircuit) -> FormalCircuit:
-    """Reverse the label order and invert each label."""
-    return FormalCircuit(tuple(group.inv[x] for x in reversed(b.labels)))
-
-
-def rotate_basepoint(b: FormalCircuit, k: int) -> FormalCircuit:
-    n = len(b.labels)
-    k %= n
-    return FormalCircuit(b.labels[k:] + b.labels[:k])
 
 
 # --------------------------------------------------------------------------
@@ -119,17 +102,6 @@ def cell_identity(cm: CrossedModule, p: int) -> LabeledCell:
 def cell_v_inverse(a: LabeledCell) -> LabeledCell:
     """The vertically inverse cell, from d(c)p back to p."""
     return LabeledCell(a.cm, a.cm.top.inv[a.c], a.target)
-
-
-def pants_semidirect_reduction(cm: CrossedModule, c1: int, c2: int,
-                               g1: int, g2: int) -> LabeledCell:
-    """Two labeled legs pushed onto one pants 2-cell: (c1 * ^{g1}c2, g1 g2).
-
-    Agrees with the semidirect product of the leg labels by construction."""
-    cell = LabeledCell(cm, cm.top.mul(c1, cm.action(g1, c2)), cm.base.mul(g1, g2))
-    sd = sd_mul(SemidirectElement(cm, c1, g1), SemidirectElement(cm, c2, g2))
-    assert (cell.c, cell.p) == (sd.c, sd.p)
-    return cell
 
 
 # --------------------------------------------------------------------------
@@ -186,47 +158,26 @@ ElementaryPiece = Disc | Cyl | Pants | Copants | Cup | Cap | Id | Swap
 _PIECE_TYPES = frozenset(ElementaryPiece.__args__)
 
 
-def piece_source(piece: ElementaryPiece, cm: CrossedModule) -> tuple[int, ...]:
-    P = cm.base
-    match piece:
-        case Disc():
-            return ()
-        case Cyl(_, g, _):
-            return (g,)
-        case Pants(_, g1, g2):
-            return (g1, g2)
-        case Copants(g1, g2):
-            return (P.mul(g1, g2),)
-        case Cup(_):
-            return ()
-        case Cap(g):
-            return (g, P.inv[g])
-        case Id(g):
-            return (g,)
-        case Swap(g1, g2):
-            return (g1, g2)
-    raise TypeError(f"not a piece: {piece!r}")
-
-
-def piece_target(piece: ElementaryPiece, cm: CrossedModule) -> tuple[int, ...]:
+def piece_io(piece: ElementaryPiece, cm: CrossedModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The labels of a piece's source circuits and of its target circuits."""
     P = cm.base
     match piece:
         case Disc(c):
-            return (cm.d(c),)
+            return (), (cm.d(c),)
         case Cyl(c, g, h):
-            return (P.mul(cm.d(c), P.conj(P.inv[h], g)),)
+            return (g,), (P.mul(cm.d(c), P.conj(P.inv[h], g)),)
         case Pants(c, g1, g2):
-            return (P.product((cm.d(c), g1, g2)),)
+            return (g1, g2), (P.product((cm.d(c), g1, g2)),)
         case Copants(g1, g2):
-            return (g1, g2)
+            return (P.mul(g1, g2),), (g1, g2)
         case Cup(g):
-            return (g, P.inv[g])
-        case Cap(_):
-            return ()
+            return (), (g, P.inv[g])
+        case Cap(g):
+            return (g, P.inv[g]), ()
         case Id(g):
-            return (g,)
+            return (g,), (g,)
         case Swap(g1, g2):
-            return (g2, g1)
+            return (g1, g2), (g2, g1)
     raise TypeError(f"not a piece: {piece!r}")
 
 
@@ -292,21 +243,20 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     if fails:
         return report
     cur = tuple(c.labels[0] for c in e.source.circuits)
-    fails = []
     for k, layer in enumerate(e.layers):
         for piece in layer:
             fault = piece_range_fault(piece, e.cm)
             if fault:
                 report.add("layer_interfaces", [(f"layer {k}", fault)])
                 return report
-        wanted = tuple(g for piece in layer for g in piece_source(piece, e.cm))
+        ios = [piece_io(piece, e.cm) for piece in layer]
+        wanted = tuple(g for sources, _ in ios for g in sources)
         if wanted != cur:
-            fails.append((f"layer {k}",
-                          f"needs sources {[P.names[g] for g in wanted]}, "
-                          f"has {[P.names[g] for g in cur]}"))
-            report.add("layer_interfaces", fails)
+            report.add("layer_interfaces",
+                       [(f"layer {k}", f"needs sources {[P.names[g] for g in wanted]}, "
+                                       f"has {[P.names[g] for g in cur]}")])
             return report
-        cur = tuple(g for piece in layer for g in piece_target(piece, e.cm))
+        cur = tuple(g for _, targets in ios for g in targets)
     report.add_pass("layer_interfaces")
     tgt = tuple(c.labels[0] for c in e.target.circuits)
     report.add("declared_target",
@@ -617,7 +567,7 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
     c_star = cm.action(P.inv[h], square.c)
     piece = Cyl(c_star, g, h)
     k = m.label_of(2, 3)
-    assert piece_target(piece, cm) == (k,), "outer label mismatch"
+    assert piece_io(piece, cm)[1] == (k,), "outer label mismatch"
     assert square.p == P.mul(g, h)
     return piece
 

@@ -296,11 +296,6 @@ def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
     return action(actor, space, [list(space.elements()) for _ in actor.elements()])
 
 
-def conjugation_action(g: FiniteGroup) -> GroupAction:
-    """g acting on itself by ^p c = p c p^-1."""
-    return action(g, g, [[g.conj(p, c) for c in g.elements()] for p in g.elements()])
-
-
 # --- subgroups, quotients ------------------------------------------------
 
 def is_subgroup(g: FiniteGroup, members) -> bool:

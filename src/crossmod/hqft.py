@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebras import CrossedCAlgebra, check_crossed_algebra, torus_traces
+from .algebras import CrossedCAlgebra, check_crossed_algebra
 from .formal_maps import (
     Cap,
     CobordismExpression,
@@ -25,8 +25,8 @@ from .formal_maps import (
     Swap,
     TypecheckFailed,
     expression,
+    piece_io,
     piece_range_fault,
-    piece_target,
     typecheck,
 )
 from .linalg import Matrix, SingularMatrixError
@@ -34,10 +34,6 @@ from .report import CheckReport
 
 
 class SingularRho(ValueError):
-    pass
-
-
-class GradeMismatch(ValueError):
     pass
 
 
@@ -142,7 +138,14 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
 
 
 def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
-    """Kronecker product across each layer, matrix product across layers."""
+    """Kronecker product across each layer, matrix product across layers.
+    The expression must be over the algebra's crossed module: the same
+    groups, boundary and action, whatever its name."""
+    cm = tau.cm
+    # the boundary and the action hold both groups
+    if e.cm is not cm and (e.cm.boundary, e.cm.act) != (cm.boundary, cm.act):
+        raise TypecheckFailed(f"the expression is over crossed module {e.cm.name}, "
+                              f"the algebra over {cm.name}")
     rep = typecheck(e)
     if not rep.ok:
         fail = rep.first_failure()
@@ -185,17 +188,6 @@ def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:
              for c in C.elements()]
     return CrossedCAlgebra(f"extracted({L.name})", cm, f, dims, L.basis_names,
                            mul, unit, rho, phi, tilde)
-
-
-def trace_axiom_probe(tau: FormalHQFT, g: int, h: int, c_vec):
-    """Both traces of the torus-compatibility condition, for a vector in the
-    commutator grade; they agree on a valid algebra."""
-    L = tau.algebra
-    comm = L.P.commutator(g, h)
-    if len(c_vec) != L.dims[comm]:
-        raise GradeMismatch(
-            f"vector of length {len(c_vec)} is not in grade {L.P.names[comm]}")
-    return torus_traces(L, g, h, c_vec)
 
 
 # --------------------------------------------------------------------------
@@ -303,12 +295,12 @@ def random_expression(tau: FormalHQFT, rng: random.Random, source=None) -> Cobor
             piece = Disc(rng.randrange(C.order)) if rng.random() < 0.5 \
                 else Cup(rng.randrange(P.order))
             layer.append(piece)
-            out.extend(piece_target(piece, cm))
+            out.extend(piece_io(piece, cm)[1])
         while i < len(cur):
             if len(out) < max_width - 1 and rng.random() < 0.15:
                 piece = Disc(rng.randrange(C.order))
                 layer.append(piece)
-                out.extend(piece_target(piece, cm))
+                out.extend(piece_io(piece, cm)[1])
             g = cur[i]
             two = i + 1 < len(cur)
             roll = rng.random()
@@ -321,7 +313,7 @@ def random_expression(tau: FormalHQFT, rng: random.Random, source=None) -> Cobor
                 else:
                     piece = Pants(rng.randrange(C.order), g, g2)
                 layer.append(piece)
-                out.extend(piece_target(piece, cm))
+                out.extend(piece_io(piece, cm)[1])
                 i += 2
                 continue
             if roll < 0.55 and len(out) + 2 <= max_width and len(cur) < max_width:
@@ -332,7 +324,7 @@ def random_expression(tau: FormalHQFT, rng: random.Random, source=None) -> Cobor
             else:
                 piece = Id(g)
             layer.append(piece)
-            out.extend(piece_target(piece, cm))
+            out.extend(piece_io(piece, cm)[1])
             i += 1
         layers.append(layer)
         cur = out

@@ -234,7 +234,7 @@ def unit_vector(field, n: int, i: int):
 class RowSpace:
     """A subspace of K^n kept in reduced row-echelon form.
 
-    Supports incremental insertion, membership, and quotient bookkeeping
+    Supports incremental insertion, reduction, and quotient bookkeeping
     (pivot columns vs. free columns).
     """
 
@@ -259,9 +259,6 @@ class RowSpace:
             raise ValueError("vector length mismatch")
         return f.combine(self.n, [(f.one, vec), *((f.neg(vec[p]), row)
                                                   for row, p in zip(self.basis, self.pivots))])
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if the space grew. The reduced

@@ -23,6 +23,7 @@ from .algebras import (
     pullback,
     pushforward_data,
     pushforward_rho_via_grade,
+    same_structure,
     transpose_from_pushforward,
     transpose_to_pullback,
     untranspose_from_pullback,
@@ -39,6 +40,7 @@ from .formal_maps import (
     Cap,
     Cup,
     Id,
+    LabeledCell,
     OrderedComplex,
     annulus_flatten,
     annulus_labeling,
@@ -57,7 +59,6 @@ from .hqft import (
     random_expression,
 )
 from .linalg import Matrix
-from .algebras import same_structure
 
 
 @dataclass(frozen=True)
@@ -145,26 +146,17 @@ def _interchange():
         if size > 64:
             lines.append(f"  {name}: skipped (|C||P| = {size} > 64)")
             continue
-        pairs = [SemidirectElement(cm, c, p)
-                 for c in cm.top.elements() for p in cm.base.elements()]
-        agree = all(
-            (lambda s, cell: (s.c, s.p) == (cell.c, cell.p))(
-                sd_mul(a, b),
-                compose_h(_cell(cm, a), _cell(cm, b)))
-            for a in pairs for b in pairs)
-        whisker = all(
-            (lambda r1, r2: (r1.c, r1.p) == (r2.c, r2.p))(*whiskering_orders(cm, c, p, c2, p2))
-            for c in cm.top.elements() for p in cm.base.elements()
-            for c2 in cm.top.elements() for p2 in cm.base.elements())
-        ok &= agree and whisker
-        lines.append(f"  {name}: compose_h = sd_mul on {len(pairs) ** 2} pairs; "
-                     f"whiskering orders agree ({'ok' if agree and whisker else 'FAIL'})")
+        cells = [(c, p) for c in cm.top.elements() for p in cm.base.elements()]
+        agree = True
+        for (c, p), (c2, p2) in itertools.product(cells, repeat=2):
+            sd = sd_mul(SemidirectElement(cm, c, p), SemidirectElement(cm, c2, p2))
+            cell = compose_h(LabeledCell(cm, c, p), LabeledCell(cm, c2, p2))
+            r1, r2 = whiskering_orders(cm, c, p, c2, p2)
+            agree &= (sd.c, sd.p) == (cell.c, cell.p) and (r1.c, r1.p) == (r2.c, r2.p)
+        ok &= agree
+        lines.append(f"  {name}: compose_h = sd_mul on {len(cells) ** 2} pairs; "
+                     f"whiskering orders agree ({'ok' if agree else 'FAIL'})")
     return ok, lines
-
-
-def _cell(cm, sd):
-    from .formal_maps import LabeledCell
-    return LabeledCell(cm, sd.c, sd.p)
 
 
 def _boxed_identities():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,7 +9,6 @@ from crossmod import fixtures
 from crossmod.algebras import (
     CrossedAlgebraMorphism,
     CrossedCAlgebra,
-    SingularTheta,
     aut_square_check,
     check_algebra_morphism,
     check_boxed_identities,
@@ -28,6 +28,7 @@ from crossmod.algebras import (
     RhoIllDefined,
     same_structure,
     theta,
+    torus_traces,
     transpose_from_pushforward,
     transpose_to_pullback,
     untranspose_from_pullback,
@@ -37,7 +38,7 @@ from crossmod.crossed_modules import from_normal_inclusion, identity_morphism, q
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
 from crossmod.groups import cyclic_group, trivial_group, trivial_hom, trivial_action
-from crossmod.linalg import Matrix, unit_vector
+from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
 
 
 def test_group_algebra_C_dims(cms):
@@ -110,14 +111,41 @@ def test_theta_invertible_everywhere(algebras):
         L = algebras[name]
         for c in L.C.elements():
             for g in L.P.elements():
-                theta(L, c, g)  # raises SingularTheta on failure
+                m = theta(L, c, g)
+                assert m @ m.inverse() == Matrix.identity(L.field, m.rows)
 
 
 def test_theta_singular_on_broken_algebra(cms):
     L = group_algebra_C(cms["CM-Id2"], QQ)
     L.tilde = (L.tilde[0], (QQ.zero,))
-    with pytest.raises(SingularTheta):
-        theta(L, 1, 0)
+    with pytest.raises(SingularMatrixError):
+        theta(L, 1, 0).inverse()
+
+
+def test_torus_traces_examples(algebras):
+    L = algebras["KP.CM-A3S3"]
+    P = L.P
+    g, h = P.names.index("(12)"), P.names.index("(13)")
+    assert torus_traces(L, g, h, unit_vector(QQ, 1, 0)) == (QQ.one, QQ.one)  # 1x1 by hand
+    # zero vector gives zero traces
+    assert torus_traces(L, g, h, (QQ.zero,)) == (QQ.zero, QQ.zero)
+    # g = h makes both maps literally coincide
+    t1, t2 = torus_traces(L, g, g, unit_vector(QQ, 1, 0))
+    assert t1 == t2
+
+
+def test_torus_traces_agree_on_all_pairs(algebras):
+    for name in ("KP.CM-A3S3", "QKG.CM-A3S3"):
+        L = algebras[name]
+        P = L.P
+        for g in P.elements():
+            for h in P.elements():
+                comm = P.commutator(g, h)
+                if 0 in (L.dims[g], L.dims[h], L.dims[comm]):
+                    continue
+                for i in range(L.dims[comm]):
+                    t1, t2 = torus_traces(L, g, h, unit_vector(QQ, L.dims[comm], i))
+                    assert t1 == t2
 
 
 @pytest.mark.parametrize("registry", ["std_groups", "std_crossed_modules",
@@ -229,6 +257,27 @@ def test_kp_iso_witness(cms):
     w = kp_iso_witness(cms["CM-A3S3"], QQ)
     assert w.source.total_dim == 6
     assert check_algebra_morphism(w).ok and is_isomorphism(w)
+
+
+def test_algebra_morphism_over_a_failing_morphism_fails(algebras, cms):
+    """Identity blocks on KP.CM-Id2 over f_top = [0, 0], f_base = [0, 1]:
+    every algebra family would pass, but the crossed-module square does not
+    commute, so the report stops after the morphism's own families."""
+    L = algebras["KP.CM-Id2"]
+    blocks = {p: Matrix.identity(QQ, L.dims[p]) for p in L.P.elements()}
+    good = identity_morphism(L.cm)
+    over = dataclasses.replace(good, f_top=trivial_hom(L.C, L.C))
+    rep = check_algebra_morphism(CrossedAlgebraMorphism(over, L, L, blocks))
+    assert not rep.ok and rep.first_failure().axiom == "square_commutes"
+    assert rep.first_failure().instance == "c=1"
+    assert "block_shapes" not in [r.axiom for r in rep.results]
+    rep = check_algebra_morphism(CrossedAlgebraMorphism(good, L, L, blocks))
+    assert rep.ok
+    assert [r.axiom for r in rep.results][-8:] == [
+        "square_commutes", "action_equivariant", "block_shapes", "unit_preserved",
+        "multiplicative", "rho_preserved", "phi_compatible", "tilde_compatible"]
+    for cm in cms.values():
+        assert check_algebra_morphism(kp_iso_witness(cm, QQ)).ok, cm.name
 
 
 def test_kp_iso_split_section_trivial_cocycle(cms):

@@ -3,10 +3,9 @@
 check_crossed_algebra reads products of basis vectors from a table and
 contracts them against the structure constants, and check_boxed_identities
 builds each theta(c, g) once. The oracle below keeps the direct loops that
-multiply unit vectors with `multiply` and `pairing` and rebuild theta with
-`_theta_raw` for every instance; both must give byte-identical reports on
-the fixtures, on seeded changes of basis and on seeded one-entry
-corruptions.
+multiply unit vectors with `multiply` and `pairing` and rebuild theta for
+every instance; both must give byte-identical reports on the fixtures, on
+seeded changes of basis and on seeded one-entry corruptions.
 """
 
 import copy
@@ -18,10 +17,10 @@ import pytest
 
 from crossmod.algebras import (
     CrossedCAlgebra,
-    _theta_raw,
     check_boxed_identities,
     check_crossed_algebra,
     group_algebra_C,
+    theta,
 )
 from crossmod.crossed_modules import crossed_module
 from crossmod.fields import GF, QQ
@@ -34,7 +33,7 @@ FIELDS = {"QQ": QQ, "GF5": GF(5)}
 
 
 # --------------------------------------------------------------------------
-# the oracle: unit vectors through multiply, pairing and _theta_raw
+# the oracle: unit vectors through multiply, pairing and theta
 # --------------------------------------------------------------------------
 
 def _units(L, g):
@@ -141,8 +140,8 @@ def slow_boxed_report(L) -> CheckReport:
 
     fails = []
     for c2, c, g in itertools.product(C.elements(), C.elements(), P.elements()):
-        lhs = _theta_raw(L, C.mul(c2, c), g)
-        rhs = _theta_raw(L, c2, P.mul(d(c), g)) @ _theta_raw(L, c, g)
+        lhs = theta(L, C.mul(c2, c), g)
+        rhs = theta(L, c2, P.mul(d(c), g)) @ theta(L, c, g)
         if lhs != rhs:
             fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
                           "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
@@ -158,8 +157,8 @@ def slow_boxed_report(L) -> CheckReport:
     fails = []
     for c, g in itertools.product(C.elements(), P.elements()):
         dcg = P.mul(d(c), g)
-        lhs = _theta_raw(L, c, g).transpose() @ L.rho[dcg]
-        rhs = L.rho[g] @ _theta_raw(L, L.cm.action(P.inv[g], c), P.inv[dcg])
+        lhs = theta(L, c, g).transpose() @ L.rho[dcg]
+        rhs = L.rho[g] @ theta(L, L.cm.action(P.inv[g], c), P.inv[dcg])
         if lhs != rhs:
             fails.append((f"(c={C.names[c]},g={P.names[g]})",
                           "rho(tilde(c) x, y) != rho(x, tilde(^{g^-1}c) y)"))
@@ -167,8 +166,8 @@ def slow_boxed_report(L) -> CheckReport:
 
     fails = []
     for c, g, h in itertools.product(C.elements(), P.elements(), P.elements()):
-        lhs = L.phi[(h, P.mul(d(c), g))] @ _theta_raw(L, c, g)
-        rhs = _theta_raw(L, L.cm.action(h, c), P.conj(h, g)) @ L.phi[(h, g)]
+        lhs = L.phi[(h, P.mul(d(c), g))] @ theta(L, c, g)
+        rhs = theta(L, L.cm.action(h, c), P.conj(h, g)) @ L.phi[(h, g)]
         if lhs != rhs:
             fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
                           "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))

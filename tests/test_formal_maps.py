@@ -13,7 +13,6 @@ from crossmod.formal_maps import (
     Cyl,
     Disc,
     FormalBoundary,
-    FormalCircuit,
     Id,
     LabeledCell,
     NotAdjacent,
@@ -25,49 +24,18 @@ from crossmod.formal_maps import (
     annulus_flatten,
     annulus_labeling,
     cell_v_inverse,
-    circuit_normalize,
     combine_triangles,
     compose_expressions,
     compose_h,
     compose_v,
     expression,
     labeling_from_vertex_potential,
-    pants_semidirect_reduction,
-    piece_source,
-    piece_target,
-    reverse_orientation,
-    rotate_basepoint,
+    piece_io,
     transport_label,
     typecheck,
     validate_simplicial,
     whiskering_orders,
 )
-
-
-def test_circuit_normalize(groups):
-    s3 = groups["S3"]
-    c = FormalCircuit((s3.names.index("(12)"), s3.names.index("(13)")))
-    normalized = circuit_normalize(s3, c)
-    assert s3.names[normalized.labels[0]] == perm_mul("(12)", "(13)")
-    assert circuit_normalize(s3, FormalCircuit((2,))).labels == (2,)
-    g = s3.names.index("(123)")
-    assert circuit_normalize(s3, FormalCircuit((g, s3.inv[g]))).labels == (0,)
-
-
-def test_reverse_orientation(groups):
-    s3 = groups["S3"]
-    g, h = 4, 1
-    rev = reverse_orientation(s3, FormalCircuit((g, h)))
-    assert rev.labels == (s3.inv[h], s3.inv[g])
-    assert reverse_orientation(s3, rev).labels == (g, h)  # involution
-    assert reverse_orientation(s3, FormalCircuit((g,))).labels == (s3.inv[g],)
-
-
-def test_rotate_basepoint():
-    c = FormalCircuit((1, 2))
-    assert rotate_basepoint(c, 1).labels == (2, 1)
-    assert rotate_basepoint(c, 0).labels == (1, 2)
-    assert rotate_basepoint(c, 2).labels == (1, 2)
 
 
 def test_compose_v_examples(cms):
@@ -134,7 +102,9 @@ def test_interchange_law(cms):
                 assert (lhs.c, lhs.p) == (rhs.c, rhs.p)
 
 
-def test_pants_semidirect_reduction(cms):
+def test_compose_h_semidirect_cases(cms):
+    """A pants cell from two labeled legs, (c1 * ^{g1}c2, g1 g2), on cases
+    worked out by hand."""
     cm = cms["CM-A3S3"]
     C, P = cm.top, cm.base
     i123 = C.names.index("(123)")
@@ -143,27 +113,47 @@ def test_pants_semidirect_reduction(cms):
     for c1 in C.elements():
         for g1 in P.elements():
             for g2 in P.elements():
-                cell = pants_semidirect_reduction(cm, c1, 0, g1, g2)
+                cell = compose_h(LabeledCell(cm, c1, g1), LabeledCell(cm, 0, g2))
                 assert (cell.c, cell.p) == (c1, P.mul(g1, g2))
-    cell = pants_semidirect_reduction(cm, 0, i123, 0, p12)
+    cell = compose_h(LabeledCell(cm, 0, 0), LabeledCell(cm, i123, p12))
     assert (cell.c, cell.p) == (i123, p12)
-    cell = pants_semidirect_reduction(cm, i123, i123, p12, 0)
+    cell = compose_h(LabeledCell(cm, i123, p12), LabeledCell(cm, i123, 0))
     assert C.names[cell.c] == perm_mul("(123)", perm_conj("(12)", "(123)")) == "e"
+    assert cell.p == p12
 
 
 def test_piece_signatures(cms):
+    """piece_io on every piece kind: source and target labels written out by
+    hand on CM-A3S3 (top A3, base S3, d the inclusion); a non-piece raises."""
     cm = cms["CM-A3S3"]
-    P = cm.base
-    c = 1
-    g, h = 4, 1
-    assert piece_source(Disc(c), cm) == ()
-    assert piece_target(Disc(c), cm) == (cm.d(c),)
-    assert piece_target(Cyl(c, g, h), cm) == (P.mul(cm.d(c), P.conj(P.inv[h], g)),)
-    assert piece_target(Pants(c, g, h), cm) == (P.product((cm.d(c), g, h)),)
-    assert piece_source(Copants(g, h), cm) == (P.mul(g, h),)
-    assert piece_source(Cap(g), cm) == (g, P.inv[g])
-    assert piece_target(Cup(g), cm) == (g, P.inv[g])
-    assert piece_target(Swap(g, h), cm) == (h, g)
+    C, P = cm.top, cm.base
+    c, c2 = C.names.index("(123)"), C.names.index("(132)")
+    e, p12, p13, p23, p123, p132 = (P.names.index(n) for n in
+                                    ("e", "(12)", "(13)", "(23)", "(123)", "(132)"))
+    assert perm_mul("(12)", "(13)") == "(132)"
+    assert perm_conj("(12)", "(13)") == "(23)"
+    expected = {
+        Disc(c): ((), (p123,)),
+        Disc(0): ((), (e,)),
+        # d(c) * h^-1 g h: (123) (12) (13) (12) = (123) (23) = (12)
+        Cyl(c, p13, p12): ((p13,), (p12,)),
+        Cyl(0, p123, p12): ((p123,), (p132,)),
+        # d(c) g1 g2: (123) (12) (13) = (123) (132) = e
+        Pants(c, p12, p13): ((p12, p13), (e,)),
+        Pants(c2, p123, p123): ((p123, p123), (p123,)),
+        Copants(p12, p13): ((p132,), (p12, p13)),
+        Cup(p123): ((), (p123, p132)),
+        Cup(p12): ((), (p12, p12)),
+        Cap(p132): ((p132, p123), ()),
+        Id(p23): ((p23,), (p23,)),
+        Swap(p12, p123): ((p12, p123), (p123, p12)),
+    }
+    assert {type(piece) for piece in expected} == {Disc, Cyl, Pants, Copants, Cup, Cap, Id, Swap}
+    for piece, io in expected.items():
+        assert piece_io(piece, cm) == io, piece
+    for not_a_piece in (object(), (0,), None, LabeledCell(cm, 0, 0)):
+        with pytest.raises(TypeError, match="not a piece"):
+            piece_io(not_a_piece, cm)
 
 
 def test_typecheck_examples(cms):
@@ -185,6 +175,12 @@ def test_typecheck_examples(cms):
     # cup into cap: a closed expression
     closed = expression(cm, [], [[Cup(g)], [Cap(g)]], [])
     assert typecheck(closed).ok
+    # a boundary circuit with more than one label, on either side, is rejected
+    two = FormalBoundary.of([g, cm.base.inv[g]])
+    for source, target in ((two, FormalBoundary.of([0])), (FormalBoundary.of([0]), two)):
+        report = typecheck(CobordismExpression(cm, source, (), target))
+        assert [(r.axiom, r.ok) for r in report.results] == [("normalized_boundaries", False)]
+        assert report.first_failure().detail == "boundary circuits must be normalized"
 
 
 def test_expression_compose_rebracketing(cms):

@@ -13,11 +13,11 @@ from crossmod.groups import (
     NotNormal,
     NotSubgroup,
     OrderBoundExceeded,
+    action,
     automorphism_group,
     check_action,
     check_homomorphism,
     cocycle_from_section,
-    conjugation_action,
     cyclic_group,
     hom,
     is_normal,
@@ -76,12 +76,12 @@ def test_check_homomorphism_examples():
     assert "(1,1)" in report.first_failure().instance  # fails at (s, s)
 
 
-def test_conjugation_action_examples():
+def test_conjugation_examples():
     z2 = cyclic_group(2)
-    act = conjugation_action(z2)
+    act = action(z2, z2, [[z2.conj(p, c) for c in z2.elements()] for p in z2.elements()])
     assert act.table == ((0, 1), (0, 1))  # abelian: trivial
     s3 = symmetric_group_3()
-    act = conjugation_action(s3)
+    act = action(s3, s3, [[s3.conj(p, c) for c in s3.elements()] for p in s3.elements()])
     assert check_action(act).ok
     names = s3.names
     for p in range(6):
@@ -177,9 +177,10 @@ def test_exhaustive_associativity_up_to_24(groups):
             assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
 
-def test_conjugation_action_always_valid(groups):
+def test_conjugation_is_always_an_action(groups):
     for g in groups.values():
-        assert check_action(conjugation_action(g)).ok
+        act = action(g, g, [[g.conj(p, c) for c in g.elements()] for p in g.elements()])
+        assert check_action(act).ok
 
 
 def test_cocycles_normalized_for_all_fixture_surjections(cms):

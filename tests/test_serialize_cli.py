@@ -5,16 +5,19 @@ import pytest
 
 from crossmod import cli
 from crossmod.algebras import (
+    CrossedAlgebraMorphism,
     check_crossed_algebra,
     group_algebra_C,
     kp_iso_witness,
     same_structure,
 )
 from crossmod.cli import build_parser, main
+from crossmod.crossed_modules import identity_morphism
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_crossed_modules, std_morphisms
-from crossmod.formal_maps import Cap, Cup, Cyl, Disc, expression, annulus_labeling
+from crossmod.formal_maps import Cap, Cup, Cyl, Disc, Id, Pants, expression, annulus_labeling
 from crossmod.groups import symmetric_group_3
+from crossmod.linalg import Matrix
 from crossmod.serialize import (
     SerializationError,
     Workspace,
@@ -464,6 +467,63 @@ def test_cli_eval_typecheck_failure(tmp_path, capsys, cms):
     path = tmp_path / "bad.json"
     path.write_text(dumps(to_doc("expression", e)))
     assert main(["eval", "KP.CM-A3S3", str(path)]) == 1
+
+
+def test_cli_eval_over_another_crossed_module_exits_2(tmp_path, capsys, cms):
+    """The pants expression over CM-A3S3, and Id(1) over CM-A3S3 (its label
+    is in range for CM-Mod's base too), against KC.CM-Mod: exit 2 with an
+    error naming both crossed modules."""
+    cm = cms["CM-A3S3"]
+    for e in (expression(cm, [4, 4], [[Pants(0, 4, 4)]], [5]),
+              expression(cm, [1], [[Id(1)]], [1])):
+        path = tmp_path / "expr.json"
+        path.write_text(dumps(to_doc("expression", e)))
+        assert main(["eval", "KC.CM-Mod", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "the expression is over crossed module CM-A3S3, the algebra over CM-Mod"}
+
+
+def test_cli_eval_compares_crossed_modules_by_structure(tmp_path, capsys, cms, algebras):
+    """An algebra file whose inline crossed module has another name evaluates
+    like the named algebra."""
+    doc = to_doc("algebra", algebras["KC.CM-Mod"])
+    doc["crossed_module"]["name"] = "CM-Mod-renamed"
+    alg = tmp_path / "alg.json"
+    alg.write_text(dumps(doc))
+    path = tmp_path / "expr.json"
+    path.write_text(dumps(to_doc("expression", expression(cms["CM-Mod"], [0, 0],
+                                                          [[Pants(1, 0, 0)]], [0]))))
+    outputs = []
+    for algebra in (str(alg), "KC.CM-Mod"):
+        assert main(["eval", algebra, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["source_dims"] == [3, 3]
+
+
+def test_cli_algebra_morphism_over_a_failing_morphism_exits_1(tmp_path, capsys, algebras):
+    """Identity blocks on KP.CM-Id2 with f_top = [0, 0], f_base = [0, 1]: the
+    algebra families alone would pass, but the square does not commute."""
+    L = algebras["KP.CM-Id2"]
+    m = CrossedAlgebraMorphism(identity_morphism(L.cm), L, L,
+                               {p: Matrix.identity(QQ, L.dims[p]) for p in L.P.elements()})
+    doc = to_doc("algebra_morphism", m)
+    path = tmp_path / "amor.json"
+    path.write_text(dumps(doc))
+    assert main(["check", "algebra-morphism", str(path)]) == 0
+    capsys.readouterr()
+    doc["f_top"] = [0, 0]
+    path.write_text(dumps(doc))
+    assert main(["check", "algebra-morphism", str(path)]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["ok"]]
+    assert [(c["axiom"], c["instance"]) for c in failed] == [("square_commutes", "c=1")]
+    # check morphism fails the same maps the same way
+    doc = to_doc("morphism", m.over)
+    doc["f_top"] = [0, 0]
+    path.write_text(dumps(doc))
+    assert main(["check", "morphism", str(path)]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["ok"]]
+    assert [(c["axiom"], c["instance"]) for c in failed] == [("square_commutes", "c=1")]
 
 
 def test_cli_output_deterministic(tmp_path):
