@@ -12,9 +12,11 @@ checkable axiom.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .crossed_modules import CrossedModule, CrossedModuleMorphism, check_morphism, identity_morphism
+from .fields import QQ
 from .linalg import (
     Matrix,
     RowSpace,
@@ -181,9 +183,63 @@ def well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
     return bad
 
 
+def _cleared(L: CrossedCAlgebra):
+    """(L', D): L with every structure map (mul, unit, rho, phi and tilde)
+    multiplied by D, the least common denominator of all their entries, so
+    that every entry of L' is an int and the checkers' contractions never
+    build a Fraction. An algebra whose entries are all ints, and every
+    algebra over GF(p), is returned as it is, with D = 1.
+
+    Every axiom family compares two sides that are multilinear in the
+    structure maps. On L' a side of degree k in them (k factors among mul,
+    unit, rho, phi and tilde) is D**k times its value on L, so a checker
+    multiplies the side of lower degree by the power of D that evens the
+    degrees, and the comparison keeps its truth value because D != 0."""
+    if L.field != QQ:
+        return L, 1
+    entries = itertools.chain(
+        (x for block in L.mul.values() for row in block for cell in row for x in cell),
+        L.unit, itertools.chain.from_iterable(L.tilde),
+        (x for m in (*L.rho.values(), *L.phi.values()) for row in m.data for x in row))
+    D = math.lcm(*{x.denominator for x in entries})
+    if D == 1:
+        return L, 1
+
+    def cleared(vec):
+        return tuple([x.numerator * (D // x.denominator) for x in vec])
+
+    def cleared_matrix(m):
+        return Matrix._of(m.field, tuple([cleared(row) for row in m.data]), m.cols)
+
+    mul = {key: [[cleared(cell) for cell in row] for row in block]
+           for key, block in L.mul.items()}
+    return CrossedCAlgebra(L.name, L.cm, L.field, L.dims, L.basis_names, mul,
+                           cleared(L.unit), {g: cleared_matrix(m) for g, m in L.rho.items()},
+                           {key: cleared_matrix(m) for key, m in L.phi.items()},
+                           [cleared(v) for v in L.tilde]), D
+
+
+def _times(k: int, vec):
+    """k * vec for a vector of ints; vec itself when k is 1."""
+    return vec if k == 1 else tuple([k * x for x in vec])
+
+
+def _times_matrix(k: int, m: Matrix) -> Matrix:
+    """k * m for a matrix of ints; m itself when k is 1."""
+    return m if k == 1 else Matrix._of(m.field, tuple([_times(k, row) for row in m.data]),
+                                       m.cols)
+
+
 def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     """Every axiom family, exhaustively; the report carries the first
     counterexample instance per family.
+
+    The families run on `_cleared(L)`: over Q every structure map is
+    multiplied by the common denominator D of its entries, so every
+    contraction sums ints. Each comparison then multiplies its side of lower
+    degree in the structure maps by D to the difference of the degrees (the
+    unit axiom compares 1 e_i, of degree 2, with e_i times D**2), which keeps
+    every result, and so the report, what it is on L.
 
     Tables built once per call replace the multiplication of unit vectors:
     the basis product table prod[(g, h)][i][j] = e_i e_j and the action
@@ -196,6 +252,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     report.add("well_formed", shape)
     if shape:
         return report
+    L, D = _cleared(L)
     P, C, f = L.P, L.C, L.field
     nonzero = [g for g in P.elements() if L.dims[g] > 0]
     units = _basis_units(L)
@@ -207,17 +264,20 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     cols = {(g, h): [[row[l] for row in L.mul[(g, h)]] for l in range(L.dims[h])]
             for g in P.elements() for h in P.elements()}
 
+    # 1 e_i and e_i 1 have degree 2 (the unit and mul), e_i degree 0
     fails = []
     for g in nonzero:
         for name, e in units[g]:
-            if L.multiply(0, L.unit, g, e) != e:
+            e2 = _times(D ** 2, e)
+            if L.multiply(0, L.unit, g, e) != e2:
                 fails.append((f"1*{name}", "left unit fails"))
-            if L.multiply(g, e, 0, L.unit) != e:
+            if L.multiply(g, e, 0, L.unit) != e2:
                 fails.append((f"{name}*1", "right unit fails"))
     report.add("unit", fails)
 
     # (e_i e_j) e_l contracts e_i e_j with column l of mul(gh, k), and
-    # e_i (e_j e_l) contracts e_j e_l with row i of mul(g, hk)
+    # e_i (e_j e_l) contracts e_j e_l with row i of mul(g, hk); both sides
+    # have degree 2, as in rho_invariant and trace
     fails = []
     for g, h, k in itertools.product(nonzero, repeat=3):
         gh, hk = P.mul(g, h), P.mul(h, k)
@@ -264,51 +324,58 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
                         fails.append((f"({ni},{nj},{nk})", "rho(ab,c) != rho(a,bc)"))
     report.add("rho_invariant", fails)
 
+    # the identity, of degree 0, is compared with phi_1 (degree 1), and
+    # phi_hk (degree 1) with phi_h phi_k (degree 2)
+    ident = [_times_matrix(D, Matrix.identity(f, L.dims[g])) for g in P.elements()]
     fails = []
     for g in P.elements():
-        if L.phi[(0, g)] != Matrix.identity(f, L.dims[g]):
+        if L.phi[(0, g)] != ident[g]:
             fails.append((f"g={P.names[g]}", "phi_1 is not the identity"))
     for h in P.elements():
         for k in P.elements():
             hk = P.mul(h, k)
             for g in nonzero:
-                if L.phi[(h, P.conj(k, g))] @ L.phi[(k, g)] != L.phi[(hk, g)]:
+                if L.phi[(h, P.conj(k, g))] @ L.phi[(k, g)] != _times_matrix(D, L.phi[(hk, g)]):
                     fails.append((f"(h={P.names[h]},k={P.names[k]},g={P.names[g]})",
                                   "phi_h phi_k != phi_hk"))
     report.add("phi_homomorphism", fails)
 
+    # phi_h(1) has degree 2 against 1, phi_h(xy) degree 2 against 3
     fails = []
+    unit = _times(D, L.unit)
     for h in P.elements():
-        if L.phi[(h, 0)].apply(L.unit) != L.unit:
+        if L.phi[(h, 0)].apply(L.unit) != unit:
             fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
         for g1, g2 in itertools.product(nonzero, repeat=2):
             phi12 = L.phi[(h, P.mul(g1, g2))]
             hg1, hg2 = P.conj(h, g1), P.conj(h, g2)
             for i, ni in enumerate(names[g1]):
                 for j, nj in enumerate(names[g2]):
-                    lhs = phi12.apply(prod[(g1, g2)][i][j])
+                    lhs = _times(D, phi12.apply(prod[(g1, g2)][i][j]))
                     rhs = L.multiply(hg1, phis[(h, g1)][i], hg2, phis[(h, g2)][j])
                     if lhs != rhs:
                         fails.append((f"(h={P.names[h]},{ni},{nj})",
                                       "phi_h(xy) != phi_h(x) phi_h(y)"))
     report.add("phi_multiplicative", fails)
 
+    # degree 3 against 1
     fails = []
     for h in P.elements():
         for g in P.elements():
             lhs = L.phi[(h, g)].transpose() @ L.rho[P.conj(h, g)] @ L.phi[(h, P.inv[g])]
-            if lhs != L.rho[g]:
+            if lhs != _times_matrix(D ** 2, L.rho[g]):
                 fails.append((f"(h={P.names[h]},g={P.names[g]})",
                               "phi_h does not preserve rho"))
     report.add("phi_isometry", fails)
 
     fails = []
     for g in P.elements():
-        if L.phi[(g, g)] != Matrix.identity(f, L.dims[g]):
+        if L.phi[(g, g)] != ident[g]:
             fails.append((f"g={P.names[g]}", "phi_g is not the identity on L_g"))
     report.add("phi_fixes_own_grade", fails)
 
-    # phi_h(e_i) e_j contracts phi_h(e_i) with cols[(hgh^-1, h)][j]
+    # phi_h(e_i) e_j contracts phi_h(e_i) with cols[(hgh^-1, h)][j]; it has
+    # degree 2 against 1
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
         hg = P.conj(h, g)
@@ -316,7 +383,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         for i, na in enumerate(names[g]):
             fa = phis[(h, g)][i]
             for j, nb in enumerate(names[h]):
-                if f.combine(d, zip(fa, cols[(hg, h)][j])) != prod[(h, g)][j][i]:
+                if f.combine(d, zip(fa, cols[(hg, h)][j])) != _times(D, prod[(h, g)][j][i]):
                     fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
     report.add("twisted_commutativity", fails)
 
@@ -342,7 +409,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     report.add("tilde_unit", fails)
 
     # tilde(c') tilde(c) contracts tilde(c) with the products tilde(c') e_l,
-    # built once per c' and grade d(c)
+    # built once per c' and grade d(c); it has degree 3 against 1
     fails = []
     image = {L.cm.d(c) for c in C.elements()}
     for c2 in C.elements():
@@ -352,15 +419,16 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         for c in C.elements():
             dc = L.cm.d(c)
             rhs = f.combine(L.dims[P.mul(d2, dc)], zip(L.tilde[c], left[dc]))
-            if L.tilde[C.mul(c2, c)] != rhs:
+            if _times(D ** 2, L.tilde[C.mul(c2, c)]) != rhs:
                 fails.append((f"(c'={C.names[c2]},c={C.names[c]})",
                               "tilde(c'c) != tilde(c') tilde(c)"))
     report.add("tilde_multiplicative", fails)
 
+    # degree 2 against 1
     fails = []
     for h in P.elements():
         for c in C.elements():
-            if L.apply_phi(h, L.cm.d(c), L.tilde[c]) != L.tilde[L.cm.action(h, c)]:
+            if L.apply_phi(h, L.cm.d(c), L.tilde[c]) != _times(D, L.tilde[L.cm.action(h, c)]):
                 fails.append((f"(h={P.names[h]},c={C.names[c]})",
                               "phi_h(tilde c) != tilde(^h c)"))
     report.add("tilde_equivariant", fails)
@@ -457,17 +525,20 @@ def theta(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
 def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     """The four composition identities relating theta, the product, rho and
     phi, swept over every (c, c', g, h) in the crossed module. Each
-    theta(c, g) is built once per call."""
+    theta(c, g) is built once per call, on `_cleared(L)`, where it has
+    degree 2 (tilde and mul)."""
     report = CheckReport(f"boxed identities for {L.name}")
+    L, D = _cleared(L)
     P, C = L.P, L.C
     d = L.cm.d
     thetas = {(c, g): theta(L, c, g) for c in C.elements() for g in P.elements()}
 
+    # degree 2 against 4
     fails = []
     for c2 in C.elements():
         for c in C.elements():
             for g in P.elements():
-                lhs = thetas[(C.mul(c2, c), g)]
+                lhs = _times_matrix(D ** 2, thetas[(C.mul(c2, c), g)])
                 rhs = thetas[(c2, P.mul(d(c), g))] @ thetas[(c, g)]
                 if lhs != rhs:
                     fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
@@ -513,36 +584,43 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     """Pointwise verification that tilde and phi form a morphism into the
     units/automorphisms crossed module of L, without enumerating Aut(L):
     each tilde(c) is a unit, conjugation by tilde(c) equals phi_{d(c)} on
-    every grade, and tilde is action-equivariant."""
+    every grade, and tilde is action-equivariant. The families run on
+    `_cleared(L)`, with the side of lower degree in the structure maps
+    multiplied up by the common denominator, as in `check_crossed_algebra`."""
     report = CheckReport(f"units/automorphisms square for {L.name}")
-    P, C, f = L.P, L.C, L.field
+    L, D = _cleared(L)
+    P, C = L.P, L.C
     d = L.cm.d
 
+    # tilde(c) tilde(c^-1) has degree 3 against 1
     fails = []
+    unit = _times(D ** 2, L.unit)
     for c in C.elements():
         cinv = C.inv[c]
         left = L.multiply(d(c), L.tilde[c], d(cinv), L.tilde[cinv])
         right = L.multiply(d(cinv), L.tilde[cinv], d(c), L.tilde[c])
-        if left != L.unit or right != L.unit:
+        if left != unit or right != unit:
             fails.append((f"c={C.names[c]}", "tilde(c) is not a unit"))
     report.add("tilde_units", fails)
 
+    # x |-> tilde(c) x tilde(c)^-1, using tilde(c^-1) as the inverse, has
+    # degree 4 against 1
     fails = []
     for c in C.elements():
         cinv = C.inv[c]
         for g in P.elements():
-            # x |-> tilde(c) x tilde(c)^-1, using tilde(c^-1) as the inverse
             inner = L.right_mul_matrix(d(cinv), L.tilde[cinv], P.mul(d(c), g)) @ \
                 theta(L, c, g)
-            if inner != L.phi[(d(c), g)]:
+            if inner != _times_matrix(D ** 3, L.phi[(d(c), g)]):
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "conjugation by tilde(c) != phi_{d(c)}"))
     report.add("delta_tilde_equals_phi_boundary", fails)
 
+    # degree 2 against 1
     fails = []
     for p in P.elements():
         for c in C.elements():
-            if L.apply_phi(p, d(c), L.tilde[c]) != L.tilde[L.cm.action(p, c)]:
+            if L.apply_phi(p, d(c), L.tilde[c]) != _times(D, L.tilde[L.cm.action(p, c)]):
                 fails.append((f"(p={P.names[p]},c={C.names[c]})",
                               "phi_p(tilde c) != tilde(^p c)"))
     report.add("square_equivariance", fails)
@@ -580,8 +658,15 @@ def check_algebra_morphism(m: CrossedAlgebraMorphism) -> CheckReport:
     """The crossed-module morphism it lies over, then the algebra map."""
     report = CheckReport("crossed algebra morphism")
     report.merge(check_morphism(m.over))
-    if not report.ok:
-        return report
+    if report.ok:
+        _check_blocks(m, report)
+    return report
+
+
+def _check_blocks(m: CrossedAlgebraMorphism, report: CheckReport) -> CheckReport:
+    """Add to `report` the families of the algebra map: its block shapes,
+    then, if they fit, each structure map it must preserve. Assumes the
+    crossed-module morphism it lies over passes."""
     L, Lp = m.source, m.target
     P, C = L.P, L.C
     bad = []
@@ -1100,7 +1185,9 @@ def enumerate_algebra_morphisms(fmor: CrossedModuleMorphism, L: CrossedCAlgebra,
                                 Lp: CrossedCAlgebra):
     """All crossed algebra morphisms L -> Lp over fmor, by exhausting every
     grade-block matrix over a finite field. Witness-based checking makes
-    search over Q unbounded, so this requires a prime field."""
+    search over Q unbounded, so this requires a prime field. fmor is checked
+    once: over a failing one there is no morphism, over a passing one each
+    candidate runs only the families of its blocks."""
     field = L.field
     if not hasattr(field, "p"):
         raise ValueError("exhaustive morphism search needs a finite prime field")
@@ -1109,6 +1196,8 @@ def enumerate_algebra_morphisms(fmor: CrossedModuleMorphism, L: CrossedCAlgebra,
     total = sum(r * c for _, r, c in shapes)
     if field.p ** total > MAX_CANDIDATES:
         raise ValueError(f"{field.p}**{total} candidates exceed the bound {MAX_CANDIDATES}")
+    if not check_morphism(fmor).ok:
+        return []
     found = []
     for assignment in itertools.product(range(field.p), repeat=total):
         blocks, k = {}, 0
@@ -1117,6 +1206,6 @@ def enumerate_algebra_morphisms(fmor: CrossedModuleMorphism, L: CrossedCAlgebra,
                                        for i in range(r)], cols=c)
             k += r * c
         m = CrossedAlgebraMorphism(fmor, L, Lp, blocks)
-        if check_algebra_morphism(m).ok:
+        if _check_blocks(m, CheckReport("crossed algebra morphism")).ok:
             found.append(m)
     return found

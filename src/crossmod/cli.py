@@ -24,7 +24,7 @@ from .algebras import (
 from .crossed_modules import check_crossed_module
 from .fields import ScalarParseError, field_from_json
 from .formal_maps import TypecheckFailed, typecheck
-from .hqft import eval_expression, make_hqft, state_space
+from .hqft import eval_expression, make_hqft, require_same_crossed_module, state_space
 from .mutations import MUTATIONS, run_mutation
 from .serialize import (
     CHECKABLE,
@@ -116,6 +116,10 @@ def cmd_eval(args) -> int:
     ws = _workspace(args)
     alg = _load_target(ws, "algebra", args.algebra)
     expr = _load_target(ws, "expression", args.expression)
+    try:
+        require_same_crossed_module(expr, alg.cm)
+    except TypecheckFailed as exc:  # malformed input, whether or not the algebra passes
+        raise SerializationError(str(exc)) from exc
     rep = check_crossed_algebra(alg)
     if not rep.ok:
         print(dumps(rep.to_json()), end="")
@@ -125,10 +129,7 @@ def cmd_eval(args) -> int:
     if not tc.ok:
         print(dumps(tc.to_json()), end="")
         return 1
-    try:
-        result = eval_expression(tau, expr)
-    except TypecheckFailed as exc:  # the expression is over another crossed module
-        raise SerializationError(str(exc)) from exc
+    result = eval_expression(tau, expr)
     doc = {
         "source_dims": list(state_space(tau, expr.source)),
         "target_dims": list(state_space(tau, expr.target)),

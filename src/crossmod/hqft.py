@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .algebras import CrossedCAlgebra, check_crossed_algebra
+from .crossed_modules import CrossedModule
 from .formal_maps import (
     Cap,
     CobordismExpression,
@@ -137,15 +138,21 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
             return second @ first
 
 
-def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
-    """Kronecker product across each layer, matrix product across layers.
-    The expression must be over the algebra's crossed module: the same
-    groups, boundary and action, whatever its name."""
-    cm = tau.cm
+def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> None:
+    """Raise TypecheckFailed, naming both crossed modules, unless the
+    expression is over cm: the same groups, boundary and action, whatever
+    its name."""
     # the boundary and the action hold both groups
     if e.cm is not cm and (e.cm.boundary, e.cm.act) != (cm.boundary, cm.act):
         raise TypecheckFailed(f"the expression is over crossed module {e.cm.name}, "
                               f"the algebra over {cm.name}")
+
+
+def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
+    """Kronecker product across each layer, matrix product across layers.
+    The expression must be over the algebra's crossed module (see
+    `require_same_crossed_module`)."""
+    require_same_crossed_module(e, tau.cm)
     rep = typecheck(e)
     if not rep.ok:
         fail = rep.first_failure()

@@ -34,7 +34,12 @@ from crossmod.algebras import (
     untranspose_from_pullback,
     untranspose_to_pushforward,
 )
-from crossmod.crossed_modules import from_normal_inclusion, identity_morphism, quotient_morphism
+from crossmod.crossed_modules import (
+    check_morphism,
+    from_normal_inclusion,
+    identity_morphism,
+    quotient_morphism,
+)
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
 from crossmod.groups import cyclic_group, trivial_group, trivial_hom, trivial_action
@@ -406,12 +411,39 @@ def test_morphism_search_bounds_candidates_before_enumerating(monkeypatch):
     cm = from_normal_inclusion(cyclic_group(13), range(13))
     L = group_algebra_P(cm, GF(3))
 
-    def checked(m):
+    def checked(m, report):
         raise AssertionError("a candidate was enumerated")
 
-    monkeypatch.setattr(algebras_module, "check_algebra_morphism", checked)
+    monkeypatch.setattr(algebras_module, "_check_blocks", checked)
     with pytest.raises(ValueError, match="candidates"):
         enumerate_algebra_morphisms(identity_morphism(cm), L, L)
+
+
+def test_morphism_search_checks_the_crossed_module_morphism_once(monkeypatch):
+    """One check_morphism call per search, however many candidates: over
+    collapse.CM-Id2 the search finds its one morphism among 2**2 candidates,
+    and over a failing morphism (identity base map, trivial top map on
+    CM-Id2) it finds none, although identity blocks pass every block family."""
+    calls = []
+
+    def counted(fmor):
+        calls.append(fmor)
+        return check_morphism(fmor)
+
+    algs = std_algebras(GF(2))
+    fmor = std_morphisms()["collapse.CM-Id2"]
+    monkeypatch.setattr(algebras_module, "check_morphism", counted)
+    assert len(enumerate_algebra_morphisms(fmor, algs["KC.CM-Id2"], algs["KQ.1Z2"])) == 1
+    assert calls == [fmor]
+
+    L = algs["KP.CM-Id2"]
+    bad = dataclasses.replace(identity_morphism(L.cm), f_top=trivial_hom(L.C, L.C))
+    calls.clear()
+    assert enumerate_algebra_morphisms(bad, L, L) == []
+    assert calls == [bad]
+    blocks = {p: Matrix.identity(GF(2), L.dims[p]) for p in L.P.elements()}
+    m = CrossedAlgebraMorphism(bad, L, L, blocks)
+    assert [r.axiom for r in check_algebra_morphism(m).failures()] == ["square_commutes"]
 
 
 def test_hom_set_counts_match():

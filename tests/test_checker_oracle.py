@@ -1,22 +1,29 @@
 """The exhaustive checkers against a slow oracle.
 
 check_crossed_algebra reads products of basis vectors from a table and
-contracts them against the structure constants, and check_boxed_identities
-builds each theta(c, g) once. The oracle below keeps the direct loops that
-multiply unit vectors with `multiply` and `pairing` and rebuild theta for
-every instance; both must give byte-identical reports on the fixtures, on
-seeded changes of basis and on seeded one-entry corruptions.
+contracts them against the structure constants, check_boxed_identities
+builds each theta(c, g) once, and all three checkers (aut_square_check
+too) run on the algebra with its denominators cleared. The oracle below
+keeps the direct loops that multiply unit vectors with `multiply` and
+`pairing`, rebuild theta for every instance and conjugate basis vectors one
+at a time, on the algebra as given; both must give byte-identical reports
+on the fixtures, on seeded changes of basis, on diagonal changes of basis
+by large primes and on seeded one-entry corruptions.
 """
 
 import copy
 import functools
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from crossmod.algebras import (
     CrossedCAlgebra,
+    _cleared,
+    aut_square_check,
     check_boxed_identities,
     check_crossed_algebra,
     group_algebra_C,
@@ -175,6 +182,35 @@ def slow_boxed_report(L) -> CheckReport:
     return report
 
 
+def slow_aut_square_report(L) -> CheckReport:
+    report = CheckReport(f"units/automorphisms square for {L.name}")
+    P, C, d = L.P, L.C, L.cm.d
+
+    fails = []
+    for c in C.elements():
+        cinv = C.inv[c]
+        if L.multiply(d(c), L.tilde[c], d(cinv), L.tilde[cinv]) != L.unit or \
+                L.multiply(d(cinv), L.tilde[cinv], d(c), L.tilde[c]) != L.unit:
+            fails.append((f"c={C.names[c]}", "tilde(c) is not a unit"))
+    report.add("tilde_units", fails)
+
+    fails = []
+    for c, g in itertools.product(C.elements(), P.elements()):
+        cinv, dcg = C.inv[c], P.mul(d(c), g)
+        if any(L.multiply(dcg, L.multiply(d(c), L.tilde[c], g, x), d(cinv), L.tilde[cinv])
+               != L.apply_phi(d(c), g, x) for _, x in _units(L, g)):
+            fails.append((f"(c={C.names[c]},g={P.names[g]})",
+                          "conjugation by tilde(c) != phi_{d(c)}"))
+    report.add("delta_tilde_equals_phi_boundary", fails)
+
+    fails = []
+    for p, c in itertools.product(P.elements(), C.elements()):
+        if L.apply_phi(p, d(c), L.tilde[c]) != L.tilde[L.cm.action(p, c)]:
+            fails.append((f"(p={P.names[p]},c={C.names[c]})", "phi_p(tilde c) != tilde(^p c)"))
+    report.add("square_equivariance", fails)
+    return report
+
+
 # --------------------------------------------------------------------------
 # test algebras: fixtures, crossed modules with two-dimensional grades,
 # seeded changes of basis and seeded corruptions
@@ -206,10 +242,35 @@ def random_invertible(f, n, rng):
 def gauge(L, rng):
     """L in the basis whose vectors in grade g are the columns of a random
     invertible S_g: an isomorphic algebra with dense structure data."""
-    P, f = L.P, L.field
     S, Sinv = {}, {}
-    for g in P.elements():
-        S[g], Sinv[g] = random_invertible(f, L.dims[g], rng)
+    for g in L.P.elements():
+        S[g], Sinv[g] = random_invertible(L.field, L.dims[g], rng)
+    return change_basis(L, S, Sinv, f"gauge({L.name})")
+
+
+# Mersenne primes, the largest first, so that the common denominator of
+# every big-prime basis below exceeds 2**64
+BIG_PRIMES = (2 ** 89 - 1, 2 ** 61 - 1, 2 ** 31 - 1, 2 ** 19 - 1, 2 ** 17 - 1, 2 ** 13 - 1)
+
+
+def big_prime_basis(L):
+    """L over Q in the basis e_i / p_i, with p_i the big primes in turn:
+    every structure map gets denominators that are products of them."""
+    S, Sinv, n = {}, {}, 0
+    for g in L.P.elements():
+        ps = [BIG_PRIMES[(n + i) % len(BIG_PRIMES)] for i in range(L.dims[g])]
+        n += L.dims[g]
+        S[g] = Matrix(QQ, [[Fraction(1, p) if i == j else 0 for j in range(len(ps))]
+                           for i, p in enumerate(ps)], cols=len(ps))
+        Sinv[g] = Matrix(QQ, [[p if i == j else 0 for j in range(len(ps))]
+                              for i, p in enumerate(ps)], cols=len(ps))
+    return change_basis(L, S, Sinv, f"primes({L.name})")
+
+
+def change_basis(L, S, Sinv, name):
+    """L in the basis whose vectors in grade g are the columns of S_g, with
+    Sinv_g its inverse."""
+    P, f = L.P, L.field
 
     def basis(g, i):
         return tuple(row[i] for row in S[g].data)
@@ -221,7 +282,7 @@ def gauge(L, rng):
     phi = {(h, g): Sinv[P.conj(h, g)] @ L.phi[(h, g)] @ S[g]
            for h in P.elements() for g in P.elements()}
     tilde = [Sinv[L.cm.d(c)].apply(L.tilde[c]) for c in L.C.elements()]
-    return CrossedCAlgebra(f"gauge({L.name})", L.cm, f, L.dims, L.basis_names,
+    return CrossedCAlgebra(name, L.cm, f, L.dims, L.basis_names,
                            mul, Sinv[0].apply(L.unit), rho, phi, tilde)
 
 
@@ -291,6 +352,11 @@ def _cases():
             for n, target in enumerate(TARGETS):
                 bad = corrupt((algs[name], G)[n % 2], rng, target)
                 yield f"{fname}/{bad.name}", bad
+            if field == QQ:
+                B = big_prime_basis(G)
+                yield f"{fname}/{B.name}", B
+                bad = corrupt(B, rng, TARGETS[GAUGED.index(name) % len(TARGETS)])
+                yield f"{fname}/{bad.name}", bad
 
 
 CASES = dict(_cases())
@@ -299,14 +365,15 @@ CASES = dict(_cases())
 @functools.lru_cache(maxsize=None)
 def fast_reports(name):
     L = CASES[name]
-    return check_crossed_algebra(L), check_boxed_identities(L)
+    return check_crossed_algebra(L), check_boxed_identities(L), aut_square_check(L)
 
 
 def test_case_set():
-    # 12 fixtures and 2 doubling modules per field; the gauge algebras are
-    # crossed algebras, and the corruptions reach every family the oracle
-    # recomputes
+    # 12 fixtures and 2 doubling modules per field; the gauge algebras (the
+    # big-prime bases among them) are crossed algebras, and the corruptions
+    # reach every family the oracle recomputes
     assert sum("gauge" not in name and "+" not in name for name in CASES) == 28
+    assert sum(name.startswith("QQ/primes(") for name in CASES) == 2 * len(GAUGED)
     failed = set()
     for name in CASES:
         reports = fast_reports(name)
@@ -314,12 +381,46 @@ def test_case_set():
             assert all(rep.ok for rep in reports), name
         failed |= {r.axiom for rep in reports for r in rep.failures()}
     assert set(SLOW_FAMILIES) <= failed
-    assert {r.axiom for r in slow_boxed_report(CASES["QQ/KC.CM-Id2"]).results} <= failed
+    L = CASES["QQ/KC.CM-Id2"]
+    for rep in (slow_boxed_report(L), slow_aut_square_report(L)):
+        assert {r.axiom for r in rep.results} <= failed
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_checkers_match_oracle(name):
     L = CASES[name]
-    fast, boxed = fast_reports(name)
+    fast, boxed, square = fast_reports(name)
     assert fast.to_json() == slow_crossed_report(L, fast).to_json()
     assert boxed.to_json() == slow_boxed_report(L).to_json()
+    assert square.to_json() == slow_aut_square_report(L).to_json()
+
+
+def _entries(L):
+    """Every entry of mul, unit, rho, phi and tilde, in one fixed order."""
+    return [*(x for key in sorted(L.mul) for row in L.mul[key] for cell in row for x in cell),
+            *L.unit, *(x for g in sorted(L.rho) for row in L.rho[g].data for x in row),
+            *(x for key in sorted(L.phi) for row in L.phi[key].data for x in row),
+            *(x for v in L.tilde for x in v)]
+
+
+def test_cleared_leaves_integral_and_prime_field_algebras_as_they_are():
+    names = [name for name in CASES if name.startswith("GF5/")]
+    names += [name for name in CASES if name.startswith("QQ/")
+              and all(type(x) is int for x in _entries(CASES[name]))]
+    assert "QQ/KC.CM-A3S3" in names and "GF5/gauge(KC.CM-Mod)" in names
+    for name in names:
+        L = CASES[name]
+        cleared, D = _cleared(L)
+        assert cleared is L and D == 1, name
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("QQ/primes(")])
+def test_cleared_scales_every_map_by_the_common_denominator(name):
+    """On the big-prime bases the common denominator exceeds 2**64; every
+    entry of the cleared algebra is an int, D times the entry it replaces."""
+    L = CASES[name]
+    cleared, D = _cleared(L)
+    assert D > 2 ** 64
+    assert all(type(x) is int for x in _entries(cleared))
+    assert _entries(cleared) == [D * x for x in _entries(L)]
+    assert math.lcm(*(Fraction(x).denominator for x in _entries(L))) == D

@@ -483,6 +483,26 @@ def test_cli_eval_over_another_crossed_module_exits_2(tmp_path, capsys, cms):
             "error": "the expression is over crossed module CM-A3S3, the algebra over CM-Mod"}
 
 
+def test_cli_eval_compares_crossed_modules_before_checking_the_algebra(
+        tmp_path, capsys, cms, algebras):
+    """K[C](CM-A3S3) with its unit corrupted fails the checker (exit 1 with
+    an expression over CM-A3S3), but with an expression over CM-Mod the
+    mismatch is malformed input: exit 2, naming both crossed modules."""
+    doc = to_doc("algebra", algebras["KC.CM-A3S3"])
+    doc["unit"][0] = "2"
+    alg = tmp_path / "kc-bad.json"
+    alg.write_text(dumps(doc))
+    own = tmp_path / "own.json"
+    own.write_text(dumps(to_doc("expression", expression(cms["CM-A3S3"], [0], [], [0]))))
+    assert main(["eval", str(alg), str(own)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    other = tmp_path / "other.json"
+    other.write_text(dumps(to_doc("expression", expression(cms["CM-Mod"], [0], [], [0]))))
+    assert main(["eval", str(alg), str(other)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "the expression is over crossed module CM-Mod, the algebra over CM-A3S3"}
+
+
 def test_cli_eval_compares_crossed_modules_by_structure(tmp_path, capsys, cms, algebras):
     """An algebra file whose inline crossed module has another name evaluates
     like the named algebra."""
