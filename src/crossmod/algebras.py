@@ -45,11 +45,16 @@ class CrossedCAlgebra:
         self.field = field
         self.dims = tuple(dims)
         self.basis_names = tuple(tuple(ns) for ns in basis_names)
-        self.mul = mul        # (g, h) -> [i][j][k] structure constants
-        self.unit = tuple(unit)
+        # every scalar is stored canonical, through field.of, as Matrix
+        # stores those of rho and phi; mul maps (g, h) to the [i][j][k]
+        # structure constants
+        of = field.of
+        self.mul = {key: [[list(map(of, cell)) for cell in row] for row in block]
+                    for key, block in mul.items()}
+        self.unit = tuple(map(of, unit))
         self.rho = rho        # g -> Matrix dims[g] x dims[g^-1]
         self.phi = phi        # (h, g) -> Matrix dims[hgh^-1] x dims[g]
-        self.tilde = tuple(tuple(v) for v in tilde)  # c -> vector in grade d(c)
+        self.tilde = tuple(tuple(map(of, v)) for v in tilde)  # c -> vector in grade d(c)
 
     # -- shape helpers ------------------------------------------------------
 
@@ -526,8 +531,12 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     """The four composition identities relating theta, the product, rho and
     phi, swept over every (c, c', g, h) in the crossed module. Each
     theta(c, g) is built once per call, on `_cleared(L)`, where it has
-    degree 2 (tilde and mul)."""
+    degree 2 (tilde and mul). A malformed L is reported by its failing
+    `well_formed` family alone; a well-formed one adds no such family."""
     report = CheckReport(f"boxed identities for {L.name}")
+    if shape := well_formed(L):
+        report.add("well_formed", shape)
+        return report
     L, D = _cleared(L)
     P, C = L.P, L.C
     d = L.cm.d
@@ -586,8 +595,12 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     each tilde(c) is a unit, conjugation by tilde(c) equals phi_{d(c)} on
     every grade, and tilde is action-equivariant. The families run on
     `_cleared(L)`, with the side of lower degree in the structure maps
-    multiplied up by the common denominator, as in `check_crossed_algebra`."""
+    multiplied up by the common denominator, as in `check_crossed_algebra`.
+    Shape faults are reported as in `check_boxed_identities`."""
     report = CheckReport(f"units/automorphisms square for {L.name}")
+    if shape := well_formed(L):
+        report.add("well_formed", shape)
+        return report
     L, D = _cleared(L)
     P, C = L.P, L.C
     d = L.cm.d
@@ -781,10 +794,7 @@ def kp_iso_witness(cm: CrossedModule, field):
     KP = group_algebra_P(cm, field)
     blocks = {p: Matrix.identity(field, 1) for p in cm.base.elements()}
     witness = CrossedAlgebraMorphism(identity_morphism(cm), KP, pulled, blocks)
-    rep = check_algebra_morphism(witness)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise AssertionError(f"witness is not a morphism: {fail.axiom} at {fail.instance}")
+    check_algebra_morphism(witness).require(AssertionError)
     if not is_isomorphism(witness):
         raise AssertionError("witness blocks are not invertible")
     verify_cocycle_multiplication(cm, q, sec, coc, pulled)
@@ -1091,11 +1101,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     algebra = CrossedCAlgebra(name or f"push({L.name})", tgt, field, dims_new,
                               basis_names, mul_new, unit_new, rho_new, phi_new,
                               tilde_new)
-    rep = check_crossed_algebra(algebra)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise ValueError(f"pushforward is not a crossed algebra: "
-                         f"{fail.axiom} at {fail.instance}")
+    check_crossed_algebra(algebra).require()
     data.algebra = algebra
     return data
 

@@ -49,10 +49,7 @@ def _workspace(args) -> Workspace:
 
 def _load_target(ws: Workspace, kind: str, target: str):
     if Path(target).is_file():
-        got_kind, name, obj = load_file(target, ws)
-        if got_kind != kind:
-            raise SerializationError(f"{target} holds a {got_kind}, not a {kind}")
-        return obj
+        return load_file(target, ws, kind)[2]
     return ws.get(target, kind)
 
 

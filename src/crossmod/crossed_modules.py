@@ -12,14 +12,11 @@ from .groups import (
     GroupConstructionError,
     GroupHomomorphism,
     NotNormal,
-    action,
     automorphism_group,
     check_action,
     check_homomorphism,
-    hom,
     identity_hom,
     is_normal,
-    is_subgroup,
     quotient_group,
     restrict_subgroup,
     trivial_action,
@@ -82,25 +79,20 @@ def check_crossed_module(cm: CrossedModule) -> CheckReport:
 
 def crossed_module(name, top, base, boundary, act) -> CrossedModule:
     cm = CrossedModule(name, top, base, boundary, act)
-    rep = check_crossed_module(cm)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise GroupConstructionError(
-            f"{name}: {fail.axiom} fails at {fail.instance}: {fail.detail}")
+    check_crossed_module(cm).require(GroupConstructionError)
     return cm
 
 
 def from_normal_inclusion(g: FiniteGroup, members, name=None) -> CrossedModule:
-    """Normal subgroup inclusion with the conjugation action."""
-    if not is_subgroup(g, members):
-        raise GroupConstructionError(f"{sorted(members)} is not a subgroup")
-    if not is_normal(g, members):
-        raise NotNormal(f"{sorted(members)} is not normal")
+    """Normal subgroup inclusion with the conjugation action. The action and
+    the boundary are checked once, by `crossed_module`."""
     sub, incl = restrict_subgroup(g, members)
+    if not is_normal(g, incl):
+        raise NotNormal(f"{list(incl)} is not normal")
     pos = {m: i for i, m in enumerate(incl)}
-    act = action(g, sub, [[pos[g.conj(p, m)] for m in incl] for p in g.elements()])
-    boundary = hom(sub, g, incl)
-    return crossed_module(name or "inclusion", sub, g, boundary, act)
+    act = GroupAction(g, sub, tuple(tuple(pos[g.conj(p, m)] for m in incl)
+                                    for p in g.elements()))
+    return crossed_module(name or "inclusion", sub, g, GroupHomomorphism(sub, g, incl), act)
 
 
 def from_module(m: FiniteGroup, p: FiniteGroup, act: GroupAction, name=None) -> CrossedModule:
@@ -157,10 +149,7 @@ def check_morphism(m: CrossedModuleMorphism) -> CheckReport:
 
 def morphism(source, target, f_top, f_base) -> CrossedModuleMorphism:
     m = CrossedModuleMorphism(source, target, f_top, f_base)
-    rep = check_morphism(m)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise GroupConstructionError(f"invalid morphism ({fail.axiom}) at {fail.instance}")
+    check_morphism(m).require(GroupConstructionError)
     return m
 
 
@@ -168,21 +157,14 @@ def identity_morphism(cm: CrossedModule) -> CrossedModuleMorphism:
     return morphism(cm, cm, identity_hom(cm.top), identity_hom(cm.base))
 
 
-def quotient_crossed_module(cm: CrossedModule) -> CrossedModule:
-    """(1 -> base/im d) with trivial top group and trivial action."""
-    _, img, quot, _ = kernel_and_image(cm)
-    one = trivial_group()
-    return crossed_module(f"(1->{cm.name}/d)", one, quot,
-                          trivial_hom(one, quot), trivial_action(quot, one))
-
-
 def quotient_morphism(cm: CrossedModule) -> CrossedModuleMorphism:
-    """The collapse of cm onto (1 -> base/im d)."""
-    _, img, quot, proj = kernel_and_image(cm)
-    target = quotient_crossed_module(cm)
-    # rebuild proj against the same quotient group object used in target
-    proj = hom(cm.base, target.base, proj.map)
-    return morphism(cm, target, trivial_hom(cm.top, target.top), proj)
+    """The collapse of cm onto (1 -> base/im d), the crossed module with the
+    trivial top group and the trivial action."""
+    _, _, quot, proj = kernel_and_image(cm)
+    one = trivial_group()
+    target = crossed_module(f"(1->{cm.name}/d)", one, quot,
+                            trivial_hom(one, quot), trivial_action(quot, one))
+    return morphism(cm, target, trivial_hom(cm.top, one), proj)
 
 
 @dataclass(frozen=True)

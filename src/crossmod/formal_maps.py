@@ -556,10 +556,7 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
         raise UnsupportedTriangulation("not one of the two annulus squares")
     if m.label_of(0, 2) != m.label_of(1, 3):
         raise UnsupportedTriangulation("seam edges carry different labels")
-    rep = validate_simplicial(m)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise ValueError(f"labeling invalid: {fail.axiom} at {fail.instance}")
+    validate_simplicial(m).require()
     g = m.label_of(0, 1)
     h = m.label_of(0, 2)
     square = _combined_square_cell(m, 0, 1)  # triangle 0 carries the inner route

@@ -15,18 +15,6 @@ from .report import CheckReport
 class GroupConstructionError(ValueError):
     pass
 
-class NotAssociative(GroupConstructionError):
-    pass
-
-class NoIdentityAtZero(GroupConstructionError):
-    pass
-
-class MissingInverse(GroupConstructionError):
-    pass
-
-class NotLatinSquare(GroupConstructionError):
-    pass
-
 class NotSubgroup(GroupConstructionError):
     pass
 
@@ -129,21 +117,10 @@ def check_group_table(names, table) -> CheckReport:
     return report
 
 
-_GROUP_ERRORS = {
-    "well_formed": GroupConstructionError,
-    "identity_at_zero": NoIdentityAtZero,
-    "latin_square": NotLatinSquare,
-    "inverses": MissingInverse,
-    "associativity": NotAssociative,
-}
-
-
 def make_group(names, table) -> FiniteGroup:
-    """Validate a multiplication table and return the group."""
-    report = check_group_table(names, table)
-    fail = report.first_failure()
-    if fail is not None:
-        raise _GROUP_ERRORS[fail.axiom](f"{fail.instance}: {fail.detail}")
+    """Validate a multiplication table and return the group; a table that is
+    not a group raises GroupConstructionError naming the failing family."""
+    check_group_table(names, table).require(GroupConstructionError)
     names = tuple(str(n) for n in names)
     table = tuple(tuple(row) for row in table)
     n = len(names)
@@ -225,10 +202,7 @@ def check_homomorphism(h: GroupHomomorphism) -> CheckReport:
 
 def hom(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHomomorphism:
     h = GroupHomomorphism(source, target, tuple(mapping))
-    rep = check_homomorphism(h)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise GroupConstructionError(f"not a homomorphism at {fail.instance}: {fail.detail}")
+    check_homomorphism(h).require(GroupConstructionError)
     return h
 
 
@@ -285,10 +259,7 @@ def check_action(act: GroupAction) -> CheckReport:
 
 def action(actor: FiniteGroup, space: FiniteGroup, table) -> GroupAction:
     act = GroupAction(actor, space, tuple(tuple(r) for r in table))
-    rep = check_action(act)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise GroupConstructionError(f"invalid action ({fail.axiom}) at {fail.instance}")
+    check_action(act).require(GroupConstructionError)
     return act
 
 

@@ -65,10 +65,7 @@ class FormalHQFT:
 
 
 def make_hqft(algebra: CrossedCAlgebra) -> FormalHQFT:
-    rep = check_crossed_algebra(algebra)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise ValueError(f"not a crossed algebra: {fail.axiom} at {fail.instance}")
+    check_crossed_algebra(algebra).require()
     return FormalHQFT(algebra)
 
 
@@ -153,10 +150,7 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     The expression must be over the algebra's crossed module (see
     `require_same_crossed_module`)."""
     require_same_crossed_module(e, tau.cm)
-    rep = typecheck(e)
-    if not rep.ok:
-        fail = rep.first_failure()
-        raise TypecheckFailed(f"{fail.axiom} at {fail.instance}: {fail.detail}")
+    typecheck(e).require(TypecheckFailed)
     f = tau.field
     total = Matrix.identity(f, math.prod(state_space(tau, e.source)))
     for layer in e.layers:

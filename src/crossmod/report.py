@@ -43,6 +43,15 @@ class CheckReport:
         bad = self.failures()
         return bad[0] if bad else None
 
+    def require(self, error=ValueError) -> "CheckReport":
+        """The report itself when every family passed; otherwise raise
+        `error` naming the subject and the first failing family, instance
+        and detail. The one place a failing check becomes an exception."""
+        for r in self.results:
+            if not r.ok:
+                raise error(f"{self.subject}: {r.axiom} fails at {r.instance}: {r.detail}")
+        return self
+
     def add_pass(self, axiom: str):
         self.results.append(AxiomResult(axiom, True))
 

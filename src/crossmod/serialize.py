@@ -230,10 +230,7 @@ class Workspace:
         if isinstance(ref, str):
             return self.get(ref, kind)
         if isinstance(ref, dict):
-            got_kind, _, obj = from_doc(ref, self)
-            if got_kind != kind:
-                raise SerializationError(f"expected {kind}, got {got_kind}")
-            return obj
+            return from_doc(ref, self, kind)[2]
         raise SerializationError(f"bad reference {ref!r}")
 
 
@@ -444,28 +441,32 @@ CHECKABLE = {
 }
 
 
-def from_doc(doc, ws: Workspace):
+def from_doc(doc, ws: Workspace, kind: str | None = None):
     """Decode one document into (kind, name, object). Every fault of the
     document raises SerializationError, or UnknownObject for a name that does
-    not resolve. An IndexError is not caught: every index is checked before
-    use, so one is a bug."""
+    not resolve; so does a document that is not of `kind`, when it is given.
+    An IndexError is not caught: every index is checked before use, so one
+    is a bug."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SerializationError("document must be an object with a 'kind' field")
-    kind, name = doc["kind"], doc.get("name", doc["kind"])
-    if not isinstance(kind, str) or kind not in FROM_DOC:
-        raise SerializationError(f"unknown kind {kind!r}")
+    got_kind, name = doc["kind"], doc.get("name", doc["kind"])
+    if not isinstance(got_kind, str) or got_kind not in FROM_DOC:
+        raise SerializationError(f"unknown kind {got_kind!r}")
     if not isinstance(name, str):
         raise SerializationError(f"name must be a string, not {name!r}")
+    if kind is not None and got_kind != kind:
+        raise SerializationError(f"{name!r} is a {got_kind}, not a {kind}")
     try:
-        return kind, name, FROM_DOC[kind](doc, ws)
+        return got_kind, name, FROM_DOC[got_kind](doc, ws)
     except (SerializationError, UnknownObject):
         raise
     except KeyError as exc:
-        raise SerializationError(f"bad {kind} document: missing field {exc.args[0]!r}") from exc
+        raise SerializationError(
+            f"bad {got_kind} document: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         # scalar parse errors, matrix shapes, and the validation of the
         # complex and of the simplicial map
-        raise SerializationError(f"bad {kind} document: {exc}") from exc
+        raise SerializationError(f"bad {got_kind} document: {exc}") from exc
 
 
 def check_doc(doc, ws: Workspace, kind: str, checker=None):
@@ -476,10 +477,7 @@ def check_doc(doc, ws: Workspace, kind: str, checker=None):
     group is a failing report with a counterexample, not a decode error."""
     if kind == "group":
         return check_group_table(*group_table_from_doc(doc))
-    got_kind, name, obj = from_doc(doc, ws)
-    if got_kind != kind:
-        raise SerializationError(f"{name!r} is a {got_kind}, not a {kind}")
-    return (checker or CHECKABLE[kind])(obj)
+    return (checker or CHECKABLE[kind])(from_doc(doc, ws, kind)[2])
 
 
 def read_doc(path):
@@ -490,5 +488,5 @@ def read_doc(path):
         raise SerializationError(f"cannot read {path}: {exc}") from exc
 
 
-def load_file(path, ws: Workspace):
-    return from_doc(read_doc(path), ws)
+def load_file(path, ws: Workspace, kind: str | None = None):
+    return from_doc(read_doc(path), ws, kind)

@@ -162,9 +162,7 @@ def _interchange():
 def _boxed_identities():
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
-    for name in ["KC.CM-Id2", "KC.CM-A3S3", "KC.CM-Mod", "KC.CM-AutS3",
-                 "KP.CM-Id2", "KP.CM-A3S3", "KP.CM-Mod", "KP.CM-AutS3",
-                 "QKG.CM-A3S3", "PUSH.CM-A3S3"]:
+    for name in fixtures.fixture_algebra_names():
         rep = check_boxed_identities(algs[name])
         ok &= rep.ok
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")

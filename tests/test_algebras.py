@@ -42,7 +42,9 @@ from crossmod.crossed_modules import (
 )
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
+from crossmod.formal_maps import Disc, Pants
 from crossmod.groups import cyclic_group, trivial_group, trivial_hom, trivial_action
+from crossmod.hqft import eval_piece, make_hqft
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
 
 
@@ -174,6 +176,42 @@ def test_bad_basis_names_are_a_well_formed_fault(algebras, basis_names):
     report = check_crossed_algebra(bad)
     fail = report.first_failure()
     assert fail.axiom == "well_formed" and fail.instance.startswith("basis_names"), fail
+
+
+def test_algebra_stores_canonical_scalars():
+    """An algebra given unreduced entries (every mul, unit and tilde entry
+    plus 3, over GF(3)) stores them reduced: it is the same algebra, passes
+    the checker and evaluates to the same matrices."""
+    f = GF(3)
+    L = std_algebras(f)["KP.CM-Id2"]
+    shifted = CrossedCAlgebra(
+        L.name, L.cm, f, L.dims, L.basis_names,
+        {key: [[[x + 3 for x in cell] for cell in row] for row in block]
+         for key, block in L.mul.items()},
+        [x + 3 for x in L.unit], L.rho, L.phi, [[x + 3 for x in v] for v in L.tilde])
+    assert check_crossed_algebra(shifted).ok
+    assert same_structure(shifted, L)
+    tau, tau_shifted = make_hqft(L), make_hqft(shifted)
+    for piece in (Pants(0, 0, 0), Disc(0)):
+        assert eval_piece(tau_shifted, piece) == eval_piece(tau, piece), piece
+
+
+def _malformed_kc_mod(algebras):
+    """KC.CM-Mod with one tilde vector, and with one extra unit entry."""
+    L = algebras["KC.CM-Mod"]
+
+    def rebuilt(unit, tilde):
+        return CrossedCAlgebra(L.name, L.cm, L.field, L.dims, L.basis_names, L.mul,
+                               unit, L.rho, L.phi, tilde)
+
+    return [rebuilt(L.unit, L.tilde[:1]), rebuilt(L.unit + (L.field.zero,), L.tilde)]
+
+
+@pytest.mark.parametrize("checker", [check_boxed_identities, aut_square_check])
+def test_malformed_algebra_fails_well_formed_alone(algebras, checker):
+    for bad in _malformed_kc_mod(algebras):
+        report = checker(bad)
+        assert [(r.axiom, r.ok) for r in report.results] == [("well_formed", False)]
 
 
 def test_boxed_identities_all_fixtures(algebras):

@@ -6,10 +6,6 @@ from conftest import perm_conj, perm_mul
 from crossmod.groups import (
     GroupConstructionError,
     GroupHomomorphism,
-    MissingInverse,
-    NoIdentityAtZero,
-    NotAssociative,
-    NotLatinSquare,
     NotNormal,
     NotSubgroup,
     OrderBoundExceeded,
@@ -28,6 +24,7 @@ from crossmod.groups import (
     symmetric_group_3,
     trivial_group,
 )
+from crossmod.report import CheckReport
 
 
 def test_make_group_trivial_and_z2():
@@ -49,9 +46,9 @@ def test_s3_brute_force_associativity():
 
 
 def test_make_group_errors():
-    with pytest.raises(NoIdentityAtZero):
+    with pytest.raises(GroupConstructionError, match="identity_at_zero"):
         make_group(["a", "b"], [[1, 0], [0, 1]])
-    with pytest.raises(NotLatinSquare):
+    with pytest.raises(GroupConstructionError, match="latin_square"):
         make_group(["e", "s", "t"], [[0, 1, 2], [1, 1, 2], [2, 2, 0]])
     # a Latin square with identity but broken associativity: order-5 loop
     loop = [[0, 1, 2, 3, 4],
@@ -59,10 +56,23 @@ def test_make_group_errors():
             [2, 4, 0, 1, 3],
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0]]
-    with pytest.raises((NotAssociative, MissingInverse)):
+    with pytest.raises(GroupConstructionError, match="associativity|inverses"):
         make_group(list("eabcd"), loop)
     with pytest.raises(GroupConstructionError):
         make_group(["e"], [[0, 0]])
+
+
+def test_check_report_require():
+    report = CheckReport("subject S")
+    report.add_pass("first")
+    assert report.require() is report
+    report.add("second", [("inst A", "detail A"), ("inst B", "detail B")])
+    report.add("third", [("inst C", "detail C")])
+    with pytest.raises(KeyError) as exc:
+        report.require(KeyError)
+    assert exc.value.args[0] == "subject S: second fails at inst A: detail A"
+    with pytest.raises(ValueError, match="^subject S: second fails at inst A: detail A$"):
+        report.require()
 
 
 def test_check_homomorphism_examples():

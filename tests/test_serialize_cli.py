@@ -130,6 +130,18 @@ def test_cli_check_file_of_another_kind_exits_2(tmp_path, capsys, cms):
     assert main(["check", "crossed-module", str(path)]) == 0
 
 
+def test_document_of_another_kind_is_one_error(tmp_path, capsys, ws, cms):
+    """`crossmod eval` on a file, and an inline reference, of another kind
+    raise the error of `crossmod check`, naming the document."""
+    path = tmp_path / "cm.json"
+    path.write_text(dumps(to_doc("crossed_module", cms["CM-A3S3"])))
+    assert main(["eval", str(path), str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "'CM-A3S3' is a crossed_module, not a algebra"}
+    with pytest.raises(SerializationError, match="^'S3' is a group, not a crossed_module$"):
+        ws.resolve(to_doc("group", cms["CM-A3S3"].base, "S3"), "crossed_module")
+
+
 def test_cli_check_malformed_exits_2(tmp_path, capsys, cms):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
