@@ -15,7 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .crossed_modules import CrossedModule, CrossedModuleMorphism, check_morphism, identity_morphism
+from .crossed_modules import (
+    CrossedModule,
+    CrossedModuleMismatch,
+    CrossedModuleMorphism,
+    check_morphism,
+    identity_morphism,
+)
 from .fields import QQ
 from .linalg import (
     Matrix,
@@ -27,10 +33,6 @@ from .report import CheckReport
 
 
 class RhoIllDefined(ValueError):
-    pass
-
-
-class DoesNotFactor(ValueError):
     pass
 
 
@@ -754,7 +756,8 @@ def pullback(fmor: CrossedModuleMorphism, Lp: CrossedCAlgebra, name=None) -> Cro
     copy of the target's grade f0(p); the pairing vanishes between non-inverse
     source grades by construction."""
     if Lp.cm != fmor.target:
-        raise ValueError("algebra is not over the morphism's target")
+        raise CrossedModuleMismatch(f"the algebra is over crossed module {Lp.cm.name}, "
+                                    f"the morphism's target is {fmor.target.name}")
     src = fmor.source
     f0 = fmor.f_base.map
     f1 = fmor.f_top.map
@@ -793,8 +796,9 @@ def kp_iso_witness(cm: CrossedModule, field):
     pulled = pullback(qmor, KG, name=f"q*(K[G])({cm.name})")
     KP = group_algebra_P(cm, field)
     blocks = {p: Matrix.identity(field, 1) for p in cm.base.elements()}
+    # identity_morphism checked the crossed-module morphism; only the blocks remain
     witness = CrossedAlgebraMorphism(identity_morphism(cm), KP, pulled, blocks)
-    check_algebra_morphism(witness).require(AssertionError)
+    _check_blocks(witness, CheckReport("crossed algebra morphism")).require(AssertionError)
     if not is_isomorphism(witness):
         raise AssertionError("witness blocks are not invertible")
     verify_cocycle_multiplication(cm, q, sec, coc, pulled)
@@ -946,7 +950,8 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
     products with every basis vector, kept per target-grade class (the
     generators are homogeneous for the target grading)."""
     if L.cm != fmor.source:
-        raise ValueError("algebra is not over the morphism's source")
+        raise CrossedModuleMismatch(f"the algebra is over crossed module {L.cm.name}, "
+                                    f"the morphism's source is {fmor.source.name}")
     tgt = fmor.target
     P, Q, C, D = fmor.source.base, tgt.base, fmor.source.top, tgt.top
     f0, f1 = fmor.f_base.map, fmor.f_top.map
@@ -1131,7 +1136,7 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
                                data: PushforwardData) -> CrossedAlgebraMorphism:
     """Factor a morphism over f through the pushforward of its source.
 
-    Raises DoesNotFactor if the morphism does not kill the defining ideal
+    Raises ValueError if the morphism does not kill the defining ideal
     (impossible for a valid morphism over f)."""
     L, Lp = m.source, m.target
     field = L.field
@@ -1145,7 +1150,7 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
     for qq in Q.elements():
         for kvec in data.spans[qq].basis:
             if any(image_of_class_vector(qq, kvec)):
-                raise DoesNotFactor(
+                raise ValueError(
                     f"morphism does not kill the ideal in class {Q.names[qq]}")
 
     blocks = {}

@@ -21,7 +21,7 @@ from .algebras import (
     pullback,
     pushforward,
 )
-from .crossed_modules import check_crossed_module
+from .crossed_modules import CrossedModuleMismatch, check_crossed_module
 from .fields import ScalarParseError, field_from_json
 from .formal_maps import TypecheckFailed, typecheck
 from .hqft import eval_expression, make_hqft, require_same_crossed_module, state_space
@@ -97,7 +97,7 @@ def cmd_build(args) -> int:
     try:
         obj = build(ws, args.args)
         rep = CHECKABLE[kind](obj)
-    except (SerializationError, ScalarParseError):
+    except (SerializationError, ScalarParseError, CrossedModuleMismatch):
         raise       # malformed input: main maps it to 2
     except ValueError as exc:   # a construction that fails, such as RhoIllDefined
         print(dumps({"error": str(exc)}), end="")
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SerializationError, UnknownObject, ScalarParseError) as exc:
+    except (SerializationError, UnknownObject, ScalarParseError, CrossedModuleMismatch) as exc:
         # malformed input; args[0], since str() of a KeyError such as
         # UnknownObject quotes its message
         print(dumps({"error": str(exc.args[0])}), end="")

@@ -3,7 +3,7 @@ constructors, derived invariants, and the semidirect-product calculus."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .groups import (
     CheckReport,
@@ -11,7 +11,6 @@ from .groups import (
     GroupAction,
     GroupConstructionError,
     GroupHomomorphism,
-    NotNormal,
     automorphism_group,
     check_action,
     check_homomorphism,
@@ -25,20 +24,17 @@ from .groups import (
 )
 
 
-class NotAbelian(GroupConstructionError):
-    pass
-
-
-class ParentMismatch(ValueError):
-    pass
+class CrossedModuleMismatch(ValueError):
+    """Two inputs that must be over one crossed module are not."""
 
 
 @dataclass(frozen=True)
 class CrossedModule:
     """A boundary homomorphism top -> base with a base-action on top,
-    satisfying equivariance (CM1) and the Peiffer identity (CM2)."""
+    satisfying equivariance (CM1) and the Peiffer identity (CM2). Equality
+    and hashing compare the groups, boundary and action, never the name."""
 
-    name: str
+    name: str = field(compare=False)
     top: FiniteGroup
     base: FiniteGroup
     boundary: GroupHomomorphism
@@ -88,7 +84,7 @@ def from_normal_inclusion(g: FiniteGroup, members, name=None) -> CrossedModule:
     the boundary are checked once, by `crossed_module`."""
     sub, incl = restrict_subgroup(g, members)
     if not is_normal(g, incl):
-        raise NotNormal(f"{list(incl)} is not normal")
+        raise GroupConstructionError(f"{list(incl)} is not normal")
     pos = {m: i for i, m in enumerate(incl)}
     act = GroupAction(g, sub, tuple(tuple(pos[g.conj(p, m)] for m in incl)
                                     for p in g.elements()))
@@ -98,7 +94,7 @@ def from_normal_inclusion(g: FiniteGroup, members, name=None) -> CrossedModule:
 def from_module(m: FiniteGroup, p: FiniteGroup, act: GroupAction, name=None) -> CrossedModule:
     """A P-module with the constant-identity boundary; m must be abelian."""
     if not m.is_abelian():
-        raise NotAbelian("constant boundary forces an abelian top group")
+        raise GroupConstructionError("constant boundary forces an abelian top group")
     if act.actor != p or act.space != m:
         raise GroupConstructionError("action must be of p on m")
     return crossed_module(name or "module", m, p, trivial_hom(m, p), act)
@@ -114,7 +110,6 @@ def kernel_and_image(cm: CrossedModule):
     """(ker d, im d, the quotient base/im with its projection)."""
     ker = tuple(c for c in cm.top.elements() if cm.d(c) == 0)
     img = tuple(sorted(set(cm.boundary.map)))
-    assert is_normal(cm.base, img), "boundary image must be normal"
     quot, proj = quotient_group(cm.base, img)
     return ker, img, quot, proj
 
@@ -179,8 +174,8 @@ class SemidirectElement:
 
 def sd_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
     """(c1,g1)(c2,g2) = (c1 * ^{g1}c2, g1 g2)."""
-    if a.parent is not b.parent and a.parent != b.parent:
-        raise ParentMismatch("semidirect elements from different crossed modules")
+    if a.parent != b.parent:
+        raise ValueError("semidirect elements from different crossed modules")
     cm = a.parent
     return SemidirectElement(cm, cm.top.mul(a.c, cm.action(a.p, b.c)),
                              cm.base.mul(a.p, b.p))

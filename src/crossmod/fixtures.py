@@ -25,7 +25,7 @@ from .crossed_modules import (
 )
 from .fields import QQ
 from .groups import (
-    action,
+    GroupAction,
     cyclic_group,
     symmetric_group_3,
     trivial_action,
@@ -50,7 +50,7 @@ A3 = (0, 4, 5)  # e, (123), (132) in the S3 element order
 
 def inversion_action():
     z2, z3 = std_groups()["Z2"], std_groups()["Z3"]
-    return action(z2, z3, [[0, 1, 2], [0, 2, 1]])
+    return GroupAction(z2, z3, ((0, 1, 2), (0, 2, 1)))
 
 
 @lru_cache(maxsize=None)

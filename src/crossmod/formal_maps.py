@@ -17,18 +17,6 @@ from .crossed_modules import CrossedModule
 from .report import CheckReport
 
 
-class BoundaryMismatch(ValueError):
-    pass
-
-
-class NotAdjacent(ValueError):
-    pass
-
-
-class UnsupportedTriangulation(ValueError):
-    pass
-
-
 class TypecheckFailed(ValueError):
     pass
 
@@ -78,9 +66,9 @@ class LabeledCell:
 def compose_v(a: LabeledCell, b: LabeledCell) -> LabeledCell:
     """(c,p) #1 (c', d(c)p) = (c'c, p); the cells share a 1-cell."""
     if a.cm != b.cm:
-        raise BoundaryMismatch("cells over different crossed modules")
+        raise ValueError("cells over different crossed modules")
     if b.p != a.target:
-        raise BoundaryMismatch(
+        raise ValueError(
             f"vertical composite undefined: target {a.cm.base.names[a.target]} "
             f"!= source {a.cm.base.names[b.p]}")
     return LabeledCell(a.cm, a.cm.top.mul(b.c, a.c), a.p)
@@ -89,7 +77,7 @@ def compose_v(a: LabeledCell, b: LabeledCell) -> LabeledCell:
 def compose_h(a: LabeledCell, b: LabeledCell) -> LabeledCell:
     """(c,p) #0 (c',p') = (c * ^p c', pp'); the cells share a 0-cell."""
     if a.cm != b.cm:
-        raise BoundaryMismatch("cells over different crossed modules")
+        raise ValueError("cells over different crossed modules")
     cm = a.cm
     return LabeledCell(cm, cm.top.mul(a.c, cm.action(a.p, b.c)),
                        cm.base.mul(a.p, b.p))
@@ -432,11 +420,11 @@ def _square_of(m: SimplicialFormalMap, t1: int, t2: int):
     tri1, tri2 = K.triangles[t1], K.triangles[t2]
     shared = set(tri1) & set(tri2)
     if t1 == t2 or len(shared) != 2:
-        raise NotAdjacent(f"triangles {tri1} and {tri2} do not share exactly one edge")
+        raise ValueError(f"triangles {tri1} and {tri2} do not share exactly one edge")
     corners = (set(tri1) | set(tri2)) - shared
     verts = sorted(set(tri1) | set(tri2), key=lambda v: K.rank[v])
     if len(verts) != 4:
-        raise NotAdjacent("triangles do not span a square")
+        raise ValueError("triangles do not span a square")
     return tuple(sorted(shared, key=lambda v: K.rank[v])), corners, verts
 
 
@@ -479,7 +467,7 @@ def _combined_square_cell(m: SimplicialFormalMap, t1: int, t2: int) -> LabeledCe
         whisk_a = compose_h(first, cell_identity(cm, m.label_of(w2, w3)))
         whisk_b = compose_h(cell_identity(cm, m.label_of(w0, w1)), second)
         return compose_v(cell_v_inverse(whisk_b), whisk_a)
-    raise UnsupportedTriangulation(f"diagonal {diag} not supported")
+    raise ValueError(f"diagonal {diag} not supported")
 
 
 def _concentrated_relabeling(m: SimplicialFormalMap, t1: int, t2: int,
@@ -506,7 +494,7 @@ def _concentrated_relabeling(m: SimplicialFormalMap, t1: int, t2: int,
     elif diag == (v0, v1):
         labels[edge_idx[diag]] = P.mul(m.label_of(v0, v2), P.inv[m.label_of(v1, v2)])
     else:
-        raise UnsupportedTriangulation(f"diagonal {diag} not supported")
+        raise ValueError(f"diagonal {diag} not supported")
 
     keep_tri = K.triangles[keep]
     if diag == (w0, w2):
@@ -553,9 +541,9 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
     P = cm.base
     if not any((K.edges, K.triangles) == (sq.edges, sq.triangles)
                for sq in map(annulus_square_complex, ("up", "down"))):
-        raise UnsupportedTriangulation("not one of the two annulus squares")
+        raise ValueError("not one of the two annulus squares")
     if m.label_of(0, 2) != m.label_of(1, 3):
-        raise UnsupportedTriangulation("seam edges carry different labels")
+        raise ValueError("seam edges carry different labels")
     validate_simplicial(m).require()
     g = m.label_of(0, 1)
     h = m.label_of(0, 2)

@@ -15,18 +15,6 @@ from .report import CheckReport
 class GroupConstructionError(ValueError):
     pass
 
-class NotSubgroup(GroupConstructionError):
-    pass
-
-class NotNormal(GroupConstructionError):
-    pass
-
-class OrderBoundExceeded(GroupConstructionError):
-    pass
-
-class CocycleIdentityViolated(GroupConstructionError):
-    pass
-
 
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
@@ -264,7 +252,8 @@ def action(actor: FiniteGroup, space: FiniteGroup, table) -> GroupAction:
 
 
 def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
-    return action(actor, space, [list(space.elements()) for _ in actor.elements()])
+    """Every element acts as the identity; an action by construction, so unchecked."""
+    return GroupAction(actor, space, (tuple(space.elements()),) * actor.order)
 
 
 # --- subgroups, quotients ------------------------------------------------
@@ -285,7 +274,7 @@ def is_normal(g: FiniteGroup, members) -> bool:
 def restrict_subgroup(g: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int, ...]]:
     """The subgroup on `members` as a FiniteGroup, plus its inclusion indices."""
     if not is_subgroup(g, members):
-        raise NotSubgroup(f"{sorted(members)} is not a subgroup")
+        raise GroupConstructionError(f"{sorted(members)} is not a subgroup")
     members = tuple(sorted(members))
     pos = {m: i for i, m in enumerate(members)}
     table = [[pos[g.mul(a, b)] for b in members] for a in members]
@@ -294,11 +283,12 @@ def restrict_subgroup(g: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int, 
 
 
 def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorphism]:
-    """Quotient by a normal subgroup, with the projection homomorphism."""
+    """Quotient by a normal subgroup, with the projection homomorphism
+    (a homomorphism by construction, so unchecked)."""
     if not is_subgroup(g, members):
-        raise NotSubgroup(f"{sorted(members)} is not a subgroup")
+        raise GroupConstructionError(f"{sorted(members)} is not a subgroup")
     if not is_normal(g, members):
-        raise NotNormal(f"{sorted(members)} is not normal")
+        raise GroupConstructionError(f"{sorted(members)} is not normal")
     members = tuple(sorted(members))
     cosets = []
     coset_of = [None] * g.order
@@ -313,7 +303,7 @@ def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorph
     names = [f"[{g.names[c[0]]}]" for c in cosets]
     table = [[coset_of[g.mul(a[0], b[0])] for b in cosets] for a in cosets]
     quot = make_group(names, table)
-    return quot, hom(g, quot, coset_of)
+    return quot, GroupHomomorphism(g, quot, tuple(coset_of))
 
 
 # --- automorphisms --------------------------------------------------------
@@ -381,15 +371,16 @@ MAX_AUT_ORDER = 12
 
 
 def automorphism_group(g: FiniteGroup) -> AutomorphismGroup:
-    """Aut(g) by brute-force search over bijections fixing the identity."""
+    """Aut(g) by brute-force search over bijections fixing the identity; the
+    embedding and the standard action hold by construction, so are unchecked."""
     if g.order > MAX_AUT_ORDER:
-        raise OrderBoundExceeded(f"|G| = {g.order} exceeds bound {MAX_AUT_ORDER}")
+        raise GroupConstructionError(f"|G| = {g.order} exceeds bound {MAX_AUT_ORDER}")
     perms = _automorphism_perms(g)
     aut = permutation_group(perms, [f"a{i}" for i in range(len(perms))])
     index = {p: i for i, p in enumerate(perms)}
     inner = tuple(index[tuple(g.conj(x, y) for y in g.elements())] for x in g.elements())
-    alpha = hom(g, aut, inner)
-    std = action(aut, g, [list(p) for p in perms])
+    alpha = GroupHomomorphism(g, aut, inner)
+    std = GroupAction(aut, g, tuple(perms))
     return AutomorphismGroup(aut, g, tuple(perms), alpha, std)
 
 
@@ -449,7 +440,7 @@ def cocycle_from_section(sec: Section) -> TwoCocycle:
         for h in G.elements():
             x = P.product((sec(g), sec(h), P.inv[sec(G.mul(g, h))]))
             if x not in pos:
-                raise CocycleIdentityViolated("cocycle value escaped the kernel")
+                raise GroupConstructionError("cocycle value escaped the kernel")
             row.append(pos[x])
         values.append(tuple(row))
     lift = []
@@ -459,13 +450,13 @@ def cocycle_from_section(sec: Section) -> TwoCocycle:
     # normalization and the twisted identity are theorems; violation = bug
     for g in G.elements():
         if coc.values[0][g] != 0 or coc.values[g][0] != 0:
-            raise CocycleIdentityViolated("cocycle is not normalized")
+            raise GroupConstructionError("cocycle is not normalized")
     for g in G.elements():
         for h in G.elements():
             for k in G.elements():
                 lhs = N.mul(coc.values[g][h], coc.values[G.mul(g, h)][k])
                 rhs = N.mul(coc.lift_action[g][coc.values[h][k]], coc.values[g][G.mul(h, k)])
                 if lhs != rhs:
-                    raise CocycleIdentityViolated(
+                    raise GroupConstructionError(
                         f"identity fails at ({G.names[g]},{G.names[h]},{G.names[k]})")
     return coc

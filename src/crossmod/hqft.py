@@ -34,10 +34,6 @@ from .linalg import Matrix, SingularMatrixError
 from .report import CheckReport
 
 
-class SingularRho(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FormalHQFT:
     """The evaluator of one crossed algebra.
@@ -46,7 +42,7 @@ class FormalHQFT:
     the pairing block rho_{g^-1}. It is filled one grade at a time, the first
     time `eval_piece` evaluates `Cup(g)`, so each pairing block is inverted
     once per evaluator; a singular block is never stored and raises
-    `SingularRho` on every call. It is filled lazily, not in `make_hqft`,
+    ValueError on every call. It is filled lazily, not in `make_hqft`,
     so an evaluation pays only for the grades its cups use. The dict is a
     cache: it cannot be passed to the constructor and takes no part in
     equality, hashing or repr."""
@@ -114,7 +110,7 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
                 try:
                     co = L.rho[ginv].inverse()
                 except SingularMatrixError as exc:
-                    raise SingularRho(f"pairing at grade {P.names[ginv]} is singular") from exc
+                    raise ValueError(f"pairing at grade {P.names[ginv]} is singular") from exc
                 column = tau.copairing[g] = Matrix._of(
                     f, tuple([(x,) for row in co.data for x in row]), 1)
             return column
@@ -139,8 +135,7 @@ def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> No
     """Raise TypecheckFailed, naming both crossed modules, unless the
     expression is over cm: the same groups, boundary and action, whatever
     its name."""
-    # the boundary and the action hold both groups
-    if e.cm is not cm and (e.cm.boundary, e.cm.act) != (cm.boundary, cm.act):
+    if e.cm != cm:
         raise TypecheckFailed(f"the expression is over crossed module {e.cm.name}, "
                               f"the algebra over {cm.name}")
 

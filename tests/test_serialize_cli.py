@@ -431,6 +431,34 @@ def test_cli_build_pushforward(tmp_path, capsys):
     assert main(["check", "algebra", str(out)]) == 0
 
 
+def test_cli_build_pushforward_of_a_renamed_crossed_module(tmp_path, capsys):
+    """K[P] whose inline crossed module has another name pushes forward
+    exactly like the built file."""
+    kp = tmp_path / "kp.json"
+    assert main(["build", "kP", "CM-A3S3", "--out", str(kp)]) == 0
+    doc = json.loads(kp.read_text())
+    doc["crossed_module"]["name"] = "CM-A3S3-renamed"
+    renamed = tmp_path / "kp-renamed.json"
+    renamed.write_text(dumps(doc))
+    outputs = []
+    for path in (kp, renamed):
+        assert main(["build", "pushforward", "q.CM-A3S3", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("construction, morphism, algebra, error", [
+    ("pushforward", "collapse.CM-Id2", "KC.CM-A3S3",
+     "the algebra is over crossed module CM-A3S3, the morphism's source is CM-Id2"),
+    ("pullback", "q.CM-A3S3", "KQ.1Z2",
+     "the algebra is over crossed module 1->Z2, the morphism's target is (1->CM-A3S3/d)"),
+], ids=["pushforward", "pullback"])
+def test_cli_build_over_another_crossed_module_exits_2(capsys, construction, morphism,
+                                                        algebra, error):
+    assert main(["build", construction, morphism, algebra]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
 def test_cli_build_pushforward_ill_defined_fails(capsys):
     assert main(["build", "pushforward", "q.CM-Mod", "KC.CM-Mod"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
