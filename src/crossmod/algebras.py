@@ -864,84 +864,44 @@ class PushforwardData:
                 for p in self.members[q]}
 
 
-def _outside_grade(data: PushforwardData, q, p):
-    """The coordinates of class q outside grade p, and the matrix whose
-    columns are the ideal's basis rows restricted to those coordinates."""
+def quotient_map(data: PushforwardData, p: int) -> Matrix:
+    """The quotient map pi on L_p, as a matrix into the quotient coordinates
+    of class f0(p): column i is the class of the basis vector e_i of L_p."""
     L = data.source
-    other = [i for r in data.members[q] if r != p
-             for i in range(data.offsets[q][r], data.offsets[q][r] + L.dims[r])]
-    basis = data.spans[q].basis
-    return other, Matrix(L.field, [[row[i] for row in basis] for i in other], cols=len(basis))
-
-
-def concentrate_representative(data: PushforwardData, q, vec, p):
-    """A representative of vec + ideal supported in the single grade p, or
-    None if the class has no such representative."""
-    field = data.source.field
+    q = data.fmor.f_base.map[p]
     span = data.spans[q]
-    other, outside = _outside_grade(data, q, p)
-    if not span.basis:
-        return vec if all(field.is_zero(vec[i]) for i in other) else None
-    coeffs = outside.solve(tuple(field.neg(vec[i]) for i in other))
-    if coeffs is None:
-        return None
-    return field.combine(len(vec), [(field.one, vec), *zip(coeffs, span.basis)])
+    cols = [span.quotient_coords(data.class_vector(q, [(p, unit_vector(L.field, L.dims[p], i))]))
+            for i in range(L.dims[p])]
+    return Matrix.from_columns(L.field, cols, data.class_dim[q] - span.dim)
 
 
-def _ideal_grade_slice(data: PushforwardData, q, p):
-    """A basis of the single-grade slice (ideal at class q) intersect L_p,
-    as grade-p coordinate vectors."""
-    span = data.spans[q]
-    if not span.basis:
-        return []
-    _, outside = _outside_grade(data, q, p)
-    return [data.components(q, data.source.field.combine(data.class_dim[q],
-                                                         zip(combo, span.basis)))[p]
-            for combo in outside.nullspace()]
+def _quotient_pairing(data: PushforwardData, q: int, pis) -> Matrix:
+    """The pairing of the pushforward at grade q: the unique B with
+    pi(a)^T B pi(b) = rho_p(a, b) for every grade p of class q and all basis
+    vectors a of L_p and b of L_{p^-1}, where pis[p] is `quotient_map(data, p)`.
 
-
-def pushforward_rho_via_grade(data: PushforwardData, q, p):
-    """The quotient pairing matrix at grade q computed through the matched
-    representative pair (p, p^-1); None when some class cannot be
-    concentrated in grade p, or when in-grade representative freedom pairs
-    nontrivially (the value would depend on the representative). All usable
-    p must agree."""
+    Each constraint is linear in the entries of B read row by row, with the
+    Kronecker product of pi(a) and pi(b) as its coefficients, so grade p
+    contributes the rows of pi_p^T (x) pi_{p^-1}^T against rho_p read row by
+    row, and one solve gives B. Raises RhoIllDefined when no B satisfies
+    every constraint, or when more than one does."""
     L = data.source
     field = L.field
-    P = L.P
     Q = data.fmor.target.base
-    qinv = Q.inv[q]
-    pinv = P.inv[p]
-    dim_q = data.class_dim[q] - data.spans[q].dim
-    dim_qinv = data.class_dim[qinv] - data.spans[qinv].dim
-    reps_a, reps_b = [], []
-    for k in range(dim_q):
-        rep = concentrate_representative(
-            data, q, data.spans[q].quotient_lift(unit_vector(field, dim_q, k)), p)
-        if rep is None:
-            return None
-        reps_a.append(data.components(q, rep)[p])
-    for k in range(dim_qinv):
-        rep = concentrate_representative(
-            data, qinv, data.spans[qinv].quotient_lift(unit_vector(field, dim_qinv, k)), pinv)
-        if rep is None:
-            return None
-        reps_b.append(data.components(qinv, rep)[pinv])
-    # representatives inside L_p are free up to the in-grade ideal slice;
-    # the pairing is independent of that freedom only if the slices pair to
-    # zero against everything a representative can be
-    slice_a = _ideal_grade_slice(data, q, p)
-    slice_b = _ideal_grade_slice(data, qinv, pinv)
-    for w in slice_a:
-        for y in reps_b + slice_b:
-            if not field.is_zero(L.pairing(p, w, y)):
-                return None
-    for w in slice_b:
-        for x in reps_a:
-            if not field.is_zero(L.pairing(p, x, w)):
-                return None
-    return Matrix(field, [[L.pairing(p, a, b) for b in reps_b] for a in reps_a],
-                  cols=dim_qinv)
+    dq, dqinv = (data.class_dim[r] - data.spans[r].dim for r in (q, Q.inv[q]))
+    system, rhs = [], []
+    for p in data.members[q]:
+        pinv = L.P.inv[p]
+        system += pis[p].transpose().kron(pis[pinv].transpose()).data
+        rhs += [x for row in L.rho[p].data for x in row]
+    A = Matrix._of(field, tuple(system), dq * dqinv)
+    x = A.solve(rhs)
+    if x is None:
+        raise RhoIllDefined(f"no pairing in class {Q.names[q]} is preserved by the quotient map")
+    if A.nullspace():
+        raise RhoIllDefined(
+            f"the quotient map does not determine the pairing in class {Q.names[q]}")
+    return Matrix._of(field, tuple(x[k * dqinv:(k + 1) * dqinv] for k in range(dq)), dqinv)
 
 
 def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> PushforwardData:
@@ -1009,9 +969,9 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
 
     Requires f1 surjective; for target grades outside the image of f0 the
     action is extended by the identity, and the final axiom check decides
-    validity. Raises RhoIllDefined when the quotient pairing genuinely
-    depends on representatives (the construction does not exist then; see
-    the CM-Mod group algebra for a concrete instance).
+    validity. The pairing is the one form that the quotient map preserves in
+    every grade (`_quotient_pairing`); RhoIllDefined is raised when there is
+    none, as for the CM-Mod group algebra, or more than one.
     """
     data = pushforward_ideal(fmor, L)
     members, class_dim, spans = data.members, data.class_dim, data.spans
@@ -1045,27 +1005,9 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                 block.append(row)
             mul_new[(q1, q2)] = block
 
-    unit_new = spans[0].quotient_coords(data.class_vector(0, [(0, L.unit)]))
-
-    # pairing via matched representative pairs (p, p^-1); representative
-    # independence (every usable grade gives the same matrix) is the
-    # well-definedness guarantee and is checked here
-    rho_new = {}
-    for qq in Q.elements():
-        candidates = [(p, pushforward_rho_via_grade(data, qq, p))
-                      for p in members[qq]]
-        usable = [(p, mat) for p, mat in candidates if mat is not None]
-        if dims_new[qq] == 0 and not usable:
-            rho_new[qq] = Matrix.zeros(field, 0, dims_new[Q.inv[qq]])
-            continue
-        if not usable:
-            raise RhoIllDefined(
-                f"no representative grade realizes the pairing in class {Q.names[qq]}")
-        first = usable[0][1]
-        if any(mat != first for _, mat in usable[1:]):
-            raise RhoIllDefined(
-                f"pairing depends on the representative grade in class {Q.names[qq]}")
-        rho_new[qq] = first
+    pis = {p: quotient_map(data, p) for p in P.elements()}
+    unit_new = pis[0].apply(L.unit)
+    rho_new = {qq: _quotient_pairing(data, qq, pis) for qq in Q.elements()}
 
     phi_new = {}
     for qa in Q.elements():
@@ -1095,9 +1037,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     tilde_new = []
     for d in D.elements():
         choices = [c for c in C.elements() if f1[c] == d]
-        qd = tgt.d(d)
-        images = {spans[qd].quotient_coords(data.class_vector(qd, [(L.cm.d(c), L.tilde[c])]))
-                  for c in choices}
+        images = {pis[L.cm.d(c)].apply(L.tilde[c]) for c in choices}
         if len(images) != 1:
             raise ValueError(
                 f"tilde on the quotient depends on the lift of {D.names[d]}")
@@ -1167,16 +1107,8 @@ def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMo
                                L: CrossedCAlgebra,
                                data: PushforwardData) -> CrossedAlgebraMorphism:
     """Inverse of transpose_from_pushforward: precompose with the quotient map."""
-    field = L.field
     f0 = fmor.f_base.map
-    blocks = {}
-    for p in L.P.elements():
-        qq = f0[p]
-        cols = []
-        for i in range(L.dims[p]):
-            vec = data.class_vector(qq, [(p, unit_vector(field, L.dims[p], i))])
-            cols.append(m2.blocks[qq].apply(data.spans[qq].quotient_coords(vec)))
-        blocks[p] = Matrix.from_columns(field, cols, m2.target.dims[qq])
+    blocks = {p: m2.blocks[f0[p]] @ quotient_map(data, p) for p in L.P.elements()}
     return CrossedAlgebraMorphism(fmor, L, m2.target, blocks)
 
 

@@ -23,7 +23,7 @@ from .algebras import (
 )
 from .crossed_modules import CrossedModuleMismatch, check_crossed_module
 from .fields import ScalarParseError, field_from_json
-from .formal_maps import TypecheckFailed, typecheck
+from .formal_maps import typecheck
 from .hqft import eval_expression, make_hqft, require_same_crossed_module, state_space
 from .mutations import MUTATIONS, run_mutation
 from .serialize import (
@@ -113,10 +113,7 @@ def cmd_eval(args) -> int:
     ws = _workspace(args)
     alg = _load_target(ws, "algebra", args.algebra)
     expr = _load_target(ws, "expression", args.expression)
-    try:
-        require_same_crossed_module(expr, alg.cm)
-    except TypecheckFailed as exc:  # malformed input, whether or not the algebra passes
-        raise SerializationError(str(exc)) from exc
+    require_same_crossed_module(expr, alg.cm)   # malformed input, whether or not the algebra passes
     rep = check_crossed_algebra(alg)
     if not rep.ok:
         print(dumps(rep.to_json()), end="")

@@ -188,12 +188,6 @@ def check_homomorphism(h: GroupHomomorphism) -> CheckReport:
     return report
 
 
-def hom(source: FiniteGroup, target: FiniteGroup, mapping) -> GroupHomomorphism:
-    h = GroupHomomorphism(source, target, tuple(mapping))
-    check_homomorphism(h).require(GroupConstructionError)
-    return h
-
-
 def identity_hom(g: FiniteGroup) -> GroupHomomorphism:
     return GroupHomomorphism(g, g, tuple(g.elements()))
 
@@ -272,19 +266,22 @@ def is_normal(g: FiniteGroup, members) -> bool:
 
 
 def restrict_subgroup(g: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """The subgroup on `members` as a FiniteGroup, plus its inclusion indices."""
+    """The subgroup on `members` as a FiniteGroup, plus its inclusion indices.
+    The restricted table is a group by construction, so it is not checked
+    again."""
     if not is_subgroup(g, members):
         raise GroupConstructionError(f"{sorted(members)} is not a subgroup")
     members = tuple(sorted(members))
     pos = {m: i for i, m in enumerate(members)}
     table = [[pos[g.mul(a, b)] for b in members] for a in members]
-    sub = make_group([g.names[m] for m in members], table)
+    sub = FiniteGroup([g.names[m] for m in members], table, [row.index(0) for row in table])
     return sub, members
 
 
 def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorphism]:
-    """Quotient by a normal subgroup, with the projection homomorphism
-    (a homomorphism by construction, so unchecked)."""
+    """Quotient by a normal subgroup, with the projection homomorphism. The
+    coset table is a group and the projection a homomorphism by
+    construction, so neither is checked again."""
     if not is_subgroup(g, members):
         raise GroupConstructionError(f"{sorted(members)} is not a subgroup")
     if not is_normal(g, members):
@@ -302,7 +299,7 @@ def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorph
     # identity coset contains 0 and is found first, so it gets index 0
     names = [f"[{g.names[c[0]]}]" for c in cosets]
     table = [[coset_of[g.mul(a[0], b[0])] for b in cosets] for a in cosets]
-    quot = make_group(names, table)
+    quot = FiniteGroup(names, table, [row.index(0) for row in table])
     return quot, GroupHomomorphism(g, quot, tuple(coset_of))
 
 

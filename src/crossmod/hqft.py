@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .algebras import CrossedCAlgebra, check_crossed_algebra
-from .crossed_modules import CrossedModule
+from .crossed_modules import CrossedModule, CrossedModuleMismatch
 from .formal_maps import (
     Cap,
     CobordismExpression,
@@ -132,12 +132,13 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
 
 
 def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> None:
-    """Raise TypecheckFailed, naming both crossed modules, unless the
+    """Raise CrossedModuleMismatch, naming both crossed modules, unless the
     expression is over cm: the same groups, boundary and action, whatever
     its name."""
     if e.cm != cm:
-        raise TypecheckFailed(f"the expression is over crossed module {e.cm.name}, "
-                              f"the algebra over {cm.name}")
+        other = "a different crossed module of that name" if e.cm.name == cm.name else cm.name
+        raise CrossedModuleMismatch(f"the expression is over crossed module {e.cm.name}, "
+                                    f"the algebra over {other}")
 
 
 def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:

@@ -226,11 +226,17 @@ class Workspace:
             self.add(name, kind, obj)
 
     def resolve(self, ref, kind: str):
-        """A reference is either a name or an inline document."""
+        """A reference is either a name or an inline document. An inline
+        crossed module is checked here, once, because every document over it
+        assumes its axioms: one that fails raises SerializationError naming
+        the first failing family."""
         if isinstance(ref, str):
             return self.get(ref, kind)
         if isinstance(ref, dict):
-            return from_doc(ref, self, kind)[2]
+            obj = from_doc(ref, self, kind)[2]
+            if kind == "crossed_module":
+                check_crossed_module(obj).require(SerializationError)
+            return obj
         raise SerializationError(f"bad reference {ref!r}")
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import fixtures, mutations
 from .algebras import (
+    CrossedAlgebraMorphism,
     check_algebra_morphism,
     check_boxed_identities,
     check_crossed_algebra,
@@ -21,7 +22,6 @@ from .algebras import (
     morphisms_equal,
     pullback,
     pushforward_data,
-    pushforward_rho_via_grade,
     same_structure,
     transpose_from_pushforward,
     transpose_to_pullback,
@@ -305,18 +305,19 @@ def _pushforward():
     fmor = fixtures.std_morphisms()["q.CM-A3S3"]
     L = fixtures.std_algebras(QQ)["KP.CM-A3S3"]
     data = pushforward_data(fmor, L)
-    rep = check_crossed_algebra(data.algebra)
+    fL = data.algebra
+    rep = check_crossed_algebra(fL)
     ok &= rep.ok
     lines.append(f"  pushforward of K[S3] over (1->Z/2): checker "
                  f"{'ok' if rep.ok else rep.summary()}")
+    # the quotient map is the untranspose of the identity of the pushforward
+    ident = CrossedAlgebraMorphism(identity_morphism(fmor.target), fL, fL,
+                                   {q: Matrix.identity(fL.field, d) for q, d in enumerate(fL.dims)})
+    rep = check_algebra_morphism(untranspose_to_pushforward(ident, fmor, L, data))
+    ok &= rep.ok
+    lines.append(f"  quotient map K[S3] -> pushforward is a crossed algebra morphism over f: "
+                 f"{'ok' if rep.ok else rep.summary()}")
     Q = fmor.target.base
-    for q in Q.elements():
-        mats = [(p, pushforward_rho_via_grade(data, q, p)) for p in data.members[q]]
-        usable = [m for _, m in mats if m is not None]
-        same = bool(usable) and all(m == usable[0] for m in usable)
-        ok &= same and len(usable) == len(mats)
-        lines.append(f"  rho via every representative grade of {Q.names[q]}: "
-                     f"{len(usable)}/{len(mats)} usable, all equal: {same}")
     oracle = _naive_ideal_dims(fmor, L)
     match = all(data.spans[q].dim == oracle[q] for q in Q.elements())
     ok &= match
@@ -428,7 +429,7 @@ CRITERIA = [
               _evaluator_coherence),
     Criterion(7, "equivalence-invariance families (a)-(d)", "invariance", 10.0,
               _equivalence_invariance),
-    Criterion(8, "pushforward checker, rho independence, ideal oracle", "pushforward", 5.0,
+    Criterion(8, "pushforward checker, quotient map morphism, ideal oracle", "pushforward", 5.0,
               _pushforward),
     Criterion(9, "adjunction transposes over F2, bounded enumeration", "adjunction", 60.0,
               _adjunction),

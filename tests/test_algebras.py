@@ -13,7 +13,6 @@ from crossmod.algebras import (
     check_algebra_morphism,
     check_boxed_identities,
     check_crossed_algebra,
-    concentrate_representative,
     enumerate_algebra_morphisms,
     group_algebra_C,
     group_algebra_P,
@@ -24,7 +23,7 @@ from crossmod.algebras import (
     pushforward,
     pushforward_data,
     pushforward_ideal,
-    pushforward_rho_via_grade,
+    quotient_map,
     RhoIllDefined,
     same_structure,
     theta,
@@ -399,42 +398,69 @@ def test_pushforward_ideal_closure_oracle(algebras, groups):
     assert pushforward(sign, L).dims == (1, 1)
 
 
-def test_pushforward_rho_every_representative(algebras):
-    q = std_morphisms()["q.CM-A3S3"]
-    data = pushforward_data(q, algebras["KP.CM-A3S3"])
-    for qq in q.target.base.elements():
-        mats = [pushforward_rho_via_grade(data, qq, p) for p in data.members[qq]]
-        assert all(m is not None for m in mats)
-        assert all(m == mats[0] for m in mats)
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("case", ["PUSH.CM-A3S3", "PUSH.CM-Id2", "sign"])
+def test_pushforward_pairing_oracle(groups, field, case):
+    """rho'(pi a, pi b) == rho_p(a, b) for every grade p and all basis
+    vectors a of L_p and b of L_{p^-1}, by plain loops: pi(e_i) is the
+    quotient class of e_i in its class block, and rho' is applied entry by
+    entry."""
+    if case == "sign":
+        fmor = _sign_morphism(groups)
+        L = group_algebra_P(fmor.source, field)
+    else:
+        fmor, name = {"PUSH.CM-A3S3": ("q.CM-A3S3", "KP.CM-A3S3"),
+                      "PUSH.CM-Id2": ("collapse.CM-Id2", "KC.CM-Id2")}[case]
+        fmor, L = std_morphisms()[fmor], std_algebras(field)[name]
+    data = pushforward_data(fmor, L)
+    fL, f0 = data.algebra, fmor.f_base.map
+
+    def pi(p, i):
+        q = f0[p]
+        vec = [field.zero] * data.class_dim[q]
+        vec[data.offsets[q][p] + i] = field.one
+        return data.spans[q].quotient_coords(vec)
+
+    checked = 0
+    for p in L.P.elements():
+        pinv, q = L.P.inv[p], f0[p]
+        assert quotient_map(data, p) == Matrix.from_columns(
+            field, [pi(p, i) for i in range(L.dims[p])], fL.dims[q])
+        for i in range(L.dims[p]):
+            for j in range(L.dims[pinv]):
+                a, b = pi(p, i), pi(pinv, j)
+                value = field.zero
+                for k in range(fL.dims[q]):
+                    for l in range(fL.dims[fmor.target.base.inv[q]]):
+                        value = field.add(value, field.mul(field.mul(a[k], fL.rho[q].data[k][l]),
+                                                           b[l]))
+                assert value == L.rho[p].data[i][j], (p, i, j)
+                checked += 1
+    assert checked == sum(L.dims[p] * L.dims[L.P.inv[p]] for p in L.P.elements()) > 0
 
 
 def test_pushforward_cm_mod_ideal_dims_and_ill_defined_rho(algebras, cms):
     # all tilde(b) - 1 generate: quotient identity grade is one-dimensional,
-    # but the quotient pairing genuinely depends on representatives (rho(e_0,e_0)=1
-    # vs rho(e_1,e_0)=0 with [e_1]=[e_0]), so the construction must refuse
+    # but no pairing is preserved by the quotient map (rho(e_0,e_0)=1 vs
+    # rho(e_1,e_0)=0 with [e_1]=[e_0]), so the construction must refuse
     q = std_morphisms()["q.CM-Mod"]
     L = algebras["KC.CM-Mod"]
     data = pushforward_ideal(q, L)
     assert data.spans[0].dim == 2  # quotient L-bar_1 has dim 3 - 2 = 1
     assert data.class_dim[0] - data.spans[0].dim == 1
-    with pytest.raises(RhoIllDefined):
+    with pytest.raises(RhoIllDefined, match=r"no pairing in class \[0\] is preserved"):
         pushforward(q, L)
 
 
-def test_concentrate_representative(algebras):
-    q = std_morphisms()["q.CM-A3S3"]
-    L = algebras["KP.CM-A3S3"]
-    data = pushforward_data(q, L)
-    for qq in (0, 1):
-        for p in data.members[qq]:
-            lift = data.spans[qq].quotient_lift(unit_vector(QQ, 1, 0))
-            rep = concentrate_representative(data, qq, lift, p)
-            assert rep is not None
-            comps = data.components(qq, rep)
-            assert all(all(x == 0 for x in comps[r])
-                       for r in data.members[qq] if r != p)
-            # still the same class
-            assert data.spans[qq].quotient_coords(rep) == data.spans[qq].quotient_coords(lift)
+def test_pushforward_refuses_an_underdetermined_pairing(cms, groups):
+    """CM-A3S3 -> CM-Mod, A3 onto Z/3 and the sign on S3, on K[C](CM-A3S3):
+    the ideal is all of class e, so the quotient map is zero on it and the
+    constraints cannot determine the pairing of the odd class."""
+    src, tgt = cms["CM-A3S3"], cms["CM-Mod"]
+    fmor = morphism(src, tgt, GroupHomomorphism(src.top, tgt.top, (0, 1, 2)),
+                    GroupHomomorphism(src.base, tgt.base, (0, 1, 1, 1, 0, 0)))
+    with pytest.raises(RhoIllDefined, match="does not determine the pairing in class"):
+        pushforward(fmor, group_algebra_C(src, QQ))
 
 
 # --- adjunction transposes --------------------------------------------------

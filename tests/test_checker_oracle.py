@@ -32,7 +32,7 @@ from crossmod.algebras import (
 from crossmod.crossed_modules import crossed_module
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_algebras
-from crossmod.groups import action, cyclic_group, hom, trivial_action
+from crossmod.groups import GroupHomomorphism, action, cyclic_group, trivial_action
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
 from crossmod.report import CheckReport
 
@@ -224,7 +224,9 @@ def doubling_module(n, invert):
         act = action(z, z, [[(-c if p % 2 else c) % n for c in range(n)] for p in range(n)])
     else:
         act = trivial_action(z, z)
-    return crossed_module(f"Z{n}-x2-Z{n}", z, z, hom(z, z, [2 * c % n for c in range(n)]), act)
+    # crossed_module checks the boundary homomorphism
+    return crossed_module(f"Z{n}-x2-Z{n}", z, z,
+                          GroupHomomorphism(z, z, tuple(2 * c % n for c in range(n))), act)
 
 
 def random_invertible(f, n, rng):

@@ -9,14 +9,15 @@ from crossmod.groups import (
     action,
     automorphism_group,
     check_action,
+    check_group_table,
     check_homomorphism,
     cocycle_from_section,
     cyclic_group,
-    hom,
     is_normal,
     is_subgroup,
     make_group,
     quotient_group,
+    restrict_subgroup,
     section,
     symmetric_group_3,
     trivial_group,
@@ -141,6 +142,26 @@ def test_quotients():
         quotient_group(s3, (0, 1))  # <(12)> is not normal
 
 
+def test_subgroups_and_quotients_are_groups():
+    """restrict_subgroup and quotient_group build their groups unchecked;
+    on every subgroup of S3 and Z/4 the full table check passes and the
+    inverses equal those make_group reads off the table."""
+    seen = 0
+    for g in (symmetric_group_3(), cyclic_group(4)):
+        for k in range(1, g.order + 1):
+            for members in itertools.combinations(g.elements(), k):
+                if not is_subgroup(g, members):
+                    continue
+                built = [restrict_subgroup(g, members)[0]]
+                if is_normal(g, members):
+                    built.append(quotient_group(g, members)[0])
+                for h in built:
+                    assert check_group_table(h.names, h.table).ok
+                    assert h.inv == make_group(h.names, h.table).inv
+                    seen += 1
+    assert seen == 6 + 3 + 3 + 3   # S3: 6 subgroups, 3 normal; Z/4: 3, all normal
+
+
 def test_subgroup_predicates():
     s3 = symmetric_group_3()
     assert is_subgroup(s3, (0, 4, 5)) and is_normal(s3, (0, 4, 5))
@@ -150,7 +171,8 @@ def test_subgroup_predicates():
 
 def test_section_and_cocycles():
     s3, z2 = symmetric_group_3(), cyclic_group(2)
-    sign = hom(s3, z2, (0, 1, 1, 1, 0, 0))
+    sign = GroupHomomorphism(s3, z2, (0, 1, 1, 1, 0, 0))
+    check_homomorphism(sign).require()
     sec = section(sign)  # default: minimal preimages: s(0)=e, s(1)=(12)
     assert sec.choice == (0, 1)
     coc = cocycle_from_section(sec)
@@ -158,7 +180,8 @@ def test_section_and_cocycles():
     assert all(v == 0 for row in coc.values for v in row)
 
     z4 = cyclic_group(4)
-    proj = hom(z4, z2, (0, 1, 0, 1))
+    proj = GroupHomomorphism(z4, z2, (0, 1, 0, 1))
+    check_homomorphism(proj).require()
     coc = cocycle_from_section(section(proj))
     # f(-1,-1) = s(1)+s(1) = 2, the nontrivial kernel element
     nontrivial = coc.values[1][1]
@@ -170,7 +193,8 @@ def test_section_and_cocycles():
 
 def test_section_requires_identity_choice():
     s3, z2 = symmetric_group_3(), cyclic_group(2)
-    sign = hom(s3, z2, (0, 1, 1, 1, 0, 0))
+    sign = GroupHomomorphism(s3, z2, (0, 1, 1, 1, 0, 0))
+    check_homomorphism(sign).require()
     with pytest.raises(GroupConstructionError):
         section(sign, (4, 1))  # s(1) != 1
     with pytest.raises(GroupConstructionError):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from crossmod.algebras import CrossedCAlgebra, same_structure
+from crossmod.crossed_modules import CrossedModuleMismatch
 from crossmod.fields import QQ
 from crossmod.fixtures import fixture_algebra_names
 from crossmod.formal_maps import (
@@ -131,19 +132,22 @@ def test_eval_typecheck_failure(algebras):
 
 
 def test_eval_over_another_crossed_module_fails(cms, algebras):
-    """An expression over another crossed module raises TypecheckFailed,
+    """An expression over another crossed module raises CrossedModuleMismatch,
     naming both, even when its labels are in range for the algebra's (Id(1)
-    over CM-A3S3 against KC.CM-Mod, base Z/2) and even under the algebra's
-    crossed module's name; one with the same groups, boundary and action
-    under another name evaluates."""
+    over CM-A3S3 against KC.CM-Mod, base Z/2); under the algebra's crossed
+    module's name it says the crossed module is a different one of that
+    name. One with the same groups, boundary and action under another name
+    evaluates."""
     tau = make_hqft(algebras["KC.CM-Mod"])
     pants = expression(cms["CM-A3S3"], [4, 4], [[Pants(0, 4, 4)]], [5])
     for e in (pants, expression(cms["CM-A3S3"], [1], [[Id(1)]], [1])):
-        with pytest.raises(TypecheckFailed, match="over crossed module CM-A3S3, "
-                                                  "the algebra over CM-Mod"):
+        with pytest.raises(CrossedModuleMismatch, match="over crossed module CM-A3S3, "
+                                                        "the algebra over CM-Mod"):
             eval_expression(tau, e)
     impostor = dataclasses.replace(cms["CM-Id2"], name="CM-Mod")
-    with pytest.raises(TypecheckFailed):
+    with pytest.raises(CrossedModuleMismatch,
+                       match="over crossed module CM-Mod, the algebra over a different "
+                             "crossed module of that name"):
         eval_expression(tau, expression(impostor, [1], [[Id(1)]], [1]))
     renamed = dataclasses.replace(tau.cm, name="CM-Mod-renamed")
     assert renamed == tau.cm

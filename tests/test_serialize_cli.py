@@ -636,3 +636,29 @@ def test_cli_build_kc_total_dim(tmp_path):
     assert main(["build", "kC", "CM-A3S3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert sum(doc["dims"].values()) == 3
+
+
+def test_cli_nested_crossed_module_failing_its_axioms_exits_2(tmp_path, capsys, cms, algebras):
+    """K[P](CM-Mod) whose inline crossed module has the action row of the
+    generator [0, 1, 1], not an automorphism: `check algebra` and `eval`
+    exit 2 naming the failing family, while `check crossed-module` on the
+    same crossed module alone exits 1 with its report."""
+    doc = to_doc("algebra", algebras["KP.CM-Mod"])
+    doc["crossed_module"]["action"] = [[0, 1, 2], [0, 1, 1]]
+    alg = tmp_path / "kp-bad.json"
+    alg.write_text(dumps(doc))
+    expr = dict(to_doc("expression", expression(cms["CM-Mod"], [], [[Disc(0)]], [0])),
+                crossed_module=doc["crossed_module"])
+    disc = tmp_path / "disc.json"
+    disc.write_text(dumps(expr))
+    error = ("crossed module CM-Mod: action_compatible fails at (1,1,2): "
+             "^(pq)c != ^p(^q c)")
+    for argv in (["check", "algebra", str(alg)], ["eval", "KP.CM-Mod", str(disc)],
+                 ["eval", str(alg), str(disc)]):
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().out) == {"error": error}
+    cm = tmp_path / "cm-bad.json"
+    cm.write_text(dumps(doc["crossed_module"]))
+    assert main(["check", "crossed-module", str(cm)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["axiom"] for c in report["checks"] if not c["ok"]][0] == "action_compatible"
