@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 from .crossed_modules import (
     CrossedModule,
-    CrossedModuleMismatch,
     CrossedModuleMorphism,
     check_morphism,
     identity_morphism,
+    require_same,
 )
 from .fields import QQ
 from .linalg import (
@@ -248,12 +248,18 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     unit axiom compares 1 e_i, of degree 2, with e_i times D**2), which keeps
     every result, and so the report, what it is on L.
 
-    Tables built once per call replace the multiplication of unit vectors:
-    the basis product table prod[(g, h)][i][j] = e_i e_j and the action
-    images phis[(h, g)][i] = phi_h(e_i), over the grades that carry states,
-    and the columns cols[(g, h)][l] = [mul(g, h)[i][l] over i] of every
-    structure-constant block. A product of a vector x in grade g with e_l in
-    grade h is then the contraction of x with cols[(g, h)][l]."""
+    The tables are read off the structure maps once per call, with no
+    multiplication: the basis products prod[(g, h)][i][j] = e_i e_j are the
+    cells of mul(g, h), the columns cols[(g, h)][l] = [e_i e_l over i] of
+    each block, and the action images phis[(h, g)][i] = phi_h(e_i) are the
+    columns of phi(h, g). Each of these vectors, the unit, each tilde(c) and
+    each row of phi(h, g) keeps its support, the (index, value) pairs of its
+    nonzero entries. A product with such a vector is the sum, over its
+    support, of each value times a stored vector (`combine` on those terms
+    alone); a support of one term with value 1 picks the stored vector
+    itself, which is how a group basis, where every basis product and action
+    image has one nonzero entry, is checked. The trace family sums products
+    of structure constants directly."""
     report = CheckReport(f"crossed algebra {L.name}")
     shape = well_formed(L)
     report.add("well_formed", shape)
@@ -261,40 +267,61 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         return report
     L, D = _cleared(L)
     P, C, f = L.P, L.C, L.field
-    nonzero = [g for g in P.elements() if L.dims[g] > 0]
-    units = _basis_units(L)
-    names = [[n for n, _ in grade] for grade in units]
-    prod = {(g, h): [[L.multiply(g, ei, h, ej) for _, ej in units[h]] for _, ei in units[g]]
-            for g in nonzero for h in nonzero}
-    phis = {(h, g): [L.apply_phi(h, g, e) for _, e in units[g]]
-            for h in P.elements() for g in nonzero}
-    cols = {(g, h): [[row[l] for row in L.mul[(g, h)]] for l in range(L.dims[h])]
+    dims = L.dims
+    nonzero = [g for g in P.elements() if dims[g] > 0]
+    names = L.basis_names
+
+    def support(vec):
+        return [(k, x) for k, x in enumerate(vec) if x]
+
+    def total(n, sup, vecs):
+        """The sum of x vecs[k] over the support terms (k, x): vecs[k]
+        itself for one term with x = 1, the `combine` of the terms otherwise."""
+        if len(sup) == 1 and sup[0][1] == 1:
+            return vecs[sup[0][0]]
+        return f.combine(n, [(x, vecs[k]) for k, x in sup])
+
+    def product(n, sup1, sup2, block):
+        """The product of the vectors with supports sup1 and sup2, from the
+        block of basis products: the sum of x y e_a e_b over both supports,
+        as `total` sums it."""
+        if len(sup1) == 1 and len(sup2) == 1 and sup1[0][1] * sup2[0][1] == 1:
+            return block[sup1[0][0]][sup2[0][0]]
+        return f.combine(n, [(x * y, block[a][b]) for a, x in sup1 for b, y in sup2])
+
+    prod = {key: [[tuple(cell) for cell in row] for row in block] for key, block in L.mul.items()}
+    cols = {(g, h): [[row[l] for row in prod[(g, h)]] for l in range(dims[h])]
             for g in P.elements() for h in P.elements()}
+    phis = {key: m.transpose().data for key, m in L.phi.items()}
+    prod_sup = {key: [[support(v) for v in row] for row in block] for key, block in prod.items()}
+    phis_sup = {key: [support(v) for v in block] for key, block in phis.items()}
+    unit_sup = support(L.unit)
+    tilde_sup = [support(v) for v in L.tilde]
 
     # 1 e_i and e_i 1 have degree 2 (the unit and mul), e_i degree 0
     fails = []
     for g in nonzero:
-        for name, e in units[g]:
-            e2 = _times(D ** 2, e)
-            if L.multiply(0, L.unit, g, e) != e2:
+        for i, name in enumerate(names[g]):
+            e2 = _times(D ** 2, unit_vector(f, dims[g], i))
+            if total(dims[g], unit_sup, cols[(0, g)][i]) != e2:
                 fails.append((f"1*{name}", "left unit fails"))
-            if L.multiply(g, e, 0, L.unit) != e2:
+            if total(dims[g], unit_sup, prod[(g, 0)][i]) != e2:
                 fails.append((f"{name}*1", "right unit fails"))
     report.add("unit", fails)
 
-    # (e_i e_j) e_l contracts e_i e_j with column l of mul(gh, k), and
-    # e_i (e_j e_l) contracts e_j e_l with row i of mul(g, hk); both sides
-    # have degree 2, as in rho_invariant and trace
+    # (e_i e_j) e_l sums column l of mul(gh, k) over the support of e_i e_j,
+    # and e_i (e_j e_l) sums row i of mul(g, hk) over that of e_j e_l; both
+    # sides have degree 2, as in rho_invariant and trace
     fails = []
     for g, h, k in itertools.product(nonzero, repeat=3):
         gh, hk = P.mul(g, h), P.mul(h, k)
-        d, col = L.dims[P.mul(gh, k)], cols[(gh, k)]
+        d, col = dims[P.mul(gh, k)], cols[(gh, k)]
         for i, ni in enumerate(names[g]):
-            row = L.mul[(g, hk)][i]
+            row = prod[(g, hk)][i]
             for j, nj in enumerate(names[h]):
-                ij, jls = prod[(g, h)][i][j], prod[(h, k)][j]
+                ij, jls = prod_sup[(g, h)][i][j], prod_sup[(h, k)][j]
                 for l, nl in enumerate(names[k]):
-                    if f.combine(d, zip(ij, col[l])) != f.combine(d, zip(jls[l], row)):
+                    if total(d, ij, col[l]) != total(d, jls[l], row):
                         fails.append((f"({ni},{nj},{nl})", "associativity fails"))
     report.add("associativity", fails)
 
@@ -306,7 +333,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
 
     fails = []
     for g in P.elements():
-        if L.dims[g] != L.dims[P.inv[g]]:
+        if dims[g] != dims[P.inv[g]]:
             fails.append((f"g={P.names[g]}", "paired grades have different dimensions"))
             continue
         try:
@@ -315,25 +342,29 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             fails.append((f"g={P.names[g]}", "rho block is singular"))
     report.add("rho_nondegenerate", fails)
 
-    # rho(e_i e_j, e_k) for every k at once contracts e_i e_j with the rows
-    # of rho_gh; rho(e_i, e_j e_k) contracts e_j e_k with row i of rho_g
+    # rho(e_i e_j, e_k) for every k at once sums the rows of rho_gh over the
+    # support of e_i e_j; rho(e_i, e_j e_k) sums row i of rho_g over that of
+    # e_j e_k
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
         gh = P.mul(g, h)
         ghinv = P.inv[gh]
-        rho_gh, dk = L.rho[gh].data, L.dims[ghinv]
+        rho_gh, rho_g = L.rho[gh].data, L.rho[g].data
         for i, ni in enumerate(names[g]):
-            row = [(x,) for x in L.rho[g].data[i]]
+            row = [(x,) for x in rho_g[i]]
             for j, nj in enumerate(names[h]):
-                lhs = f.combine(dk, zip(prod[(g, h)][i][j], rho_gh))
+                lhs = total(dims[ghinv], prod_sup[(g, h)][i][j], rho_gh)
                 for k, nk in enumerate(names[ghinv]):
-                    if lhs[k] != f.combine(1, zip(prod[(h, ghinv)][j][k], row))[0]:
+                    if lhs[k] != total(1, prod_sup[(h, ghinv)][j][k], row)[0]:
                         fails.append((f"({ni},{nj},{nk})", "rho(ab,c) != rho(a,bc)"))
     report.add("rho_invariant", fails)
 
     # the identity, of degree 0, is compared with phi_1 (degree 1), and
-    # phi_hk (degree 1) with phi_h phi_k (degree 2)
-    ident = [_times_matrix(D, Matrix.identity(f, L.dims[g])) for g in P.elements()]
+    # phi_hk (degree 1) with phi_h phi_k (degree 2), row by row: row r of
+    # phi_h phi_k sums the rows of phi_k over the support of row r of phi_h
+    ident = [_times_matrix(D, Matrix.identity(f, dims[g])) for g in P.elements()]
+    rows_sup = {key: [support(row) for row in m.data] for key, m in L.phi.items()}
+    phi_D = {key: [_times(D, row) for row in m.data] for key, m in L.phi.items()}
     fails = []
     for g in P.elements():
         if L.phi[(0, g)] != ident[g]:
@@ -342,7 +373,9 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         for k in P.elements():
             hk = P.mul(h, k)
             for g in nonzero:
-                if L.phi[(h, P.conj(k, g))] @ L.phi[(k, g)] != _times_matrix(D, L.phi[(hk, g)]):
+                inner = L.phi[(k, g)].data
+                if any(total(dims[g], sup, inner) != want
+                       for sup, want in zip(rows_sup[(h, P.conj(k, g))], phi_D[(hk, g)])):
                     fails.append((f"(h={P.names[h]},k={P.names[k]},g={P.names[g]})",
                                   "phi_h phi_k != phi_hk"))
     report.add("phi_homomorphism", fails)
@@ -351,15 +384,18 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     fails = []
     unit = _times(D, L.unit)
     for h in P.elements():
-        if L.phi[(h, 0)].apply(L.unit) != unit:
+        if total(dims[0], unit_sup, phis[(h, 0)]) != unit:
             fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
         for g1, g2 in itertools.product(nonzero, repeat=2):
-            phi12 = L.phi[(h, P.mul(g1, g2))]
+            g12 = P.mul(g1, g2)
             hg1, hg2 = P.conj(h, g1), P.conj(h, g2)
+            image, block = phis[(h, g12)], prod[(hg1, hg2)]
+            d, d12 = dims[P.conj(h, g12)], dims[P.mul(hg1, hg2)]
             for i, ni in enumerate(names[g1]):
+                fa = phis_sup[(h, g1)][i]
                 for j, nj in enumerate(names[g2]):
-                    lhs = _times(D, phi12.apply(prod[(g1, g2)][i][j]))
-                    rhs = L.multiply(hg1, phis[(h, g1)][i], hg2, phis[(h, g2)][j])
+                    lhs = _times(D, total(d, prod_sup[(g1, g2)][i][j], image))
+                    rhs = product(d12, fa, phis_sup[(h, g2)][j], block)
                     if lhs != rhs:
                         fails.append((f"(h={P.names[h]},{ni},{nj})",
                                       "phi_h(xy) != phi_h(x) phi_h(y)"))
@@ -381,33 +417,38 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             fails.append((f"g={P.names[g]}", "phi_g is not the identity on L_g"))
     report.add("phi_fixes_own_grade", fails)
 
-    # phi_h(e_i) e_j contracts phi_h(e_i) with cols[(hgh^-1, h)][j]; it has
-    # degree 2 against 1
+    # phi_h(e_i) e_j sums cols[(hgh^-1, h)][j] over the support of
+    # phi_h(e_i); it has degree 2 against 1
     fails = []
     for g, h in itertools.product(nonzero, repeat=2):
         hg = P.conj(h, g)
-        d = L.dims[P.mul(hg, h)]
+        d, col = dims[P.mul(hg, h)], cols[(hg, h)]
         for i, na in enumerate(names[g]):
-            fa = phis[(h, g)][i]
+            fa = phis_sup[(h, g)][i]
             for j, nb in enumerate(names[h]):
-                if f.combine(d, zip(fa, cols[(hg, h)][j])) != _times(D, prod[(h, g)][j][i]):
+                if total(d, fa, col[j]) != _times(D, prod[(h, g)][j][i]):
                     fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
     report.add("twisted_commutativity", fails)
 
-    # the trace condition compares the two cuttings of the labeled torus; it
-    # is checked over grade pairs that both carry states (with the empty-cut
-    # instances included, the boundary-group algebra of a non-surjective
-    # boundary map would fail it, contradicting its construction)
+    # the trace condition compares the two cuttings of the labeled torus: for
+    # c = e_t in the commutator grade, tr(x |-> c phi_h(x)) on L_g is the sum
+    # over j of <e_t e_j, row j of phi(h, g)> (e_j in L_{hgh^-1}), and
+    # tr(x |-> phi_{g^-1}(c x)) on L_h the sum over s of <row s of
+    # phi(g^-1, ghg^-1), e_t e_s> (e_s in L_h). It is checked over grade
+    # pairs that both carry states (with the empty-cut instances included,
+    # the boundary-group algebra of a non-surjective boundary map would fail
+    # it, contradicting its construction)
     fails = []
-    for g in P.elements():
-        for h in P.elements():
-            if L.dims[g] == 0 or L.dims[h] == 0:
-                continue
-            for nt, t in units[P.commutator(g, h)]:
-                t1, t2 = torus_traces(L, g, h, t)
-                if t1 != t2:
-                    fails.append((f"(g={P.names[g]},h={P.names[h]},c={nt})",
-                                  "trace axiom fails"))
+    for g, h in itertools.product(nonzero, repeat=2):
+        comm, hg = P.commutator(g, h), P.conj(h, g)
+        phi1, phi2 = L.phi[(h, g)].data, L.phi[(P.inv[g], P.conj(g, h))].data
+        for t, nt in enumerate(names[comm]):
+            t1 = sum([x * phi1[j][a] for j, sup in enumerate(prod_sup[(comm, hg)][t])
+                      for a, x in sup])
+            t2 = sum([x * phi2[s][a] for s, sup in enumerate(prod_sup[(comm, h)][t])
+                      for a, x in sup])
+            if f.of(t1 - t2):
+                fails.append((f"(g={P.names[g]},h={P.names[h]},c={nt})", "trace axiom fails"))
     report.add("trace", fails)
 
     fails = []
@@ -415,17 +456,14 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         fails.append(("c=1", "tilde(1) != 1"))
     report.add("tilde_unit", fails)
 
-    # tilde(c') tilde(c) contracts tilde(c) with the products tilde(c') e_l,
-    # built once per c' and grade d(c); it has degree 3 against 1
+    # tilde(c') tilde(c) sums the products e_a e_b over the supports of both;
+    # it has degree 3 against 1
     fails = []
-    image = {L.cm.d(c) for c in C.elements()}
     for c2 in C.elements():
         d2 = L.cm.d(c2)
-        left = {g: [f.combine(L.dims[P.mul(d2, g)], zip(L.tilde[c2], col))
-                    for col in cols[(d2, g)]] for g in image}
         for c in C.elements():
             dc = L.cm.d(c)
-            rhs = f.combine(L.dims[P.mul(d2, dc)], zip(L.tilde[c], left[dc]))
+            rhs = product(dims[P.mul(d2, dc)], tilde_sup[c2], tilde_sup[c], prod[(d2, dc)])
             if _times(D ** 2, L.tilde[C.mul(c2, c)]) != rhs:
                 fails.append((f"(c'={C.names[c2]},c={C.names[c]})",
                               "tilde(c'c) != tilde(c') tilde(c)"))
@@ -435,7 +473,9 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     fails = []
     for h in P.elements():
         for c in C.elements():
-            if L.apply_phi(h, L.cm.d(c), L.tilde[c]) != _times(D, L.tilde[L.cm.action(h, c)]):
+            dc = L.cm.d(c)
+            image = total(dims[P.conj(h, dc)], tilde_sup[c], phis[(h, dc)])
+            if image != _times(D, L.tilde[L.cm.action(h, c)]):
                 fails.append((f"(h={P.names[h]},c={C.names[c]})",
                               "phi_h(tilde c) != tilde(^h c)"))
     report.add("tilde_equivariant", fails)
@@ -447,17 +487,6 @@ def _basis_units(L: CrossedCAlgebra):
     """Per grade, the (name, unit vector) of each basis vector."""
     return [[(L.basis_names[g][i], unit_vector(L.field, L.dims[g], i)) for i in range(L.dims[g])]
             for g in L.P.elements()]
-
-
-def torus_traces(L: CrossedCAlgebra, g: int, h: int, c_vec):
-    """Both traces of the torus-compatibility condition for a vector c in the
-    commutator grade of (g, h): tr(x |-> c phi_h(x)) on L_g and
-    tr(x |-> phi_{g^-1}(c x)) on L_h. They agree on a valid algebra."""
-    P = L.P
-    comm = P.commutator(g, h)
-    m1 = L.left_mul_matrix(comm, c_vec, P.conj(h, g)) @ L.phi[(h, g)]
-    m2 = L.phi[(P.inv[g], P.conj(g, h))] @ L.left_mul_matrix(comm, c_vec, h)
-    return m1.trace(), m2.trace()
 
 
 # --------------------------------------------------------------------------
@@ -755,9 +784,7 @@ def pullback(fmor: CrossedModuleMorphism, Lp: CrossedCAlgebra, name=None) -> Cro
     """Re-grade an algebra over the target along the base map: grade p gets a
     copy of the target's grade f0(p); the pairing vanishes between non-inverse
     source grades by construction."""
-    if Lp.cm != fmor.target:
-        raise CrossedModuleMismatch(f"the algebra is over crossed module {Lp.cm.name}, "
-                                    f"the morphism's target is {fmor.target.name}")
+    require_same(Lp.cm, fmor.target, "the algebra", "the morphism's target is")
     src = fmor.source
     f0 = fmor.f_base.map
     f1 = fmor.f_top.map
@@ -909,9 +936,7 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
     (n in ker f0) and tilde(b) - 1 (b in ker f1), closed under left/right
     products with every basis vector, kept per target-grade class (the
     generators are homogeneous for the target grading)."""
-    if L.cm != fmor.source:
-        raise CrossedModuleMismatch(f"the algebra is over crossed module {L.cm.name}, "
-                                    f"the morphism's source is {fmor.source.name}")
+    require_same(L.cm, fmor.source, "the algebra", "the morphism's source is")
     tgt = fmor.target
     P, Q, C, D = fmor.source.base, tgt.base, fmor.source.top, tgt.top
     f0, f1 = fmor.f_base.map, fmor.f_top.map

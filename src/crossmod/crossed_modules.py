@@ -50,6 +50,17 @@ class CrossedModule:
         return f"CrossedModule({self.name}: |C|={self.top.order}, |P|={self.base.order})"
 
 
+def require_same(cm: CrossedModule, other: CrossedModule, subject: str, relation: str) -> None:
+    """Raise CrossedModuleMismatch unless cm and other are one crossed module
+    (the same groups, boundary and action, whatever their names), with the
+    message "<subject> is over crossed module <cm>, <relation> <other>". The
+    other is named "a different crossed module of that name" when the two
+    names are equal."""
+    if cm != other:
+        name = "a different crossed module of that name" if cm.name == other.name else other.name
+        raise CrossedModuleMismatch(f"{subject} is over crossed module {cm.name}, {relation} {name}")
+
+
 def check_crossed_module(cm: CrossedModule) -> CheckReport:
     """CM1 over all (p, c) and CM2 over all (c, c'), exhaustively."""
     report = CheckReport(f"crossed module {cm.name}")

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .algebras import CrossedCAlgebra, check_crossed_algebra
-from .crossed_modules import CrossedModule, CrossedModuleMismatch
+from .crossed_modules import CrossedModule, require_same
 from .formal_maps import (
     Cap,
     CobordismExpression,
@@ -132,13 +132,10 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
 
 
 def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> None:
-    """Raise CrossedModuleMismatch, naming both crossed modules, unless the
-    expression is over cm: the same groups, boundary and action, whatever
-    its name."""
-    if e.cm != cm:
-        other = "a different crossed module of that name" if e.cm.name == cm.name else cm.name
-        raise CrossedModuleMismatch(f"the expression is over crossed module {e.cm.name}, "
-                                    f"the algebra over {other}")
+    """Raise CrossedModuleMismatch (`crossed_modules.require_same`) unless
+    the expression is over cm: the same groups, boundary and action,
+    whatever its name."""
+    require_same(e.cm, cm, "the expression", "the algebra over")
 
 
 def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:

@@ -20,8 +20,8 @@ entry an ``int``.
 Only the public constructor ``Matrix(field, data, cols)`` copies, validates
 and puts into canonical form its data, for matrices from outside (documents,
 fixtures, tests). A matrix this module builds itself (a product,
-Kronecker product, transpose, identity, zero matrix or inverse), and the
-evaluator's cap, cup and swap pieces, are wrapped as they are by the private
+Kronecker product, transpose, identity or inverse), and the evaluator's
+cap, cup and swap pieces, are wrapped as they are by the private
 ``Matrix._of``, since their rows are already canonical tuples of one length.
 """
 
@@ -52,10 +52,6 @@ class Matrix:
         m = object.__new__(cls)
         m.field, m.rows, m.cols, m.data = field, len(data), cols, data
         return m
-
-    @classmethod
-    def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls._of(field, ((field.zero,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":

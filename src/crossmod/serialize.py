@@ -221,23 +221,29 @@ class Workspace:
         return obj
 
     def load_dir(self, path):
+        """Add every JSON document of the directory under its name; each
+        crossed module among them is checked as it loads (`_checked`)."""
         for file in sorted(Path(path).glob("*.json")):
             kind, name, obj = load_file(file, self)
-            self.add(name, kind, obj)
+            self.add(name, kind, _checked(kind, obj))
 
     def resolve(self, ref, kind: str):
         """A reference is either a name or an inline document. An inline
-        crossed module is checked here, once, because every document over it
-        assumes its axioms: one that fails raises SerializationError naming
-        the first failing family."""
+        crossed module is checked here, once (`_checked`)."""
         if isinstance(ref, str):
             return self.get(ref, kind)
         if isinstance(ref, dict):
-            obj = from_doc(ref, self, kind)[2]
-            if kind == "crossed_module":
-                check_crossed_module(obj).require(SerializationError)
-            return obj
+            return _checked(kind, from_doc(ref, self, kind)[2])
         raise SerializationError(f"bad reference {ref!r}")
+
+
+def _checked(kind: str, obj):
+    """obj, checked first when it is a crossed module that a document may
+    name or inline: every document over one assumes its axioms, so one that
+    fails raises SerializationError naming the first failing family."""
+    if kind == "crossed_module":
+        check_crossed_module(obj).require(SerializationError)
+    return obj
 
 
 def _is_index(x, n) -> bool:

@@ -27,7 +27,6 @@ from crossmod.algebras import (
     RhoIllDefined,
     same_structure,
     theta,
-    torus_traces,
     transpose_from_pushforward,
     transpose_to_pullback,
     untranspose_from_pullback,
@@ -53,6 +52,7 @@ from crossmod.groups import (
 )
 from crossmod.hqft import eval_piece, make_hqft
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
+from test_checker_oracle import torus_traces
 
 
 def test_group_algebra_C_dims(cms):

@@ -133,9 +133,9 @@ def test_kron_block_structure():
 
 
 def test_zero_dimensional_shapes():
-    z = Matrix.zeros(QQ, 0, 3)
+    z = Matrix(QQ, [], cols=3)
     assert z.shape() == (0, 3)
-    assert (z @ Matrix.zeros(QQ, 3, 2)).shape() == (0, 2)
+    assert (z @ Matrix(QQ, [[0, 0]] * 3, cols=2)).shape() == (0, 2)
     assert z.transpose().shape() == (3, 0)
     assert Matrix.identity(QQ, 0).trace() == 0
     assert Matrix.identity(QQ, 0).inverse().shape() == (0, 0)
@@ -166,7 +166,7 @@ def test_internal_matrices_hold_trusted_data(f):
     for r, c in shapes:
         a = rand(r, c)
         _assert_trusted(a.transpose())
-        _assert_trusted(Matrix.zeros(f, r, c))
+        _assert_trusted(Matrix(f, [[f.zero] * c] * r, cols=c))
         _assert_trusted(Matrix.from_columns(f, list(zip(*a.data)) if r else [()] * c, r))
         for k in (0, 1, 3):
             _assert_trusted(a @ rand(c, k))

@@ -256,7 +256,7 @@ def test_singular_pairing_raises_on_every_call(algebras):
     block raises ValueError on each cup through it and never stores it."""
     L = algebras["KC.CM-Mod"]
     rho = dict(L.rho)
-    rho[0] = Matrix.zeros(L.field, L.dims[0], L.dims[0])
+    rho[0] = Matrix(L.field, [[0] * L.dims[0]] * L.dims[0], cols=L.dims[0])
     broken = CrossedCAlgebra(L.name + "*", L.cm, L.field, L.dims, L.basis_names,
                              L.mul, L.unit, rho, L.phi, L.tilde)
     tau = FormalHQFT(broken)

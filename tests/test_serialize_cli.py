@@ -459,6 +459,21 @@ def test_cli_build_over_another_crossed_module_exits_2(capsys, construction, mor
     assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
+def test_cli_build_over_another_crossed_module_of_the_same_name_exits_2(tmp_path, capsys,
+                                                                        algebras):
+    """K[P](CM-Mod) whose crossed module is renamed CM-A3S3 is over another
+    crossed module than q.CM-A3S3's source, which the error calls a
+    different crossed module of that name."""
+    doc = to_doc("algebra", algebras["KP.CM-Mod"])
+    doc["crossed_module"]["name"] = "CM-A3S3"
+    kp = tmp_path / "kp.json"
+    kp.write_text(dumps(doc))
+    assert main(["build", "pushforward", "q.CM-A3S3", str(kp)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "the algebra is over crossed module CM-A3S3, the morphism's source is "
+                 "a different crossed module of that name"}
+
+
 def test_cli_build_pushforward_ill_defined_fails(capsys):
     assert main(["build", "pushforward", "q.CM-Mod", "KC.CM-Mod"]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
@@ -662,3 +677,20 @@ def test_cli_nested_crossed_module_failing_its_axioms_exits_2(tmp_path, capsys, 
     assert main(["check", "crossed-module", str(cm)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert [c["axiom"] for c in report["checks"] if not c["ok"]][0] == "action_compatible"
+
+
+def test_cli_fixtures_dir_crossed_module_failing_its_axioms_exits_2(tmp_path, capsys,
+                                                                   algebras):
+    """The same corrupted CM-Mod, named CM-Bad, loaded with --fixtures-dir
+    and named by K[P](CM-Mod)'s document: it is checked as it loads, so
+    `check algebra` exits 2 naming the failing family."""
+    fx = tmp_path / "fx"
+    fx.mkdir()
+    doc = to_doc("algebra", algebras["KP.CM-Mod"])
+    cm = dict(doc["crossed_module"], name="CM-Bad", action=[[0, 1, 2], [0, 1, 1]])
+    (fx / "cm-bad.json").write_text(dumps(cm))
+    alg = tmp_path / "alg.json"
+    alg.write_text(dumps(dict(doc, crossed_module="CM-Bad")))
+    assert main(["--fixtures-dir", str(fx), "check", "algebra", str(alg)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "crossed module CM-Bad: action_compatible fails at (1,1,2): ^(pq)c != ^p(^q c)"}
