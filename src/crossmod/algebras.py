@@ -890,6 +890,17 @@ class PushforwardData:
         return {p: tuple(vec[self.offsets[q][p]:self.offsets[q][p] + L.dims[p]])
                 for p in self.members[q]}
 
+    def free_basis(self, q):
+        """The grade p and index i of each free column of the ideal of class
+        q, in column order: quotient basis vector k of class q is the class
+        of the basis vector e_i of L_p, with (p, i) the k-th pair."""
+        columns = [(p, i) for p in self.members[q] for i in range(self.source.dims[p])]
+        return [columns[j] for j in self.spans[q].free_columns()]
+
+
+def _column(m: Matrix, i: int):
+    return tuple(row[i] for row in m.data)
+
 
 def quotient_map(data: PushforwardData, p: int) -> Matrix:
     """The quotient map pi on L_p, as a matrix into the quotient coordinates
@@ -992,6 +1003,10 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     """The pushforward algebra: the source quotiented by the defining ideal,
     regraded over the target base group.
 
+    Everything is read through the quotient map pi (`quotient_map`). The
+    quotient basis of a class is the classes of its free basis vectors
+    (`PushforwardData.free_basis`), so each structure constant of f_*L is pi
+    of one of L's, and each column of the action is pi of one column of L's.
     Requires f1 surjective; for target grades outside the image of f0 the
     action is extended by the identity, and the final axiom check decides
     validity. The pairing is the one form that the quotient map preserves in
@@ -1008,29 +1023,16 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
     dims_new = [class_dim[qq] - spans[qq].dim for qq in Q.elements()]
     basis_names = [[f"{Q.names[qq]}#{k}" for k in range(dims_new[qq])]
                    for qq in Q.elements()]
-
-    def lifts(qq):
-        return [spans[qq].quotient_lift(unit_vector(field, dims_new[qq], k))
-                for k in range(dims_new[qq])]
+    pis = {p: quotient_map(data, p) for p in P.elements()}
+    free = {qq: data.free_basis(qq) for qq in Q.elements()}
 
     mul_new = {}
     for q1 in Q.elements():
         for q2 in Q.elements():
-            q12 = Q.mul(q1, q2)
-            block = []
-            for a in lifts(q1):
-                comps_a = data.components(q1, a)
-                row = []
-                for b in lifts(q2):
-                    comps_b = data.components(q2, b)
-                    out = data.class_vector(q12, (
-                        (P.mul(p1, p2), L.multiply(p1, comps_a[p1], p2, comps_b[p2]))
-                        for p1 in members[q1] for p2 in members[q2]))
-                    row.append(list(spans[q12].quotient_coords(out)))
-                block.append(row)
-            mul_new[(q1, q2)] = block
+            mul_new[(q1, q2)] = [[pis[P.mul(p1, p2)].apply(L.mul[(p1, p2)][i1][i2])
+                                  for p2, i2 in free[q2]]
+                                 for p1, i1 in free[q1]]
 
-    pis = {p: quotient_map(data, p) for p in P.elements()}
     unit_new = pis[0].apply(L.unit)
     rho_new = {qq: _quotient_pairing(data, qq, pis) for qq in Q.elements()}
 
@@ -1047,12 +1049,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                 continue
             candidates = []
             for pa in reps:
-                cols = []
-                for a in lifts(qq):
-                    comps_a = data.components(qq, a)
-                    out = data.class_vector(qc, ((P.conj(pa, p), L.apply_phi(pa, p, comps_a[p]))
-                                                 for p in members[qq]))
-                    cols.append(spans[qc].quotient_coords(out))
+                cols = [pis[P.conj(pa, p)].apply(_column(L.phi[(pa, p)], i)) for p, i in free[qq]]
                 candidates.append(Matrix.from_columns(field, cols, dims_new[qc]))
             if any(cand != candidates[0] for cand in candidates[1:]):
                 raise ValueError(
@@ -1101,31 +1098,27 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
                                data: PushforwardData) -> CrossedAlgebraMorphism:
     """Factor a morphism over f through the pushforward of its source.
 
-    Raises ValueError if the morphism does not kill the defining ideal
+    The quotient basis of a class is the classes of its free basis vectors
+    (`PushforwardData.free_basis`), so column k of the factored block of
+    class q is column i of the block of grade p, with (p, i) the k-th free
+    pair. Raises ValueError if the morphism does not kill the defining ideal
     (impossible for a valid morphism over f)."""
     L, Lp = m.source, m.target
     field = L.field
     Q = m.over.target.base
 
-    def image_of_class_vector(qq, vec):
-        comps = data.components(qq, vec)
-        return field.combine(Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
-                                           for p in data.members[qq]))
-
     for qq in Q.elements():
         for kvec in data.spans[qq].basis:
-            if any(image_of_class_vector(qq, kvec)):
+            comps = data.components(qq, kvec)
+            if any(field.combine(Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
+                                               for p in data.members[qq]))):
                 raise ValueError(
                     f"morphism does not kill the ideal in class {Q.names[qq]}")
 
-    blocks = {}
-    fL = data.algebra
-    for qq in Q.elements():
-        span = data.spans[qq]
-        cols = [image_of_class_vector(qq, span.quotient_lift(unit_vector(field, fL.dims[qq], k)))
-                for k in range(fL.dims[qq])]
-        blocks[qq] = Matrix.from_columns(field, cols, Lp.dims[qq])
-    return CrossedAlgebraMorphism(identity_morphism(m.over.target), fL, Lp, blocks)
+    blocks = {qq: Matrix.from_columns(field, [_column(m.blocks[p], i)
+                                              for p, i in data.free_basis(qq)], Lp.dims[qq])
+              for qq in Q.elements()}
+    return CrossedAlgebraMorphism(identity_morphism(m.over.target), data.algebra, Lp, blocks)
 
 
 def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMorphism,

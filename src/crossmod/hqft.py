@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebras import CrossedCAlgebra, check_crossed_algebra
+from .algebras import CrossedCAlgebra, check_crossed_algebra, theta
 from .crossed_modules import CrossedModule, require_same
 from .formal_maps import (
     Cap,
@@ -95,10 +95,10 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
         case Cyl(c, g, h):
             hinv = P.inv[h]
             conj = P.conj(hinv, g)
-            return L.left_mul_matrix(cm.d(c), L.tilde[c], conj) @ L.phi[(hinv, g)]
+            return theta(L, c, conj) @ L.phi[(hinv, g)]
         case Pants(c, g1, g2):
             g12 = P.mul(g1, g2)
-            return L.left_mul_matrix(cm.d(c), L.tilde[c], g12) @ L.mul_matrix(g1, g2)
+            return theta(L, c, g12) @ L.mul_matrix(g1, g2)
         case Cap(g):
             rho = L.rho[g]
             return Matrix._of(f, (tuple([x for row in rho.data for x in row]),),
@@ -159,7 +159,7 @@ def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:
     pairing from caps, action from cylinders, units from discs."""
     L = tau.algebra
     cm, f, P, C = L.cm, L.field, L.P, L.C
-    dims = state_space(tau, FormalBoundary.of(*[[g] for g in P.elements()]))
+    dims = L.dims
     mul = {}
     for g in P.elements():
         for h in P.elements():

@@ -120,15 +120,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.data, self.cols)
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        f = self.field
-        acc = f.zero
-        for i in range(self.rows):
-            acc = f.add(acc, self.data[i][i])
-        return acc
-
     def _eliminate(self, extra):
         """Gauss-Jordan reduction of [A | extra], pivoting on the columns of A
         only; `extra` holds the appended entries of each row. Returns the
@@ -278,13 +269,3 @@ class RowSpace:
         """Coordinates of vec + W in the basis {e_j + W : j free}."""
         residual = self.reduce(vec)
         return tuple(residual[j] for j in self.free_columns())
-
-    def quotient_lift(self, coords):
-        """Canonical representative of a quotient coordinate vector."""
-        free = self.free_columns()
-        if len(coords) != len(free):
-            raise ValueError("quotient coordinate length mismatch")
-        vec = [self.field.zero] * self.n
-        for j, c in zip(free, coords):
-            vec[j] = c
-        return tuple(vec)

@@ -52,7 +52,7 @@ from crossmod.groups import (
 )
 from crossmod.hqft import eval_piece, make_hqft
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
-from test_checker_oracle import torus_traces
+from test_checker_oracle import FIELDS, gauge_pushforward_inputs, torus_traces
 
 
 def test_group_algebra_C_dims(cms):
@@ -437,6 +437,29 @@ def test_pushforward_pairing_oracle(groups, field, case):
                 assert value == L.rho[p].data[i][j], (p, i, j)
                 checked += 1
     assert checked == sum(L.dims[p] * L.dims[L.P.inv[p]] for p in L.P.elements()) > 0
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_pushforward_free_basis_is_the_quotient_basis(fname):
+    """Quotient basis vector k of class q is the class of e_i in L_p, with
+    (p, i) the k-th pair of `free_basis(q)`: column i of pi_p is unit
+    vector k, on the fixture pushforwards' inputs and on two in gauge bases."""
+    field = FIELDS[fname]
+    mors, algs = std_morphisms(), std_algebras(field)
+    cases = {"PUSH.CM-A3S3": (mors["q.CM-A3S3"], algs["KP.CM-A3S3"]),
+             "PUSH.CM-Id2": (mors["collapse.CM-Id2"], algs["KC.CM-Id2"]),
+             **gauge_pushforward_inputs(fname)}
+    dims = {}
+    for name, (fmor, L) in cases.items():
+        data = pushforward_data(fmor, L)
+        dims[name] = data.algebra.dims
+        for q in fmor.target.base.elements():
+            free = data.free_basis(q)
+            assert len(free) == dims[name][q], (name, q)
+            for k, (p, i) in enumerate(free):
+                pi = quotient_map(data, p)
+                assert tuple(row[i] for row in pi.data) == unit_vector(field, len(free), k)
+    assert dims["push-id"] == (2, 0, 2, 0)
 
 
 def test_pushforward_cm_mod_ideal_dims_and_ill_defined_rho(algebras, cms):

@@ -1,17 +1,20 @@
-"""Byte-stable output: the JSON of every fixture algebra, and the `eval`
-output of one fixed expression, hash to fixed digests. They were recorded
-with every rational held as a Fraction and dense products, so they pin the
-output independently of how scalars are stored and multiplied."""
+"""Byte-stable output: the JSON of every fixture algebra and of two
+pushforwards in gauge bases, and the `eval` output of one fixed expression,
+hash to fixed digests. They were recorded with every rational held as a
+Fraction and dense products, so they pin the output independently of how
+scalars are stored and multiplied."""
 
 import hashlib
 
 import pytest
 
 from crossmod import serialize
+from crossmod.algebras import pushforward
 from crossmod.cli import main
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_algebras, std_crossed_modules
 from crossmod.formal_maps import Cup, Cyl, Disc, Id, Pants, Swap, expression
+from test_checker_oracle import gauge_pushforward_inputs
 
 ALGEBRA_SHA256 = {
     QQ: {
@@ -44,6 +47,19 @@ ALGEBRA_SHA256 = {
     },
 }
 
+# the algebra JSON of the pushforwards of `gauge_pushforward_inputs`, whose
+# quotient grades are two dimensional or whose ideal is dense
+PUSHFORWARD_SHA256 = {
+    "QQ": {
+        "push-id": "6a58d089445679e38fed17c994918147869bb340792a22493168f1342bb0f70c",
+        "push": "960c99b5bde068bf088f804bc79754cbe41a3bc96bb9fd80b9e65889fb8d64a7",
+    },
+    "GF5": {
+        "push-id": "f61fc4a0abe0aec7f468486af55dcd321e4a356a4372470529ebef903ad86317",
+        "push": "7544a07459dae75c4cd610cde68bebd1d8942a58b0882c8d5e85b460c0bb1c2b",
+    },
+}
+
 # stdout of `crossmod --field <field> eval KC.CM-Mod` on the expression below
 EVAL_SHA256 = {
     "Q": "677a644e75b771ea7f7fa56927b1fbe1464fa1a7a2c46fff133032f34135baea",
@@ -62,6 +78,13 @@ def test_fixture_algebra_json_is_byte_stable(field):
     got = {name: _sha256(serialize.dumps(serialize.to_doc("algebra", L)))
            for name, L in algebras.items()}
     assert got == ALGEBRA_SHA256[field]
+
+
+@pytest.mark.parametrize("fname", list(PUSHFORWARD_SHA256))
+def test_gauge_pushforward_json_is_byte_stable(fname):
+    got = {name: _sha256(serialize.dumps(serialize.to_doc("algebra", pushforward(fmor, L))))
+           for name, (fmor, L) in gauge_pushforward_inputs(fname).items()}
+    assert got == PUSHFORWARD_SHA256[fname]
 
 
 @pytest.mark.parametrize("field", list(EVAL_SHA256))

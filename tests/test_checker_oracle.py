@@ -34,9 +34,9 @@ from crossmod.algebras import (
     group_algebra_C,
     theta,
 )
-from crossmod.crossed_modules import crossed_module
+from crossmod.crossed_modules import crossed_module, identity_morphism
 from crossmod.fields import GF, QQ
-from crossmod.fixtures import std_algebras
+from crossmod.fixtures import std_algebras, std_morphisms
 from crossmod.groups import GroupHomomorphism, action, cyclic_group, trivial_action
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
 from crossmod.report import CheckReport
@@ -145,7 +145,9 @@ def torus_traces(L, g, h, c_vec):
     comm = P.commutator(g, h)
     m1 = L.left_mul_matrix(comm, c_vec, P.conj(h, g)) @ L.phi[(h, g)]
     m2 = L.phi[(P.inv[g], P.conj(g, h))] @ L.left_mul_matrix(comm, c_vec, h)
-    return m1.trace(), m2.trace()
+    f = L.field
+    return tuple(functools.reduce(f.add, (m.data[i][i] for i in range(m.rows)), f.zero)
+                 for m in (m1, m2))
 
 
 def slow_trace(L, nonzero):
@@ -399,6 +401,21 @@ def base_algebras(field):
         cm = doubling_module(n, invert)
         algs[f"KC.{cm.name}"] = group_algebra_C(cm, field, name=f"KC.{cm.name}")
     return algs
+
+
+def gauge_pushforward_inputs(fname):
+    """Two pushforwards in seeded gauge bases over FIELDS[fname], as
+    {name: (morphism, algebra)}: along the identity of the Z/4 doubling
+    module with inversion on its K[C], whose quotient grades are two
+    dimensional, and along q.CM-A3S3 on K[P](CM-A3S3), whose ideal is dense."""
+    field = FIELDS[fname]
+    cm = doubling_module(4, True)
+    return {
+        "push-id": (identity_morphism(cm), gauge(group_algebra_C(cm, field),
+                                                 random.Random(f"{fname}/push-id"))),
+        "push": (std_morphisms()["q.CM-A3S3"], gauge(std_algebras(field)["KP.CM-A3S3"],
+                                                     random.Random(f"{fname}/push"))),
+    }
 
 
 GAUGED = ("KC.CM-A3S3", "KC.CM-Mod", "KC.CM-AutS3", "KP.CM-A3S3", "PUSH.CM-A3S3",
