@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .crossed_modules import (
     CrossedModule,
@@ -104,13 +105,6 @@ class CrossedCAlgebra:
                 for j in range(self.dims[h])]
         return Matrix.from_columns(self.field, cols, dgh)
 
-    def right_mul_matrix(self, h: int, b, g: int) -> Matrix:
-        """Matrix of x |-> x*b with b in grade h, acting L_g -> L_{gh}."""
-        block = self.mul[(g, h)]
-        dgh = self.dims[self.P.mul(g, h)]
-        cols = [self.field.combine(dgh, zip(b, block[i])) for i in range(self.dims[g])]
-        return Matrix.from_columns(self.field, cols, dgh)
-
     def pairing(self, g: int, x, y):
         """rho(x, y) for x in grade g, y in grade g^-1."""
         f = self.field
@@ -118,9 +112,6 @@ class CrossedCAlgebra:
         return f.combine(1, ((f.mul(xi, yj), (rows[i][j],))
                              for i, xi in enumerate(x) if xi
                              for j, yj in enumerate(y) if yj))[0]
-
-    def apply_phi(self, h: int, g: int, x):
-        return self.phi[(h, g)].apply(x)
 
     def __repr__(self):
         return f"CrossedCAlgebra({self.name} over {self.cm.name}, dims={self.dims})"
@@ -237,6 +228,60 @@ def _times_matrix(k: int, m: Matrix) -> Matrix:
                                        m.cols)
 
 
+def _support(vec):
+    """The (index, value) pairs of the nonzero entries of vec."""
+    return [(k, x) for k, x in enumerate(vec) if x]
+
+
+class _Tables(NamedTuple):
+    """What the checkers read off `_cleared(L)`, with no multiplication (see
+    `_tables`)."""
+    L: CrossedCAlgebra
+    D: int
+    prod: dict        # (g, h) -> [i][j] -> e_i e_j, the cells of mul(g, h)
+    phis: dict        # (h, g) -> [i] -> phi_h(e_i), the columns of phi(h, g)
+    phis_sup: dict    # (h, g) -> [i] -> support of phi_h(e_i)
+    unit_sup: list
+    tilde_sup: list   # c -> support of tilde(c)
+    total: Callable
+    product: Callable
+
+
+def _tables(L: CrossedCAlgebra) -> _Tables:
+    """The tables of the checkers, read once per call off `_cleared(L)`: the
+    basis products (the cells of mul as tuples), the action images (the
+    columns of each phi block), and the supports of the action images, the
+    unit and each tilde(c).
+
+    `total(n, sup, vecs)` is the sum of x vecs[k] over the support terms
+    (k, x) of a vector, so a product with that vector is `combine` on its
+    support terms alone, and for a support of one term with value 1 it is
+    the stored vector vecs[k] itself, with no `combine`: that is how a group
+    basis, where every basis product and action image has one nonzero entry,
+    is checked. `product(n, sup1, sup2, block)` is the product of the two
+    vectors with these supports, from the block of basis products, summed in
+    the same way."""
+    L, D = _cleared(L)
+    f = L.field
+
+    def total(n, sup, vecs):
+        if len(sup) == 1 and sup[0][1] == 1:
+            return vecs[sup[0][0]]
+        return f.combine(n, [(x, vecs[k]) for k, x in sup])
+
+    def product(n, sup1, sup2, block):
+        if len(sup1) == 1 and len(sup2) == 1 and sup1[0][1] * sup2[0][1] == 1:
+            return block[sup1[0][0]][sup2[0][0]]
+        return f.combine(n, [(x * y, block[a][b]) for a, x in sup1 for b, y in sup2])
+
+    phis = {key: m.transpose().data for key, m in L.phi.items()}
+    return _Tables(
+        L, D,
+        {key: [[tuple(cell) for cell in row] for row in block] for key, block in L.mul.items()},
+        phis, {key: [_support(v) for v in block] for key, block in phis.items()},
+        _support(L.unit), [_support(v) for v in L.tilde], total, product)
+
+
 def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     """Every axiom family, exhaustively; the report carries the first
     counterexample instance per family.
@@ -248,55 +293,27 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     unit axiom compares 1 e_i, of degree 2, with e_i times D**2), which keeps
     every result, and so the report, what it is on L.
 
-    The tables are read off the structure maps once per call, with no
-    multiplication: the basis products prod[(g, h)][i][j] = e_i e_j are the
-    cells of mul(g, h), the columns cols[(g, h)][l] = [e_i e_l over i] of
-    each block, and the action images phis[(h, g)][i] = phi_h(e_i) are the
-    columns of phi(h, g). Each of these vectors, the unit, each tilde(c) and
-    each row of phi(h, g) keeps its support, the (index, value) pairs of its
-    nonzero entries. A product with such a vector is the sum, over its
-    support, of each value times a stored vector (`combine` on those terms
-    alone); a support of one term with value 1 picks the stored vector
-    itself, which is how a group basis, where every basis product and action
-    image has one nonzero entry, is checked. The trace family sums products
-    of structure constants directly."""
+    Beside the tables of `_tables`, the families read the columns
+    cols[(g, h)][l] = [e_i e_l over i] of each block of basis products, and
+    the supports of the basis products and of each row of phi(h, g). A
+    product with a stored vector is `total` or `product` over its support.
+    The trace family sums products of structure constants directly."""
     report = CheckReport(f"crossed algebra {L.name}")
     shape = well_formed(L)
     report.add("well_formed", shape)
     if shape:
         return report
-    L, D = _cleared(L)
+    t = _tables(L)
+    L, D, prod, phis, phis_sup = t.L, t.D, t.prod, t.phis, t.phis_sup
+    unit_sup, tilde_sup, total, product = t.unit_sup, t.tilde_sup, t.total, t.product
     P, C, f = L.P, L.C, L.field
     dims = L.dims
     nonzero = [g for g in P.elements() if dims[g] > 0]
     names = L.basis_names
 
-    def support(vec):
-        return [(k, x) for k, x in enumerate(vec) if x]
-
-    def total(n, sup, vecs):
-        """The sum of x vecs[k] over the support terms (k, x): vecs[k]
-        itself for one term with x = 1, the `combine` of the terms otherwise."""
-        if len(sup) == 1 and sup[0][1] == 1:
-            return vecs[sup[0][0]]
-        return f.combine(n, [(x, vecs[k]) for k, x in sup])
-
-    def product(n, sup1, sup2, block):
-        """The product of the vectors with supports sup1 and sup2, from the
-        block of basis products: the sum of x y e_a e_b over both supports,
-        as `total` sums it."""
-        if len(sup1) == 1 and len(sup2) == 1 and sup1[0][1] * sup2[0][1] == 1:
-            return block[sup1[0][0]][sup2[0][0]]
-        return f.combine(n, [(x * y, block[a][b]) for a, x in sup1 for b, y in sup2])
-
-    prod = {key: [[tuple(cell) for cell in row] for row in block] for key, block in L.mul.items()}
     cols = {(g, h): [[row[l] for row in prod[(g, h)]] for l in range(dims[h])]
             for g in P.elements() for h in P.elements()}
-    phis = {key: m.transpose().data for key, m in L.phi.items()}
-    prod_sup = {key: [[support(v) for v in row] for row in block] for key, block in prod.items()}
-    phis_sup = {key: [support(v) for v in block] for key, block in phis.items()}
-    unit_sup = support(L.unit)
-    tilde_sup = [support(v) for v in L.tilde]
+    prod_sup = {key: [[_support(v) for v in row] for row in block] for key, block in prod.items()}
 
     # 1 e_i and e_i 1 have degree 2 (the unit and mul), e_i degree 0
     fails = []
@@ -363,7 +380,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     # phi_hk (degree 1) with phi_h phi_k (degree 2), row by row: row r of
     # phi_h phi_k sums the rows of phi_k over the support of row r of phi_h
     ident = [_times_matrix(D, Matrix.identity(f, dims[g])) for g in P.elements()]
-    rows_sup = {key: [support(row) for row in m.data] for key, m in L.phi.items()}
+    rows_sup = {key: [_support(row) for row in m.data] for key, m in L.phi.items()}
     phi_D = {key: [_times(D, row) for row in m.data] for key, m in L.phi.items()}
     fails = []
     for g in P.elements():
@@ -558,61 +575,106 @@ def theta(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
     return L.left_mul_matrix(L.cm.d(c), L.tilde[c], g)
 
 
+def _theta_columns(t: _Tables):
+    """The columns of every theta(c, g) on the tables' algebra and their
+    supports, as two dicts keyed by (c, g). Column j is tilde(c) e_j, the
+    sum of column j of the mul(d(c), g) cells over the support of tilde(c);
+    it has degree 2 (tilde and mul)."""
+    L = t.L
+    P, C, dims, d = L.P, L.C, L.dims, L.cm.d
+    mul_cols = {(p, g): [[row[j] for row in t.prod[(p, g)]] for j in range(dims[g])]
+                for p in {d(c) for c in C.elements()} for g in P.elements()}
+    cols, sups = {}, {}
+    for c in C.elements():
+        for g in P.elements():
+            n = dims[P.mul(d(c), g)]
+            cols[(c, g)] = [t.total(n, t.tilde_sup[c], col) for col in mul_cols[(d(c), g)]]
+            sups[(c, g)] = [_support(v) for v in cols[(c, g)]]
+    return cols, sups
+
+
 def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     """The four composition identities relating theta, the product, rho and
-    phi, swept over every (c, c', g, h) in the crossed module. Each
-    theta(c, g) is built once per call, on `_cleared(L)`, where it has
-    degree 2 (tilde and mul). A malformed L is reported by its failing
-    `well_formed` family alone; a well-formed one adds no such family."""
+    phi, swept over every (c, c', g, h) in the crossed module.
+
+    They run on `_cleared(L)`, with the side of lower degree in the
+    structure maps multiplied up by D as in `check_crossed_algebra`, and read
+    the same tables (`_tables`). No matrix is built or multiplied: each
+    theta(c, g) is kept as its columns and their supports
+    (`_theta_columns`), and both sides of an identity are compared column by
+    column (row by row for rho), each column a `total` of stored vectors over
+    a support. A malformed L is reported by its failing `well_formed` family
+    alone; a well-formed one adds no such family."""
     report = CheckReport(f"boxed identities for {L.name}")
     if shape := well_formed(L):
         report.add("well_formed", shape)
         return report
-    L, D = _cleared(L)
-    P, C = L.P, L.C
-    d = L.cm.d
-    thetas = {(c, g): theta(L, c, g) for c in C.elements() for g in P.elements()}
+    t = _tables(L)
+    L, D, prod, phis, phis_sup, tilde_sup, total = (t.L, t.D, t.prod, t.phis, t.phis_sup,
+                                                    t.tilde_sup, t.total)
+    P, C, dims = L.P, L.C, L.dims
+    d, act = L.cm.d, L.cm.action
+    thetas, theta_sup = _theta_columns(t)
 
-    # degree 2 against 4
+    # column j of theta(c', dc*g) theta(c, g) sums the columns of
+    # theta(c', dc*g) over the support of column j of theta(c, g); degree 2
+    # against 4
+    scaled = {key: [_times(D ** 2, v) for v in cols] for key, cols in thetas.items()}
     fails = []
     for c2 in C.elements():
         for c in C.elements():
+            c2c = C.mul(c2, c)
             for g in P.elements():
-                lhs = _times_matrix(D ** 2, thetas[(C.mul(c2, c), g)])
-                rhs = thetas[(c2, P.mul(d(c), g))] @ thetas[(c, g)]
-                if lhs != rhs:
+                outer, n = thetas[(c2, P.mul(d(c), g))], dims[P.mul(d(c2c), g)]
+                if [total(n, sup, outer) for sup in theta_sup[(c, g)]] != scaled[(c2c, g)]:
                     fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
                                   "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
     report.add("theta_composition", fails)
 
+    # column i of x |-> x tilde(c) on L_g sums row i of the mul(g, dc) cells
+    # over the support of tilde(c); degree 2 against 2
     fails = []
     for c in C.elements():
+        dc = d(c)
         for g in P.elements():
-            lhs = L.right_mul_matrix(d(c), L.tilde[c], g)
-            if lhs != thetas[(L.cm.action(g, c), g)]:
+            n = dims[P.mul(g, dc)]
+            if [total(n, tilde_sup[c], row) for row in prod[(g, dc)]] != thetas[(act(g, c), g)]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "x tilde(c) != tilde(^g c) x"))
     report.add("theta_translation", fails)
 
+    # row j of theta(c, g)^T rho_dcg sums the rows of rho_dcg over the
+    # support of column j of theta(c, g); row k of (rho_g theta')^T, with
+    # theta' = theta(^{g^-1}c, (dcg)^-1), sums the columns of rho_g over that
+    # of column k of theta'. Paired grades may differ in dimension, so the
+    # second is transposed with its row count given. Degree 3 against 3
+    rho_cols = {g: m.transpose().data for g, m in L.rho.items()}
     fails = []
     for c in C.elements():
         for g in P.elements():
             dcg = P.mul(d(c), g)
-            lhs = thetas[(c, g)].transpose() @ L.rho[dcg]
-            cg = L.cm.action(P.inv[g], c)
-            rhs = L.rho[g] @ thetas[(cg, P.inv[dcg])]
-            if lhs != rhs:
+            n, rho_rows = dims[P.inv[dcg]], L.rho[dcg].data
+            lhs = [total(n, sup, rho_rows) for sup in theta_sup[(c, g)]]
+            rhs_t = [total(dims[g], sup, rho_cols[g])
+                     for sup in theta_sup[(act(P.inv[g], c), P.inv[dcg])]]
+            if lhs != (list(zip(*rhs_t)) if rhs_t else [()] * dims[g]):
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "rho(tilde(c) x, y) != rho(x, tilde(^{g^-1}c) y)"))
     report.add("theta_rho", fails)
 
+    # column j of phi_h theta(c, g) sums the columns of phi(h, dcg) over the
+    # support of column j of theta(c, g), and column j of
+    # theta(^h c, ^h g) phi_h sums the columns of theta(^h c, ^h g) over the
+    # support of phi_h(e_j); degree 3 against 3
     fails = []
     for c in C.elements():
         for g in P.elements():
+            dcg = P.mul(d(c), g)
             for h in P.elements():
-                lhs = L.phi[(h, P.mul(d(c), g))] @ thetas[(c, g)]
-                rhs = thetas[(L.cm.action(h, c), P.conj(h, g))] @ L.phi[(h, g)]
-                if lhs != rhs:
+                n, image = dims[P.conj(h, dcg)], phis[(h, dcg)]
+                outer = thetas[(act(h, c), P.conj(h, g))]
+                if [total(n, sup, image) for sup in theta_sup[(c, g)]] != \
+                        [total(n, sup, outer) for sup in phis_sup[(h, g)]]:
                     fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
                                   "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))
     report.add("theta_phi", fails)
@@ -626,14 +688,19 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     each tilde(c) is a unit, conjugation by tilde(c) equals phi_{d(c)} on
     every grade, and tilde is action-equivariant. The families run on
     `_cleared(L)`, with the side of lower degree in the structure maps
-    multiplied up by the common denominator, as in `check_crossed_algebra`.
-    Shape faults are reported as in `check_boxed_identities`."""
+    multiplied up by the common denominator, and read the tables of
+    `check_crossed_algebra` and the theta supports of
+    `check_boxed_identities`: every product is a `total` or `product` of
+    stored vectors over a support, and no matrix is built. Shape faults are
+    reported as in `check_boxed_identities`."""
     report = CheckReport(f"units/automorphisms square for {L.name}")
     if shape := well_formed(L):
         report.add("well_formed", shape)
         return report
-    L, D = _cleared(L)
-    P, C = L.P, L.C
+    t = _tables(L)
+    L, D, prod, phis, tilde_sup, total, product = (t.L, t.D, t.prod, t.phis, t.tilde_sup,
+                                                   t.total, t.product)
+    P, C, dims = L.P, L.C, L.dims
     d = L.cm.d
 
     # tilde(c) tilde(c^-1) has degree 3 against 1
@@ -641,21 +708,28 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     unit = _times(D ** 2, L.unit)
     for c in C.elements():
         cinv = C.inv[c]
-        left = L.multiply(d(c), L.tilde[c], d(cinv), L.tilde[cinv])
-        right = L.multiply(d(cinv), L.tilde[cinv], d(c), L.tilde[c])
+        dc, dcinv = d(c), d(cinv)
+        left = product(dims[P.mul(dc, dcinv)], tilde_sup[c], tilde_sup[cinv], prod[(dc, dcinv)])
+        right = product(dims[P.mul(dcinv, dc)], tilde_sup[cinv], tilde_sup[c], prod[(dcinv, dc)])
         if left != unit or right != unit:
             fails.append((f"c={C.names[c]}", "tilde(c) is not a unit"))
     report.add("tilde_units", fails)
 
-    # x |-> tilde(c) x tilde(c)^-1, using tilde(c^-1) as the inverse, has
-    # degree 4 against 1
+    # x |-> tilde(c) x tilde(c)^-1, using tilde(c^-1) as the inverse: column
+    # j sums the columns of x |-> x tilde(c^-1) on L_dcg (row k of the
+    # mul(dcg, d(c^-1)) cells summed over the support of tilde(c^-1)) over
+    # the support of column j of theta(c, g); degree 4 against 1
+    _, theta_sup = _theta_columns(t)
     fails = []
     for c in C.elements():
         cinv = C.inv[c]
+        dcinv = d(cinv)
         for g in P.elements():
-            inner = L.right_mul_matrix(d(cinv), L.tilde[cinv], P.mul(d(c), g)) @ \
-                theta(L, c, g)
-            if inner != _times_matrix(D ** 3, L.phi[(d(c), g)]):
+            dcg = P.mul(d(c), g)
+            n = dims[P.mul(dcg, dcinv)]
+            right = [total(n, tilde_sup[cinv], row) for row in prod[(dcg, dcinv)]]
+            if [total(n, sup, right) for sup in theta_sup[(c, g)]] != \
+                    [_times(D ** 3, v) for v in phis[(d(c), g)]]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "conjugation by tilde(c) != phi_{d(c)}"))
     report.add("delta_tilde_equals_phi_boundary", fails)
@@ -664,7 +738,8 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     fails = []
     for p in P.elements():
         for c in C.elements():
-            if L.apply_phi(p, d(c), L.tilde[c]) != _times(D, L.tilde[L.cm.action(p, c)]):
+            image = total(dims[P.conj(p, d(c))], tilde_sup[c], phis[(p, d(c))])
+            if image != _times(D, L.tilde[L.cm.action(p, c)]):
                 fails.append((f"(p={P.names[p]},c={C.names[c]})",
                               "phi_p(tilde c) != tilde(^p c)"))
     report.add("square_equivariance", fails)
@@ -973,7 +1048,7 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
         for p in P.elements():
             npn = P.conj(n, p)
             for _, e in units[p]:
-                vec = data.class_vector(f0[p], [(npn, L.apply_phi(n, p, e)),
+                vec = data.class_vector(f0[p], [(npn, L.phi[(n, p)].apply(e)),
                                                 (p, map(field.neg, e))])
                 generators.append((f0[p], vec))
     for b in (c for c in C.elements() if f1[c] == 0 and c != 0):

@@ -245,7 +245,7 @@ def _naive_ideal_dims(fmor, L):
         for p, i in basis:
             e = tuple(L.field.one if j == i else L.field.zero
                       for j in range(L.dims[p]))
-            img = L.apply_phi(n, p, e)
+            img = L.phi[(n, p)].apply(e)
             vec = embed(P.conj(n, p), img)
             base_vec = embed(p, e)
             gens.append([a - b for a, b in zip(vec, base_vec)])

@@ -244,15 +244,44 @@ def test_aut_square_all_fixtures(algebras):
 
 
 def test_aut_square_delta_is_conjugation(algebras):
-    # delta(tilde c) acts as e_c (-) e_{c^-1} and equals phi_{d(c)} blockwise
+    # delta(tilde c) acts as e_c (-) e_{c^-1} and equals phi_{d(c)} on every
+    # basis vector
     L = algebras["KC.CM-A3S3"]
     cm = L.cm
     for c in cm.top.elements():
+        cinv = cm.top.inv[c]
         for g in cm.base.elements():
-            lhs = L.right_mul_matrix(cm.d(cm.top.inv[c]), L.tilde[cm.top.inv[c]],
-                                     cm.base.mul(cm.d(c), g)) @ \
-                L.left_mul_matrix(cm.d(c), L.tilde[c], g)
-            assert lhs == L.phi[(cm.d(c), g)]
+            dcg = cm.base.mul(cm.d(c), g)
+            for i in range(L.dims[g]):
+                x = unit_vector(L.field, L.dims[g], i)
+                conj = L.multiply(dcg, L.multiply(cm.d(c), L.tilde[c], g, x),
+                                  cm.d(cinv), L.tilde[cinv])
+                assert conj == L.phi[(cm.d(c), g)].apply(x)
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_boxed_and_square_checks_call_no_combine_on_group_bases(monkeypatch, fname):
+    """In a group basis every tilde(c), basis product and action image is one
+    basis vector with value 1, so the boxed identities and the units square
+    read every product off the stored tables and call `combine` not once:
+    on K[C] of Z/12 over the trivial group, KC.CM-A3S3 and KP.CM-AutS3."""
+    field = FIELDS[fname]
+    z, one = cyclic_group(12), trivial_group()
+    cm = crossed_module("Z12/1", z, one, trivial_hom(z, one), trivial_action(one, z))
+    algs = std_algebras(field)
+    cases = [group_algebra_C(cm, field), algs["KC.CM-A3S3"], algs["KP.CM-AutS3"]]
+    calls = []
+    combine = type(field).combine
+
+    def counted(self, n, terms):
+        calls.append(n)
+        return combine(self, n, terms)
+
+    monkeypatch.setattr(type(field), "combine", counted)
+    for L in cases:
+        for checker in (check_boxed_identities, aut_square_check):
+            assert checker(L).ok, (L.name, checker.__name__)
+            assert calls == [], (L.name, checker.__name__, len(calls))
 
 
 def test_tilde_units_property(algebras):
@@ -642,7 +671,7 @@ def _naive_pairing(L, g, x, y):
 
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
 def test_product_contraction_against_naive_sum(f):
-    """multiply, pairing and the three product matrices against a plain sum
+    """multiply, pairing and the two product matrices against a plain sum
     over the structure constants, on every fixture algebra and on a copy with
     random dense constants and pairing (the contraction does not need an
     algebra, and an asymmetric block shows a swapped index)."""
@@ -665,7 +694,6 @@ def test_product_contraction_against_naive_sum(f):
                 prod = A.multiply(g, x, h, y)
                 assert prod == _naive_product(A, g, x, h, y)
                 assert A.left_mul_matrix(g, x, h).apply(y) == prod
-                assert A.right_mul_matrix(h, y, g).apply(x) == prod
                 assert A.mul_matrix(g, h).apply(tuple(f.mul(a, b) for a in x for b in y)) == prod
             for g in P.elements():
                 x, y = dense(L.dims[g]), dense(L.dims[P.inv[g]])

@@ -1,19 +1,22 @@
 """The exhaustive checkers against a slow oracle.
 
-check_crossed_algebra reads basis products and action images off the
-structure maps, sums stored vectors over the supports of the vectors it
-multiplies (taking a one-term support with value 1 as the stored vector
-itself), sums the trace axiom's structure constants directly and composes
-the action blocks row by row; check_boxed_identities builds each
-theta(c, g) once, and all three checkers (aut_square_check too) run on the
-algebra with its denominators cleared. The oracle below keeps the direct
-loops that multiply unit vectors with `multiply` and `pairing`, takes the
-torus traces of products of left multiplication matrices, composes the
-action blocks with one Matrix product per instance, rebuilds theta for
-every instance and conjugates basis vectors one at a time, on the algebra
-as given; both must give byte-identical reports on the fixtures, on seeded
-changes of basis, on diagonal changes of basis by large primes and on
-seeded one-entry corruptions.
+All three checkers read the same tables off the algebra with its
+denominators cleared: basis products and action images from the structure
+maps, each with its support. They sum stored vectors over the supports of
+the vectors they multiply (taking a one-term support with value 1 as the
+stored vector itself). check_crossed_algebra also sums the trace axiom's
+structure constants directly and composes the action blocks row by row;
+check_boxed_identities and aut_square_check keep each theta(c, g) as its
+columns with their supports and compare both sides of an identity column by
+column, with no Matrix built. The oracle below keeps the direct loops that
+multiply unit vectors with `multiply` and `pairing`, takes the torus traces
+of products of left multiplication matrices, composes the action blocks
+with one Matrix product per instance, rebuilds theta as a Matrix for every
+instance, and multiplies and conjugates basis vectors one at a time, on the
+algebra as given. Both must give byte-identical reports on the fixtures, on
+seeded changes of basis, on diagonal changes of basis by large primes, on
+seeded one-entry corruptions and on random structure maps whose paired
+grades differ in dimension.
 """
 
 import copy
@@ -103,8 +106,8 @@ def slow_phi_multiplicative(L, nonzero):
             for ni, ei in _units(L, g1):
                 for nj, ej in _units(L, g2):
                     lhs = L.phi[(h, g12)].apply(L.multiply(g1, ei, g2, ej))
-                    rhs = L.multiply(P.conj(h, g1), L.apply_phi(h, g1, ei),
-                                     P.conj(h, g2), L.apply_phi(h, g2, ej))
+                    rhs = L.multiply(P.conj(h, g1), L.phi[(h, g1)].apply(ei),
+                                     P.conj(h, g2), L.phi[(h, g2)].apply(ej))
                     if lhs != rhs:
                         fails.append((f"(h={P.names[h]},{ni},{nj})",
                                       "phi_h(xy) != phi_h(x) phi_h(y)"))
@@ -129,7 +132,7 @@ def slow_twisted_commutativity(L, nonzero):
     P, fails = L.P, []
     for g, h in itertools.product(nonzero, repeat=2):
         for na, a in _units(L, g):
-            fa = L.apply_phi(h, g, a)
+            fa = L.phi[(h, g)].apply(a)
             for nb, b in _units(L, h):
                 if L.multiply(P.conj(h, g), fa, h, b) != L.multiply(h, b, g, a):
                     fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
@@ -172,7 +175,7 @@ def slow_tilde_multiplicative(L, nonzero):
 def slow_tilde_equivariant(L, nonzero):
     P, C, d, fails = L.P, L.C, L.cm.d, []
     for h, c in itertools.product(P.elements(), C.elements()):
-        if L.apply_phi(h, d(c), L.tilde[c]) != L.tilde[L.cm.action(h, c)]:
+        if L.phi[(h, d(c))].apply(L.tilde[c]) != L.tilde[L.cm.action(h, c)]:
             fails.append((f"(h={P.names[h]},c={C.names[c]})", "phi_h(tilde c) != tilde(^h c)"))
     return fails
 
@@ -222,7 +225,8 @@ def slow_boxed_report(L) -> CheckReport:
     fails = []
     for c, g in itertools.product(C.elements(), P.elements()):
         gc = L.cm.action(g, c)
-        if L.right_mul_matrix(d(c), L.tilde[c], g) != L.left_mul_matrix(d(gc), L.tilde[gc], g):
+        if any(L.multiply(g, x, d(c), L.tilde[c]) != L.multiply(d(gc), L.tilde[gc], g, x)
+               for _, x in _units(L, g)):
             fails.append((f"(c={C.names[c]},g={P.names[g]})", "x tilde(c) != tilde(^g c) x"))
     report.add("theta_translation", fails)
 
@@ -263,14 +267,14 @@ def slow_aut_square_report(L) -> CheckReport:
     for c, g in itertools.product(C.elements(), P.elements()):
         cinv, dcg = C.inv[c], P.mul(d(c), g)
         if any(L.multiply(dcg, L.multiply(d(c), L.tilde[c], g, x), d(cinv), L.tilde[cinv])
-               != L.apply_phi(d(c), g, x) for _, x in _units(L, g)):
+               != L.phi[(d(c), g)].apply(x) for _, x in _units(L, g)):
             fails.append((f"(c={C.names[c]},g={P.names[g]})",
                           "conjugation by tilde(c) != phi_{d(c)}"))
     report.add("delta_tilde_equals_phi_boundary", fails)
 
     fails = []
     for p, c in itertools.product(P.elements(), C.elements()):
-        if L.apply_phi(p, d(c), L.tilde[c]) != L.tilde[L.cm.action(p, c)]:
+        if L.phi[(p, d(c))].apply(L.tilde[c]) != L.tilde[L.cm.action(p, c)]:
             fails.append((f"(p={P.names[p]},c={C.names[c]})", "phi_p(tilde c) != tilde(^p c)"))
     report.add("square_equivariance", fails)
     return report
@@ -510,3 +514,55 @@ def test_cleared_scales_every_map_by_the_common_denominator(name):
     assert all(type(x) is int for x in _entries(cleared))
     assert _entries(cleared) == [D * x for x in _entries(L)]
     assert math.lcm(*(Fraction(x).denominator for x in _entries(L))) == D
+
+
+def uneven_module():
+    """Z/2 --x2--> Z/4 with the trivial action: the grades 1 and 3 are
+    paired, and the boundary's image is {0, 2}."""
+    top, base = cyclic_group(2), cyclic_group(4)
+    return crossed_module("Z2-x2-Z4", top, base, GroupHomomorphism(top, base, (0, 2)),
+                          trivial_action(base, top))
+
+
+def random_algebra(cm, field, rng, name):
+    """Structure maps of the shapes that grade dimensions drawn from 0-2
+    ask for, with entries drawn from {0, 0, 1, -1, 2}: well formed but
+    seldom a crossed algebra, and paired grades often differ in dimension."""
+    P = cm.base
+    dims = [rng.randint(0, 2) for _ in P.elements()]
+
+    def vec(n):
+        return [field.of(rng.choice((0, 0, 1, -1, 2))) for _ in range(n)]
+
+    def mat(rows, cols):
+        return Matrix(field, [vec(cols) for _ in range(rows)], cols=cols)
+
+    mul = {(g, h): [[vec(dims[P.mul(g, h)]) for _ in range(dims[h])] for _ in range(dims[g])]
+           for g in P.elements() for h in P.elements()}
+    rho = {g: mat(dims[g], dims[P.inv[g]]) for g in P.elements()}
+    phi = {(h, g): mat(dims[P.conj(h, g)], dims[g]) for h in P.elements() for g in P.elements()}
+    tilde = [vec(dims[cm.d(c)]) for c in cm.top.elements()]
+    names = [[f"e{g}.{i}" for i in range(dims[g])] for g in P.elements()]
+    return CrossedCAlgebra(name, cm, field, dims, names, mul, vec(dims[0]), rho, phi, tilde)
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_checkers_match_oracle_on_uneven_grades(fname):
+    """40 seeded random algebras over Z/2 --x2--> Z/4: all three checkers
+    give the oracle's reports, and across them every boxed and square family
+    fails somewhere, with paired grades of different dimensions among them."""
+    cm, field = uneven_module(), FIELDS[fname]
+    rng = random.Random(f"uneven/{fname}")
+    families, failed, uneven = set(), set(), 0
+    for n in range(40):
+        L = random_algebra(cm, field, rng, f"random{n}")
+        fast, boxed, square = (check_crossed_algebra(L), check_boxed_identities(L),
+                               aut_square_check(L))
+        assert fast.to_json() == slow_crossed_report(L, fast).to_json(), L.name
+        assert boxed.to_json() == slow_boxed_report(L).to_json(), L.name
+        assert square.to_json() == slow_aut_square_report(L).to_json(), L.name
+        families |= {r.axiom for rep in (boxed, square) for r in rep.results}
+        failed |= {r.axiom for rep in (boxed, square) for r in rep.failures()}
+        uneven += L.dims[1] != L.dims[3]
+    assert failed == families and len(families) == 7
+    assert uneven >= 10
