@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .crossed_modules import (
     CrossedModule,
@@ -83,13 +83,9 @@ class CrossedCAlgebra:
     # -- arithmetic on homogeneous vectors -----------------------------------
 
     def multiply(self, g: int, x, h: int, y):
-        """Product of x in grade g with y in grade h; lands in grade g*h."""
-        f = self.field
-        block = self.mul[(g, h)]
-        return f.combine(self.dims[self.P.mul(g, h)],
-                         ((f.mul(xi, yj), block[i][j])
-                          for i, xi in enumerate(x) if xi
-                          for j, yj in enumerate(y) if yj))
+        """Product of x in grade g with y in grade h, in grade g*h, by `_product`."""
+        return tuple(_product(self.field, self.dims[self.P.mul(g, h)], _support(x), _support(y),
+                              self.mul[(g, h)]))
 
     def mul_matrix(self, g: int, h: int) -> Matrix:
         """Multiplication L_g (x) L_h -> L_{gh} as a matrix on the pair basis:
@@ -98,20 +94,17 @@ class CrossedCAlgebra:
         return Matrix.from_columns(self.field, cells, self.dims[self.P.mul(g, h)])
 
     def left_mul_matrix(self, g: int, a, h: int) -> Matrix:
-        """Matrix of x |-> a*x with a in grade g, acting L_h -> L_{gh}."""
-        block = self.mul[(g, h)]
+        """Matrix of x |-> a*x with a in grade g, acting L_h -> L_{gh}: column
+        j is `_total` of a's support against column j of the mul(g, h) cells."""
+        f, block, sup = self.field, self.mul[(g, h)], _support(a)
         dgh = self.dims[self.P.mul(g, h)]
-        cols = [self.field.combine(dgh, ((ai, block[i][j]) for i, ai in enumerate(a)))
-                for j in range(self.dims[h])]
-        return Matrix.from_columns(self.field, cols, dgh)
+        cols = [_total(f, dgh, sup, [row[j] for row in block]) for j in range(self.dims[h])]
+        return Matrix.from_columns(f, cols, dgh)
 
     def pairing(self, g: int, x, y):
-        """rho(x, y) for x in grade g, y in grade g^-1."""
-        f = self.field
-        rows = self.rho[g].data
-        return f.combine(1, ((f.mul(xi, yj), (rows[i][j],))
-                             for i, xi in enumerate(x) if xi
-                             for j, yj in enumerate(y) if yj))[0]
+        """rho(x, y) for x in grade g, y in grade g^-1, by `_product`."""
+        block = [[(v,) for v in row] for row in self.rho[g].data]
+        return _product(self.field, 1, _support(x), _support(y), block)[0]
 
     def __repr__(self):
         return f"CrossedCAlgebra({self.name} over {self.cm.name}, dims={self.dims})"
@@ -233,53 +226,53 @@ def _support(vec):
     return [(k, x) for k, x in enumerate(vec) if x]
 
 
+def _total(f, n, sup, vecs):
+    """The n-vector sum of x vecs[k] over the support terms (k, x) of a
+    vector: its product with the stored vectors `vecs`, by the field f's
+    `combine` on the support alone. A support of one term with value 1 gives
+    the stored vector itself, with no `combine`, as every product does in a
+    group basis. With `_product`, the one contraction of structure constants."""
+    if len(sup) == 1 and sup[0][1] == 1:
+        return vecs[sup[0][0]]
+    return f.combine(n, [(x, vecs[k]) for k, x in sup])
+
+
+def _product(f, n, sup1, sup2, block):
+    """The n-vector product of the vectors with supports sup1 and sup2, from
+    the block of basis products block[a][b] = e_a e_b, summed as in `_total`."""
+    if len(sup1) == 1 and len(sup2) == 1 and sup1[0][1] * sup2[0][1] == 1:
+        return block[sup1[0][0]][sup2[0][0]]
+    return f.combine(n, [(x * y, block[a][b]) for a, x in sup1 for b, y in sup2])
+
+
 class _Tables(NamedTuple):
     """What the checkers read off `_cleared(L)`, with no multiplication (see
     `_tables`)."""
     L: CrossedCAlgebra
     D: int
     prod: dict        # (g, h) -> [i][j] -> e_i e_j, the cells of mul(g, h)
+    cols: dict        # (g, h) -> [j] -> [e_i e_j over i], the columns of mul(g, h)
     phis: dict        # (h, g) -> [i] -> phi_h(e_i), the columns of phi(h, g)
     phis_sup: dict    # (h, g) -> [i] -> support of phi_h(e_i)
     unit_sup: list
     tilde_sup: list   # c -> support of tilde(c)
-    total: Callable
-    product: Callable
 
 
 def _tables(L: CrossedCAlgebra) -> _Tables:
-    """The tables of the checkers, read once per call off `_cleared(L)`: the
-    basis products (the cells of mul as tuples), the action images (the
-    columns of each phi block), and the supports of the action images, the
-    unit and each tilde(c).
-
-    `total(n, sup, vecs)` is the sum of x vecs[k] over the support terms
-    (k, x) of a vector, so a product with that vector is `combine` on its
-    support terms alone, and for a support of one term with value 1 it is
-    the stored vector vecs[k] itself, with no `combine`: that is how a group
-    basis, where every basis product and action image has one nonzero entry,
-    is checked. `product(n, sup1, sup2, block)` is the product of the two
-    vectors with these supports, from the block of basis products, summed in
-    the same way."""
+    """The tables of the three checkers, read once per call off
+    `_cleared(L)`: the basis products (the cells of mul as tuples) and their
+    columns (one for every j in range(dims[h]), empty when dims[g] is 0), the
+    action images (the columns of each phi block), and the supports of the
+    action images, the unit and each tilde(c). A checker multiplies by
+    passing a support and these stored vectors to `_total` or `_product`."""
     L, D = _cleared(L)
-    f = L.field
-
-    def total(n, sup, vecs):
-        if len(sup) == 1 and sup[0][1] == 1:
-            return vecs[sup[0][0]]
-        return f.combine(n, [(x, vecs[k]) for k, x in sup])
-
-    def product(n, sup1, sup2, block):
-        if len(sup1) == 1 and len(sup2) == 1 and sup1[0][1] * sup2[0][1] == 1:
-            return block[sup1[0][0]][sup2[0][0]]
-        return f.combine(n, [(x * y, block[a][b]) for a, x in sup1 for b, y in sup2])
-
+    prod = {key: [[tuple(cell) for cell in row] for row in block] for key, block in L.mul.items()}
+    cols = {(g, h): [[row[j] for row in block] for j in range(L.dims[h])]
+            for (g, h), block in prod.items()}
     phis = {key: m.transpose().data for key, m in L.phi.items()}
     return _Tables(
-        L, D,
-        {key: [[tuple(cell) for cell in row] for row in block] for key, block in L.mul.items()},
-        phis, {key: [_support(v) for v in block] for key, block in phis.items()},
-        _support(L.unit), [_support(v) for v in L.tilde], total, product)
+        L, D, prod, cols, phis, {key: [_support(v) for v in block] for key, block in phis.items()},
+        _support(L.unit), [_support(v) for v in L.tilde])
 
 
 def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
@@ -293,26 +286,22 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     unit axiom compares 1 e_i, of degree 2, with e_i times D**2), which keeps
     every result, and so the report, what it is on L.
 
-    Beside the tables of `_tables`, the families read the columns
-    cols[(g, h)][l] = [e_i e_l over i] of each block of basis products, and
-    the supports of the basis products and of each row of phi(h, g). A
-    product with a stored vector is `total` or `product` over its support.
-    The trace family sums products of structure constants directly."""
+    Beside the tables of `_tables`, the families read the supports of the
+    basis products and of each row of phi(h, g). A product with a stored
+    vector is `_total` or `_product` over its support. The trace family sums
+    products of structure constants directly."""
     report = CheckReport(f"crossed algebra {L.name}")
     shape = well_formed(L)
     report.add("well_formed", shape)
     if shape:
         return report
-    t = _tables(L)
-    L, D, prod, phis, phis_sup = t.L, t.D, t.prod, t.phis, t.phis_sup
-    unit_sup, tilde_sup, total, product = t.unit_sup, t.tilde_sup, t.total, t.product
+    tables = _tables(L)
+    L, D, prod, cols, phis, phis_sup, unit_sup, tilde_sup = tables
     P, C, f = L.P, L.C, L.field
     dims = L.dims
     nonzero = [g for g in P.elements() if dims[g] > 0]
     names = L.basis_names
 
-    cols = {(g, h): [[row[l] for row in prod[(g, h)]] for l in range(dims[h])]
-            for g in P.elements() for h in P.elements()}
     prod_sup = {key: [[_support(v) for v in row] for row in block] for key, block in prod.items()}
 
     # 1 e_i and e_i 1 have degree 2 (the unit and mul), e_i degree 0
@@ -320,9 +309,9 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     for g in nonzero:
         for i, name in enumerate(names[g]):
             e2 = _times(D ** 2, unit_vector(f, dims[g], i))
-            if total(dims[g], unit_sup, cols[(0, g)][i]) != e2:
+            if _total(f, dims[g], unit_sup, cols[(0, g)][i]) != e2:
                 fails.append((f"1*{name}", "left unit fails"))
-            if total(dims[g], unit_sup, prod[(g, 0)][i]) != e2:
+            if _total(f, dims[g], unit_sup, prod[(g, 0)][i]) != e2:
                 fails.append((f"{name}*1", "right unit fails"))
     report.add("unit", fails)
 
@@ -338,7 +327,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             for j, nj in enumerate(names[h]):
                 ij, jls = prod_sup[(g, h)][i][j], prod_sup[(h, k)][j]
                 for l, nl in enumerate(names[k]):
-                    if total(d, ij, col[l]) != total(d, jls[l], row):
+                    if _total(f, d, ij, col[l]) != _total(f, d, jls[l], row):
                         fails.append((f"({ni},{nj},{nl})", "associativity fails"))
     report.add("associativity", fails)
 
@@ -370,9 +359,9 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         for i, ni in enumerate(names[g]):
             row = [(x,) for x in rho_g[i]]
             for j, nj in enumerate(names[h]):
-                lhs = total(dims[ghinv], prod_sup[(g, h)][i][j], rho_gh)
+                lhs = _total(f, dims[ghinv], prod_sup[(g, h)][i][j], rho_gh)
                 for k, nk in enumerate(names[ghinv]):
-                    if lhs[k] != total(1, prod_sup[(h, ghinv)][j][k], row)[0]:
+                    if lhs[k] != _total(f, 1, prod_sup[(h, ghinv)][j][k], row)[0]:
                         fails.append((f"({ni},{nj},{nk})", "rho(ab,c) != rho(a,bc)"))
     report.add("rho_invariant", fails)
 
@@ -391,7 +380,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             hk = P.mul(h, k)
             for g in nonzero:
                 inner = L.phi[(k, g)].data
-                if any(total(dims[g], sup, inner) != want
+                if any(_total(f, dims[g], sup, inner) != want
                        for sup, want in zip(rows_sup[(h, P.conj(k, g))], phi_D[(hk, g)])):
                     fails.append((f"(h={P.names[h]},k={P.names[k]},g={P.names[g]})",
                                   "phi_h phi_k != phi_hk"))
@@ -401,7 +390,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     fails = []
     unit = _times(D, L.unit)
     for h in P.elements():
-        if total(dims[0], unit_sup, phis[(h, 0)]) != unit:
+        if _total(f, dims[0], unit_sup, phis[(h, 0)]) != unit:
             fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
         for g1, g2 in itertools.product(nonzero, repeat=2):
             g12 = P.mul(g1, g2)
@@ -411,8 +400,8 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
             for i, ni in enumerate(names[g1]):
                 fa = phis_sup[(h, g1)][i]
                 for j, nj in enumerate(names[g2]):
-                    lhs = _times(D, total(d, prod_sup[(g1, g2)][i][j], image))
-                    rhs = product(d12, fa, phis_sup[(h, g2)][j], block)
+                    lhs = _times(D, _total(f, d, prod_sup[(g1, g2)][i][j], image))
+                    rhs = _product(f, d12, fa, phis_sup[(h, g2)][j], block)
                     if lhs != rhs:
                         fails.append((f"(h={P.names[h]},{ni},{nj})",
                                       "phi_h(xy) != phi_h(x) phi_h(y)"))
@@ -443,7 +432,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         for i, na in enumerate(names[g]):
             fa = phis_sup[(h, g)][i]
             for j, nb in enumerate(names[h]):
-                if total(d, fa, col[j]) != _times(D, prod[(h, g)][j][i]):
+                if _total(f, d, fa, col[j]) != _times(D, prod[(h, g)][j][i]):
                     fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
     report.add("twisted_commutativity", fails)
 
@@ -480,24 +469,32 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
         d2 = L.cm.d(c2)
         for c in C.elements():
             dc = L.cm.d(c)
-            rhs = product(dims[P.mul(d2, dc)], tilde_sup[c2], tilde_sup[c], prod[(d2, dc)])
+            rhs = _product(f, dims[P.mul(d2, dc)], tilde_sup[c2], tilde_sup[c], prod[(d2, dc)])
             if _times(D ** 2, L.tilde[C.mul(c2, c)]) != rhs:
                 fails.append((f"(c'={C.names[c2]},c={C.names[c]})",
                               "tilde(c'c) != tilde(c') tilde(c)"))
     report.add("tilde_multiplicative", fails)
 
-    # degree 2 against 1
+    report.add("tilde_equivariant", _equivariance_fails(tables, "h"))
+    return report
+
+
+def _equivariance_fails(t: _Tables, letter: str):
+    """The failing instances of phi_h(tilde c) = tilde(^h c), with h written
+    `letter`: h in tilde_equivariant, p in square_equivariance. The left side
+    sums the columns of phi(h, d(c)) over the support of tilde(c); degree 2
+    against 1."""
+    L, D = t.L, t.D
+    P, C, dims, f = L.P, L.C, L.dims, L.field
     fails = []
     for h in P.elements():
         for c in C.elements():
             dc = L.cm.d(c)
-            image = total(dims[P.conj(h, dc)], tilde_sup[c], phis[(h, dc)])
+            image = _total(f, dims[P.conj(h, dc)], t.tilde_sup[c], t.phis[(h, dc)])
             if image != _times(D, L.tilde[L.cm.action(h, c)]):
-                fails.append((f"(h={P.names[h]},c={C.names[c]})",
-                              "phi_h(tilde c) != tilde(^h c)"))
-    report.add("tilde_equivariant", fails)
-
-    return report
+                fails.append((f"({letter}={P.names[h]},c={C.names[c]})",
+                              f"phi_{letter}(tilde c) != tilde(^{letter} c)"))
+    return fails
 
 
 def _basis_units(L: CrossedCAlgebra):
@@ -581,14 +578,12 @@ def _theta_columns(t: _Tables):
     sum of column j of the mul(d(c), g) cells over the support of tilde(c);
     it has degree 2 (tilde and mul)."""
     L = t.L
-    P, C, dims, d = L.P, L.C, L.dims, L.cm.d
-    mul_cols = {(p, g): [[row[j] for row in t.prod[(p, g)]] for j in range(dims[g])]
-                for p in {d(c) for c in C.elements()} for g in P.elements()}
+    P, C, dims, d, f = L.P, L.C, L.dims, L.cm.d, L.field
     cols, sups = {}, {}
     for c in C.elements():
         for g in P.elements():
             n = dims[P.mul(d(c), g)]
-            cols[(c, g)] = [t.total(n, t.tilde_sup[c], col) for col in mul_cols[(d(c), g)]]
+            cols[(c, g)] = [_total(f, n, t.tilde_sup[c], col) for col in t.cols[(d(c), g)]]
             sups[(c, g)] = [_support(v) for v in cols[(c, g)]]
     return cols, sups
 
@@ -602,7 +597,7 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     the same tables (`_tables`). No matrix is built or multiplied: each
     theta(c, g) is kept as its columns and their supports
     (`_theta_columns`), and both sides of an identity are compared column by
-    column (row by row for rho), each column a `total` of stored vectors over
+    column (row by row for rho), each column a `_total` of stored vectors over
     a support. A malformed L is reported by its failing `well_formed` family
     alone; a well-formed one adds no such family."""
     report = CheckReport(f"boxed identities for {L.name}")
@@ -610,9 +605,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
         report.add("well_formed", shape)
         return report
     t = _tables(L)
-    L, D, prod, phis, phis_sup, tilde_sup, total = (t.L, t.D, t.prod, t.phis, t.phis_sup,
-                                                    t.tilde_sup, t.total)
-    P, C, dims = L.P, L.C, L.dims
+    L, D, prod, phis, phis_sup, tilde_sup = t.L, t.D, t.prod, t.phis, t.phis_sup, t.tilde_sup
+    P, C, dims, f = L.P, L.C, L.dims, L.field
     d, act = L.cm.d, L.cm.action
     thetas, theta_sup = _theta_columns(t)
 
@@ -626,7 +620,7 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
             c2c = C.mul(c2, c)
             for g in P.elements():
                 outer, n = thetas[(c2, P.mul(d(c), g))], dims[P.mul(d(c2c), g)]
-                if [total(n, sup, outer) for sup in theta_sup[(c, g)]] != scaled[(c2c, g)]:
+                if [_total(f, n, sup, outer) for sup in theta_sup[(c, g)]] != scaled[(c2c, g)]:
                     fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
                                   "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
     report.add("theta_composition", fails)
@@ -638,7 +632,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
         dc = d(c)
         for g in P.elements():
             n = dims[P.mul(g, dc)]
-            if [total(n, tilde_sup[c], row) for row in prod[(g, dc)]] != thetas[(act(g, c), g)]:
+            if [_total(f, n, tilde_sup[c], row) for row in prod[(g, dc)]] != \
+                    thetas[(act(g, c), g)]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "x tilde(c) != tilde(^g c) x"))
     report.add("theta_translation", fails)
@@ -654,8 +649,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
         for g in P.elements():
             dcg = P.mul(d(c), g)
             n, rho_rows = dims[P.inv[dcg]], L.rho[dcg].data
-            lhs = [total(n, sup, rho_rows) for sup in theta_sup[(c, g)]]
-            rhs_t = [total(dims[g], sup, rho_cols[g])
+            lhs = [_total(f, n, sup, rho_rows) for sup in theta_sup[(c, g)]]
+            rhs_t = [_total(f, dims[g], sup, rho_cols[g])
                      for sup in theta_sup[(act(P.inv[g], c), P.inv[dcg])]]
             if lhs != (list(zip(*rhs_t)) if rhs_t else [()] * dims[g]):
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
@@ -673,8 +668,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
             for h in P.elements():
                 n, image = dims[P.conj(h, dcg)], phis[(h, dcg)]
                 outer = thetas[(act(h, c), P.conj(h, g))]
-                if [total(n, sup, image) for sup in theta_sup[(c, g)]] != \
-                        [total(n, sup, outer) for sup in phis_sup[(h, g)]]:
+                if [_total(f, n, sup, image) for sup in theta_sup[(c, g)]] != \
+                        [_total(f, n, sup, outer) for sup in phis_sup[(h, g)]]:
                     fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
                                   "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))
     report.add("theta_phi", fails)
@@ -690,7 +685,7 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     `_cleared(L)`, with the side of lower degree in the structure maps
     multiplied up by the common denominator, and read the tables of
     `check_crossed_algebra` and the theta supports of
-    `check_boxed_identities`: every product is a `total` or `product` of
+    `check_boxed_identities`: every product is a `_total` or `_product` of
     stored vectors over a support, and no matrix is built. Shape faults are
     reported as in `check_boxed_identities`."""
     report = CheckReport(f"units/automorphisms square for {L.name}")
@@ -698,9 +693,8 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
         report.add("well_formed", shape)
         return report
     t = _tables(L)
-    L, D, prod, phis, tilde_sup, total, product = (t.L, t.D, t.prod, t.phis, t.tilde_sup,
-                                                   t.total, t.product)
-    P, C, dims = L.P, L.C, L.dims
+    L, D, prod, phis, tilde_sup = t.L, t.D, t.prod, t.phis, t.tilde_sup
+    P, C, dims, f = L.P, L.C, L.dims, L.field
     d = L.cm.d
 
     # tilde(c) tilde(c^-1) has degree 3 against 1
@@ -709,8 +703,10 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     for c in C.elements():
         cinv = C.inv[c]
         dc, dcinv = d(c), d(cinv)
-        left = product(dims[P.mul(dc, dcinv)], tilde_sup[c], tilde_sup[cinv], prod[(dc, dcinv)])
-        right = product(dims[P.mul(dcinv, dc)], tilde_sup[cinv], tilde_sup[c], prod[(dcinv, dc)])
+        left = _product(f, dims[P.mul(dc, dcinv)], tilde_sup[c], tilde_sup[cinv],
+                        prod[(dc, dcinv)])
+        right = _product(f, dims[P.mul(dcinv, dc)], tilde_sup[cinv], tilde_sup[c],
+                         prod[(dcinv, dc)])
         if left != unit or right != unit:
             fails.append((f"c={C.names[c]}", "tilde(c) is not a unit"))
     report.add("tilde_units", fails)
@@ -727,22 +723,13 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
         for g in P.elements():
             dcg = P.mul(d(c), g)
             n = dims[P.mul(dcg, dcinv)]
-            right = [total(n, tilde_sup[cinv], row) for row in prod[(dcg, dcinv)]]
-            if [total(n, sup, right) for sup in theta_sup[(c, g)]] != \
+            right = [_total(f, n, tilde_sup[cinv], row) for row in prod[(dcg, dcinv)]]
+            if [_total(f, n, sup, right) for sup in theta_sup[(c, g)]] != \
                     [_times(D ** 3, v) for v in phis[(d(c), g)]]:
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "conjugation by tilde(c) != phi_{d(c)}"))
     report.add("delta_tilde_equals_phi_boundary", fails)
-
-    # degree 2 against 1
-    fails = []
-    for p in P.elements():
-        for c in C.elements():
-            image = total(dims[P.conj(p, d(c))], tilde_sup[c], phis[(p, d(c))])
-            if image != _times(D, L.tilde[L.cm.action(p, c)]):
-                fails.append((f"(p={P.names[p]},c={C.names[c]})",
-                              "phi_p(tilde c) != tilde(^p c)"))
-    report.add("square_equivariance", fails)
+    report.add("square_equivariance", _equivariance_fails(t, "p"))
     return report
 
 

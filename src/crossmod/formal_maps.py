@@ -169,10 +169,10 @@ def piece_io(piece: ElementaryPiece, cm: CrossedModule) -> tuple[tuple[int, ...]
     raise TypeError(f"not a piece: {piece!r}")
 
 
-def _index_fault(x, n: int) -> str | None:
+def index_fault(x, n: int) -> str | None:
     """Why x is not an element index below n (an `int`, not a `bool`, in
     range), or None when it is; a negative index would otherwise wrap to
-    another element."""
+    another element. The one index rule of formal maps and documents."""
     if type(x) is not int:
         return "is not an int"
     if not 0 <= x < n:
@@ -187,8 +187,8 @@ def piece_range_fault(piece, cm: CrossedModule) -> str | None:
         return f"{piece!r} is not a piece"
     # __match_args__ names a piece's fields without materializing its __dict__
     for name in type(piece).__match_args__:
-        fault = _index_fault(getattr(piece, name),
-                             cm.top.order if name == "c" else cm.base.order)
+        fault = index_fault(getattr(piece, name),
+                            cm.top.order if name == "c" else cm.base.order)
         if fault:
             return f"{piece!r}: {name} {fault}"
     return None
@@ -225,7 +225,7 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     for circ in e.source.circuits + e.target.circuits:
         if len(circ.labels) != 1:
             fails.append((str(circ.labels), "boundary circuits must be normalized"))
-        elif fault := _index_fault(circ.labels[0], n_base):
+        elif fault := index_fault(circ.labels[0], n_base):
             fails.append((str(circ.labels), f"label {fault}"))
     report.add("normalized_boundaries", fails)
     if fails:

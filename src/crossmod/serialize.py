@@ -50,6 +50,7 @@ from .formal_maps import (
     Pants,
     SimplicialFormalMap,
     Swap,
+    index_fault,
     typecheck,
     validate_simplicial,
 )
@@ -246,16 +247,11 @@ def _checked(kind: str, obj):
     return obj
 
 
-def _is_index(x, n) -> bool:
-    """A JSON integer (not a boolean) in range(n)."""
-    return type(x) is int and 0 <= x < n
-
-
 def _indices(value, n, length, field) -> tuple[int, ...]:
     """A JSON list of `length` indices below n (any length when `length` is
     None), as a tuple. Every index list of every document goes through here."""
     if not isinstance(value, list) or length is not None and len(value) != length \
-       or not all(_is_index(x, n) for x in value):
+       or any(index_fault(x, n) for x in value):
         count = "" if length is None else f"{length} "
         raise SerializationError(f"{field} must be a list of {count}indices below {n}")
     return tuple(value)
@@ -345,10 +341,11 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     dims = tuple(_count(dims_doc[str(g)], "dims") for g in P.elements())
     # rho and phi compare every grade's dimension with the document's own
     # data, so a huge dimension fails here, before anything of that size is built
-    rho = {g: Matrix.from_json(field, rho_doc[str(g)], rows=dims[g], cols=dims[P.inv[g]])
+    rho = {g: Matrix.from_json(field, rho_doc[str(g)], rows=dims[g], cols=dims[P.inv[g]],
+                               name=f"rho {g}")
            for g in P.elements()}
     phi = {(h, g): Matrix.from_json(field, phi_doc[f"{h},{g}"],
-                                    rows=dims[P.conj(h, g)], cols=dims[g])
+                                    rows=dims[P.conj(h, g)], cols=dims[g], name=f"phi {h},{g}")
            for h in P.elements() for g in P.elements()}
     if doc.get("basis_names") is None:
         basis_names = tuple(tuple(f"{P.names[g]}#{k}" for k in range(dims[g]))
@@ -356,11 +353,9 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     else:
         names_doc = _object(doc, "basis_names")
         basis_names = tuple(_names(names_doc[str(g)], g) for g in P.elements())
-    mul = {}
-    for g in P.elements():
-        for h in P.elements():
-            raw = mul_doc[f"{g},{h}"]
-            mul[(g, h)] = [[[field.parse(s) for s in cell] for cell in row] for row in raw]
+    mul = {(g, h): [[[field.parse(s) for s in cell] for cell in row]
+                    for row in mul_doc[f"{g},{h}"]]
+           for g in P.elements() for h in P.elements()}
     unit = tuple(field.parse(x) for x in doc["unit"])
     tilde = [tuple(field.parse(x) for x in tilde_doc[str(c)]) for c in C.elements()]
     L = CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
@@ -368,6 +363,19 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     shape = well_formed(L)
     if shape:
         raise SerializationError(f"bad algebra document: {shape[0][0]}: {shape[0][1]}")
+    # a string or object in place of a list was iterated above like one; it
+    # is refused only now, so that a bad scalar or shape in it keeps its message
+    vectors = {"unit": doc["unit"], **{f"tilde {c}": tilde_doc[str(c)] for c in C.elements()}}
+    for what, vec in vectors.items():
+        if not isinstance(vec, list):
+            raise SerializationError(f"bad algebra document: {what} must be a list of scalars")
+    for g, h in mul:
+        block = mul_doc[f"{g},{h}"]
+        if not isinstance(block, list) or not all(
+                [isinstance(row, list) and all([isinstance(cell, list) for cell in row])
+                 for row in block]):
+            raise SerializationError(
+                f"bad algebra document: mul {g},{h} must be a list of lists of lists of scalars")
     return L
 
 
@@ -377,7 +385,8 @@ def algebra_morphism_from_doc(doc, ws) -> CrossedAlgebraMorphism:
     f_top = _hom(src.cm.top, tgt.cm.top, doc["f_top"], "f_top")
     f_base = _hom(src.cm.base, tgt.cm.base, doc["f_base"], "f_base")
     blocks = {p: Matrix.from_json(src.field, doc["blocks"][str(p)],
-                                  rows=tgt.dims[f_base.map[p]], cols=src.dims[p])
+                                  rows=tgt.dims[f_base.map[p]], cols=src.dims[p],
+                                  name=f"blocks {p}")
               for p in src.P.elements()}
     return CrossedAlgebraMorphism(CrossedModuleMorphism(src.cm, tgt.cm, f_top, f_base),
                                   src, tgt, blocks)
@@ -390,7 +399,7 @@ def _piece_from_doc(doc, cm: CrossedModule):
     args = []
     for field in dataclasses.fields(cls):
         n = cm.top.order if field.name == "c" else cm.base.order
-        if not _is_index(doc.get(field.name), n):
+        if index_fault(doc.get(field.name), n):
             raise SerializationError(f"bad piece {doc!r}: {field.name} must be an index below {n}")
         args.append(doc[field.name])
     return cls(*args)

@@ -224,7 +224,8 @@ def _naive_span_dim(vectors):
 
 def _naive_ideal_dims(fmor, L):
     """Brute-force the ideal span closure with no shared machinery: embed
-    everything in the full underlying space and iterate products."""
+    everything in the full underlying space and iterate products, summing
+    the stored cells e_i e_j of the structure constants entry by entry."""
     P = L.P
     Q = fmor.target.base
     f0 = fmor.f_base.map
@@ -267,12 +268,8 @@ def _naive_ideal_dims(fmor, L):
                         bcoef = v[offsets[q] + j]
                         if bcoef == 0:
                             continue
-                        prod = L.multiply(p, tuple(L.field.one if k == i else L.field.zero
-                                                   for k in range(L.dims[p])),
-                                          q, tuple(L.field.one if k == j else L.field.zero
-                                                   for k in range(L.dims[q])))
                         pq = P.mul(p, q)
-                        for k, s in enumerate(prod):
+                        for k, s in enumerate(L.mul[(p, q)][i][j]):
                             out[offsets[pq] + k] += a * bcoef * Fraction(s)
         return out
 

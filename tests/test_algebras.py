@@ -52,7 +52,13 @@ from crossmod.groups import (
 )
 from crossmod.hqft import eval_piece, make_hqft
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
-from test_checker_oracle import FIELDS, gauge_pushforward_inputs, torus_traces
+from test_checker_oracle import (
+    FIELDS,
+    gauge_pushforward_inputs,
+    random_algebra,
+    torus_traces,
+    uneven_module,
+)
 
 
 def test_group_algebra_C_dims(cms):
@@ -282,6 +288,37 @@ def test_boxed_and_square_checks_call_no_combine_on_group_bases(monkeypatch, fna
         for checker in (check_boxed_identities, aut_square_check):
             assert checker(L).ok, (L.name, checker.__name__)
             assert calls == [], (L.name, checker.__name__, len(calls))
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_basis_products_and_theta_call_no_combine_on_group_bases(monkeypatch, fname):
+    """In a group basis a product of two basis vectors is one stored cell and
+    each tilde(c) is a basis vector with value 1, so multiply(g, e_i, h, e_j)
+    and theta(c, g) read stored cells and call `combine` not once: on
+    KC.CM-A3S3 and KP.CM-AutS3."""
+    field = FIELDS[fname]
+    algs = std_algebras(field)
+    cases = [algs["KC.CM-A3S3"], algs["KP.CM-AutS3"]]
+    calls = []
+    combine = type(field).combine
+
+    def counted(self, n, terms):
+        calls.append(n)
+        return combine(self, n, terms)
+
+    monkeypatch.setattr(type(field), "combine", counted)
+    for L in cases:
+        P, dims = L.P, L.dims
+        units = [[unit_vector(field, n, i) for i in range(n)] for n in dims]
+        for g, h in itertools.product(P.elements(), repeat=2):
+            for (i, x), (j, y) in itertools.product(enumerate(units[g]), enumerate(units[h])):
+                assert L.multiply(g, x, h, y) == tuple(L.mul[(g, h)][i][j])
+        for c in L.C.elements():
+            dc = L.cm.d(c)
+            for g in P.elements():
+                cols = [L.mul[(dc, g)][L.tilde[c].index(1)][j] for j in range(dims[g])]
+                assert theta(L, c, g) == Matrix.from_columns(field, cols, dims[P.mul(dc, g)])
+        assert calls == [], (L.name, len(calls))
 
 
 def test_tilde_units_property(algebras):
@@ -672,29 +709,49 @@ def _naive_pairing(L, g, x, y):
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
 def test_product_contraction_against_naive_sum(f):
     """multiply, pairing and the two product matrices against a plain sum
-    over the structure constants, on every fixture algebra and on a copy with
+    over the structure constants, on every fixture algebra, on a copy with
     random dense constants and pairing (the contraction does not need an
-    algebra, and an asymmetric block shows a swapped index)."""
+    algebra, and an asymmetric block shows a swapped index) and on seeded
+    random algebras over Z/2 --x2--> Z/4, among whose grade pairs (g, h) are
+    some with L_g empty and L_h, L_gh not. Each grade pair multiplies dense
+    vectors, zero, every unit vector and a one-term vector of value other
+    than 1, so both the one-term path of the contraction and its sum run."""
     rng = random.Random(11)
 
     def dense(n):
         return tuple(f.of(rng.choice((-3, -2, -1, 1, 2, 3, 4))) for _ in range(n))
 
+    def vectors(n):
+        out = [dense(n), dense(n), (f.zero,) * n]
+        out += [unit_vector(f, n, i) for i in range(n)]
+        if n:
+            scale = f.of(rng.choice((-1, 2, 3)))
+            out.append(tuple(f.mul(scale, x) for x in unit_vector(f, n, rng.randrange(n))))
+        return out
+
+    cases = []
     for L in std_algebras(f).values():
         P = L.P
         constants = {(g, h): [[list(dense(L.dims[P.mul(g, h)])) for _ in range(L.dims[h])]
                              for _ in range(L.dims[g])] for g, h in L.mul}
         rho = {g: Matrix(f, [dense(L.dims[P.inv[g]]) for _ in range(L.dims[g])],
                          cols=L.dims[P.inv[g]]) for g in P.elements()}
-        scrambled = CrossedCAlgebra(L.name, L.cm, f, L.dims, L.basis_names, constants,
-                                    L.unit, rho, L.phi, L.tilde)
-        for A in (L, scrambled):
-            for g, h, _ in itertools.product(P.elements(), P.elements(), range(3)):
-                x, y = dense(L.dims[g]), dense(L.dims[h])
+        cases += [L, CrossedCAlgebra(L.name, L.cm, f, L.dims, L.basis_names, constants,
+                                     L.unit, rho, L.phi, L.tilde)]
+    cases += [random_algebra(uneven_module(), f, rng, f"random{n}") for n in range(8)]
+    empty_left = 0
+    for A in cases:
+        P, dims = A.P, A.dims
+        for g, h in itertools.product(P.elements(), repeat=2):
+            gh = P.mul(g, h)
+            empty_left += dims[g] == 0 < min(dims[h], dims[gh])
+            for x, y in itertools.product(vectors(dims[g]), vectors(dims[h])):
                 prod = A.multiply(g, x, h, y)
-                assert prod == _naive_product(A, g, x, h, y)
-                assert A.left_mul_matrix(g, x, h).apply(y) == prod
+                assert type(prod) is tuple and prod == _naive_product(A, g, x, h, y)
+                left = A.left_mul_matrix(g, x, h)
+                assert left.shape() == (dims[gh], dims[h]) and left.apply(y) == prod
                 assert A.mul_matrix(g, h).apply(tuple(f.mul(a, b) for a in x for b in y)) == prod
-            for g in P.elements():
-                x, y = dense(L.dims[g]), dense(L.dims[P.inv[g]])
+        for g in P.elements():
+            for x, y in itertools.product(vectors(dims[g]), vectors(dims[P.inv[g]])):
                 assert A.pairing(g, x, y) == _naive_pairing(A, g, x, y)
+    assert empty_left >= 8

@@ -8,6 +8,7 @@ from crossmod.algebras import (
     CrossedAlgebraMorphism,
     check_crossed_algebra,
     group_algebra_C,
+    group_algebra_P,
     kp_iso_witness,
     same_structure,
 )
@@ -376,6 +377,41 @@ def test_cli_algebra_field_not_an_object_is_named(tmp_path, capsys, ws, key):
     assert main(_check_mutated("algebra", _set((key,), "x"))(tmp_path, ws)) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.endswith(f"bad algebra document: {key} must be an object"), error
+
+
+LIST_OF = "bad algebra document: {} must be a list of {}scalars"
+
+
+@pytest.mark.parametrize("kind, path, value, error", [
+    ("algebra", ("unit",), "1", LIST_OF.format("unit", "")),
+    ("algebra", ("unit",), {"1": 0}, LIST_OF.format("unit", "")),
+    ("algebra", ("tilde", "1"), {"1": 0}, LIST_OF.format("tilde 1", "")),
+    ("algebra", ("mul", "0,0"), "1", LIST_OF.format("mul 0,0", "lists of lists of ")),
+    ("algebra", ("mul", "0,0"), ["1"], LIST_OF.format("mul 0,0", "lists of lists of ")),
+    ("algebra", ("rho", "0"), "1", LIST_OF.format("rho 0", "lists of ")),
+    ("algebra", ("phi", "1,0"), ["1"], LIST_OF.format("phi 1,0", "lists of ")),
+    ("algebra-morphism", ("blocks", "0"), "1",
+     "bad algebra_morphism document: blocks 0 must be a list of lists of scalars"),
+    ("algebra-morphism", ("blocks", "1"), {"1": 0},
+     "bad algebra_morphism document: blocks 1 must be a list of lists of scalars"),
+    # a container whose items do not parse keeps the scalar's message
+    ("algebra", ("unit",), "x", "bad algebra document: bad rational 'x'"),
+    ("algebra", ("rho", "0"), "x", "bad algebra document: bad rational 'x'"),
+])
+def test_cli_string_or_object_in_place_of_a_list_exits_2(tmp_path, capsys, kind, path, value,
+                                                          error):
+    """On KP.CM-Id2 and its kp_iso witness, where every grade has dimension
+    1, a string or an object of one parsable scalar where a list belongs
+    would be iterated like a list of it: it is malformed, and the error
+    names the field."""
+    cm = std_crossed_modules()["CM-Id2"]
+    doc = (to_doc("algebra", group_algebra_P(cm, QQ)) if kind == "algebra"
+           else to_doc("algebra_morphism", kp_iso_witness(cm, QQ)))
+    _set(path, value)(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(["check", kind, str(file)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 def test_cli_unknown_name_error_is_not_requoted(capsys):
