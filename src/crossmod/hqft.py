@@ -38,18 +38,25 @@ from .report import CheckReport
 class FormalHQFT:
     """The evaluator of one crossed algebra.
 
-    `copairing` maps a grade g to the cup's column, the flattened inverse of
-    the pairing block rho_{g^-1}. It is filled one grade at a time, the first
-    time `eval_piece` evaluates `Cup(g)`, so each pairing block is inverted
-    once per evaluator; a singular block is never stored and raises
-    ValueError on every call. It is filled lazily, not in `make_hqft`,
-    so an evaluation pays only for the grades its cups use. The dict is a
-    cache: it cannot be passed to the constructor and takes no part in
-    equality, hashing or repr."""
+    `matrices` caches the matrices that the algebra alone defines, each
+    built the first time `eval_piece` needs it, so each is built once per
+    evaluator:
+    - `("cup", g)`: the cup's column, the flattened inverse of the pairing
+      block rho_{g^-1}; a singular block is never stored and raises
+      ValueError on every call;
+    - `("theta", c, g)`: theta(c, g), left multiplication by tilde(c) on L_g;
+    - `("mul", g1, g2)`: the product block `L.mul_matrix(g1, g2)`.
+    A cylinder is then one product theta @ phi and a pants theta @ mul. The
+    cache assumes the algebra is not mutated after `make_hqft`. Whole pieces
+    are not cached: the benchmark keeps every op's latency, so a faster
+    evaluator reads as a larger peak RSS, and a whole-piece cache took
+    eval-small past its 10% memory bound (ROADMAP item 1). The dict cannot
+    be passed to the constructor and takes no part in equality, hashing or
+    repr."""
 
     algebra: CrossedCAlgebra
-    copairing: dict = dataclasses.field(default_factory=dict, init=False,
-                                        compare=False, repr=False)
+    matrices: dict = dataclasses.field(default_factory=dict, init=False,
+                                       compare=False, repr=False)
 
     @property
     def cm(self):
@@ -79,6 +86,24 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
     return tuple(L.dims[L.P.product(circ.labels)] for circ in b.circuits)
 
 
+def _cached(tau: FormalHQFT, key, build, *args) -> Matrix:
+    """The matrix under key in `tau.matrices`, stored as build(*args) on
+    first use; a build that raises stores nothing."""
+    m = tau.matrices.get(key)
+    if m is None:
+        m = tau.matrices[key] = build(*args)
+    return m
+
+
+def _cup_column(L: CrossedCAlgebra, g: int) -> Matrix:
+    ginv = L.P.inv[g]
+    try:
+        co = L.rho[ginv].inverse()
+    except SingularMatrixError as exc:
+        raise ValueError(f"pairing at grade {L.P.names[ginv]} is singular") from exc
+    return Matrix._of(L.field, tuple([(x,) for row in co.data for x in row]), 1)
+
+
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
     grades to the tensor of its target grades. A non-piece, or a field that
@@ -95,25 +120,17 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
         case Cyl(c, g, h):
             hinv = P.inv[h]
             conj = P.conj(hinv, g)
-            return theta(L, c, conj) @ L.phi[(hinv, g)]
+            return _cached(tau, ("theta", c, conj), theta, L, c, conj) @ L.phi[(hinv, g)]
         case Pants(c, g1, g2):
             g12 = P.mul(g1, g2)
-            return theta(L, c, g12) @ L.mul_matrix(g1, g2)
+            return (_cached(tau, ("theta", c, g12), theta, L, c, g12)
+                    @ _cached(tau, ("mul", g1, g2), L.mul_matrix, g1, g2))
         case Cap(g):
             rho = L.rho[g]
             return Matrix._of(f, (tuple([x for row in rho.data for x in row]),),
                               rho.rows * rho.cols)
         case Cup(g):
-            column = tau.copairing.get(g)
-            if column is None:
-                ginv = P.inv[g]
-                try:
-                    co = L.rho[ginv].inverse()
-                except SingularMatrixError as exc:
-                    raise ValueError(f"pairing at grade {P.names[ginv]} is singular") from exc
-                column = tau.copairing[g] = Matrix._of(
-                    f, tuple([(x,) for row in co.data for x in row]), 1)
-            return column
+            return _cached(tau, ("cup", g), _cup_column, L, g)
         case Id(g):
             return Matrix.identity(f, L.dims[g])
         case Swap(g1, g2):

@@ -194,29 +194,45 @@ def to_doc(kind: str, obj, name=None):
 # workspace and from_doc
 # --------------------------------------------------------------------------
 
+class _Objects(dict):
+    """name -> (kind, object). The fixture algebras over `field` are built
+    the first time a name is not found, not up front: each fixture algebra
+    then enters under its name unless an object was added under it first."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, name):
+        for alg_name, alg in fixtures.std_algebras(self.field).items():
+            self.setdefault(alg_name, ("algebra", alg))
+        if name not in self:
+            raise KeyError(name)
+        return self.get(name)
+
+
 class Workspace:
     """Named objects: built-in fixtures plus documents loaded from files."""
 
     def __init__(self, field=None):
         from .fields import QQ
         self.field = field or QQ
-        self.objects: dict[str, tuple[str, object]] = {}
+        self.objects: dict[str, tuple[str, object]] = _Objects(self.field)
         for name, g in fixtures.std_groups().items():
             self.objects[name] = ("group", g)
         for name, cm in fixtures.std_crossed_modules().items():
             self.objects[name] = ("crossed_module", cm)
         for name, mor in fixtures.std_morphisms().items():
             self.objects[name] = ("morphism", mor)
-        for name, alg in fixtures.std_algebras(self.field).items():
-            self.objects[name] = ("algebra", alg)
 
     def add(self, name: str, kind: str, obj):
         self.objects[name] = (kind, obj)
 
     def get(self, name: str, kind: str | None = None):
-        if name not in self.objects:
-            raise UnknownObject(f"no object named {name!r}")
-        got_kind, obj = self.objects[name]
+        try:
+            got_kind, obj = self.objects[name]
+        except KeyError:
+            raise UnknownObject(f"no object named {name!r}") from None
         if kind is not None and got_kind != kind:
             raise UnknownObject(f"{name!r} is a {got_kind}, not a {kind}")
         return obj

@@ -1,15 +1,16 @@
 import dataclasses
 import itertools
+from collections import Counter
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from crossmod.algebras import CrossedCAlgebra, same_structure
+from crossmod.algebras import CrossedCAlgebra, same_structure, theta
 from crossmod.crossed_modules import CrossedModuleMismatch
 from crossmod.fields import QQ
-from crossmod.fixtures import fixture_algebra_names
+from crossmod.fixtures import fixture_algebra_names, std_algebras
 from crossmod.formal_maps import (
     Cap,
     CobordismExpression,
@@ -38,6 +39,7 @@ from crossmod.hqft import (
     state_space,
 )
 from crossmod.linalg import Matrix
+from test_checker_oracle import FIELDS, gauge
 
 
 def test_state_space_examples(cms, algebras):
@@ -220,16 +222,16 @@ def test_non_pieces_and_non_int_fields_fail_typecheck(algebras, bad):
         eval_piece(tau, bad)
 
 
-def _counting_inverse(monkeypatch):
-    """Count the calls of Matrix.inverse from here on."""
+def _counting(monkeypatch, owner, name):
+    """Record the arguments of each call of the method owner.name from here on."""
     calls = []
-    inverse = Matrix.inverse
+    method = getattr(owner, name)
 
-    def counted(self):
-        calls.append(self)
-        return inverse(self)
+    def counted(self, *args):
+        calls.append((self, *args))
+        return method(self, *args)
 
-    monkeypatch.setattr(Matrix, "inverse", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -243,11 +245,11 @@ def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     pieces += [Copants(g, h) for g in P.elements() for h in P.elements()]
     want = {piece: eval_piece(make_hqft(L), piece) for piece in pieces}
     tau = make_hqft(L)
-    calls = _counting_inverse(monkeypatch)
+    calls = _counting(monkeypatch, Matrix, "inverse")
     for _ in range(2):
         for piece in pieces:
             assert eval_piece(tau, piece) == want[piece], piece
-    assert set(tau.copairing) == set(P.elements())
+    assert {key for key in tau.matrices if key[0] == "cup"} == {("cup", g) for g in P.elements()}
     assert len(calls) == P.order
 
 
@@ -267,31 +269,35 @@ def test_singular_pairing_raises_on_every_call(algebras):
             eval_piece(tau, Copants(0, 0))
         with pytest.raises(ValueError, match="pairing at grade 0 is singular"):
             eval_expression(tau, expression(tau.cm, [], [[Cup(0)]], [0, 0]))
-    assert 0 not in tau.copairing
+    assert ("cup", 0) not in tau.matrices
     assert eval_piece(tau, Cup(1)).shape() == (L.dims[1] ** 2, 1)  # other grades still evaluate
 
 
 def test_evaluators_over_one_algebra_are_equal(algebras):
-    """The copairing dict is a cache: two evaluators over one algebra
+    """The matrices dict is a cache: two evaluators over one algebra
     compare and hash equal whatever it holds, and it is not in the repr."""
     L = algebras["KC.CM-Mod"]
     used, fresh = make_hqft(L), FormalHQFT(L)
     eval_piece(used, Cup(0))
-    assert used.copairing and not fresh.copairing
+    eval_piece(used, Cyl(1, 0, 1))
+    eval_piece(used, Pants(1, 0, 0))
+    assert {key[0] for key in used.matrices} == {"cup", "theta", "mul"}
+    assert not fresh.matrices
     assert used == fresh and hash(used) == hash(fresh)
-    assert repr(used) == repr(fresh) and "copairing" not in repr(used)
+    assert repr(used) == repr(fresh) and "matrices" not in repr(used)
     assert used != FormalHQFT(algebras["KP.CM-Mod"])
 
 
 def test_copairing_cannot_be_passed_in(algebras):
-    """Only eval_piece fills the copairing dict: the constructor takes no
-    such argument, so no caller can pre-fill or share one."""
+    """Only eval_piece fills the matrices dict, copairing columns included:
+    the constructor takes no such argument, so no caller can pre-fill or
+    share one."""
     L = algebras["KC.CM-Mod"]
     with pytest.raises(TypeError):
         FormalHQFT(L, {})
     with pytest.raises(TypeError):
-        FormalHQFT(L, copairing={})
-    assert FormalHQFT(L).copairing is not FormalHQFT(L).copairing
+        FormalHQFT(L, matrices={})
+    assert FormalHQFT(L).matrices is not FormalHQFT(L).matrices
 
 
 def test_copants_value(algebras):
@@ -332,6 +338,80 @@ def test_eval_piece_shape_is_target_by_source(algebras, name, kind):
         assert type(m.data) is tuple and all(type(r) is tuple and len(r) == cols
                                              for r in m.data), piece
         assert m == Matrix(m.field, m.data, cols=cols), piece
+
+
+def _reference(L, piece):
+    """The matrix of a Cyl, Pants, Cup or Copants straight from theta,
+    mul_matrix and the inverse pairing blocks, with no evaluator."""
+    P, f = L.P, L.field
+    match piece:
+        case Cyl(c, g, h):
+            hinv = P.inv[h]
+            return theta(L, c, P.conj(hinv, g)) @ L.phi[(hinv, g)]
+        case Pants(c, g1, g2):
+            return theta(L, c, P.mul(g1, g2)) @ L.mul_matrix(g1, g2)
+        case Cup(g):
+            co = L.rho[P.inv[g]].inverse()
+            return Matrix(f, [[x] for row in co.data for x in row], cols=1)
+        case Copants(g1, g2):
+            g12 = P.mul(g1, g2)
+            first = _reference(L, Cup(g1)).kron(Matrix.identity(f, L.dims[g12]))
+            second = Matrix.identity(f, L.dims[g1]).kron(_reference(L, Pants(0, P.inv[g1], g12)))
+            return second @ first
+
+
+def _oracle_algebras(subject):
+    """Every fixture algebra over QQ or GF(5), or K[C](CM-Mod) over QQ in a
+    seeded dense basis."""
+    if subject == "gauge":
+        return [gauge(std_algebras(QQ)["KC.CM-Mod"], random.Random("hqft/gauge"))]
+    return list(std_algebras(FIELDS[subject]).values())
+
+
+def _cached_pieces(cm):
+    return [piece for kind in (Cyl, Pants, Copants, Cup) for piece in _every_piece(cm, kind)]
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_cached_pieces_match_reference(subject):
+    """On a warm evaluator, whose cache holds every theta, product block and
+    cup column, each Cyl, Pants, Copants and Cup equals its reference."""
+    for L in _oracle_algebras(subject):
+        tau = make_hqft(L)
+        pieces = _cached_pieces(L.cm)
+        for piece in pieces:
+            eval_piece(tau, piece)
+        assert {key[0] for key in tau.matrices} == {"cup", "theta", "mul"}, L.name
+        for piece in pieces:
+            assert eval_piece(tau, piece) == _reference(L, piece), (L.name, piece)
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_evaluator_builds_each_matrix_once(subject, monkeypatch):
+    """Over one invariance sweep, then every Cyl, Pants, Copants and Cup, an
+    evaluator builds theta(c, g) at most once per (c, g), each product block
+    at most once per (g1, g2) and inverts each pairing block at most once."""
+    lefts = _counting(monkeypatch, CrossedCAlgebra, "left_mul_matrix")
+    products = _counting(monkeypatch, CrossedCAlgebra, "mul_matrix")
+    inverses = _counting(monkeypatch, Matrix, "inverse")
+    for L in _oracle_algebras(subject):
+        cm, P, C = L.cm, L.P, L.C
+        tau = make_hqft(L)
+        for calls in (lefts, products, inverses):
+            calls.clear()
+        assert check_equivalence_invariance(tau).ok, L.name
+        for piece in _cached_pieces(cm):
+            eval_piece(tau, piece)
+        # theta(c, g) is left_mul_matrix(d(c), tilde(c), g): each argument
+        # triple comes from at most as many c as share d(c) and tilde(c)
+        per_theta = Counter((g, a, h) for _, g, a, h in lefts)
+        for (dc, a, h), n in per_theta.items():
+            assert n <= sum(1 for c in C.elements() if (cm.d(c), L.tilde[c]) == (dc, a)), \
+                (L.name, dc, h)
+        assert max(Counter((g1, g2) for _, g1, g2 in products).values()) == 1, L.name
+        # every grade's cup is evaluated, so one inverse per grade is the least
+        assert all(any(m is L.rho[g] for g in P.elements()) for m, in inverses), L.name
+        assert len(inverses) == P.order, L.name
 
 
 def test_snake_identities(algebras):

@@ -3,13 +3,14 @@ import json
 
 import pytest
 
-from crossmod import cli
+from crossmod import algebras as algebra_module, cli, fixtures, serialize
 from crossmod.algebras import (
     CrossedAlgebraMorphism,
     check_crossed_algebra,
     group_algebra_C,
     group_algebra_P,
     kp_iso_witness,
+    pushforward,
     same_structure,
 )
 from crossmod.cli import build_parser, main
@@ -21,6 +22,7 @@ from crossmod.groups import symmetric_group_3
 from crossmod.linalg import Matrix
 from crossmod.serialize import (
     SerializationError,
+    UnknownObject,
     Workspace,
     dumps,
     from_doc,
@@ -95,6 +97,67 @@ def test_malformed_documents(ws):
         from_doc({"kind": "group", "names": ["e", "s"], "table": [[0, 1]]}, ws)
     with pytest.raises(SerializationError):
         from_doc({"kind": "algebra", "crossed_module": "CM-Id2", "field": "Q"}, ws)
+
+
+def test_workspace_builds_fixture_algebras_on_first_lookup(monkeypatch, groups):
+    """A workspace builds no algebra until an algebra name (or an unknown
+    one) is looked up; the fixture algebras then enter all at once, under
+    any object added first with one of their names, and every lookup
+    error keeps its message."""
+    calls = []
+    std_algebras = fixtures.std_algebras
+    monkeypatch.setattr(fixtures, "std_algebras",
+                        lambda field: calls.append(field) or std_algebras(field))
+    ws = Workspace()
+    assert ws.get("Z2", "group") is groups["Z2"]
+    assert calls == []
+    ws.add("KC.CM-Id2", "group", groups["S3"])
+    with pytest.raises(UnknownObject, match="'KC.CM-Mod' is a algebra, not a group"):
+        ws.get("KC.CM-Mod", "group")
+    assert calls == [QQ]
+    assert ws.get("KP.CM-Id2", "algebra") is std_algebras(QQ)["KP.CM-Id2"]
+    assert ws.objects["PUSH.CM-Id2"] == ("algebra", std_algebras(QQ)["PUSH.CM-Id2"])
+    assert ws.get("KC.CM-Id2", "group") is groups["S3"]
+    assert calls == [QQ]
+    with pytest.raises(UnknownObject, match="no object named 'KC.nothing'"):
+        ws.get("KC.nothing")
+
+
+def test_build_pushforward_checks_the_algebra_once(monkeypatch, capsys, algebras):
+    """`pushforward` runs check_crossed_algebra on what it builds and raises
+    on a result that fails, so `build pushforward` does not check it again."""
+    calls = []
+    check = check_crossed_algebra
+
+    def counted(L):
+        calls.append(L.name)
+        return check(L)
+
+    monkeypatch.setattr(algebra_module, "check_crossed_algebra", counted)
+    monkeypatch.setitem(serialize.CHECKABLE, "algebra", counted)
+    assert main(["build", "pushforward", "q.CM-A3S3", "KP.CM-A3S3"]) == 0
+    assert calls == ["push(KP.CM-A3S3)"]
+    monkeypatch.undo()
+    push = pushforward(std_morphisms()["q.CM-A3S3"], algebras["KP.CM-A3S3"])
+    assert capsys.readouterr().out == dumps(to_doc("algebra", push))
+
+
+def test_build_kp_iso_checks_the_blocks_once(monkeypatch, capsys, cms):
+    """`kp_iso_witness` checks its blocks over an identity morphism, so
+    `build kp_iso` does not check the witness again."""
+    calls = []
+    check_blocks = algebra_module._check_blocks
+
+    def counted(m, report):
+        calls.append(m)
+        return check_blocks(m, report)
+
+    monkeypatch.setattr(algebra_module, "_check_blocks", counted)
+    assert main(["build", "kp_iso", "CM-Id2"]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    witness = kp_iso_witness(cms["CM-Id2"], QQ)
+    assert capsys.readouterr().out == dumps(to_doc("algebra_morphism", witness))
 
 
 # --- CLI --------------------------------------------------------------------
