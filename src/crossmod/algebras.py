@@ -5,8 +5,9 @@ a crossed-module morphism), pullback, pushforward, and adjunction transposes.
 An algebra is stored gradewise: structure constants per grade pair, the
 pairing per grade against its inverse grade, and the action per (actor,
 grade). Graded multiplication landing in the product grade is therefore
-unrepresentable to violate; everything else is an explicit, exhaustively
-checkable axiom.
+unrepresentable to violate, a block that does not fit the grade dimensions
+is refused as the algebra is built, and everything else is an explicit,
+exhaustively checkable axiom.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .crossed_modules import (
     require_same,
 )
 from .fields import QQ
-from .linalg import (
-    Matrix,
-    RowSpace,
-    SingularMatrixError,
-    unit_vector,
-)
+from .linalg import Matrix, RowSpace, unit_vector
 from .report import CheckReport
 
 
@@ -39,7 +35,12 @@ class RhoIllDefined(ValueError):
 
 class CrossedCAlgebra:
     """A graded algebra over the base group of a crossed module, with pairing
-    rho, action phi, and the distinguished units indexed by the top group."""
+    rho, action phi, and the distinguished units indexed by the top group.
+
+    Its shape is checked as it is built (`well_formed`): every structure map
+    fits the grade dimensions and the basis names name each grade's basis
+    once, or the constructor raises ValueError("<where>: <what>") for the
+    first fault. Every consumer indexes by `dims` with no check of its own."""
 
     def __init__(self, name, cm: CrossedModule, field, dims, basis_names,
                  mul, unit, rho, phi, tilde):
@@ -58,6 +59,8 @@ class CrossedCAlgebra:
         self.rho = rho        # g -> Matrix dims[g] x dims[g^-1]
         self.phi = phi        # (h, g) -> Matrix dims[hgh^-1] x dims[g]
         self.tilde = tuple(tuple(map(of, v)) for v in tilde)  # c -> vector in grade d(c)
+        if fault := well_formed(self):
+            raise ValueError(f"{fault[0]}: {fault[1]}")
 
     # -- shape helpers ------------------------------------------------------
 
@@ -127,51 +130,47 @@ def same_structure(a: CrossedCAlgebra, b: CrossedCAlgebra) -> bool:
 # the axiom checker
 # --------------------------------------------------------------------------
 
-def well_formed(L: CrossedCAlgebra) -> list[tuple[str, str]]:
-    """The shape faults of L: a structure map whose blocks do not fit the
-    grade dimensions, or basis names that do not name each grade's basis
-    once. Every other axiom assumes there are none."""
+def well_formed(L: CrossedCAlgebra) -> tuple[str, str] | None:
+    """The first shape fault of L as (where, what), or None: a structure map
+    whose blocks do not fit the grade dimensions, or basis names that do not
+    name each grade's basis once. The constructor refuses an L with one, so
+    every axiom family assumes there is none."""
     P, C = L.P, L.C
-    bad = []
     if len(L.dims) != P.order:
-        return [("dims", "one dimension per base element required")]
+        return "dims", "one dimension per base element required"
     for g in P.elements():
         for h in P.elements():
             block = L.mul.get((g, h))
             gh = P.mul(g, h)
             if block is None:
-                bad.append((f"mul({P.names[g]},{P.names[h]})", "missing block"))
-                continue
+                return f"mul({P.names[g]},{P.names[h]})", "missing block"
             if len(block) != L.dims[g] or any(len(row) != L.dims[h] for row in block) or \
                any(len(cell) != L.dims[gh] for row in block for cell in row):
-                bad.append((f"mul({P.names[g]},{P.names[h]})", "bad shape"))
+                return f"mul({P.names[g]},{P.names[h]})", "bad shape"
     if len(L.unit) != L.dims[0]:
-        bad.append(("unit", "wrong length"))
+        return "unit", "wrong length"
     for g in P.elements():
         m = L.rho.get(g)
         if m is None or m.shape() != (L.dims[g], L.dims[P.inv[g]]):
-            bad.append((f"rho({P.names[g]})", "bad shape"))
+            return f"rho({P.names[g]})", "bad shape"
     for h in P.elements():
         for g in P.elements():
             m = L.phi.get((h, g))
             if m is None or m.shape() != (L.dims[P.conj(h, g)], L.dims[g]):
-                bad.append((f"phi({P.names[h]},{P.names[g]})", "bad shape"))
+                return f"phi({P.names[h]},{P.names[g]})", "bad shape"
     if len(L.tilde) != C.order:
-        bad.append(("tilde", "one vector per top element required"))
-    else:
-        for c in C.elements():
-            if len(L.tilde[c]) != L.dims[L.cm.d(c)]:
-                bad.append((f"tilde({C.names[c]})", "vector not in grade d(c)"))
+        return "tilde", "one vector per top element required"
+    for c in C.elements():
+        if len(L.tilde[c]) != L.dims[L.cm.d(c)]:
+            return f"tilde({C.names[c]})", "vector not in grade d(c)"
     if len(L.basis_names) != P.order:
-        bad.append(("basis_names", "one name tuple per base element required"))
-    else:
-        for g, names in enumerate(L.basis_names):
-            if len(names) != L.dims[g]:
-                bad.append((f"basis_names({P.names[g]})",
-                            f"{len(names)} names for dim {L.dims[g]}"))
-            elif len(set(names)) != len(names):
-                bad.append((f"basis_names({P.names[g]})", "duplicate names"))
-    return bad
+        return "basis_names", "one name tuple per base element required"
+    for g, names in enumerate(L.basis_names):
+        if len(names) != L.dims[g]:
+            return f"basis_names({P.names[g]})", f"{len(names)} names for dim {L.dims[g]}"
+        if len(set(names)) != len(names):
+            return f"basis_names({P.names[g]})", "duplicate names"
+    return None
 
 
 def _cleared(L: CrossedCAlgebra):
@@ -291,10 +290,8 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     vector is `_total` or `_product` over its support. The trace family sums
     products of structure constants directly."""
     report = CheckReport(f"crossed algebra {L.name}")
-    shape = well_formed(L)
-    report.add("well_formed", shape)
-    if shape:
-        return report
+    # the constructor refused every shape fault
+    report.add_pass("well_formed")
     tables = _tables(L)
     L, D, prod, cols, phis, phis_sup, unit_sup, tilde_sup = tables
     P, C, f = L.P, L.C, L.field
@@ -341,10 +338,7 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     for g in P.elements():
         if dims[g] != dims[P.inv[g]]:
             fails.append((f"g={P.names[g]}", "paired grades have different dimensions"))
-            continue
-        try:
-            L.rho[g].inverse()
-        except SingularMatrixError:
+        elif L.rho[g].nullspace():
             fails.append((f"g={P.names[g]}", "rho block is singular"))
     report.add("rho_nondegenerate", fails)
 
@@ -598,12 +592,8 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     theta(c, g) is kept as its columns and their supports
     (`_theta_columns`), and both sides of an identity are compared column by
     column (row by row for rho), each column a `_total` of stored vectors over
-    a support. A malformed L is reported by its failing `well_formed` family
-    alone; a well-formed one adds no such family."""
+    a support."""
     report = CheckReport(f"boxed identities for {L.name}")
-    if shape := well_formed(L):
-        report.add("well_formed", shape)
-        return report
     t = _tables(L)
     L, D, prod, phis, phis_sup, tilde_sup = t.L, t.D, t.prod, t.phis, t.phis_sup, t.tilde_sup
     P, C, dims, f = L.P, L.C, L.dims, L.field
@@ -686,12 +676,8 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     multiplied up by the common denominator, and read the tables of
     `check_crossed_algebra` and the theta supports of
     `check_boxed_identities`: every product is a `_total` or `_product` of
-    stored vectors over a support, and no matrix is built. Shape faults are
-    reported as in `check_boxed_identities`."""
+    stored vectors over a support, and no matrix is built."""
     report = CheckReport(f"units/automorphisms square for {L.name}")
-    if shape := well_formed(L):
-        report.add("well_formed", shape)
-        return report
     t = _tables(L)
     L, D, prod, phis, tilde_sup = t.L, t.D, t.prod, t.phis, t.tilde_sup
     P, C, dims, f = L.P, L.C, L.dims, L.field
@@ -827,15 +813,9 @@ def _check_blocks(m: CrossedAlgebraMorphism, report: CheckReport) -> CheckReport
 
 
 def is_isomorphism(m: CrossedAlgebraMorphism) -> bool:
-    for p in m.source.P.elements():
-        blk = m.blocks[p]
-        if blk.rows != blk.cols:
-            return False
-        try:
-            blk.inverse()
-        except SingularMatrixError:
-            return False
-    return True
+    """Every block is square with no kernel."""
+    blocks = [m.blocks[p] for p in m.source.P.elements()]
+    return all(blk.rows == blk.cols and not blk.nullspace() for blk in blocks)
 
 
 # --------------------------------------------------------------------------

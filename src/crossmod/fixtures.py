@@ -12,7 +12,7 @@ from types import MappingProxyType
 from .algebras import (
     group_algebra_C,
     group_algebra_P,
-    kp_iso_witness,
+    pullback,
     pushforward,
 )
 from .crossed_modules import (
@@ -91,10 +91,9 @@ def std_algebras(field=QQ):
     for name, cm in cms.items():
         algebras[f"KC.{name}"] = group_algebra_C(cm, field, name=f"KC.{name}")
         algebras[f"KP.{name}"] = group_algebra_P(cm, field, name=f"KP.{name}")
-    witness = kp_iso_witness(cms["CM-A3S3"], field)
-    algebras["QKG.CM-A3S3"] = witness.target
-    algebras["QKG.CM-A3S3"].name = "QKG.CM-A3S3"
     q_a3s3 = std_morphisms()["q.CM-A3S3"]
+    algebras["QKG.CM-A3S3"] = pullback(q_a3s3, group_algebra_P(q_a3s3.target, field),
+                                       name="QKG.CM-A3S3")
     algebras["PUSH.CM-A3S3"] = pushforward(q_a3s3, algebras["KP.CM-A3S3"],
                                            name="PUSH.CM-A3S3")
     collapse = std_morphisms()["collapse.CM-Id2"]

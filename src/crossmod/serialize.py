@@ -19,7 +19,6 @@ from .algebras import (
     CrossedCAlgebra,
     check_algebra_morphism,
     check_crossed_algebra,
-    well_formed,
 )
 from .crossed_modules import (
     CrossedModule,
@@ -289,7 +288,8 @@ def _object(doc, key):
 
 def _names(x, g) -> tuple[str, ...]:
     """Grade g's entry of an algebra document's basis_names: a list of strings.
-    Their count and distinctness are checked by `well_formed`."""
+    Their count and distinctness are checked by the `CrossedCAlgebra`
+    constructor."""
     if not isinstance(x, list) or not all(isinstance(name, str) for name in x):
         raise SerializationError(
             f"bad algebra document: basis_names {g} must be a list of strings")
@@ -374,11 +374,10 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
            for g in P.elements() for h in P.elements()}
     unit = tuple(field.parse(x) for x in doc["unit"])
     tilde = [tuple(field.parse(x) for x in tilde_doc[str(c)]) for c in C.elements()]
+    # the constructor refuses a shape fault with a ValueError that from_doc
+    # reports as "bad algebra document: <where>: <what>"
     L = CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
                         mul, unit, rho, phi, tilde)
-    shape = well_formed(L)
-    if shape:
-        raise SerializationError(f"bad algebra document: {shape[0][0]}: {shape[0][1]}")
     # a string or object in place of a list was iterated above like one; it
     # is refused only now, so that a bad scalar or shape in it keeps its message
     vectors = {"unit": doc["unit"], **{f"tilde {c}": tilde_doc[str(c)] for c in C.elements()}}

@@ -180,15 +180,17 @@ def test_fixture_registries_are_read_only(registry):
     assert list(get()) == keys
 
 
-@pytest.mark.parametrize("basis_names", [[["a"], []], [["a", "b", "a"], []],
-                                         [["a", "b", "c"]]])
-def test_bad_basis_names_are_a_well_formed_fault(algebras, basis_names):
+@pytest.mark.parametrize("basis_names, error", [
+    ([["a"], []], "basis_names(0): 1 names for dim 3"),
+    ([["a", "b", "a"], []], "basis_names(0): duplicate names"),
+    ([["a", "b", "c"]], "basis_names: one name tuple per base element required"),
+], ids=["basis_names0", "basis_names1", "basis_names2"])
+def test_bad_basis_names_are_a_well_formed_fault(algebras, basis_names, error):
     L = algebras["KC.CM-Mod"]  # dims (3, 0)
-    bad = CrossedCAlgebra(L.name, L.cm, L.field, L.dims, basis_names, L.mul,
-                          L.unit, L.rho, L.phi, L.tilde)
-    report = check_crossed_algebra(bad)
-    fail = report.first_failure()
-    assert fail.axiom == "well_formed" and fail.instance.startswith("basis_names"), fail
+    with pytest.raises(ValueError) as exc:
+        CrossedCAlgebra(L.name, L.cm, L.field, L.dims, basis_names, L.mul,
+                        L.unit, L.rho, L.phi, L.tilde)
+    assert str(exc.value) == error
 
 
 def test_algebra_stores_canonical_scalars():
@@ -209,22 +211,18 @@ def test_algebra_stores_canonical_scalars():
         assert eval_piece(tau_shifted, piece) == eval_piece(tau, piece), piece
 
 
-def _malformed_kc_mod(algebras):
-    """KC.CM-Mod with one tilde vector, and with one extra unit entry."""
-    L = algebras["KC.CM-Mod"]
-
-    def rebuilt(unit, tilde):
-        return CrossedCAlgebra(L.name, L.cm, L.field, L.dims, L.basis_names, L.mul,
-                               unit, L.rho, L.phi, tilde)
-
-    return [rebuilt(L.unit, L.tilde[:1]), rebuilt(L.unit + (L.field.zero,), L.tilde)]
-
-
 @pytest.mark.parametrize("checker", [check_boxed_identities, aut_square_check])
 def test_malformed_algebra_fails_well_formed_alone(algebras, checker):
-    for bad in _malformed_kc_mod(algebras):
-        report = checker(bad)
-        assert [(r.axiom, r.ok) for r in report.results] == [("well_formed", False)]
+    """A malformed algebra never reaches a checker: the constructor refuses
+    KC.CM-Mod with one tilde vector, or with one extra unit entry, and names
+    the fault as "<where>: <what>"."""
+    L = algebras["KC.CM-Mod"]
+    for unit, tilde, error in [(L.unit, L.tilde[:1], "tilde: one vector per top element required"),
+                               (L.unit + (L.field.zero,), L.tilde, "unit: wrong length")]:
+        with pytest.raises(ValueError) as exc:
+            checker(CrossedCAlgebra(L.name, L.cm, L.field, L.dims, L.basis_names, L.mul,
+                                    unit, L.rho, L.phi, tilde))
+        assert str(exc.value) == error
 
 
 def test_boxed_identities_all_fixtures(algebras):

@@ -372,7 +372,7 @@ CORPUS += [
     # and phi have compared its dimension with the document
     ("algebra.dims-huge", _check_mutated(
         "algebra", lambda doc: (doc.pop("basis_names"), doc["dims"].update({"1": 10 ** 9})))),
-    # shape faults that decode: the algebra checker's well_formed family
+    # shape faults: the CrossedCAlgebra constructor refuses them as they decode
     ("algebra.unit-extra", _check_mutated("algebra", lambda doc: doc["unit"].append("0"))),
     ("algebra.mul-reshaped", _check_mutated(
         "algebra", lambda doc: doc["mul"]["0,0"][0].append(["0"]))),
@@ -475,6 +475,75 @@ def test_cli_string_or_object_in_place_of_a_list_exits_2(tmp_path, capsys, kind,
     file.write_text(json.dumps(doc))
     assert main(["check", kind, str(file)]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
+def _pop(*path):
+    return lambda doc: _at(doc, path[:-1]).pop(path[-1])
+
+
+def _names_dup(doc):
+    doc["basis_names"]["0"][1] = doc["basis_names"]["0"][0]
+
+
+# one case per kind of shape fault on KC.CM-Mod (dims (3, 0) over Z/2, top
+# group Z/3): the constructor arguments that carry it and the fault the
+# constructor names, then a document edit of the same kind and the error of
+# `crossmod check algebra` on it. A document cannot give a wrong count of
+# dims, mul blocks or tilde vectors, nor a rho or phi block of the wrong
+# shape: a missing entry is a missing field, and Matrix.from_json compares
+# each block with the dims as it is read
+SHAPE_FAULTS = {
+    "dims": (lambda L: {"dims": L.dims + (0,)},
+             "dims: one dimension per base element required",
+             _pop("dims", "1"), "bad algebra document: missing field '1'"),
+    "mul-missing": (lambda L: {"mul": {k: v for k, v in L.mul.items() if k != (0, 1)}},
+                    "mul(0,1): missing block",
+                    _pop("mul", "0,1"), "bad algebra document: missing field '0,1'"),
+    "mul-shape": (lambda L: {"mul": {**L.mul, (0, 0): L.mul[(0, 0)][:2]}},
+                  "mul(0,0): bad shape",
+                  lambda doc: doc["mul"]["0,0"][0].append(["0", "0", "0"]),
+                  "bad algebra document: mul(0,0): bad shape"),
+    "unit": (lambda L: {"unit": L.unit + (0,)}, "unit: wrong length",
+             lambda doc: doc["unit"].append("0"), "bad algebra document: unit: wrong length"),
+    "rho": (lambda L: {"rho": {**L.rho, 0: Matrix.identity(QQ, 2)}}, "rho(0): bad shape",
+            lambda doc: doc["rho"]["0"].append(["0", "0", "0"]),
+            "bad algebra document: expected 3 rows, got 4"),
+    "phi": (lambda L: {"phi": {**L.phi, (1, 0): Matrix.identity(QQ, 2)}},
+            "phi(1,0): bad shape",
+            lambda doc: doc["phi"]["1,0"].append(["0", "0", "0"]),
+            "bad algebra document: expected 3 rows, got 4"),
+    "tilde-count": (lambda L: {"tilde": L.tilde[:2]},
+                    "tilde: one vector per top element required",
+                    _pop("tilde", "2"), "bad algebra document: missing field '2'"),
+    "tilde-grade": (lambda L: {"tilde": (L.tilde[0] + (0,),) + L.tilde[1:]},
+                    "tilde(0): vector not in grade d(c)",
+                    lambda doc: doc["tilde"]["0"].append("0"),
+                    "bad algebra document: tilde(0): vector not in grade d(c)"),
+    "basis_names-count": (lambda L: {"basis_names": (("a", "b", "c", "d"), ())},
+                          "basis_names(0): 4 names for dim 3",
+                          lambda doc: doc["basis_names"]["0"].append("extra"),
+                          "bad algebra document: basis_names(0): 4 names for dim 3"),
+    "basis_names-duplicate": (lambda L: {"basis_names": (("a", "b", "a"), ())},
+                              "basis_names(0): duplicate names",
+                              _names_dup, "bad algebra document: basis_names(0): duplicate names"),
+}
+
+
+@pytest.mark.parametrize("fault", SHAPE_FAULTS)
+def test_algebra_shape_fault_is_refused_as_built(tmp_path, capsys, algebras, fault):
+    edit_args, error, edit_doc, doc_error = SHAPE_FAULTS[fault]
+    L = algebras["KC.CM-Mod"]
+    args = dict(name=L.name, cm=L.cm, field=L.field, dims=L.dims, basis_names=L.basis_names,
+                mul=L.mul, unit=L.unit, rho=L.rho, phi=L.phi, tilde=L.tilde)
+    with pytest.raises(ValueError) as exc:
+        algebra_module.CrossedCAlgebra(**{**args, **edit_args(L)})
+    assert str(exc.value) == error
+    doc = to_doc("algebra", L)
+    edit_doc(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(["check", "algebra", str(file)]) == 2
+    assert capsys.readouterr().out == dumps({"error": doc_error})
 
 
 def test_cli_unknown_name_error_is_not_requoted(capsys):
