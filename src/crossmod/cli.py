@@ -67,7 +67,10 @@ def cmd_check(args) -> int:
 def _write_out(args, doc) -> None:
     text = dumps(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise SerializationError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text, end="")
 

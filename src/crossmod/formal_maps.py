@@ -415,43 +415,32 @@ def labeling_from_vertex_potential(cm: CrossedModule, complex_: OrderedComplex,
 # --------------------------------------------------------------------------
 
 def _square_of(m: SimplicialFormalMap, t1: int, t2: int):
-    """Shared edge and the two private corners of two adjacent triangles."""
+    """The shared edge and the four rank-ordered vertices of two adjacent
+    triangles."""
     K = m.complex
     tri1, tri2 = K.triangles[t1], K.triangles[t2]
     shared = set(tri1) & set(tri2)
     if t1 == t2 or len(shared) != 2:
         raise ValueError(f"triangles {tri1} and {tri2} do not share exactly one edge")
-    corners = (set(tri1) | set(tri2)) - shared
     verts = sorted(set(tri1) | set(tri2), key=lambda v: K.rank[v])
-    if len(verts) != 4:
-        raise ValueError("triangles do not span a square")
-    return tuple(sorted(shared, key=lambda v: K.rank[v])), corners, verts
+    return tuple(sorted(shared, key=lambda v: K.rank[v])), verts
 
 
 def combine_triangles(m: SimplicialFormalMap, t1: int, t2: int) -> LabeledCell:
     """Compose two adjacent triangle cells into the square cell they bound.
 
-    Each of the two relabelings that concentrate the whole 2-label in one
-    triangle (the other becoming trivial, with the shared edge relabeled) is
-    rebuilt and must combine to the same cell."""
-    combined = _combined_square_cell(m, t1, t2)
-    for keep, clear in ((t1, t2), (t2, t1)):
-        moved = _combined_square_cell(
-            _concentrated_relabeling(m, t1, t2, keep, clear, combined), t1, t2)
-        if (moved.c, moved.p) != (combined.c, combined.p):
-            raise AssertionError("concentrated relabelings disagree; labeling invalid")
-    return combined
-
-
-def _combined_square_cell(m: SimplicialFormalMap, t1: int, t2: int) -> LabeledCell:
-    diag, corners, verts = _square_of(m, t1, t2)
-    K = m.complex
-    w0, w1, w2, w3 = verts
+    The square's diagonal (the shared edge) must be (w0,w2), (w0,w3) or
+    (w1,w2) in the vertex order w0 < w1 < w2 < w3, and the whole labeling
+    must pass `validate_simplicial`; an invalid one raises ValueError naming
+    its first failing triangle."""
+    diag, (w0, w1, w2, w3) = _square_of(m, t1, t2)
+    if diag not in ((w0, w2), (w0, w3), (w1, w2)):
+        raise ValueError(f"diagonal {diag} not supported")
+    validate_simplicial(m).require()
     cm = m.cm
     cell1 = triangle_cell(m, t1)
     cell2 = triangle_cell(m, t2)
-    tri1, tri2 = K.triangles[t1], K.triangles[t2]
-
+    tri1 = m.complex.triangles[t1]
     if diag == (w0, w2):
         # source route w0-w1-w2-w3, target the direct edge (w0,w3)
         first, second = (cell1, cell2) if w1 in tri1 else (cell2, cell1)
@@ -461,58 +450,11 @@ def _combined_square_cell(m: SimplicialFormalMap, t1: int, t2: int) -> LabeledCe
         # source route through w1, target route through w2
         first, second = (cell1, cell2) if w1 in tri1 else (cell2, cell1)
         return compose_v(first, cell_v_inverse(second))
-    if diag == (w1, w2):
-        # source route w0-w1-w3, target route w0-w2-w3
-        first, second = (cell1, cell2) if w0 in tri1 else (cell2, cell1)
-        whisk_a = compose_h(first, cell_identity(cm, m.label_of(w2, w3)))
-        whisk_b = compose_h(cell_identity(cm, m.label_of(w0, w1)), second)
-        return compose_v(cell_v_inverse(whisk_b), whisk_a)
-    raise ValueError(f"diagonal {diag} not supported")
-
-
-def _concentrated_relabeling(m: SimplicialFormalMap, t1: int, t2: int,
-                             keep: int, clear: int, combined: LabeledCell) -> SimplicialFormalMap:
-    """The equivalent labeling with the whole 2-label in one triangle.
-
-    The cleared triangle becomes trivial, which forces the shared-edge label
-    (its boundary word must collapse); the kept label is the closed-form
-    solution making the recombined cell equal the given one."""
-    K = m.complex
-    diag, corners, verts = _square_of(m, t1, t2)
-    w0, w1, w2, w3 = verts
-    cm = m.cm
-    P, C = cm.base, cm.top
-    tri_clear = K.triangles[clear]
-    edge_idx = K.edge_index
-    labels = list(m.edge_labels)
-    v0, v1, v2 = tri_clear
-    # trivial label on the cleared triangle forces label(v0,v2) = label(v0,v1)*label(v1,v2)
-    if diag == (v0, v2):
-        labels[edge_idx[diag]] = P.mul(m.label_of(v0, v1), m.label_of(v1, v2))
-    elif diag == (v1, v2):
-        labels[edge_idx[diag]] = P.mul(P.inv[m.label_of(v0, v1)], m.label_of(v0, v2))
-    elif diag == (v0, v1):
-        labels[edge_idx[diag]] = P.mul(m.label_of(v0, v2), P.inv[m.label_of(v1, v2)])
-    else:
-        raise ValueError(f"diagonal {diag} not supported")
-
-    keep_tri = K.triangles[keep]
-    if diag == (w0, w2):
-        keep_label = combined.c
-    elif diag == (w0, w3):
-        keep_label = combined.c if w1 in keep_tri else C.inv[combined.c]
-    else:  # diag == (w1, w2)
-        if w0 in keep_tri:
-            keep_label = combined.c
-        else:
-            # only the shared edge (w1,w2) was relabeled, so (w0,w1) keeps its label
-            keep_label = cm.action(P.inv[m.label_of(w0, w1)], C.inv[combined.c])
-
-    tris = list(m.tri_labels)
-    starts = list(m.start_vertices)
-    tris[clear], starts[clear] = 0, tri_clear[0]
-    tris[keep], starts[keep] = keep_label, keep_tri[0]
-    return SimplicialFormalMap(cm, K, tuple(labels), tuple(tris), tuple(starts))
+    # diag == (w1, w2): source route w0-w1-w3, target route w0-w2-w3
+    first, second = (cell1, cell2) if w0 in tri1 else (cell2, cell1)
+    whisk_a = compose_h(first, cell_identity(cm, m.label_of(w2, w3)))
+    whisk_b = compose_h(cell_identity(cm, m.label_of(w0, w1)), second)
+    return compose_v(cell_v_inverse(whisk_b), whisk_a)
 
 
 def annulus_square_complex(diagonal: str) -> OrderedComplex:
@@ -544,10 +486,9 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
         raise ValueError("not one of the two annulus squares")
     if m.label_of(0, 2) != m.label_of(1, 3):
         raise ValueError("seam edges carry different labels")
-    validate_simplicial(m).require()
     g = m.label_of(0, 1)
     h = m.label_of(0, 2)
-    square = _combined_square_cell(m, 0, 1)  # triangle 0 carries the inner route
+    square = combine_triangles(m, 0, 1)  # triangle 0 carries the inner route
     # square: g*h => h*k based at the inner vertex; rebase at the outer circle
     c_star = cm.action(P.inv[h], square.c)
     piece = Cyl(c_star, g, h)

@@ -239,6 +239,8 @@ class Workspace:
     def load_dir(self, path):
         """Add every JSON document of the directory under its name; each
         crossed module among them is checked as it loads (`_checked`)."""
+        if not Path(path).is_dir():
+            raise SerializationError(f"cannot read {path}: not a directory")
         for file in sorted(Path(path).glob("*.json")):
             kind, name, obj = load_file(file, self)
             self.add(name, kind, _checked(kind, obj))

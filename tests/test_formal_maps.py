@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 
@@ -29,6 +31,7 @@ from crossmod.formal_maps import (
     labeling_from_vertex_potential,
     piece_io,
     transport_label,
+    triangle_cell,
     typecheck,
     validate_simplicial,
     whiskering_orders,
@@ -269,6 +272,94 @@ def test_combine_requires_adjacency(cms):
     m = concentration_square(cm, 0, 0, 1, 1, 1)
     with pytest.raises(ValueError, match="do not share exactly one edge"):
         combine_triangles(m, 0, 0)
+
+
+def square_complex(diagonal):
+    """The two triangles on the vertices 0 < 1 < 2 < 3 that share the edge
+    `diagonal`, with the five edges they span."""
+    x, y = (v for v in range(4) if v not in diagonal)
+    return OrderedComplex(4, (0, 1, 2, 3),
+                          edges=tuple(e for e in itertools.combinations(range(4), 2)
+                                      if e != (x, y)),
+                          triangles=(tuple(sorted((*diagonal, x))),
+                                     tuple(sorted((*diagonal, y)))))
+
+
+# each supported diagonal's square cell: (source route, target route)
+SQUARE_ROUTES = {(0, 2): ((0, 1, 2, 3), (0, 3)),
+                 (0, 3): ((0, 1, 3), (0, 2, 3)),
+                 (1, 2): ((0, 1, 3), (0, 2, 3))}
+
+
+def square_labelings(cm, complex_, rng=None, draws=30):
+    """Every labeling of a two-triangle complex over cm; or, given rng,
+    `draws` seeded edge labelings and start vertices, each with every pair
+    of triangle labels."""
+    P, C = cm.base, cm.top
+    if rng is None:
+        edges_starts = itertools.product(
+            itertools.product(P.elements(), repeat=len(complex_.edges)),
+            itertools.product(*complex_.triangles))
+    else:
+        edges_starts = [(tuple(rng.randrange(P.order) for _ in complex_.edges),
+                         tuple(rng.choice(t) for t in complex_.triangles))
+                        for _ in range(draws)]
+    for edge_labels, starts in edges_starts:
+        for tri_labels in itertools.product(C.elements(), repeat=2):
+            yield SimplicialFormalMap(cm, complex_, edge_labels, tri_labels, starts)
+
+
+@pytest.mark.parametrize("diagonal", list(SQUARE_ROUTES),
+                         ids=[f"{u}-{v}" for u, v in SQUARE_ROUTES])
+@pytest.mark.parametrize("name", ["CM-Id2", "CM-A3S3", "CM-Mod", "CM-AutS3"])
+def test_combine_triangles_exactly_when_valid(cms, name, diagonal):
+    """Every labeling of the square over CM-Id2, and seeded ones over the
+    other fixtures: combine_triangles, in either triangle order, returns the
+    cell from the square's source route to its target route exactly when
+    validate_simplicial passes, and otherwise raises ValueError naming the
+    first triangle whose cell does not end on its long edge."""
+    cm = cms[name]
+    complex_ = square_complex(diagonal)
+    source, target = SQUARE_ROUTES[diagonal]
+    rng = None if name == "CM-Id2" else random.Random(f"{name} {diagonal}")
+    seen = set()
+    for m in square_labelings(cm, complex_, rng):
+        bad = [t for i, t in enumerate(complex_.triangles)
+               if triangle_cell(m, i).target != m.label_of(t[0], t[2])]
+        valid = validate_simplicial(m).ok
+        assert valid == (not bad)
+        seen.add(valid)
+        for t1, t2 in ((0, 1), (1, 0)):
+            if valid:
+                cell = combine_triangles(m, t1, t2)
+                assert (cell.p, cell.target) == (m.path_label(source), m.path_label(target))
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"fails at triangle {bad[0]}:")):
+                    combine_triangles(m, t1, t2)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("diagonal", [(0, 1), (1, 3), (2, 3)], ids=["0-1", "1-3", "2-3"])
+def test_combine_triangles_refuses_fan_squares(cms, diagonal):
+    """The squares on the other three diagonals are refused, even with a
+    valid labeling."""
+    m = labeling_from_vertex_potential(cms["CM-A3S3"], square_complex(diagonal), (0, 1, 4, 2))
+    assert validate_simplicial(m).ok
+    for t1, t2 in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"diagonal {diagonal} not supported")):
+            combine_triangles(m, t1, t2)
+
+
+def test_label_of_reversed_and_missing_edges(cms):
+    cm = cms["CM-A3S3"]
+    P = cm.base
+    m = annulus_labeling(cm, 1, 4, 1)  # the "up" square: no edge between 1 and 2
+    assert any(P.inv[g] != g for g in m.edge_labels)
+    for u, v in m.complex.edges:
+        assert m.label_of(v, u) == P.inv[m.label_of(u, v)]
+    for u, v in ((1, 2), (2, 1)):
+        with pytest.raises(ValueError, match=f"no edge between {u} and {v}"):
+            m.label_of(u, v)
 
 
 def test_annulus_flatten_paper_labeling(cms):

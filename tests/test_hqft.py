@@ -39,6 +39,7 @@ from crossmod.hqft import (
     state_space,
 )
 from crossmod.linalg import Matrix
+from crossmod.serialize import Workspace, from_doc, to_doc
 from test_checker_oracle import FIELDS, gauge
 
 
@@ -435,6 +436,28 @@ def test_round_trip_extraction(algebras):
 def test_equivalence_invariance_families(algebras):
     for name in ("KC.CM-Id2", "KP.CM-A3S3", "PUSH.CM-A3S3"):
         assert check_equivalence_invariance(make_hqft(algebras[name])).ok
+
+
+@pytest.mark.parametrize("block, failures", [
+    ("0,0", [("family_a_disc_cylinder", "(c=e,h=e)"),
+             ("family_b_pants_reduction", "(c1=e,c2=e,g1=e,g2=e)"),
+             ("family_c_whiskering", "(c=e,g1=e,g2=(123))")]),
+    ("0,4", [("family_a_disc_cylinder", "(c=(123),h=e)"),
+             ("family_b_pants_reduction", "(c1=e,c2=e,g1=e,g2=(123))"),
+             ("family_c_whiskering", "(c=e,g1=e,g2=(123))"),
+             ("family_d_pairing", "(c=e,g=(123))")]),
+])
+def test_equivalence_invariance_families_fail(algebras, block, failures):
+    """KC.CM-A3S3 with one product entry set to 2 fails the checker, so
+    make_hqft refuses it; an evaluator built directly over it fails these
+    equivalence-invariance families at these first instances."""
+    doc = to_doc("algebra", algebras["KC.CM-A3S3"])
+    doc["mul"][block][0][0][0] = "2"
+    L = from_doc(doc, Workspace(QQ), "algebra")[2]
+    with pytest.raises(ValueError):
+        make_hqft(L)
+    report = check_equivalence_invariance(FormalHQFT(L))
+    assert [(r.axiom, r.instance) for r in report.failures()] == failures
 
 
 def test_functoriality_random(algebras):

@@ -357,6 +357,19 @@ def _eval_file(data: bytes):
     return argv
 
 
+def _eval_pants_out(tmp_path, ws):
+    """argv of an `eval` that succeeds but whose --out lies in a missing directory."""
+    cm = std_crossed_modules()["CM-A3S3"]
+    path = tmp_path / "pants.json"
+    path.write_text(dumps(to_doc("expression", expression(cm, [4, 4], [[Pants(0, 4, 4)]], [5]))))
+    return ["eval", "KC.CM-A3S3", str(path), "--out", str(tmp_path / "missing" / "out.json")]
+
+
+def _fixtures_dir_a_file(tmp_path, ws):
+    (tmp_path / "fx.json").write_text("{}")
+    return ["--fixtures-dir", str(tmp_path / "fx.json"), "check", "group", "Z2"]
+
+
 CORPUS = [(f"{kind}.{'.'.join(map(str, list_path))}={'order' if value is ORDER else repr(value)}",
            _check_mutated(kind, _set_entry(list_path, bound_path, value)))
           for kind, lists in INDEX_LISTS.items() for list_path, bound_path in lists
@@ -387,6 +400,13 @@ CORPUS += [
         {"kind": "homomorphism", "source": "Z2", "target": "Z2", "map": [0, 2]}))),
     ("fixtures-dir-name-not-a-string", _fixtures_dir_with(json.dumps(
         {"kind": "group", "name": ["Z1"], "names": ["e"], "table": [[0]]}))),
+    ("fixtures-dir-missing", lambda tmp_path, ws:
+        ["--fixtures-dir", str(tmp_path / "missing"), "check", "group", "Z2"]),
+    ("fixtures-dir-a-file", _fixtures_dir_a_file),
+    # an --out path in a directory that does not exist cannot be written
+    ("build-out-unwritable", lambda tmp_path, ws:
+        ["build", "kC", "CM-A3S3", "--out", str(tmp_path / "missing" / "kc.json")]),
+    ("eval-out-unwritable", _eval_pants_out),
 ]
 # field moduli past the float range (10**400) and prime but too large to test
 # by trial division (2**61 - 1), from --field and from a document's field
@@ -640,6 +660,45 @@ def test_cli_build_over_another_crossed_module_of_the_same_name_exits_2(tmp_path
     assert json.loads(capsys.readouterr().out) == {
         "error": "the algebra is over crossed module CM-A3S3, the morphism's source is "
                  "a different crossed module of that name"}
+
+
+def test_cli_build_unwritable_out_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "kc.json"
+    assert main(["build", "kC", "CM-A3S3", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(f"cannot write {out}: "), error
+
+
+def test_cli_build_whose_result_fails_its_check_exits_1(tmp_path, capsys):
+    """The pullback along q.CM-A3S3 of K[G] with unit[0] = 2 is built, fails
+    the algebra checker, and is printed as that report instead of a document."""
+    q = std_morphisms()["q.CM-A3S3"]
+    doc = to_doc("algebra", group_algebra_P(q.target, QQ))
+    doc["unit"][0] = "2"
+    path = tmp_path / "kg-bad.json"
+    path.write_text(dumps(doc))
+    out = tmp_path / "never.json"
+    assert main(["build", "pullback", "q.CM-A3S3", str(path), "--out", str(out)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    first = next(check for check in report["checks"] if not check["ok"])
+    assert (report["ok"], first["axiom"], first["instance"]) == (False, "unit", "1*e_[e]@e")
+    assert not out.exists()
+
+
+def test_algebra_document_without_basis_names(tmp_path, capsys, ws, algebras):
+    """basis_names is optional: without it KC.CM-A3S3 still checks ok and each
+    basis element is named <grade>#<k>."""
+    L = algebras["KC.CM-A3S3"]
+    doc = to_doc("algebra", L)
+    del doc["basis_names"]
+    path = tmp_path / "kc.json"
+    path.write_text(dumps(doc))
+    assert main(["check", "algebra", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    decoded = from_doc(doc, ws, "algebra")[2]
+    assert decoded.basis_names == tuple(
+        tuple(f"{L.P.names[g]}#{k}" for k in range(L.dims[g])) for g in L.P.elements())
+    assert decoded.basis_names[0] == ("e#0",) and decoded.basis_names[1] == ()
 
 
 def test_cli_build_pushforward_ill_defined_fails(capsys):
