@@ -24,7 +24,7 @@ from .algebras import (
 from .crossed_modules import CrossedModuleMismatch, check_crossed_module
 from .fields import ScalarParseError, field_from_json
 from .formal_maps import typecheck
-from .hqft import eval_expression, make_hqft, require_same_crossed_module, state_space
+from .hqft import FormalHQFT, eval_expression, make_hqft, require_same_crossed_module, state_space
 from .mutations import MUTATIONS, run_mutation
 from .serialize import (
     CHECKABLE,
@@ -159,7 +159,9 @@ def cmd_demo(args) -> int:
     print(f"# its top-group algebra: grade dims {alg.dims}")
     rep = check_crossed_algebra(alg)
     print(f"algebra checker: {'pass' if rep.ok else 'fail'}")
-    tau = make_hqft(alg)
+    if not rep.ok:
+        return 1
+    tau = FormalHQFT(alg)
     from .formal_maps import Cyl, Disc, expression
     e = expression(cm, [], [[Disc(1)], [Cyl(0, cm.d(1), 1)]],
                    [cm.base.conj(cm.base.inv[1], cm.d(1))])

@@ -7,6 +7,7 @@ significant), so functoriality and monoidality are exact matrix identities.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -202,86 +203,88 @@ def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:
 
 
 # --------------------------------------------------------------------------
-# built-in equivalence-invariance families
+# relations: expressions related by a move evaluate equally
 # --------------------------------------------------------------------------
 
-def check_equivalence_invariance(tau: FormalHQFT) -> CheckReport:
-    """Expression pairs related by the generated moves evaluate equally:
-    (a) disc into cylinder vs the acted disc; (b) cylinders into pants vs the
-    single relabeled pants; (c) the two whiskering orders; (d) the two
-    pairing composites."""
-    report = CheckReport(f"equivalence invariance for {tau.algebra.name}")
-    L = tau.algebra
-    cm, P, C = L.cm, L.P, L.C
-    d = cm.d
-
-    fails = []
-    for c in C.elements():
-        for h in P.elements():
-            e1 = expression(cm, [], [[Disc(c)], [Cyl(0, d(c), h)]],
-                            [P.conj(P.inv[h], d(c))])
-            ch = cm.action(P.inv[h], c)
-            e2 = expression(cm, [], [[Disc(ch)]], [d(ch)])
-            if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
-                fails.append((f"(c={C.names[c]},h={P.names[h]})",
-                              "disc+cylinder != acted disc"))
-    report.add("family_a_disc_cylinder", fails)
-
-    fails = []
-    for c1 in C.elements():
-        for c2 in C.elements():
-            for g1 in P.elements():
-                for g2 in P.elements():
-                    k1, k2 = P.mul(d(c1), g1), P.mul(d(c2), g2)
-                    e1 = expression(cm, [g1, g2],
-                                    [[Cyl(c1, g1, 0), Cyl(c2, g2, 0)],
-                                     [Pants(0, k1, k2)]],
-                                    [P.mul(k1, k2)])
-                    cc = C.mul(c1, cm.action(g1, c2))
-                    e2 = expression(cm, [g1, g2], [[Pants(cc, g1, g2)]],
-                                    [P.product((d(cc), g1, g2))])
-                    if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
-                        fails.append(
-                            (f"(c1={C.names[c1]},c2={C.names[c2]},g1={P.names[g1]},g2={P.names[g2]})",
-                             "two cylinders into pants != semidirect pants"))
-    report.add("family_b_pants_reduction", fails)
-
-    fails = []
-    for c in C.elements():
-        for g1 in P.elements():
-            for g2 in P.elements():
-                out = P.product((g1, d(c), g2))
-                e1 = expression(cm, [g1, g2],
-                                [[Id(g1), Cyl(c, g2, 0)], [Pants(0, g1, P.mul(d(c), g2))]],
-                                [out])
-                gc = cm.action(g1, c)
-                e2 = expression(cm, [g1, g2],
-                                [[Pants(0, g1, g2)], [Cyl(gc, P.mul(g1, g2), 0)]],
-                                [out])
-                e3 = expression(cm, [g1, g2],
-                                [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]],
-                                [out])
-                m1 = eval_expression(tau, e1).matrix
-                m2 = eval_expression(tau, e2).matrix
-                m3 = eval_expression(tau, e3).matrix
-                if not (m1 == m2 == m3):
-                    fails.append((f"(c={C.names[c]},g1={P.names[g1]},g2={P.names[g2]})",
-                                  "whiskering orders disagree"))
-    report.add("family_c_whiskering", fails)
-
-    fails = []
-    for c in C.elements():
-        for g in P.elements():
-            dcg = P.mul(d(c), g)
-            y = P.inv[dcg]
-            e1 = expression(cm, [g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]], [])
-            cginv = cm.action(P.inv[g], c)
-            e2 = expression(cm, [g, y], [[Id(g), Cyl(cginv, y, 0)], [Cap(g)]], [])
-            if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
-                fails.append((f"(c={C.names[c]},g={P.names[g]})",
-                              "pairing composites disagree"))
-    report.add("family_d_pairing", fails)
+def check_relations(tau: FormalHQFT, relations, title: str) -> CheckReport:
+    """One family per relation `(family, label names, sides, message)`.
+    Labels whose names start with `c` range over the top group, the rest
+    over the base group, the last varying fastest; `sides(cm, *labels)`
+    gives the expressions that must evaluate equally. Each instance whose
+    matrices differ is a failure named `(name=value,...)`."""
+    report = CheckReport(title)
+    cm = tau.cm
+    for family, names, sides, message in relations:
+        groups = [cm.top if name.startswith("c") else cm.base for name in names]
+        fails = []
+        for labels in itertools.product(*(G.elements() for G in groups)):
+            first, *rest = [eval_expression(tau, e).matrix for e in sides(cm, *labels)]
+            if not all(m == first for m in rest):
+                text = ",".join(f"{n}={G.names[x]}" for n, G, x in zip(names, groups, labels))
+                fails.append((f"({text})", message))
+        report.add(family, fails)
     return report
+
+
+def _disc_cylinder(cm, c, h):
+    P, d = cm.base, cm.d
+    ch = cm.action(P.inv[h], c)
+    return (expression(cm, [], [[Disc(c)], [Cyl(0, d(c), h)]], [P.conj(P.inv[h], d(c))]),
+            expression(cm, [], [[Disc(ch)]], [d(ch)]))
+
+
+def _pants_reduction(cm, c1, c2, g1, g2):
+    P, d = cm.base, cm.d
+    k1, k2 = P.mul(d(c1), g1), P.mul(d(c2), g2)
+    cc = cm.top.mul(c1, cm.action(g1, c2))
+    return (expression(cm, [g1, g2], [[Cyl(c1, g1, 0), Cyl(c2, g2, 0)], [Pants(0, k1, k2)]],
+                       [P.mul(k1, k2)]),
+            expression(cm, [g1, g2], [[Pants(cc, g1, g2)]], [P.product((d(cc), g1, g2))]))
+
+
+def _whiskering(cm, c, g1, g2):
+    P, d = cm.base, cm.d
+    out = P.product((g1, d(c), g2))
+    gc = cm.action(g1, c)
+    return (expression(cm, [g1, g2], [[Id(g1), Cyl(c, g2, 0)], [Pants(0, g1, P.mul(d(c), g2))]],
+                       [out]),
+            expression(cm, [g1, g2], [[Pants(0, g1, g2)], [Cyl(gc, P.mul(g1, g2), 0)]], [out]),
+            expression(cm, [g1, g2], [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]],
+                       [out]))
+
+
+def _pairing(cm, c, g):
+    P = cm.base
+    dcg = P.mul(cm.d(c), g)
+    y = P.inv[dcg]
+    return (expression(cm, [g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]], []),
+            expression(cm, [g, y], [[Id(g), Cyl(cm.action(P.inv[g], c), y, 0)], [Cap(g)]], []))
+
+
+def _snakes(cm, g):
+    ginv = cm.base.inv[g]
+    return (expression(cm, [g], [[Id(g)]], [g]),
+            expression(cm, [g], [[Id(g), Cup(ginv)], [Cap(g), Id(g)]], [g]),
+            expression(cm, [g], [[Cup(g), Id(g)], [Id(g), Cap(ginv)]], [g]))
+
+
+INVARIANCE = (
+    ("family_a_disc_cylinder", ("c", "h"), _disc_cylinder, "disc+cylinder != acted disc"),
+    ("family_b_pants_reduction", ("c1", "c2", "g1", "g2"), _pants_reduction,
+     "two cylinders into pants != semidirect pants"),
+    ("family_c_whiskering", ("c", "g1", "g2"), _whiskering, "whiskering orders disagree"),
+    ("family_d_pairing", ("c", "g"), _pairing, "pairing composites disagree"),
+)
+# both zig-zags of a cup and a cap are the identity cylinder
+SNAKES = (("snakes", ("g",), _snakes, "a zig-zag is not the identity"),)
+
+
+def check_equivalence_invariance(tau: FormalHQFT) -> CheckReport:
+    """Expressions related by the generated moves evaluate equally: (a) disc
+    into cylinder vs the acted disc; (b) cylinders into pants vs the single
+    relabeled pants; (c) the three whiskering orders; (d) the two pairing
+    composites."""
+    return check_relations(tau, INVARIANCE, f"equivalence invariance for {tau.algebra.name}")
 
 
 # --------------------------------------------------------------------------

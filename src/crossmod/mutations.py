@@ -21,6 +21,7 @@ from typing import Callable
 from . import fixtures
 from .algebras import aut_square_check, check_boxed_identities
 from .groups import GroupConstructionError, section
+from .hqft import FormalHQFT, check_equivalence_invariance
 from .report import CheckReport
 from .serialize import Workspace, check_doc, to_doc
 
@@ -88,6 +89,13 @@ TETRAHEDRON = {"kind": "simplicial", "crossed_module": "CM-Mod", "vertices": 4,
 
 KP, KC = "KP.CM-A3S3", "KC.CM-A3S3"
 
+
+def invariance_check(L) -> CheckReport:
+    """Families (a)-(d) on an evaluator built directly over L, since
+    `make_hqft` refuses an algebra that fails the checker."""
+    return check_equivalence_invariance(FormalHQFT(L))
+
+
 # key -> row, in report order
 ROWS = {
     "group_associativity": Mutation("group.table_entry", "latin_square", "S3", ("table", 1, 2), 0),
@@ -146,6 +154,16 @@ ROWS = {
                             ("mul", "0,0", 0, 0, 0), "2", aut_square_check),
     "square_equivariance": Mutation("aut_square.phi_entry", "square_equivariance", KC,
                                     ("phi", "1,0", 0, 0), "2", aut_square_check),
+    # e_e * e_e := 2 e_e
+    "disc_cylinder": Mutation("invariance_a.mul_entry", "family_a_disc_cylinder", KC,
+                              ("mul", "0,0", 0, 0, 0), "2", invariance_check),
+    "pants_reduction": Mutation("invariance_b.mul_entry", "family_b_pants_reduction", KC,
+                                ("mul", "0,0", 0, 0, 0), "2", invariance_check),
+    "whiskering": Mutation("invariance_c.mul_entry", "family_c_whiskering", KC,
+                           ("mul", "0,0", 0, 0, 0), "2", invariance_check),
+    # e_e * e_(123) := 2 e_(123)
+    "pairing": Mutation("invariance_d.mul_entry", "family_d_pairing", KC,
+                        ("mul", "0,4", 0, 0, 0), "2", invariance_check),
     "expression_typecheck": Mutation("expression.disc_into_cap", "layer_interfaces",
                                      DISC_THEN_ID, ("layers", 1, 0), {"piece": "cap", "g": 4}),
     "simplicial_boundary": Mutation("simplicial.tri_label", "boundary_condition", TRIANGLE,

@@ -36,22 +36,20 @@ from .crossed_modules import (
 )
 from .fields import GF, QQ
 from .formal_maps import (
-    Cap,
-    Cup,
-    Id,
     LabeledCell,
     OrderedComplex,
     annulus_flatten,
     annulus_labeling,
     compose_expressions,
     compose_h,
-    expression,
     labeling_from_vertex_potential,
     validate_simplicial,
     whiskering_orders,
 )
 from .hqft import (
+    SNAKES,
     check_equivalence_invariance,
+    check_relations,
     eval_expression,
     extract_algebra,
     make_hqft,
@@ -172,13 +170,7 @@ def _evaluator_coherence():
     for name in fixtures.fixture_algebra_names():
         tau = make_hqft(algs[name])
         L = tau.algebra
-        snakes = True
-        for g in L.P.elements():
-            e1 = expression(L.cm, [g], [[Id(g), Cup(L.P.inv[g])], [Cap(g), Id(g)]], [g])
-            e2 = expression(L.cm, [g], [[Cup(g), Id(g)], [Id(g), Cap(L.P.inv[g])]], [g])
-            ident = Matrix.identity(L.field, L.dims[g])
-            snakes &= eval_expression(tau, e1).matrix == ident
-            snakes &= eval_expression(tau, e2).matrix == ident
+        snakes = check_relations(tau, SNAKES, f"snake identities for {name}").ok
         rng = random.Random(20240 + len(name))
         functorial = True
         for _ in range(100):

@@ -9,7 +9,7 @@ import pytest
 
 from crossmod.algebras import CrossedCAlgebra, same_structure, theta
 from crossmod.crossed_modules import CrossedModuleMismatch
-from crossmod.fields import QQ
+from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras
 from crossmod.formal_maps import (
     Cap,
@@ -39,7 +39,8 @@ from crossmod.hqft import (
     state_space,
 )
 from crossmod.linalg import Matrix
-from crossmod.serialize import Workspace, from_doc, to_doc
+from crossmod.report import CheckReport
+from crossmod.serialize import Workspace, dumps, from_doc, to_doc
 from test_checker_oracle import FIELDS, gauge
 
 
@@ -458,6 +459,107 @@ def test_equivalence_invariance_families_fail(algebras, block, failures):
         make_hqft(L)
     report = check_equivalence_invariance(FormalHQFT(L))
     assert [(r.axiom, r.instance) for r in report.failures()] == failures
+
+
+def _reference_invariance(tau):
+    """Families (a)-(d) as four hand-written loops, the reference for the
+    relation table."""
+    report = CheckReport(f"equivalence invariance for {tau.algebra.name}")
+    L = tau.algebra
+    cm, P, C = L.cm, L.P, L.C
+    d = cm.d
+
+    fails = []
+    for c in C.elements():
+        for h in P.elements():
+            e1 = expression(cm, [], [[Disc(c)], [Cyl(0, d(c), h)]],
+                            [P.conj(P.inv[h], d(c))])
+            ch = cm.action(P.inv[h], c)
+            e2 = expression(cm, [], [[Disc(ch)]], [d(ch)])
+            if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
+                fails.append((f"(c={C.names[c]},h={P.names[h]})",
+                              "disc+cylinder != acted disc"))
+    report.add("family_a_disc_cylinder", fails)
+
+    fails = []
+    for c1 in C.elements():
+        for c2 in C.elements():
+            for g1 in P.elements():
+                for g2 in P.elements():
+                    k1, k2 = P.mul(d(c1), g1), P.mul(d(c2), g2)
+                    e1 = expression(cm, [g1, g2],
+                                    [[Cyl(c1, g1, 0), Cyl(c2, g2, 0)],
+                                     [Pants(0, k1, k2)]],
+                                    [P.mul(k1, k2)])
+                    cc = C.mul(c1, cm.action(g1, c2))
+                    e2 = expression(cm, [g1, g2], [[Pants(cc, g1, g2)]],
+                                    [P.product((d(cc), g1, g2))])
+                    if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
+                        fails.append(
+                            (f"(c1={C.names[c1]},c2={C.names[c2]},g1={P.names[g1]},g2={P.names[g2]})",
+                             "two cylinders into pants != semidirect pants"))
+    report.add("family_b_pants_reduction", fails)
+
+    fails = []
+    for c in C.elements():
+        for g1 in P.elements():
+            for g2 in P.elements():
+                out = P.product((g1, d(c), g2))
+                e1 = expression(cm, [g1, g2],
+                                [[Id(g1), Cyl(c, g2, 0)], [Pants(0, g1, P.mul(d(c), g2))]],
+                                [out])
+                gc = cm.action(g1, c)
+                e2 = expression(cm, [g1, g2],
+                                [[Pants(0, g1, g2)], [Cyl(gc, P.mul(g1, g2), 0)]],
+                                [out])
+                e3 = expression(cm, [g1, g2],
+                                [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]],
+                                [out])
+                m1 = eval_expression(tau, e1).matrix
+                m2 = eval_expression(tau, e2).matrix
+                m3 = eval_expression(tau, e3).matrix
+                if not (m1 == m2 == m3):
+                    fails.append((f"(c={C.names[c]},g1={P.names[g1]},g2={P.names[g2]})",
+                                  "whiskering orders disagree"))
+    report.add("family_c_whiskering", fails)
+
+    fails = []
+    for c in C.elements():
+        for g in P.elements():
+            dcg = P.mul(d(c), g)
+            y = P.inv[dcg]
+            e1 = expression(cm, [g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]], [])
+            cginv = cm.action(P.inv[g], c)
+            e2 = expression(cm, [g, y], [[Id(g), Cyl(cginv, y, 0)], [Cap(g)]], [])
+            if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
+                fails.append((f"(c={C.names[c]},g={P.names[g]})",
+                              "pairing composites disagree"))
+    report.add("family_d_pairing", fails)
+    return report
+
+
+def _invariance_subjects():
+    """Every fixture algebra over Q and GF(3) but the two over CM-AutS3,
+    then KC.CM-A3S3 with the product entry of block 0,0 or 0,4 set to 2."""
+    for field in (QQ, GF(3)):
+        algs = std_algebras(field)
+        yield from (L for name, L in algs.items() if not name.endswith("CM-AutS3"))
+    for block in ("0,0", "0,4"):
+        doc = to_doc("algebra", std_algebras(QQ)["KC.CM-A3S3"])
+        doc["mul"][block][0][0][0] = "2"
+        yield from_doc(doc, Workspace(QQ), "algebra")[2]
+
+
+def test_relation_table_matches_the_hand_loops():
+    """The relation table's report is the hand loops' report, byte for
+    byte: the same families, first instances, details and violation counts."""
+    failing = 0
+    for L in _invariance_subjects():
+        tau = FormalHQFT(L)
+        report = check_equivalence_invariance(tau)
+        assert dumps(report.to_json()) == dumps(_reference_invariance(tau).to_json()), L.name
+        failing += not report.ok
+    assert failing == 2
 
 
 def test_functoriality_random(algebras):

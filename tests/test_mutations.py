@@ -95,6 +95,11 @@ def test_corpus_keys_names_families_and_instances():
          "(c=(123),g=e)"),
         ("tilde_units", "aut_square.mul_entry", "tilde_units", "c=0"),
         ("square_equivariance", "aut_square.phi_entry", "square_equivariance", "(p=(12),c=e)"),
+        ("disc_cylinder", "invariance_a.mul_entry", "family_a_disc_cylinder", "(c=e,h=e)"),
+        ("pants_reduction", "invariance_b.mul_entry", "family_b_pants_reduction",
+         "(c1=e,c2=e,g1=e,g2=e)"),
+        ("whiskering", "invariance_c.mul_entry", "family_c_whiskering", "(c=e,g1=e,g2=(123))"),
+        ("pairing", "invariance_d.mul_entry", "family_d_pairing", "(c=e,g=(123))"),
         ("expression_typecheck", "expression.disc_into_cap", "layer_interfaces", "layer 1"),
         ("simplicial_boundary", "simplicial.tri_label", "boundary_condition", "triangle (0, 1, 2)"),
         ("simplicial_cocycle", "simplicial.kernel_label", "cocycle_condition",

@@ -861,6 +861,19 @@ def test_cli_demo(capsys):
     assert "pass" in out
 
 
+def test_cli_demo_stops_at_a_failing_algebra(tmp_path, capsys, algebras):
+    """K[C](CM-A3S3) with its unit scaled by 2, loaded with --fixtures-dir
+    under its fixture name: demo reports the failing checker and exits 1,
+    evaluating nothing."""
+    doc = to_doc("algebra", algebras["KC.CM-A3S3"])
+    doc["unit"][0] = "2"
+    (tmp_path / "kc.json").write_text(dumps(doc))
+    assert main(["--fixtures-dir", str(tmp_path), "demo"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("algebra checker: fail\n")
+    assert "matrix" not in out
+
+
 def test_cli_verify_empty_suite():
     assert main(["verify", "none"]) == 0
 
