@@ -39,21 +39,17 @@ from .report import CheckReport
 class FormalHQFT:
     """The evaluator of one crossed algebra.
 
-    `matrices` caches the matrices that the algebra alone defines, each
-    built the first time `eval_piece` needs it, so each is built once per
-    evaluator:
-    - `("cup", g)`: the cup's column, the flattened inverse of the pairing
-      block rho_{g^-1}; a singular block is never stored and raises
-      ValueError on every call;
-    - `("theta", c, g)`: theta(c, g), left multiplication by tilde(c) on L_g;
-    - `("mul", g1, g2)`: the product block `L.mul_matrix(g1, g2)`.
-    A cylinder is then one product theta @ phi and a pants theta @ mul. The
-    cache assumes the algebra is not mutated after `make_hqft`. Whole pieces
-    are not cached: the benchmark keeps every op's latency, so a faster
-    evaluator reads as a larger peak RSS, and a whole-piece cache took
-    eval-small past its 10% memory bound (ROADMAP item 1). The dict cannot
-    be passed to the constructor and takes no part in equality, hashing or
-    repr."""
+    `matrices` maps each `Cyl`, `Pants`, `Copants` and `Cup` piece to its
+    matrix, stored the first time `eval_piece` builds it, so each is built
+    once per evaluator: at most |C||P|^2 cylinders, |C||P|^2 pants, |P|^2
+    copants and |P| cups. A cup over a singular pairing block is never
+    stored and raises ValueError on every call. `Disc`, `Cap`, `Id` and
+    `Swap` are built on every call: each is read off stored data with no
+    arithmetic, so storing it saves little, and the benchmark keeps every
+    op's latency, so a faster op reads as a larger peak RSS on eval-small
+    (ROADMAP item 1). The cache assumes the algebra is not mutated after
+    `make_hqft`. The dict cannot be passed to the constructor and takes no
+    part in equality, hashing or repr."""
 
     algebra: CrossedCAlgebra
     matrices: dict = dataclasses.field(default_factory=dict, init=False,
@@ -87,51 +83,39 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
     return tuple(L.dims[L.P.product(circ.labels)] for circ in b.circuits)
 
 
-def _cached(tau: FormalHQFT, key, build, *args) -> Matrix:
-    """The matrix under key in `tau.matrices`, stored as build(*args) on
-    first use; a build that raises stores nothing."""
-    m = tau.matrices.get(key)
-    if m is None:
-        m = tau.matrices[key] = build(*args)
-    return m
-
-
-def _cup_column(L: CrossedCAlgebra, g: int) -> Matrix:
-    ginv = L.P.inv[g]
-    try:
-        co = L.rho[ginv].inverse()
-    except SingularMatrixError as exc:
-        raise ValueError(f"pairing at grade {L.P.names[ginv]} is singular") from exc
-    return Matrix._of(L.field, tuple([(x,) for row in co.data for x in row]), 1)
-
-
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
     grades to the tensor of its target grades. A non-piece, or a field that
-    is not an element index, raises TypecheckFailed."""
+    is not an element index, raises TypecheckFailed; the range check runs
+    before the cache lookup, since `Cyl(True, 0, 1) == Cyl(1, 0, 1)`."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
     fault = piece_range_fault(piece, cm)
     if fault:
         raise TypecheckFailed(fault)
+    m = tau.matrices.get(piece)
+    if m is not None:
+        return m
     match piece:
         case Disc(c):
             return Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
         case Cyl(c, g, h):
             hinv = P.inv[h]
-            conj = P.conj(hinv, g)
-            return _cached(tau, ("theta", c, conj), theta, L, c, conj) @ L.phi[(hinv, g)]
+            m = theta(L, c, P.conj(hinv, g)) @ L.phi[(hinv, g)]
         case Pants(c, g1, g2):
-            g12 = P.mul(g1, g2)
-            return (_cached(tau, ("theta", c, g12), theta, L, c, g12)
-                    @ _cached(tau, ("mul", g1, g2), L.mul_matrix, g1, g2))
+            m = theta(L, c, P.mul(g1, g2)) @ L.mul_matrix(g1, g2)
         case Cap(g):
             rho = L.rho[g]
             return Matrix._of(f, (tuple([x for row in rho.data for x in row]),),
                               rho.rows * rho.cols)
         case Cup(g):
-            return _cached(tau, ("cup", g), _cup_column, L, g)
+            ginv = P.inv[g]
+            try:
+                co = L.rho[ginv].inverse()
+            except SingularMatrixError as exc:
+                raise ValueError(f"pairing at grade {P.names[ginv]} is singular") from exc
+            m = Matrix._of(f, tuple([(x,) for row in co.data for x in row]), 1)
         case Id(g):
             return Matrix.identity(f, L.dims[g])
         case Swap(g1, g2):
@@ -146,7 +130,9 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
             first = eval_piece(tau, Cup(g1)).kron(Matrix.identity(f, L.dims[g12]))
             second = Matrix.identity(f, L.dims[g1]).kron(
                 eval_piece(tau, Pants(0, P.inv[g1], g12)))
-            return second @ first
+            m = second @ first
+    tau.matrices[piece] = m
+    return m
 
 
 def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> None:

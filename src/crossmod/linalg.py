@@ -252,15 +252,15 @@ class RowSpace:
                                                   for row, p in zip(self.basis, self.pivots))])
 
     def add(self, vec) -> bool:
-        """Insert a vector; returns True if the space grew. The reduced
+        """Insert a vector; returns True if the space grew. A vector in the
+        span reduces to zero and changes nothing. Otherwise the reduced
         row-echelon form of [basis; vec] is unique, so re-reducing it keeps
         the basis canonical."""
-        rows = self.basis + [tuple(vec)]
-        if len(rows[-1]) != self.n:
-            raise ValueError("vector length mismatch")
-        work, pivots = Matrix._of(self.field, tuple(rows), self.n)._eliminate([()] * len(rows))
-        if len(pivots) == self.dim:
+        vec = tuple(vec)
+        if not any(self.reduce(vec)):
             return False
+        rows = self.basis + [vec]
+        work, pivots = Matrix._of(self.field, tuple(rows), self.n)._eliminate([()] * len(rows))
         self.basis = [tuple(row) for row in work[:len(pivots)]]
         self.pivots = pivots
         return True

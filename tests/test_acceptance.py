@@ -5,6 +5,7 @@ table, and a criterion passes only within its budget.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -34,10 +35,23 @@ def test_suites_partition_the_criteria():
 
 
 def test_a_passing_check_over_its_budget_fails():
+    """A passing check over its budget fails and its line names the budget;
+    a failing check keeps the plain line, within its budget or over it, and
+    a passing check within its budget the plain PASS line."""
     late = verify.Criterion(0, "no time allowed", "none", 0.0, lambda: (True, ["  ran"]))
     result = late.run()
-    assert not result.ok and result.lines == ["  ran"]
-    assert result.summary().startswith("FAIL criterion 0: no time allowed (")
+    assert not result.ok and result.passed and result.lines == ["  ran"]
+    assert re.fullmatch(r"FAIL criterion 0: no time allowed \(\d+\.\d\ds, over its 0s budget\)",
+                        result.summary()), result.summary()
+    for budget in (0.0, 60.0):
+        wrong = verify.Criterion(0, "a wrong answer", "none", budget, lambda: (False, ["  ran"]))
+        result = wrong.run()
+        assert not result.ok and not result.passed and result.lines == ["  ran"]
+        assert re.fullmatch(r"FAIL criterion 0: a wrong answer \(\d+\.\d\ds\)", result.summary())
+    timely = verify.Criterion(0, "in time", "none", 60.0, lambda: (True, []))
+    result = timely.run()
+    assert result.ok and re.fullmatch(r"PASS criterion 0: in time \(\d+\.\d\ds\)",
+                                      result.summary())
 
 
 def _criterion(number):

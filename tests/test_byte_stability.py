@@ -1,19 +1,23 @@
-"""Byte-stable output: the JSON of every fixture algebra and of two
-pushforwards in gauge bases, and the `eval` output of one fixed expression,
-hash to fixed digests. They were recorded with every rational held as a
-Fraction and dense products, so they pin the output independently of how
-scalars are stored and multiplied."""
+"""Byte-stable output: the JSON of every fixture algebra, of two
+pushforwards in gauge bases and of four cyclic pushforwards, and the `eval`
+output of one fixed expression, hash to fixed digests. All but the cyclic
+pushforwards were recorded with every rational held as a Fraction and dense
+products, so they pin the output independently of how scalars are stored
+and multiplied; the cyclic ones pin the ideal closure as it was before
+`RowSpace.add` stopped re-eliminating vectors already in the span."""
 
 import hashlib
 
 import pytest
 
 from crossmod import serialize
-from crossmod.algebras import pushforward
+from crossmod.algebras import group_algebra_C, group_algebra_P, pushforward
 from crossmod.cli import main
+from crossmod.crossed_modules import from_normal_inclusion, quotient_morphism
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_algebras, std_crossed_modules
 from crossmod.formal_maps import Cup, Cyl, Disc, Id, Pants, Swap, expression
+from crossmod.groups import cyclic_group
 from test_checker_oracle import gauge_pushforward_inputs
 
 ALGEBRA_SHA256 = {
@@ -60,6 +64,16 @@ PUSHFORWARD_SHA256 = {
     },
 }
 
+# the algebra JSON of K[P] and K[C] of 2Z/24 -> Z/24 pushed forward along
+# its quotient morphism; the ideal closure adds hundreds of vectors already
+# in the span
+CYCLIC_PUSHFORWARD_SHA256 = {
+    ("QQ", "KP"): "162a9a125e3c44e43d512542ed24327dae594a2450ff9d719e6cb4686d1b9f29",
+    ("QQ", "KC"): "ccb39cd41af0d68de93decda9ee9d8f82354b2721ded86f3388402509f0fbb89",
+    ("GF3", "KP"): "44bb0504a14b6f90bfd73e267349e312bdb1d74e4bcbeba4b0d54f1d5a96f85f",
+    ("GF3", "KC"): "830fdc60338652452b7f98e7cf7e61793f21755588184bfa8bec9f5a8bfd378e",
+}
+
 # stdout of `crossmod --field <field> eval KC.CM-Mod` on the expression below
 EVAL_SHA256 = {
     "Q": "677a644e75b771ea7f7fa56927b1fbe1464fa1a7a2c46fff133032f34135baea",
@@ -85,6 +99,16 @@ def test_gauge_pushforward_json_is_byte_stable(fname):
     got = {name: _sha256(serialize.dumps(serialize.to_doc("algebra", pushforward(fmor, L))))
            for name, (fmor, L) in gauge_pushforward_inputs(fname).items()}
     assert got == PUSHFORWARD_SHA256[fname]
+
+
+@pytest.mark.parametrize("fname, kind", list(CYCLIC_PUSHFORWARD_SHA256),
+                         ids=lambda x: x)
+def test_cyclic_pushforward_json_is_byte_stable(fname, kind):
+    cm = from_normal_inclusion(cyclic_group(24), range(0, 24, 2))
+    build = group_algebra_P if kind == "KP" else group_algebra_C
+    L = pushforward(quotient_morphism(cm), build(cm, {"QQ": QQ, "GF3": GF(3)}[fname]))
+    got = _sha256(serialize.dumps(serialize.to_doc("algebra", L)))
+    assert got == CYCLIC_PUSHFORWARD_SHA256[(fname, kind)]
 
 
 @pytest.mark.parametrize("field", list(EVAL_SHA256))

@@ -442,6 +442,36 @@ def test_rowspace_against_naive_rank(f):
                     target.reduce(wrong)
 
 
+@pytest.mark.parametrize("f", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_rowspace_add_in_span_eliminates_nothing(f, monkeypatch):
+    """A vector in the span reduces to zero: add returns False without
+    re-eliminating and leaves the basis and pivots as they were. A vector
+    outside it eliminates once."""
+    space = RowSpace(f, 4)
+    for v in ((1, 2, 0, 1), (0, 1, 1, 2)):
+        assert space.add(tuple(f.of(x) for x in v))
+    basis, pivots = space.basis, space.pivots
+    saved = (list(basis), list(pivots))
+    calls = []
+    eliminate = Matrix._eliminate
+
+    def counted(self, *args):
+        calls.append(self)
+        return eliminate(self, *args)
+
+    monkeypatch.setattr(Matrix, "_eliminate", counted)
+    in_span = tuple(f.add(f.mul(f.of(2), a), f.neg(b)) for a, b in zip(*space.basis))
+    for v in (in_span, (f.zero,) * 4):
+        assert not space.add(v)
+    assert space.basis is basis and space.pivots is pivots
+    assert (space.basis, space.pivots) == saved
+    assert calls == []
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        space.add((f.one,) * 3)
+    assert space.add((f.zero, f.zero, f.zero, f.one)) and space.dim == 3
+    assert len(calls) == 1
+
+
 def test_rowspace_quotient():
     space = RowSpace(QQ, 3)
     assert space.add((QQ.of(-1), QQ.of(1), QQ.of(0)))

@@ -240,7 +240,8 @@ def _counting(monkeypatch, owner, name):
 @pytest.mark.parametrize("name", ["KC.CM-Mod", "KP.CM-A3S3", "QKG.CM-A3S3"])
 def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     """Cup and Copants evaluated twice on one evaluator equal their value on
-    a fresh one, and each grade's pairing block is inverted once."""
+    a fresh one, each grade's pairing block is inverted once, and every cup
+    and copants is stored under itself."""
     L = algebras[name]
     P = L.P
     pieces = [Cup(g) for g in P.elements()]
@@ -251,7 +252,7 @@ def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     for _ in range(2):
         for piece in pieces:
             assert eval_piece(tau, piece) == want[piece], piece
-    assert {key for key in tau.matrices if key[0] == "cup"} == {("cup", g) for g in P.elements()}
+    assert {key for key in tau.matrices if type(key) in (Cup, Copants)} == set(pieces)
     assert len(calls) == P.order
 
 
@@ -271,8 +272,9 @@ def test_singular_pairing_raises_on_every_call(algebras):
             eval_piece(tau, Copants(0, 0))
         with pytest.raises(ValueError, match="pairing at grade 0 is singular"):
             eval_expression(tau, expression(tau.cm, [], [[Cup(0)]], [0, 0]))
-    assert ("cup", 0) not in tau.matrices
+    assert not tau.matrices  # neither Cup(0) nor Copants(0, 0) is stored
     assert eval_piece(tau, Cup(1)).shape() == (L.dims[1] ** 2, 1)  # other grades still evaluate
+    assert set(tau.matrices) == {Cup(1)}
 
 
 def test_evaluators_over_one_algebra_are_equal(algebras):
@@ -283,7 +285,7 @@ def test_evaluators_over_one_algebra_are_equal(algebras):
     eval_piece(used, Cup(0))
     eval_piece(used, Cyl(1, 0, 1))
     eval_piece(used, Pants(1, 0, 0))
-    assert {key[0] for key in used.matrices} == {"cup", "theta", "mul"}
+    assert set(used.matrices) == {Cup(0), Cyl(1, 0, 1), Pants(1, 0, 0)}
     assert not fresh.matrices
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) and "matrices" not in repr(used)
@@ -314,6 +316,9 @@ def test_copants_value(algebras):
     assert eval_expression(tau, e).matrix.shape() == (1, 1)
 
 
+ALL_KINDS = (Disc, Cyl, Pants, Copants, Cup, Cap, Id, Swap)
+
+
 def _every_piece(cm, kind):
     C, P = cm.top.elements(), cm.base.elements()
     if kind in (Disc, Cup, Cap, Id):
@@ -324,8 +329,7 @@ def _every_piece(cm, kind):
     return [kind(c, g1, g2) for c, g1, g2 in itertools.product(C, P, P)]
 
 
-@pytest.mark.parametrize("kind", [Disc, Cyl, Pants, Copants, Cup, Cap, Id, Swap],
-                         ids=lambda k: k.__name__)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.__name__)
 @pytest.mark.parametrize("name", fixture_algebra_names())
 def test_eval_piece_shape_is_target_by_source(algebras, name, kind):
     tau = make_hqft(algebras[name])
@@ -376,44 +380,100 @@ def _cached_pieces(cm):
 
 @pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
 def test_cached_pieces_match_reference(subject):
-    """On a warm evaluator, whose cache holds every theta, product block and
-    cup column, each Cyl, Pants, Copants and Cup equals its reference."""
+    """On a warm evaluator, whose cache holds every Cyl, Pants, Copants and
+    Cup, each of them equals its reference and is the stored matrix."""
     for L in _oracle_algebras(subject):
         tau = make_hqft(L)
         pieces = _cached_pieces(L.cm)
         for piece in pieces:
             eval_piece(tau, piece)
-        assert {key[0] for key in tau.matrices} == {"cup", "theta", "mul"}, L.name
+        assert set(tau.matrices) == set(pieces), L.name
         for piece in pieces:
-            assert eval_piece(tau, piece) == _reference(L, piece), (L.name, piece)
+            m = eval_piece(tau, piece)
+            assert m is tau.matrices[piece], (L.name, piece)
+            assert m == _reference(L, piece), (L.name, piece)
 
 
 @pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
 def test_evaluator_builds_each_matrix_once(subject, monkeypatch):
     """Over one invariance sweep, then every Cyl, Pants, Copants and Cup, an
-    evaluator builds theta(c, g) at most once per (c, g), each product block
-    at most once per (g1, g2) and inverts each pairing block at most once."""
+    evaluator builds each stored Cyl and Pants once, so it builds theta once
+    per stored Cyl and Pants and the product block once per stored Pants,
+    and inverts each pairing block once."""
     lefts = _counting(monkeypatch, CrossedCAlgebra, "left_mul_matrix")
     products = _counting(monkeypatch, CrossedCAlgebra, "mul_matrix")
     inverses = _counting(monkeypatch, Matrix, "inverse")
     for L in _oracle_algebras(subject):
-        cm, P, C = L.cm, L.P, L.C
+        cm, P = L.cm, L.P
         tau = make_hqft(L)
         for calls in (lefts, products, inverses):
             calls.clear()
         assert check_equivalence_invariance(tau).ok, L.name
         for piece in _cached_pieces(cm):
             eval_piece(tau, piece)
-        # theta(c, g) is left_mul_matrix(d(c), tilde(c), g): each argument
-        # triple comes from at most as many c as share d(c) and tilde(c)
-        per_theta = Counter((g, a, h) for _, g, a, h in lefts)
-        for (dc, a, h), n in per_theta.items():
-            assert n <= sum(1 for c in C.elements() if (cm.d(c), L.tilde[c]) == (dc, a)), \
-                (L.name, dc, h)
-        assert max(Counter((g1, g2) for _, g1, g2 in products).values()) == 1, L.name
+        # theta(c, g) is left_mul_matrix(d(c), tilde(c), g): a cylinder's g
+        # is its source label conjugated by h, a pants's the product g1 g2
+        want = Counter()
+        for piece in tau.matrices:
+            match piece:
+                case Cyl(c, g, h):
+                    want[(cm.d(c), L.tilde[c], P.conj(P.inv[h], g))] += 1
+                case Pants(c, g1, g2):
+                    want[(cm.d(c), L.tilde[c], P.mul(g1, g2))] += 1
+        assert Counter((g, a, h) for _, g, a, h in lefts) == want, L.name
+        stored = [(p.g1, p.g2) for p in tau.matrices if type(p) is Pants]
+        assert Counter((g1, g2) for _, g1, g2 in products) == Counter(stored), L.name
         # every grade's cup is evaluated, so one inverse per grade is the least
         assert all(any(m is L.rho[g] for g in P.elements()) for m, in inverses), L.name
         assert len(inverses) == P.order, L.name
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_only_arithmetic_pieces_are_stored(subject):
+    """After every piece of every kind is evaluated, the stored keys are
+    exactly the Cyl, Pants, Copants and Cup pieces: Disc, Cap, Id and Swap
+    are read off the algebra on each call."""
+    for L in _oracle_algebras(subject):
+        tau = make_hqft(L)
+        for kind in ALL_KINDS:
+            for piece in _every_piece(L.cm, kind):
+                eval_piece(tau, piece)
+        assert set(tau.matrices) == set(_cached_pieces(L.cm)), L.name
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_second_pass_builds_nothing(subject, monkeypatch):
+    """Once every piece has been evaluated, evaluating each again builds no
+    theta, product block, inverse or matrix product, and returns the stored
+    matrix of every stored piece."""
+    for L in _oracle_algebras(subject):
+        tau = make_hqft(L)
+        pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
+        first = {piece: eval_piece(tau, piece) for piece in pieces}
+        calls = []
+        for owner, name in ((CrossedCAlgebra, "left_mul_matrix"), (CrossedCAlgebra, "mul_matrix"),
+                            (Matrix, "inverse"), (Matrix, "__matmul__")):
+            calls.append(_counting(monkeypatch, owner, name))
+        for piece in pieces:
+            m = eval_piece(tau, piece)
+            assert m == first[piece], (L.name, piece)
+            if piece in tau.matrices:
+                assert m is first[piece], (L.name, piece)
+        monkeypatch.undo()
+        assert calls == [[], [], [], []], L.name
+
+
+def test_range_check_runs_before_the_lookup(algebras):
+    """True == 1 and hash(True) == hash(1), so Cyl(True, 0, 1) would find
+    the stored Cyl(1, 0, 1); the range check refuses it, and a negative
+    field, before the cache is read."""
+    tau = make_hqft(algebras["KC.CM-Mod"])
+    stored = eval_piece(tau, Cyl(1, 0, 1))
+    assert Cyl(True, 0, 1) == Cyl(1, 0, 1) and Cyl(True, 0, 1) in tau.matrices
+    for piece in (Cyl(True, 0, 1), Cyl(1, 0, True), Cyl(-2, 0, 1), Cyl(1, 0, -1)):
+        with pytest.raises(TypecheckFailed):
+            eval_piece(tau, piece)
+    assert tau.matrices == {Cyl(1, 0, 1): stored}
 
 
 def test_snake_identities(algebras):
