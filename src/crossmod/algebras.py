@@ -491,12 +491,6 @@ def _equivariance_fails(t: _Tables, letter: str):
     return fails
 
 
-def _basis_units(L: CrossedCAlgebra):
-    """Per grade, the (name, unit vector) of each basis vector."""
-    return [[(L.basis_names[g][i], unit_vector(L.field, L.dims[g], i)) for i in range(L.dims[g])]
-            for g in L.P.elements()]
-
-
 # --------------------------------------------------------------------------
 # group-algebra constructions
 # --------------------------------------------------------------------------
@@ -736,15 +730,6 @@ class CrossedAlgebraMorphism:
     target: CrossedCAlgebra
     blocks: dict  # p -> Matrix dims'[f0(p)] x dims[p]
 
-    def f0(self, p: int) -> int:
-        return self.over.f_base.map[p]
-
-    def f1(self, c: int) -> int:
-        return self.over.f_top.map[c]
-
-    def apply(self, p: int, x):
-        return self.blocks[p].apply(x)
-
 
 def check_algebra_morphism(m: CrossedAlgebraMorphism) -> CheckReport:
     """The crossed-module morphism it lies over, then the algebra map."""
@@ -758,13 +743,18 @@ def check_algebra_morphism(m: CrossedAlgebraMorphism) -> CheckReport:
 def _check_blocks(m: CrossedAlgebraMorphism, report: CheckReport) -> CheckReport:
     """Add to `report` the families of the algebra map: its block shapes,
     then, if they fit, each structure map it must preserve. Assumes the
-    crossed-module morphism it lies over passes."""
-    L, Lp = m.source, m.target
+    crossed-module morphism it lies over passes.
+
+    theta(e_i e_j) is the block of gh applied to the stored cell e_i e_j,
+    and theta(e_i) is column i of the block of g, so no basis vector is
+    built or multiplied."""
+    L, Lp, B = m.source, m.target, m.blocks
     P, C = L.P, L.C
+    f0, f1 = m.over.f_base.map, m.over.f_top.map
     bad = []
     for p in P.elements():
-        blk = m.blocks.get(p)
-        want = (Lp.dims[m.f0(p)], L.dims[p])
+        blk = B.get(p)
+        want = (Lp.dims[f0[p]], L.dims[p])
         if blk is None or blk.shape() != want:
             bad.append((f"p={P.names[p]}", f"block shape should be {want}"))
     report.add("block_shapes", bad)
@@ -772,24 +762,23 @@ def _check_blocks(m: CrossedAlgebraMorphism, report: CheckReport) -> CheckReport
         return report
 
     report.add("unit_preserved",
-               [] if m.apply(0, L.unit) == Lp.unit else [("1", "theta(1) != 1'")])
+               [] if B[0].apply(L.unit) == Lp.unit else [("1", "theta(1) != 1'")])
 
     fails = []
-    units = _basis_units(L)
+    cols = {p: B[p].transpose().data for p in P.elements()}
     for g in P.elements():
         for h in P.elements():
-            gh = P.mul(g, h)
-            for ni, ei in units[g]:
-                for nj, ej in units[h]:
-                    lhs = m.apply(gh, L.multiply(g, ei, h, ej))
-                    rhs = Lp.multiply(m.f0(g), m.apply(g, ei), m.f0(h), m.apply(h, ej))
-                    if lhs != rhs:
+            gh, cells = P.mul(g, h), L.mul[(g, h)]
+            for i, ni in enumerate(L.basis_names[g]):
+                for j, nj in enumerate(L.basis_names[h]):
+                    lhs = B[gh].apply(cells[i][j])
+                    if lhs != Lp.multiply(f0[g], cols[g][i], f0[h], cols[h][j]):
                         fails.append((f"({ni},{nj})", "theta(xy) != theta(x) theta(y)"))
     report.add("multiplicative", fails)
 
     fails = []
     for g in P.elements():
-        lhs = m.blocks[g].transpose() @ Lp.rho[m.f0(g)] @ m.blocks[P.inv[g]]
+        lhs = B[g].transpose() @ Lp.rho[f0[g]] @ B[P.inv[g]]
         if lhs != L.rho[g]:
             fails.append((f"g={P.names[g]}", "pairing not preserved gradewise"))
     report.add("rho_preserved", fails)
@@ -797,16 +786,14 @@ def _check_blocks(m: CrossedAlgebraMorphism, report: CheckReport) -> CheckReport
     fails = []
     for h in P.elements():
         for g in P.elements():
-            lhs = Lp.phi[(m.f0(h), m.f0(g))] @ m.blocks[g]
-            rhs = m.blocks[P.conj(h, g)] @ L.phi[(h, g)]
-            if lhs != rhs:
+            if Lp.phi[(f0[h], f0[g])] @ B[g] != B[P.conj(h, g)] @ L.phi[(h, g)]:
                 fails.append((f"(h={P.names[h]},g={P.names[g]})",
                               "phi'_{f0 h} theta != theta phi_h"))
     report.add("phi_compatible", fails)
 
     fails = []
     for c in C.elements():
-        if m.apply(L.cm.d(c), L.tilde[c]) != Lp.tilde[m.f1(c)]:
+        if B[L.cm.d(c)].apply(L.tilde[c]) != Lp.tilde[f1[c]]:
             fails.append((f"c={C.names[c]}", "theta(tilde c) != tilde'(f1 c)"))
     report.add("tilde_compatible", fails)
     return report
@@ -893,8 +880,7 @@ def verify_cocycle_multiplication(cm, q, sec, coc, pulled):
             if P.mul(p1, p2) != expected_grade:
                 raise AssertionError(
                     f"cocycle law fails at ({P.names[p1]},{P.names[p2]})")
-            prod = pulled.multiply(p1, (f.one,), p2, (f.one,))
-            if prod != (f.one,):
+            if pulled.mul[(p1, p2)][0][0] != [f.one]:
                 raise AssertionError(
                     f"pullback product is not the unit basis vector at ({P.names[p1]},{P.names[p2]})")
 
@@ -905,32 +891,19 @@ def verify_cocycle_multiplication(cm, q, sec, coc, pulled):
 
 class PushforwardData:
     """The quotient algebra along a morphism together with the ideal data
-    needed to factor morphisms through it."""
+    needed to factor morphisms through it. The grades p with f0(p) = q
+    make up class q, laid end to end in one class block; its ideal is a
+    row space of that block. `pushforward_data` sets the algebra and the
+    quotient map pi_p of every grade (`quotient_map`)."""
 
-    def __init__(self, fmor, source, algebra, members, offsets, class_dim, spans):
+    def __init__(self, fmor, source, members, offsets, spans):
         self.fmor = fmor
         self.source = source
-        self.algebra = algebra
+        self.algebra = None
         self.members = members      # q -> [p with f0(p) = q]
         self.offsets = offsets      # q -> {p: offset}
-        self.class_dim = class_dim  # q -> total dim of the class block
         self.spans = spans          # q -> RowSpace (the ideal, per class)
-
-    def class_vector(self, q, terms):
-        """The vector of class q that sums each (p, grade-p vector) of
-        `terms` into the slot of grade p."""
-        field = self.source.field
-        out = [field.zero] * self.class_dim[q]
-        for p, vec in terms:
-            o = self.offsets[q][p]
-            for i, x in enumerate(vec):
-                out[o + i] = field.add(out[o + i], x)
-        return tuple(out)
-
-    def components(self, q, vec):
-        L = self.source
-        return {p: tuple(vec[self.offsets[q][p]:self.offsets[q][p] + L.dims[p]])
-                for p in self.members[q]}
+        self.pis = None             # p -> Matrix, pi on L_p
 
     def free_basis(self, q):
         """The grade p and index i of each free column of the ideal of class
@@ -949,26 +922,25 @@ def quotient_map(data: PushforwardData, p: int) -> Matrix:
     of class f0(p): column i is the class of the basis vector e_i of L_p."""
     L = data.source
     q = data.fmor.f_base.map[p]
-    span = data.spans[q]
-    cols = [span.quotient_coords(data.class_vector(q, [(p, unit_vector(L.field, L.dims[p], i))]))
-            for i in range(L.dims[p])]
-    return Matrix.from_columns(L.field, cols, data.class_dim[q] - span.dim)
+    span, o = data.spans[q], data.offsets[q][p]
+    cols = [span.quotient_coords(unit_vector(L.field, span.n, o + i)) for i in range(L.dims[p])]
+    return Matrix.from_columns(L.field, cols, span.n - span.dim)
 
 
-def _quotient_pairing(data: PushforwardData, q: int, pis) -> Matrix:
+def _quotient_pairing(data: PushforwardData, q: int) -> Matrix:
     """The pairing of the pushforward at grade q: the unique B with
     pi(a)^T B pi(b) = rho_p(a, b) for every grade p of class q and all basis
-    vectors a of L_p and b of L_{p^-1}, where pis[p] is `quotient_map(data, p)`.
+    vectors a of L_p and b of L_{p^-1}, with pi_p read from `data.pis`.
 
     Each constraint is linear in the entries of B read row by row, with the
     Kronecker product of pi(a) and pi(b) as its coefficients, so grade p
     contributes the rows of pi_p^T (x) pi_{p^-1}^T against rho_p read row by
     row, and one solve gives B. Raises RhoIllDefined when no B satisfies
     every constraint, or when more than one does."""
-    L = data.source
+    L, pis = data.source, data.pis
     field = L.field
     Q = data.fmor.target.base
-    dq, dqinv = (data.class_dim[r] - data.spans[r].dim for r in (q, Q.inv[q]))
+    dq, dqinv = (data.spans[r].n - data.spans[r].dim for r in (q, Q.inv[q]))
     system, rhs = [], []
     for p in data.members[q]:
         pinv = L.P.inv[p]
@@ -988,84 +960,99 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
     """The defining ideal of the pushforward: generated by phi_n(a) - a
     (n in ker f0) and tilde(b) - 1 (b in ker f1), closed under left/right
     products with every basis vector, kept per target-grade class (the
-    generators are homogeneous for the target grading)."""
+    generators are homogeneous for the target grading).
+
+    Every product reads the stored cells: e_i x, for e_i in L_r and x in
+    L_p, sums row i of the mul(r, p) cells over the support of x, and x e_i
+    sums column i of the mul(p, r) cells. Multiplying by e_i maps the grades
+    of a class one to one onto those of its image class (p to rp on the
+    left, to pr on the right), so the product of a class vector is the
+    products of its grade parts laid end to end, in the image class's order."""
     require_same(L.cm, fmor.source, "the algebra", "the morphism's source is")
     tgt = fmor.target
     P, Q, C, D = fmor.source.base, tgt.base, fmor.source.top, tgt.top
     f0, f1 = fmor.f_base.map, fmor.f_top.map
-    field = L.field
+    field, dims = L.field, L.dims
     if set(f1) != set(D.elements()):
         raise ValueError("pushforward requires the top map to be surjective")
 
     members = {q: [p for p in P.elements() if f0[p] == q] for q in Q.elements()}
-    offsets, class_dim = {}, {}
+    offsets, spans = {}, {}
     for qq in Q.elements():
         off, acc = {}, 0
         for p in members[qq]:
             off[p] = acc
-            acc += L.dims[p]
+            acc += dims[p]
         offsets[qq] = off
-        class_dim[qq] = acc
-    spans = {qq: RowSpace(field, class_dim[qq]) for qq in Q.elements()}
-    data = PushforwardData(fmor, L, None, members, offsets, class_dim, spans)
+        spans[qq] = RowSpace(field, acc)
 
-    units = _basis_units(L)
+    def generator(q, p1, v1, p2, v2):
+        """v1 in the slot of grade p1 minus v2 in that of grade p2, as a
+        vector of class q."""
+        out = [field.zero] * spans[q].n
+        o1, o2 = offsets[q][p1], offsets[q][p2]
+        out[o1:o1 + len(v1)] = v1
+        for k, x in enumerate(v2):
+            out[o2 + k] = field.sub(out[o2 + k], x)
+        return q, tuple(out)
+
     generators = []
     for n in (p for p in members[0] if p != 0):
         for p in P.elements():
-            npn = P.conj(n, p)
-            for _, e in units[p]:
-                vec = data.class_vector(f0[p], [(npn, L.phi[(n, p)].apply(e)),
-                                                (p, map(field.neg, e))])
-                generators.append((f0[p], vec))
+            for i, image in enumerate(L.phi[(n, p)].transpose().data):
+                generators.append(generator(f0[p], P.conj(n, p), image,
+                                            p, unit_vector(field, dims[p], i)))
     for b in (c for c in C.elements() if f1[c] == 0 and c != 0):
-        db = L.cm.d(b)
-        vec = data.class_vector(0, [(db, L.tilde[b]), (0, map(field.neg, L.unit))])
-        generators.append((0, vec))
+        generators.append(generator(0, L.cm.d(b), L.tilde[b], 0, L.unit))
 
     queue = [(qq, vec) for qq, vec in generators if spans[qq].add(vec)]
     while queue:
         qq, vec = queue.pop()
-        comps = data.components(qq, vec)
+        sups = {p: _support(vec[o:o + dims[p]]) for p, o in offsets[qq].items()}
         for r in P.elements():
-            qr_left, qr_right = Q.mul(f0[r], qq), Q.mul(qq, f0[r])
-            for _, e in units[r]:
-                out = data.class_vector(qr_left, ((P.mul(r, p), L.multiply(r, e, p, comps[p]))
-                                                  for p in members[qq]))
-                if any(out) and spans[qr_left].add(out):
-                    queue.append((qr_left, out))
-                out = data.class_vector(qr_right, ((P.mul(p, r), L.multiply(p, comps[p], r, e))
-                                                   for p in members[qq]))
-                if any(out) and spans[qr_right].add(out):
-                    queue.append((qr_right, out))
-    return data
+            ql, qr, rinv = Q.mul(f0[r], qq), Q.mul(qq, f0[r]), P.inv[r]
+            # (p, grade of the product) in the order of the image class
+            lefts = [(P.mul(rinv, rp), rp) for rp in members[ql]]
+            rights = [(P.mul(pr, rinv), pr) for pr in members[qr]]
+            for i in range(dims[r]):
+                out = tuple(itertools.chain.from_iterable(
+                    _total(field, dims[rp], sups[p], L.mul[(r, p)][i]) for p, rp in lefts))
+                if any(out) and spans[ql].add(out):
+                    queue.append((ql, out))
+                out = tuple(itertools.chain.from_iterable(
+                    _total(field, dims[pr], sups[p], [row[i] for row in L.mul[(p, r)]])
+                    for p, pr in rights))
+                if any(out) and spans[qr].add(out):
+                    queue.append((qr, out))
+    return PushforwardData(fmor, L, members, offsets, spans)
 
 
 def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None) -> PushforwardData:
     """The pushforward algebra: the source quotiented by the defining ideal,
     regraded over the target base group.
 
-    Everything is read through the quotient map pi (`quotient_map`). The
-    quotient basis of a class is the classes of its free basis vectors
-    (`PushforwardData.free_basis`), so each structure constant of f_*L is pi
-    of one of L's, and each column of the action is pi of one column of L's.
-    Requires f1 surjective; for target grades outside the image of f0 the
-    action is extended by the identity, and the final axiom check decides
-    validity. The pairing is the one form that the quotient map preserves in
-    every grade (`_quotient_pairing`); RhoIllDefined is raised when there is
-    none, as for the CM-Mod group algebra, or more than one.
+    Everything is read through the quotient maps pi_p (`quotient_map`), kept
+    as `data.pis`. The quotient basis of a class is the classes of its free
+    basis vectors (`PushforwardData.free_basis`), so each structure constant
+    of f_*L is pi of one of L's, and each column of the action is pi of one
+    column of L's. Requires f1 surjective; for target grades outside the
+    image of f0 the action is extended by the identity, and the final axiom
+    check decides validity. The pairing is the one form that the quotient
+    map preserves in every grade (`_quotient_pairing`); RhoIllDefined is
+    raised when there is none, as for the CM-Mod group algebra, or more than
+    one.
     """
     data = pushforward_ideal(fmor, L)
-    members, class_dim, spans = data.members, data.class_dim, data.spans
+    members, spans = data.members, data.spans
     tgt = fmor.target
     P, Q, C, D = fmor.source.base, tgt.base, fmor.source.top, tgt.top
     f1 = fmor.f_top.map
     field = L.field
 
-    dims_new = [class_dim[qq] - spans[qq].dim for qq in Q.elements()]
+    dims_new = [spans[qq].n - spans[qq].dim for qq in Q.elements()]
     basis_names = [[f"{Q.names[qq]}#{k}" for k in range(dims_new[qq])]
                    for qq in Q.elements()]
-    pis = {p: quotient_map(data, p) for p in P.elements()}
+    data.pis = pis = {p: quotient_map(data, p) for p in P.elements()}
     free = {qq: data.free_basis(qq) for qq in Q.elements()}
 
     mul_new = {}
@@ -1076,7 +1063,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                                  for p1, i1 in free[q1]]
 
     unit_new = pis[0].apply(L.unit)
-    rho_new = {qq: _quotient_pairing(data, qq, pis) for qq in Q.elements()}
+    rho_new = {qq: _quotient_pairing(data, qq) for qq in Q.elements()}
 
     phi_new = {}
     for qa in Q.elements():
@@ -1141,35 +1128,31 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
     """Factor a morphism over f through the pushforward of its source.
 
     The quotient basis of a class is the classes of its free basis vectors
-    (`PushforwardData.free_basis`), so column k of the factored block of
-    class q is column i of the block of grade p, with (p, i) the k-th free
-    pair. Raises ValueError if the morphism does not kill the defining ideal
-    (impossible for a valid morphism over f)."""
-    L, Lp = m.source, m.target
-    field = L.field
+    (`PushforwardData.free_basis`), so the factored block B_q of class q is
+    the block columns at the free pairs: column k is column i of the block
+    of grade p, with (p, i) the k-th free pair. The ideal is the kernel of
+    pi, and m kills it exactly when it factors as B pi, that is when
+    B_q pi_p = m_p for every grade p of class q. Raises ValueError naming
+    the first class where it does not (impossible for a valid morphism over
+    f)."""
+    Lp, field = m.target, m.source.field
     Q = m.over.target.base
-
+    blocks = {}
     for qq in Q.elements():
-        for kvec in data.spans[qq].basis:
-            comps = data.components(qq, kvec)
-            if any(field.combine(Lp.dims[qq], ((field.one, m.blocks[p].apply(comps[p]))
-                                               for p in data.members[qq]))):
-                raise ValueError(
-                    f"morphism does not kill the ideal in class {Q.names[qq]}")
-
-    blocks = {qq: Matrix.from_columns(field, [_column(m.blocks[p], i)
-                                              for p, i in data.free_basis(qq)], Lp.dims[qq])
-              for qq in Q.elements()}
+        blocks[qq] = Matrix.from_columns(field, [_column(m.blocks[p], i)
+                                                 for p, i in data.free_basis(qq)], Lp.dims[qq])
+        if any(blocks[qq] @ data.pis[p] != m.blocks[p] for p in data.members[qq]):
+            raise ValueError(f"morphism does not kill the ideal in class {Q.names[qq]}")
     return CrossedAlgebraMorphism(identity_morphism(m.over.target), data.algebra, Lp, blocks)
 
 
-def untranspose_to_pushforward(m2: CrossedAlgebraMorphism, fmor: CrossedModuleMorphism,
-                               L: CrossedCAlgebra,
+def untranspose_to_pushforward(m2: CrossedAlgebraMorphism,
                                data: PushforwardData) -> CrossedAlgebraMorphism:
-    """Inverse of transpose_from_pushforward: precompose with the quotient map."""
-    f0 = fmor.f_base.map
-    blocks = {p: m2.blocks[f0[p]] @ quotient_map(data, p) for p in L.P.elements()}
-    return CrossedAlgebraMorphism(fmor, L, m2.target, blocks)
+    """Inverse of transpose_from_pushforward: precompose with the quotient
+    maps `data.pis`, over the morphism of `data` and from its source."""
+    f0 = data.fmor.f_base.map
+    blocks = {p: m2.blocks[f0[p]] @ pi for p, pi in data.pis.items()}
+    return CrossedAlgebraMorphism(data.fmor, data.source, m2.target, blocks)
 
 
 def morphisms_equal(a: CrossedAlgebraMorphism, b: CrossedAlgebraMorphism) -> bool:

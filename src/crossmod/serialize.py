@@ -432,7 +432,16 @@ def expression_from_doc(doc, ws) -> CobordismExpression:
     source = _boundary_from_doc(doc["source"], cm, "source")
     target = _boundary_from_doc(doc["target"], cm, "target")
     layers = tuple(tuple(_piece_from_doc(p, cm) for p in layer) for layer in doc["layers"])
-    return CobordismExpression(cm, source, layers, target)
+    e = CobordismExpression(cm, source, layers, target)
+    # a string or object in place of a list was iterated above like one; it
+    # is refused only now, so that a bad entry in it keeps its message
+    for side in ("source", "target"):
+        if not isinstance(doc[side], list):
+            raise SerializationError(f"bad expression document: {side} must be a list of circuits")
+    if not isinstance(doc["layers"], list) or not all(
+            [isinstance(layer, list) for layer in doc["layers"]]):
+        raise SerializationError("bad expression document: layers must be a list of lists of pieces")
+    return e
 
 
 def simplicial_from_doc(doc, ws) -> SimplicialFormalMap:
@@ -446,10 +455,17 @@ def simplicial_from_doc(doc, ws) -> SimplicialFormalMap:
         for k in (1, 2, 3))
     complex_ = OrderedComplex(n, _indices(doc["order"], n, n, "order"),
                               edges, triangles, tetrahedra)
-    return SimplicialFormalMap(
+    m = SimplicialFormalMap(
         cm, complex_, _indices(doc["edge_labels"], cm.base.order, len(edges), "edge_labels"),
         _indices(doc["tri_labels"], cm.top.order, len(triangles), "tri_labels"),
         _indices(doc["start_vertices"], n, len(triangles), "start_vertices"))
+    # as in expression_from_doc, a string or object in place of the list of
+    # simplices of a dimension is refused only after the parse
+    for k in ("1", "2", "3"):
+        if not isinstance(simp.get(k, []), list):
+            raise SerializationError(
+                f"bad simplicial document: simplices {k} must be a list of simplices")
+    return m
 
 
 FROM_DOC = {

@@ -163,11 +163,13 @@ def _interchange():
     return ok, lines
 
 
-def _boxed_identities():
+def _fixture_reports(check):
+    """The check of criterion 5 or 7: `check`'s report on each fixture
+    algebra over Q, one line per algebra, `ok` or the report's summary."""
     lines, ok = [], True
     algs = fixtures.std_algebras(QQ)
     for name in fixtures.fixture_algebra_names():
-        rep = check_boxed_identities(algs[name])
+        rep = check(algs[name])
         ok &= rep.ok
         lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")
     return ok, lines
@@ -194,16 +196,6 @@ def _evaluator_coherence():
         lines.append(f"  {name}: snakes {'ok' if snakes else 'FAIL'}, "
                      f"functoriality x100 {'ok' if functorial else 'FAIL'}, "
                      f"round trip {'ok' if roundtrip else 'FAIL'}")
-    return ok, lines
-
-
-def _equivalence_invariance():
-    lines, ok = [], True
-    algs = fixtures.std_algebras(QQ)
-    for name in fixtures.fixture_algebra_names():
-        rep = check_equivalence_invariance(make_hqft(algs[name]))
-        ok &= rep.ok
-        lines.append(f"  {name}: {'ok' if rep.ok else rep.summary()}")
     return ok, lines
 
 
@@ -314,7 +306,7 @@ def _pushforward():
     # the quotient map is the untranspose of the identity of the pushforward
     ident = CrossedAlgebraMorphism(identity_morphism(fmor.target), fL, fL,
                                    {q: Matrix.identity(fL.field, d) for q, d in enumerate(fL.dims)})
-    rep = check_algebra_morphism(untranspose_to_pushforward(ident, fmor, L, data))
+    rep = check_algebra_morphism(untranspose_to_pushforward(ident, data))
     ok &= rep.ok
     lines.append(f"  quotient map K[S3] -> pushforward is a crossed algebra morphism over f: "
                  f"{'ok' if rep.ok else rep.summary()}")
@@ -351,14 +343,14 @@ def _adjunction():
         inverse &= morphisms_equal(back, m)
         tq = transpose_from_pushforward(m, data)
         inverse &= check_algebra_morphism(tq).ok
-        back2 = untranspose_to_pushforward(tq, fmor, L, data)
+        back2 = untranspose_to_pushforward(tq, data)
         inverse &= morphisms_equal(back2, m)
     for m2 in into_pull:
         inverse &= morphisms_equal(
             transpose_to_pullback(untranspose_from_pullback(m2, fmor, Lp)), m2)
     for m2 in from_push:
         inverse &= morphisms_equal(
-            transpose_from_pushforward(untranspose_to_pushforward(m2, fmor, L, data), data),
+            transpose_from_pushforward(untranspose_to_pushforward(m2, data), data),
             m2)
     ok &= inverse
     lines.append("  transposes are mutually inverse on every enumerated morphism" if inverse else
@@ -432,11 +424,11 @@ CRITERIA = [
     Criterion(4, "interchange/Peiffer: #0 = semidirect product", "interchange", 1.0,
               _interchange),
     Criterion(5, "all four boxed identity families, exhaustively", "boxed", 10.0,
-              _boxed_identities),
+              lambda: _fixture_reports(check_boxed_identities)),
     Criterion(6, "evaluator coherence: snakes, functoriality, round trip", "evaluator", 30.0,
               _evaluator_coherence),
     Criterion(7, "equivalence-invariance families (a)-(d)", "invariance", 10.0,
-              _equivalence_invariance),
+              lambda: _fixture_reports(lambda L: check_equivalence_invariance(make_hqft(L)))),
     Criterion(8, "pushforward checker, quotient map morphism, ideal oracle", "pushforward", 5.0,
               _pushforward),
     Criterion(9, "adjunction transposes over F2, bounded enumeration", "adjunction", 60.0,

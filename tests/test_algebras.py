@@ -481,7 +481,7 @@ def test_pushforward_pairing_oracle(groups, field, case):
 
     def pi(p, i):
         q = f0[p]
-        vec = [field.zero] * data.class_dim[q]
+        vec = [field.zero] * data.spans[q].n
         vec[data.offsets[q][p] + i] = field.one
         return data.spans[q].quotient_coords(vec)
 
@@ -534,7 +534,7 @@ def test_pushforward_cm_mod_ideal_dims_and_ill_defined_rho(algebras, cms):
     L = algebras["KC.CM-Mod"]
     data = pushforward_ideal(q, L)
     assert data.spans[0].dim == 2  # quotient L-bar_1 has dim 3 - 2 = 1
-    assert data.class_dim[0] - data.spans[0].dim == 1
+    assert data.spans[0].n - data.spans[0].dim == 1
     with pytest.raises(RhoIllDefined, match=r"no pairing in class \[0\] is preserved"):
         pushforward(q, L)
 
@@ -590,8 +590,29 @@ def test_pushforward_transposes_round_trip():
     for m in over_f:
         m2 = transpose_from_pushforward(m, data)
         assert check_algebra_morphism(m2).ok
-        back = untranspose_to_pushforward(m2, fmor, L, data)
+        back = untranspose_to_pushforward(m2, data)
         assert morphisms_equal(back, m)
+
+
+@pytest.mark.parametrize("grade, cls", [("(12)", "[(12)]"), ("(123)", "[e]")])
+def test_transpose_refuses_a_morphism_that_does_not_kill_the_ideal(algebras, grade, cls):
+    """The untransposed identity of the pushforward of KP.CM-A3S3 along
+    q.CM-A3S3 transposes back to the identity blocks. With the block of one
+    grade scaled by 2 it no longer factors through the quotient map, and the
+    refusal names the class of that grade."""
+    fmor, L = std_morphisms()["q.CM-A3S3"], algebras["KP.CM-A3S3"]
+    data = pushforward_data(fmor, L)
+    fL = data.algebra
+    ident = CrossedAlgebraMorphism(identity_morphism(fmor.target), fL, fL,
+                                   {q: Matrix.identity(QQ, d) for q, d in enumerate(fL.dims)})
+    m = untranspose_to_pushforward(ident, data)
+    back = transpose_from_pushforward(m, data)
+    assert all(back.blocks[q] == Matrix.identity(QQ, d) for q, d in enumerate(fL.dims))
+    p = L.P.names.index(grade)
+    blocks = {**m.blocks, p: Matrix(QQ, [[2 * x for x in row] for row in m.blocks[p].data])}
+    with pytest.raises(ValueError) as exc:
+        transpose_from_pushforward(CrossedAlgebraMorphism(fmor, L, fL, blocks), data)
+    assert str(exc.value) == f"morphism does not kill the ideal in class {cls}"
 
 
 def test_morphism_search_bounds_candidates_before_enumerating(monkeypatch):

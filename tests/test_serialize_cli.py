@@ -497,6 +497,45 @@ def test_cli_string_or_object_in_place_of_a_list_exits_2(tmp_path, capsys, kind,
     assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
+def _simplices_with_edges(value):
+    """The simplicial fixture with no triangle or tetrahedron and `value`
+    for its edges."""
+    def mutate(doc):
+        doc.update(edge_labels=[], tri_labels=[], start_vertices=[],
+                   simplices={"1": value, "2": [], "3": []})
+    return mutate
+
+
+LAYERS = "bad expression document: layers must be a list of lists of pieces"
+
+
+@pytest.mark.parametrize("kind, mutate, error", [
+    ("expression", _set(("layers",), ""), LAYERS),
+    ("expression", _set(("layers",), {}), LAYERS),
+    ("expression", _set(("layers",), [{}]), LAYERS),
+    ("expression", _set(("source",), {}),
+     "bad expression document: source must be a list of circuits"),
+    ("expression", _set(("target",), {}),
+     "bad expression document: target must be a list of circuits"),
+    ("simplicial", _simplices_with_edges({}),
+     "bad simplicial document: simplices 1 must be a list of simplices"),
+    ("simplicial", _set(("simplices", "3"), {}),
+     "bad simplicial document: simplices 3 must be a list of simplices"),
+    # a string whose entries do not parse keeps the piece's message
+    ("expression", _set(("layers",), "x"), "unknown piece kind 'x'"),
+], ids=["layers=''", "layers={}", "layers=[{}]", "source={}", "target={}",
+        "simplices.1={}", "simplices.3={}", "layers='x'"])
+def test_cli_expression_or_simplicial_field_not_a_list_exits_2(tmp_path, capsys, ws, kind,
+                                                                mutate, error):
+    """An object or a string where a list of layers, circuits or simplices
+    belongs would be iterated like a list: `""` and `{}` as an empty one (an
+    identity expression, or a complex with no simplices of that dimension)
+    and `[{}]` as one empty layer. It is malformed, and the error names the
+    field."""
+    assert main(_check_mutated(kind, mutate)(tmp_path, ws)) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
 def _pop(*path):
     return lambda doc: _at(doc, path[:-1]).pop(path[-1])
 
