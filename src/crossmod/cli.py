@@ -27,7 +27,7 @@ from .formal_maps import typecheck
 from .hqft import FormalHQFT, eval_expression, make_hqft, require_same_crossed_module, state_space
 from .mutations import MUTATIONS, run_mutation
 from .serialize import (
-    CHECKABLE,
+    KINDS,
     SerializationError,
     UnknownObject,
     Workspace,
@@ -39,11 +39,9 @@ from .serialize import (
 )
 
 def _workspace(args) -> Workspace:
-    field = field_from_json(getattr(args, "field", "Q") or "Q")
-    ws = Workspace(field)
-    fixtures_dir = getattr(args, "fixtures_dir", None)
-    if fixtures_dir:
-        ws.load_dir(fixtures_dir)
+    ws = Workspace(field_from_json(args.field))
+    if args.fixtures_dir:
+        ws.load_dir(args.fixtures_dir)
     return ws
 
 
@@ -59,7 +57,7 @@ def cmd_check(args) -> int:
     if Path(args.target).is_file():
         report = check_doc(read_doc(args.target), ws, kind)
     else:
-        report = CHECKABLE[kind](ws.get(args.target, kind))
+        report = KINDS[kind].check(ws.get(args.target, kind))
     print(dumps(report.to_json()), end="")
     return 0 if report.ok else 1
 
@@ -102,7 +100,7 @@ def cmd_build(args) -> int:
                                  f"got {len(args.args)}")
     try:
         obj = build(ws, args.args)
-        rep = None if checked else CHECKABLE[kind](obj)
+        rep = None if checked else KINDS[kind].check(obj)
     except (SerializationError, ScalarParseError, CrossedModuleMismatch):
         raise       # malformed input: main maps it to 2
     except ValueError as exc:   # a construction that fails, such as RhoIllDefined
@@ -189,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the axiom checker for an object")
-    p.add_argument("kind", choices=sorted(kind.replace("_", "-") for kind in CHECKABLE))
+    p.add_argument("kind", choices=sorted(kind.replace("_", "-") for kind in KINDS))
     p.add_argument("target", help="object name or JSON file path")
     p.set_defaults(func=cmd_check)
 

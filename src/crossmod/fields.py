@@ -246,7 +246,7 @@ def GF(p: int) -> PrimeField:
 def field_from_json(spec) -> "RationalField | PrimeField":
     """Parse ``"Q"`` or ``{"Fp": p}`` with p a JSON integer (also accepts
     ``"Fp:<p>"`` from the CLI, with p in ASCII digits)."""
-    if spec == "Q" or spec is None:
+    if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         modulus = spec["Fp"]

@@ -204,19 +204,6 @@ class Matrix:
         fmt = self.field.format
         return [[fmt(x) for x in row] for row in self.data]
 
-    @classmethod
-    def from_json(cls, field, data, rows=None, cols=None, name="matrix") -> "Matrix":
-        """The matrix of `data`, a JSON list of rows of scalars; a string or object
-        in place of a list is refused, naming `name`, after the parse and shape checks."""
-        m = cls(field, [[field.parse(x) for x in row] for row in data], cols=cols)
-        if rows is not None and m.rows != rows:
-            raise ValueError(f"expected {rows} rows, got {m.rows}")
-        if cols is not None and m.cols != cols:
-            raise ValueError(f"expected {cols} cols, got {m.cols}")
-        if not isinstance(data, list) or not all([isinstance(row, list) for row in data]):
-            raise ValueError(f"{name} must be a list of lists of scalars")
-        return m
-
 
 def unit_vector(field, n: int, i: int):
     return tuple(field.one if j == i else field.zero for j in range(n))

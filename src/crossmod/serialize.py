@@ -5,6 +5,11 @@ loaded files).
 Outputs always inline nested objects; inputs may reference other objects by
 name. Scalars are serialized as strings ("3/4", "2 mod 5"); indices are
 0-based with index 0 the identity.
+
+One table, `KINDS`, gives each kind's encoder, decoder and checker. A
+decoder reads every field that must be a JSON list through `_list`, every
+index list through `_indices` and every field that must be a JSON object
+through `_object`, so a field of the wrong JSON type is named in the error.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import fixtures
 from .algebras import (
@@ -72,41 +78,41 @@ def dumps(doc) -> str:
 # to_doc
 # --------------------------------------------------------------------------
 
-def group_to_doc(g: FiniteGroup, name=None):
-    return {"kind": "group", "name": name or "group",
+def group_to_doc(g: FiniteGroup):
+    return {"kind": "group", "name": "group",
             "names": list(g.names), "table": [list(r) for r in g.table]}
 
 
-def hom_to_doc(h: GroupHomomorphism, name=None):
-    return {"kind": "homomorphism", "name": name or "hom",
+def hom_to_doc(h: GroupHomomorphism):
+    return {"kind": "homomorphism", "name": "hom",
             "source": group_to_doc(h.source), "target": group_to_doc(h.target),
             "map": list(h.map)}
 
 
-def action_to_doc(a: GroupAction, name=None):
-    return {"kind": "action", "name": name or "action",
+def action_to_doc(a: GroupAction):
+    return {"kind": "action", "name": "action",
             "actor": group_to_doc(a.actor), "space": group_to_doc(a.space),
             "table": [list(r) for r in a.table]}
 
 
-def cm_to_doc(cm: CrossedModule, name=None):
-    return {"kind": "crossed_module", "name": name or cm.name,
+def cm_to_doc(cm: CrossedModule):
+    return {"kind": "crossed_module", "name": cm.name,
             "top": group_to_doc(cm.top), "base": group_to_doc(cm.base),
             "boundary": list(cm.boundary.map),
             "action": [list(r) for r in cm.act.table]}
 
 
-def morphism_to_doc(m: CrossedModuleMorphism, name=None):
-    return {"kind": "morphism", "name": name or "morphism",
+def morphism_to_doc(m: CrossedModuleMorphism):
+    return {"kind": "morphism", "name": "morphism",
             "source": cm_to_doc(m.source), "target": cm_to_doc(m.target),
             "f_top": list(m.f_top.map), "f_base": list(m.f_base.map)}
 
 
-def algebra_to_doc(L: CrossedCAlgebra, name=None):
+def algebra_to_doc(L: CrossedCAlgebra):
     f = L.field
     return {
         "kind": "algebra",
-        "name": name or L.name,
+        "name": L.name,
         "crossed_module": cm_to_doc(L.cm),
         "field": f.to_json(),
         "dims": {str(g): L.dims[g] for g in L.P.elements()},
@@ -122,10 +128,10 @@ def algebra_to_doc(L: CrossedCAlgebra, name=None):
     }
 
 
-def algebra_morphism_to_doc(m: CrossedAlgebraMorphism, name=None):
+def algebra_morphism_to_doc(m: CrossedAlgebraMorphism):
     return {
         "kind": "algebra_morphism",
-        "name": name or "algebra_morphism",
+        "name": "algebra_morphism",
         "source": algebra_to_doc(m.source),
         "target": algebra_to_doc(m.target),
         "f_top": list(m.over.f_top.map),
@@ -141,10 +147,10 @@ _PIECE_CLASSES = {"disc": Disc, "cyl": Cyl, "pants": Pants, "copants": Copants,
 _PIECE_KINDS = {cls: kind for kind, cls in _PIECE_CLASSES.items()}
 
 
-def expression_to_doc(e: CobordismExpression, name=None):
+def expression_to_doc(e: CobordismExpression):
     return {
         "kind": "expression",
-        "name": name or "expression",
+        "name": "expression",
         "crossed_module": cm_to_doc(e.cm),
         "source": [list(c.labels) for c in e.source.circuits],
         "layers": [[{"piece": _PIECE_KINDS[type(p)], **dataclasses.asdict(p)} for p in layer]
@@ -153,11 +159,11 @@ def expression_to_doc(e: CobordismExpression, name=None):
     }
 
 
-def simplicial_to_doc(m: SimplicialFormalMap, name=None):
+def simplicial_to_doc(m: SimplicialFormalMap):
     K = m.complex
     return {
         "kind": "simplicial",
-        "name": name or "simplicial",
+        "name": "simplicial",
         "crossed_module": cm_to_doc(m.cm),
         "vertices": K.n_vertices,
         "order": list(K.rank),
@@ -170,27 +176,8 @@ def simplicial_to_doc(m: SimplicialFormalMap, name=None):
     }
 
 
-TO_DOC = {
-    "group": group_to_doc,
-    "homomorphism": hom_to_doc,
-    "action": action_to_doc,
-    "crossed_module": cm_to_doc,
-    "morphism": morphism_to_doc,
-    "algebra": algebra_to_doc,
-    "algebra_morphism": algebra_morphism_to_doc,
-    "expression": expression_to_doc,
-    "simplicial": simplicial_to_doc,
-}
-
-
-def to_doc(kind: str, obj, name=None):
-    if kind not in TO_DOC:
-        raise SerializationError(f"unknown kind {kind!r}")
-    return TO_DOC[kind](obj, name)
-
-
 # --------------------------------------------------------------------------
-# workspace and from_doc
+# workspace, from_doc and the kind table
 # --------------------------------------------------------------------------
 
 class _Objects(dict):
@@ -281,11 +268,45 @@ def _count(x, field) -> int:
 
 
 def _object(doc, key):
-    """The field `key` of an algebra document, which must be a JSON object."""
+    """The field `key` of a document, which must be a JSON object. Its error,
+    like every plain ValueError of a decoder, is prefixed by `from_doc` with
+    the document's kind."""
     value = doc[key]
     if not isinstance(value, dict):
-        raise SerializationError(f"bad algebra document: {key} must be an object")
+        raise ValueError(f"{key} must be an object")
     return value
+
+
+def _list(value, depth, item, what, late) -> tuple:
+    """`value`, a JSON list of lists `depth` deep, with `item` of each
+    innermost entry; `what` is the error that names the field. Every field
+    that must be a list of scalars, rows, pieces, circuits or simplices is
+    read here. A number, boolean or null in place of a list is refused at
+    once. A string or an object is read like a list and `what` is put on
+    `late`, which its decoder raises only once it has built its object: so
+    a bad entry or shape in it keeps its own message."""
+    if not isinstance(value, (list, str, dict)):
+        raise ValueError(what)
+    if not isinstance(value, list):
+        late.append(what)
+    if depth == 1:
+        return tuple([item(x) for x in value])
+    return tuple([_list(x, depth - 1, item, what, late) for x in value])
+
+
+def _matrix(field, value, rows: int, cols: int, name) -> Matrix:
+    """The rows x cols matrix of `value`, a JSON list of rows of scalars. A
+    string or object in place of a list is refused after the shape checks."""
+    late = []
+    m = Matrix(field, _list(value, 2, field.parse, f"{name} must be a list of lists of scalars",
+                            late), cols)
+    if m.rows != rows:
+        raise ValueError(f"expected {rows} rows, got {m.rows}")
+    if m.cols != cols:
+        raise ValueError(f"expected {cols} cols, got {m.cols}")
+    if late:
+        raise ValueError(late[0])
+    return m
 
 
 def _names(x, g) -> tuple[str, ...]:
@@ -293,8 +314,7 @@ def _names(x, g) -> tuple[str, ...]:
     Their count and distinctness are checked by the `CrossedCAlgebra`
     constructor."""
     if not isinstance(x, list) or not all(isinstance(name, str) for name in x):
-        raise SerializationError(
-            f"bad algebra document: basis_names {g} must be a list of strings")
+        raise ValueError(f"basis_names {g} must be a list of strings")
     return tuple(x)
 
 
@@ -321,7 +341,7 @@ def group_table_from_doc(doc):
     return names, table
 
 
-def group_from_doc(doc, ws=None) -> FiniteGroup:
+def group_from_doc(doc, ws) -> FiniteGroup:
     return make_group(*group_table_from_doc(doc))
 
 
@@ -359,11 +379,9 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     dims = tuple(_count(dims_doc[str(g)], "dims") for g in P.elements())
     # rho and phi compare every grade's dimension with the document's own
     # data, so a huge dimension fails here, before anything of that size is built
-    rho = {g: Matrix.from_json(field, rho_doc[str(g)], rows=dims[g], cols=dims[P.inv[g]],
-                               name=f"rho {g}")
+    rho = {g: _matrix(field, rho_doc[str(g)], dims[g], dims[P.inv[g]], f"rho {g}")
            for g in P.elements()}
-    phi = {(h, g): Matrix.from_json(field, phi_doc[f"{h},{g}"],
-                                    rows=dims[P.conj(h, g)], cols=dims[g], name=f"phi {h},{g}")
+    phi = {(h, g): _matrix(field, phi_doc[f"{h},{g}"], dims[P.conj(h, g)], dims[g], f"phi {h},{g}")
            for h in P.elements() for g in P.elements()}
     if doc.get("basis_names") is None:
         basis_names = tuple(tuple(f"{P.names[g]}#{k}" for k in range(dims[g]))
@@ -371,28 +389,19 @@ def algebra_from_doc(doc, ws) -> CrossedCAlgebra:
     else:
         names_doc = _object(doc, "basis_names")
         basis_names = tuple(_names(names_doc[str(g)], g) for g in P.elements())
-    mul = {(g, h): [[[field.parse(s) for s in cell] for cell in row]
-                    for row in mul_doc[f"{g},{h}"]]
+    late = []
+    mul = {(g, h): _list(mul_doc[f"{g},{h}"], 3, field.parse,
+                         f"mul {g},{h} must be a list of lists of lists of scalars", late)
            for g in P.elements() for h in P.elements()}
-    unit = tuple(field.parse(x) for x in doc["unit"])
-    tilde = [tuple(field.parse(x) for x in tilde_doc[str(c)]) for c in C.elements()]
+    unit = _list(doc["unit"], 1, field.parse, "unit must be a list of scalars", late)
+    tilde = [_list(tilde_doc[str(c)], 1, field.parse, f"tilde {c} must be a list of scalars", late)
+             for c in C.elements()]
     # the constructor refuses a shape fault with a ValueError that from_doc
     # reports as "bad algebra document: <where>: <what>"
     L = CrossedCAlgebra(doc.get("name", "algebra"), cm, field, dims, basis_names,
                         mul, unit, rho, phi, tilde)
-    # a string or object in place of a list was iterated above like one; it
-    # is refused only now, so that a bad scalar or shape in it keeps its message
-    vectors = {"unit": doc["unit"], **{f"tilde {c}": tilde_doc[str(c)] for c in C.elements()}}
-    for what, vec in vectors.items():
-        if not isinstance(vec, list):
-            raise SerializationError(f"bad algebra document: {what} must be a list of scalars")
-    for g, h in mul:
-        block = mul_doc[f"{g},{h}"]
-        if not isinstance(block, list) or not all(
-                [isinstance(row, list) and all([isinstance(cell, list) for cell in row])
-                 for row in block]):
-            raise SerializationError(
-                f"bad algebra document: mul {g},{h} must be a list of lists of lists of scalars")
+    if late:
+        raise ValueError(late[0])
     return L
 
 
@@ -401,18 +410,19 @@ def algebra_morphism_from_doc(doc, ws) -> CrossedAlgebraMorphism:
     tgt = ws.resolve(doc["target"], "algebra")
     f_top = _hom(src.cm.top, tgt.cm.top, doc["f_top"], "f_top")
     f_base = _hom(src.cm.base, tgt.cm.base, doc["f_base"], "f_base")
-    blocks = {p: Matrix.from_json(src.field, doc["blocks"][str(p)],
-                                  rows=tgt.dims[f_base.map[p]], cols=src.dims[p],
-                                  name=f"blocks {p}")
+    blocks_doc = _object(doc, "blocks")
+    blocks = {p: _matrix(src.field, blocks_doc[str(p)], tgt.dims[f_base.map[p]], src.dims[p],
+                         f"blocks {p}")
               for p in src.P.elements()}
     return CrossedAlgebraMorphism(CrossedModuleMorphism(src.cm, tgt.cm, f_top, f_base),
                                   src, tgt, blocks)
 
 
 def _piece_from_doc(doc, cm: CrossedModule):
-    if not isinstance(doc, dict) or doc.get("piece") not in _PIECE_CLASSES:
+    kind = doc.get("piece") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _PIECE_CLASSES:
         raise SerializationError(f"unknown piece kind {doc!r}")
-    cls = _PIECE_CLASSES[doc["piece"]]
+    cls = _PIECE_CLASSES[kind]
     args = []
     for field in dataclasses.fields(cls):
         n = cm.top.order if field.name == "c" else cm.base.order
@@ -422,36 +432,33 @@ def _piece_from_doc(doc, cm: CrossedModule):
     return cls(*args)
 
 
-def _boundary_from_doc(circuits, cm: CrossedModule, side) -> FormalBoundary:
-    return FormalBoundary.of(*(_indices(c, cm.base.order, None, f"{side} circuit")
-                               for c in circuits))
+def _boundary_from_doc(doc, side, cm: CrossedModule, late) -> FormalBoundary:
+    return FormalBoundary.of(*_list(
+        doc[side], 1, lambda circuit: _indices(circuit, cm.base.order, None, f"{side} circuit"),
+        f"{side} must be a list of circuits", late))
 
 
 def expression_from_doc(doc, ws) -> CobordismExpression:
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
-    source = _boundary_from_doc(doc["source"], cm, "source")
-    target = _boundary_from_doc(doc["target"], cm, "target")
-    layers = tuple(tuple(_piece_from_doc(p, cm) for p in layer) for layer in doc["layers"])
+    late = []
+    source = _boundary_from_doc(doc, "source", cm, late)
+    target = _boundary_from_doc(doc, "target", cm, late)
+    layers = _list(doc["layers"], 2, lambda piece: _piece_from_doc(piece, cm),
+                   "layers must be a list of lists of pieces", late)
     e = CobordismExpression(cm, source, layers, target)
-    # a string or object in place of a list was iterated above like one; it
-    # is refused only now, so that a bad entry in it keeps its message
-    for side in ("source", "target"):
-        if not isinstance(doc[side], list):
-            raise SerializationError(f"bad expression document: {side} must be a list of circuits")
-    if not isinstance(doc["layers"], list) or not all(
-            [isinstance(layer, list) for layer in doc["layers"]]):
-        raise SerializationError("bad expression document: layers must be a list of lists of pieces")
+    if late:
+        raise ValueError(late[0])
     return e
 
 
 def simplicial_from_doc(doc, ws) -> SimplicialFormalMap:
     cm = ws.resolve(doc["crossed_module"], "crossed_module")
     n = _count(doc["vertices"], "vertices")
-    simp = doc["simplices"]
-    if not isinstance(simp, dict):
-        raise SerializationError("simplices must be an object keyed by dimension")
+    simp = _object(doc, "simplices")
+    late = []
     edges, triangles, tetrahedra = (
-        tuple(_indices(s, n, k + 1, f"{k}-simplex") for s in simp.get(str(k), []))
+        _list(simp.get(str(k), []), 1, lambda s: _indices(s, n, k + 1, f"{k}-simplex"),
+              f"simplices {k} must be a list of simplices", late)
         for k in (1, 2, 3))
     complex_ = OrderedComplex(n, _indices(doc["order"], n, n, "order"),
                               edges, triangles, tetrahedra)
@@ -459,79 +466,79 @@ def simplicial_from_doc(doc, ws) -> SimplicialFormalMap:
         cm, complex_, _indices(doc["edge_labels"], cm.base.order, len(edges), "edge_labels"),
         _indices(doc["tri_labels"], cm.top.order, len(triangles), "tri_labels"),
         _indices(doc["start_vertices"], n, len(triangles), "start_vertices"))
-    # as in expression_from_doc, a string or object in place of the list of
-    # simplices of a dimension is refused only after the parse
-    for k in ("1", "2", "3"):
-        if not isinstance(simp.get(k, []), list):
-            raise SerializationError(
-                f"bad simplicial document: simplices {k} must be a list of simplices")
+    if late:
+        raise ValueError(late[0])
     return m
 
 
-FROM_DOC = {
-    "group": group_from_doc,
-    "homomorphism": hom_from_doc,
-    "action": action_from_doc,
-    "crossed_module": cm_from_doc,
-    "morphism": morphism_from_doc,
-    "algebra": algebra_from_doc,
-    "algebra_morphism": algebra_morphism_from_doc,
-    "expression": expression_from_doc,
-    "simplicial": simplicial_from_doc,
+class DocKind(NamedTuple):
+    """A document kind's encoder, decoder and checker (which returns a
+    CheckReport)."""
+    to_doc: Callable
+    from_doc: Callable
+    check: Callable
+
+
+KINDS = {
+    "group": DocKind(group_to_doc, group_from_doc,
+                     lambda obj: check_group_table(obj.names, obj.table)),
+    "homomorphism": DocKind(hom_to_doc, hom_from_doc, check_homomorphism),
+    "action": DocKind(action_to_doc, action_from_doc, check_action),
+    "crossed_module": DocKind(cm_to_doc, cm_from_doc, check_crossed_module),
+    "morphism": DocKind(morphism_to_doc, morphism_from_doc, check_morphism),
+    "algebra": DocKind(algebra_to_doc, algebra_from_doc, check_crossed_algebra),
+    "algebra_morphism": DocKind(algebra_morphism_to_doc, algebra_morphism_from_doc,
+                                check_algebra_morphism),
+    "expression": DocKind(expression_to_doc, expression_from_doc, typecheck),
+    "simplicial": DocKind(simplicial_to_doc, simplicial_from_doc, validate_simplicial),
 }
 
 
-# each document kind's checker, which returns a CheckReport
-CHECKABLE = {
-    "group": lambda obj: check_group_table(obj.names, obj.table),
-    "homomorphism": check_homomorphism,
-    "action": check_action,
-    "crossed_module": check_crossed_module,
-    "morphism": check_morphism,
-    "algebra": check_crossed_algebra,
-    "algebra_morphism": check_algebra_morphism,
-    "expression": typecheck,
-    "simplicial": validate_simplicial,
-}
+def to_doc(kind: str, obj):
+    if kind not in KINDS:
+        raise SerializationError(f"unknown kind {kind!r}")
+    return KINDS[kind].to_doc(obj)
 
 
 def from_doc(doc, ws: Workspace, kind: str | None = None):
     """Decode one document into (kind, name, object). Every fault of the
     document raises SerializationError, or UnknownObject for a name that does
     not resolve; so does a document that is not of `kind`, when it is given.
-    An IndexError is not caught: every index is checked before use, so one
-    is a bug."""
+    A decoder's plain ValueError or TypeError, such as a scalar that does not
+    parse, a matrix of the wrong shape or a field of the wrong JSON type, is
+    reported as "bad <kind> document: <error>". An IndexError is not caught:
+    every index is checked before use, so one is a bug."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SerializationError("document must be an object with a 'kind' field")
     got_kind, name = doc["kind"], doc.get("name", doc["kind"])
-    if not isinstance(got_kind, str) or got_kind not in FROM_DOC:
+    if not isinstance(got_kind, str) or got_kind not in KINDS:
         raise SerializationError(f"unknown kind {got_kind!r}")
     if not isinstance(name, str):
         raise SerializationError(f"name must be a string, not {name!r}")
     if kind is not None and got_kind != kind:
         raise SerializationError(f"{name!r} is a {got_kind}, not a {kind}")
     try:
-        return got_kind, name, FROM_DOC[got_kind](doc, ws)
+        return got_kind, name, KINDS[got_kind].from_doc(doc, ws)
     except (SerializationError, UnknownObject):
         raise
     except KeyError as exc:
         raise SerializationError(
             f"bad {got_kind} document: missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        # scalar parse errors, matrix shapes, and the validation of the
-        # complex and of the simplicial map
+        # scalar parse errors, matrix shapes, fields of the wrong JSON type,
+        # and the validation of the complex and of the simplicial map
         raise SerializationError(f"bad {got_kind} document: {exc}") from exc
 
 
 def check_doc(doc, ws: Workspace, kind: str, checker=None):
-    """The report of `checker`, by default the kind's checker in CHECKABLE, on
+    """The report of `checker`, by default the kind's checker in KINDS, on
     a document of `kind`: the one decode-and-check path of `crossmod check`
     on a file and of the mutation corpus. Groups validate at construction,
     so a group document is checked as its bare table: a table that is not a
     group is a failing report with a counterexample, not a decode error."""
     if kind == "group":
         return check_group_table(*group_table_from_doc(doc))
-    return (checker or CHECKABLE[kind])(from_doc(doc, ws, kind)[2])
+    return (checker or KINDS[kind].check)(from_doc(doc, ws, kind)[2])
 
 
 def read_doc(path):

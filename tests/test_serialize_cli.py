@@ -36,7 +36,7 @@ def ws():
 
 
 def test_group_roundtrip(ws, groups):
-    doc = to_doc("group", groups["S3"], "S3")
+    doc = {**to_doc("group", groups["S3"]), "name": "S3"}
     kind, name, obj = from_doc(doc, ws)
     assert kind == "group" and obj == groups["S3"]
 
@@ -134,7 +134,8 @@ def test_build_pushforward_checks_the_algebra_once(monkeypatch, capsys, algebras
         return check(L)
 
     monkeypatch.setattr(algebra_module, "check_crossed_algebra", counted)
-    monkeypatch.setitem(serialize.CHECKABLE, "algebra", counted)
+    monkeypatch.setitem(serialize.KINDS, "algebra",
+                        serialize.KINDS["algebra"]._replace(check=counted))
     assert main(["build", "pushforward", "q.CM-A3S3", "KP.CM-A3S3"]) == 0
     assert calls == ["push(KP.CM-A3S3)"]
     monkeypatch.undo()
@@ -175,7 +176,7 @@ def test_cli_check_algebra_and_field_flag(capsys):
 
 def test_cli_check_mutated_file_fails(tmp_path, capsys, groups):
     s3 = groups["S3"]
-    doc = to_doc("group", s3, "S3mut")
+    doc = {**to_doc("group", s3), "name": "S3mut"}
     doc["table"][1][2] = 0
     path = tmp_path / "bad_group.json"
     path.write_text(dumps(doc))
@@ -203,7 +204,7 @@ def test_document_of_another_kind_is_one_error(tmp_path, capsys, ws, cms):
     assert json.loads(capsys.readouterr().out) == {
         "error": "'CM-A3S3' is a crossed_module, not a algebra"}
     with pytest.raises(SerializationError, match="^'S3' is a group, not a crossed_module$"):
-        ws.resolve(to_doc("group", cms["CM-A3S3"].base, "S3"), "crossed_module")
+        ws.resolve({**to_doc("group", cms["CM-A3S3"].base), "name": "S3"}, "crossed_module")
 
 
 def test_cli_check_malformed_exits_2(tmp_path, capsys, cms):
@@ -480,13 +481,27 @@ LIST_OF = "bad algebra document: {} must be a list of {}scalars"
     # a container whose items do not parse keeps the scalar's message
     ("algebra", ("unit",), "x", "bad algebra document: bad rational 'x'"),
     ("algebra", ("rho", "0"), "x", "bad algebra document: bad rational 'x'"),
+    # a number, boolean or null where a list belongs is refused at once
+    ("algebra", ("unit",), 5, LIST_OF.format("unit", "")),
+    ("algebra", ("tilde", "1"), None, LIST_OF.format("tilde 1", "")),
+    ("algebra", ("mul", "0,0"), True, LIST_OF.format("mul 0,0", "lists of lists of ")),
+    ("algebra", ("mul", "0,0", 0), 5, LIST_OF.format("mul 0,0", "lists of lists of ")),
+    ("algebra", ("mul", "0,0", 0, 0), None, LIST_OF.format("mul 0,0", "lists of lists of ")),
+    ("algebra", ("rho", "0"), 5, LIST_OF.format("rho 0", "lists of ")),
+    ("algebra", ("phi", "1,0", 0), True, LIST_OF.format("phi 1,0", "lists of ")),
+    ("algebra-morphism", ("blocks", "0"), None,
+     "bad algebra_morphism document: blocks 0 must be a list of lists of scalars"),
+    # and a string or a number where the object of blocks belongs
+    ("algebra-morphism", ("blocks",), "x", "bad algebra_morphism document: blocks must be an object"),
+    ("algebra-morphism", ("blocks",), 5, "bad algebra_morphism document: blocks must be an object"),
 ])
 def test_cli_string_or_object_in_place_of_a_list_exits_2(tmp_path, capsys, kind, path, value,
                                                           error):
     """On KP.CM-Id2 and its kp_iso witness, where every grade has dimension
     1, a string or an object of one parsable scalar where a list belongs
     would be iterated like a list of it: it is malformed, and the error
-    names the field."""
+    names the field. So is a number, boolean or null there, which cannot be
+    iterated."""
     cm = std_crossed_modules()["CM-Id2"]
     doc = (to_doc("algebra", group_algebra_P(cm, QQ)) if kind == "algebra"
            else to_doc("algebra_morphism", kp_iso_witness(cm, QQ)))
@@ -523,16 +538,91 @@ LAYERS = "bad expression document: layers must be a list of lists of pieces"
      "bad simplicial document: simplices 3 must be a list of simplices"),
     # a string whose entries do not parse keeps the piece's message
     ("expression", _set(("layers",), "x"), "unknown piece kind 'x'"),
+    # a number, boolean or null where a list belongs is refused at once
+    ("expression", _set(("layers",), 5), LAYERS),
+    ("expression", _set(("layers",), [None]), LAYERS),
+    ("expression", _set(("source",), True),
+     "bad expression document: source must be a list of circuits"),
+    ("expression", _set(("target",), 5),
+     "bad expression document: target must be a list of circuits"),
+    ("simplicial", _set(("simplices", "1"), None),
+     "bad simplicial document: simplices 1 must be a list of simplices"),
+    # a piece kind that is an object or a list is no piece kind
+    ("expression", _set(("layers",), [[{"piece": {}}]]), "unknown piece kind {'piece': {}}"),
+    ("expression", _set(("layers",), [[{"piece": []}]]), "unknown piece kind {'piece': []}"),
+    ("simplicial", _set(("simplices",), 5), "bad simplicial document: simplices must be an object"),
 ], ids=["layers=''", "layers={}", "layers=[{}]", "source={}", "target={}",
-        "simplices.1={}", "simplices.3={}", "layers='x'"])
+        "simplices.1={}", "simplices.3={}", "layers='x'", "layers=5", "layers=[null]",
+        "source=true", "target=5", "simplices.1=null", "piece={}", "piece=[]", "simplices=5"])
 def test_cli_expression_or_simplicial_field_not_a_list_exits_2(tmp_path, capsys, ws, kind,
                                                                 mutate, error):
     """An object or a string where a list of layers, circuits or simplices
     belongs would be iterated like a list: `""` and `{}` as an empty one (an
     identity expression, or a complex with no simplices of that dimension)
     and `[{}]` as one empty layer. It is malformed, and the error names the
-    field."""
+    field; so does a number, boolean or null there."""
     assert main(_check_mutated(kind, mutate)(tmp_path, ws)) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
+# one document of each kind over CM-Mod (top group Z/3, base group Z/2):
+# its algebra has grades of dimension 3 and 0
+def _sweep_docs():
+    cm = std_crossed_modules()["CM-Mod"]
+    objs = {"group": cm.top, "homomorphism": cm.boundary, "action": cm.act,
+            "crossed-module": cm, "morphism": std_morphisms()["q.CM-Mod"],
+            "algebra": group_algebra_C(cm, QQ), "algebra-morphism": kp_iso_witness(cm, QQ),
+            "expression": expression(cm, [1, 1], [[Pants(0, 1, 1)]], [0]),
+            "simplicial": annulus_labeling(cm, 1, 1, 1)}
+    return {kind: to_doc(kind.replace("-", "_"), obj) for kind, obj in objs.items()}
+
+
+def _node_paths(node, depth):
+    """The path to every node below `node`, `depth` levels deep: every key
+    of an object and the first two items of a list."""
+    if depth == 0 or not isinstance(node, (dict, list)):
+        return
+    for key in node if isinstance(node, dict) else range(min(2, len(node))):
+        yield (key,)
+        yield from ((key, *path) for path in _node_paths(node[key], depth - 1))
+
+
+PYTHON_WORDING = ("object is not", "indices must be", "not subscriptable", "unhashable",
+                  "not iterable")
+
+
+def test_cli_every_one_node_edit_exits_0_1_or_2_in_crossmod_words(tmp_path, capsys):
+    """Each node of one document of each kind, down to depth 3, replaced by
+    a number, null, a boolean, a string, an object and a list: `crossmod
+    check` exits 0, 1 or 2 (an exception would escape `main`), and no error
+    carries the interpreter's own TypeError wording."""
+    path = tmp_path / "doc.json"
+    for kind, doc in _sweep_docs().items():
+        text = json.dumps(doc)
+        for node in _node_paths(doc, 3):
+            for value in (5, None, True, "x", {}, []):
+                edited = json.loads(text)
+                _set(node, value)(edited)
+                path.write_text(json.dumps(edited))
+                code = main(["check", kind, str(path)])
+                out = capsys.readouterr().out
+                assert code in (0, 1, 2), (kind, node, value)
+                if code == 2:
+                    error = json.loads(out)["error"]
+                    assert not any(w in error for w in PYTHON_WORDING), (kind, node, value, error)
+
+
+@pytest.mark.parametrize("make_argv, error", [
+    (_check_mutated("algebra", _set(("field",), None)),
+     "bad algebra document: unknown field spec None"),
+    (lambda tmp_path, ws: ["--field", "", "check", "algebra", "KP.CM-Mod"],
+     "unknown field spec ''"),
+], ids=["algebra.field=null", "field-flag-empty"])
+def test_cli_null_or_empty_field_spec_exits_2(tmp_path, capsys, ws, make_argv, error):
+    """A field spec is "Q", or a prime modulus as {"Fp": p} in a document or
+    Fp:<p> on the command line; neither a null field nor an empty --field
+    is Q."""
+    assert main(make_argv(tmp_path, ws)) == 2
     assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
@@ -549,8 +639,8 @@ def _names_dup(doc):
 # constructor names, then a document edit of the same kind and the error of
 # `crossmod check algebra` on it. A document cannot give a wrong count of
 # dims, mul blocks or tilde vectors, nor a rho or phi block of the wrong
-# shape: a missing entry is a missing field, and Matrix.from_json compares
-# each block with the dims as it is read
+# shape: a missing entry is a missing field, and serialize's matrix decoder
+# compares each block with the dims as it is read
 SHAPE_FAULTS = {
     "dims": (lambda L: {"dims": L.dims + (0,)},
              "dims: one dimension per base element required",
@@ -620,8 +710,8 @@ def test_cli_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     one call (--field, --out) or an argparse exit must not leak into the
     next."""
     fields = []
-    monkeypatch.setitem(cli.CHECKABLE, "algebra",
-                        lambda L: fields.append(L.field) or check_crossed_algebra(L))
+    monkeypatch.setitem(cli.KINDS, "algebra", cli.KINDS["algebra"]._replace(
+        check=lambda L: fields.append(L.field) or check_crossed_algebra(L)))
     assert main(["--field", "Fp:5", "check", "algebra", "KC.CM-A3S3"]) == 0
     assert main(["check", "algebra", "KC.CM-A3S3"]) == 0
     assert fields == [GF(5), QQ]
@@ -890,7 +980,7 @@ def test_cli_verify_mutation_injection(capsys):
 
 def test_cli_fixtures_dir(tmp_path, capsys, groups):
     path = tmp_path / "mygroup.json"
-    path.write_text(dumps(to_doc("group", groups["Z4"], "MyZ4")))
+    path.write_text(dumps({**to_doc("group", groups["Z4"]), "name": "MyZ4"}))
     assert main(["--fixtures-dir", str(tmp_path), "check", "group", "MyZ4"]) == 0
 
 
