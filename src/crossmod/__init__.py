@@ -22,14 +22,12 @@ from .groups import (
 from .crossed_modules import (
     CrossedModule,
     CrossedModuleMorphism,
-    SemidirectElement,
     check_crossed_module,
     from_conjugation_aut,
     from_module,
     from_normal_inclusion,
     kernel_and_image,
     quotient_morphism,
-    sd_mul,
 )
 from .algebras import (
     CrossedAlgebraMorphism,

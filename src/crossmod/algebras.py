@@ -874,8 +874,7 @@ def verify_cocycle_multiplication(cm, q, sec, coc, pulled):
         for p2 in P.elements():
             g1, g2 = q.map[p1], q.map[p2]
             n1, n2 = nPart(p1), nPart(p2)
-            fval = coc.kernel_members[coc.values[g1][g2]]
-            n = P.mul(P.mul(n1, P.conj(sec(g1), n2)), fval)
+            n = P.mul(P.mul(n1, P.conj(sec(g1), n2)), coc.values[g1][g2])
             expected_grade = P.mul(n, sec(G.mul(g1, g2)))
             if P.mul(p1, p2) != expected_grade:
                 raise AssertionError(

@@ -1,5 +1,7 @@
 """Crossed modules (C, P, boundary, action), their morphisms, standard
-constructors, derived invariants, and the semidirect-product calculus."""
+constructors and derived invariants. Their 2-cells, which compose
+horizontally as the semidirect product of C by P, are
+`formal_maps.LabeledCell`."""
 
 from __future__ import annotations
 
@@ -172,21 +174,3 @@ def quotient_morphism(cm: CrossedModule) -> CrossedModuleMorphism:
                             trivial_hom(one, quot), trivial_action(quot, one))
     return morphism(cm, target, trivial_hom(cm.top, one), proj)
 
-
-@dataclass(frozen=True)
-class SemidirectElement:
-    parent: CrossedModule
-    c: int
-    p: int
-
-    def __repr__(self):
-        return f"({self.parent.top.names[self.c]},{self.parent.base.names[self.p]})"
-
-
-def sd_mul(a: SemidirectElement, b: SemidirectElement) -> SemidirectElement:
-    """(c1,g1)(c2,g2) = (c1 * ^{g1}c2, g1 g2)."""
-    if a.parent != b.parent:
-        raise ValueError("semidirect elements from different crossed modules")
-    cm = a.parent
-    return SemidirectElement(cm, cm.top.mul(a.c, cm.action(a.p, b.c)),
-                             cm.base.mul(a.p, b.p))

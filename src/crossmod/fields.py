@@ -124,8 +124,8 @@ class RationalField:
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, s):
-        if isinstance(s, int):
-            return int(s)   # a JSON bool is stored as its int
+        if type(s) is int:
+            return s
         if isinstance(s, str):
             try:
                 return _integral_as_int(Fraction(s.strip()))
@@ -204,7 +204,7 @@ class PrimeField:
         return f"{a % self.p} mod {self.p}"
 
     def parse(self, s) -> int:
-        if isinstance(s, int):
+        if type(s) is int:
             return s % self.p
         if isinstance(s, str):
             body = s.strip()

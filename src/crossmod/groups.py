@@ -7,6 +7,7 @@ The permutation-composition convention throughout is (a*b)(x) = a(b(x)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .report import CheckReport
@@ -161,9 +162,6 @@ class GroupHomomorphism:
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.order
 
-    def kernel(self) -> tuple[int, ...]:
-        return tuple(x for x in self.source.elements() if self.map[x] == 0)
-
 
 def check_homomorphism(h: GroupHomomorphism) -> CheckReport:
     report = CheckReport("homomorphism")
@@ -307,59 +305,48 @@ def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorph
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """Aut(G) with each element's underlying permutation of G."""
+    """Aut(G); `standard_action` holds each automorphism as its permutation
+    of G."""
 
     group: FiniteGroup
-    base: FiniteGroup
-    perms: tuple[tuple[int, ...], ...]
     embedding: GroupHomomorphism  # G -> Aut(G) by inner automorphisms
     standard_action: GroupAction  # Aut(G) acting on G
 
 
-def _element_orders(g: FiniteGroup) -> list[int]:
-    orders = []
-    for a in g.elements():
-        x, k = a, 1
-        while x != 0:
-            x = g.mul(x, a)
-            k += 1
-        orders.append(k)
-    return orders
+def _extend(g: FiniteGroup, gens, images) -> dict[int, int] | None:
+    """The map m on the subgroup that `gens` generate with m(1) = 1, each
+    generator sent to its image and m(xs) = m(x)m(s) for every reached x and
+    generator s, or None when no map satisfies these. Such an m is a
+    homomorphism; given the generators as their own images, its keys are the
+    subgroup they generate."""
+    m = {0: 0}
+    reached = [0]
+    for x in reached:
+        for s, t in zip(gens, images):
+            xs, y = g.table[x][s], g.table[m[x]][t]
+            if xs not in m:
+                m[xs] = y
+                reached.append(xs)
+            elif m[xs] != y:
+                return None
+    return m
 
 
 def _automorphism_perms(g: FiniteGroup) -> list[tuple[int, ...]]:
-    n = g.order
-    orders = _element_orders(g)
+    """Every automorphism of g as a permutation, sorted: the bijective
+    extensions of all nonidentity images of a generating set. The set is
+    chosen greedily, each generator the first that reaches the largest
+    subgroup with the earlier ones, so that it stays small."""
+    gens, reached = [], 1
+    while reached < g.order:
+        sizes = [len(_extend(g, gens + [x], gens + [x])) for x in g.elements()]
+        reached = max(sizes)
+        gens.append(sizes.index(reached))
     found = []
-
-    def consistent(partial, k, img):
-        # images known for 0..k-1 plus the candidate m(k) = img
-        def m(x):
-            return partial[x] if x < k else img
-        for a in range(k + 1):
-            for x, y in ((a, k), (k, a)):
-                xy = g.table[x][y]
-                if xy <= k and g.table[m(x)][m(y)] != m(xy):
-                    return False
-        for a in range(k):
-            for b in range(k):
-                if g.table[a][b] == k and g.table[partial[a]][partial[b]] != img:
-                    return False
-        return True
-
-    def extend(partial):
-        k = len(partial)
-        if k == n:
-            found.append(tuple(partial))
-            return
-        used = set(partial)
-        for img in range(n):
-            if img in used or orders[img] != orders[k]:
-                continue
-            if consistent(partial, k, img):
-                extend(partial + [img])
-
-    extend([0])
+    for images in itertools.product(range(1, g.order), repeat=len(gens)):
+        m = _extend(g, gens, images)
+        if m is not None and len(set(m.values())) == g.order:
+            found.append(tuple(m[x] for x in g.elements()))
     return sorted(found)
 
 
@@ -368,8 +355,9 @@ MAX_AUT_ORDER = 12
 
 
 def automorphism_group(g: FiniteGroup) -> AutomorphismGroup:
-    """Aut(g) by brute-force search over bijections fixing the identity; the
-    embedding and the standard action hold by construction, so are unchecked."""
+    """Aut(g) by a search over the images of a generating set; the
+    embedding and the standard action hold by construction, so are
+    unchecked."""
     if g.order > MAX_AUT_ORDER:
         raise GroupConstructionError(f"|G| = {g.order} exceeds bound {MAX_AUT_ORDER}")
     perms = _automorphism_perms(g)
@@ -377,8 +365,7 @@ def automorphism_group(g: FiniteGroup) -> AutomorphismGroup:
     index = {p: i for i, p in enumerate(perms)}
     inner = tuple(index[tuple(g.conj(x, y) for y in g.elements())] for x in g.elements())
     alpha = GroupHomomorphism(g, aut, inner)
-    std = GroupAction(aut, g, tuple(perms))
-    return AutomorphismGroup(aut, g, tuple(perms), alpha, std)
+    return AutomorphismGroup(aut, alpha, GroupAction(aut, g, tuple(perms)))
 
 
 # --- sections and 2-cocycles ----------------------------------------------
@@ -411,49 +398,31 @@ def section(projection: GroupHomomorphism, choice=None) -> Section:
 
 @dataclass(frozen=True)
 class TwoCocycle:
-    """Normalized kernel-valued 2-cocycle f(g,h) = s(g)s(h)s(gh)^-1 of a section.
-
-    `values` holds kernel-subgroup indices; `lift_action` gives the
-    conjugation action n |-> s(g) n s(g)^-1 in kernel indices, which is what
-    the twisted cocycle identity is stated with.
-    """
+    """The normalized 2-cocycle f(g,h) = s(g)s(h)s(gh)^-1 of a section.
+    Its values lie in ker q and are stored as elements of P."""
 
     base: FiniteGroup            # G, the target of the projection
-    kernel: FiniteGroup          # N = ker q as its own group
-    kernel_members: tuple[int, ...]
     values: tuple[tuple[int, ...], ...]
-    lift_action: tuple[tuple[int, ...], ...]
 
 
 def cocycle_from_section(sec: Section) -> TwoCocycle:
     q = sec.projection
     P, G = q.source, q.target
-    kernel_members = q.kernel()
-    N, members = restrict_subgroup(P, kernel_members)
-    pos = {m: i for i, m in enumerate(members)}
-    values = []
+    f = tuple(tuple(P.product((sec(g), sec(h), P.inv[sec(G.mul(g, h))])) for h in G.elements())
+              for g in G.elements())
+    # kernel membership, normalization and the twisted identity are
+    # theorems; violation = bug
+    if any(q.map[x] != 0 for row in f for x in row):
+        raise GroupConstructionError("cocycle value escaped the kernel")
     for g in G.elements():
-        row = []
-        for h in G.elements():
-            x = P.product((sec(g), sec(h), P.inv[sec(G.mul(g, h))]))
-            if x not in pos:
-                raise GroupConstructionError("cocycle value escaped the kernel")
-            row.append(pos[x])
-        values.append(tuple(row))
-    lift = []
-    for g in G.elements():
-        lift.append(tuple(pos[P.conj(sec(g), m)] for m in members))
-    coc = TwoCocycle(G, N, members, tuple(values), tuple(lift))
-    # normalization and the twisted identity are theorems; violation = bug
-    for g in G.elements():
-        if coc.values[0][g] != 0 or coc.values[g][0] != 0:
+        if f[0][g] != 0 or f[g][0] != 0:
             raise GroupConstructionError("cocycle is not normalized")
     for g in G.elements():
         for h in G.elements():
             for k in G.elements():
-                lhs = N.mul(coc.values[g][h], coc.values[G.mul(g, h)][k])
-                rhs = N.mul(coc.lift_action[g][coc.values[h][k]], coc.values[g][G.mul(h, k)])
+                lhs = P.mul(f[g][h], f[G.mul(g, h)][k])
+                rhs = P.mul(P.conj(sec(g), f[h][k]), f[g][G.mul(h, k)])
                 if lhs != rhs:
                     raise GroupConstructionError(
                         f"identity fails at ({G.names[g]},{G.names[h]},{G.names[k]})")
-    return coc
+    return TwoCocycle(G, f)

@@ -72,6 +72,9 @@ class Mutation:
 SIGN = {"kind": "homomorphism", "source": "S3", "target": "Z2", "map": [0, 1, 1, 1, 0, 0]}
 # Z2 acting on Z3 by inversion
 INVERSION = {"kind": "action", "actor": "Z2", "space": "Z3", "table": [[0, 1, 2], [0, 2, 1]]}
+# the identity morphism of CM-Mod, where Z2 acts on Z3 by inversion
+ID_MOD = {"kind": "morphism", "source": "CM-Mod", "target": "CM-Mod", "f_top": [0, 1, 2],
+          "f_base": [0, 1]}
 # a disc of c = (123), whose boundary (123) goes through an identity cylinder
 DISC_THEN_ID = {"kind": "expression", "crossed_module": "CM-A3S3", "source": [], "target": [[4]],
                 "layers": [[{"piece": "disc", "c": 1}], [{"piece": "id", "g": 4}]]}
@@ -99,8 +102,20 @@ def invariance_check(L) -> CheckReport:
 # key -> row, in report order
 ROWS = {
     "group_associativity": Mutation("group.table_entry", "latin_square", "S3", ("table", 1, 2), 0),
+    # a one-entry change to a group table repeats an element in its row, so
+    # latin_square fails too, and it is reported before inverses
+    "group_identity": Mutation("group.identity_row_entry", "identity_at_zero", "S3",
+                               ("table", 0, 1), 2),
+    "group_inverses": Mutation("group.inverse_entry", "inverses", "S3", ("table", 1, 1), 1),
     "homomorphism": Mutation("homomorphism.map_entry", "homomorphism", SIGN, ("map", 4), 1),
     "action": Mutation("action.table_entry", "action_compatible", INVERSION, ("table", 1, 1), 1),
+    # a one-entry change to a row p != 1 leaves it no bijection, so ^p ^(p^-1)
+    # is not the identity and action_compatible fails before
+    # acts_by_automorphisms
+    "action_identity": Mutation("action.identity_row_entry", "identity_acts_trivially",
+                                INVERSION, ("table", 0, 1), 2),
+    "action_automorphisms": Mutation("action.bijection_entry", "acts_by_automorphisms",
+                                     INVERSION, ("table", 1, 1), 1),
     # (132) |-> (123)
     "cm_equivariance": Mutation("crossed_module.boundary_entry", "CM1_equivariance",
                                 "CM-A3S3", ("boundary", 2), 4),
@@ -112,6 +127,12 @@ ROWS = {
                                 "CM-A3S3", ("action", 1, 1), 1),
     "morphism_square": Mutation("morphism.base_entry", "homomorphism", "q.CM-A3S3",
                                 ("f_base", 1), 0),
+    # f0 := id on Z2, while f1 still kills the top
+    "square_commutes": Mutation("morphism.collapse_base_entry", "square_commutes",
+                                "collapse.CM-Id2", ("f_base", 1), 1),
+    # f0 := trivial, a homomorphism that forgets the inversion action
+    "action_equivariant": Mutation("morphism.identity_base_entry", "action_equivariant", ID_MOD,
+                                   ("f_base", 1), 0),
     "algebra_unit": Mutation("algebra.unit_entry", "unit", KP, ("unit", 0), "2"),
     # e1*e1 := e0
     "algebra_associativity": Mutation("algebra.mul_entry", "associativity", "KC.CM-Mod",

@@ -330,12 +330,14 @@ def _action(actor: FiniteGroup, space: FiniteGroup, table, field) -> GroupAction
 
 
 def group_table_from_doc(doc):
-    """The names and table of a group document. Table entries must be
-    integers; whether the table is a group is the table checker's question."""
+    """The names and table of a group document. Names must be strings and
+    table entries integers; whether the table is a group is the table
+    checker's question."""
     if not isinstance(doc, dict) or "names" not in doc or "table" not in doc:
         raise SerializationError("group document needs names and table")
     names, table = doc["names"], doc["table"]
-    if not isinstance(names, list) or not isinstance(table, list) or \
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names) or \
+       not isinstance(table, list) or \
        not all(isinstance(row, list) and all(type(x) is int for x in row) for row in table):
         raise SerializationError("group document needs a list of names and a table of integers")
     return names, table
@@ -500,14 +502,10 @@ def to_doc(kind: str, obj):
     return KINDS[kind].to_doc(obj)
 
 
-def from_doc(doc, ws: Workspace, kind: str | None = None):
-    """Decode one document into (kind, name, object). Every fault of the
-    document raises SerializationError, or UnknownObject for a name that does
-    not resolve; so does a document that is not of `kind`, when it is given.
-    A decoder's plain ValueError or TypeError, such as a scalar that does not
-    parse, a matrix of the wrong shape or a field of the wrong JSON type, is
-    reported as "bad <kind> document: <error>". An IndexError is not caught:
-    every index is checked before use, so one is a bug."""
+def _header(doc, kind: str | None):
+    """The kind and name of a document: an object whose `kind` is in KINDS
+    and is `kind` when that is given, and whose `name`, when it has one, is
+    a string. Any other document raises SerializationError."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SerializationError("document must be an object with a 'kind' field")
     got_kind, name = doc["kind"], doc.get("name", doc["kind"])
@@ -517,6 +515,18 @@ def from_doc(doc, ws: Workspace, kind: str | None = None):
         raise SerializationError(f"name must be a string, not {name!r}")
     if kind is not None and got_kind != kind:
         raise SerializationError(f"{name!r} is a {got_kind}, not a {kind}")
+    return got_kind, name
+
+
+def from_doc(doc, ws: Workspace, kind: str | None = None):
+    """Decode one document into (kind, name, object). Every fault of the
+    document raises SerializationError, or UnknownObject for a name that does
+    not resolve; so does a document that is not of `kind`, when it is given.
+    A decoder's plain ValueError or TypeError, such as a scalar that does not
+    parse, a matrix of the wrong shape or a field of the wrong JSON type, is
+    reported as "bad <kind> document: <error>". An IndexError is not caught:
+    every index is checked before use, so one is a bug."""
+    got_kind, name = _header(doc, kind)
     try:
         return got_kind, name, KINDS[got_kind].from_doc(doc, ws)
     except (SerializationError, UnknownObject):
@@ -534,9 +544,11 @@ def check_doc(doc, ws: Workspace, kind: str, checker=None):
     """The report of `checker`, by default the kind's checker in KINDS, on
     a document of `kind`: the one decode-and-check path of `crossmod check`
     on a file and of the mutation corpus. Groups validate at construction,
-    so a group document is checked as its bare table: a table that is not a
-    group is a failing report with a counterexample, not a decode error."""
+    so a group document is checked as its bare table after its header: a
+    table that is not a group is a failing report with a counterexample,
+    not a decode error."""
     if kind == "group":
+        _header(doc, kind)
         return check_group_table(*group_table_from_doc(doc))
     return (checker or KINDS[kind].check)(from_doc(doc, ws, kind)[2])
 

@@ -3,7 +3,6 @@ import pytest
 from conftest import perm_mul
 from crossmod.crossed_modules import (
     CrossedModule,
-    SemidirectElement,
     check_crossed_module,
     check_morphism,
     from_conjugation_aut,
@@ -12,8 +11,8 @@ from crossmod.crossed_modules import (
     identity_morphism,
     kernel_and_image,
     quotient_morphism,
-    sd_mul,
 )
+from crossmod.formal_maps import LabeledCell, compose_h
 from crossmod.groups import (
     GroupConstructionError,
     GroupHomomorphism,
@@ -104,11 +103,12 @@ def test_quotient_morphism(cms):
 
 
 def test_sd_mul_examples(cms):
+    """The horizontal composite of 2-cells is the semidirect product."""
     cm = cms["CM-A3S3"]
     C, P = cm.top, cm.base
     i123 = C.names.index("(123)")
     p12, p13 = P.names.index("(12)"), P.names.index("(13)")
-    prod = sd_mul(SemidirectElement(cm, i123, p12), SemidirectElement(cm, i123, p13))
+    prod = compose_h(LabeledCell(cm, i123, p12), LabeledCell(cm, i123, p13))
     # oracle: (c1 * ^{g1}c2, g1 g2) computed by permutations
     from conftest import perm_conj
     c_expected = perm_mul("(123)", perm_conj("(12)", "(123)"))
@@ -119,19 +119,18 @@ def test_sd_mul_examples(cms):
     for c in C.elements():
         for p in P.elements():
             for q in P.elements():
-                got = sd_mul(SemidirectElement(cm, 0, p), SemidirectElement(cm, c, q))
+                got = compose_h(LabeledCell(cm, 0, p), LabeledCell(cm, c, q))
                 assert (got.c, got.p) == (cm.action(p, c), P.mul(p, q))
     # products with trivial base stay in the top group
     for c in C.elements():
         for c2 in C.elements():
-            got = sd_mul(SemidirectElement(cm, c, 0), SemidirectElement(cm, c2, 0))
+            got = compose_h(LabeledCell(cm, c, 0), LabeledCell(cm, c2, 0))
             assert (got.c, got.p) == (C.mul(c, c2), 0)
 
 
 def test_sd_parent_mismatch(cms):
     with pytest.raises(ValueError, match="different crossed modules"):
-        sd_mul(SemidirectElement(cms["CM-Id2"], 0, 0),
-               SemidirectElement(cms["CM-A3S3"], 0, 0))
+        compose_h(LabeledCell(cms["CM-Id2"], 0, 0), LabeledCell(cms["CM-A3S3"], 0, 0))
 
 
 def test_semidirect_group_axioms(cms):
@@ -139,14 +138,14 @@ def test_semidirect_group_axioms(cms):
     for cm in cms.values():
         if cm.top.order * cm.base.order > 64:
             continue
-        # the pairs (c, p), identity (0, 0) first, tabulated through sd_mul
+        # the pairs (c, p), identity (0, 0) first, tabulated through compose_h
         pairs = [(c, p) for p in cm.base.elements() for c in cm.top.elements()]
         index = {cp: i for i, cp in enumerate(pairs)}
         table = []
         for c1, p1 in pairs:
             row = []
             for c2, p2 in pairs:
-                prod = sd_mul(SemidirectElement(cm, c1, p1), SemidirectElement(cm, c2, p2))
+                prod = compose_h(LabeledCell(cm, c1, p1), LabeledCell(cm, c2, p2))
                 row.append(index[(prod.c, prod.p)])
             table.append(row)
         g = make_group([str(cp) for cp in pairs], table)  # raises if any group axiom fails

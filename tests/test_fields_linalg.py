@@ -28,9 +28,17 @@ def test_rational_scalar_types():
     for value in (QQ.parse("4/2"), QQ.div(4, 2), QQ.of(3), QQ.parse(7), QQ.parse(" -6/3 ")):
         assert type(value) is int
     assert type(QQ.parse("3/4")) is Fraction and type(QQ.div(3, 4)) is Fraction
-    assert QQ.parse(True) == 1 and type(QQ.parse(True)) is int
     assert type(QQ.zero) is int and type(QQ.one) is int
     assert [QQ.format(x) for x in (0, 5, Fraction(-3, 4), Fraction(6, 3))] == ["0", "5", "-3/4", "2"]
+
+
+@pytest.mark.parametrize("field, message", [(QQ, "bad rational"), (GF(3), "bad residue")],
+                         ids=["QQ", "GF3"])
+def test_json_boolean_is_not_a_scalar(field, message):
+    for value in (True, False):
+        with pytest.raises(ScalarParseError, match=f"^{message} {value}$"):
+            field.parse(value)
+    assert field.parse(1) == 1 and field.parse("1") == 1
 
 
 def test_rational_arithmetic_is_canonical():

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from conftest import perm_conj, perm_inv, perm_mul
-from crossmod.crossed_modules import SemidirectElement, sd_mul
 from crossmod.formal_maps import (
     Cap,
     CobordismExpression,
@@ -61,17 +60,6 @@ def test_compose_v_examples(cms):
             assert (got.c, got.p) == (0, p)
     with pytest.raises(ValueError, match="vertical composite undefined"):
         compose_v(LabeledCell(cm, i123, p12), LabeledCell(cm, i123, p12))
-
-
-def test_compose_h_equals_sd_mul(cms):
-    for cm in cms.values():
-        if cm.top.order * cm.base.order > 64:
-            continue
-        for c1, p1 in itertools.product(cm.top.elements(), cm.base.elements()):
-            for c2, p2 in itertools.product(cm.top.elements(), cm.base.elements()):
-                cell = compose_h(LabeledCell(cm, c1, p1), LabeledCell(cm, c2, p2))
-                sd = sd_mul(SemidirectElement(cm, c1, p1), SemidirectElement(cm, c2, p2))
-                assert (cell.c, cell.p) == (sd.c, sd.p)
 
 
 def test_whiskering_orders_agree(cms):

@@ -16,6 +16,7 @@ from crossmod.groups import (
     is_normal,
     is_subgroup,
     make_group,
+    permutation_group,
     quotient_group,
     restrict_subgroup,
     section,
@@ -111,7 +112,7 @@ def test_automorphism_groups():
     assert len(set(aut.embedding.map)) == 6
     # embedding data reproduces the conjugation action exactly
     for x in s3.elements():
-        perm = aut.perms[aut.embedding.map[x]]
+        perm = aut.standard_action.table[aut.embedding.map[x]]
         for y in s3.elements():
             assert perm[y] == s3.conj(x, y)
     with pytest.raises(GroupConstructionError, match="exceeds bound"):
@@ -120,11 +121,51 @@ def test_automorphism_groups():
 
 def test_automorphism_group_is_group_of_bijections():
     aut = automorphism_group(symmetric_group_3())
-    s3 = aut.base
-    for p in aut.perms:
+    s3 = aut.standard_action.space
+    for p in aut.standard_action.table:
         for a in s3.elements():
             for b in s3.elements():
                 assert p[s3.mul(a, b)] == s3.mul(p[a], p[b])
+
+
+def _direct_product(a, b):
+    pairs = [(x, y) for x in a.elements() for y in b.elements()]
+    index = {xy: i for i, xy in enumerate(pairs)}
+    return make_group([f"({a.names[x]},{b.names[y]})" for x, y in pairs],
+                      [[index[(a.mul(x1, x2), b.mul(y1, y2))] for x2, y2 in pairs]
+                       for x1, y1 in pairs])
+
+
+def _alternating_group_4():
+    perms = [p for p in itertools.permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    return permutation_group(perms, [str(p) for p in perms])
+
+
+def test_automorphisms_match_an_independent_oracle():
+    """For |G| <= 7 the search returns exactly the sorted bijections fixing
+    the identity that preserve the whole table; for the larger groups it
+    returns sorted, distinct automorphisms of the known count |Aut(G)|."""
+    z, s3 = cyclic_group, symmetric_group_3()
+    small = [z(n) for n in range(1, 8)] + [s3, _direct_product(z(2), z(2))]
+    for g in small:
+        n = g.order
+        oracle = [(0, *rest) for rest in itertools.permutations(range(1, n))
+                  if all((0, *rest)[g.mul(a, b)] == g.mul((0, *rest)[a], (0, *rest)[b])
+                         for a in g.elements() for b in g.elements())]
+        assert list(automorphism_group(g).standard_action.table) == oracle
+    z2_cubed = _direct_product(_direct_product(z(2), z(2)), z(2))
+    known = [(z(8), 4), (z(9), 6), (z(10), 4), (z(11), 10), (z(12), 4), (z2_cubed, 168),
+             (_direct_product(z(2), z(4)), 8), (_direct_product(z(2), z(6)), 12),
+             (_direct_product(s3, z(2)), 12), (_direct_product(z(3), z(3)), 48),
+             (_alternating_group_4(), 24)]
+    for g, count in known:
+        perms = automorphism_group(g).standard_action.table
+        assert len(perms) == count and list(perms) == sorted(set(perms))
+        for p in perms:
+            assert sorted(p) == list(g.elements())
+            assert all(p[g.mul(a, b)] == g.mul(p[a], p[b])
+                       for a in g.elements() for b in g.elements())
 
 
 def test_quotients():
@@ -184,8 +225,7 @@ def test_section_and_cocycles():
     check_homomorphism(proj).require()
     coc = cocycle_from_section(section(proj))
     # f(-1,-1) = s(1)+s(1) = 2, the nontrivial kernel element
-    nontrivial = coc.values[1][1]
-    assert coc.kernel_members[nontrivial] == 2
+    assert coc.values[1][1] == 2
     # normalization holds everywhere
     for g in range(2):
         assert coc.values[0][g] == 0 and coc.values[g][0] == 0
@@ -215,10 +255,28 @@ def test_conjugation_is_always_an_action(groups):
 
 
 def test_cocycles_normalized_for_all_fixture_surjections(cms):
+    """Each value lies in ker q, f is normalized, and the twisted identity
+    f(g,h) f(gh,k) = s(g) f(h,k) s(g)^-1 f(g,hk) holds, all in P: for the
+    default section of every fixture quotient, whose cocycles are all
+    trivial, and for all 16 sections of A4 -> A4/V4, where s(g) moves some
+    value f(h,k) of the non-central kernel V4."""
     from crossmod.crossed_modules import kernel_and_image
-    for cm in cms.values():
-        _, _, _, proj = kernel_and_image(cm)
-        coc = cocycle_from_section(section(proj))
-        n = coc.base.order
-        for g in range(n):
-            assert coc.values[0][g] == 0 and coc.values[g][0] == 0
+    sections = [section(kernel_and_image(cm)[3]) for cm in cms.values()]
+    a4 = _alternating_group_4()
+    _, q = quotient_group(a4, [x for x in a4.elements() if a4.mul(x, x) == 0])
+    cosets = [[x for x in a4.elements() if q.map[x] == t] for t in q.target.elements()]
+    sections += [section(q, (0, *rest)) for rest in itertools.product(*cosets[1:])]
+    assert len(sections) == 4 + 16
+    moved = 0
+    for sec in sections:
+        proj = sec.projection
+        coc = cocycle_from_section(sec)
+        P, G, f = proj.source, coc.base, coc.values
+        assert all(proj.map[x] == 0 for row in f for x in row)
+        for g in G.elements():
+            assert f[0][g] == 0 and f[g][0] == 0
+        for g, h, k in itertools.product(G.elements(), repeat=3):
+            moved += P.conj(sec(g), f[h][k]) != f[h][k]
+            assert P.mul(f[g][h], f[G.mul(g, h)][k]) == \
+                P.product((sec(g), f[h][k], P.inv[sec(g)], f[g][G.mul(h, k)]))
+    assert moved

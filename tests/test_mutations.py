@@ -61,14 +61,21 @@ def test_corpus_keys_names_families_and_instances():
            for key, d in zip(mutations.MUTATIONS, mutations.run_all())]
     assert got == [
         ("group_associativity", "group.table_entry", "latin_square", "(12)"),
+        ("group_identity", "group.identity_row_entry", "identity_at_zero", "(12)"),
+        ("group_inverses", "group.inverse_entry", "inverses", "(12)"),
         ("homomorphism", "homomorphism.map_entry", "homomorphism", "((12),(23))"),
         ("action", "action.table_entry", "action_compatible", "(1,1,2)"),
+        ("action_identity", "action.identity_row_entry", "identity_acts_trivially", "1"),
+        ("action_automorphisms", "action.bijection_entry", "acts_by_automorphisms", "1"),
         ("cm_equivariance", "crossed_module.boundary_entry", "CM1_equivariance",
          "(p=(12), c=(123))"),
         ("cm_peiffer", "crossed_module.zero_boundary", "CM2_peiffer", "(c=(12), c'=(13))"),
         ("cm_action_entry", "crossed_module.action_entry", "action_compatible",
          "((12),(12),(132))"),
         ("morphism_square", "morphism.base_entry", "homomorphism", "((12),(13))"),
+        ("square_commutes", "morphism.collapse_base_entry", "square_commutes", "c=1"),
+        ("action_equivariant", "morphism.identity_base_entry", "action_equivariant",
+         "(p=1, c=1)"),
         ("algebra_unit", "algebra.unit_entry", "unit", "1*e_e"),
         ("algebra_associativity", "algebra.mul_entry", "associativity", "(e_1,e_1,e_2)"),
         ("rho_symmetric", "algebra.rho_symmetry_entry", "rho_symmetric", "g=(123)"),

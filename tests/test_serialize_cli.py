@@ -626,6 +626,39 @@ def test_cli_null_or_empty_field_spec_exits_2(tmp_path, capsys, ws, make_argv, e
     assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
+GROUP_DOC = "group document needs a list of names and a table of integers"
+
+
+@pytest.mark.parametrize("kind, edits, error", [
+    ("group", {("kind",): 5}, "unknown kind 5"),
+    ("group", {("name",): 5}, "name must be a string, not 5"),
+    ("group", {("kind",): "action"}, "'group' is a action, not a group"),
+    ("group", {("names",): [5, None, {}]}, GROUP_DOC),
+    ("crossed-module", {("top", "names"): [5, None, {}]}, GROUP_DOC),
+    ("group", {("table", 1, 1): "x"}, GROUP_DOC),
+    ("algebra", {("unit",): [True, "0", "0"]}, "bad algebra document: bad rational True"),
+    ("algebra", {("field",): {"Fp": 3}, ("unit",): [True, "0", "0"]},
+     "bad algebra document: bad residue True"),
+    ("algebra", {("mul", "0,0", 0, 0, 0): False}, "bad algebra document: bad rational False"),
+], ids=["group.kind=5", "group.name=5", "group.kind=action", "group.names",
+        "crossed-module.top.names", "group.table-entry", "algebra.unit", "algebra-F3.unit",
+        "algebra.mul-entry"])
+def test_cli_group_header_names_and_boolean_scalars_exit_2(tmp_path, capsys, kind, edits, error):
+    """On CM-Mod's top group, CM-Mod and KC.CM-Mod: `check group` reads a
+    group document's kind and name by the rule of every other kind, a
+    group's names must be strings (alone and inside a crossed module), and
+    a JSON boolean is no scalar over Q or GF(p)."""
+    cm = std_crossed_modules()["CM-Mod"]
+    obj = {"group": cm.top, "crossed-module": cm, "algebra": group_algebra_C(cm, QQ)}[kind]
+    doc = json.loads(dumps(to_doc(kind.replace("-", "_"), obj)))
+    for path, value in edits.items():
+        _set(path, value)(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(["check", kind, str(file)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
 def _pop(*path):
     return lambda doc: _at(doc, path[:-1]).pop(path[-1])
 
