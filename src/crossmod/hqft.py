@@ -43,17 +43,25 @@ class FormalHQFT:
     matrix, stored the first time `eval_piece` builds it, so each is built
     once per evaluator: at most |C||P|^2 cylinders, |C||P|^2 pants, |P|^2
     copants and |P| cups. A cup over a singular pairing block is never
-    stored and raises ValueError on every call. `Disc`, `Cap`, `Id` and
-    `Swap` are built on every call: each is read off stored data with no
-    arithmetic, so storing it saves little, and the benchmark keeps every
-    op's latency, so a faster op reads as a larger peak RSS on eval-small
-    (ROADMAP item 1). The cache assumes the algebra is not mutated after
-    `make_hqft`. The dict cannot be passed to the constructor and takes no
-    part in equality, hashing or repr."""
+    stored and raises ValueError on every call. `eval_piece` builds `Disc`,
+    `Cap`, `Id` and `Swap` on every call: each is read off stored data with
+    no arithmetic, so a second copy of it here would save `eval_piece`
+    little.
+
+    `cleared` is what `eval_expression` reads: one entry per distinct piece
+    it has seen, of all eight kinds, each `(N, D)` with D the least common
+    denominator of the entries of `eval_piece`'s matrix m and N = D m in
+    `int` entries; an integral m, and every m over GF(p), is `(m, 1)`. It
+    holds only `eval_piece`'s results, so a singular cup is in neither
+    table. Both caches assume the algebra is not mutated after `make_hqft`.
+    The dicts cannot be passed to the constructor and take no part in
+    equality, hashing or repr."""
 
     algebra: CrossedCAlgebra
     matrices: dict = dataclasses.field(default_factory=dict, init=False,
                                        compare=False, repr=False)
+    cleared: dict = dataclasses.field(default_factory=dict, init=False,
+                                      compare=False, repr=False)
 
     @property
     def cm(self):
@@ -145,17 +153,37 @@ def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> No
 def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     """Kronecker product across each layer, matrix product across layers.
     The expression must be over the algebra's crossed module (see
-    `require_same_crossed_module`)."""
+    `require_same_crossed_module`). After the typecheck, which refuses a
+    piece like `Cyl(True, 0, 1)` that equals a stored one, the products run
+    on the pieces' int matrices N from `tau.cleared`, and the result is
+    divided once by the product of their D: one `Fraction` per entry."""
     require_same_crossed_module(e, tau.cm)
     typecheck(e).require(TypecheckFailed)
     f = tau.field
     total = Matrix.identity(f, math.prod(state_space(tau, e.source)))
+    den = 1
     for layer in e.layers:
         layer_mat = Matrix.identity(f, 1)
         for piece in layer:
-            layer_mat = layer_mat.kron(eval_piece(tau, piece))
+            n, d = tau.cleared.get(piece) or _clear(tau, piece)
+            layer_mat = layer_mat.kron(n)
+            den *= d
         total = layer_mat @ total
+    if den != 1:
+        total = Matrix._of(f, tuple([tuple([f.div(x, den) for x in row])
+                                     for row in total.data]), total.cols)
     return EvaluatedMap(e.source, e.target, total)
+
+
+def _clear(tau: FormalHQFT, piece) -> tuple[Matrix, int]:
+    """Store and return (N, D): N = D m for eval_piece's m, in ints."""
+    m = eval_piece(tau, piece)
+    d = math.lcm(*[x.denominator for row in m.data for x in row])
+    if d != 1:
+        m = Matrix._of(m.field, tuple([tuple([x.numerator * (d // x.denominator) for x in row])
+                                       for row in m.data]), m.cols)
+    tau.cleared[piece] = (m, d)
+    return m, d
 
 
 def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:

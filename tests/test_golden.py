@@ -1,0 +1,94 @@
+"""Golden corpus: each section is a deterministic generator of items, and
+the sha256 of their canonical JSON (`serialize.dumps`, one document per
+item, concatenated) is pinned in `tests/golden/<section>.json`, together
+with a 16-hex-digit digest of each item. On a mismatch the test names the
+section and prints the first item whose digest differs, not only the hash.
+
+A change that moves a section's digest must say which section and why;
+never re-pin a digest to hide an unexplained change. After such a change,
+`python tests/test_golden.py SECTION` (from the checkout root, with `src`
+and `tests` on the path) rewrites the pinned file of SECTION.
+
+Sections:
+- `evaluator`: the matrices of seeded `hqft.random_expression`s on every
+  fixture algebra over Q and GF(3), and on seeded gauge bases over Q.
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from crossmod.fields import GF, QQ
+from crossmod.fixtures import std_algebras
+from crossmod.hqft import eval_expression, make_hqft, random_expression
+from crossmod.serialize import dumps, to_doc
+from test_checker_oracle import gauge
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# fixture algebras taken into seeded gauge bases over Q, one basis per
+# entry: KC.CM-Mod, whose grade 0 has dim 3, gets three, for dense
+# non-integral matrices of up to 27 rows
+GAUGED = ("KC.CM-Mod", "KC.CM-Mod", "KC.CM-Mod", "KC.CM-A3S3", "KP.CM-A3S3", "QKG.CM-A3S3")
+
+
+def _evaluations(L, rng, count):
+    tau = make_hqft(L)
+    for i in range(count):
+        e = random_expression(tau, rng)
+        doc = to_doc("expression", e)
+        yield {"algebra": L.name, "field": L.field.to_json(), "index": i,
+               "source": doc["source"], "layers": doc["layers"], "target": doc["target"],
+               "matrix": eval_expression(tau, e).matrix.to_json()}
+
+
+def evaluator_items():
+    for field in (QQ, GF(3)):
+        for name, L in std_algebras(field).items():
+            yield from _evaluations(L, random.Random(f"golden/{field.name}/{name}"), 20)
+    for k, name in enumerate(GAUGED):
+        G = gauge(std_algebras(QQ)[name], random.Random(f"golden/gauge/{k}/{name}"))
+        yield from _evaluations(G, random.Random(f"golden/gauge-expr/{k}/{name}"), 40)
+
+
+SECTIONS = {"evaluator": evaluator_items}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digests(section):
+    """The section's sha256, its items' JSON texts and their short digests."""
+    texts = [dumps(item) for item in SECTIONS[section]()]
+    return _sha256("".join(texts)), texts, [_sha256(text)[:16] for text in texts]
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_golden_section(section):
+    pinned = json.loads((GOLDEN / f"{section}.json").read_text())
+    digest, texts, items = _digests(section)
+    if digest == pinned["sha256"]:
+        return
+    for i, (got, want) in enumerate(zip(items, pinned["items"])):
+        if got != want:
+            pytest.fail(f"golden section {section!r}: item {i} differs from its pinned digest "
+                        f"{want}; it is now\n{texts[i]}")
+    pytest.fail(f"golden section {section!r}: {len(items)} items where "
+                f"{len(pinned['items'])} are pinned")
+
+
+def pin(section):
+    digest, _, items = _digests(section)
+    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / f"{section}.json").write_text(
+        dumps({"section": section, "sha256": digest, "items": items}))
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:]:
+        pin(name)

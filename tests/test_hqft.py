@@ -273,6 +273,7 @@ def test_singular_pairing_raises_on_every_call(algebras):
         with pytest.raises(ValueError, match="pairing at grade 0 is singular"):
             eval_expression(tau, expression(tau.cm, [], [[Cup(0)]], [0, 0]))
     assert not tau.matrices  # neither Cup(0) nor Copants(0, 0) is stored
+    assert not tau.cleared
     assert eval_piece(tau, Cup(1)).shape() == (L.dims[1] ** 2, 1)  # other grades still evaluate
     assert set(tau.matrices) == {Cup(1)}
 
@@ -466,7 +467,8 @@ def test_second_pass_builds_nothing(subject, monkeypatch):
 def test_range_check_runs_before_the_lookup(algebras):
     """True == 1 and hash(True) == hash(1), so Cyl(True, 0, 1) would find
     the stored Cyl(1, 0, 1); the range check refuses it, and a negative
-    field, before the cache is read."""
+    field, before the cache is read. eval_expression typechecks before it
+    reads the cleared table, so it refuses Cyl(True, 0, 1) there too."""
     tau = make_hqft(algebras["KC.CM-Mod"])
     stored = eval_piece(tau, Cyl(1, 0, 1))
     assert Cyl(True, 0, 1) == Cyl(1, 0, 1) and Cyl(True, 0, 1) in tau.matrices
@@ -474,6 +476,90 @@ def test_range_check_runs_before_the_lookup(algebras):
         with pytest.raises(TypecheckFailed):
             eval_piece(tau, piece)
     assert tau.matrices == {Cyl(1, 0, 1): stored}
+    eval_expression(tau, expression(tau.cm, [0], [[Cyl(1, 0, 1)]], [0]))
+    assert Cyl(True, 0, 1) in tau.cleared
+    with pytest.raises(TypecheckFailed, match="layer_interfaces"):
+        eval_expression(tau, expression(tau.cm, [0], [[Cyl(True, 0, 1)]], [0]))
+
+
+def _plain_fold(tau, e):
+    """The matrix of e folded from eval_piece's matrices through kron and @,
+    with every intermediate entry a canonical scalar and no clearing."""
+    total = Matrix.identity(tau.field, math.prod(state_space(tau, e.source)))
+    for layer in e.layers:
+        layer_mat = Matrix.identity(tau.field, 1)
+        for piece in layer:
+            layer_mat = layer_mat.kron(eval_piece(tau, piece))
+        total = layer_mat @ total
+    return total
+
+
+def _canonical(m):
+    """Every entry is a reduced residue over GF(p), or over Q an int or a
+    Fraction that is not integral."""
+    if m.field == QQ:
+        return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                   for row in m.data for x in row)
+    return all(type(x) is int and 0 <= x < m.field.p for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_eval_expression_matches_plain_fold(subject):
+    """Evaluating over cleared pieces and dividing once gives the matrix of
+    the plain fold, in canonical form, on seeded random expressions."""
+    rng = random.Random(f"fold/{subject}")
+    for L in _oracle_algebras(subject):
+        tau = make_hqft(L)
+        for _ in range(120 if subject == "gauge" else 25):
+            e = random_expression(tau, rng)
+            m = eval_expression(tau, e).matrix
+            assert m == _plain_fold(tau, e), (L.name, e)
+            assert _canonical(m), (L.name, e)
+
+
+def test_long_gauge_expression_matches_plain_fold():
+    """42 layers over the gauge basis of K[C](CM-Mod), whose grade 0 has dim
+    3 (CM-Mod's boundary is trivial, so every label stays 0): a copants, two
+    cylinders, a pants, 14 times over. The product of the pieces'
+    denominators, by which the evaluator divides once at the end, has about
+    300 bits, where the result's own denominator is 11."""
+    L, = _oracle_algebras("gauge")
+    tau = make_hqft(L)
+    rng = random.Random("fold/long")
+    C, P = L.C.elements(), L.P.elements()
+    layers = []
+    for _ in range(14):
+        layers += [[Copants(0, 0)],
+                   [Cyl(rng.choice(C), 0, rng.choice(P)), Cyl(rng.choice(C), 0, rng.choice(P))],
+                   [Pants(rng.choice(C), 0, 0)]]
+    e = expression(L.cm, [0], layers, [0])
+    m = eval_expression(tau, e).matrix
+    assert m == _plain_fold(tau, e) and _canonical(m)
+    assert math.prod(tau.cleared[piece][1] for layer in layers for piece in layer) \
+        .bit_length() > 250
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_cleared_table_holds_each_piece_over_its_least_denominator(subject):
+    """After an invariance sweep and one evaluation of every piece, the
+    cleared table has one entry per piece, all eight kinds: (N, D) with D the
+    least common denominator of eval_piece's matrix m and N = D m in ints;
+    over GF(p) D is 1."""
+    for L in _oracle_algebras(subject):
+        tau = make_hqft(L)
+        assert check_equivalence_invariance(tau).ok, L.name
+        pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
+        for piece in pieces:
+            source, target = piece_io(piece, L.cm)
+            eval_expression(tau, expression(L.cm, source, [[piece]], target))
+        assert set(tau.cleared) == set(pieces), L.name
+        for piece, (n, d) in tau.cleared.items():
+            m = eval_piece(tau, piece)
+            entries = [x for row in n.data for x in row]
+            assert all(type(x) is int for x in entries) and type(d) is int, (L.name, piece)
+            assert n == Matrix(L.field, [[d * x for x in row] for row in m.data], cols=m.cols)
+            assert math.gcd(d, *entries) == 1, (L.name, piece)
+            assert d == 1 or L.field == QQ, (L.name, piece)
 
 
 def test_snake_identities(algebras):
