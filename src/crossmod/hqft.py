@@ -39,29 +39,17 @@ from .report import CheckReport
 class FormalHQFT:
     """The evaluator of one crossed algebra.
 
-    `matrices` maps each `Cyl`, `Pants`, `Copants` and `Cup` piece to its
-    matrix, stored the first time `eval_piece` builds it, so each is built
-    once per evaluator: at most |C||P|^2 cylinders, |C||P|^2 pants, |P|^2
-    copants and |P| cups. A cup over a singular pairing block is never
-    stored and raises ValueError on every call. `eval_piece` builds `Disc`,
-    `Cap`, `Id` and `Swap` on every call: each is read off stored data with
-    no arithmetic, so a second copy of it here would save `eval_piece`
-    little.
-
-    `cleared` is what `eval_expression` reads: one entry per distinct piece
-    it has seen, of all eight kinds, each `(N, D)` with D the least common
-    denominator of the entries of `eval_piece`'s matrix m and N = D m in
-    `int` entries; an integral m, and every m over GF(p), is `(m, 1)`. It
-    holds only `eval_piece`'s results, so a singular cup is in neither
-    table. Both caches assume the algebra is not mutated after `make_hqft`.
-    The dicts cannot be passed to the constructor and take no part in
-    equality, hashing or repr."""
+    `pieces` maps each piece `eval_piece` has built, of all eight kinds, to
+    `(N, D)`: D is the least common denominator of the entries of the
+    piece's matrix m and N = D m has `int` entries; an integral m, and every
+    m over GF(p), is `(m, 1)`. A cup over a singular pairing block is never
+    stored. The table assumes the algebra is not mutated after `make_hqft`;
+    it cannot be passed to the constructor and takes no part in equality,
+    hashing or repr."""
 
     algebra: CrossedCAlgebra
-    matrices: dict = dataclasses.field(default_factory=dict, init=False,
-                                       compare=False, repr=False)
-    cleared: dict = dataclasses.field(default_factory=dict, init=False,
-                                      compare=False, repr=False)
+    pieces: dict = dataclasses.field(default_factory=dict, init=False,
+                                     compare=False, repr=False)
 
     @property
     def cm(self):
@@ -93,21 +81,21 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
 
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
-    grades to the tensor of its target grades. A non-piece, or a field that
-    is not an element index, raises TypecheckFailed; the range check runs
-    before the cache lookup, since `Cyl(True, 0, 1) == Cyl(1, 0, 1)`."""
+    grades to the tensor of its target grades: built once, then N / D from
+    `tau.pieces`. A non-piece, or a field that is not an element index,
+    raises TypecheckFailed; the range check runs before the lookup, since
+    `Cyl(True, 0, 1) == Cyl(1, 0, 1)`."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
     fault = piece_range_fault(piece, cm)
     if fault:
         raise TypecheckFailed(fault)
-    m = tau.matrices.get(piece)
-    if m is not None:
-        return m
+    if piece in tau.pieces:
+        return _divided(*tau.pieces[piece])
     match piece:
         case Disc(c):
-            return Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
+            m = Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
         case Cyl(c, g, h):
             hinv = P.inv[h]
             m = theta(L, c, P.conj(hinv, g)) @ L.phi[(hinv, g)]
@@ -115,8 +103,7 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
             m = theta(L, c, P.mul(g1, g2)) @ L.mul_matrix(g1, g2)
         case Cap(g):
             rho = L.rho[g]
-            return Matrix._of(f, (tuple([x for row in rho.data for x in row]),),
-                              rho.rows * rho.cols)
+            m = Matrix._of(f, (tuple(itertools.chain(*rho.data)),), rho.rows * rho.cols)
         case Cup(g):
             ginv = P.inv[g]
             try:
@@ -125,22 +112,31 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
                 raise ValueError(f"pairing at grade {P.names[ginv]} is singular") from exc
             m = Matrix._of(f, tuple([(x,) for row in co.data for x in row]), 1)
         case Id(g):
-            return Matrix.identity(f, L.dims[g])
+            m = Matrix.identity(f, L.dims[g])
         case Swap(g1, g2):
-            # row j*d1 + i (target L_g2 (x) L_g1) has its one at column i*d2 + j
+            # row j*d1 + i (target L_g2 (x) L_g1) is row i*d2 + j of the identity
             d1, d2 = L.dims[g1], L.dims[g2]
-            z, o = f.zero, f.one
-            return Matrix._of(f, tuple([tuple([o if c == i * d2 + j else z
-                                               for c in range(d1 * d2)])
-                                        for j in range(d2) for i in range(d1)]), d1 * d2)
+            rows = Matrix.identity(f, d1 * d2).data
+            m = Matrix._of(f, tuple([rows[i * d2 + j] for j in range(d2) for i in range(d1)]),
+                           d1 * d2)
         case Copants(g1, g2):
             g12 = P.mul(g1, g2)
             first = eval_piece(tau, Cup(g1)).kron(Matrix.identity(f, L.dims[g12]))
             second = Matrix.identity(f, L.dims[g1]).kron(
                 eval_piece(tau, Pants(0, P.inv[g1], g12)))
             m = second @ first
-    tau.matrices[piece] = m
+    d = math.lcm(*[x.denominator for row in m.data for x in row])
+    n = m if d == 1 else Matrix._of(f, tuple([tuple([x.numerator * (d // x.denominator)
+                                                     for x in row]) for row in m.data]), m.cols)
+    tau.pieces[piece] = (n, d)
     return m
+
+
+def _divided(n: Matrix, d: int) -> Matrix:
+    """n / d, one canonical `field.div` per entry; n itself when d = 1."""
+    f = n.field
+    return n if d == 1 else Matrix._of(f, tuple([tuple([f.div(x, d) for x in row])
+                                                 for row in n.data]), n.cols)
 
 
 def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> None:
@@ -155,7 +151,7 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     The expression must be over the algebra's crossed module (see
     `require_same_crossed_module`). After the typecheck, which refuses a
     piece like `Cyl(True, 0, 1)` that equals a stored one, the products run
-    on the pieces' int matrices N from `tau.cleared`, and the result is
+    on the pieces' int matrices N from `tau.pieces`, and the result is
     divided once by the product of their D: one `Fraction` per entry."""
     require_same_crossed_module(e, tau.cm)
     typecheck(e).require(TypecheckFailed)
@@ -165,25 +161,14 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     for layer in e.layers:
         layer_mat = Matrix.identity(f, 1)
         for piece in layer:
-            n, d = tau.cleared.get(piece) or _clear(tau, piece)
+            if (stored := tau.pieces.get(piece)) is None:
+                eval_piece(tau, piece)
+                stored = tau.pieces[piece]
+            n, d = stored
             layer_mat = layer_mat.kron(n)
             den *= d
         total = layer_mat @ total
-    if den != 1:
-        total = Matrix._of(f, tuple([tuple([f.div(x, den) for x in row])
-                                     for row in total.data]), total.cols)
-    return EvaluatedMap(e.source, e.target, total)
-
-
-def _clear(tau: FormalHQFT, piece) -> tuple[Matrix, int]:
-    """Store and return (N, D): N = D m for eval_piece's m, in ints."""
-    m = eval_piece(tau, piece)
-    d = math.lcm(*[x.denominator for row in m.data for x in row])
-    if d != 1:
-        m = Matrix._of(m.field, tuple([tuple([x.numerator * (d // x.denominator) for x in row])
-                                       for row in m.data]), m.cols)
-    tau.cleared[piece] = (m, d)
-    return m, d
+    return EvaluatedMap(e.source, e.target, _divided(total, den))
 
 
 def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:
@@ -315,44 +300,40 @@ def random_expression(tau: FormalHQFT, rng: random.Random, source=None) -> Cobor
         source = [rng.randrange(P.order) for _ in range(rng.randint(0, max_width))]
     cur = list(source)
     layers = []
+
+    def put(piece):
+        layer.append(piece)
+        out.extend(piece_io(piece, cm)[1])
+
     for _ in range(rng.randint(1, max_depth)):
         layer = []
         out = []
         i = 0
         if not cur and rng.random() < 0.8:
-            piece = Disc(rng.randrange(C.order)) if rng.random() < 0.5 \
-                else Cup(rng.randrange(P.order))
-            layer.append(piece)
-            out.extend(piece_io(piece, cm)[1])
+            put(Disc(rng.randrange(C.order)) if rng.random() < 0.5 else Cup(rng.randrange(P.order)))
         while i < len(cur):
             if len(out) < max_width - 1 and rng.random() < 0.15:
-                piece = Disc(rng.randrange(C.order))
-                layer.append(piece)
-                out.extend(piece_io(piece, cm)[1])
+                put(Disc(rng.randrange(C.order)))
             g = cur[i]
             two = i + 1 < len(cur)
             roll = rng.random()
             if two and roll < 0.35:
                 g2 = cur[i + 1]
                 if P.mul(g, g2) == 0 and rng.random() < 0.5:
-                    piece = Cap(g)
+                    put(Cap(g))
                 elif rng.random() < 0.5:
-                    piece = Swap(g, g2)
+                    put(Swap(g, g2))
                 else:
-                    piece = Pants(rng.randrange(C.order), g, g2)
-                layer.append(piece)
-                out.extend(piece_io(piece, cm)[1])
+                    put(Pants(rng.randrange(C.order), g, g2))
                 i += 2
                 continue
             if roll < 0.55 and len(out) + 2 <= max_width and len(cur) < max_width:
                 g1 = rng.randrange(P.order)
-                piece = Copants(g1, P.mul(P.inv[g1], g))
+                put(Copants(g1, P.mul(P.inv[g1], g)))
             elif roll < 0.8:
-                piece = Cyl(rng.randrange(C.order), g, rng.randrange(P.order))
+                put(Cyl(rng.randrange(C.order), g, rng.randrange(P.order)))
             else:
-                piece = Id(g)
-            layer.append(piece)
-            out.extend(piece_io(piece, cm)[1])
+                put(Id(g))
             i += 1
         layers.append(layer)
         cur = out

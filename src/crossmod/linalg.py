@@ -21,7 +21,7 @@ Only the public constructor ``Matrix(field, data, cols)`` copies, validates
 and puts into canonical form its data, for matrices from outside (documents,
 fixtures, tests). A matrix this module builds itself (a product,
 Kronecker product, transpose, identity or inverse), and the evaluator's
-cap, cup, swap and cleared pieces and divided results, are wrapped as they
+pieces, their integer matrices and divided results, are wrapped as they
 are by the private ``Matrix._of``: their rows are canonical tuples of one length.
 """
 

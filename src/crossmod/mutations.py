@@ -91,6 +91,9 @@ TETRAHEDRON = {"kind": "simplicial", "crossed_module": "CM-Mod", "vertices": 4,
                "start_vertices": [0, 0, 0, 1]}
 
 KP, KC = "KP.CM-A3S3", "KC.CM-A3S3"
+# the identity of K[P](CM-A3S3), whose grades all have dimension 1
+ID_KP = {"kind": "algebra_morphism", "source": KP, "target": KP, "f_top": [0, 1, 2],
+         "f_base": [0, 1, 2, 3, 4, 5], "blocks": {str(p): [["1"]] for p in range(6)}}
 
 
 def invariance_check(L) -> CheckReport:
@@ -147,6 +150,8 @@ ROWS = {
                                ("rho", "0", 1, 1), "1"),
     "phi_homomorphism": Mutation("algebra.phi_entry", "phi_homomorphism", KP,
                                  ("phi", "1,4", 0, 0), "2"),
+    "phi_isometry": Mutation("algebra.phi_scale_entry", "phi_isometry", KP,
+                             ("phi", "1,4", 0, 0), "2"),
     "phi_multiplicative": Mutation("algebra.phi_perm_entry", "phi_multiplicative",
                                    "KC.CM-Mod", ("phi", "1,0", 1, 1), "1"),
     "phi_fixes_own_grade": Mutation("algebra.phi_own_grade_entry", "phi_fixes_own_grade", KP,
@@ -175,6 +180,12 @@ ROWS = {
                             ("mul", "0,0", 0, 0, 0), "2", aut_square_check),
     "square_equivariance": Mutation("aut_square.phi_entry", "square_equivariance", KC,
                                     ("phi", "1,0", 0, 0), "2", aut_square_check),
+    # theta := 2 on the unit's grade e, on (12) or on d(c) = (123); decode
+    # refuses a block of the wrong shape, so block_shapes has no row
+    **{family: Mutation(f"algebra_morphism.{what}_block", family, ID_KP, ("blocks", g), [["2"]])
+       for family, what, g in (("unit_preserved", "unit", "0"), ("multiplicative", "mul", "1"),
+                               ("rho_preserved", "rho", "1"), ("phi_compatible", "phi", "1"),
+                               ("tilde_compatible", "tilde", "4"))},
     # e_e * e_e := 2 e_e
     "disc_cylinder": Mutation("invariance_a.mul_entry", "family_a_disc_cylinder", KC,
                               ("mul", "0,0", 0, 0, 0), "2", invariance_check),
@@ -185,8 +196,12 @@ ROWS = {
     # e_e * e_(123) := 2 e_(123)
     "pairing": Mutation("invariance_d.mul_entry", "family_d_pairing", KC,
                         ("mul", "0,4", 0, 0, 0), "2", invariance_check),
+    "normalized_boundaries": Mutation("expression.unnormalized_target", "normalized_boundaries",
+                                      DISC_THEN_ID, ("target", 0), [4, 4]),
     "expression_typecheck": Mutation("expression.disc_into_cap", "layer_interfaces",
                                      DISC_THEN_ID, ("layers", 1, 0), {"piece": "cap", "g": 4}),
+    "declared_target": Mutation("expression.target_label", "declared_target", DISC_THEN_ID,
+                                ("target", 0), [5]),
     "simplicial_boundary": Mutation("simplicial.tri_label", "boundary_condition", TRIANGLE,
                                     ("tri_labels", 0), 1),
     # in ker(boundary), so only the cocycle condition breaks

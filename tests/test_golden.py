@@ -12,8 +12,15 @@ and `tests` on the path) rewrites the pinned file of SECTION.
 Sections:
 - `evaluator`: the matrices of seeded `hqft.random_expression`s on every
   fixture algebra over Q and GF(3), and on seeded gauge bases over Q.
+- `pieces`: `hqft.eval_piece` of every piece of all eight kinds, each
+  algebra on one fresh evaluator: every fixture algebra over Q and GF(3),
+  the gauge bases of `evaluator`, and K[C](CM-Mod) with a zero pairing
+  block at grade 0, whose refused pieces are items with their error text.
+- `relations`: the reports of `hqft.check_relations` over `INVARIANCE` and
+  `SNAKES` on every fixture algebra over Q and GF(3).
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -24,9 +31,19 @@ import pytest
 
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_algebras
-from crossmod.hqft import eval_expression, make_hqft, random_expression
+from crossmod.hqft import (
+    INVARIANCE,
+    SNAKES,
+    FormalHQFT,
+    check_relations,
+    eval_expression,
+    eval_piece,
+    make_hqft,
+    random_expression,
+)
 from crossmod.serialize import dumps, to_doc
 from test_checker_oracle import gauge
+from test_hqft import ALL_KINDS, _every_piece, singular_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -46,16 +63,42 @@ def _evaluations(L, rng, count):
                "matrix": eval_expression(tau, e).matrix.to_json()}
 
 
+def _gauged():
+    for k, name in enumerate(GAUGED):
+        yield gauge(std_algebras(QQ)[name], random.Random(f"golden/gauge/{k}/{name}"))
+
+
 def evaluator_items():
     for field in (QQ, GF(3)):
         for name, L in std_algebras(field).items():
             yield from _evaluations(L, random.Random(f"golden/{field.name}/{name}"), 20)
-    for k, name in enumerate(GAUGED):
-        G = gauge(std_algebras(QQ)[name], random.Random(f"golden/gauge/{k}/{name}"))
+    for k, (name, G) in enumerate(zip(GAUGED, _gauged())):
         yield from _evaluations(G, random.Random(f"golden/gauge-expr/{k}/{name}"), 40)
 
 
-SECTIONS = {"evaluator": evaluator_items}
+def pieces_items():
+    algebras = [L for field in (QQ, GF(3)) for L in std_algebras(field).values()]
+    for L in [*algebras, *_gauged(), singular_pairing(std_algebras(QQ)["KC.CM-Mod"])]:
+        tau = FormalHQFT(L)
+        for kind in ALL_KINDS:
+            for piece in _every_piece(L.cm, kind):
+                item = {"algebra": L.name, "field": L.field.to_json(),
+                        "piece": {"kind": kind.__name__, **dataclasses.asdict(piece)}}
+                try:
+                    item["matrix"] = eval_piece(tau, piece).to_json()
+                except ValueError as exc:
+                    item["error"] = str(exc)
+                yield item
+
+
+def relations_items():
+    for field in (QQ, GF(3)):
+        for name, L in std_algebras(field).items():
+            yield check_relations(make_hqft(L), INVARIANCE + SNAKES,
+                                  f"relations for {name} over {field.name}").to_json()
+
+
+SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items}
 
 
 def _sha256(text):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from crossmod import hqft
 from crossmod.algebras import CrossedCAlgebra, same_structure, theta
 from crossmod.crossed_modules import CrossedModuleMismatch
 from crossmod.fields import GF, QQ
@@ -241,7 +242,7 @@ def _counting(monkeypatch, owner, name):
 def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     """Cup and Copants evaluated twice on one evaluator equal their value on
     a fresh one, each grade's pairing block is inverted once, and every cup
-    and copants is stored under itself."""
+    and copants is stored in the piece table under itself."""
     L = algebras[name]
     P = L.P
     pieces = [Cup(g) for g in P.elements()]
@@ -252,19 +253,23 @@ def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     for _ in range(2):
         for piece in pieces:
             assert eval_piece(tau, piece) == want[piece], piece
-    assert {key for key in tau.matrices if type(key) in (Cup, Copants)} == set(pieces)
+    assert {key for key in tau.pieces if type(key) in (Cup, Copants)} == set(pieces)
     assert len(calls) == P.order
+
+
+def singular_pairing(L):
+    """L with its grade-0 pairing block zeroed, which the checker refuses,
+    so an evaluator over it is built directly."""
+    zero = Matrix(L.field, [[0] * L.dims[0]] * L.dims[0], cols=L.dims[0])
+    return CrossedCAlgebra(L.name + "*", L.cm, L.field, L.dims, L.basis_names,
+                           L.mul, L.unit, {**L.rho, 0: zero}, L.phi, L.tilde)
 
 
 def test_singular_pairing_raises_on_every_call(algebras):
     """An evaluator built directly over an algebra with a singular pairing
     block raises ValueError on each cup through it and never stores it."""
     L = algebras["KC.CM-Mod"]
-    rho = dict(L.rho)
-    rho[0] = Matrix(L.field, [[0] * L.dims[0]] * L.dims[0], cols=L.dims[0])
-    broken = CrossedCAlgebra(L.name + "*", L.cm, L.field, L.dims, L.basis_names,
-                             L.mul, L.unit, rho, L.phi, L.tilde)
-    tau = FormalHQFT(broken)
+    tau = FormalHQFT(singular_pairing(L))
     for _ in range(2):
         with pytest.raises(ValueError, match="pairing at grade 0 is singular"):
             eval_piece(tau, Cup(0))
@@ -272,37 +277,36 @@ def test_singular_pairing_raises_on_every_call(algebras):
             eval_piece(tau, Copants(0, 0))
         with pytest.raises(ValueError, match="pairing at grade 0 is singular"):
             eval_expression(tau, expression(tau.cm, [], [[Cup(0)]], [0, 0]))
-    assert not tau.matrices  # neither Cup(0) nor Copants(0, 0) is stored
-    assert not tau.cleared
+    assert not tau.pieces  # neither Cup(0) nor Copants(0, 0) is stored
     assert eval_piece(tau, Cup(1)).shape() == (L.dims[1] ** 2, 1)  # other grades still evaluate
-    assert set(tau.matrices) == {Cup(1)}
+    assert set(tau.pieces) == {Cup(1)}
 
 
 def test_evaluators_over_one_algebra_are_equal(algebras):
-    """The matrices dict is a cache: two evaluators over one algebra
-    compare and hash equal whatever it holds, and it is not in the repr."""
+    """The piece table is a cache: two evaluators over one algebra compare
+    and hash equal whatever it holds, and it is not in the repr."""
     L = algebras["KC.CM-Mod"]
     used, fresh = make_hqft(L), FormalHQFT(L)
     eval_piece(used, Cup(0))
     eval_piece(used, Cyl(1, 0, 1))
     eval_piece(used, Pants(1, 0, 0))
-    assert set(used.matrices) == {Cup(0), Cyl(1, 0, 1), Pants(1, 0, 0)}
-    assert not fresh.matrices
+    assert set(used.pieces) == {Cup(0), Cyl(1, 0, 1), Pants(1, 0, 0)}
+    assert not fresh.pieces
     assert used == fresh and hash(used) == hash(fresh)
-    assert repr(used) == repr(fresh) and "matrices" not in repr(used)
+    assert repr(used) == repr(fresh) and "pieces" not in repr(used)
     assert used != FormalHQFT(algebras["KP.CM-Mod"])
 
 
 def test_copairing_cannot_be_passed_in(algebras):
-    """Only eval_piece fills the matrices dict, copairing columns included:
+    """Only eval_piece fills the piece table, copairing columns included:
     the constructor takes no such argument, so no caller can pre-fill or
     share one."""
     L = algebras["KC.CM-Mod"]
     with pytest.raises(TypeError):
         FormalHQFT(L, {})
     with pytest.raises(TypeError):
-        FormalHQFT(L, matrices={})
-    assert FormalHQFT(L).matrices is not FormalHQFT(L).matrices
+        FormalHQFT(L, pieces={})
+    assert FormalHQFT(L).pieces is not FormalHQFT(L).pieces
 
 
 def test_copants_value(algebras):
@@ -381,17 +385,19 @@ def _cached_pieces(cm):
 
 @pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
 def test_cached_pieces_match_reference(subject):
-    """On a warm evaluator, whose cache holds every Cyl, Pants, Copants and
-    Cup, each of them equals its reference and is the stored matrix."""
+    """On a warm evaluator, whose table holds every Cyl, Pants, Copants and
+    Cup, each of them equals its reference, and is the stored N itself when
+    its D is 1."""
     for L in _oracle_algebras(subject):
         tau = make_hqft(L)
         pieces = _cached_pieces(L.cm)
         for piece in pieces:
             eval_piece(tau, piece)
-        assert set(tau.matrices) == set(pieces), L.name
+        assert set(tau.pieces) == set(pieces), L.name
         for piece in pieces:
             m = eval_piece(tau, piece)
-            assert m is tau.matrices[piece], (L.name, piece)
+            n, d = tau.pieces[piece]
+            assert m is n or d != 1, (L.name, piece)
             assert m == _reference(L, piece), (L.name, piece)
 
 
@@ -415,14 +421,14 @@ def test_evaluator_builds_each_matrix_once(subject, monkeypatch):
         # theta(c, g) is left_mul_matrix(d(c), tilde(c), g): a cylinder's g
         # is its source label conjugated by h, a pants's the product g1 g2
         want = Counter()
-        for piece in tau.matrices:
+        for piece in tau.pieces:
             match piece:
                 case Cyl(c, g, h):
                     want[(cm.d(c), L.tilde[c], P.conj(P.inv[h], g))] += 1
                 case Pants(c, g1, g2):
                     want[(cm.d(c), L.tilde[c], P.mul(g1, g2))] += 1
         assert Counter((g, a, h) for _, g, a, h in lefts) == want, L.name
-        stored = [(p.g1, p.g2) for p in tau.matrices if type(p) is Pants]
+        stored = [(p.g1, p.g2) for p in tau.pieces if type(p) is Pants]
         assert Counter((g1, g2) for _, g1, g2 in products) == Counter(stored), L.name
         # every grade's cup is evaluated, so one inverse per grade is the least
         assert all(any(m is L.rho[g] for g in P.elements()) for m, in inverses), L.name
@@ -430,23 +436,10 @@ def test_evaluator_builds_each_matrix_once(subject, monkeypatch):
 
 
 @pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
-def test_only_arithmetic_pieces_are_stored(subject):
-    """After every piece of every kind is evaluated, the stored keys are
-    exactly the Cyl, Pants, Copants and Cup pieces: Disc, Cap, Id and Swap
-    are read off the algebra on each call."""
-    for L in _oracle_algebras(subject):
-        tau = make_hqft(L)
-        for kind in ALL_KINDS:
-            for piece in _every_piece(L.cm, kind):
-                eval_piece(tau, piece)
-        assert set(tau.matrices) == set(_cached_pieces(L.cm)), L.name
-
-
-@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
 def test_second_pass_builds_nothing(subject, monkeypatch):
     """Once every piece has been evaluated, evaluating each again builds no
-    theta, product block, inverse or matrix product, and returns the stored
-    matrix of every stored piece."""
+    theta, product block, inverse or matrix product, and returns the first
+    call's matrix itself for every piece stored with D = 1."""
     for L in _oracle_algebras(subject):
         tau = make_hqft(L)
         pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
@@ -458,7 +451,7 @@ def test_second_pass_builds_nothing(subject, monkeypatch):
         for piece in pieces:
             m = eval_piece(tau, piece)
             assert m == first[piece], (L.name, piece)
-            if piece in tau.matrices:
+            if tau.pieces[piece][1] == 1:
                 assert m is first[piece], (L.name, piece)
         monkeypatch.undo()
         assert calls == [[], [], [], []], L.name
@@ -467,17 +460,16 @@ def test_second_pass_builds_nothing(subject, monkeypatch):
 def test_range_check_runs_before_the_lookup(algebras):
     """True == 1 and hash(True) == hash(1), so Cyl(True, 0, 1) would find
     the stored Cyl(1, 0, 1); the range check refuses it, and a negative
-    field, before the cache is read. eval_expression typechecks before it
-    reads the cleared table, so it refuses Cyl(True, 0, 1) there too."""
+    field, before the table is read. eval_expression typechecks before it
+    reads the table, so it refuses Cyl(True, 0, 1) there too."""
     tau = make_hqft(algebras["KC.CM-Mod"])
     stored = eval_piece(tau, Cyl(1, 0, 1))
-    assert Cyl(True, 0, 1) == Cyl(1, 0, 1) and Cyl(True, 0, 1) in tau.matrices
+    assert Cyl(True, 0, 1) == Cyl(1, 0, 1) and Cyl(True, 0, 1) in tau.pieces
     for piece in (Cyl(True, 0, 1), Cyl(1, 0, True), Cyl(-2, 0, 1), Cyl(1, 0, -1)):
         with pytest.raises(TypecheckFailed):
             eval_piece(tau, piece)
-    assert tau.matrices == {Cyl(1, 0, 1): stored}
+    assert tau.pieces == {Cyl(1, 0, 1): (stored, 1)}
     eval_expression(tau, expression(tau.cm, [0], [[Cyl(1, 0, 1)]], [0]))
-    assert Cyl(True, 0, 1) in tau.cleared
     with pytest.raises(TypecheckFailed, match="layer_interfaces"):
         eval_expression(tau, expression(tau.cm, [0], [[Cyl(True, 0, 1)]], [0]))
 
@@ -505,8 +497,8 @@ def _canonical(m):
 
 @pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
 def test_eval_expression_matches_plain_fold(subject):
-    """Evaluating over cleared pieces and dividing once gives the matrix of
-    the plain fold, in canonical form, on seeded random expressions."""
+    """Evaluating over the stored (N, D) pieces and dividing once gives the
+    matrix of the plain fold, in canonical form, on seeded random expressions."""
     rng = random.Random(f"fold/{subject}")
     for L in _oracle_algebras(subject):
         tau = make_hqft(L)
@@ -535,31 +527,54 @@ def test_long_gauge_expression_matches_plain_fold():
     e = expression(L.cm, [0], layers, [0])
     m = eval_expression(tau, e).matrix
     assert m == _plain_fold(tau, e) and _canonical(m)
-    assert math.prod(tau.cleared[piece][1] for layer in layers for piece in layer) \
+    assert math.prod(tau.pieces[piece][1] for layer in layers for piece in layer) \
         .bit_length() > 250
 
 
 @pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
 def test_cleared_table_holds_each_piece_over_its_least_denominator(subject):
-    """After an invariance sweep and one evaluation of every piece, the
-    cleared table has one entry per piece, all eight kinds: (N, D) with D the
-    least common denominator of eval_piece's matrix m and N = D m in ints;
-    over GF(p) D is 1."""
+    """After an invariance sweep and one eval_piece of every piece, the piece
+    table holds exactly the pieces of all eight kinds, each cleared over its
+    least denominator: (N, D) with D the least common denominator of
+    eval_piece's matrix m and N = D m in ints; over GF(p) D is 1."""
     for L in _oracle_algebras(subject):
         tau = make_hqft(L)
         assert check_equivalence_invariance(tau).ok, L.name
         pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
         for piece in pieces:
-            source, target = piece_io(piece, L.cm)
-            eval_expression(tau, expression(L.cm, source, [[piece]], target))
-        assert set(tau.cleared) == set(pieces), L.name
-        for piece, (n, d) in tau.cleared.items():
+            eval_piece(tau, piece)
+        assert set(tau.pieces) == set(pieces), L.name
+        for piece, (n, d) in tau.pieces.items():
             m = eval_piece(tau, piece)
             entries = [x for row in n.data for x in row]
             assert all(type(x) is int for x in entries) and type(d) is int, (L.name, piece)
             assert n == Matrix(L.field, [[d * x for x in row] for row in m.data], cols=m.cols)
             assert math.gcd(d, *entries) == 1, (L.name, piece)
             assert d == 1 or L.field == QQ, (L.name, piece)
+
+
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_stored_pieces_evaluate_without_eval_piece(subject, monkeypatch):
+    """Once eval_piece has built every piece, evaluating each as a one-piece
+    expression reads the table alone: no eval_piece call, and the matrix
+    eval_piece returned."""
+    for L in _oracle_algebras(subject):
+        tau = make_hqft(L)
+        pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
+        first = {piece: eval_piece(tau, piece) for piece in pieces}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eval_piece(*args)
+
+        monkeypatch.setattr(hqft, "eval_piece", counted)
+        for piece in pieces:
+            source, target = piece_io(piece, L.cm)
+            m = eval_expression(tau, expression(L.cm, source, [[piece]], target)).matrix
+            assert m == first[piece], (L.name, piece)
+        monkeypatch.undo()
+        assert calls == [], L.name
 
 
 def test_snake_identities(algebras):

@@ -83,6 +83,7 @@ def test_corpus_keys_names_families_and_instances():
         ("rho_invariance", "algebra.rho_diag_entry", "rho_invariant", "(e_0,e_1,e_1)"),
         ("phi_homomorphism", "algebra.phi_entry", "phi_homomorphism",
          "(h=(12),k=(12),g=(123))"),
+        ("phi_isometry", "algebra.phi_scale_entry", "phi_isometry", "(h=(12),g=(123))"),
         ("phi_multiplicative", "algebra.phi_perm_entry", "phi_multiplicative", "(h=1,e_1,e_1)"),
         ("phi_fixes_own_grade", "algebra.phi_own_grade_entry", "phi_fixes_own_grade",
          "g=(123)"),
@@ -102,12 +103,20 @@ def test_corpus_keys_names_families_and_instances():
          "(c=(123),g=e)"),
         ("tilde_units", "aut_square.mul_entry", "tilde_units", "c=0"),
         ("square_equivariance", "aut_square.phi_entry", "square_equivariance", "(p=(12),c=e)"),
+        ("unit_preserved", "algebra_morphism.unit_block", "unit_preserved", "1"),
+        ("multiplicative", "algebra_morphism.mul_block", "multiplicative", "(e_(12),e_(12))"),
+        ("rho_preserved", "algebra_morphism.rho_block", "rho_preserved", "g=(12)"),
+        ("phi_compatible", "algebra_morphism.phi_block", "phi_compatible", "(h=(13),g=(12))"),
+        ("tilde_compatible", "algebra_morphism.tilde_block", "tilde_compatible", "c=(123)"),
         ("disc_cylinder", "invariance_a.mul_entry", "family_a_disc_cylinder", "(c=e,h=e)"),
         ("pants_reduction", "invariance_b.mul_entry", "family_b_pants_reduction",
          "(c1=e,c2=e,g1=e,g2=e)"),
         ("whiskering", "invariance_c.mul_entry", "family_c_whiskering", "(c=e,g1=e,g2=(123))"),
         ("pairing", "invariance_d.mul_entry", "family_d_pairing", "(c=e,g=(123))"),
+        ("normalized_boundaries", "expression.unnormalized_target", "normalized_boundaries",
+         "(4, 4)"),
         ("expression_typecheck", "expression.disc_into_cap", "layer_interfaces", "layer 1"),
+        ("declared_target", "expression.target_label", "declared_target", "target"),
         ("simplicial_boundary", "simplicial.tri_label", "boundary_condition", "triangle (0, 1, 2)"),
         ("simplicial_cocycle", "simplicial.kernel_label", "cocycle_condition",
          "tetrahedron (0, 1, 2, 3)"),
