@@ -143,30 +143,26 @@ class Swap:
 
 
 ElementaryPiece = Disc | Cyl | Pants | Copants | Cup | Cap | Id | Swap
-_PIECE_TYPES = frozenset(ElementaryPiece.__args__)
+
+# piece kind -> the labels of its source circuits and of its target circuits
+_IO = {
+    Disc: lambda p, cm: ((), (cm.d(p.c),)),
+    Cyl: lambda p, cm: ((p.g,), (cm.base.product((cm.d(p.c), cm.base.inv[p.h], p.g, p.h)),)),
+    Pants: lambda p, cm: ((p.g1, p.g2), (cm.base.product((cm.d(p.c), p.g1, p.g2)),)),
+    Copants: lambda p, cm: ((cm.base.mul(p.g1, p.g2),), (p.g1, p.g2)),
+    Cup: lambda p, cm: ((), (p.g, cm.base.inv[p.g])),
+    Cap: lambda p, cm: ((p.g, cm.base.inv[p.g]), ()),
+    Id: lambda p, cm: ((p.g,), (p.g,)),
+    Swap: lambda p, cm: ((p.g1, p.g2), (p.g2, p.g1)),
+}
 
 
 def piece_io(piece: ElementaryPiece, cm: CrossedModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The labels of a piece's source circuits and of its target circuits."""
-    P = cm.base
-    match piece:
-        case Disc(c):
-            return (), (cm.d(c),)
-        case Cyl(c, g, h):
-            return (g,), (P.mul(cm.d(c), P.conj(P.inv[h], g)),)
-        case Pants(c, g1, g2):
-            return (g1, g2), (P.product((cm.d(c), g1, g2)),)
-        case Copants(g1, g2):
-            return (P.mul(g1, g2),), (g1, g2)
-        case Cup(g):
-            return (), (g, P.inv[g])
-        case Cap(g):
-            return (g, P.inv[g]), ()
-        case Id(g):
-            return (g,), (g,)
-        case Swap(g1, g2):
-            return (g1, g2), (g2, g1)
-    raise TypeError(f"not a piece: {piece!r}")
+    io = _IO.get(type(piece))
+    if io is None:
+        raise TypeError(f"not a piece: {piece!r}")
+    return io(piece, cm)
 
 
 def index_fault(x, n: int) -> str | None:
@@ -183,7 +179,7 @@ def index_fault(x, n: int) -> str | None:
 def piece_range_fault(piece, cm: CrossedModule) -> str | None:
     """Why `piece` is not a piece whose fields are element indices (`c` of
     the top group, every other field of the base group), or None when it is."""
-    if type(piece) not in _PIECE_TYPES:
+    if type(piece) not in _IO:
         return f"{piece!r} is not a piece"
     # __match_args__ names a piece's fields without materializing its __dict__
     for name in type(piece).__match_args__:
@@ -230,23 +226,27 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     report.add("normalized_boundaries", fails)
     if fails:
         return report
-    cur = tuple(c.labels[0] for c in e.source.circuits)
+    cm = e.cm
+    cur = [c.labels[0] for c in e.source.circuits]
     for k, layer in enumerate(e.layers):
         for piece in layer:
-            fault = piece_range_fault(piece, e.cm)
+            fault = piece_range_fault(piece, cm)
             if fault:
                 report.add("layer_interfaces", [(f"layer {k}", fault)])
                 return report
-        ios = [piece_io(piece, e.cm) for piece in layer]
-        wanted = tuple(g for sources, _ in ios for g in sources)
+        wanted, out = [], []
+        for piece in layer:
+            sources, targets = _IO[type(piece)](piece, cm)
+            wanted += sources
+            out += targets
         if wanted != cur:
             report.add("layer_interfaces",
                        [(f"layer {k}", f"needs sources {[P.names[g] for g in wanted]}, "
                                        f"has {[P.names[g] for g in cur]}")])
             return report
-        cur = tuple(g for _, targets in ios for g in targets)
+        cur = out
     report.add_pass("layer_interfaces")
-    tgt = tuple(c.labels[0] for c in e.target.circuits)
+    tgt = [c.labels[0] for c in e.target.circuits]
     report.add("declared_target",
                [] if cur == tgt else
                [("target", f"expression produces {[P.names[g] for g in cur]}, "

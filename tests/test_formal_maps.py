@@ -112,7 +112,9 @@ def test_compose_h_semidirect_cases(cms):
 
 def test_piece_signatures(cms):
     """piece_io on every piece kind: source and target labels written out by
-    hand on CM-A3S3 (top A3, base S3, d the inclusion); a non-piece raises."""
+    hand on CM-A3S3 (top A3, base S3, d the inclusion), then every piece of
+    all eight kinds on every fixture crossed module against the labels
+    written as products in the base group; a non-piece raises."""
     cm = cms["CM-A3S3"]
     C, P = cm.top, cm.base
     c, c2 = C.names.index("(123)"), C.names.index("(132)")
@@ -139,6 +141,22 @@ def test_piece_signatures(cms):
     assert {type(piece) for piece in expected} == {Disc, Cyl, Pants, Copants, Cup, Cap, Id, Swap}
     for piece, io in expected.items():
         assert piece_io(piece, cm) == io, piece
+    for other in cms.values():
+        C, P, d = other.top.elements(), other.base, other.d
+        G, inv = P.elements(), P.inv
+        oracle = {Disc(c): ((), (d(c),)) for c in C}
+        for c, g, h in itertools.product(C, G, G):
+            oracle[Cyl(c, g, h)] = ((g,), (P.product((d(c), inv[h], g, h)),))
+            oracle[Pants(c, g, h)] = ((g, h), (P.product((d(c), g, h)),))
+        for g, h in itertools.product(G, G):
+            oracle[Copants(g, h)] = ((P.product((g, h)),), (g, h))
+            oracle[Swap(g, h)] = ((g, h), (h, g))
+        for g in G:
+            oracle[Cup(g)] = ((), (g, inv[g]))
+            oracle[Cap(g)] = ((g, inv[g]), ())
+            oracle[Id(g)] = ((g,), (g,))
+        for piece, io in oracle.items():
+            assert piece_io(piece, other) == io, (other.name, piece)
     for not_a_piece in (object(), (0,), None, LabeledCell(cm, 0, 0)):
         with pytest.raises(TypeError, match="not a piece"):
             piece_io(not_a_piece, cm)

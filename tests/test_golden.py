@@ -18,6 +18,14 @@ Sections:
   block at grade 0, whose refused pieces are items with their error text.
 - `relations`: the reports of `hqft.check_relations` over `INVARIANCE` and
   `SNAKES` on every fixture algebra over Q and GF(3).
+- `typecheck`: `formal_maps.typecheck` reports of seeded
+  `hqft.random_expression`s on every fixture crossed module, and of each
+  one-field edit of them (a piece field or boundary label set to -1, the
+  group order, `True`, `"x"` or `None`; a piece replaced by `(0,)` or a
+  `LabeledCell`; a layer dropped or repeated; a wrong declared target; a
+  two-label boundary circuit); then `formal_maps.piece_io` of every piece of
+  all eight kinds on every fixture crossed module, and its `TypeError` text
+  on three non-pieces.
 """
 
 import dataclasses
@@ -30,7 +38,14 @@ from pathlib import Path
 import pytest
 
 from crossmod.fields import GF, QQ
-from crossmod.fixtures import std_algebras
+from crossmod.fixtures import std_algebras, std_crossed_modules
+from crossmod.formal_maps import (
+    FormalBoundary,
+    FormalCircuit,
+    LabeledCell,
+    piece_io,
+    typecheck,
+)
 from crossmod.hqft import (
     INVARIANCE,
     SNAKES,
@@ -98,7 +113,65 @@ def relations_items():
                                   f"relations for {name} over {field.name}").to_json()
 
 
-SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items}
+def _edits(e):
+    """(name, expression) for each one-field edit of e named in the module
+    docstring."""
+    cm, n_base = e.cm, e.cm.base.order
+    layers = e.layers
+    for k, layer in enumerate(layers):
+        for j, piece in enumerate(layer):
+            def swapped(new):
+                return dataclasses.replace(
+                    e, layers=layers[:k] + (layer[:j] + (new,) + layer[j + 1:],) + layers[k + 1:])
+            for name in type(piece).__match_args__:
+                order = cm.top.order if name == "c" else n_base
+                for value in (-1, order, True, "x", None):
+                    yield (f"layer {k} piece {j} {name}={value!r}",
+                           swapped(dataclasses.replace(piece, **{name: value})))
+            for other in ((0,), LabeledCell(cm, 0, 0)):
+                yield f"layer {k} piece {j} -> {other!r}", swapped(other)
+        yield f"layer {k} dropped", dataclasses.replace(e, layers=layers[:k] + layers[k + 1:])
+        yield f"layer {k} repeated", dataclasses.replace(e, layers=layers[:k + 1] + layers[k:])
+    for side in ("source", "target"):
+        circuits = getattr(e, side).circuits
+        for i in range(len(circuits)):
+            for value in (-1, n_base, True, "x", None):
+                edited = circuits[:i] + (FormalCircuit((value,)),) + circuits[i + 1:]
+                yield f"{side} {i}={value!r}", dataclasses.replace(e, **{side: FormalBoundary(edited)})
+        two = FormalCircuit((1 % n_base, 0))
+        yield (f"{side} with a two-label circuit",
+               dataclasses.replace(e, **{side: FormalBoundary(circuits[1:] + (two,))}))
+    yield "target with an extra circuit", dataclasses.replace(
+        e, target=FormalBoundary(e.target.circuits + (FormalCircuit((0,)),)))
+    if e.target.circuits:
+        g = e.target.circuits[0].labels[0]
+        yield "target 0 moved", dataclasses.replace(e, target=FormalBoundary(
+            (FormalCircuit(((g + 1) % n_base,)),) + e.target.circuits[1:]))
+
+
+def typecheck_items():
+    for name in std_crossed_modules():
+        rng = random.Random(f"golden/typecheck/{name}")
+        tau = FormalHQFT(std_algebras(QQ)["KC." + name])
+        for i in range(20):
+            e = random_expression(tau, rng)
+            for edit, edited in [("none", e), *_edits(e)]:
+                yield {"crossed_module": name, "index": i, "edit": edit,
+                       "report": typecheck(edited).to_json()}
+    for name, cm in std_crossed_modules().items():
+        for kind in ALL_KINDS:
+            for piece in _every_piece(cm, kind):
+                yield {"crossed_module": name,
+                       "piece": {"kind": kind.__name__, **dataclasses.asdict(piece)},
+                       "io": piece_io(piece, cm)}
+        for not_a_piece in ((0,), None, LabeledCell(cm, 0, 0)):
+            with pytest.raises(TypeError) as exc:
+                piece_io(not_a_piece, cm)
+            yield {"crossed_module": name, "piece": repr(not_a_piece), "error": str(exc.value)}
+
+
+SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
+            "typecheck": typecheck_items}
 
 
 def _sha256(text):
