@@ -22,9 +22,11 @@ from .crossed_modules import (
     CrossedModuleMorphism,
     check_morphism,
     identity_morphism,
+    quotient_morphism,
     require_same,
 )
 from .fields import QQ
+from .groups import cocycle_from_section, section
 from .linalg import Matrix, RowSpace, unit_vector
 from .report import CheckReport
 
@@ -841,9 +843,6 @@ def kp_iso_witness(cm: CrossedModule, field):
     identity, and that multiplication in the pullback follows the section's
     twisted cocycle law. Returns the witness morphism.
     """
-    from .crossed_modules import quotient_morphism
-    from .groups import cocycle_from_section, section
-
     qmor = quotient_morphism(cm)
     q = qmor.f_base
     sec = section(q)
@@ -888,78 +887,61 @@ def verify_cocycle_multiplication(cm, q, sec, coc, pulled):
 # pushforward
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class PushforwardData:
-    """The quotient algebra along a morphism together with the ideal data
-    needed to factor morphisms through it. The grades p with f0(p) = q
-    make up class q, laid end to end in one class block; its ideal is a
-    row space of that block. `pushforward_data` sets the algebra and the
-    quotient map pi_p of every grade (`quotient_map`)."""
+    """The pushforward f_*L of `source` along `fmor`, with what factors
+    morphisms through it. The grades p with f0(p) = q make up class q, laid
+    end to end in one class block; `spans[q]` is the ideal of that block, in
+    reduced row-echelon form. Quotient basis vector k of class q is the class
+    of e_i in L_p, with (p, i) = `free[q][k]` at the k-th free column, and
+    `pis[p]` is the quotient map pi on L_p."""
 
-    def __init__(self, fmor, source, members, offsets, spans):
-        self.fmor = fmor
-        self.source = source
-        self.algebra = None
-        self.members = members      # q -> [p with f0(p) = q]
-        self.offsets = offsets      # q -> {p: offset}
-        self.spans = spans          # q -> RowSpace (the ideal, per class)
-        self.pis = None             # p -> Matrix, pi on L_p
-
-    def free_basis(self, q):
-        """The grade p and index i of each free column of the ideal of class
-        q, in column order: quotient basis vector k of class q is the class
-        of the basis vector e_i of L_p, with (p, i) the k-th pair."""
-        columns = [(p, i) for p in self.members[q] for i in range(self.source.dims[p])]
-        return [columns[j] for j in self.spans[q].free_columns()]
+    fmor: CrossedModuleMorphism
+    source: CrossedCAlgebra
+    algebra: CrossedCAlgebra
+    members: dict   # q -> [p with f0(p) = q]
+    spans: dict     # q -> RowSpace, the ideal of class q
+    free: dict      # q -> [(p, i)] at the free columns of class q, in order
+    pis: dict       # p -> Matrix, pi on L_p
 
 
 def _column(m: Matrix, i: int):
     return tuple(row[i] for row in m.data)
 
 
-def quotient_map(data: PushforwardData, p: int) -> Matrix:
-    """The quotient map pi on L_p, as a matrix into the quotient coordinates
-    of class f0(p): column i is the class of the basis vector e_i of L_p."""
-    L = data.source
-    q = data.fmor.f_base.map[p]
-    span, o = data.spans[q], data.offsets[q][p]
-    cols = [span.quotient_coords(unit_vector(L.field, span.n, o + i)) for i in range(L.dims[p])]
-    return Matrix.from_columns(L.field, cols, span.n - span.dim)
-
-
-def _quotient_pairing(data: PushforwardData, q: int) -> Matrix:
-    """The pairing of the pushforward at grade q: the unique B with
-    pi(a)^T B pi(b) = rho_p(a, b) for every grade p of class q and all basis
-    vectors a of L_p and b of L_{p^-1}, with pi_p read from `data.pis`.
+def _quotient_pairing(L: CrossedCAlgebra, pis, grades, dq: int, dqinv: int, name: str) -> Matrix:
+    """The pairing of the pushforward at the class named `name`, whose
+    grades are `grades`: the unique B with pi(a)^T B pi(b) = rho_p(a, b) for
+    every grade p of the class and all basis vectors a of L_p and b of
+    L_{p^-1}, with pi_p read from `pis`.
 
     Each constraint is linear in the entries of B read row by row, with the
     Kronecker product of pi(a) and pi(b) as its coefficients, so grade p
     contributes the rows of pi_p^T (x) pi_{p^-1}^T against rho_p read row by
     row, and one solve gives B. Raises RhoIllDefined when no B satisfies
     every constraint, or when more than one does."""
-    L, pis = data.source, data.pis
     field = L.field
-    Q = data.fmor.target.base
-    dq, dqinv = (data.spans[r].n - data.spans[r].dim for r in (q, Q.inv[q]))
     system, rhs = [], []
-    for p in data.members[q]:
+    for p in grades:
         pinv = L.P.inv[p]
         system += pis[p].transpose().kron(pis[pinv].transpose()).data
         rhs += [x for row in L.rho[p].data for x in row]
     A = Matrix._of(field, tuple(system), dq * dqinv)
     x = A.solve(rhs)
     if x is None:
-        raise RhoIllDefined(f"no pairing in class {Q.names[q]} is preserved by the quotient map")
+        raise RhoIllDefined(f"no pairing in class {name} is preserved by the quotient map")
     if A.nullspace():
-        raise RhoIllDefined(
-            f"the quotient map does not determine the pairing in class {Q.names[q]}")
+        raise RhoIllDefined(f"the quotient map does not determine the pairing in class {name}")
     return Matrix._of(field, tuple(x[k * dqinv:(k + 1) * dqinv] for k in range(dq)), dqinv)
 
 
-def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> PushforwardData:
-    """The defining ideal of the pushforward: generated by phi_n(a) - a
-    (n in ker f0) and tilde(b) - 1 (b in ker f1), closed under left/right
-    products with every basis vector, kept per target-grade class (the
-    generators are homogeneous for the target grading).
+def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> tuple[dict, dict]:
+    """The defining ideal of the pushforward, as `(members, spans)`: class q
+    is the grades `members[q]` (those p with f0(p) = q) laid end to end, and
+    `spans[q]` is the ideal's row space of that class block. The ideal is
+    generated by phi_n(a) - a (n in ker f0) and tilde(b) - 1 (b in ker f1),
+    closed under left/right products with every basis vector; the generators
+    are homogeneous for the target grading, so it is kept per class.
 
     Every product reads the stored cells: e_i x, for e_i in L_r and x in
     L_p, sums row i of the mul(r, p) cells over the support of x, and x e_i
@@ -976,14 +958,9 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
         raise ValueError("pushforward requires the top map to be surjective")
 
     members = {q: [p for p in P.elements() if f0[p] == q] for q in Q.elements()}
-    offsets, spans = {}, {}
-    for qq in Q.elements():
-        off, acc = {}, 0
-        for p in members[qq]:
-            off[p] = acc
-            acc += dims[p]
-        offsets[qq] = off
-        spans[qq] = RowSpace(field, acc)
+    offsets = {q: dict(zip(ps, itertools.accumulate((dims[p] for p in ps), initial=0)))
+               for q, ps in members.items()}
+    spans = {q: RowSpace(field, sum(dims[p] for p in ps)) for q, ps in members.items()}
 
     def generator(q, p1, v1, p2, v2):
         """v1 in the slot of grade p1 minus v2 in that of grade p2, as a
@@ -1023,37 +1000,67 @@ def pushforward_ideal(fmor: CrossedModuleMorphism, L: CrossedCAlgebra) -> Pushfo
                     for p, pr in rights))
                 if any(out) and spans[qr].add(out):
                     queue.append((qr, out))
-    return PushforwardData(fmor, L, members, offsets, spans)
+    return members, spans
 
 
 def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None) -> PushforwardData:
-    """The pushforward algebra: the source quotiented by the defining ideal,
-    regraded over the target base group.
+    """The pushforward algebra: the source quotiented by the defining ideal
+    (`pushforward_ideal`), regraded over the target base group.
 
-    Everything is read through the quotient maps pi_p (`quotient_map`), kept
-    as `data.pis`. The quotient basis of a class is the classes of its free
-    basis vectors (`PushforwardData.free_basis`), so each structure constant
-    of f_*L is pi of one of L's, and each column of the action is pi of one
-    column of L's. Requires f1 surjective; for target grades outside the
-    image of f0 the action is extended by the identity, and the final axiom
-    check decides validity. The pairing is the one form that the quotient
-    map preserves in every grade (`_quotient_pairing`); RhoIllDefined is
-    raised when there is none, as for the CM-Mod group algebra, or more than
-    one.
+    The quotient maps are read off each class's reduced rows: free column k
+    maps to unit vector k, and the pivot column of row r to minus row r on
+    the free columns. So the quotient basis of a class is the classes of its
+    free basis vectors, each structure constant of f_*L is pi of one of L's,
+    and each column of the action is pi of one column of L's. For a target
+    grade outside the image of f0 the action is extended by the identity.
+    The pairing is the one form that pi preserves in every grade
+    (`_quotient_pairing`).
+
+    Raises, at the first fault met:
+    - CrossedModuleMismatch when L is not over the source of fmor;
+    - ValueError "pushforward requires the top map to be surjective" when
+      f1 is not onto;
+    - RhoIllDefined "no pairing in class q is preserved by the quotient
+      map" when no pairing is preserved (K[C](CM-Mod) along its quotient),
+      and "the quotient map does not determine the pairing in class q" when
+      more than one is;
+    - ValueError "cannot extend the action to a outside the image" when a
+      grade a outside the image of f0 moves a grade q by conjugation or
+      changes its dimension, as (12) does for (1 -> 1) -> (1 -> S3);
+    - ValueError "action on the quotient depends on the representative of
+      a" when two grades of class a act differently on the quotient, and
+      "tilde on the quotient depends on the lift of d" when two lifts of d
+      have units in different classes. The ideal holds phi_n(x) - x and
+      tilde(b) - 1 for n and b in the kernels, so only an L that fails
+      `check_crossed_algebra` reaches these (L itself is not checked);
+    - ValueError naming the first failing family when f_*L fails
+      `check_crossed_algebra`.
     """
-    data = pushforward_ideal(fmor, L)
-    members, spans = data.members, data.spans
+    members, spans = pushforward_ideal(fmor, L)
     tgt = fmor.target
     P, Q, C, D = fmor.source.base, tgt.base, fmor.source.top, tgt.top
     f1 = fmor.f_top.map
-    field = L.field
+    field, dims = L.field, L.dims
 
-    dims_new = [spans[qq].n - spans[qq].dim for qq in Q.elements()]
+    free, pis = {}, {}
+    for qq in Q.elements():
+        span = spans[qq]
+        pivot_rows = dict(zip(span.pivots, span.basis))
+        free_cols = [j for j in range(span.n) if j not in pivot_rows]
+        k_of = {j: k for k, j in enumerate(free_cols)}
+        # column j of pi on the class block
+        cols = [unit_vector(field, len(free_cols), k_of[j]) if j in k_of
+                else tuple(field.neg(pivot_rows[j][c]) for c in free_cols)
+                for j in range(span.n)]
+        pairs = [(p, i) for p in members[qq] for i in range(dims[p])]
+        free[qq] = [pairs[j] for j in free_cols]
+        for p in members[qq]:
+            pis[p] = Matrix.from_columns(field, [col for (r, _), col in zip(pairs, cols) if r == p],
+                                         len(free_cols))
+
+    dims_new = [len(free[qq]) for qq in Q.elements()]
     basis_names = [[f"{Q.names[qq]}#{k}" for k in range(dims_new[qq])]
                    for qq in Q.elements()]
-    data.pis = pis = {p: quotient_map(data, p) for p in P.elements()}
-    free = {qq: data.free_basis(qq) for qq in Q.elements()}
-
     mul_new = {}
     for q1 in Q.elements():
         for q2 in Q.elements():
@@ -1062,7 +1069,9 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                                  for p1, i1 in free[q1]]
 
     unit_new = pis[0].apply(L.unit)
-    rho_new = {qq: _quotient_pairing(data, qq) for qq in Q.elements()}
+    rho_new = {qq: _quotient_pairing(L, pis, members[qq], dims_new[qq], dims_new[Q.inv[qq]],
+                                     Q.names[qq])
+               for qq in Q.elements()}
 
     phi_new = {}
     for qa in Q.elements():
@@ -1097,8 +1106,7 @@ def pushforward_data(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None)
                               basis_names, mul_new, unit_new, rho_new, phi_new,
                               tilde_new)
     check_crossed_algebra(algebra).require()
-    data.algebra = algebra
-    return data
+    return PushforwardData(fmor, L, algebra, members, spans, free, pis)
 
 
 def pushforward(fmor: CrossedModuleMorphism, L: CrossedCAlgebra, name=None) -> CrossedCAlgebra:
@@ -1127,19 +1135,18 @@ def transpose_from_pushforward(m: CrossedAlgebraMorphism,
     """Factor a morphism over f through the pushforward of its source.
 
     The quotient basis of a class is the classes of its free basis vectors
-    (`PushforwardData.free_basis`), so the factored block B_q of class q is
-    the block columns at the free pairs: column k is column i of the block
-    of grade p, with (p, i) the k-th free pair. The ideal is the kernel of
-    pi, and m kills it exactly when it factors as B pi, that is when
-    B_q pi_p = m_p for every grade p of class q. Raises ValueError naming
-    the first class where it does not (impossible for a valid morphism over
-    f)."""
+    (`data.free`), so the factored block B_q of class q is the block columns
+    at the free pairs: column k is column i of the block of grade p, with
+    (p, i) the k-th free pair. The ideal is the kernel of pi, and m kills it
+    exactly when it factors as B pi, that is when B_q pi_p = m_p for every
+    grade p of class q (pi_p is `data.pis[p]`). Raises ValueError naming the
+    first class where it does not (impossible for a valid morphism over f)."""
     Lp, field = m.target, m.source.field
     Q = m.over.target.base
     blocks = {}
     for qq in Q.elements():
         blocks[qq] = Matrix.from_columns(field, [_column(m.blocks[p], i)
-                                                 for p, i in data.free_basis(qq)], Lp.dims[qq])
+                                                 for p, i in data.free[qq]], Lp.dims[qq])
         if any(blocks[qq] @ data.pis[p] != m.blocks[p] for p in data.members[qq]):
             raise ValueError(f"morphism does not kill the ideal in class {Q.names[qq]}")
     return CrossedAlgebraMorphism(identity_morphism(m.over.target), data.algebra, Lp, blocks)

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groups import (
-    CheckReport,
     FiniteGroup,
     GroupAction,
     GroupConstructionError,
@@ -24,6 +23,7 @@ from .groups import (
     trivial_group,
     trivial_hom,
 )
+from .report import CheckReport
 
 
 class CrossedModuleMismatch(ValueError):

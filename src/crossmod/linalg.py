@@ -210,11 +210,9 @@ def unit_vector(field, n: int, i: int):
 
 
 class RowSpace:
-    """A subspace of K^n kept in reduced row-echelon form.
-
-    Supports incremental insertion, reduction, and quotient bookkeeping
-    (pivot columns vs. free columns).
-    """
+    """A subspace of K^n kept in reduced row-echelon form: `basis` holds the
+    rows and `pivots` their pivot columns. Supports incremental insertion
+    and reduction."""
 
     def __init__(self, field, n: int):
         self.field = field
@@ -251,12 +249,3 @@ class RowSpace:
         self.basis = [tuple(row) for row in work[:len(pivots)]]
         self.pivots = pivots
         return True
-
-    def free_columns(self) -> list[int]:
-        pivot_set = set(self.pivots)
-        return [j for j in range(self.n) if j not in pivot_set]
-
-    def quotient_coords(self, vec):
-        """Coordinates of vec + W in the basis {e_j + W : j free}."""
-        residual = self.reduce(vec)
-        return tuple(residual[j] for j in self.free_columns())

@@ -23,7 +23,6 @@ from crossmod.algebras import (
     pushforward,
     pushforward_data,
     pushforward_ideal,
-    quotient_map,
     RhoIllDefined,
     same_structure,
     theta,
@@ -59,6 +58,7 @@ from test_checker_oracle import (
     torus_traces,
     uneven_module,
 )
+from test_golden import _refused_pushforward_inputs
 
 
 def test_group_algebra_C_dims(cms):
@@ -454,10 +454,10 @@ def test_pushforward_ideal_closure_oracle(algebras, groups):
     sign = _sign_morphism(groups)
     for q, L in ((std_morphisms()["q.CM-A3S3"], algebras["KP.CM-A3S3"]),
                  (sign, group_algebra_P(sign.source, QQ))):
-        data = pushforward_ideal(q, L)
+        _, spans = pushforward_ideal(q, L)
         oracle = _naive_ideal_dims(q, L)
         for qq in q.target.base.elements():
-            assert data.spans[qq].dim == oracle[qq]
+            assert spans[qq].dim == oracle[qq]
     assert oracle == {0: 2, 1: 2}
     assert pushforward(sign, L).dims == (1, 1)
 
@@ -467,8 +467,8 @@ def test_pushforward_ideal_closure_oracle(algebras, groups):
 def test_pushforward_pairing_oracle(groups, field, case):
     """rho'(pi a, pi b) == rho_p(a, b) for every grade p and all basis
     vectors a of L_p and b of L_{p^-1}, by plain loops: pi(e_i) is the
-    quotient class of e_i in its class block, and rho' is applied entry by
-    entry."""
+    residue of e_i in its class block modulo the reduced rows of the ideal,
+    read at the free columns, and rho' is applied entry by entry."""
     if case == "sign":
         fmor = _sign_morphism(groups)
         L = group_algebra_P(fmor.source, field)
@@ -481,14 +481,18 @@ def test_pushforward_pairing_oracle(groups, field, case):
 
     def pi(p, i):
         q = f0[p]
-        vec = [field.zero] * data.spans[q].n
-        vec[data.offsets[q][p] + i] = field.one
-        return data.spans[q].quotient_coords(vec)
+        span, grades = data.spans[q], data.members[q]
+        vec = [field.zero] * span.n
+        vec[sum(L.dims[r] for r in grades[:grades.index(p)]) + i] = field.one
+        for row, pivot in zip(span.basis, span.pivots):
+            c = vec[pivot]
+            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
+        return tuple(x for j, x in enumerate(vec) if j not in span.pivots)
 
     checked = 0
     for p in L.P.elements():
         pinv, q = L.P.inv[p], f0[p]
-        assert quotient_map(data, p) == Matrix.from_columns(
+        assert data.pis[p] == Matrix.from_columns(
             field, [pi(p, i) for i in range(L.dims[p])], fL.dims[q])
         for i in range(L.dims[p]):
             for j in range(L.dims[pinv]):
@@ -506,8 +510,8 @@ def test_pushforward_pairing_oracle(groups, field, case):
 @pytest.mark.parametrize("fname", list(FIELDS))
 def test_pushforward_free_basis_is_the_quotient_basis(fname):
     """Quotient basis vector k of class q is the class of e_i in L_p, with
-    (p, i) the k-th pair of `free_basis(q)`: column i of pi_p is unit
-    vector k, on the fixture pushforwards' inputs and on two in gauge bases."""
+    (p, i) the k-th pair of `data.free[q]`: column i of pi_p is unit vector
+    k, on the fixture pushforwards' inputs and on two in gauge bases."""
     field = FIELDS[fname]
     mors, algs = std_morphisms(), std_algebras(field)
     cases = {"PUSH.CM-A3S3": (mors["q.CM-A3S3"], algs["KP.CM-A3S3"]),
@@ -518,11 +522,10 @@ def test_pushforward_free_basis_is_the_quotient_basis(fname):
         data = pushforward_data(fmor, L)
         dims[name] = data.algebra.dims
         for q in fmor.target.base.elements():
-            free = data.free_basis(q)
+            free = data.free[q]
             assert len(free) == dims[name][q], (name, q)
             for k, (p, i) in enumerate(free):
-                pi = quotient_map(data, p)
-                assert tuple(row[i] for row in pi.data) == unit_vector(field, len(free), k)
+                assert tuple(row[i] for row in data.pis[p].data) == unit_vector(field, len(free), k)
     assert dims["push-id"] == (2, 0, 2, 0)
 
 
@@ -532,9 +535,9 @@ def test_pushforward_cm_mod_ideal_dims_and_ill_defined_rho(algebras, cms):
     # rho(e_1,e_0)=0 with [e_1]=[e_0]), so the construction must refuse
     q = std_morphisms()["q.CM-Mod"]
     L = algebras["KC.CM-Mod"]
-    data = pushforward_ideal(q, L)
-    assert data.spans[0].dim == 2  # quotient L-bar_1 has dim 3 - 2 = 1
-    assert data.spans[0].n - data.spans[0].dim == 1
+    _, spans = pushforward_ideal(q, L)
+    assert spans[0].dim == 2  # quotient L-bar_1 has dim 3 - 2 = 1
+    assert spans[0].n - spans[0].dim == 1
     with pytest.raises(RhoIllDefined, match=r"no pairing in class \[0\] is preserved"):
         pushforward(q, L)
 
@@ -548,6 +551,59 @@ def test_pushforward_refuses_an_underdetermined_pairing(cms, groups):
                     GroupHomomorphism(src.base, tgt.base, (0, 1, 1, 1, 0, 0)))
     with pytest.raises(RhoIllDefined, match="does not determine the pairing in class"):
         pushforward(fmor, group_algebra_C(src, QQ))
+
+
+def test_pushforward_quotient_maps_read_the_reduced_rows():
+    """K[P] of Z/3 = Z/3 along its quotient: tilde(b) - 1 puts e_1 - e_0 and
+    e_2 - e_0 in the ideal of the one class, whose reduced rows are
+    e_0 - e_2 and e_1 - e_2. So column 2, the basis vector of grade 2, is
+    the one free column, and every e_p is e_2 modulo the ideal."""
+    cm = from_normal_inclusion(cyclic_group(3), range(3))
+    data = pushforward_data(quotient_morphism(cm), group_algebra_P(cm, QQ))
+    span = data.spans[0]
+    assert span.dim == 2 and span.pivots == [0, 1]
+    assert not any(span.reduce((QQ.of(0), QQ.of(1), QQ.of(-1))))  # dependent
+    assert data.free == {0: [(2, 0)]}
+    assert all(data.pis[p] == Matrix(QQ, [[1]]) for p in range(3))
+    assert data.algebra.dims == (1,)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("(1->Z2)->CM-Id2", "pushforward requires the top map to be surjective"),
+    ("(1->1)->(1->S3)", "cannot extend the action to (12) outside the image"),
+])
+def test_pushforward_refuses_a_top_map_not_onto_or_an_action_it_cannot_extend(name, text):
+    """The refused inputs of the golden `pushforward` section, on K[P] of
+    their sources: the top map of (1 -> Z/2) -> CM-Id2 is trivial, and in
+    (1 -> 1) -> (1 -> S3) every grade but e is outside the image, where (12)
+    conjugates (13) to (23), so the identity cannot extend the action."""
+    fmor, cm = {n: (f, c) for n, f, c in _refused_pushforward_inputs()}[name]
+    with pytest.raises(ValueError) as exc:
+        pushforward_data(fmor, group_algebra_P(cm, QQ))
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("fname", ["q.CM-Id2", "collapse.CM-Id2"])
+def test_pushforward_refuses_an_action_or_units_that_do_not_descend(algebras, fname):
+    """K[P](CM-Id2) with phi_e doubling grade (12), or with tilde(e) = 2 e_e,
+    fails the checker, which the pushforward does not run on its source. The
+    ideal identifies e_e with e_(12), so in the first e and (12) act on the
+    one quotient grade by 2 and by 1. In the second it holds tilde(1) - 1,
+    so the units of the two lifts of e have the classes 2 and 1. A source
+    that passes the checker reaches neither refusal."""
+    L, fmor = algebras["KP.CM-Id2"], std_morphisms()[fname]
+    e = fmor.target.base.names[0]
+    cases = [({**L.phi, (0, 1): Matrix(QQ, [[2]])}, L.tilde, "phi_homomorphism",
+              f"action on the quotient depends on the representative of {e}"),
+             (L.phi, [(2,), L.tilde[1]], "tilde_unit",
+              "tilde on the quotient depends on the lift of e")]
+    for phi, tilde, family, text in cases:
+        bad = CrossedCAlgebra(L.name, L.cm, QQ, L.dims, L.basis_names, L.mul, L.unit, L.rho,
+                              phi, tilde)
+        assert family in [r.axiom for r in check_crossed_algebra(bad).failures()]
+        with pytest.raises(ValueError) as exc:
+            pushforward_data(fmor, bad)
+        assert str(exc.value) == text
 
 
 # --- adjunction transposes --------------------------------------------------

@@ -480,17 +480,6 @@ def test_rowspace_add_in_span_eliminates_nothing(f, monkeypatch):
     assert len(calls) == 1
 
 
-def test_rowspace_quotient():
-    space = RowSpace(QQ, 3)
-    assert space.add((QQ.of(-1), QQ.of(1), QQ.of(0)))
-    assert space.add((QQ.of(-1), QQ.of(0), QQ.of(1)))
-    assert not space.add((QQ.of(0), QQ.of(1), QQ.of(-1)))  # dependent
-    assert space.dim == 2
-    assert space.free_columns() == [2]
-    coords = space.quotient_coords((QQ.of(1), QQ.of(0), QQ.of(0)))
-    assert coords == (QQ.of(1),)  # e0 = e2 modulo the span
-
-
 def test_unit_vector():
     assert unit_vector(QQ, 3, 1) == (QQ.of(0), QQ.of(1), QQ.of(0))
 

@@ -26,6 +26,15 @@ Sections:
   two-label boundary circuit); then `formal_maps.piece_io` of every piece of
   all eight kinds on every fixture crossed module, and its `TypeError` text
   on three non-pieces.
+- `pushforward`: `algebras.pushforward_data` along `quotient_morphism` of
+  every subgroup of Z/n (n <= PUSH_MAX_N) on K[P] and K[C] over Q and GF(3),
+  along every fixture morphism on K[C] and K[P] of its source over Q, GF(2),
+  GF(3) and GF(5), and on two inputs it refuses (a top map that is not onto,
+  and a target grade outside the image whose action cannot be extended).
+  Each item is the algebra, the dimension of each class's ideal and the
+  blocks of `untranspose_to_pushforward` applied to the identity of the
+  pushforward, which are the quotient maps; a refused input gives the
+  error's type and text instead.
 """
 
 import dataclasses
@@ -37,14 +46,36 @@ from pathlib import Path
 
 import pytest
 
+from crossmod.algebras import (
+    CrossedAlgebraMorphism,
+    group_algebra_C,
+    group_algebra_P,
+    pushforward_data,
+    untranspose_to_pushforward,
+)
+from crossmod.crossed_modules import (
+    crossed_module,
+    from_normal_inclusion,
+    identity_morphism,
+    morphism,
+    quotient_morphism,
+)
 from crossmod.fields import GF, QQ
-from crossmod.fixtures import std_algebras, std_crossed_modules
+from crossmod.fixtures import one_to_z2, std_algebras, std_crossed_modules, std_morphisms
 from crossmod.formal_maps import (
     FormalBoundary,
     FormalCircuit,
     LabeledCell,
     piece_io,
     typecheck,
+)
+from crossmod.groups import (
+    cyclic_group,
+    identity_hom,
+    symmetric_group_3,
+    trivial_action,
+    trivial_group,
+    trivial_hom,
 )
 from crossmod.hqft import (
     INVARIANCE,
@@ -56,6 +87,7 @@ from crossmod.hqft import (
     make_hqft,
     random_expression,
 )
+from crossmod.linalg import Matrix
 from crossmod.serialize import dumps, to_doc
 from test_checker_oracle import gauge
 from test_hqft import ALL_KINDS, _every_piece, singular_pairing
@@ -170,8 +202,64 @@ def typecheck_items():
             yield {"crossed_module": name, "piece": repr(not_a_piece), "error": str(exc.value)}
 
 
+# the largest n whose subgroups of Z/n the `pushforward` section runs, so
+# that the section takes about a second
+PUSH_MAX_N = 12
+
+
+def _refused_pushforward_inputs():
+    """(name, morphism, source crossed module) of the two refused inputs:
+    (1 -> Z/2) -> CM-Id2 with the identity on the base and the trivial top
+    map, and (1 -> 1) -> (1 -> S3)."""
+    one, s3 = trivial_group(), symmetric_group_3()
+    id2, z2 = std_crossed_modules()["CM-Id2"], one_to_z2()
+    yield ("(1->Z2)->CM-Id2",
+           morphism(z2, id2, trivial_hom(one, id2.top), identity_hom(z2.base)), z2)
+    point = crossed_module("1->1", one, one, trivial_hom(one, one), trivial_action(one, one))
+    into_s3 = crossed_module("1->S3", one, s3, trivial_hom(one, s3), trivial_action(s3, one))
+    yield ("(1->1)->(1->S3)",
+           morphism(point, into_s3, trivial_hom(one, one), trivial_hom(one, s3)), point)
+
+
+def _pushforward_inputs():
+    """(name, morphism, source algebra) of every input named in the module
+    docstring."""
+    builds = {"KP": group_algebra_P, "KC": group_algebra_C}
+    for n in range(1, PUSH_MAX_N + 1):
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            cm = from_normal_inclusion(cyclic_group(n), range(0, n, k))
+            fmor = quotient_morphism(cm)
+            for kind, build in builds.items():
+                for field in (QQ, GF(3)):
+                    yield f"{kind} of {k}Z/{n}", fmor, build(cm, field)
+    for name, fmor in std_morphisms().items():
+        for kind in builds:
+            for field in (QQ, GF(2), GF(3), GF(5)):
+                yield name, fmor, std_algebras(field)[f"{kind}.{fmor.source.name}"]
+    for name, fmor, cm in _refused_pushforward_inputs():
+        yield name, fmor, group_algebra_P(cm, QQ)
+
+
+def pushforward_items():
+    for name, fmor, L in _pushforward_inputs():
+        item = {"input": name, "algebra": L.name, "field": L.field.to_json()}
+        try:
+            data = pushforward_data(fmor, L)
+        except ValueError as exc:
+            yield {**item, "error": type(exc).__name__, "text": str(exc)}
+            continue
+        fL = data.algebra
+        ident = CrossedAlgebraMorphism(identity_morphism(fL.cm), fL, fL,
+                                       {q: Matrix.identity(fL.field, d)
+                                        for q, d in enumerate(fL.dims)})
+        pis = untranspose_to_pushforward(ident, data).blocks
+        yield {**item, "pushforward": to_doc("algebra", fL),
+               "ideal_dims": [data.spans[q].dim for q in fL.P.elements()],
+               "pis": [pis[p].to_json() for p in L.P.elements()]}
+
+
 SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
-            "typecheck": typecheck_items}
+            "typecheck": typecheck_items, "pushforward": pushforward_items}
 
 
 def _sha256(text):
