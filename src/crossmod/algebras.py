@@ -177,16 +177,12 @@ def well_formed(L: CrossedCAlgebra) -> tuple[str, str] | None:
 
 def _cleared(L: CrossedCAlgebra):
     """(L', D): L with every structure map (mul, unit, rho, phi and tilde)
-    multiplied by D, the least common denominator of all their entries, so
-    that every entry of L' is an int and the checkers' contractions never
-    build a Fraction. An algebra whose entries are all ints, and every
-    algebra over GF(p), is returned as it is, with D = 1.
-
-    Every axiom family compares two sides that are multilinear in the
-    structure maps. On L' a side of degree k in them (k factors among mul,
-    unit, rho, phi and tilde) is D**k times its value on L, so a checker
-    multiplies the side of lower degree by the power of D that evens the
-    degrees, and the comparison keeps its truth value because D != 0."""
+    multiplied by D, the least common denominator of all their entries, one
+    `combine(n, [(D, vec)])` per vector, so that every entry of L' is an int.
+    An all-int algebra, and any over GF(p), is returned as it is, with D = 1.
+    On L' an axiom side of degree k in the structure maps is D**k times its
+    value on L, so a checker multiplies the side of lower degree by the power
+    of D that evens the degrees, which keeps each comparison's truth value."""
     if L.field != QQ:
         return L, 1
     entries = itertools.chain(
@@ -198,7 +194,7 @@ def _cleared(L: CrossedCAlgebra):
         return L, 1
 
     def cleared(vec):
-        return tuple([x.numerator * (D // x.denominator) for x in vec])
+        return QQ.combine(len(vec), [(D, vec)])
 
     def cleared_matrix(m):
         return Matrix._of(m.field, tuple([cleared(row) for row in m.data]), m.cols)

@@ -9,11 +9,15 @@ so matrix code stays field-agnostic. A stored zero is falsy in both fields,
 so the matrix kernels skip zeros by truthiness, and a stored one is equal to
 the field's ``one``, so they can copy a block scaled by it.
 
-Each field has its own contraction kernel, ``combine(n, terms)``, and every
-matrix product and structure-constant contraction goes through it. It sums
-in plain integers and normalizes once per output entry: over Q each entry is
-an integer numerator over one common denominator until the end, over GF(p)
-an unreduced integer until its one ``% p``.
+Each field has its own kernel, ``combine(n, terms)``, the n-vector sum of
+c * v over the (c, v) terms. Every matrix product, structure-constant
+contraction and Gauss-Jordan row operation is one call of it. It sums in
+plain integers and normalizes once per output entry: over Q each entry is an
+integer numerator over one common denominator until the end, over GF(p) an
+unreduced integer until its one ``% p``. So it is the one place where a
+canonical rational becomes an integer over a denominator and back: a row is
+cleared by D as ``combine(n, [(D, row)])`` and divided back as
+``combine(n, [(Fraction(1, D), row)])``.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebras import CrossedCAlgebra, check_crossed_algebra, theta
 from .crossed_modules import CrossedModule, require_same
@@ -126,17 +127,18 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
                 eval_piece(tau, Pants(0, P.inv[g1], g12)))
             m = second @ first
     d = math.lcm(*[x.denominator for row in m.data for x in row])
-    n = m if d == 1 else Matrix._of(f, tuple([tuple([x.numerator * (d // x.denominator)
-                                                     for x in row]) for row in m.data]), m.cols)
+    n = m if d == 1 else Matrix._of(f, tuple([f.combine(m.cols, [(d, row)])
+                                              for row in m.data]), m.cols)
     tau.pieces[piece] = (n, d)
     return m
 
 
 def _divided(n: Matrix, d: int) -> Matrix:
-    """n / d, one canonical `field.div` per entry; n itself when d = 1."""
-    f = n.field
-    return n if d == 1 else Matrix._of(f, tuple([tuple([f.div(x, d) for x in row])
-                                                 for row in n.data]), n.cols)
+    """n / d, one `field.combine` per row with coefficient 1/d; n itself when d = 1."""
+    if d == 1:
+        return n
+    f, inv = n.field, Fraction(1, d)
+    return Matrix._of(f, tuple([f.combine(n.cols, [(inv, row)]) for row in n.data]), n.cols)
 
 
 def require_same_crossed_module(e: CobordismExpression, cm: CrossedModule) -> None:
@@ -152,7 +154,7 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     `require_same_crossed_module`). After the typecheck, which refuses a
     piece like `Cyl(True, 0, 1)` that equals a stored one, the products run
     on the pieces' int matrices N from `tau.pieces`, and the result is
-    divided once by the product of their D: one `Fraction` per entry."""
+    divided once by the product of their D (`_divided`)."""
     require_same_crossed_module(e, tau.cm)
     typecheck(e).require(TypecheckFailed)
     f = tau.field

@@ -3,19 +3,20 @@
 Everything here is field-agnostic: entries are raw scalar values and all
 arithmetic goes through the attached field object. Zero-dimensional shapes
 (0xn, nx0) are first-class, since graded algebras routinely have empty grades.
-Every product (``@``, ``apply`` and ``RowSpace.reduce``) is one call of the
-field's contraction kernel ``combine``, which skips zero entries (falsy in
-every field) and normalizes each output entry once, so the entries of a
-product are canonical scalars of the field.
+Every product (``@``, ``apply``, ``RowSpace.reduce``) and every row operation
+of the elimination behind ``inverse``, ``solve``, ``nullspace`` and
+``RowSpace.add`` is one call of the field's kernel ``combine``, which skips
+zero entries (falsy in every field) and normalizes each output entry once.
 
 Every stored entry is canonical, and the kernels lean on that to skip work
-that cannot change the result. ``kron`` copies the zero block for a left
-entry 0 and the right factor's row for a left entry 1, and ``@`` with a
-square identity operand returns the other operand itself. Over GF(p) both
-are exact only because entries are reduced: an unreduced 4 over GF(3) would
-be copied where ``mul`` returns 1. Over Q a copied entry equals what ``mul``
-would return in any case; the canonical form there only keeps each integral
-entry an ``int``.
+that cannot change the result. ``kron``, the one loop here that multiplies
+entry by entry (``field.mul``; a ``combine`` per row measured slower),
+copies the zero block for a left entry 0 and the right factor's row for a
+left entry 1, and ``@`` with a square identity operand returns the other
+operand itself. Over GF(p) both are exact only because entries are reduced:
+an unreduced 4 over GF(3) would be copied where ``mul`` returns 1. Over Q a
+copied entry equals what ``mul`` would return in any case; the canonical
+form there only keeps each integral entry an ``int``.
 
 Only the public constructor ``Matrix(field, data, cols)`` copies, validates
 and puts into canonical form its data, for matrices from outside (documents,
@@ -122,10 +123,10 @@ class Matrix:
 
     def _eliminate(self, extra):
         """Gauss-Jordan reduction of [A | extra], pivoting on the columns of A
-        only; `extra` holds the appended entries of each row. Returns the
-        reduced rows and the pivot columns, in order."""
+        only (`extra` holds the appended entries of each row), one `combine`
+        per row operation. Returns the reduced rows and the pivot columns."""
         f = self.field
-        work = [list(row) + list(more) for row, more in zip(self.data, extra, strict=True)]
+        work = [(*row, *more) for row, more in zip(self.data, extra, strict=True)]
         pivots = []
         for col in range(self.cols):
             r = len(pivots)
@@ -133,14 +134,11 @@ class Matrix:
                           if not f.is_zero(work[k][col])), None)
             if pivot is None:
                 continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv_p = f.div(f.one, work[r][col])
-            work[r] = [f.mul(inv_p, x) for x in work[r]]
+            top, work[pivot] = work[pivot], work[r]
+            work[r] = top = f.combine(len(top), [(f.div(f.one, top[col]), top)])
             for k in range(self.rows):
                 if k != r and not f.is_zero(work[k][col]):
-                    factor = work[k][col]
-                    work[k] = [f.sub(x, f.mul(factor, y))
-                               for x, y in zip(work[k], work[r])]
+                    work[k] = f.combine(len(top), [(f.one, work[k]), (f.neg(work[k][col]), top)])
             pivots.append(col)
         return work, pivots
 
@@ -151,7 +149,7 @@ class Matrix:
         work, pivots = self._eliminate(Matrix.identity(self.field, n).data)
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix._of(self.field, tuple([tuple(row[n:]) for row in work]), n)
+        return Matrix._of(self.field, tuple([row[n:] for row in work]), n)
 
     def solve(self, b):
         """One solution x of A x = b, or None if the system is inconsistent."""
@@ -246,6 +244,6 @@ class RowSpace:
             return False
         rows = self.basis + [vec]
         work, pivots = Matrix._of(self.field, tuple(rows), self.n)._eliminate([()] * len(rows))
-        self.basis = [tuple(row) for row in work[:len(pivots)]]
+        self.basis = work[:len(pivots)]
         self.pivots = pivots
         return True

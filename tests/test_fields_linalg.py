@@ -480,6 +480,35 @@ def test_rowspace_add_in_span_eliminates_nothing(f, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_elimination_is_combine_calls(f, monkeypatch):
+    """inverse, solve, nullspace and RowSpace.add make no `mul` or `sub`
+    call: each row operation of the elimination is one `combine`."""
+    rng = random.Random(11)
+    matrices = [Matrix(f, [[f.div(f.of(rng.randint(-2, 2)), f.of(rng.choice((1, 2, 3))))
+                            for _ in range(cols)] for _ in range(rows)], cols=cols)
+                for rows, cols in [(n, n) for n in range(1, 5)] * 3 + [(2, 4), (4, 2), (3, 3)]]
+    expected = [(A.inverse() if _naive_rank(f, A.data, A.cols) == A.rows == A.cols else None,
+                 A.nullspace()) for A in matrices]
+
+    def refused(*args):
+        raise AssertionError("a per-entry mul or sub in the elimination")
+
+    monkeypatch.setattr(f, "mul", refused)
+    monkeypatch.setattr(f, "sub", refused)
+    for A, (inv, null) in zip(matrices, expected):
+        if inv is not None:
+            assert A.inverse() == inv
+        assert A.nullspace() == null
+        b = A.apply(tuple(f.one for _ in range(A.cols)))
+        assert A.apply(A.solve(b)) == b
+        space = RowSpace(f, A.cols)
+        for row in A.data:
+            space.add(row)
+        assert space.dim == A.cols - len(null)
+    assert sum(inv is not None for inv, _ in expected) >= 5
+
+
 def test_unit_vector():
     assert unit_vector(QQ, 3, 1) == (QQ.of(0), QQ.of(1), QQ.of(0))
 

@@ -35,6 +35,20 @@ Sections:
   blocks of `untranspose_to_pushforward` applied to the identity of the
   pushforward, which are the quotient maps; a refused input gives the
   error's type and text instead.
+- `checkers`: the reports of `algebras.check_crossed_algebra`,
+  `check_boxed_identities` and `aut_square_check` on every fixture algebra
+  over Q, GF(2), GF(3) and GF(5), on the gauge bases of `evaluator`, on
+  `test_checker_oracle.big_prime_basis` of each of them (common denominators
+  above 2**64), and on one seeded single-entry corruption of each gauge
+  basis, the corrupted map cycling through mul, unit, rho, phi and tilde.
+- `linalg`: `Matrix.inverse`, `solve` (a right-hand side in the column space
+  and a seeded one), `nullspace` and a `RowSpace.add` sequence (each row,
+  then a seeded vector) on seeded matrices over Q (entries with
+  denominators 1 to 3), GF(2), GF(3) and GF(5): dense, sparse, rank
+  deficient and (when square) invertible, in every shape of
+  `LINALG_SHAPES`, among them singular, rectangular, 0xn and nx0 ones. A refusal (an inverse of a singular or
+  non-square matrix, a right-hand side or vector of the wrong length) is an
+  item's error type and text.
 """
 
 import dataclasses
@@ -48,6 +62,9 @@ import pytest
 
 from crossmod.algebras import (
     CrossedAlgebraMorphism,
+    aut_square_check,
+    check_boxed_identities,
+    check_crossed_algebra,
     group_algebra_C,
     group_algebra_P,
     pushforward_data,
@@ -87,9 +104,9 @@ from crossmod.hqft import (
     make_hqft,
     random_expression,
 )
-from crossmod.linalg import Matrix
+from crossmod.linalg import Matrix, RowSpace
 from crossmod.serialize import dumps, to_doc
-from test_checker_oracle import gauge
+from test_checker_oracle import TARGETS, big_prime_basis, corrupt, gauge
 from test_hqft import ALL_KINDS, _every_piece, singular_pairing
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -258,8 +275,98 @@ def pushforward_items():
                "pis": [pis[p].to_json() for p in L.P.elements()]}
 
 
+def _checker_inputs():
+    """Every algebra named for the `checkers` section in the module docstring."""
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        yield from std_algebras(field).values()
+    gauged = list(_gauged())
+    yield from gauged
+    yield from map(big_prime_basis, gauged)
+    for k, (name, G) in enumerate(zip(GAUGED, gauged)):
+        yield corrupt(G, random.Random(f"golden/corrupt/{k}/{name}"), TARGETS[k % len(TARGETS)])
+
+
+def checkers_items():
+    for L in _checker_inputs():
+        yield {"algebra": L.name, "field": L.field.to_json(),
+               "reports": [check(L).to_json() for check in
+                           (check_crossed_algebra, check_boxed_identities, aut_square_check)]}
+
+
+# (rows, cols) of the `linalg` section's matrices
+LINALG_SHAPES = ((0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (4, 4),
+                 (2, 5), (5, 2), (3, 4), (4, 3))
+
+
+def _scalar(f, rng):
+    if f == QQ:
+        return f.div(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+    return f.of(rng.randrange(f.p))
+
+
+def _matrices(f, rng, rows, cols):
+    """(kind, matrix): dense, sparse (about two entries in three zero), of
+    rank below min(rows, cols) as a product through a narrower middle, and,
+    when square, invertible as a unit lower triangular times an upper
+    triangular matrix with a nonzero diagonal."""
+    yield "dense", Matrix(f, [[_scalar(f, rng) for _ in range(cols)] for _ in range(rows)],
+                          cols=cols)
+    yield "sparse", Matrix(f, [[_scalar(f, rng) if rng.random() < 0.35 else 0
+                                for _ in range(cols)] for _ in range(rows)], cols=cols)
+    if min(rows, cols) > 0:
+        r = rng.randrange(min(rows, cols))
+        left = Matrix(f, [[_scalar(f, rng) for _ in range(r)] for _ in range(rows)], cols=r)
+        right = Matrix(f, [[_scalar(f, rng) for _ in range(cols)] for _ in range(r)], cols=cols)
+        yield f"rank<={r}", left @ right
+    if rows == cols:
+        lower = Matrix(f, [[f.one if i == j else _scalar(f, rng) if j < i else 0
+                            for j in range(cols)] for i in range(rows)], cols=cols)
+        upper = Matrix(f, [[_nonzero(f, rng) if i == j else _scalar(f, rng) if j > i else 0
+                            for j in range(cols)] for i in range(rows)], cols=cols)
+        yield "invertible", lower @ upper
+
+
+def _nonzero(f, rng):
+    while not (x := _scalar(f, rng)):
+        pass
+    return x
+
+
+def _refused(call, *args):
+    """call(*args), or the type and text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return {"error": type(exc).__name__, "text": str(exc)}
+
+
+def _vector(f, vec):
+    return None if vec is None else [f.format(x) for x in vec]
+
+
+def linalg_items():
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        rng = random.Random(f"golden/linalg/{f.name}")
+        for rows, cols in LINALG_SHAPES:
+            for kind, m in _matrices(f, rng, rows, cols):
+                x = [_scalar(f, rng) for _ in range(cols)]
+                rhs = [m.apply(x), [_scalar(f, rng) for _ in range(rows)], [f.one] * (rows + 1)]
+                space, added = RowSpace(f, cols), []
+                for vec in [*m.data, [_scalar(f, rng) for _ in range(cols)], [f.one] * (cols + 1)]:
+                    grew = _refused(space.add, vec)
+                    added.append({"added": grew, "basis": [_vector(f, row) for row in space.basis],
+                                  "pivots": space.pivots})
+                yield {"field": f.to_json(), "shape": [rows, cols], "kind": kind,
+                       "matrix": m.to_json(),
+                       "inverse": _refused(lambda: m.inverse().to_json()),
+                       "solve": [_refused(lambda b: _vector(f, m.solve(b)), b) for b in rhs],
+                       "nullspace": [_vector(f, vec) for vec in m.nullspace()],
+                       "rowspace": added}
+
+
 SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
-            "typecheck": typecheck_items, "pushforward": pushforward_items}
+            "typecheck": typecheck_items, "pushforward": pushforward_items,
+            "checkers": checkers_items, "linalg": linalg_items}
 
 
 def _sha256(text):

@@ -577,6 +577,31 @@ def test_stored_pieces_evaluate_without_eval_piece(subject, monkeypatch):
         assert calls == [], L.name
 
 
+def test_eval_expression_divides_through_combine(monkeypatch):
+    """With every piece stored, evaluating over the gauge basis makes no
+    `div` call: the final division by the product of the pieces' D is one
+    `combine` per row. The seeded expressions include results with
+    non-integral entries, so that division really runs."""
+    L, = _oracle_algebras("gauge")
+    tau = make_hqft(L)
+    for piece in (piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)):
+        eval_piece(tau, piece)
+    rng = random.Random("fold/no-div")
+    expressions = [random_expression(tau, rng) for _ in range(40)]
+    calls, div = [], QQ.div
+
+    def counted(*args):
+        calls.append(args)
+        return div(*args)
+
+    monkeypatch.setattr(QQ, "div", counted)
+    matrices = [eval_expression(tau, e).matrix for e in expressions]
+    monkeypatch.undo()
+    assert calls == []
+    assert any(type(x) is Fraction for m in matrices for row in m.data for x in row)
+    assert all(m == _plain_fold(tau, e) for m, e in zip(matrices, expressions))
+
+
 def test_snake_identities(algebras):
     for name in fixture_algebra_names():
         tau = make_hqft(algebras[name])
