@@ -835,9 +835,10 @@ def kp_iso_witness(cm: CrossedModule, field):
     """The isomorphism e_p |-> (e_{q(p)})_n between the base group algebra and
     the pullback of the quotient group algebra, where p = n s(q(p)).
 
-    Verifies that the witness is an isomorphism of crossed algebras over the
-    identity, and that multiplication in the pullback follows the section's
-    twisted cocycle law. Returns the witness morphism.
+    Verifies that the witness is a morphism of crossed algebras over the
+    identity (its blocks are 1x1 identities, so it is an isomorphism), and
+    that multiplication in the pullback follows the section's twisted
+    cocycle law. Returns the witness morphism.
     """
     qmor = quotient_morphism(cm)
     q = qmor.f_base
@@ -850,8 +851,6 @@ def kp_iso_witness(cm: CrossedModule, field):
     # identity_morphism checked the crossed-module morphism; only the blocks remain
     witness = CrossedAlgebraMorphism(identity_morphism(cm), KP, pulled, blocks)
     _check_blocks(witness, CheckReport("crossed algebra morphism")).require(AssertionError)
-    if not is_isomorphism(witness):
-        raise AssertionError("witness blocks are not invertible")
     verify_cocycle_multiplication(cm, q, sec, coc, pulled)
     return witness
 

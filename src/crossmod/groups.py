@@ -410,19 +410,9 @@ def cocycle_from_section(sec: Section) -> TwoCocycle:
     P, G = q.source, q.target
     f = tuple(tuple(P.product((sec(g), sec(h), P.inv[sec(G.mul(g, h))])) for h in G.elements())
               for g in G.elements())
-    # kernel membership, normalization and the twisted identity are
-    # theorems; violation = bug
+    # f lies in ker q only when q is a homomorphism, which `section` does
+    # not check. Normalization is s(1) = 1, which `section` checks, and the
+    # twisted identity holds for any map s into a group.
     if any(q.map[x] != 0 for row in f for x in row):
         raise GroupConstructionError("cocycle value escaped the kernel")
-    for g in G.elements():
-        if f[0][g] != 0 or f[g][0] != 0:
-            raise GroupConstructionError("cocycle is not normalized")
-    for g in G.elements():
-        for h in G.elements():
-            for k in G.elements():
-                lhs = P.mul(f[g][h], f[G.mul(g, h)][k])
-                rhs = P.mul(P.conj(sec(g), f[h][k]), f[g][G.mul(h, k)])
-                if lhs != rhs:
-                    raise GroupConstructionError(
-                        f"identity fails at ({G.names[g]},{G.names[h]},{G.names[k]})")
     return TwoCocycle(G, f)

@@ -124,7 +124,8 @@ class Matrix:
     def _eliminate(self, extra):
         """Gauss-Jordan reduction of [A | extra], pivoting on the columns of A
         only (`extra` holds the appended entries of each row), one `combine`
-        per row operation. Returns the reduced rows and the pivot columns."""
+        per row operation; a pivot row whose pivot is one is not scaled.
+        Returns the reduced rows and the pivot columns."""
         f = self.field
         work = [(*row, *more) for row, more in zip(self.data, extra, strict=True)]
         pivots = []
@@ -135,7 +136,9 @@ class Matrix:
             if pivot is None:
                 continue
             top, work[pivot] = work[pivot], work[r]
-            work[r] = top = f.combine(len(top), [(f.div(f.one, top[col]), top)])
+            if top[col] != f.one:
+                top = f.combine(len(top), [(f.div(f.one, top[col]), top)])
+            work[r] = top
             for k in range(self.rows):
                 if k != r and not f.is_zero(work[k][col]):
                     work[k] = f.combine(len(top), [(f.one, work[k]), (f.neg(work[k][col]), top)])
@@ -156,7 +159,8 @@ class Matrix:
         f = self.field
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        work, pivots = self._eliminate([(x,) for x in b])
+        # b comes from the caller, so its entries are made canonical first
+        work, pivots = self._eliminate([(x,) for x in f.combine(self.rows, [(f.one, b)])])
         if any(not f.is_zero(row[-1]) for row in work[len(pivots):]):
             return None
         x = [f.zero] * self.cols
@@ -236,13 +240,13 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if the space grew. A vector in the
-        span reduces to zero and changes nothing. Otherwise the reduced
-        row-echelon form of [basis; vec] is unique, so re-reducing it keeps
-        the basis canonical."""
-        vec = tuple(vec)
-        if not any(self.reduce(vec)):
+        span reduces to zero and changes nothing. Otherwise [basis; residue]
+        spans what [basis; vec] spans, and its reduced row-echelon form is
+        unique, so re-reducing it keeps the basis canonical."""
+        residue = self.reduce(vec)
+        if not any(residue):
             return False
-        rows = self.basis + [vec]
+        rows = self.basis + [residue]
         work, pivots = Matrix._of(self.field, tuple(rows), self.n)._eliminate([()] * len(rows))
         self.basis = work[:len(pivots)]
         self.pivots = pivots

@@ -130,7 +130,7 @@ def _group_algebra_axioms():
 def _kp_iso():
     cm = fixtures.std_crossed_modules()["CM-A3S3"]
     try:
-        # checks the algebra map, its invertible blocks and the cocycle law
+        # checks the algebra map and the cocycle law
         kp_iso_witness(cm, QQ)
     except AssertionError as exc:
         return False, [f"  {exc}"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -483,7 +484,9 @@ def test_rowspace_add_in_span_eliminates_nothing(f, monkeypatch):
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
 def test_elimination_is_combine_calls(f, monkeypatch):
     """inverse, solve, nullspace and RowSpace.add make no `mul` or `sub`
-    call: each row operation of the elimination is one `combine`."""
+    call: each row operation of the elimination is one `combine`, and a
+    pivot row whose pivot is already one is not scaled by a one-term
+    `combine`."""
     rng = random.Random(11)
     matrices = [Matrix(f, [[f.div(f.of(rng.randint(-2, 2)), f.of(rng.choice((1, 2, 3))))
                             for _ in range(cols)] for _ in range(rows)], cols=cols)
@@ -494,8 +497,18 @@ def test_elimination_is_combine_calls(f, monkeypatch):
     def refused(*args):
         raise AssertionError("a per-entry mul or sub in the elimination")
 
+    combine, scalings = f.combine, []
+
+    def combine_in_elimination(n, terms):
+        if sys._getframe(1).f_code is Matrix._eliminate.__code__:
+            terms = list(terms)
+            assert terms[0][0] != f.one or len(terms) > 1, "a pivot row scaled by one"
+            scalings.append(len(terms) == 1)
+        return combine(n, terms)
+
     monkeypatch.setattr(f, "mul", refused)
     monkeypatch.setattr(f, "sub", refused)
+    monkeypatch.setattr(f, "combine", combine_in_elimination)
     for A, (inv, null) in zip(matrices, expected):
         if inv is not None:
             assert A.inverse() == inv
@@ -507,6 +520,7 @@ def test_elimination_is_combine_calls(f, monkeypatch):
             space.add(row)
         assert space.dim == A.cols - len(null)
     assert sum(inv is not None for inv, _ in expected) >= 5
+    assert any(scalings)
 
 
 def test_unit_vector():

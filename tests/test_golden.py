@@ -49,6 +49,10 @@ Sections:
   `LINALG_SHAPES`, among them singular, rectangular, 0xn and nx0 ones. A refusal (an inverse of a singular or
   non-square matrix, a right-hand side or vector of the wrong length) is an
   item's error type and text.
+- `refusals`: `test_refusals.REFUSALS`, each refusal or failure path that
+  only that module reaches, with its result: the exit code and JSON output
+  of `crossmod check` on a file, an exception's type and text, or the value
+  of a failing check.
 """
 
 import dataclasses
@@ -108,6 +112,7 @@ from crossmod.linalg import Matrix, RowSpace
 from crossmod.serialize import dumps, to_doc
 from test_checker_oracle import TARGETS, big_prime_basis, corrupt, gauge
 from test_hqft import ALL_KINDS, _every_piece, singular_pairing
+from test_refusals import REFUSALS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -364,9 +369,14 @@ def linalg_items():
                        "rowspace": added}
 
 
+def refusals_items():
+    for name, call, _ in REFUSALS:
+        yield {"input": name, "result": call()}
+
+
 SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
             "typecheck": typecheck_items, "pushforward": pushforward_items,
-            "checkers": checkers_items, "linalg": linalg_items}
+            "checkers": checkers_items, "linalg": linalg_items, "refusals": refusals_items}
 
 
 def _sha256(text):
