@@ -18,9 +18,20 @@ an unreduced 4 over GF(3) would be copied where ``mul`` returns 1. Over Q a
 copied entry equals what ``mul`` would return in any case; the canonical
 form there only keeps each integral entry an ``int``.
 
-Only the public constructor ``Matrix(field, data, cols)`` copies, validates
-and puts into canonical form its data, for matrices from outside (documents,
-fixtures, tests). A matrix this module builds itself (a product,
+``Matrix.identity(field, n)`` hands out one shared instance per (field, n),
+built the first time that size is asked for and kept after, so the cache
+holds one matrix per (field, n) asked for. crossmod never mutates a matrix
+it has built, so no caller changes the identity every other caller sees.
+``@`` recognises a shared identity operand by object identity in O(1), and
+any other matrix equal to an identity, such as ``A @ A.inverse()``, by a
+scan of its rows.
+
+Caller input takes one intake rule: the public constructor
+``Matrix(field, data, cols)`` copies and validates its data, and it and
+every entry point that takes a caller's vector (``apply``, ``solve``,
+``RowSpace.reduce`` and ``RowSpace.add``) put each entry through
+``field.of``, which makes it canonical and refuses any other type, such as
+a ``float``. A matrix this module builds itself (a product,
 Kronecker product, transpose, identity or inverse), and the evaluator's
 pieces, their integer matrices and divided results, are wrapped as they
 are by the private ``Matrix._of``: their rows are canonical tuples of one length.
@@ -31,6 +42,10 @@ from __future__ import annotations
 
 class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
+
+
+# (field, n) -> the shared n x n identity over field, kept once it is built
+_IDENTITIES: dict = {}
 
 
 class Matrix:
@@ -56,9 +71,15 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls._of(field, tuple([tuple([o if i == j else z for j in range(n)])
-                                     for i in range(n)]), n)
+        """The n x n identity over field: one shared instance per (field, n),
+        built the first time it is asked for and never mutated."""
+        m = _IDENTITIES.get((field, n))
+        if m is None:
+            z, o = field.zero, field.one
+            m = _IDENTITIES[(field, n)] = cls._of(
+                field, tuple([tuple([o if i == j else z for j in range(n)])
+                              for i in range(n)]), n)
+        return m
 
     @classmethod
     def from_columns(cls, field, columns, rows: int) -> "Matrix":
@@ -86,11 +107,14 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
     def _is_identity(self) -> bool:
-        """Square with ones on the diagonal and zeros elsewhere; stops at
-        the first row that is not. A 0x0 matrix is the empty identity, a
-        0xn or nx0 one with n > 0 is none."""
+        """Square with ones on the diagonal and zeros elsewhere: at once for
+        the shared identity of its size, else by a scan that stops at the
+        first row that is not. A 0x0 matrix is the empty identity, a 0xn or
+        nx0 one with n > 0 is none."""
         if self.rows != self.cols:
             return False
+        if _IDENTITIES.get((self.field, self.rows)) is self:
+            return True
         one = self.field.one
         for i, row in enumerate(self.data):
             if row[i] != one or any(row[:i]) or any(row[i + 1:]):
@@ -116,7 +140,8 @@ class Matrix:
         """Matrix times column vector, given and returned as plain tuples."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return self.field.combine(self.rows, zip(vec, zip(*self.data)))
+        f = self.field
+        return f.combine(self.rows, zip(map(f.of, vec), zip(*self.data)))
 
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.data, self.cols)
@@ -159,8 +184,7 @@ class Matrix:
         f = self.field
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        # b comes from the caller, so its entries are made canonical first
-        work, pivots = self._eliminate([(x,) for x in f.combine(self.rows, [(f.one, b)])])
+        work, pivots = self._eliminate([(x,) for x in map(f.of, b)])
         if any(not f.is_zero(row[-1]) for row in work[len(pivots):]):
             return None
         x = [f.zero] * self.cols
@@ -232,7 +256,7 @@ class RowSpace:
         rows are subtracted, because in reduced row-echelon form every other
         basis row is 0 at the pivot."""
         f = self.field
-        vec = tuple(vec)
+        vec = tuple(map(f.of, vec))
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
         return f.combine(self.n, [(f.one, vec), *((f.neg(vec[p]), row)

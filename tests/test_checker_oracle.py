@@ -453,12 +453,42 @@ def _cases():
                 yield f"{fname}/{bad.name}", bad
 
 
-CASES = dict(_cases())
+# the fixture algebras in the order of `fixtures.std_algebras`, then K[C] of
+# the two doubling modules of `base_algebras`
+BASE_NAMES = ("KC.CM-Id2", "KP.CM-Id2", "KC.CM-A3S3", "KP.CM-A3S3", "KC.CM-Mod", "KP.CM-Mod",
+              "KC.CM-AutS3", "KP.CM-AutS3", "QKG.CM-A3S3", "PUSH.CM-A3S3", "PUSH.CM-Id2",
+              "KQ.1Z2", "KC.Z4-x2-Z4", "KC.Z6-x2-Z6")
+
+
+def _case_names():
+    """The names of `_cases`, in its order, written out without building an
+    algebra, so that collecting this module runs no crossmod kernel."""
+    for fname in FIELDS:
+        yield from (f"{fname}/{name}" for name in BASE_NAMES)
+        for k, name in enumerate(GAUGED):
+            gauged = f"gauge({name})"
+            yield f"{fname}/{gauged}"
+            for n, target in enumerate(TARGETS):
+                yield f"{fname}/{(name, gauged)[n % 2]}+{target}"
+            if fname == "QQ":
+                yield f"{fname}/primes({gauged})"
+                yield f"{fname}/primes({gauged})+{TARGETS[k % len(TARGETS)]}"
+
+
+CASE_NAMES = tuple(_case_names())
+
+
+@functools.lru_cache(maxsize=None)
+def cases():
+    """{name: algebra} of every case, built the first time a test asks."""
+    built = dict(_cases())
+    assert tuple(built) == CASE_NAMES
+    return built
 
 
 @functools.lru_cache(maxsize=None)
 def fast_reports(name):
-    L = CASES[name]
+    L = cases()[name]
     return check_crossed_algebra(L), check_boxed_identities(L), aut_square_check(L)
 
 
@@ -467,14 +497,14 @@ def test_case_set():
     # big-prime bases among them) are crossed algebras, and over each field
     # the corruptions alone reach every family the oracle recomputes, so
     # each fast path (the trace's comparison mod p too) meets a failure
-    assert sum("gauge" not in name and "+" not in name for name in CASES) == 28
-    assert sum(name.startswith("QQ/primes(") for name in CASES) == 2 * len(GAUGED)
-    L = CASES["QQ/KC.CM-Id2"]
+    assert sum("gauge" not in name and "+" not in name for name in cases()) == 28
+    assert sum(name.startswith("QQ/primes(") for name in cases()) == 2 * len(GAUGED)
+    L = cases()["QQ/KC.CM-Id2"]
     families = set(SLOW_FAMILIES).union(
         *({r.axiom for r in rep.results} for rep in (slow_boxed_report(L),
                                                       slow_aut_square_report(L))))
     failed = {fname: set() for fname in FIELDS}
-    for name in CASES:
+    for name in CASE_NAMES:
         reports = fast_reports(name)
         if "gauge" in name and "+" not in name:
             assert all(rep.ok for rep in reports), name
@@ -484,9 +514,9 @@ def test_case_set():
         assert families <= failed[fname], (fname, families - failed[fname])
 
 
-@pytest.mark.parametrize("name", list(CASES))
+@pytest.mark.parametrize("name", CASE_NAMES)
 def test_checkers_match_oracle(name):
-    L = CASES[name]
+    L = cases()[name]
     fast, boxed, square = fast_reports(name)
     assert fast.to_json() == slow_crossed_report(L, fast).to_json()
     assert boxed.to_json() == slow_boxed_report(L).to_json()
@@ -502,21 +532,21 @@ def _entries(L):
 
 
 def test_cleared_leaves_integral_and_prime_field_algebras_as_they_are():
-    names = [name for name in CASES if name.startswith("GF5/")]
-    names += [name for name in CASES if name.startswith("QQ/")
-              and all(type(x) is int for x in _entries(CASES[name]))]
+    names = [name for name in CASE_NAMES if name.startswith("GF5/")]
+    names += [name for name in CASE_NAMES if name.startswith("QQ/")
+              and all(type(x) is int for x in _entries(cases()[name]))]
     assert "QQ/KC.CM-A3S3" in names and "GF5/gauge(KC.CM-Mod)" in names
     for name in names:
-        L = CASES[name]
+        L = cases()[name]
         cleared, D = _cleared(L)
         assert cleared is L and D == 1, name
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("QQ/primes(")])
+@pytest.mark.parametrize("name", [name for name in CASE_NAMES if name.startswith("QQ/primes(")])
 def test_cleared_scales_every_map_by_the_common_denominator(name):
     """On the big-prime bases the common denominator exceeds 2**64; every
     entry of the cleared algebra is an int, D times the entry it replaces."""
-    L = CASES[name]
+    L = cases()[name]
     cleared, D = _cleared(L)
     assert D > 2 ** 64
     assert all(type(x) is int for x in _entries(cleared))

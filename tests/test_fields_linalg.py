@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from crossmod import linalg
 from crossmod.fields import GF, QQ, ScalarParseError, field_from_json
+from crossmod.fixtures import std_algebras
+from crossmod.hqft import FormalHQFT, eval_expression, random_expression
 from crossmod.linalg import (
     Matrix,
     RowSpace,
@@ -194,6 +197,68 @@ def test_solve():
     assert inconsistent.solve((QQ.of(0), QQ.of(1))) is None
 
 
+# -- one intake rule: every caller entry goes through field.of ---------------
+
+INTAKE_FIELDS = pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+
+
+def _uncanonical(f, vec):
+    """vec as a caller may give it: over Q with integral Fractions, over
+    GF(p) with unreduced residues of either sign."""
+    return tuple(Fraction(x) if f is QQ else x + f.p * (-1) ** k for k, x in enumerate(vec))
+
+
+def _refused_entries(f):
+    """Entries `field.of` refuses: a float, and over GF(p) a Fraction."""
+    return (0.5, Fraction(1, 2)) if f is not QQ else (0.5,)
+
+
+@INTAKE_FIELDS
+def test_apply_takes_entries_through_of(f):
+    m = Matrix(f, [[1, 2], [3, 4]])
+    vec = (f.of(3), f.of(-2))
+    want = m.apply(vec)
+    got = m.apply(_uncanonical(f, vec))
+    assert got == want and _canonical(f, got)
+    for bad in _refused_entries(f):
+        with pytest.raises(TypeError):
+            m.apply((bad, f.one))
+
+
+@INTAKE_FIELDS
+def test_solve_takes_entries_through_of(f):
+    m = Matrix(f, [[1]])
+    assert m.solve((7,)) == (f.of(7),)
+    got = m.solve(_uncanonical(f, (f.of(2),)))
+    assert got == (2,) and _canonical(f, got)
+    for bad in _refused_entries(f):
+        with pytest.raises(TypeError):
+            m.solve((bad,))
+
+
+@INTAKE_FIELDS
+def test_rowspace_reduce_takes_entries_through_of(f):
+    space = RowSpace(f, 2)
+    space.add((f.one, f.zero))
+    got = space.reduce(_uncanonical(f, (f.of(2), f.of(4))))
+    assert got == (0, 4) and _canonical(f, got)
+    for bad in _refused_entries(f):
+        with pytest.raises(TypeError):
+            space.reduce((bad, f.one))
+
+
+@INTAKE_FIELDS
+def test_rowspace_add_takes_entries_through_of(f):
+    space = RowSpace(f, 2)
+    for bad in _refused_entries(f):
+        with pytest.raises(TypeError):
+            space.add((f.one, bad))
+    assert space.dim == 0
+    assert space.add(_uncanonical(f, (f.of(2), f.of(4))))
+    assert space.basis == [(1, 2)] and _canonical(f, space.basis[0])
+    assert not space.add(_uncanonical(f, (f.of(3), f.of(6))))
+
+
 # -- the fast path against a naive dense oracle over Fraction ----------------
 
 def _to_field(f, x):
@@ -353,6 +418,71 @@ def test_fast_path_against_dense_fraction_oracle(f):
         y = Matrix(f, [[f.of(rng.choice([0, 1, -3]))] for _ in range(A.cols)], cols=1)
         assert A.apply(tuple(x for x, in y.data)) == tuple(x for x, in _oracle_matmul(f, A, y))
     assert products > 50 and krons > 100 and inverses > 8
+
+
+def _delta_oracle(f, m) -> bool:
+    """m is square with entry (i, j) equal to 1 when i == j and 0 otherwise,
+    entry by entry, in Fraction."""
+    return m.rows == m.cols and all(Fraction(x) == (i == j) for i, row in enumerate(m.data)
+                                    for j, x in enumerate(row))
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5), GF(2)], ids=["QQ", "GF5", "GF2"])
+def test_shared_identities_against_a_delta_oracle(f):
+    """Matrix.identity hands out one instance per (field, n), never one of
+    another field. _is_identity, A @ I and I @ A agree with an entrywise
+    Kronecker-delta oracle on the shared identities, on identity-valued
+    products that are not the shared instance, on near-identities and on
+    the 0x0, 0xn and nx0 shapes."""
+    for n in range(5):
+        ident = Matrix.identity(f, n)
+        assert Matrix.identity(f, n) is ident and ident.field == f and ident.shape() == (n, n)
+        assert _delta_oracle(f, ident)
+        for other in {QQ, GF(5), GF(7), GF(2)} - {f}:
+            assert Matrix.identity(other, n) is not ident
+            assert Matrix.identity(other, n).field == other != ident.field
+    rng = random.Random(17)
+    mats = _fast_path_matrices(f, rng)
+    valued = [A @ A.inverse() for A in mats if A.rows == A.cols and A.rows
+              and _naive_rank(f, A.data, A.cols) == A.rows]
+    assert len(valued) >= 5
+    assert all(P is not Matrix.identity(f, P.rows) for P in valued)
+    wide = [Matrix(f, [], cols=3), Matrix(f, [[]] * 3, cols=0)]
+    identities = 0
+    for A in [*mats, *valued, *wide]:
+        assert A._is_identity() == _delta_oracle(f, A), A
+        identities += A._is_identity()
+        right, left = Matrix.identity(f, A.cols), Matrix.identity(f, A.rows)
+        # @ returns its right operand when its left one is an identity
+        for got, X, Y in ((A @ right, A, right), (left @ A, left, A)):
+            assert got is (Y if X._is_identity() else X)
+            assert got.data == tuple(map(tuple, _oracle_matmul(f, X, Y)))
+        if A._is_identity():
+            for B in mats:
+                if B.rows == A.cols:
+                    assert A @ B is B
+    assert identities >= 5 + len(valued)
+
+
+def test_a_warm_evaluation_builds_no_identity(monkeypatch):
+    """Evaluating an expression a second time builds no identity: its seeds
+    are the shared instances the first evaluation built."""
+    builds = []
+
+    class CountingCache(dict):
+        def __setitem__(self, key, m):
+            builds.append(key)
+            super().__setitem__(key, m)
+
+    monkeypatch.setattr(linalg, "_IDENTITIES", CountingCache())
+    tau = FormalHQFT(std_algebras(QQ)["KC.CM-Mod"])
+    rng = random.Random(23)
+    exprs = [random_expression(tau, rng) for _ in range(20)]
+    cold = [eval_expression(tau, e).matrix for e in exprs]
+    assert (QQ, 1) in builds
+    builds.clear()
+    assert [eval_expression(tau, e).matrix for e in exprs] == cold
+    assert builds == []
 
 
 def _naive_det(f, rows):

@@ -349,24 +349,34 @@ def _vector(f, vec):
     return None if vec is None else [f.format(x) for x in vec]
 
 
+def linalg_inputs(f):
+    """(kind, matrix, right-hand sides, vectors) of the `linalg` section
+    over f: the right-hand sides of `solve` are one in the column space, a
+    seeded one and one of the wrong length, and the vectors that `RowSpace.add`
+    takes in turn are the rows, a seeded vector and one of the wrong length."""
+    rng = random.Random(f"golden/linalg/{f.name}")
+    for rows, cols in LINALG_SHAPES:
+        for kind, m in _matrices(f, rng, rows, cols):
+            x = [_scalar(f, rng) for _ in range(cols)]
+            rhs = [m.apply(x), [_scalar(f, rng) for _ in range(rows)], [f.one] * (rows + 1)]
+            vecs = [*m.data, [_scalar(f, rng) for _ in range(cols)], [f.one] * (cols + 1)]
+            yield kind, m, rhs, vecs
+
+
 def linalg_items():
     for f in (QQ, GF(2), GF(3), GF(5)):
-        rng = random.Random(f"golden/linalg/{f.name}")
-        for rows, cols in LINALG_SHAPES:
-            for kind, m in _matrices(f, rng, rows, cols):
-                x = [_scalar(f, rng) for _ in range(cols)]
-                rhs = [m.apply(x), [_scalar(f, rng) for _ in range(rows)], [f.one] * (rows + 1)]
-                space, added = RowSpace(f, cols), []
-                for vec in [*m.data, [_scalar(f, rng) for _ in range(cols)], [f.one] * (cols + 1)]:
-                    grew = _refused(space.add, vec)
-                    added.append({"added": grew, "basis": [_vector(f, row) for row in space.basis],
-                                  "pivots": space.pivots})
-                yield {"field": f.to_json(), "shape": [rows, cols], "kind": kind,
-                       "matrix": m.to_json(),
-                       "inverse": _refused(lambda: m.inverse().to_json()),
-                       "solve": [_refused(lambda b: _vector(f, m.solve(b)), b) for b in rhs],
-                       "nullspace": [_vector(f, vec) for vec in m.nullspace()],
-                       "rowspace": added}
+        for kind, m, rhs, vecs in linalg_inputs(f):
+            space, added = RowSpace(f, m.cols), []
+            for vec in vecs:
+                grew = _refused(space.add, vec)
+                added.append({"added": grew, "basis": [_vector(f, row) for row in space.basis],
+                              "pivots": space.pivots})
+            yield {"field": f.to_json(), "shape": [m.rows, m.cols], "kind": kind,
+                   "matrix": m.to_json(),
+                   "inverse": _refused(lambda: m.inverse().to_json()),
+                   "solve": [_refused(lambda b: _vector(f, m.solve(b)), b) for b in rhs],
+                   "nullspace": [_vector(f, vec) for vec in m.nullspace()],
+                   "rowspace": added}
 
 
 def refusals_items():
