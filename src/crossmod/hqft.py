@@ -152,15 +152,26 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     """Kronecker product across each layer, matrix product across layers.
     The expression must be over the algebra's crossed module (see
     `require_same_crossed_module`). After the typecheck, which refuses a
-    piece like `Cyl(True, 0, 1)` that equals a stored one, the products run
-    on the pieces' int matrices N from `tau.pieces`, and the result is
-    divided once by the product of their D (`_divided`)."""
+    piece like `Cyl(True, 0, 1)` that equals a stored one, `_evaluate` runs
+    the layers."""
     require_same_crossed_module(e, tau.cm)
     typecheck(e).require(TypecheckFailed)
-    f = tau.field
-    total = Matrix.identity(f, math.prod(state_space(tau, e.source)))
+    source = [c.labels[0] for c in e.source.circuits]
+    return EvaluatedMap(e.source, e.target, _evaluate(tau, source, e.layers))
+
+
+def _evaluate(tau: FormalHQFT, source, layers) -> Matrix:
+    """The matrix of well-typed layers of pieces from the boundary labelled
+    `source`, one base-group label per circuit. From the identity seed, one
+    `kron` per piece across each layer, on the pieces' int matrices N from
+    `tau.pieces`, and one `@` per layer; the result is divided once by the
+    product of their D (`_divided`). The one evaluation path, behind
+    `eval_expression` and `check_relations`."""
+    L = tau.algebra
+    f = L.field
+    total = Matrix.identity(f, math.prod([L.dims[g] for g in source]))
     den = 1
-    for layer in e.layers:
+    for layer in layers:
         layer_mat = Matrix.identity(f, 1)
         for piece in layer:
             if (stored := tau.pieces.get(piece)) is None:
@@ -170,7 +181,7 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
             layer_mat = layer_mat.kron(n)
             den *= d
         total = layer_mat @ total
-    return EvaluatedMap(e.source, e.target, _divided(total, den))
+    return _divided(total, den)
 
 
 def extract_algebra(tau: FormalHQFT) -> CrossedCAlgebra:
@@ -211,15 +222,20 @@ def check_relations(tau: FormalHQFT, relations, title: str) -> CheckReport:
     """One family per relation `(family, label names, sides, message)`.
     Labels whose names start with `c` range over the top group, the rest
     over the base group, the last varying fastest; `sides(cm, *labels)`
-    gives the expressions that must evaluate equally. Each instance whose
-    matrices differ is a failure named `(name=value,...)`."""
+    gives each side that must evaluate equally as `(source labels, layers)`
+    of pieces, evaluated by `_evaluate` with no expression and no typecheck
+    per instance. The rows below are well typed by construction, and
+    `tests/test_hqft.py` typechecks every instance of each on every fixture
+    crossed module. Each instance whose matrices differ is a failure named
+    `(name=value,...)`."""
     report = CheckReport(title)
     cm = tau.cm
     for family, names, sides, message in relations:
         groups = [cm.top if name.startswith("c") else cm.base for name in names]
         fails = []
         for labels in itertools.product(*(G.elements() for G in groups)):
-            first, *rest = [eval_expression(tau, e).matrix for e in sides(cm, *labels)]
+            first, *rest = [_evaluate(tau, source, layers)
+                            for source, layers in sides(cm, *labels)]
             if not all(m == first for m in rest):
                 text = ",".join(f"{n}={G.names[x]}" for n, G, x in zip(names, groups, labels))
                 fails.append((f"({text})", message))
@@ -230,43 +246,38 @@ def check_relations(tau: FormalHQFT, relations, title: str) -> CheckReport:
 def _disc_cylinder(cm, c, h):
     P, d = cm.base, cm.d
     ch = cm.action(P.inv[h], c)
-    return (expression(cm, [], [[Disc(c)], [Cyl(0, d(c), h)]], [P.conj(P.inv[h], d(c))]),
-            expression(cm, [], [[Disc(ch)]], [d(ch)]))
+    return ([], [[Disc(c)], [Cyl(0, d(c), h)]]), ([], [[Disc(ch)]])
 
 
 def _pants_reduction(cm, c1, c2, g1, g2):
     P, d = cm.base, cm.d
     k1, k2 = P.mul(d(c1), g1), P.mul(d(c2), g2)
     cc = cm.top.mul(c1, cm.action(g1, c2))
-    return (expression(cm, [g1, g2], [[Cyl(c1, g1, 0), Cyl(c2, g2, 0)], [Pants(0, k1, k2)]],
-                       [P.mul(k1, k2)]),
-            expression(cm, [g1, g2], [[Pants(cc, g1, g2)]], [P.product((d(cc), g1, g2))]))
+    return (([g1, g2], [[Cyl(c1, g1, 0), Cyl(c2, g2, 0)], [Pants(0, k1, k2)]]),
+            ([g1, g2], [[Pants(cc, g1, g2)]]))
 
 
 def _whiskering(cm, c, g1, g2):
     P, d = cm.base, cm.d
-    out = P.product((g1, d(c), g2))
     gc = cm.action(g1, c)
-    return (expression(cm, [g1, g2], [[Id(g1), Cyl(c, g2, 0)], [Pants(0, g1, P.mul(d(c), g2))]],
-                       [out]),
-            expression(cm, [g1, g2], [[Pants(0, g1, g2)], [Cyl(gc, P.mul(g1, g2), 0)]], [out]),
-            expression(cm, [g1, g2], [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]],
-                       [out]))
+    return (([g1, g2], [[Id(g1), Cyl(c, g2, 0)], [Pants(0, g1, P.mul(d(c), g2))]]),
+            ([g1, g2], [[Pants(0, g1, g2)], [Cyl(gc, P.mul(g1, g2), 0)]]),
+            ([g1, g2], [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]]))
 
 
 def _pairing(cm, c, g):
     P = cm.base
     dcg = P.mul(cm.d(c), g)
     y = P.inv[dcg]
-    return (expression(cm, [g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]], []),
-            expression(cm, [g, y], [[Id(g), Cyl(cm.action(P.inv[g], c), y, 0)], [Cap(g)]], []))
+    return (([g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]]),
+            ([g, y], [[Id(g), Cyl(cm.action(P.inv[g], c), y, 0)], [Cap(g)]]))
 
 
 def _snakes(cm, g):
     ginv = cm.base.inv[g]
-    return (expression(cm, [g], [[Id(g)]], [g]),
-            expression(cm, [g], [[Id(g), Cup(ginv)], [Cap(g), Id(g)]], [g]),
-            expression(cm, [g], [[Cup(g), Id(g)], [Id(g), Cap(ginv)]], [g]))
+    return (([g], [[Id(g)]]),
+            ([g], [[Id(g), Cup(ginv)], [Cap(g), Id(g)]]),
+            ([g], [[Cup(g), Id(g)], [Id(g), Cap(ginv)]]))
 
 
 INVARIANCE = (

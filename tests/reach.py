@@ -1,18 +1,20 @@
 """Line probe: run the tier-1 tests under a line recorder and list every
 executable line of `src/crossmod` that no test reaches.
 
-    PYTHONPATH=src python tests/reach.py [pytest arguments]
+    PYTHONPATH=src python tests/reach.py [--settrace] [pytest arguments]
 
 It exits 1, listing the lines, when a line that is not in ALLOWED is never
 run or when the tests fail, and 0 otherwise. The file name is not `test_*`,
 so pytest does not collect it.
 
-The recorder is a `sys.settrace` hook. It traces only code objects whose
-file lies under `src/crossmod`, and it stops tracing a code object once
-every line of it has run. Files are matched by full path: the stdlib
-`trace` module's ignore list is keyed by bare module name, so it would hide
-`crossmod/fixtures.py` behind `_pytest/fixtures.py` and every
-`__init__.py` behind any ignored one.
+On Python 3.12 and later the recorder is a `sys.monitoring` tool: it turns
+on line events only in code objects whose file lies under `src/crossmod`,
+and it disables each line's event once it has fired. On 3.10 and 3.11, or
+with `--settrace`, it is a `sys.settrace` hook that traces only those code
+objects and stops tracing one once every line of it has run. Files are
+matched by full path: the stdlib `trace` module's ignore list is keyed by
+bare module name, so it would hide `crossmod/fixtures.py` behind
+`_pytest/fixtures.py` and every `__init__.py` behind any ignored one.
 """
 
 import os
@@ -49,7 +51,8 @@ def _lines(code, found):
 
 
 class Recorder:
-    """Records the lines run in code objects from files under `root`."""
+    """Records the lines run in code objects from files under `root`, by a
+    `sys.settrace` hook."""
 
     def __init__(self, root):
         self.prefix = str(root) + os.sep
@@ -63,6 +66,12 @@ class Recorder:
             path = os.path.realpath(filename)
             self.paths[filename] = path if path.startswith(self.prefix) else None
         return self.paths[filename]
+
+    def start(self):
+        sys.settrace(self.call)
+
+    def stop(self):
+        sys.settrace(None)
 
     def call(self, frame, event, arg):
         code = frame.f_code
@@ -91,6 +100,41 @@ class Recorder:
         return line(frame, "line", arg)
 
 
+class MonitoringRecorder(Recorder):
+    """Records the same lines by a `sys.monitoring` tool (Python 3.12+).
+    Each code object's first start turns on its line events when its file is
+    under `root` and is then disabled; each line event is disabled once it
+    has fired, so every line costs one callback."""
+
+    def start(self):
+        mon = sys.monitoring
+        self.tool = mon.COVERAGE_ID
+        mon.use_tool_id(self.tool, "reach")
+        mon.register_callback(self.tool, mon.events.PY_START, self.py_start)
+        mon.register_callback(self.tool, mon.events.LINE, self.line)
+        mon.set_events(self.tool, mon.events.PY_START)
+
+    def stop(self):
+        mon = sys.monitoring
+        mon.set_events(self.tool, mon.events.NO_EVENTS)
+        mon.free_tool_id(self.tool)
+
+    def py_start(self, code, offset):
+        path = self._path(code.co_filename)
+        if path is not None:
+            sys.monitoring.set_local_events(self.tool, code, sys.monitoring.events.LINE)
+            # the line the code starts at raises no line event of its own
+            # when it is the `def` line, as under `sys.settrace`
+            start = next(line for begin, end, line in code.co_lines() if begin <= offset < end)
+            if start:
+                self.seen.setdefault(path, set()).add(start)
+        return sys.monitoring.DISABLE
+
+    def line(self, code, lineno):
+        self.seen.setdefault(self.paths[code.co_filename], set()).add(lineno)
+        return sys.monitoring.DISABLE
+
+
 def unreached(seen):
     """(path, line number, function, text) of each executable line of SRC
     not in seen."""
@@ -106,12 +150,16 @@ def unreached(seen):
 
 
 def main(args):
-    recorder = Recorder(SRC.resolve())
-    sys.settrace(recorder.call)
+    settrace = args[:1] == ["--settrace"]
+    if settrace:
+        args = args[1:]
+    monitoring = not settrace and sys.version_info >= (3, 12)
+    recorder = (MonitoringRecorder if monitoring else Recorder)(SRC.resolve())
+    recorder.start()
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
     finally:
-        sys.settrace(None)
+        recorder.stop()
     imported = Path(sys.modules["crossmod"].__file__).resolve()
     if not imported.is_relative_to(SRC.resolve()):
         print(f"reach: crossmod was imported from {imported}, not from {SRC}")

@@ -7,7 +7,9 @@ the value over Q: the two fields' kernels are compared through every
 layer, with no second implementation. The `linalg` golden section's
 matrices over Q, reduced the same way, give the reductions of their
 inverses, solutions, nullspaces and row spaces, unless the reduction drops
-a rank, which is recorded as a finding."""
+a rank, which is recorded as a finding. So do the pushforwards along the
+quotients of Z/n by each of its subgroups: each build over Q, reduced mod
+p, is the same build over GF(p)."""
 
 import functools
 import random
@@ -20,13 +22,19 @@ from crossmod.algebras import (
     aut_square_check,
     check_boxed_identities,
     check_crossed_algebra,
+    group_algebra_C,
+    group_algebra_P,
+    pushforward_data,
 )
+from crossmod.crossed_modules import from_normal_inclusion, quotient_morphism
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import std_algebras
 from crossmod.hqft import FormalHQFT, eval_expression, random_expression
+from crossmod.groups import cyclic_group
 from crossmod.linalg import Matrix, RowSpace, SingularMatrixError
+from crossmod.serialize import to_doc
 from test_checker_oracle import _entries
-from test_golden import GAUGED, _gauged, linalg_inputs
+from test_golden import GAUGED, PUSH_MAX_N, _gauged, linalg_inputs
 
 PRIMES = (5, 7, 11, 13, 101)
 
@@ -176,3 +184,54 @@ def test_linalg_over_q_reduces_to_gf_p():
                 (index, kind, p)
     assert skipped == LINALG_SKIPPED
     assert drops == LINALG_RANK_DROPS
+
+
+def _pushforward(fmor, L):
+    """`pushforward_data(fmor, L)`, or the type and text of its refusal."""
+    try:
+        return pushforward_data(fmor, L)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reduced_pushforward(data, F):
+    """What a pushforward build gave, every scalar reduced into F (which
+    raises ZeroDivisionError where p divides a denominator): the algebra's
+    document without its name and field, each class's ideal dimension, its
+    free basis and the quotient maps; a refusal as it is."""
+    if isinstance(data, tuple):
+        return data
+    doc = to_doc("algebra", reduced(data.algebra, F.p))
+    del doc["name"], doc["field"]
+    return (doc, [data.spans[q].dim for q in data.algebra.P.elements()], data.free,
+            [_reduce_matrix(F, data.pis[p]).to_json() for p in data.source.P.elements()])
+
+
+# (n, k, kind, p) -> (the reduction of the result over Q, the result over
+# GF(p)) where they differ. Every pushforward of K[P] or K[C] along the
+# quotient of Z/n by kZ/n builds over Q with integral entries and grades of
+# dimension 1, and none differs.
+PUSHFORWARD_FINDINGS = {}
+
+
+@pytest.mark.parametrize("n", range(1, PUSH_MAX_N + 1))
+def test_pushforward_over_q_reduces_to_gf_p(n):
+    """Along the quotient of Z/n by each subgroup kZ/n (the `pushforward`
+    golden section's inputs), K[P] and K[C] over Q pushed forward and
+    reduced mod p give the pushforward of K[P] and K[C] over GF(p): the
+    algebra, the ideal dimensions, the free basis and the quotient maps, or
+    the same refusal."""
+    findings = {}
+    for k in (k for k in range(1, n + 1) if n % k == 0):
+        cm = from_normal_inclusion(cyclic_group(n), range(0, n, k))
+        fmor = quotient_morphism(cm)
+        for kind, build in (("K[P]", group_algebra_P), ("K[C]", group_algebra_C)):
+            over_q = _pushforward(fmor, build(cm, QQ))
+            for p in PRIMES:
+                F = GF(p)
+                want = _reduced_pushforward(over_q, F)
+                got = _reduced_pushforward(_pushforward(fmor, build(cm, F)), F)
+                if got != want:
+                    findings[(n, k, kind, p)] = (want, got)
+    assert findings == {key: value for key, value in PUSHFORWARD_FINDINGS.items()
+                        if key[0] == n}

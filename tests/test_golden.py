@@ -53,6 +53,9 @@ Sections:
   only that module reaches, with its result: the exit code and JSON output
   of `crossmod check` on a file, an exception's type and text, or the value
   of a failing check.
+- `automorphisms`: `groups.automorphism_group(G).standard_action.table`
+  for twenty groups of order <= 12: Z/1 to Z/12, S3, (Z/2)^2, (Z/2)^3,
+  Z/2 x Z/4, Z/2 x Z/6, S3 x Z/2, Z/3 x Z/3 and A4.
 """
 
 import dataclasses
@@ -91,6 +94,7 @@ from crossmod.formal_maps import (
     typecheck,
 )
 from crossmod.groups import (
+    automorphism_group,
     cyclic_group,
     identity_hom,
     symmetric_group_3,
@@ -111,6 +115,7 @@ from crossmod.hqft import (
 from crossmod.linalg import Matrix, RowSpace
 from crossmod.serialize import dumps, to_doc
 from test_checker_oracle import TARGETS, big_prime_basis, corrupt, gauge
+from test_groups import _alternating_group_4, _direct_product
 from test_hqft import ALL_KINDS, _every_piece, singular_pairing
 from test_refusals import REFUSALS
 
@@ -384,9 +389,25 @@ def refusals_items():
         yield {"input": name, "result": call()}
 
 
+def _aut_groups():
+    """(name, group) of the `automorphisms` section."""
+    z, s3, x = cyclic_group, symmetric_group_3(), _direct_product
+    yield from ((f"Z/{n}", z(n)) for n in range(1, 13))
+    yield from [("S3", s3), ("(Z/2)^2", x(z(2), z(2))), ("(Z/2)^3", x(x(z(2), z(2)), z(2))),
+                ("Z/2xZ/4", x(z(2), z(4))), ("Z/2xZ/6", x(z(2), z(6))), ("S3xZ/2", x(s3, z(2))),
+                ("Z/3xZ/3", x(z(3), z(3))), ("A4", _alternating_group_4())]
+
+
+def automorphisms_items():
+    for name, g in _aut_groups():
+        yield {"group": name, "order": g.order,
+               "table": automorphism_group(g).standard_action.table}
+
+
 SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
             "typecheck": typecheck_items, "pushforward": pushforward_items,
-            "checkers": checkers_items, "linalg": linalg_items, "refusals": refusals_items}
+            "checkers": checkers_items, "linalg": linalg_items, "refusals": refusals_items,
+            "automorphisms": automorphisms_items}
 
 
 def _sha256(text):

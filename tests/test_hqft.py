@@ -2,14 +2,22 @@ import dataclasses
 import itertools
 from collections import Counter
 import math
+import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from crossmod import hqft
-from crossmod.algebras import CrossedCAlgebra, same_structure, theta
-from crossmod.crossed_modules import CrossedModuleMismatch
+from crossmod.algebras import (
+    CrossedCAlgebra,
+    group_algebra_C,
+    group_algebra_P,
+    same_structure,
+    theta,
+)
+from crossmod.crossed_modules import CrossedModuleMismatch, from_normal_inclusion
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras
 from crossmod.formal_maps import (
@@ -30,6 +38,8 @@ from crossmod.formal_maps import (
     typecheck,
 )
 from crossmod.hqft import (
+    INVARIANCE,
+    SNAKES,
     FormalHQFT,
     check_equivalence_invariance,
     eval_expression,
@@ -43,6 +53,7 @@ from crossmod.linalg import Matrix
 from crossmod.report import CheckReport
 from crossmod.serialize import Workspace, dumps, from_doc, to_doc
 from test_checker_oracle import FIELDS, gauge
+from test_groups import _alternating_group_4
 
 
 def test_state_space_examples(cms, algebras):
@@ -647,27 +658,26 @@ def test_equivalence_invariance_families_fail(algebras, block, failures):
     assert [(r.axiom, r.instance) for r in report.failures()] == failures
 
 
-def _reference_invariance(tau):
+def _hand_loops(tau):
     """Families (a)-(d) as four hand-written loops, the reference for the
-    relation table."""
-    report = CheckReport(f"equivalence invariance for {tau.algebra.name}")
+    relation table: (family, instance, message, matrices) of each instance,
+    each side built by `expression` and evaluated by `eval_expression`."""
     L = tau.algebra
     cm, P, C = L.cm, L.P, L.C
     d = cm.d
 
-    fails = []
+    def values(*exprs):
+        return [eval_expression(tau, e).matrix for e in exprs]
+
     for c in C.elements():
         for h in P.elements():
             e1 = expression(cm, [], [[Disc(c)], [Cyl(0, d(c), h)]],
                             [P.conj(P.inv[h], d(c))])
             ch = cm.action(P.inv[h], c)
             e2 = expression(cm, [], [[Disc(ch)]], [d(ch)])
-            if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
-                fails.append((f"(c={C.names[c]},h={P.names[h]})",
-                              "disc+cylinder != acted disc"))
-    report.add("family_a_disc_cylinder", fails)
+            yield ("family_a_disc_cylinder", f"(c={C.names[c]},h={P.names[h]})",
+                   "disc+cylinder != acted disc", values(e1, e2))
 
-    fails = []
     for c1 in C.elements():
         for c2 in C.elements():
             for g1 in P.elements():
@@ -680,13 +690,10 @@ def _reference_invariance(tau):
                     cc = C.mul(c1, cm.action(g1, c2))
                     e2 = expression(cm, [g1, g2], [[Pants(cc, g1, g2)]],
                                     [P.product((d(cc), g1, g2))])
-                    if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
-                        fails.append(
-                            (f"(c1={C.names[c1]},c2={C.names[c2]},g1={P.names[g1]},g2={P.names[g2]})",
-                             "two cylinders into pants != semidirect pants"))
-    report.add("family_b_pants_reduction", fails)
+                    yield ("family_b_pants_reduction",
+                           f"(c1={C.names[c1]},c2={C.names[c2]},g1={P.names[g1]},g2={P.names[g2]})",
+                           "two cylinders into pants != semidirect pants", values(e1, e2))
 
-    fails = []
     for c in C.elements():
         for g1 in P.elements():
             for g2 in P.elements():
@@ -701,15 +708,9 @@ def _reference_invariance(tau):
                 e3 = expression(cm, [g1, g2],
                                 [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]],
                                 [out])
-                m1 = eval_expression(tau, e1).matrix
-                m2 = eval_expression(tau, e2).matrix
-                m3 = eval_expression(tau, e3).matrix
-                if not (m1 == m2 == m3):
-                    fails.append((f"(c={C.names[c]},g1={P.names[g1]},g2={P.names[g2]})",
-                                  "whiskering orders disagree"))
-    report.add("family_c_whiskering", fails)
+                yield ("family_c_whiskering", f"(c={C.names[c]},g1={P.names[g1]},g2={P.names[g2]})",
+                       "whiskering orders disagree", values(e1, e2, e3))
 
-    fails = []
     for c in C.elements():
         for g in P.elements():
             dcg = P.mul(d(c), g)
@@ -717,35 +718,126 @@ def _reference_invariance(tau):
             e1 = expression(cm, [g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]], [])
             cginv = cm.action(P.inv[g], c)
             e2 = expression(cm, [g, y], [[Id(g), Cyl(cginv, y, 0)], [Cap(g)]], [])
-            if eval_expression(tau, e1).matrix != eval_expression(tau, e2).matrix:
-                fails.append((f"(c={C.names[c]},g={P.names[g]})",
-                              "pairing composites disagree"))
-    report.add("family_d_pairing", fails)
-    return report
+            yield ("family_d_pairing", f"(c={C.names[c]},g={P.names[g]})",
+                   "pairing composites disagree", values(e1, e2))
+
+
+def _instances(cm, rows):
+    """(family, instance, sides) of every instance of every row, in the
+    order `check_relations` visits them."""
+    for family, names, sides, _ in rows:
+        groups = [cm.top if name.startswith("c") else cm.base for name in names]
+        for labels in itertools.product(*(G.elements() for G in groups)):
+            text = ",".join(f"{n}={G.names[x]}" for n, G, x in zip(names, groups, labels))
+            yield family, f"({text})", sides(cm, *labels)
 
 
 def _invariance_subjects():
     """Every fixture algebra over Q and GF(3) but the two over CM-AutS3,
-    then KC.CM-A3S3 with the product entry of block 0,0 or 0,4 set to 2."""
+    then the two over CM-AutS3 over Q and the gauge bases of the
+    `evaluator` golden section, whose grades of dimension 2-3 carry pieces
+    with denominators, then KC.CM-A3S3 with the product entry of block 0,0
+    or 0,4 set to 2."""
+    from test_golden import _gauged  # test_golden imports this module
+
     for field in (QQ, GF(3)):
         algs = std_algebras(field)
         yield from (L for name, L in algs.items() if not name.endswith("CM-AutS3"))
+    yield from (L for name, L in std_algebras(QQ).items() if name.endswith("CM-AutS3"))
+    yield from _gauged()
     for block in ("0,0", "0,4"):
         doc = to_doc("algebra", std_algebras(QQ)["KC.CM-A3S3"])
         doc["mul"][block][0][0][0] = "2"
         yield from_doc(doc, Workspace(QQ), "algebra")[2]
 
 
+def check_rows_against_the_hand_loops(tau):
+    """Each instance of each row of INVARIANCE evaluates, side by side, to
+    the JSON of the hand loops' matrices, and the relation table's report is
+    the report the hand loops give, byte for byte: the same families, first
+    instances, details and violation counts. Returns the report."""
+    hand = list(_hand_loops(tau))
+    rows = list(_instances(tau.cm, INVARIANCE))
+    assert [(family, instance) for family, instance, _ in rows] == \
+        [(family, instance) for family, instance, _, _ in hand]
+    for (_, instance, sides), (family, _, _, matrices) in zip(rows, hand):
+        got = [hqft._evaluate(tau, source, layers).to_json() for source, layers in sides]
+        assert got == [m.to_json() for m in matrices], (tau.algebra.name, family, instance)
+    want = CheckReport(f"equivalence invariance for {tau.algebra.name}")
+    for family, group in itertools.groupby(hand, key=lambda item: item[0]):
+        want.add(family, [(instance, message) for _, instance, message, (first, *rest) in group
+                          if not all(m == first for m in rest)])
+    report = check_equivalence_invariance(tau)
+    assert dumps(report.to_json()) == dumps(want.to_json()), tau.algebra.name
+    return report
+
+
 def test_relation_table_matches_the_hand_loops():
-    """The relation table's report is the hand loops' report, byte for
-    byte: the same families, first instances, details and violation counts."""
     failing = 0
     for L in _invariance_subjects():
-        tau = FormalHQFT(L)
-        report = check_equivalence_invariance(tau)
-        assert dumps(report.to_json()) == dumps(_reference_invariance(tau).to_json()), L.name
-        failing += not report.ok
+        failing += not check_rows_against_the_hand_loops(FormalHQFT(L)).ok
     assert failing == 2
+
+
+def check_row_typing(cm):
+    """Every instance of every row of INVARIANCE + SNAKES on cm, each side
+    built by `expression` with the target the last layer's pieces produce,
+    passes `typecheck`, and all sides of an instance share source and
+    target. Returns the number of instances."""
+    count = 0
+    for family, instance, sides in _instances(cm, INVARIANCE + SNAKES):
+        exprs = [expression(cm, source, layers,
+                            [g for piece in layers[-1] for g in piece_io(piece, cm)[1]])
+                 for source, layers in sides]
+        for e in exprs:
+            report = typecheck(e)
+            assert report.ok, (cm.name, family, instance, report.summary())
+        assert len({(e.source, e.target) for e in exprs}) == 1, (cm.name, family, instance)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", ["CM-Id2", "CM-A3S3", "CM-Mod", "CM-AutS3"])
+def test_relation_rows_are_well_typed(cms, name):
+    """The rows are library constants that `check_relations` evaluates
+    without a typecheck, so each is typechecked here, once per crossed
+    module: |C|^2 |P|^2 instances of family (b) among them."""
+    cm = cms[name]
+    C, P = cm.top.order, cm.base.order
+    assert check_row_typing(cm) == C * P + C * C * P * P + C * P * P + C * P + P
+
+
+# A4 = A4 has |C||P| = 144, so family (b) has 20,736 instances there; its
+# sweeps run in their own CI step
+A4_SWEEPS = pytest.mark.skipif(not os.environ.get("CROSSMOD_A4_SWEEPS"),
+                               reason="set CROSSMOD_A4_SWEEPS=1 to run the A4 = A4 sweeps")
+
+
+def _a4_equals_a4():
+    g = _alternating_group_4()
+    return from_normal_inclusion(g, g.elements(), name="A4=A4")
+
+
+@A4_SWEEPS
+def test_relation_rows_are_well_typed_on_a4():
+    assert check_row_typing(_a4_equals_a4()) == 12 * 12 + 12 ** 4 + 12 ** 3 + 12 * 12 + 12
+
+
+@A4_SWEEPS
+@pytest.mark.parametrize("kind", ["K[P]", "K[C]"])
+def test_relation_table_matches_the_hand_loops_on_a4(kind):
+    """The hand-loop oracle on K[P] and K[C] of A4 = A4 over Q; prints the
+    time of the relation table's sweep, on a fresh evaluator, and of the
+    oracle."""
+    build = group_algebra_P if kind == "K[P]" else group_algebra_C
+    L = build(_a4_equals_a4(), QQ)
+    start = time.perf_counter()
+    assert check_equivalence_invariance(FormalHQFT(L)).ok
+    sweep = time.perf_counter() - start
+    start = time.perf_counter()
+    assert check_rows_against_the_hand_loops(FormalHQFT(L)).ok
+    print(f"\nA4 = A4 {kind} over Q: invariance sweep {sweep:.2f} s, "
+          f"hand-loop oracle {time.perf_counter() - start:.2f} s")
 
 
 def test_functoriality_random(algebras):
