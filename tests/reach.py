@@ -1,7 +1,7 @@
 """Line probe: run the tier-1 tests under a line recorder and list every
 executable line of `src/crossmod` that no test reaches.
 
-    PYTHONPATH=src python tests/reach.py [--settrace] [pytest arguments]
+    PYTHONPATH=src python tests/reach.py [pytest arguments]
 
 It exits 1, listing the lines, when a line that is not in ALLOWED is never
 run or when the tests fail, and 0 otherwise. The file name is not `test_*`,
@@ -9,12 +9,12 @@ so pytest does not collect it.
 
 On Python 3.12 and later the recorder is a `sys.monitoring` tool: it turns
 on line events only in code objects whose file lies under `src/crossmod`,
-and it disables each line's event once it has fired. On 3.10 and 3.11, or
-with `--settrace`, it is a `sys.settrace` hook that traces only those code
-objects and stops tracing one once every line of it has run. Files are
-matched by full path: the stdlib `trace` module's ignore list is keyed by
-bare module name, so it would hide `crossmod/fixtures.py` behind
-`_pytest/fixtures.py` and every `__init__.py` behind any ignored one.
+and it disables each line's event once it has fired. On 3.10 and 3.11 it
+is a `sys.settrace` hook that traces only those code objects and stops
+tracing one once every line of it has run. Files are matched by full
+path: the stdlib `trace` module's ignore list is keyed by bare module name,
+so it would hide `crossmod/fixtures.py` behind `_pytest/fixtures.py` and
+every `__init__.py` behind any ignored one.
 """
 
 import os
@@ -51,14 +51,12 @@ def _lines(code, found):
 
 
 class Recorder:
-    """Records the lines run in code objects from files under `root`, by a
-    `sys.settrace` hook."""
+    """Records the lines run in code objects from files under `root`; a
+    subclass supplies `start` and `stop`."""
 
     def __init__(self, root):
         self.prefix = str(root) + os.sep
         self.paths = {}  # filename -> its real path, or None when outside root
-        self.left = {}  # code object -> its lines not yet run
-        self.done = set()  # code objects outside root or with every line run
         self.seen = {}  # real path -> line numbers run
 
     def _path(self, filename):
@@ -66,6 +64,15 @@ class Recorder:
             path = os.path.realpath(filename)
             self.paths[filename] = path if path.startswith(self.prefix) else None
         return self.paths[filename]
+
+
+class SettraceRecorder(Recorder):
+    """Records the lines by a `sys.settrace` hook (Python 3.10 and 3.11)."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.left = {}  # code object -> its lines not yet run
+        self.done = set()  # code objects outside root or with every line run
 
     def start(self):
         sys.settrace(self.call)
@@ -150,11 +157,8 @@ def unreached(seen):
 
 
 def main(args):
-    settrace = args[:1] == ["--settrace"]
-    if settrace:
-        args = args[1:]
-    monitoring = not settrace and sys.version_info >= (3, 12)
-    recorder = (MonitoringRecorder if monitoring else Recorder)(SRC.resolve())
+    monitoring = sys.version_info >= (3, 12)
+    recorder = (MonitoringRecorder if monitoring else SettraceRecorder)(SRC.resolve())
     recorder.start()
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
