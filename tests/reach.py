@@ -7,6 +7,13 @@ It exits 1, listing the lines, when a line that is not in ALLOWED is never
 run or when the tests fail, and 0 otherwise. The file name is not `test_*`,
 so pytest does not collect it.
 
+The arguments go to pytest as they are. With no positional path among them
+it runs the whole `tests` directory; a positional path, such as
+`tests/test_groups.py` or a test id, replaces that directory, so only those
+tests run (and every line they do not reach is listed). Options such as
+`--deselect <test id>` or `-k <expression>` pass through either way, and
+pytest itself tells a positional path from an option's value.
+
 On Python 3.12 and later the recorder is a `sys.monitoring` tool: it turns
 on line events only in code objects whose file lies under `src/crossmod`,
 and it disables each line's event once it has fired. On 3.10 and 3.11 it
@@ -156,12 +163,22 @@ def unreached(seen):
     return out
 
 
+class DefaultPath:
+    """A pytest plugin that collects the `tests` directory when the
+    arguments name no path of their own."""
+
+    @staticmethod
+    def pytest_configure(config):
+        if config.args_source is not pytest.Config.ArgsSource.ARGS:
+            config.args = [str(ROOT / "tests")]
+
+
 def main(args):
     monitoring = sys.version_info >= (3, 12)
     recorder = (MonitoringRecorder if monitoring else SettraceRecorder)(SRC.resolve())
     recorder.start()
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *args])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *args], plugins=[DefaultPath])
     finally:
         recorder.stop()
     imported = Path(sys.modules["crossmod"].__file__).resolve()

@@ -1,22 +1,29 @@
 """The exhaustive checkers against a slow oracle.
 
 All three checkers read the same tables off the algebra with its
-denominators cleared: basis products and action images from the structure
-maps, each with its support. They sum stored vectors over the supports of
-the vectors they multiply (taking a one-term support with value 1 as the
-stored vector itself). check_crossed_algebra also sums the trace axiom's
-structure constants directly and composes the action blocks row by row;
-check_boxed_identities and aut_square_check keep each theta(c, g) as its
-columns with their supports and compare both sides of an identity column by
-column, with no Matrix built. The oracle below keeps the direct loops that
-multiply unit vectors with `multiply` and `pairing`, takes the torus traces
-of products of left multiplication matrices, composes the action blocks
-with one Matrix product per instance, rebuilds theta as a Matrix for every
-instance, and multiplies and conjugates basis vectors one at a time, on the
-algebra as given. Both must give byte-identical reports on the fixtures, on
-seeded changes of basis, on diagonal changes of basis by large primes, on
-seeded one-entry corruptions and on random structure maps whose paired
-grades differ in dimension.
+denominators cleared, each stored vector packed into one int with
+fixed-width slots: basis products and action images from the structure
+maps, rows of rho, the unit and each tilde(c), each with its support read
+off its entries. They sum packed vectors over the supports of the vectors
+they multiply (taking a one-term support with value 1 as the stored vector
+itself) and compare the sides of an axiom as ints, over GF(p) by their
+slots mod p when the ints differ. check_crossed_algebra also sums the trace
+axiom's structure constants directly and composes the action blocks column
+by column; check_boxed_identities and aut_square_check keep each theta(c, g)
+as its packed columns with their supports and compare both sides of an
+identity column by column, with no Matrix built. The oracle below keeps
+the direct loops that multiply unit vectors with `multiply` and `pairing`
+(which call the field's `combine`, not the packed tables), takes the torus
+traces of products of left multiplication matrices, composes the action
+blocks with one Matrix product per instance, rebuilds theta as a Matrix for
+every instance, and multiplies and conjugates basis vectors one at a time,
+on the algebra as given. Both must give byte-identical reports on the
+fixtures, on seeded changes of basis, on diagonal changes of basis by large
+primes, on seeded one-entry corruptions and on random structure maps whose
+paired grades differ in dimension, over Q, GF(5) and GF(2**31 - 1), and on
+K[C] of the check-ladder benchmark's crossed modules in seeded gauge bases.
+The packing rule itself (round trips at the widest slots, a slot that
+differs by p, a grade of dimension 0, the slot width) has tests of its own.
 
 check_algebra_morphism reads each basis product as a stored cell and each
 image of a basis vector as a block column; its oracle sums structure
@@ -35,7 +42,11 @@ import pytest
 from crossmod.algebras import (
     CrossedAlgebraMorphism,
     CrossedCAlgebra,
-    _cleared,
+    _differ,
+    _nonzero,
+    _pack,
+    _slots,
+    _tables,
     aut_square_check,
     check_algebra_morphism,
     check_boxed_identities,
@@ -45,14 +56,27 @@ from crossmod.algebras import (
     theta,
     untranspose_to_pushforward,
 )
-from crossmod.crossed_modules import crossed_module, identity_morphism
+from crossmod.crossed_modules import (
+    crossed_module,
+    from_module,
+    from_normal_inclusion,
+    identity_morphism,
+)
 from crossmod.fields import GF, QQ
 from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
-from crossmod.groups import GroupHomomorphism, action, cyclic_group, trivial_action
+from crossmod.groups import (
+    GroupHomomorphism,
+    action,
+    cyclic_group,
+    trivial_action,
+    trivial_group,
+)
 from crossmod.linalg import Matrix, SingularMatrixError, unit_vector
 from crossmod.report import CheckReport
 
-FIELDS = {"QQ": QQ, "GF5": GF(5)}
+# GF(2**31 - 1) is the largest prime field below fields.MAX_MODULUS, so its
+# residues fill 31 bits and the checkers' slots are at their widest
+FIELDS = {"QQ": QQ, "GF5": GF(5), "GF2147483647": GF(2 ** 31 - 1)}
 
 
 # --------------------------------------------------------------------------
@@ -406,12 +430,16 @@ def corrupt(L, rng, target):
 
 
 def base_algebras(field):
-    """The fixtures, and K[C] of two doubling modules, whose grades are two
-    dimensional and, for Z/6, include mutually inverse grades 2 and 4."""
+    """The fixtures, K[C] of two doubling modules, whose grades are two
+    dimensional and, for Z/6, include mutually inverse grades 2 and 4, and
+    K[C] of Z/6 over the trivial group, whose one grade has dimension 6."""
     algs = dict(std_algebras(field))
     for n, invert in ((4, True), (6, False)):
         cm = doubling_module(n, invert)
         algs[f"KC.{cm.name}"] = group_algebra_C(cm, field, name=f"KC.{cm.name}")
+    one = trivial_group()
+    cm = from_module(cyclic_group(6), one, trivial_action(one, cyclic_group(6)), name="Z6/1")
+    algs[f"KC.{cm.name}"] = group_algebra_C(cm, field, name=f"KC.{cm.name}")
     return algs
 
 
@@ -431,7 +459,7 @@ def gauge_pushforward_inputs(fname):
 
 
 GAUGED = ("KC.CM-A3S3", "KC.CM-Mod", "KC.CM-AutS3", "KP.CM-A3S3", "PUSH.CM-A3S3",
-          "KC.Z4-x2-Z4", "KC.Z6-x2-Z6")
+          "KC.Z4-x2-Z4", "KC.Z6-x2-Z6", "KC.Z6/1")
 
 
 def _cases():
@@ -454,10 +482,11 @@ def _cases():
 
 
 # the fixture algebras in the order of `fixtures.std_algebras`, then K[C] of
-# the two doubling modules of `base_algebras`
+# the two doubling modules and of Z/6 over the trivial group, as in
+# `base_algebras`
 BASE_NAMES = ("KC.CM-Id2", "KP.CM-Id2", "KC.CM-A3S3", "KP.CM-A3S3", "KC.CM-Mod", "KP.CM-Mod",
               "KC.CM-AutS3", "KP.CM-AutS3", "QKG.CM-A3S3", "PUSH.CM-A3S3", "PUSH.CM-Id2",
-              "KQ.1Z2", "KC.Z4-x2-Z4", "KC.Z6-x2-Z6")
+              "KQ.1Z2", "KC.Z4-x2-Z4", "KC.Z6-x2-Z6", "KC.Z6/1")
 
 
 def _case_names():
@@ -493,11 +522,12 @@ def fast_reports(name):
 
 
 def test_case_set():
-    # 12 fixtures and 2 doubling modules per field; the gauge algebras (the
-    # big-prime bases among them) are crossed algebras, and over each field
-    # the corruptions alone reach every family the oracle recomputes, so
-    # each fast path (the trace's comparison mod p too) meets a failure
-    assert sum("gauge" not in name and "+" not in name for name in cases()) == 28
+    # 12 fixtures, 2 doubling modules and Z/6 over the trivial group per
+    # field; the gauge algebras (the big-prime bases among them) are crossed
+    # algebras, and over each field the corruptions alone reach every family
+    # the oracle recomputes, so each fast path (each comparison mod p too)
+    # meets a failure
+    assert sum("gauge" not in name and "+" not in name for name in cases()) == 45
     assert sum(name.startswith("QQ/primes(") for name in cases()) == 2 * len(GAUGED)
     L = cases()["QQ/KC.CM-Id2"]
     families = set(SLOW_FAMILIES).union(
@@ -523,6 +553,41 @@ def test_checkers_match_oracle(name):
     assert square.to_json() == slow_aut_square_report(L).to_json()
 
 
+# the crossed modules of the check-ladder benchmark workload: Z/n over the
+# trivial group and over Z/2 acting by inversion (n = 2..6), and Z/n = Z/n
+# (n = 4, 6, 8)
+LADDER = tuple([f"Z{n}/1" for n in range(2, 7)] + [f"Z{n}/Z2" for n in range(2, 7)]
+               + [f"Z{n}=Z{n}" for n in (4, 6, 8)])
+
+
+def ladder_module(name):
+    """The crossed module of LADDER with this name, built from crossmod."""
+    n = int(name[1:].split("/")[0].split("=")[0])
+    zn, one, z2 = cyclic_group(n), trivial_group(), cyclic_group(2)
+    if name.endswith("/1"):
+        return from_module(zn, one, trivial_action(one, zn), name=name)
+    if name.endswith("/Z2"):
+        return from_module(zn, z2, action(z2, zn, [list(range(n)), [-c % n for c in range(n)]]),
+                           name=name)
+    return from_normal_inclusion(zn, zn.elements(), name=name)
+
+
+@pytest.mark.parametrize("name", [f"{fname}/{cm}" for fname in ("QQ", "GF5") for cm in LADDER])
+def test_checkers_match_oracle_on_the_ladder(name):
+    """K[C] of each crossed module of the check-ladder workload, in a seeded
+    gauge basis over Q and GF(5): all three checkers give the oracle's
+    reports, and the algebra passes them."""
+    fname, cm = name.split("/", 1)
+    L = gauge(group_algebra_C(ladder_module(cm), FIELDS[fname], name=f"KC.{cm}"),
+              random.Random(f"ladder/{name}"))
+    fast, boxed, square = (check_crossed_algebra(L), check_boxed_identities(L),
+                           aut_square_check(L))
+    assert fast.ok and boxed.ok and square.ok
+    assert fast.to_json() == slow_crossed_report(L, fast).to_json()
+    assert boxed.to_json() == slow_boxed_report(L).to_json()
+    assert square.to_json() == slow_aut_square_report(L).to_json()
+
+
 def _entries(L):
     """Every entry of mul, unit, rho, phi and tilde, in one fixed order."""
     return [*(x for key in sorted(L.mul) for row in L.mul[key] for cell in row for x in cell),
@@ -531,27 +596,135 @@ def _entries(L):
             *(x for v in L.tilde for x in v)]
 
 
+def _unpack(v, n, w):
+    """The n slots of the packed int v, lowest first, each the residue of v
+    mod 2**w read in [-2**(w-1), 2**(w-1)); nothing may be left over."""
+    out = []
+    for _ in range(n):
+        s = v % 2 ** w
+        if s >= 2 ** (w - 1):
+            s -= 2 ** w
+        out.append(s)
+        v = (v - s) // 2 ** w
+    assert v == 0
+    return out
+
+
+def _table_entries(t):
+    """The entries of the packed cells, unit, rho rows, phi blocks (packed
+    by columns) and tilde of the tables t, unpacked, in the order of
+    `_entries`."""
+    L, w = t.L, t.w
+    P, dims = L.P, L.dims
+    phi_rows = []
+    for h, g in sorted(t.phis):
+        cols = [_unpack(col, dims[P.conj(h, g)], w) for col in t.phis[(h, g)]]
+        phi_rows += [col[r] for r in range(dims[P.conj(h, g)]) for col in cols]
+    return [*(x for (g, h) in sorted(t.prod) for row in t.prod[(g, h)] for cell in row
+              for x in _unpack(cell, dims[P.mul(g, h)], w)),
+            *_unpack(t.unit, dims[0], w),
+            *(x for g in sorted(t.rho_rows) for row in t.rho_rows[g]
+              for x in _unpack(row, dims[P.inv[g]], w)),
+            *phi_rows,
+            *(x for c, v in enumerate(t.tilde) for x in _unpack(v, dims[L.cm.d(c)], w))]
+
+
 def test_cleared_leaves_integral_and_prime_field_algebras_as_they_are():
-    names = [name for name in CASE_NAMES if name.startswith("GF5/")]
+    """The tables of an all-int algebra, and of any over GF(p), read its own
+    maps with D = 1, and their packed vectors hold its entries."""
+    names = [name for name in CASE_NAMES if name.startswith("GF")]
     names += [name for name in CASE_NAMES if name.startswith("QQ/")
               and all(type(x) is int for x in _entries(cases()[name]))]
     assert "QQ/KC.CM-A3S3" in names and "GF5/gauge(KC.CM-Mod)" in names
     for name in names:
         L = cases()[name]
-        cleared, D = _cleared(L)
-        assert cleared is L and D == 1, name
+        t = _tables(L)
+        assert t.D == 1 and (t.mul, t.rho, t.phi) == (L.mul, L.rho, L.phi), name
+        assert t.mul is L.mul and t.rho is L.rho and t.phi is L.phi, name
+        assert _table_entries(t) == _entries(L), name
 
 
 @pytest.mark.parametrize("name", [name for name in CASE_NAMES if name.startswith("QQ/primes(")])
 def test_cleared_scales_every_map_by_the_common_denominator(name):
     """On the big-prime bases the common denominator exceeds 2**64; every
-    entry of the cleared algebra is an int, D times the entry it replaces."""
+    packed slot is an int, D times the entry it replaces, and the slot width
+    is 4 bits(M) + 3 bits(n) + 2 with M = max(|cleared entry|, D) and n the
+    largest grade dimension."""
     L = cases()[name]
-    cleared, D = _cleared(L)
+    t = _tables(L)
+    D = t.D
     assert D > 2 ** 64
-    assert all(type(x) is int for x in _entries(cleared))
-    assert _entries(cleared) == [D * x for x in _entries(L)]
+    assert _table_entries(t) == [D * x for x in _entries(L)]
     assert math.lcm(*(Fraction(x).denominator for x in _entries(L))) == D
+    M = max(D, *(abs(int(D * x)) for x in _entries(L)))
+    assert t.w == 4 * M.bit_length() + 3 * max(L.dims).bit_length() + 2
+
+
+def test_packing_round_trips_at_the_widest_slots():
+    """Every slot at +-(2**(w-1) - 1), the widest a difference of two sides
+    may reach, packs and unpacks to itself, for the slot widths of the
+    widest tables here and of a narrow one; `_slots` drops only trailing
+    zero slots."""
+    widths = {_tables(cases()[name]).w for name in ("QQ/KC.CM-Id2", "GF2147483647/KC.Z6/1",
+                                                    "QQ/primes(gauge(KC.Z6/1))")}
+    assert len(widths) == 3 and max(widths) > 2 ** 9
+    for w in widths:
+        top = 2 ** (w - 1) - 1
+        for n in range(1, 7):
+            for vec in ([top] * n, [-top] * n, [(-1) ** k * top for k in range(n)],
+                        [-(-1) ** k * top for k in range(n)]):
+                v = _pack(vec, w)
+                assert _unpack(v, n, w) == vec
+                assert _slots(v, w) == vec
+        v = _pack([top, -top, 0, 0], w)
+        assert _unpack(v, 4, w) == [top, -top, 0, 0] and _slots(v, w) == [top, -top]
+
+
+@pytest.mark.parametrize("fname", [fname for fname in FIELDS if fname != "QQ"])
+def test_a_slot_that_differs_by_p_differs_over_q_only(fname):
+    """Two packed vectors that differ by p in one slot are unequal ints, so
+    they differ over Q, and equal over GF(p); a second slot that differs by
+    1 makes them differ over GF(p) too."""
+    field = FIELDS[fname]
+    tp = _tables(cases()[f"{fname}/gauge(KC.Z6/1)"])
+    tq = _tables(cases()["QQ/KC.Z6/1"])._replace(w=tp.w)
+    assert (tp.p, tq.p) == (field.p, 0) and tp.w > 4 * field.p.bit_length()
+    vec = [3, -1, 4, 1, -5, field.p - 1]
+    for k in range(len(vec)):
+        moved = vec[:k] + [vec[k] + field.p] + vec[k + 1:]
+        x, y = _pack(vec, tp.w), _pack(moved, tp.w)
+        assert x != y
+        assert _nonzero(tq, x - y) and _differ(tq, [0, x], [0, y])
+        assert not _nonzero(tp, x - y) and not _differ(tp, [0, x], [0, y])
+        moved[k - 1] += 1
+        y = _pack(moved, tp.w)
+        assert _nonzero(tp, x - y) and _differ(tp, [0, x], [0, y])
+
+
+def test_a_dimension_zero_grade_packs_to_zero():
+    """A vector in a grade of dimension 0 is empty and packs to the int 0
+    with an empty support: basis products landing in such a grade, the rows
+    of pairing blocks against it and tilde(c) in it, on the random algebras
+    with grades of dimension 0 over Z/2 --x2--> Z/4."""
+    assert _pack((), 5) == 0 and _slots(0, 5) == []
+    rng, seen = random.Random("uneven/QQ"), set()
+    for n in range(40):
+        L = random_algebra(uneven_module(), QQ, rng, f"random{n}")
+        t, P, dims = _tables(L), L.P, L.dims
+        for (g, h), block in t.prod.items():
+            if dims[P.mul(g, h)] == 0 and dims[g] and dims[h]:
+                seen.add("cell")
+                assert all(cell == 0 for row in block for cell in row)
+                assert all(sup == [] for row in t.prod_sup[(g, h)] for sup in row)
+        for c, v in enumerate(t.tilde):
+            if dims[L.cm.d(c)] == 0:
+                seen.add("tilde")
+                assert v == 0 and t.tilde_sup[c] == []
+        for g, rows in t.rho_rows.items():
+            if dims[P.inv[g]] == 0 and dims[g]:
+                seen.add("rho row")
+                assert rows == [0] * dims[g] and t.rho_sup[g] == [[]] * dims[g]
+    assert seen == {"cell", "tilde", "rho row"}
 
 
 def uneven_module():
