@@ -247,24 +247,25 @@ def _product(sup1, sup2, block):
 
 class _Tables(NamedTuple):
     """What the checkers read off L, cleared of denominators, each vector
-    packed into one int (see `_tables`)."""
+    packed into one int, in lists indexed by grade (see `_tables`)."""
     L: CrossedCAlgebra
     D: int            # the common denominator, 1 over GF(p)
     w: int            # the slot width
     p: int            # the modulus over GF(p), 0 over Q
-    mul: dict         # (g, h) -> [i][j] -> the cleared cell e_i e_j, unpacked
-    rho: dict         # g -> rho_g, cleared
-    phi: dict         # (h, g) -> phi(h, g), cleared
-    prod: dict        # (g, h) -> [i][j] -> e_i e_j, the cells of mul(g, h)
-    prod_sup: dict    # (g, h) -> [i][j] -> support of e_i e_j
-    cols: dict        # (g, h) -> [j] -> [e_i e_j over i], the columns of mul(g, h)
-    phis: dict        # (h, g) -> [i] -> phi_h(e_i), the columns of phi(h, g)
-    phis_sup: dict    # (h, g) -> [i] -> support of phi_h(e_i)
-    rho_rows: dict    # g -> [i] -> row i of rho_g
-    rho_sup: dict     # g -> [i] -> support of row i of rho_g
+    conj: list        # [h][g] -> hgh^-1, P's conjugation table
+    mul: list         # [g][h] -> [i][j] -> the cleared cell e_i e_j, unpacked
+    rho: list         # [g] -> rho_g, cleared
+    phi: list         # [h][g] -> phi(h, g), cleared
+    prod: list        # [g][h] -> [i][j] -> e_i e_j, the cells of mul(g, h)
+    prod_sup: list    # [g][h] -> [i][j] -> support of e_i e_j
+    cols: list        # [g][h] -> [j] -> [e_i e_j over i], the columns of mul(g, h)
+    phis: list        # [h][g] -> [i] -> phi_h(e_i), the columns of phi(h, g)
+    phis_sup: list    # [h][g] -> [i] -> support of phi_h(e_i)
+    rho_rows: list    # [g] -> [i] -> row i of rho_g
+    rho_sup: list     # [g] -> [i] -> support of row i of rho_g
     unit: int
     unit_sup: list
-    tilde: list       # c -> tilde(c)
+    tilde: list       # [c] -> tilde(c)
     tilde_sup: list
 
 
@@ -273,7 +274,9 @@ def _tables(L: CrossedCAlgebra) -> _Tables:
     vector is read many times (a basis product once per instance of every
     family that multiplies by it), so each is cleared of denominators and
     packed into one int once, here, and every product in a checker is one
-    int multiply-add per support term.
+    int multiply-add per support term. Each table is indexed by grade,
+    [g][h] for the blocks of mul and [h][g] for those of phi, and built
+    block by block, each vector packed and its support read off in one pass.
 
     Clearing: over Q every entry of mul, unit, rho, phi and tilde is
     multiplied by D, the least common denominator of all of them, one
@@ -302,31 +305,34 @@ def _tables(L: CrossedCAlgebra) -> _Tables:
     of two entries by D, and the side of lower degree is an entry, or a
     slot of theta (at most n M**2), times a power of D that brings its
     degree to at most four. So every slot is below 2**(w-2), and every
-    difference of two slots below 2**(w-1). Each slot, and each slot of a difference, is then the
-    balanced residue at its place (`_slots`), and two sides are equal
-    exactly when their ints are. Over GF(p) the entries are residues, D is
-    1 and the sums are not reduced, so two sides agree when their ints are
-    equal, or else when every slot of their difference is divisible by p
-    (`_nonzero`).
+    difference of two slots below 2**(w-1). Each slot, and each slot of a
+    difference, is then the balanced residue at its place (`_slots`), and
+    two sides are equal exactly when their ints are. Over GF(p) the entries
+    are residues, D is 1 and the sums are not reduced, so two sides agree
+    when their ints are equal, or else when every slot of their difference
+    is divisible by p (`_nonzero`).
 
     The tables: the basis products (the cells of mul) and their columns
     (one for every j in range(dims[h]), empty when dims[g] is 0), the action
     images (the columns of each phi block), the rows of each rho block, the
     unit and each tilde(c), each packed, with the supports of all but the
-    columns of the basis products read off the cleared entries; and the
-    cleared cells and the cleared rho and phi blocks, unpacked, for what is
-    not a product of packed vectors (the transposed tables of
-    `_left_rows`, the rows of phi in phi_isometry, the trace, and rho's
-    nondegeneracy)."""
-    f, dims = L.field, L.dims
-    mul, unit, tilde = L.mul, L.unit, L.tilde
-    rho, phi = L.rho, L.phi
+    columns of the basis products read off the cleared entries; the cleared
+    cells and the cleared rho and phi blocks, unpacked, for what is not a
+    product of packed vectors (the transposed tables of `_left_rows`, the
+    rows of phi in phi_isometry, the trace, and rho's nondegeneracy); and
+    P's conjugation table. The families read the rest of the group data off
+    the lists that hold it: P.table, P.inv, the boundary and the action."""
+    f, dims, G, table = L.field, L.dims, L.P.elements(), L.P.table
+    mul = [[L.mul[(g, h)] for h in G] for g in G]
+    rho = [L.rho[g] for g in G]
+    phi = [[L.phi[(h, g)] for g in G] for h in G]
+    unit, tilde = L.unit, L.tilde
 
     def entries():
         return list(itertools.chain(
-            (x for block in mul.values() for row in block for cell in row for x in cell),
+            (x for ms in mul for block in ms for row in block for cell in row for x in cell),
             unit, itertools.chain.from_iterable(tilde),
-            (x for m in (*rho.values(), *phi.values()) for row in m.data for x in row)))
+            (x for m in itertools.chain(rho, *phi) for row in m.data for x in row)))
 
     ints = entries()
     D = math.lcm(*{x.denominator for x in ints}) if f == QQ else 1
@@ -337,27 +343,34 @@ def _tables(L: CrossedCAlgebra) -> _Tables:
         def cleared_matrix(m):
             return Matrix._of(f, tuple([cleared(row) for row in m.data]), m.cols)
 
-        mul = {key: [[cleared(cell) for cell in row] for row in block]
-               for key, block in mul.items()}
+        mul = [[[[cleared(cell) for cell in row] for row in block] for block in blocks]
+               for blocks in mul]
         unit, tilde = cleared(unit), [cleared(v) for v in tilde]
-        rho = {g: cleared_matrix(m) for g, m in rho.items()}
-        phi = {key: cleared_matrix(m) for key, m in phi.items()}
+        rho = [cleared_matrix(m) for m in rho]
+        phi = [[cleared_matrix(m) for m in ms] for ms in phi]
         ints = entries()
     M = max(D, max(ints, default=0), -min(ints, default=0))
     w = 4 * M.bit_length() + 3 * max(dims).bit_length() + 2
-    prod = {key: [[_pack(cell, w) for cell in row] for row in block] for key, block in mul.items()}
-    phi_cols = {key: _transposed(m.data, m.cols) for key, m in phi.items()}
+
+    def packed(vecs):
+        return [_pack(v, w) for v in vecs]
+
+    prod, prod_sup, cols = [], [], []
+    for blocks in mul:
+        cells, sups = [], []
+        for block in blocks:
+            cells.append(list(map(packed, block)))
+            sups.append([list(map(_support, row)) for row in block])
+        prod.append(cells)
+        prod_sup.append(sups)
+        cols.append([_transposed(block, dims[h]) for h, block in enumerate(cells)])
+    images = [[_transposed(m.data, m.cols) for m in ms] for ms in phi]
     return _Tables(
-        L, D, w, getattr(f, "p", 0), mul, rho, phi,
-        prod, {key: [[_support(cell) for cell in row] for row in block]
-               for key, block in mul.items()},
-        {(g, h): [[row[j] for row in block] for j in range(dims[h])]
-         for (g, h), block in prod.items()},
-        {key: [_pack(col, w) for col in block] for key, block in phi_cols.items()},
-        {key: [_support(col) for col in block] for key, block in phi_cols.items()},
-        {g: [_pack(row, w) for row in m.data] for g, m in rho.items()},
-        {g: [_support(row) for row in m.data] for g, m in rho.items()},
-        _pack(unit, w), _support(unit), [_pack(v, w) for v in tilde], [_support(v) for v in tilde])
+        L, D, w, getattr(f, "p", 0), [[table[table[h][g]][L.P.inv[h]] for g in G] for h in G],
+        mul, rho, phi, prod, prod_sup, cols, [[packed(vs) for vs in row] for row in images],
+        [[list(map(_support, vs)) for vs in row] for row in images],
+        [packed(m.data) for m in rho], [list(map(_support, m.data)) for m in rho],
+        _pack(unit, w), _support(unit), packed(tilde), list(map(_support, tilde)))
 
 
 def _left_rows(t: _Tables, g: int, h: int):
@@ -366,8 +379,8 @@ def _left_rows(t: _Tables, g: int, h: int):
     one transposed table of the mul(g, h) block, for the products read
     along their second factor (rho_invariant's rho(a, bc), and theta read
     by rows)."""
-    n, w = t.L.dims[t.L.P.mul(g, h)], t.w
-    return [[_pack(col, w) for col in _transposed(row, n)] for row in t.mul[(g, h)]]
+    n, w = t.L.dims[t.L.P.table[g][h]], t.w
+    return [[_pack(col, w) for col in _transposed(row, n)] for row in t.mul[g][h]]
 
 
 def _nonzero(t: _Tables, v: int) -> bool:
@@ -387,9 +400,10 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     """Every axiom family, exhaustively; the report carries the first
     counterexample instance per family.
 
-    The families read the packed tables of `_tables`: over Q every
-    structure map is cleared of denominators by D, so every product sums
-    ints. Each comparison multiplies its side of lower degree in the
+    The families read the packed tables of `_tables`, indexed by grade, with
+    each lookup that an inner loop does not change taken out of it: over Q
+    every structure map is cleared of denominators by D, so every product
+    sums ints. Each comparison multiplies its side of lower degree in the
     structure maps by D to the difference of the degrees (the unit axiom
     compares 1 e_i, of degree 2, with e_i times D**2), which keeps every
     result, and so the report, what it is on L.
@@ -399,31 +413,31 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     equation is one int: sides are compared as ints, and over GF(p) two
     unequal ones by their slots mod p. The action's composition law
     composes columns of phi, and its isometry rows of rho and phi, the same
-    way, and
-    rho_invariant reads rho(a, bc) off the rows of left multiplication
-    (`_left_rows`), so it compares one packed vector per (a, b) and, on a
-    failure, lists each failing c from its slots. The trace family sums
-    products of cleared structure constants directly."""
+    way, and rho_invariant reads rho(a, bc) off the rows of left
+    multiplication (`_left_rows`), so it compares one packed vector per
+    (a, b) and, on a failure, lists each failing c from its slots. The
+    trace family sums products of cleared structure constants directly."""
     report = CheckReport(f"crossed algebra {L.name}")
     # the constructor refused every shape fault
     report.add_pass("well_formed")
     t = _tables(L)
-    D, w, prod, prod_sup, cols = t.D, t.w, t.prod, t.prod_sup, t.cols
-    phis, phis_sup = t.phis, t.phis_sup
+    D, w, prod, prod_sup, cols, unit_sup = t.D, t.w, t.prod, t.prod_sup, t.cols, t.unit_sup
+    phis, phis_sup, rho_rows, rho_sup = t.phis, t.phis_sup, t.rho_rows, t.rho_sup
     P, C, f = L.P, L.C, L.field
-    dims = L.dims
-    nonzero = [g for g in P.elements() if dims[g] > 0]
-    names = L.basis_names
+    G, table, inv, conj, pn = P.elements(), P.table, P.inv, t.conj, P.names
+    dims, names = L.dims, L.basis_names
+    nonzero = [g for g in G if dims[g] > 0]
 
     # 1 e_i and e_i 1 have degree 2 (the unit and mul), e_i degree 0
     fails = []
     for g in nonzero:
+        left, right = cols[0][g], prod[g][0]
         for i, name in enumerate(names[g]):
             e2 = D * D << w * i
-            side = _total(t.unit_sup, cols[(0, g)][i])
+            side = _total(unit_sup, left[i])
             if side != e2 and _nonzero(t, side - e2):
                 fails.append((f"1*{name}", "left unit fails"))
-            side = _total(t.unit_sup, prod[(g, 0)][i])
+            side = _total(unit_sup, right[i])
             if side != e2 and _nonzero(t, side - e2):
                 fails.append((f"{name}*1", "right unit fails"))
     report.add("unit", fails)
@@ -432,31 +446,34 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     # and e_i (e_j e_l) sums row i of mul(g, hk) over that of e_j e_l; both
     # sides have degree 2, as in rho_invariant and trace
     fails = []
-    for g, h, k in itertools.product(nonzero, repeat=3):
-        gh, hk = P.mul(g, h), P.mul(h, k)
-        col = cols[(gh, k)]
-        for i, ni in enumerate(names[g]):
-            row = prod[(g, hk)][i]
-            for j, nj in enumerate(names[h]):
-                ij, jls = prod_sup[(g, h)][i][j], prod_sup[(h, k)][j]
-                for l, nl in enumerate(names[k]):
-                    lhs, rhs = _total(ij, col[l]), _total(jls[l], row)
-                    if lhs != rhs and _nonzero(t, lhs - rhs):
-                        fails.append((f"({ni},{nj},{nl})", "associativity fails"))
+    for g in nonzero:
+        gs, prod_g, sup_g = table[g], prod[g], prod_sup[g]
+        for h in nonzero:
+            hs, cols_gh, ijs = table[h], cols[gs[h]], sup_g[h]
+            for k in nonzero:
+                col, rows, jls_h = cols_gh[k], prod_g[hs[k]], prod_sup[h][k]
+                for i, ni in enumerate(names[g]):
+                    row, ij_i = rows[i], ijs[i]
+                    for j, nj in enumerate(names[h]):
+                        ij, jls = ij_i[j], jls_h[j]
+                        for l, nl in enumerate(names[k]):
+                            lhs, rhs = _total(ij, col[l]), _total(jls[l], row)
+                            if lhs != rhs and _nonzero(t, lhs - rhs):
+                                fails.append((f"({ni},{nj},{nl})", "associativity fails"))
     report.add("associativity", fails)
 
     fails = []
-    for g in P.elements():
-        if L.rho[g] != L.rho[P.inv[g]].transpose():
-            fails.append((f"g={P.names[g]}", "rho_g != transpose(rho_{g^-1})"))
+    for g in G:
+        if L.rho[g] != L.rho[inv[g]].transpose():
+            fails.append((f"g={pn[g]}", "rho_g != transpose(rho_{g^-1})"))
     report.add("rho_symmetric", fails)
 
     fails = []
-    for g in P.elements():
-        if dims[g] != dims[P.inv[g]]:
-            fails.append((f"g={P.names[g]}", "paired grades have different dimensions"))
+    for g in G:
+        if dims[g] != dims[inv[g]]:
+            fails.append((f"g={pn[g]}", "paired grades have different dimensions"))
         elif t.rho[g].nullspace():
-            fails.append((f"g={P.names[g]}", "rho block is singular"))
+            fails.append((f"g={pn[g]}", "rho block is singular"))
     report.add("rho_nondegenerate", fails)
 
     # rho(e_i e_j, e_k) for every k at once sums the rows of rho_gh over the
@@ -464,98 +481,98 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     # rows of left multiplication by e_j over the support of row i of rho_g.
     # Each (g, h) reads its own mul(h, (gh)^-1) block
     fails = []
-    for g, h in itertools.product(nonzero, repeat=2):
-        gh = P.mul(g, h)
-        ghinv = P.inv[gh]
-        rho_gh, rows = t.rho_rows[gh], _left_rows(t, h, ghinv)
-        for i, ni in enumerate(names[g]):
-            sup = t.rho_sup[g][i]
-            for j, nj in enumerate(names[h]):
-                lhs, rhs = _total(prod_sup[(g, h)][i][j], rho_gh), _total(sup, rows[j])
-                if lhs != rhs:
-                    for k, s in enumerate(_slots(lhs - rhs, w)):
-                        if s and (not t.p or s % t.p):
-                            fails.append((f"({ni},{nj},{names[ghinv][k]})",
-                                          "rho(ab,c) != rho(a,bc)"))
+    for g in nonzero:
+        gs, sup_g, rsup = table[g], prod_sup[g], rho_sup[g]
+        for h in nonzero:
+            gh, ghinv = gs[h], inv[gs[h]]
+            rho_gh, rows, ijs, kn = rho_rows[gh], _left_rows(t, h, ghinv), sup_g[h], names[ghinv]
+            for i, ni in enumerate(names[g]):
+                sup, ij_i = rsup[i], ijs[i]
+                for j, nj in enumerate(names[h]):
+                    lhs, rhs = _total(ij_i[j], rho_gh), _total(sup, rows[j])
+                    if lhs != rhs:
+                        for k, s in enumerate(_slots(lhs - rhs, w)):
+                            if s and (not t.p or s % t.p):
+                                fails.append((f"({ni},{nj},{kn[k]})", "rho(ab,c) != rho(a,bc)"))
     report.add("rho_invariant", fails)
 
     # the identity, of degree 0, is compared with phi_1 (degree 1), and
     # phi_hk (degree 1) with phi_h phi_k (degree 2), column by column:
     # column i of phi_h phi_k sums the columns of phi_h over the support of
     # column i of phi_k
-    ident = [[D << w * i for i in range(dims[g])] for g in P.elements()]
-    phis_D = phis if D == 1 else {key: [D * v for v in cols] for key, cols in phis.items()}
+    ident = [[D << w * i for i in range(dims[g])] for g in G]
+    phis_D = phis if D == 1 else [[[D * v for v in vs] for vs in row] for row in phis]
     fails = []
-    for g in P.elements():
-        if phis[(0, g)] != ident[g]:
-            fails.append((f"g={P.names[g]}", "phi_1 is not the identity"))
-    for h in P.elements():
-        for k in P.elements():
-            hk = P.mul(h, k)
+    for g in G:
+        if phis[0][g] != ident[g]:
+            fails.append((f"g={pn[g]}", "phi_1 is not the identity"))
+    for h in G:
+        hs, outers = table[h], phis[h]
+        for k in G:
+            ks, sups, wants = conj[k], phis_sup[k], phis_D[hs[k]]
             for g in nonzero:
-                outer, want = phis[(h, P.conj(k, g))], phis_D[(hk, g)]
-                got = [_total(sup, outer) for sup in phis_sup[(k, g)]]
+                outer, want = outers[ks[g]], wants[g]
+                got = [_total(sup, outer) for sup in sups[g]]
                 if got != want and _differ(t, got, want):
-                    fails.append((f"(h={P.names[h]},k={P.names[k]},g={P.names[g]})",
-                                  "phi_h phi_k != phi_hk"))
+                    fails.append((f"(h={pn[h]},k={pn[k]},g={pn[g]})", "phi_h phi_k != phi_hk"))
     report.add("phi_homomorphism", fails)
 
     # phi_h(1) has degree 2 against 1, phi_h(xy) degree 2 against 3
     fails = []
     unit = D * t.unit
-    for h in P.elements():
-        side = _total(t.unit_sup, phis[(h, 0)])
+    for h in G:
+        images, sups, hs = phis[h], phis_sup[h], conj[h]
+        side = _total(unit_sup, images[0])
         if side != unit and _nonzero(t, side - unit):
-            fails.append((f"h={P.names[h]}", "phi_h(1) != 1"))
-        for g1, g2 in itertools.product(nonzero, repeat=2):
-            g12 = P.mul(g1, g2)
-            hg1, hg2 = P.conj(h, g1), P.conj(h, g2)
-            image, block = phis[(h, g12)], prod[(hg1, hg2)]
-            for i, ni in enumerate(names[g1]):
-                fa = phis_sup[(h, g1)][i]
-                for j, nj in enumerate(names[g2]):
-                    lhs = D * _total(prod_sup[(g1, g2)][i][j], image)
-                    rhs = _product(fa, phis_sup[(h, g2)][j], block)
-                    if lhs != rhs and _nonzero(t, lhs - rhs):
-                        fails.append((f"(h={P.names[h]},{ni},{nj})",
-                                      "phi_h(xy) != phi_h(x) phi_h(y)"))
+            fails.append((f"h={pn[h]}", "phi_h(1) != 1"))
+        for g1 in nonzero:
+            g1s, prod_hg1, fas, ijs_g1 = table[g1], prod[hs[g1]], sups[g1], prod_sup[g1]
+            for g2 in nonzero:
+                image, block, fbs, ijs = images[g1s[g2]], prod_hg1[hs[g2]], sups[g2], ijs_g1[g2]
+                for i, ni in enumerate(names[g1]):
+                    fa, ij_i = fas[i], ijs[i]
+                    for j, nj in enumerate(names[g2]):
+                        lhs = D * _total(ij_i[j], image)
+                        rhs = _product(fa, fbs[j], block)
+                        if lhs != rhs and _nonzero(t, lhs - rhs):
+                            fails.append((f"(h={pn[h]},{ni},{nj})",
+                                          "phi_h(xy) != phi_h(x) phi_h(y)"))
     report.add("phi_multiplicative", fails)
 
     # row i of phi(h, g)^T rho_hg phi(h, g^-1) sums the rows of
     # rho_hg phi(h, g^-1) over the support of column i of phi(h, g), each
     # of which sums the rows of phi(h, g^-1), packed here, over the support
     # of a row of rho_hg; degree 3 against 1
-    rho_D2 = t.rho_rows if D == 1 else {g: [D * D * v for v in rows]
-                                        for g, rows in t.rho_rows.items()}
+    rho_D2 = rho_rows if D == 1 else [[D * D * v for v in rows] for rows in rho_rows]
     fails = []
-    for h in P.elements():
-        for g in P.elements():
-            inner = [_pack(row, w) for row in t.phi[(h, P.inv[g])].data]
-            middle = [_total(sup, inner) for sup in t.rho_sup[P.conj(h, g)]]
-            got, want = [_total(sup, middle) for sup in phis_sup[(h, g)]], rho_D2[g]
+    for h in G:
+        blocks, hs, sups = t.phi[h], conj[h], phis_sup[h]
+        for g in G:
+            inner = [_pack(row, w) for row in blocks[inv[g]].data]
+            middle = [_total(sup, inner) for sup in rho_sup[hs[g]]]
+            got, want = [_total(sup, middle) for sup in sups[g]], rho_D2[g]
             if got != want and _differ(t, got, want):
-                fails.append((f"(h={P.names[h]},g={P.names[g]})",
-                              "phi_h does not preserve rho"))
+                fails.append((f"(h={pn[h]},g={pn[g]})", "phi_h does not preserve rho"))
     report.add("phi_isometry", fails)
 
     fails = []
-    for g in P.elements():
-        if phis[(g, g)] != ident[g]:
-            fails.append((f"g={P.names[g]}", "phi_g is not the identity on L_g"))
+    for g in G:
+        if phis[g][g] != ident[g]:
+            fails.append((f"g={pn[g]}", "phi_g is not the identity on L_g"))
     report.add("phi_fixes_own_grade", fails)
 
-    # phi_h(e_i) e_j sums cols[(hgh^-1, h)][j] over the support of
+    # phi_h(e_i) e_j sums cols[hgh^-1][h][j] over the support of
     # phi_h(e_i); it has degree 2 against 1
     fails = []
-    for g, h in itertools.product(nonzero, repeat=2):
-        hg = P.conj(h, g)
-        col = cols[(hg, h)]
-        for i, na in enumerate(names[g]):
-            fa = phis_sup[(h, g)][i]
-            for j, nb in enumerate(names[h]):
-                lhs, rhs = _total(fa, col[j]), D * prod[(h, g)][j][i]
-                if lhs != rhs and _nonzero(t, lhs - rhs):
-                    fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
+    for g in nonzero:
+        for h in nonzero:
+            col, fas, cells = cols[conj[h][g]][h], phis_sup[h][g], prod[h][g]
+            for i, na in enumerate(names[g]):
+                fa = fas[i]
+                for j, nb in enumerate(names[h]):
+                    lhs, rhs = _total(fa, col[j]), D * cells[j][i]
+                    if lhs != rhs and _nonzero(t, lhs - rhs):
+                        fails.append((f"(a={na},b={nb})", "phi_h(a)b != ba"))
     report.add("twisted_commutativity", fails)
 
     # the trace condition compares the two cuttings of the labeled torus: for
@@ -567,16 +584,17 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     # the boundary-group algebra of a non-surjective boundary map would fail
     # it, contradicting its construction)
     fails = []
-    for g, h in itertools.product(nonzero, repeat=2):
-        comm, hg = P.commutator(g, h), P.conj(h, g)
-        phi1, phi2 = t.phi[(h, g)].data, t.phi[(P.inv[g], P.conj(g, h))].data
-        for m, nm in enumerate(names[comm]):
-            t1 = sum([x * phi1[j][a] for j, sup in enumerate(prod_sup[(comm, hg)][m])
-                      for a, x in sup])
-            t2 = sum([x * phi2[s][a] for s, sup in enumerate(prod_sup[(comm, h)][m])
-                      for a, x in sup])
-            if f.of(t1 - t2):
-                fails.append((f"(g={P.names[g]},h={P.names[h]},c={nm})", "trace axiom fails"))
+    for g in nonzero:
+        gs, ginv = table[g], inv[g]
+        for h in nonzero:
+            comm, hg = table[table[gs[h]][ginv]][inv[h]], conj[h][g]
+            phi1, phi2 = t.phi[h][g].data, t.phi[ginv][conj[g][h]].data
+            cs1, cs2 = prod_sup[comm][hg], prod_sup[comm][h]
+            for m, nm in enumerate(names[comm]):
+                t1 = sum([x * phi1[j][a] for j, sup in enumerate(cs1[m]) for a, x in sup])
+                t2 = sum([x * phi2[s][a] for s, sup in enumerate(cs2[m]) for a, x in sup])
+                if f.of(t1 - t2):
+                    fails.append((f"(g={pn[g]},h={pn[h]},c={nm})", "trace axiom fails"))
     report.add("trace", fails)
 
     fails = []
@@ -587,12 +605,12 @@ def check_crossed_algebra(L: CrossedCAlgebra) -> CheckReport:
     # tilde(c') tilde(c) sums the products e_a e_b over the supports of both;
     # it has degree 3 against 1
     fails = []
+    d, tilde, tilde_sup = L.cm.boundary.map, t.tilde, t.tilde_sup
     for c2 in C.elements():
-        d2 = L.cm.d(c2)
+        c2s, prod_d2, sup2 = C.table[c2], prod[d[c2]], tilde_sup[c2]
         for c in C.elements():
-            dc = L.cm.d(c)
-            lhs = D * D * t.tilde[C.mul(c2, c)]
-            rhs = _product(t.tilde_sup[c2], t.tilde_sup[c], prod[(d2, dc)])
+            lhs = D * D * tilde[c2s[c]]
+            rhs = _product(sup2, tilde_sup[c], prod_d2[d[c]])
             if lhs != rhs and _nonzero(t, lhs - rhs):
                 fails.append((f"(c'={C.names[c2]},c={C.names[c]})",
                               "tilde(c'c) != tilde(c') tilde(c)"))
@@ -607,14 +625,14 @@ def _equivariance_fails(t: _Tables, letter: str):
     `letter`: h in tilde_equivariant, p in square_equivariance. The left side
     sums the columns of phi(h, d(c)) over the support of tilde(c); degree 2
     against 1."""
-    L, D = t.L, t.D
-    P, C = L.P, L.C
+    L, D, tilde, tilde_sup = t.L, t.D, t.tilde, t.tilde_sup
+    P, C, d = L.P, L.C, L.cm.boundary.map
     fails = []
     for h in P.elements():
+        images, hs = t.phis[h], L.cm.act.table[h]
         for c in C.elements():
-            dc = L.cm.d(c)
-            image = _total(t.tilde_sup[c], t.phis[(h, dc)])
-            want = D * t.tilde[L.cm.action(h, c)]
+            image = _total(tilde_sup[c], images[d[c]])
+            want = D * tilde[hs[c]]
             if image != want and _nonzero(t, image - want):
                 fails.append((f"({letter}={P.names[h]},c={C.names[c]})",
                               f"phi_{letter}(tilde c) != tilde(^{letter} c)"))
@@ -692,23 +710,22 @@ def theta(L: CrossedCAlgebra, c: int, g: int) -> Matrix:
 
 def _theta_columns(t: _Tables):
     """The columns of every theta(c, g) on the tables' algebra, packed, and
-    their supports, as two dicts keyed by (c, g). Column j is tilde(c) e_j,
+    their supports, as two lists indexed [c][g]. Column j is tilde(c) e_j,
     the sum of column j of the mul(d(c), g) cells over the support of
     tilde(c); it has degree 2 (tilde and mul). When that support is one term
     with value 1, at e_k, the columns are the stored products e_k e_j with
     their supports; otherwise each support is read off the column's slots."""
-    L = t.L
-    P, C, d, w = L.P, L.C, L.cm.d, t.w
-    cols, sups = {}, {}
-    for c in C.elements():
-        sup = t.tilde_sup[c]
-        for g in P.elements():
-            key = (d(c), g)
-            if len(sup) == 1 and sup[0][1] == 1:
-                cols[(c, g)], sups[(c, g)] = t.prod[key][sup[0][0]], t.prod_sup[key][sup[0][0]]
-            else:
-                cols[(c, g)] = [_total(sup, col) for col in t.cols[key]]
-                sups[(c, g)] = [_support(_slots(v, w)) for v in cols[(c, g)]]
+    w, G = t.w, t.L.P.elements()
+    cols, sups = [], []
+    for c, sup in enumerate(t.tilde_sup):
+        dc = t.L.cm.d(c)
+        if len(sup) == 1 and sup[0][1] == 1:
+            k = sup[0][0]
+            cols.append([t.prod[dc][g][k] for g in G])
+            sups.append([t.prod_sup[dc][g][k] for g in G])
+        else:
+            cols.append([[_total(sup, col) for col in t.cols[dc][g]] for g in G])
+            sups.append([[_support(_slots(v, w)) for v in vs] for vs in cols[-1]])
     return cols, sups
 
 
@@ -717,33 +734,34 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     phi, swept over every (c, c', g, h) in the crossed module.
 
     They read the packed tables of `check_crossed_algebra` (`_tables`),
-    with the side of lower degree in the structure maps multiplied up by D
-    in the same way. No matrix is built or multiplied: each theta(c, g) is
-    kept as its packed columns and their supports (`_theta_columns`), and
-    both sides of an identity are compared column by column (row by row
-    for rho, with the rows of theta read off the rows of left
-    multiplication, `_left_rows`), each column one int, a `_total` of
-    packed vectors over a support."""
+    indexed by grade, with the side of lower degree in the structure maps
+    multiplied up by D in the same way. No matrix is built or multiplied:
+    each theta(c, g) is kept as its packed columns and their supports
+    (`_theta_columns`), and both sides of an identity are compared column
+    by column (row by row for rho, with the rows of theta read off the rows
+    of left multiplication, `_left_rows`), each column one int, a `_total`
+    of packed vectors over a support."""
     report = CheckReport(f"boxed identities for {L.name}")
     t = _tables(L)
     D, prod, phis, phis_sup, tilde_sup = t.D, t.prod, t.phis, t.phis_sup, t.tilde_sup
-    P, C, dims = L.P, L.C, L.dims
-    d, act = L.cm.d, L.cm.action
+    P, C, dims, d, act = L.P, L.C, L.dims, L.cm.boundary.map, L.cm.act.table
+    G, table, inv, conj, pn, cn = P.elements(), P.table, P.inv, t.conj, P.names, C.names
     thetas, theta_sup = _theta_columns(t)
 
     # column j of theta(c', dc*g) theta(c, g) sums the columns of
     # theta(c', dc*g) over the support of column j of theta(c, g); degree 2
     # against 4
-    scaled = {key: [D * D * v for v in cols] for key, cols in thetas.items()}
+    scaled = [[[D * D * v for v in vs] for vs in row] for row in thetas]
     fails = []
     for c2 in C.elements():
+        c2s, outers = C.table[c2], thetas[c2]
         for c in C.elements():
-            c2c = C.mul(c2, c)
-            for g in P.elements():
-                outer, want = thetas[(c2, P.mul(d(c), g))], scaled[(c2c, g)]
-                got = [_total(sup, outer) for sup in theta_sup[(c, g)]]
+            dcs, wants, sups = table[d[c]], scaled[c2s[c]], theta_sup[c]
+            for g in G:
+                outer, want = outers[dcs[g]], wants[g]
+                got = [_total(sup, outer) for sup in sups[g]]
                 if got != want and _differ(t, got, want):
-                    fails.append((f"(c'={C.names[c2]},c={C.names[c]},g={P.names[g]})",
+                    fails.append((f"(c'={cn[c2]},c={cn[c]},g={pn[g]})",
                                   "theta(c'c,g) != theta(c',dc*g) theta(c,g)"))
     report.add("theta_composition", fails)
 
@@ -751,13 +769,12 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     # over the support of tilde(c); degree 2 against 2
     fails = []
     for c in C.elements():
-        dc = d(c)
-        for g in P.elements():
-            got = [_total(tilde_sup[c], row) for row in prod[(g, dc)]]
-            want = thetas[(act(g, c), g)]
+        dc, sup = d[c], tilde_sup[c]
+        for g in G:
+            got = [_total(sup, row) for row in prod[g][dc]]
+            want = thetas[act[g][c]][g]
             if got != want and _differ(t, got, want):
-                fails.append((f"(c={C.names[c]},g={P.names[g]})",
-                              "x tilde(c) != tilde(^g c) x"))
+                fails.append((f"(c={cn[c]},g={pn[g]})", "x tilde(c) != tilde(^g c) x"))
     report.add("theta_translation", fails)
 
     # row j of theta(c, g)^T rho_dcg sums the rows of rho_dcg over the
@@ -766,22 +783,23 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     # support of row j of rho_g, and row a of theta' sums the rows a of left
     # multiplication by each e_b over the support of tilde(^{g^-1}c). Paired
     # grades may differ in dimension, so theta' is read with its row count
-    # given. Degree 3 against 3
-    left_rows = {}
+    # given. Each block's rows of left multiplication are built once, at
+    # left_rows[a][b]. Degree 3 against 3
+    left_rows = [[None] * P.order for _ in G]
     fails = []
     for c in C.elements():
-        for g in P.elements():
-            dcg = P.mul(d(c), g)
-            c1, rho_rows = act(P.inv[g], c), t.rho_rows[dcg]
-            key = (d(c1), P.inv[dcg])
-            if key not in left_rows:
-                left_rows[key] = _left_rows(t, *key)
+        dcs, sups = table[d[c]], theta_sup[c]
+        for g in G:
+            dcg, c1 = dcs[g], act[inv[g]][c]
+            a, b = d[c1], inv[dcg]
+            if left_rows[a][b] is None:
+                left_rows[a][b] = _left_rows(t, a, b)
             rows = [_total(tilde_sup[c1], col)
-                    for col in _transposed(left_rows[key], dims[P.inv[g]])]
-            got = [_total(sup, rho_rows) for sup in theta_sup[(c, g)]]
+                    for col in _transposed(left_rows[a][b], dims[inv[g]])]
+            got = [_total(sup, t.rho_rows[dcg]) for sup in sups[g]]
             want = [_total(sup, rows) for sup in t.rho_sup[g]]
             if got != want and _differ(t, got, want):
-                fails.append((f"(c={C.names[c]},g={P.names[g]})",
+                fails.append((f"(c={cn[c]},g={pn[g]})",
                               "rho(tilde(c) x, y) != rho(x, tilde(^{g^-1}c) y)"))
     report.add("theta_rho", fails)
 
@@ -791,15 +809,16 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     # support of phi_h(e_j); degree 3 against 3
     fails = []
     for c in C.elements():
-        for g in P.elements():
-            dcg = P.mul(d(c), g)
-            for h in P.elements():
-                image = phis[(h, dcg)]
-                outer = thetas[(act(h, c), P.conj(h, g))]
-                got = [_total(sup, image) for sup in theta_sup[(c, g)]]
-                want = [_total(sup, outer) for sup in phis_sup[(h, g)]]
+        dcs, sups = table[d[c]], theta_sup[c]
+        for g in G:
+            dcg, sup_g = dcs[g], sups[g]
+            for h in G:
+                image = phis[h][dcg]
+                outer = thetas[act[h][c]][conj[h][g]]
+                got = [_total(sup, image) for sup in sup_g]
+                want = [_total(sup, outer) for sup in phis_sup[h][g]]
                 if got != want and _differ(t, got, want):
-                    fails.append((f"(c={C.names[c]},g={P.names[g]},h={P.names[h]})",
+                    fails.append((f"(c={cn[c]},g={pn[g]},h={pn[h]})",
                                   "phi_h theta(c,g) != theta(^h c, ^h g) phi_h"))
     report.add("theta_phi", fails)
 
@@ -811,25 +830,24 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     units/automorphisms crossed module of L, without enumerating Aut(L):
     each tilde(c) is a unit, conjugation by tilde(c) equals phi_{d(c)} on
     every grade, and tilde is action-equivariant. The families read the
-    packed tables of `check_crossed_algebra` (`_tables`), with the side of
-    lower degree in the structure maps multiplied up by the common
-    denominator, and the theta supports of `check_boxed_identities`: every
-    product is a `_total` or `_product` of packed vectors over a support,
-    and no matrix is built."""
+    packed tables of `check_crossed_algebra` (`_tables`), indexed by grade,
+    with the side of lower degree in the structure maps multiplied up by the
+    common denominator, and the theta supports of `check_boxed_identities`:
+    every product is a `_total` or `_product` of packed vectors over a
+    support, and no matrix is built."""
     report = CheckReport(f"units/automorphisms square for {L.name}")
     t = _tables(L)
-    D, prod, phis, tilde_sup = t.D, t.prod, t.phis, t.tilde_sup
+    D, prod, phis, tilde_sup, d = t.D, t.prod, t.phis, t.tilde_sup, L.cm.boundary.map
     P, C = L.P, L.C
-    d = L.cm.d
 
     # tilde(c) tilde(c^-1) has degree 3 against 1
     fails = []
     unit = D * D * t.unit
     for c in C.elements():
         cinv = C.inv[c]
-        dc, dcinv = d(c), d(cinv)
-        left = _product(tilde_sup[c], tilde_sup[cinv], prod[(dc, dcinv)])
-        right = _product(tilde_sup[cinv], tilde_sup[c], prod[(dcinv, dc)])
+        dc, dcinv = d[c], d[cinv]
+        left = _product(tilde_sup[c], tilde_sup[cinv], prod[dc][dcinv])
+        right = _product(tilde_sup[cinv], tilde_sup[c], prod[dcinv][dc])
         if left != unit and _nonzero(t, left - unit) or \
                 right != unit and _nonzero(t, right - unit):
             fails.append((f"c={C.names[c]}", "tilde(c) is not a unit"))
@@ -843,12 +861,12 @@ def aut_square_check(L: CrossedCAlgebra) -> CheckReport:
     fails = []
     for c in C.elements():
         cinv = C.inv[c]
-        dcinv = d(cinv)
+        dcinv, sup, sups = d[cinv], tilde_sup[cinv], theta_sup[c]
+        dcs, images = P.table[d[c]], phis[d[c]]
         for g in P.elements():
-            dcg = P.mul(d(c), g)
-            right = [_total(tilde_sup[cinv], row) for row in prod[(dcg, dcinv)]]
-            got = [_total(sup, right) for sup in theta_sup[(c, g)]]
-            want = [D ** 3 * v for v in phis[(d(c), g)]]
+            right = [_total(sup, row) for row in prod[dcs[g]][dcinv]]
+            got = [_total(s, right) for s in sups[g]]
+            want = [D ** 3 * v for v in images[g]]
             if got != want and _differ(t, got, want):
                 fails.append((f"(c={C.names[c]},g={P.names[g]})",
                               "conjugation by tilde(c) != phi_{d(c)}"))

@@ -44,7 +44,9 @@ class SingularMatrixError(ValueError):
     """Raised when inverting a singular (or non-square) matrix."""
 
 
-# (field, n) -> the shared n x n identity over field, kept once it is built
+# (field name, n) -> the shared n x n identity over the field, kept once it
+# is built; equal fields have one name, and a str key hashes with no call
+# into the field's own __hash__
 _IDENTITIES: dict = {}
 
 
@@ -73,10 +75,10 @@ class Matrix:
     def identity(cls, field, n: int) -> "Matrix":
         """The n x n identity over field: one shared instance per (field, n),
         built the first time it is asked for and never mutated."""
-        m = _IDENTITIES.get((field, n))
+        m = _IDENTITIES.get((field.name, n))
         if m is None:
             z, o = field.zero, field.one
-            m = _IDENTITIES[(field, n)] = cls._of(
+            m = _IDENTITIES[(field.name, n)] = cls._of(
                 field, tuple([tuple([o if i == j else z for j in range(n)])
                               for i in range(n)]), n)
         return m
@@ -113,7 +115,7 @@ class Matrix:
         nx0 one with n > 0 is none."""
         if self.rows != self.cols:
             return False
-        if _IDENTITIES.get((self.field, self.rows)) is self:
+        if _IDENTITIES.get((self.field.name, self.rows)) is self:
             return True
         one = self.field.one
         for i, row in enumerate(self.data):

@@ -4,7 +4,13 @@ All three checkers read the same tables off the algebra with its
 denominators cleared, each stored vector packed into one int with
 fixed-width slots: basis products and action images from the structure
 maps, rows of rho, the unit and each tilde(c), each with its support read
-off its entries. They sum packed vectors over the supports of the vectors
+off its entries. The tables are lists indexed by grade, prod[g][h] and
+cols[g][h] for the basis products and their columns, phis[h][g] for the
+action images, rho_rows[g] for the rows of rho, and the group data comes
+as lists (the rows of the multiplication table, the inverses, the
+tables' conjugation table conj[h][g], the boundary and the rows of the
+action), so no family builds a key or calls a group method per instance.
+They sum packed vectors over the supports of the vectors
 they multiply (taking a one-term support with value 1 as the stored vector
 itself) and compare the sides of an axiom as ints, over GF(p) by their
 slots mod p when the ints differ. check_crossed_algebra also sums the trace
@@ -23,7 +29,9 @@ primes, on seeded one-entry corruptions and on random structure maps whose
 paired grades differ in dimension, over Q, GF(5) and GF(2**31 - 1), and on
 K[C] of the check-ladder benchmark's crossed modules in seeded gauge bases.
 The packing rule itself (round trips at the widest slots, a slot that
-differs by p, a grade of dimension 0, the slot width) has tests of its own.
+differs by p, a grade of dimension 0, the slot width) and the layout (every
+cell of prod, cols, phis and rho_rows against D times its entry, and the
+conjugation table against the group's own method) have tests of their own.
 
 check_algebra_morphism reads each basis product as a stored cell and each
 image of a basis vector as a block column; its oracle sums structure
@@ -52,6 +60,7 @@ from crossmod.algebras import (
     check_boxed_identities,
     check_crossed_algebra,
     group_algebra_C,
+    group_algebra_P,
     pushforward_data,
     theta,
     untranspose_to_pushforward,
@@ -63,7 +72,13 @@ from crossmod.crossed_modules import (
     identity_morphism,
 )
 from crossmod.fields import GF, QQ
-from crossmod.fixtures import fixture_algebra_names, std_algebras, std_morphisms
+from crossmod.fixtures import (
+    fixture_algebra_names,
+    std_algebras,
+    std_crossed_modules,
+    std_groups,
+    std_morphisms,
+)
 from crossmod.groups import (
     GroupHomomorphism,
     action,
@@ -613,20 +628,26 @@ def _unpack(v, n, w):
 def _table_entries(t):
     """The entries of the packed cells, unit, rho rows, phi blocks (packed
     by columns) and tilde of the tables t, unpacked, in the order of
-    `_entries`."""
+    `_entries`. The cells are read off both `prod` and its columns `cols`,
+    which must agree."""
     L, w = t.L, t.w
-    P, dims = L.P, L.dims
+    P, C, dims = L.P, L.C, L.dims
+    G = P.elements()
+    cells = [x for g in G for h in G for row in t.prod[g][h] for cell in row
+             for x in _unpack(cell, dims[P.mul(g, h)], w)]
+    by_cols = [x for g in G for h in G for i in range(dims[g]) for col in t.cols[g][h]
+               for x in _unpack(col[i], dims[P.mul(g, h)], w)]
+    assert by_cols == cells
     phi_rows = []
-    for h, g in sorted(t.phis):
-        cols = [_unpack(col, dims[P.conj(h, g)], w) for col in t.phis[(h, g)]]
-        phi_rows += [col[r] for r in range(dims[P.conj(h, g)]) for col in cols]
-    return [*(x for (g, h) in sorted(t.prod) for row in t.prod[(g, h)] for cell in row
-              for x in _unpack(cell, dims[P.mul(g, h)], w)),
+    for h in G:
+        for g in G:
+            cols = [_unpack(col, dims[P.conj(h, g)], w) for col in t.phis[h][g]]
+            phi_rows += [col[r] for r in range(dims[P.conj(h, g)]) for col in cols]
+    return [*cells,
             *_unpack(t.unit, dims[0], w),
-            *(x for g in sorted(t.rho_rows) for row in t.rho_rows[g]
-              for x in _unpack(row, dims[P.inv[g]], w)),
+            *(x for g in G for row in t.rho_rows[g] for x in _unpack(row, dims[P.inv[g]], w)),
             *phi_rows,
-            *(x for c, v in enumerate(t.tilde) for x in _unpack(v, dims[L.cm.d(c)], w))]
+            *(x for c in C.elements() for x in _unpack(t.tilde[c], dims[L.cm.d(c)], w))]
 
 
 def test_cleared_leaves_integral_and_prime_field_algebras_as_they_are():
@@ -639,9 +660,21 @@ def test_cleared_leaves_integral_and_prime_field_algebras_as_they_are():
     for name in names:
         L = cases()[name]
         t = _tables(L)
-        assert t.D == 1 and (t.mul, t.rho, t.phi) == (L.mul, L.rho, L.phi), name
-        assert t.mul is L.mul and t.rho is L.rho and t.phi is L.phi, name
+        G = L.P.elements()
+        assert t.D == 1, name
+        assert all(t.mul[g][h] is L.mul[(g, h)] for g in G for h in G), name
+        assert all(t.rho[g] is L.rho[g] for g in G), name
+        assert all(t.phi[h][g] is L.phi[(h, g)] for h in G for g in G), name
         assert _table_entries(t) == _entries(L), name
+
+
+def test_tables_hold_the_conjugation_table():
+    """The tables carry the conjugation table conj[h][g] = hgh^-1 of every
+    fixture group, read off K[P] of the group over itself."""
+    groups = [*std_groups().values(), *(cm.base for cm in std_crossed_modules().values())]
+    for G in groups:
+        t = _tables(group_algebra_P(from_normal_inclusion(G, tuple(G.elements())), QQ))
+        assert t.conj == [[G.conj(h, g) for g in G.elements()] for h in G.elements()], G
 
 
 @pytest.mark.parametrize("name", [name for name in CASE_NAMES if name.startswith("QQ/primes(")])
@@ -711,16 +744,16 @@ def test_a_dimension_zero_grade_packs_to_zero():
     for n in range(40):
         L = random_algebra(uneven_module(), QQ, rng, f"random{n}")
         t, P, dims = _tables(L), L.P, L.dims
-        for (g, h), block in t.prod.items():
+        for g, h in itertools.product(P.elements(), repeat=2):
             if dims[P.mul(g, h)] == 0 and dims[g] and dims[h]:
                 seen.add("cell")
-                assert all(cell == 0 for row in block for cell in row)
-                assert all(sup == [] for row in t.prod_sup[(g, h)] for sup in row)
+                assert all(cell == 0 for row in t.prod[g][h] for cell in row)
+                assert all(sup == [] for row in t.prod_sup[g][h] for sup in row)
         for c, v in enumerate(t.tilde):
             if dims[L.cm.d(c)] == 0:
                 seen.add("tilde")
                 assert v == 0 and t.tilde_sup[c] == []
-        for g, rows in t.rho_rows.items():
+        for g, rows in enumerate(t.rho_rows):
             if dims[P.inv[g]] == 0 and dims[g]:
                 seen.add("rho row")
                 assert rows == [0] * dims[g] and t.rho_sup[g] == [[]] * dims[g]

@@ -479,10 +479,33 @@ def test_a_warm_evaluation_builds_no_identity(monkeypatch):
     rng = random.Random(23)
     exprs = [random_expression(tau, rng) for _ in range(20)]
     cold = [eval_expression(tau, e).matrix for e in exprs]
-    assert (QQ, 1) in builds
+    assert (QQ.name, 1) in builds
     builds.clear()
     assert [eval_expression(tau, e).matrix for e in exprs] == cold
     assert builds == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_a_warm_evaluation_hashes_no_field(field, monkeypatch):
+    """The shared identities are keyed by the field's name: 20 warm
+    evaluations of seeded expressions over K[C](CM-Mod) and K[P](CM-A3S3),
+    whose seeds are identities of sizes 0, 1, 3 and 9, make no call to
+    RationalField.__hash__ or PrimeField.__hash__."""
+    rng = random.Random(f"warm-hash/{field.name}")
+    for name in ("KC.CM-Mod", "KP.CM-A3S3"):
+        tau = FormalHQFT(std_algebras(field)[name])
+        exprs = [random_expression(tau, rng) for _ in range(20)]
+        cold = [eval_expression(tau, e).matrix for e in exprs]
+        calls = []
+        for cls in (type(QQ), type(GF(5))):
+            def counted(self, _hash=cls.__hash__):
+                calls.append(self)
+                return _hash(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        warm = [eval_expression(tau, e).matrix for e in exprs]
+        monkeypatch.undo()
+        assert warm == cold and calls == [], name
 
 
 def _naive_det(f, rows):

@@ -41,6 +41,13 @@ Sections:
   `test_checker_oracle.big_prime_basis` of each of them (common denominators
   above 2**64), and on one seeded single-entry corruption of each gauge
   basis, the corrupted map cycling through mul, unit, rho, phi and tilde.
+- `mutants`: the `check_crossed_algebra` report of every one-scalar edit
+  of the 12 fixture algebras over GF(3): each scalar of `mul`, `unit`,
+  `rho`, `phi` and `tilde` in the algebra's document set to each other
+  residue, the document (which names its crossed module) decoded by
+  `serialize.from_doc`; 1,008 items, each
+  the algebra, the JSON path, the new value and the report. Exactly three
+  mutants pass (`test_three_mutants_pass`).
 - `linalg`: `Matrix.inverse`, `solve` (a right-hand side in the column space
   and a seeded one), `nullspace` and a `RowSpace.add` sequence (each row,
   then a seeded vector) on seeded matrices over Q (entries with
@@ -59,6 +66,7 @@ Sections:
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -113,7 +121,7 @@ from crossmod.hqft import (
     random_expression,
 )
 from crossmod.linalg import Matrix, RowSpace
-from crossmod.serialize import dumps, to_doc
+from crossmod.serialize import Workspace, dumps, from_doc, to_doc
 from test_checker_oracle import TARGETS, big_prime_basis, corrupt, gauge
 from test_groups import _alternating_group_4, _direct_product
 from test_hqft import ALL_KINDS, _every_piece, singular_pairing
@@ -303,6 +311,48 @@ def checkers_items():
                            (check_crossed_algebra, check_boxed_identities, aut_square_check)]}
 
 
+def _scalar_paths(node, path):
+    """The JSON path of every scalar under node, a list nested to any depth
+    or an object of such lists, in document order."""
+    if isinstance(node, str):
+        yield path
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from _scalar_paths(child, (*path, key))
+
+
+@functools.lru_cache(maxsize=None)
+def _mutants():
+    """The items of the `mutants` section, built once per process. Each
+    document names its crossed module, which the workspace holds, so only
+    the algebra is decoded per mutant."""
+    field, ws, items = GF(3), Workspace(), []
+    for L in std_algebras(field).values():
+        ws.add(L.cm.name, "crossed_module", L.cm)
+        doc = {**to_doc("algebra", L), "crossed_module": L.cm.name}
+        for part in ("mul", "unit", "rho", "phi", "tilde"):
+            for path in _scalar_paths(doc[part], (part,)):
+                *head, last = path
+                node = doc
+                for key in head:
+                    node = node[key]
+                old = node[last]
+                for x in range(field.p):
+                    value = field.format(field.of(x))
+                    if value == old:
+                        continue
+                    node[last] = value
+                    report = check_crossed_algebra(from_doc(doc, ws, "algebra")[2])
+                    items.append({"algebra": L.name, "path": list(path), "value": value,
+                                  "report": report.to_json()})
+                node[last] = old
+    return tuple(items)
+
+
+def mutants_items():
+    return iter(_mutants())
+
+
 # (rows, cols) of the `linalg` section's matrices
 LINALG_SHAPES = ((0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (4, 4),
                  (2, 5), (5, 2), (3, 4), (4, 3))
@@ -406,7 +456,7 @@ def automorphisms_items():
 
 SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
             "typecheck": typecheck_items, "pushforward": pushforward_items,
-            "checkers": checkers_items, "linalg": linalg_items, "refusals": refusals_items,
+            "checkers": checkers_items, "mutants": mutants_items, "linalg": linalg_items, "refusals": refusals_items,
             "automorphisms": automorphisms_items}
 
 
@@ -432,6 +482,19 @@ def test_golden_section(section):
                         f"{want}; it is now\n{texts[i]}")
     pytest.fail(f"golden section {section!r}: {len(items)} items where "
                 f"{len(pinned['items'])} are pinned")
+
+
+def test_three_mutants_pass():
+    """Of the 1,008 one-scalar edits of the fixture algebras over GF(3),
+    exactly three still pass: tilde(1) = 2 e_1 on KC.CM-Id2 and KP.CM-Id2,
+    and rho_0 = [2] on PUSH.CM-Id2."""
+    items = _mutants()
+    assert len(items) == 1008
+    passing = [(item["algebra"], item["path"], item["value"]) for item in items
+               if item["report"]["ok"]]
+    assert passing == [("KC.CM-Id2", ["tilde", "1", 0], "2 mod 3"),
+                       ("KP.CM-Id2", ["tilde", "1", 0], "2 mod 3"),
+                       ("PUSH.CM-Id2", ["rho", "0", 0, 0], "2 mod 3")]
 
 
 def pin(section):
