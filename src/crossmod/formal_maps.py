@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .crossed_modules import CrossedModule
 from .report import CheckReport
@@ -155,6 +156,10 @@ _IO = {
     Id: lambda p, cm: ((p.g,), (p.g,)),
     Swap: lambda p, cm: ((p.g1, p.g2), (p.g2, p.g1)),
 }
+
+# piece kind -> the plain key (kind, *labels) of a piece, read in C and
+# hashed and compared in C; `kind(*labels)` is the piece again
+PIECE_KEY = {kind: attrgetter("__class__", *kind.__match_args__) for kind in _IO}
 
 
 def piece_io(piece: ElementaryPiece, cm: CrossedModule) -> tuple[tuple[int, ...], tuple[int, ...]]:

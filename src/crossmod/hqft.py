@@ -16,6 +16,7 @@ from fractions import Fraction
 from .algebras import CrossedCAlgebra, check_crossed_algebra, theta
 from .crossed_modules import CrossedModule, require_same
 from .formal_maps import (
+    PIECE_KEY,
     Cap,
     CobordismExpression,
     Copants,
@@ -40,10 +41,11 @@ from .report import CheckReport
 class FormalHQFT:
     """The evaluator of one crossed algebra.
 
-    `pieces` maps each piece `eval_piece` has built, of all eight kinds, to
-    `(N, D)`: D is the least common denominator of the entries of the
-    piece's matrix m and N = D m has `int` entries; an integral m, and every
-    m over GF(p), is `(m, 1)`. A cup over a singular pairing block is never
+    `pieces` maps the plain key `(kind, *labels)` (`formal_maps.PIECE_KEY`)
+    of each piece `eval_piece` has built, of all eight kinds, such as
+    `(Cyl, c, g, h)` or `(Id, g)`, to `(N, D)`: D is the least common
+    denominator of the entries of the piece's matrix m and N = D m has
+    `int` entries; an integral m, and every m over GF(p), is `(m, 1)`. A cup over a singular pairing block is never
     stored. The table assumes the algebra is not mutated after `make_hqft`;
     it cannot be passed to the constructor and takes no part in equality,
     hashing or repr."""
@@ -83,17 +85,18 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
     grades to the tensor of its target grades: built once, then N / D from
-    `tau.pieces`. A non-piece, or a field that is not an element index,
-    raises TypecheckFailed; the range check runs before the lookup, since
-    `Cyl(True, 0, 1) == Cyl(1, 0, 1)`."""
+    `tau.pieces`, under the piece's key. A non-piece, or a field that is not
+    an element index, raises TypecheckFailed; the range check runs before
+    the lookup, since `(Cyl, True, 0, 1) == (Cyl, 1, 0, 1)`."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
     fault = piece_range_fault(piece, cm)
     if fault:
         raise TypecheckFailed(fault)
-    if piece in tau.pieces:
-        return _divided(*tau.pieces[piece])
+    key = PIECE_KEY[type(piece)](piece)
+    if key in tau.pieces:
+        return _divided(*tau.pieces[key])
     match piece:
         case Disc(c):
             m = Matrix.from_columns(f, [L.tilde[c]], L.dims[cm.d(c)])
@@ -129,7 +132,7 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     d = math.lcm(*[x.denominator for row in m.data for x in row])
     n = m if d == 1 else Matrix._of(f, tuple([f.combine(m.cols, [(d, row)])
                                               for row in m.data]), m.cols)
-    tau.pieces[piece] = (n, d)
+    tau.pieces[key] = (n, d)
     return m
 
 
@@ -152,31 +155,34 @@ def eval_expression(tau: FormalHQFT, e: CobordismExpression) -> EvaluatedMap:
     """Kronecker product across each layer, matrix product across layers.
     The expression must be over the algebra's crossed module (see
     `require_same_crossed_module`). After the typecheck, which refuses a
-    piece like `Cyl(True, 0, 1)` that equals a stored one, `_evaluate` runs
-    the layers."""
+    piece like `Cyl(True, 0, 1)` whose key equals a stored one, `_evaluate`
+    runs the layers of the pieces' keys."""
     require_same_crossed_module(e, tau.cm)
     typecheck(e).require(TypecheckFailed)
     source = [c.labels[0] for c in e.source.circuits]
-    return EvaluatedMap(e.source, e.target, _evaluate(tau, source, e.layers))
+    layers = [[PIECE_KEY[type(p)](p) for p in layer] for layer in e.layers]
+    return EvaluatedMap(e.source, e.target, _evaluate(tau, source, layers))
 
 
 def _evaluate(tau: FormalHQFT, source, layers) -> Matrix:
-    """The matrix of well-typed layers of pieces from the boundary labelled
-    `source`, one base-group label per circuit. From the identity seed, one
-    `kron` per piece across each layer, on the pieces' int matrices N from
-    `tau.pieces`, and one `@` per layer; the result is divided once by the
-    product of their D (`_divided`). The one evaluation path, behind
-    `eval_expression` and `check_relations`."""
+    """The matrix of well-typed layers of piece keys `(kind, *labels)` from
+    the boundary labelled `source`, one base-group label per circuit. From
+    the identity seed, one `kron` per piece across each layer, on the
+    pieces' int matrices N read from `tau.pieces` by key, and one `@` per
+    layer; the result is divided once by the product of their D
+    (`_divided`). A key not yet stored is built by `eval_piece(tau,
+    kind(*labels))`. The one evaluation path, behind `eval_expression` and
+    `check_relations`."""
     L = tau.algebra
     f = L.field
     total = Matrix.identity(f, math.prod([L.dims[g] for g in source]))
     den = 1
     for layer in layers:
         layer_mat = Matrix.identity(f, 1)
-        for piece in layer:
-            if (stored := tau.pieces.get(piece)) is None:
-                eval_piece(tau, piece)
-                stored = tau.pieces[piece]
+        for key in layer:
+            if (stored := tau.pieces.get(key)) is None:
+                eval_piece(tau, key[0](*key[1:]))
+                stored = tau.pieces[key]
             n, d = stored
             layer_mat = layer_mat.kron(n)
             den *= d
@@ -223,9 +229,10 @@ def check_relations(tau: FormalHQFT, relations, title: str) -> CheckReport:
     Labels whose names start with `c` range over the top group, the rest
     over the base group, the last varying fastest; `sides(cm, *labels)`
     gives each side that must evaluate equally as `(source labels, layers)`
-    of pieces, evaluated by `_evaluate` with no expression and no typecheck
-    per instance. The rows below are well typed by construction, and
-    `tests/test_hqft.py` typechecks every instance of each on every fixture
+    of piece keys `(kind, *labels)`, evaluated by `_evaluate` with no
+    expression, no piece object and no typecheck per instance. The rows
+    below are well typed by construction, and `tests/test_hqft.py` turns
+    every instance of each into pieces and typechecks it on every fixture
     crossed module. Each instance whose matrices differ is a failure named
     `(name=value,...)`."""
     report = CheckReport(title)
@@ -246,38 +253,38 @@ def check_relations(tau: FormalHQFT, relations, title: str) -> CheckReport:
 def _disc_cylinder(cm, c, h):
     P, d = cm.base, cm.d
     ch = cm.action(P.inv[h], c)
-    return ([], [[Disc(c)], [Cyl(0, d(c), h)]]), ([], [[Disc(ch)]])
+    return ([], [[(Disc, c)], [(Cyl, 0, d(c), h)]]), ([], [[(Disc, ch)]])
 
 
 def _pants_reduction(cm, c1, c2, g1, g2):
     P, d = cm.base, cm.d
     k1, k2 = P.mul(d(c1), g1), P.mul(d(c2), g2)
     cc = cm.top.mul(c1, cm.action(g1, c2))
-    return (([g1, g2], [[Cyl(c1, g1, 0), Cyl(c2, g2, 0)], [Pants(0, k1, k2)]]),
-            ([g1, g2], [[Pants(cc, g1, g2)]]))
+    return (([g1, g2], [[(Cyl, c1, g1, 0), (Cyl, c2, g2, 0)], [(Pants, 0, k1, k2)]]),
+            ([g1, g2], [[(Pants, cc, g1, g2)]]))
 
 
 def _whiskering(cm, c, g1, g2):
     P, d = cm.base, cm.d
     gc = cm.action(g1, c)
-    return (([g1, g2], [[Id(g1), Cyl(c, g2, 0)], [Pants(0, g1, P.mul(d(c), g2))]]),
-            ([g1, g2], [[Pants(0, g1, g2)], [Cyl(gc, P.mul(g1, g2), 0)]]),
-            ([g1, g2], [[Cyl(gc, g1, 0), Id(g2)], [Pants(0, P.mul(d(gc), g1), g2)]]))
+    return (([g1, g2], [[(Id, g1), (Cyl, c, g2, 0)], [(Pants, 0, g1, P.mul(d(c), g2))]]),
+            ([g1, g2], [[(Pants, 0, g1, g2)], [(Cyl, gc, P.mul(g1, g2), 0)]]),
+            ([g1, g2], [[(Cyl, gc, g1, 0), (Id, g2)], [(Pants, 0, P.mul(d(gc), g1), g2)]]))
 
 
 def _pairing(cm, c, g):
     P = cm.base
     dcg = P.mul(cm.d(c), g)
     y = P.inv[dcg]
-    return (([g, y], [[Cyl(c, g, 0), Id(y)], [Cap(dcg)]]),
-            ([g, y], [[Id(g), Cyl(cm.action(P.inv[g], c), y, 0)], [Cap(g)]]))
+    return (([g, y], [[(Cyl, c, g, 0), (Id, y)], [(Cap, dcg)]]),
+            ([g, y], [[(Id, g), (Cyl, cm.action(P.inv[g], c), y, 0)], [(Cap, g)]]))
 
 
 def _snakes(cm, g):
     ginv = cm.base.inv[g]
-    return (([g], [[Id(g)]]),
-            ([g], [[Id(g), Cup(ginv)], [Cap(g), Id(g)]]),
-            ([g], [[Cup(g), Id(g)], [Id(g), Cap(ginv)]]))
+    return (([g], [[(Id, g)]]),
+            ([g], [[(Id, g), (Cup, ginv)], [(Cap, g), (Id, g)]]),
+            ([g], [[(Cup, g), (Id, g)], [(Id, g), (Cap, ginv)]]))
 
 
 INVARIANCE = (

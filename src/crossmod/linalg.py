@@ -12,11 +12,13 @@ Every stored entry is canonical, and the kernels lean on that to skip work
 that cannot change the result. ``kron``, the one loop here that multiplies
 entry by entry (``field.mul``; a ``combine`` per row measured slower),
 copies the zero block for a left entry 0 and the right factor's row for a
-left entry 1, and ``@`` with a square identity operand returns the other
-operand itself. Over GF(p) both are exact only because entries are reduced:
-an unreduced 4 over GF(3) would be copied where ``mul`` returns 1. Over Q a
-copied entry equals what ``mul`` would return in any case; the canonical
-form there only keeps each integral entry an ``int``.
+left entry 1, ``kron`` with the shared 1x1 identity as its left factor
+returns the right factor itself, and ``@`` with a square identity operand
+returns the other operand itself. Over GF(p) the copies are exact only
+because entries are reduced: an unreduced 4 over GF(3) would be copied
+where ``mul`` returns 1. Over Q a copied entry equals what ``mul`` would
+return in any case; the canonical form there only keeps each integral entry
+an ``int``.
 
 ``Matrix.identity(field, n)`` hands out one shared instance per (field, n),
 built the first time that size is asked for and kept after, so the cache
@@ -24,7 +26,8 @@ holds one matrix per (field, n) asked for. crossmod never mutates a matrix
 it has built, so no caller changes the identity every other caller sees.
 ``@`` recognises a shared identity operand by object identity in O(1), and
 any other matrix equal to an identity, such as ``A @ A.inverse()``, by a
-scan of its rows.
+scan of its rows; ``kron`` passes its right factor through only for the
+shared 1x1 identity.
 
 Caller input takes one intake rule: the public constructor
 ``Matrix(field, data, cols)`` copies and validates its data, and it and
@@ -209,9 +212,12 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; the left factor is the most significant index.
+        The shared 1x1 identity on the left returns the right factor itself.
         A block scaled by 0 is the zero block and one scaled by 1 is the
         right factor's row as it is; only other blocks are multiplied."""
         f = self.field
+        if _IDENTITIES.get((f.name, 1)) is self:
+            return other
         mul, zero, one = f.mul, f.zero, f.one
         zeros = (zero,) * other.cols
         data = []

@@ -464,6 +464,40 @@ def test_shared_identities_against_a_delta_oracle(f):
     assert identities >= 5 + len(valued)
 
 
+def _plain_loop_kron(f, A, B):
+    """The Kronecker product by four plain loops and `field.mul`, with no
+    block skipped or copied."""
+    rows = [[f.mul(A.data[i][j], B.data[k][l]) for j in range(A.cols) for l in range(B.cols)]
+            for i in range(A.rows) for k in range(B.rows)]
+    return Matrix(f, rows, cols=A.cols * B.cols)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_kron_passes_the_right_factor_through_only_the_shared_1x1_identity(f):
+    """kron against a plain-loop oracle: with the shared 1x1 identity on the
+    left it returns the right factor itself; with a separately built [[1]],
+    [[2]], the 0x0, 0xn and nx0 shapes or a dense 2x3 on the left it returns
+    an equal new matrix."""
+    rng = random.Random(f"kron-pass/{f.name}")
+
+    def dense(rows, cols):
+        return Matrix(f, [[rng.choice([1, 2, 3, -1, -2]) for _ in range(cols)]
+                          for _ in range(rows)], cols=cols)
+
+    rights = [dense(2, 3), dense(3, 1), dense(1, 1), Matrix.identity(f, 2),
+              Matrix(f, [], cols=2), Matrix(f, [[]] * 2, cols=0), Matrix.identity(f, 0)]
+    shared = Matrix.identity(f, 1)
+    lefts = [Matrix(f, [[1]]), Matrix(f, [[2]]), Matrix.identity(f, 0), Matrix(f, [], cols=3),
+             Matrix(f, [[]] * 3, cols=0), dense(2, 3), dense(2, 3)]
+    assert lefts[0] == shared and lefts[0] is not shared
+    for B in rights:
+        assert shared.kron(B) is B and B == _plain_loop_kron(f, shared, B)
+        for A in lefts:
+            got = A.kron(B)
+            assert got == _plain_loop_kron(f, A, B), (A, B)
+            assert got is not B and got is not A, (A, B)
+
+
 def test_a_warm_evaluation_builds_no_identity(monkeypatch):
     """Evaluating an expression a second time builds no identity: its seeds
     are the shared instances the first evaluation built."""

@@ -37,6 +37,7 @@ from crossmod.formal_maps import (
     piece_io,
     typecheck,
 )
+from crossmod.groups import permutation_group
 from crossmod.hqft import (
     INVARIANCE,
     SNAKES,
@@ -253,7 +254,7 @@ def _counting(monkeypatch, owner, name):
 def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     """Cup and Copants evaluated twice on one evaluator equal their value on
     a fresh one, each grade's pairing block is inverted once, and every cup
-    and copants is stored in the piece table under itself."""
+    and copants is stored in the piece table under its key."""
     L = algebras[name]
     P = L.P
     pieces = [Cup(g) for g in P.elements()]
@@ -264,7 +265,7 @@ def test_copairing_is_inverted_once_per_grade(algebras, monkeypatch, name):
     for _ in range(2):
         for piece in pieces:
             assert eval_piece(tau, piece) == want[piece], piece
-    assert {key for key in tau.pieces if type(key) in (Cup, Copants)} == set(pieces)
+    assert {key for key in tau.pieces if key[0] in (Cup, Copants)} == set(map(_key, pieces))
     assert len(calls) == P.order
 
 
@@ -290,7 +291,7 @@ def test_singular_pairing_raises_on_every_call(algebras):
             eval_expression(tau, expression(tau.cm, [], [[Cup(0)]], [0, 0]))
     assert not tau.pieces  # neither Cup(0) nor Copants(0, 0) is stored
     assert eval_piece(tau, Cup(1)).shape() == (L.dims[1] ** 2, 1)  # other grades still evaluate
-    assert set(tau.pieces) == {Cup(1)}
+    assert set(tau.pieces) == {(Cup, 1)}
 
 
 def test_evaluators_over_one_algebra_are_equal(algebras):
@@ -301,7 +302,7 @@ def test_evaluators_over_one_algebra_are_equal(algebras):
     eval_piece(used, Cup(0))
     eval_piece(used, Cyl(1, 0, 1))
     eval_piece(used, Pants(1, 0, 0))
-    assert set(used.pieces) == {Cup(0), Cyl(1, 0, 1), Pants(1, 0, 0)}
+    assert set(used.pieces) == {(Cup, 0), (Cyl, 1, 0, 1), (Pants, 1, 0, 0)}
     assert not fresh.pieces
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh) and "pieces" not in repr(used)
@@ -333,6 +334,11 @@ def test_copants_value(algebras):
 
 
 ALL_KINDS = (Disc, Cyl, Pants, Copants, Cup, Cap, Id, Swap)
+
+
+def _key(piece):
+    """The piece table's key of a piece: its kind, then its fields in order."""
+    return (type(piece), *dataclasses.astuple(piece))
 
 
 def _every_piece(cm, kind):
@@ -404,10 +410,10 @@ def test_cached_pieces_match_reference(subject):
         pieces = _cached_pieces(L.cm)
         for piece in pieces:
             eval_piece(tau, piece)
-        assert set(tau.pieces) == set(pieces), L.name
+        assert set(tau.pieces) == set(map(_key, pieces)), L.name
         for piece in pieces:
             m = eval_piece(tau, piece)
-            n, d = tau.pieces[piece]
+            n, d = tau.pieces[_key(piece)]
             assert m is n or d != 1, (L.name, piece)
             assert m == _reference(L, piece), (L.name, piece)
 
@@ -432,14 +438,14 @@ def test_evaluator_builds_each_matrix_once(subject, monkeypatch):
         # theta(c, g) is left_mul_matrix(d(c), tilde(c), g): a cylinder's g
         # is its source label conjugated by h, a pants's the product g1 g2
         want = Counter()
-        for piece in tau.pieces:
-            match piece:
+        for kind, *labels in tau.pieces:
+            match kind(*labels):
                 case Cyl(c, g, h):
                     want[(cm.d(c), L.tilde[c], P.conj(P.inv[h], g))] += 1
                 case Pants(c, g1, g2):
                     want[(cm.d(c), L.tilde[c], P.mul(g1, g2))] += 1
         assert Counter((g, a, h) for _, g, a, h in lefts) == want, L.name
-        stored = [(p.g1, p.g2) for p in tau.pieces if type(p) is Pants]
+        stored = [key[2:] for key in tau.pieces if key[0] is Pants]
         assert Counter((g1, g2) for _, g1, g2 in products) == Counter(stored), L.name
         # every grade's cup is evaluated, so one inverse per grade is the least
         assert all(any(m is L.rho[g] for g in P.elements()) for m, in inverses), L.name
@@ -462,24 +468,26 @@ def test_second_pass_builds_nothing(subject, monkeypatch):
         for piece in pieces:
             m = eval_piece(tau, piece)
             assert m == first[piece], (L.name, piece)
-            if tau.pieces[piece][1] == 1:
+            if tau.pieces[_key(piece)][1] == 1:
                 assert m is first[piece], (L.name, piece)
         monkeypatch.undo()
         assert calls == [[], [], [], []], L.name
 
 
 def test_range_check_runs_before_the_lookup(algebras):
-    """True == 1 and hash(True) == hash(1), so Cyl(True, 0, 1) would find
-    the stored Cyl(1, 0, 1); the range check refuses it, and a negative
-    field, before the table is read. eval_expression typechecks before it
-    reads the table, so it refuses Cyl(True, 0, 1) there too."""
+    """True == 1 and hash(True) == hash(1), so the key (Cyl, True, 0, 1) of
+    Cyl(True, 0, 1) would find the stored (Cyl, 1, 0, 1); the range check
+    refuses the piece, and a negative field, before the table is read.
+    eval_expression typechecks before it reads the table, so it refuses
+    Cyl(True, 0, 1) there too."""
     tau = make_hqft(algebras["KC.CM-Mod"])
     stored = eval_piece(tau, Cyl(1, 0, 1))
-    assert Cyl(True, 0, 1) == Cyl(1, 0, 1) and Cyl(True, 0, 1) in tau.pieces
+    assert (Cyl, True, 0, 1) == (Cyl, 1, 0, 1) and (Cyl, True, 0, 1) in tau.pieces
+    assert _key(Cyl(True, 0, 1)) in tau.pieces
     for piece in (Cyl(True, 0, 1), Cyl(1, 0, True), Cyl(-2, 0, 1), Cyl(1, 0, -1)):
         with pytest.raises(TypecheckFailed):
             eval_piece(tau, piece)
-    assert tau.pieces == {Cyl(1, 0, 1): (stored, 1)}
+    assert tau.pieces == {(Cyl, 1, 0, 1): (stored, 1)}
     eval_expression(tau, expression(tau.cm, [0], [[Cyl(1, 0, 1)]], [0]))
     with pytest.raises(TypecheckFailed, match="layer_interfaces"):
         eval_expression(tau, expression(tau.cm, [0], [[Cyl(True, 0, 1)]], [0]))
@@ -538,7 +546,7 @@ def test_long_gauge_expression_matches_plain_fold():
     e = expression(L.cm, [0], layers, [0])
     m = eval_expression(tau, e).matrix
     assert m == _plain_fold(tau, e) and _canonical(m)
-    assert math.prod(tau.pieces[piece][1] for layer in layers for piece in layer) \
+    assert math.prod(tau.pieces[_key(piece)][1] for layer in layers for piece in layer) \
         .bit_length() > 250
 
 
@@ -554,8 +562,9 @@ def test_cleared_table_holds_each_piece_over_its_least_denominator(subject):
         pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
         for piece in pieces:
             eval_piece(tau, piece)
-        assert set(tau.pieces) == set(pieces), L.name
-        for piece, (n, d) in tau.pieces.items():
+        assert set(tau.pieces) == set(map(_key, pieces)), L.name
+        for (kind, *labels), (n, d) in tau.pieces.items():
+            piece = kind(*labels)
             m = eval_piece(tau, piece)
             entries = [x for row in n.data for x in row]
             assert all(type(x) is int for x in entries) and type(d) is int, (L.name, piece)
@@ -656,6 +665,22 @@ def test_equivalence_invariance_families_fail(algebras, block, failures):
         make_hqft(L)
     report = check_equivalence_invariance(FormalHQFT(L))
     assert [(r.axiom, r.instance) for r in report.failures()] == failures
+
+
+def test_a_warm_sweep_builds_no_piece_and_hashes_none(algebras, monkeypatch):
+    """The relation rows are plain keys `(kind, *labels)`, so an invariance
+    sweep on a warm evaluator over KC.CM-A3S3 calls neither `__init__` nor
+    `__hash__` of any of the eight piece classes."""
+    tau = make_hqft(algebras["KC.CM-A3S3"])
+    cold = check_equivalence_invariance(tau)
+    calls = [_counting(monkeypatch, kind, name)
+             for kind in ALL_KINDS for name in ("__init__", "__hash__")]
+    warm = check_equivalence_invariance(tau)
+    assert [len(c) for c in calls] == [0] * 16
+    hash(Cyl(0, 0, 0))  # the counters do see a piece built and hashed
+    monkeypatch.undo()
+    assert sum(map(len, calls)) == 2
+    assert warm.ok and dumps(warm.to_json()) == dumps(cold.to_json())
 
 
 def _hand_loops(tau):
@@ -780,15 +805,18 @@ def test_relation_table_matches_the_hand_loops():
 
 
 def check_row_typing(cm):
-    """Every instance of every row of INVARIANCE + SNAKES on cm, each side
+    """Every instance of every row of INVARIANCE + SNAKES on cm, each key
+    `(kind, *labels)` turned into its piece `kind(*labels)` and each side
     built by `expression` with the target the last layer's pieces produce,
     passes `typecheck`, and all sides of an instance share source and
     target. Returns the number of instances."""
     count = 0
     for family, instance, sides in _instances(cm, INVARIANCE + SNAKES):
-        exprs = [expression(cm, source, layers,
-                            [g for piece in layers[-1] for g in piece_io(piece, cm)[1]])
-                 for source, layers in sides]
+        exprs = []
+        for source, keys in sides:
+            layers = [[kind(*labels) for kind, *labels in layer] for layer in keys]
+            exprs.append(expression(cm, source, layers,
+                                    [g for piece in layers[-1] for g in piece_io(piece, cm)[1]]))
         for e in exprs:
             report = typecheck(e)
             assert report.ok, (cm.name, family, instance, report.summary())
@@ -818,6 +846,12 @@ def _a4_equals_a4():
     return from_normal_inclusion(g, g.elements(), name="A4=A4")
 
 
+def _s4_equals_s4():
+    perms = list(itertools.permutations(range(4)))
+    g = permutation_group(perms, [str(p) for p in perms])
+    return from_normal_inclusion(g, g.elements(), name="S4=S4")
+
+
 @A4_SWEEPS
 def test_relation_rows_are_well_typed_on_a4():
     assert check_row_typing(_a4_equals_a4()) == 12 * 12 + 12 ** 4 + 12 ** 3 + 12 * 12 + 12
@@ -838,6 +872,19 @@ def test_relation_table_matches_the_hand_loops_on_a4(kind):
     assert check_rows_against_the_hand_loops(FormalHQFT(L)).ok
     print(f"\nA4 = A4 {kind} over Q: invariance sweep {sweep:.2f} s, "
           f"hand-loop oracle {time.perf_counter() - start:.2f} s")
+
+
+@A4_SWEEPS
+@pytest.mark.parametrize("kind", ["K[P]", "K[C]"])
+def test_invariance_sweeps_on_s4(kind):
+    """K[P] and K[C] of S4 = S4 over Q pass the invariance sweep, on a fresh
+    evaluator: 331,776 instances of family (b) each. Prints the sweep's
+    time."""
+    build = group_algebra_P if kind == "K[P]" else group_algebra_C
+    L = build(_s4_equals_s4(), QQ)
+    start = time.perf_counter()
+    assert check_equivalence_invariance(FormalHQFT(L)).ok
+    print(f"\nS4 = S4 {kind} over Q: invariance sweep {time.perf_counter() - start:.2f} s")
 
 
 def test_functoriality_random(algebras):
