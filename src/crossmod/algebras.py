@@ -28,7 +28,7 @@ from .crossed_modules import (
 )
 from .fields import QQ
 from .groups import cocycle_from_section, section
-from .linalg import Matrix, RowSpace, unit_vector
+from .linalg import Matrix, RowSpace, interned, unit_vector
 from .report import CheckReport
 
 
@@ -64,6 +64,9 @@ class CrossedCAlgebra:
         self.tilde = tuple(tuple(map(of, v)) for v in tilde)  # c -> vector in grade d(c)
         if fault := well_formed(self):
             raise ValueError(f"{fault[0]}: {fault[1]}")
+        # a block equal to an identity is kept as the shared instance
+        self.rho = {g: interned(m) for g, m in rho.items()}
+        self.phi = {key: interned(m) for key, m in phi.items()}
 
     # -- shape helpers ------------------------------------------------------
 
@@ -959,12 +962,6 @@ def _check_blocks(m: CrossedAlgebraMorphism, report: CheckReport) -> CheckReport
             fails.append((f"c={C.names[c]}", "theta(tilde c) != tilde'(f1 c)"))
     report.add("tilde_compatible", fails)
     return report
-
-
-def is_isomorphism(m: CrossedAlgebraMorphism) -> bool:
-    """Every block is square with no kernel."""
-    blocks = [m.blocks[p] for p in m.source.P.elements()]
-    return all(blk.rows == blk.cols and not blk.nullspace() for blk in blocks)
 
 
 # --------------------------------------------------------------------------

@@ -46,10 +46,6 @@ class FiniteGroup:
         """p * x * p^-1."""
         return self.table[self.table[p][x]][self.inv[p]]
 
-    def commutator(self, g: int, h: int) -> int:
-        """g * h * g^-1 * h^-1."""
-        return self.product((g, h, self.inv[g], self.inv[h]))
-
     def is_abelian(self) -> bool:
         return all(self.table[a][b] == self.table[b][a]
                    for a in self.elements() for b in self.elements())

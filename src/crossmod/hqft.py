@@ -33,7 +33,7 @@ from .formal_maps import (
     piece_range_fault,
     typecheck,
 )
-from .linalg import Matrix, SingularMatrixError
+from .linalg import Matrix, SingularMatrixError, interned
 from .report import CheckReport
 
 
@@ -85,9 +85,10 @@ def state_space(tau: FormalHQFT, b: FormalBoundary) -> tuple[int, ...]:
 def eval_piece(tau: FormalHQFT, piece) -> Matrix:
     """The matrix of one elementary piece, from the tensor of its source
     grades to the tensor of its target grades: built once, then N / D from
-    `tau.pieces`, under the piece's key. A non-piece, or a field that is not
-    an element index, raises TypecheckFailed; the range check runs before
-    the lookup, since `(Cyl, True, 0, 1) == (Cyl, 1, 0, 1)`."""
+    `tau.pieces` under the piece's key, an identity N as the shared one
+    (`linalg.interned`). A non-piece, or a field that is not an element
+    index, raises TypecheckFailed; the range check runs before the lookup,
+    since `(Cyl, True, 0, 1) == (Cyl, 1, 0, 1)`."""
     L = tau.algebra
     cm, f = L.cm, L.field
     P = L.P
@@ -130,10 +131,10 @@ def eval_piece(tau: FormalHQFT, piece) -> Matrix:
                 eval_piece(tau, Pants(0, P.inv[g1], g12)))
             m = second @ first
     d = math.lcm(*[x.denominator for row in m.data for x in row])
-    n = m if d == 1 else Matrix._of(f, tuple([f.combine(m.cols, [(d, row)])
-                                              for row in m.data]), m.cols)
+    n = interned(m if d == 1 else Matrix._of(f, tuple([f.combine(m.cols, [(d, row)])
+                                                       for row in m.data]), m.cols))
     tau.pieces[key] = (n, d)
-    return m
+    return _divided(n, d)
 
 
 def _divided(n: Matrix, d: int) -> Matrix:

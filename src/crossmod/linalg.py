@@ -13,7 +13,8 @@ that cannot change the result. ``kron``, the one loop here that multiplies
 entry by entry (``field.mul``; a ``combine`` per row measured slower),
 copies the zero block for a left entry 0 and the right factor's row for a
 left entry 1, ``kron`` with the shared 1x1 identity as its left factor
-returns the right factor itself, and ``@`` with a square identity operand
+returns the right factor itself, ``kron`` of two shared identities the
+shared identity of their product size, and ``@`` with a shared identity operand
 returns the other operand itself. Over GF(p) the copies are exact only
 because entries are reduced: an unreduced 4 over GF(3) would be copied
 where ``mul`` returns 1. Over Q a copied entry equals what ``mul`` would
@@ -24,10 +25,12 @@ an ``int``.
 built the first time that size is asked for and kept after, so the cache
 holds one matrix per (field, n) asked for. crossmod never mutates a matrix
 it has built, so no caller changes the identity every other caller sees.
-``@`` recognises a shared identity operand by object identity in O(1), and
-any other matrix equal to an identity, such as ``A @ A.inverse()``, by a
-scan of its rows; ``kron`` passes its right factor through only for the
-shared 1x1 identity.
+One rule says what an identity is: ``@`` and ``kron`` take only the shared
+instance, by object in O(1), so ``A @ A.inverse()`` goes through the
+product. What crossmod stores for reuse (the algebra's ``rho`` and ``phi``
+blocks, the evaluator's pieces) goes through ``interned``, the one place
+that compares entries with an identity's, which swaps an equal matrix for
+the shared one.
 
 Caller input takes one intake rule: the public constructor
 ``Matrix(field, data, cols)`` copies and validates its data, and it and
@@ -112,19 +115,9 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
     def _is_identity(self) -> bool:
-        """Square with ones on the diagonal and zeros elsewhere: at once for
-        the shared identity of its size, else by a scan that stops at the
-        first row that is not. A 0x0 matrix is the empty identity, a 0xn or
-        nx0 one with n > 0 is none."""
-        if self.rows != self.cols:
-            return False
-        if _IDENTITIES.get((self.field.name, self.rows)) is self:
-            return True
-        one = self.field.one
-        for i, row in enumerate(self.data):
-            if row[i] != one or any(row[:i]) or any(row[i + 1:]):
-                return False
-        return True
+        """Whether this is the shared identity of its size, by object in
+        O(1); an equal matrix built otherwise is not (see `interned`)."""
+        return _IDENTITIES.get((self.field.name, self.rows)) is self
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -212,12 +205,13 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; the left factor is the most significant index.
-        The shared 1x1 identity on the left returns the right factor itself.
-        A block scaled by 0 is the zero block and one scaled by 1 is the
-        right factor's row as it is; only other blocks are multiplied."""
+        The shared 1x1 identity on the left returns the right factor itself,
+        and two shared identities give the shared identity of their product
+        size. A block scaled by 0 is the zero block and one scaled by 1 is
+        the right factor's row as it is; only other blocks are multiplied."""
         f = self.field
-        if _IDENTITIES.get((f.name, 1)) is self:
-            return other
+        if self._is_identity() and (self.rows == 1 or other._is_identity()):
+            return other if self.rows == 1 else Matrix.identity(f, self.rows * other.rows)
         mul, zero, one = f.mul, f.zero, f.one
         zeros = (zero,) * other.cols
         data = []
@@ -237,6 +231,16 @@ class Matrix:
     def to_json(self):
         fmt = self.field.format
         return [[fmt(x) for x in row] for row in self.data]
+
+
+def interned(m: Matrix) -> Matrix:
+    """The shared ``Matrix.identity`` of m's size if m equals it, else m
+    itself: the one place that compares a matrix's entries with an
+    identity's."""
+    if m.rows != m.cols:
+        return m
+    ident = Matrix.identity(m.field, m.rows)
+    return ident if m.data == ident.data else m
 
 
 def unit_vector(field, n: int, i: int):

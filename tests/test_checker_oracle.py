@@ -192,7 +192,7 @@ def torus_traces(L, g, h, c_vec):
     tr(x |-> phi_{g^-1}(c x)) on L_h, from left multiplication matrices.
     They agree on a valid algebra."""
     P = L.P
-    comm = P.commutator(g, h)
+    comm = P.product((g, h, P.inv[g], P.inv[h]))
     m1 = L.left_mul_matrix(comm, c_vec, P.conj(h, g)) @ L.phi[(h, g)]
     m2 = L.phi[(P.inv[g], P.conj(g, h))] @ L.left_mul_matrix(comm, c_vec, h)
     f = L.field
@@ -203,7 +203,7 @@ def torus_traces(L, g, h, c_vec):
 def slow_trace(L, nonzero):
     P, fails = L.P, []
     for g, h in itertools.product(nonzero, repeat=2):
-        for nt, t in _units(L, P.commutator(g, h)):
+        for nt, t in _units(L, P.product((g, h, P.inv[g], P.inv[h]))):
             t1, t2 = torus_traces(L, g, h, t)
             if t1 != t2:
                 fails.append((f"(g={P.names[g]},h={P.names[h]},c={nt})", "trace axiom fails"))

@@ -430,14 +430,17 @@ def _delta_oracle(f, m) -> bool:
 @pytest.mark.parametrize("f", [QQ, GF(5), GF(2)], ids=["QQ", "GF5", "GF2"])
 def test_shared_identities_against_a_delta_oracle(f):
     """Matrix.identity hands out one instance per (field, n), never one of
-    another field. _is_identity, A @ I and I @ A agree with an entrywise
-    Kronecker-delta oracle on the shared identities, on identity-valued
-    products that are not the shared instance, on near-identities and on
-    the 0x0, 0xn and nx0 shapes."""
+    another field, and each passes an entrywise Kronecker-delta oracle.
+    _is_identity is true exactly for the shared instance: not for an
+    identity-valued product such as A @ A.inverse(), nor for a separately
+    built identity, and @ with those goes through the product and equals
+    the plain-loop oracle. `interned` returns the shared identity exactly
+    for the matrices the oracle calls an identity, and any other matrix
+    itself, near-identities and the 0x0, 0xn and nx0 shapes included."""
     for n in range(5):
         ident = Matrix.identity(f, n)
         assert Matrix.identity(f, n) is ident and ident.field == f and ident.shape() == (n, n)
-        assert _delta_oracle(f, ident)
+        assert _delta_oracle(f, ident) and ident._is_identity()
         for other in {QQ, GF(5), GF(7), GF(2)} - {f}:
             assert Matrix.identity(other, n) is not ident
             assert Matrix.identity(other, n).field == other != ident.field
@@ -445,23 +448,29 @@ def test_shared_identities_against_a_delta_oracle(f):
     mats = _fast_path_matrices(f, rng)
     valued = [A @ A.inverse() for A in mats if A.rows == A.cols and A.rows
               and _naive_rank(f, A.data, A.cols) == A.rows]
+    built = [Matrix(f, Matrix.identity(f, n).data, cols=n) for n in range(5)]
     assert len(valued) >= 5
-    assert all(P is not Matrix.identity(f, P.rows) for P in valued)
     wide = [Matrix(f, [], cols=3), Matrix(f, [[]] * 3, cols=0)]
     identities = 0
-    for A in [*mats, *valued, *wide]:
-        assert A._is_identity() == _delta_oracle(f, A), A
-        identities += A._is_identity()
+    for A in [*mats, *valued, *built, *wide]:
+        shared = A.rows == A.cols and A is Matrix.identity(f, A.rows)
+        assert A._is_identity() == shared, A
+        assert linalg.interned(A) is (Matrix.identity(f, A.rows) if _delta_oracle(f, A) else A)
+        identities += _delta_oracle(f, A)
         right, left = Matrix.identity(f, A.cols), Matrix.identity(f, A.rows)
-        # @ returns its right operand when its left one is an identity
+        # @ returns its right operand when its left one is a shared identity
         for got, X, Y in ((A @ right, A, right), (left @ A, left, A)):
             assert got is (Y if X._is_identity() else X)
             assert got.data == tuple(map(tuple, _oracle_matmul(f, X, Y)))
-        if A._is_identity():
-            for B in mats:
-                if B.rows == A.cols:
-                    assert A @ B is B
-    assert identities >= 5 + len(valued)
+        for B in mats:
+            if B.rows == A.cols:
+                got = A @ B
+                assert got.data == tuple(map(tuple, _oracle_matmul(f, A, B)))
+                if shared:
+                    assert got is B
+                elif not B._is_identity():
+                    assert got is not A and got is not B
+    assert identities >= 5 + len(valued) + len(built)
 
 
 def _plain_loop_kron(f, A, B):
@@ -475,19 +484,21 @@ def _plain_loop_kron(f, A, B):
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
 def test_kron_passes_the_right_factor_through_only_the_shared_1x1_identity(f):
     """kron against a plain-loop oracle: with the shared 1x1 identity on the
-    left it returns the right factor itself; with a separately built [[1]],
-    [[2]], the 0x0, 0xn and nx0 shapes or a dense 2x3 on the left it returns
-    an equal new matrix."""
+    left it returns the right factor itself, and shared I_n (x) shared I_m is
+    shared I_nm, I_0 included; with a separately built [[1]] or identity,
+    [[2]], the 0xn and nx0 shapes or a dense 2x3 on the left it returns an
+    equal new matrix."""
     rng = random.Random(f"kron-pass/{f.name}")
 
     def dense(rows, cols):
         return Matrix(f, [[rng.choice([1, 2, 3, -1, -2]) for _ in range(cols)]
                           for _ in range(rows)], cols=cols)
 
-    rights = [dense(2, 3), dense(3, 1), dense(1, 1), Matrix.identity(f, 2),
+    rights = [dense(2, 3), dense(3, 1), dense(1, 1), Matrix.identity(f, 2), Matrix(f, [[1]]),
               Matrix(f, [], cols=2), Matrix(f, [[]] * 2, cols=0), Matrix.identity(f, 0)]
     shared = Matrix.identity(f, 1)
-    lefts = [Matrix(f, [[1]]), Matrix(f, [[2]]), Matrix.identity(f, 0), Matrix(f, [], cols=3),
+    lefts = [Matrix(f, [[1]]), Matrix(f, [[2]]), Matrix(f, Matrix.identity(f, 2).data),
+             Matrix.identity(f, 0), Matrix.identity(f, 2), Matrix(f, [], cols=3),
              Matrix(f, [[]] * 3, cols=0), dense(2, 3), dense(2, 3)]
     assert lefts[0] == shared and lefts[0] is not shared
     for B in rights:
@@ -495,7 +506,14 @@ def test_kron_passes_the_right_factor_through_only_the_shared_1x1_identity(f):
         for A in lefts:
             got = A.kron(B)
             assert got == _plain_loop_kron(f, A, B), (A, B)
-            assert got is not B and got is not A, (A, B)
+            if A._is_identity() and B._is_identity():
+                assert got is Matrix.identity(f, A.rows * B.rows), (A, B)
+            else:
+                assert got is not B and got is not A, (A, B)
+    for n, m in itertools.product(range(4), repeat=2):
+        got = Matrix.identity(f, n).kron(Matrix.identity(f, m))
+        assert got is Matrix.identity(f, n * m)
+        assert got == _plain_loop_kron(f, Matrix.identity(f, n), Matrix.identity(f, m))
 
 
 def test_a_warm_evaluation_builds_no_identity(monkeypatch):

@@ -44,10 +44,11 @@ Sections:
 - `mutants`: the `check_crossed_algebra` report of every one-scalar edit
   of the 12 fixture algebras over GF(3): each scalar of `mul`, `unit`,
   `rho`, `phi` and `tilde` in the algebra's document set to each other
-  residue, the document (which names its crossed module) decoded by
-  `serialize.from_doc`; 1,008 items, each
-  the algebra, the JSON path, the new value and the report. Exactly three
-  mutants pass (`test_three_mutants_pass`).
+  residue. Each document (which names its crossed module) is decoded once
+  by `serialize.from_doc`, and each edit is made in the decoded algebra's
+  scalar lists and matrices, then built by the `CrossedCAlgebra`
+  constructor; 1,008 items, each the algebra, the JSON path, the new value
+  and the report. Exactly three mutants pass (`test_three_mutants_pass`).
 - `linalg`: `Matrix.inverse`, `solve` (a right-hand side in the column space
   and a seeded one), `nullspace` and a `RowSpace.add` sequence (each row,
   then a seeded vector) on seeded matrices over Q (entries with
@@ -77,6 +78,7 @@ import pytest
 
 from crossmod.algebras import (
     CrossedAlgebraMorphism,
+    CrossedCAlgebra,
     aut_square_check,
     check_boxed_identities,
     check_crossed_algebra,
@@ -321,31 +323,56 @@ def _scalar_paths(node, path):
         yield from _scalar_paths(child, (*path, key))
 
 
+def _replaced(node, index, x):
+    """The nested tuples or lists `node` with the entry at the index path
+    set to x, as lists along that path; every other node is shared."""
+    if not index:
+        return x
+    i, *rest = index
+    items = list(node)
+    items[i] = _replaced(node[i], rest, x)
+    return items
+
+
+def _mutant(L, path, x):
+    """L with the scalar at the JSON path `path` of its document set to the
+    canonical scalar x: one block of mul, rho or phi, or the unit or one
+    tilde vector, copied with the edit, the rest of L shared."""
+    part, key, *index = path
+    maps = {"mul": L.mul, "unit": L.unit, "rho": L.rho, "phi": L.phi, "tilde": L.tilde}
+    old = maps[part]
+    if isinstance(old, dict):
+        key = tuple(map(int, key.split(","))) if "," in key else int(key)
+        block = old[key]
+        maps[part] = {**old, key: Matrix(L.field, _replaced(block.data, index, x), cols=block.cols)
+                      if isinstance(block, Matrix) else _replaced(block, index, x)}
+    else:
+        maps[part] = _replaced(old, [int(key), *index], x)
+    return CrossedCAlgebra(L.name, L.cm, L.field, L.dims, L.basis_names, **maps)
+
+
 @functools.lru_cache(maxsize=None)
 def _mutants():
     """The items of the `mutants` section, built once per process. Each
-    document names its crossed module, which the workspace holds, so only
-    the algebra is decoded per mutant."""
+    fixture's document, which names its crossed module, is decoded once;
+    each mutant edits one scalar of the decoded algebra (`_mutant`)."""
     field, ws, items = GF(3), Workspace(), []
     for L in std_algebras(field).values():
         ws.add(L.cm.name, "crossed_module", L.cm)
         doc = {**to_doc("algebra", L), "crossed_module": L.cm.name}
+        decoded = from_doc(doc, ws, "algebra")[2]
         for part in ("mul", "unit", "rho", "phi", "tilde"):
             for path in _scalar_paths(doc[part], (part,)):
-                *head, last = path
                 node = doc
-                for key in head:
+                for key in path:
                     node = node[key]
-                old = node[last]
                 for x in range(field.p):
                     value = field.format(field.of(x))
-                    if value == old:
+                    if value == node:
                         continue
-                    node[last] = value
-                    report = check_crossed_algebra(from_doc(doc, ws, "algebra")[2])
+                    report = check_crossed_algebra(_mutant(decoded, path, field.of(x)))
                     items.append({"algebra": L.name, "path": list(path), "value": value,
                                   "report": report.to_json()})
-                node[last] = old
     return tuple(items)
 
 

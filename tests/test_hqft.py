@@ -396,6 +396,31 @@ def _oracle_algebras(subject):
     return list(std_algebras(FIELDS[subject]).values())
 
 
+@pytest.mark.parametrize("subject", ["QQ", "GF5", "gauge"])
+def test_stored_identities_are_the_shared_instance(subject):
+    """Every rho and phi block an algebra stores, and every piece its
+    evaluator stores, is the shared identity of its size exactly when it
+    passes an entrywise Kronecker-delta test; eval_piece returns the stored
+    piece. The gauge subject adds the `evaluator` golden section's gauge
+    bases, whose identity-valued phi blocks are built by products."""
+    from test_golden import _gauged  # test_golden imports this module
+
+    algebras = _oracle_algebras(subject) + (list(_gauged()) if subject == "gauge" else [])
+    counts = Counter()
+    for L in algebras:
+        tau = make_hqft(L)
+        pieces = [piece for kind in ALL_KINDS for piece in _every_piece(L.cm, kind)]
+        returned = {_key(piece): eval_piece(tau, piece) for piece in pieces}
+        for key, (n, d) in tau.pieces.items():
+            assert returned[key] is n or d != 1, (L.name, key)
+        for m in [*L.rho.values(), *L.phi.values(), *(n for n, _ in tau.pieces.values())]:
+            delta = m.rows == m.cols and all(Fraction(x) == (i == j) for i, row in enumerate(m.data)
+                                             for j, x in enumerate(row))
+            assert (m.rows == m.cols and m is Matrix.identity(L.field, m.rows)) == delta, L.name
+            counts[delta] += 1
+    assert counts[True] and counts[False], counts
+
+
 def _cached_pieces(cm):
     return [piece for kind in (Cyl, Pants, Copants, Cup) for piece in _every_piece(cm, kind)]
 
