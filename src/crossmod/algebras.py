@@ -82,13 +82,6 @@ class CrossedCAlgebra:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def grade_offsets(self):
-        offs, acc = [], 0
-        for d in self.dims:
-            offs.append(acc)
-            acc += d
-        return offs
-
     # -- arithmetic on homogeneous vectors -----------------------------------
 
     def multiply(self, g: int, x, h: int, y):
@@ -694,8 +687,9 @@ def group_algebra_P(cm: CrossedModule, field, name=None) -> CrossedCAlgebra:
     dims = [1] * P.order
     basis_names = [[f"e_{P.names[g]}"] for g in P.elements()]
     mul = {(g, h): [[[f.one]]] for g in P.elements() for h in P.elements()}
-    rho = {g: Matrix(f, [[f.one]]) for g in P.elements()}
-    phi = {(h, g): Matrix(f, [[f.one]]) for h in P.elements() for g in P.elements()}
+    one = Matrix.identity(f, 1)
+    rho = {g: one for g in P.elements()}
+    phi = {(h, g): one for h in P.elements() for g in P.elements()}
     tilde = [(f.one,) for _ in C.elements()]
     return CrossedCAlgebra(name or f"K[P]({cm.name})", cm, f, dims, basis_names,
                            mul, (f.one,), rho, phi, tilde)
@@ -754,7 +748,7 @@ def check_boxed_identities(L: CrossedCAlgebra) -> CheckReport:
     # column j of theta(c', dc*g) theta(c, g) sums the columns of
     # theta(c', dc*g) over the support of column j of theta(c, g); degree 2
     # against 4
-    scaled = [[[D * D * v for v in vs] for vs in row] for row in thetas]
+    scaled = thetas if D == 1 else [[[D * D * v for v in vs] for vs in row] for row in thetas]
     fails = []
     for c2 in C.elements():
         c2s, outers = C.table[c2], thetas[c2]

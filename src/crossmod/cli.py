@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import verify
 from .algebras import (
-    check_algebra_morphism,
     check_crossed_algebra,
     group_algebra_C,
     group_algebra_P,
@@ -166,9 +165,9 @@ def cmd_demo(args) -> int:
     out = eval_expression(tau, e)
     print("# evaluating a disc pushed through a cylinder:")
     print(dumps({"matrix": out.matrix.to_json()}), end="")
-    witness = kp_iso_witness(cm, ws.field)
-    print(f"# section/cocycle isomorphism K[P] ~ q*(K[G]): "
-          f"{'pass' if check_algebra_morphism(witness).ok else 'fail'}")
+    # kp_iso_witness checks the witness and raises unless it is a morphism
+    kp_iso_witness(cm, ws.field)
+    print("# section/cocycle isomorphism K[P] ~ q*(K[G]): pass")
     return 0
 
 

@@ -17,7 +17,8 @@ integer numerator over one common denominator until the end, over GF(p) an
 unreduced integer until its one ``% p``. So it is the one place where a
 canonical rational becomes an integer over a denominator and back: a row is
 cleared by D as ``combine(n, [(D, row)])`` and divided back as
-``combine(n, [(Fraction(1, D), row)])``.
+``combine(n, [(Fraction(1, D), row)])``. The callers choose D from their
+entries' denominators (``algebras._tables``, ``hqft.eval_piece``).
 """
 
 from __future__ import annotations

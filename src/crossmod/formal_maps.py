@@ -234,13 +234,11 @@ def typecheck(e: CobordismExpression) -> CheckReport:
     cm = e.cm
     cur = [c.labels[0] for c in e.source.circuits]
     for k, layer in enumerate(e.layers):
-        for piece in layer:
-            fault = piece_range_fault(piece, cm)
-            if fault:
-                report.add("layer_interfaces", [(f"layer {k}", fault)])
-                return report
         wanted, out = [], []
         for piece in layer:
+            if fault := piece_range_fault(piece, cm):
+                report.add("layer_interfaces", [(f"layer {k}", fault)])
+                return report
             sources, targets = _IO[type(piece)](piece, cm)
             wanted += sources
             out += targets
@@ -307,7 +305,9 @@ class OrderedComplex:
         """Position of each edge in `edges`, built once per complex."""
         return {e: i for i, e in enumerate(self.edges)}
 
-    def triangle_index(self):
+    @cached_property
+    def triangle_index(self) -> dict[tuple[int, int, int], int]:
+        """Position of each triangle in `triangles`, built once per complex."""
         return {t: i for i, t in enumerate(self.triangles)}
 
 
@@ -390,11 +390,11 @@ def validate_simplicial(m: SimplicialFormalMap) -> CheckReport:
             fails.append((f"triangle {t}", "d(c) != p1 p0^-1 p2^-1"))
     report.add("boundary_condition", fails)
 
-    tri_index = m.complex.triangle_index()
+    tri_index = m.complex.triangle_index
     fails = []
     for s in m.complex.tetrahedra:
         faces = [tuple(v for i, v in enumerate(s) if i != skip) for skip in range(4)]
-        c = [transport_label(m, tri_index[f], f[0]) for f in faces]
+        c = [m.base_label(tri_index[f]) for f in faces]
         p01 = m.label_of(s[0], s[1])
         lhs = C.mul(c[2], cm.action(p01, c[0]))
         rhs = C.mul(c[1], c[3])
@@ -477,6 +477,10 @@ def annulus_square_complex(diagonal: str) -> OrderedComplex:
     raise ValueError("diagonal must be 'up' or 'down'")
 
 
+# the two reference squares that `annulus_flatten` accepts, built once
+_ANNULUS_SQUARES = tuple(map(annulus_square_complex, ("up", "down")))
+
+
 def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
     """Flatten a two-triangle annulus labeling to its cylinder piece.
 
@@ -486,8 +490,7 @@ def annulus_flatten(m: SimplicialFormalMap) -> Cyl:
     K = m.complex
     cm = m.cm
     P = cm.base
-    if not any((K.edges, K.triangles) == (sq.edges, sq.triangles)
-               for sq in map(annulus_square_complex, ("up", "down"))):
+    if not any((K.edges, K.triangles) == (sq.edges, sq.triangles) for sq in _ANNULUS_SQUARES):
         raise ValueError("not one of the two annulus squares")
     if m.label_of(0, 2) != m.label_of(1, 3):
         raise ValueError("seam edges carry different labels")

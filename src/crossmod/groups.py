@@ -18,14 +18,16 @@ class GroupConstructionError(ValueError):
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table. The inverse of
+    a is read off its own row, as the column of the identity, 0; in a group
+    that one-sided inverse is two-sided."""
 
     __slots__ = ("names", "table", "inv", "order")
 
-    def __init__(self, names, table, inv):
+    def __init__(self, names, table):
         self.names = tuple(names)
         self.table = tuple(tuple(row) for row in table)
-        self.inv = tuple(inv)
+        self.inv = tuple(row.index(0) for row in self.table)
         # a plain slot, not a property: eval_piece range-checks every piece
         # field against it
         self.order = len(self.names)
@@ -106,11 +108,7 @@ def make_group(names, table) -> FiniteGroup:
     """Validate a multiplication table and return the group; a table that is
     not a group raises GroupConstructionError naming the failing family."""
     check_group_table(names, table).require(GroupConstructionError)
-    names = tuple(str(n) for n in names)
-    table = tuple(tuple(row) for row in table)
-    n = len(names)
-    inv = [next(b for b in range(n) if table[a][b] == 0) for a in range(n)]
-    return FiniteGroup(names, table, inv)
+    return FiniteGroup(map(str, names), table)
 
 
 def trivial_group() -> FiniteGroup:
@@ -268,8 +266,7 @@ def restrict_subgroup(g: FiniteGroup, members) -> tuple[FiniteGroup, tuple[int, 
     members = tuple(sorted(members))
     pos = {m: i for i, m in enumerate(members)}
     table = [[pos[g.mul(a, b)] for b in members] for a in members]
-    sub = FiniteGroup([g.names[m] for m in members], table, [row.index(0) for row in table])
-    return sub, members
+    return FiniteGroup([g.names[m] for m in members], table), members
 
 
 def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorphism]:
@@ -293,7 +290,7 @@ def quotient_group(g: FiniteGroup, members) -> tuple[FiniteGroup, GroupHomomorph
     # identity coset contains 0 and is found first, so it gets index 0
     names = [f"[{g.names[c[0]]}]" for c in cosets]
     table = [[coset_of[g.mul(a[0], b[0])] for b in cosets] for a in cosets]
-    quot = FiniteGroup(names, table, [row.index(0) for row in table])
+    quot = FiniteGroup(names, table)
     return quot, GroupHomomorphism(g, quot, tuple(coset_of))
 
 

@@ -217,8 +217,8 @@ def _naive_ideal_dims(fmor, L):
     P = L.P
     Q = fmor.target.base
     f0 = fmor.f_base.map
-    offsets = L.grade_offsets()
-    total = L.total_dim
+    offsets = list(itertools.accumulate(L.dims, initial=0))
+    total = offsets[-1]
 
     def embed(p, vec):
         out = [Fraction(0)] * total

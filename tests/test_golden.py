@@ -64,6 +64,10 @@ Sections:
 - `automorphisms`: `groups.automorphism_group(G).standard_action.table`
   for twenty groups of order <= 12: Z/1 to Z/12, S3, (Z/2)^2, (Z/2)^3,
   Z/2 x Z/4, Z/2 x Z/6, S3 x Z/2, Z/3 x Z/3 and A4.
+- `cli`: the exit code and stdout of `crossmod check` on every one-node
+  edit of `test_serialize_cli.one_node_edits`: each node, down to depth 3,
+  of one document of each kind over CM-Mod set to 5, null, true, "x", {}
+  and [].
 """
 
 import dataclasses
@@ -128,6 +132,7 @@ from test_checker_oracle import TARGETS, big_prime_basis, corrupt, gauge
 from test_groups import _alternating_group_4, _direct_product
 from test_hqft import ALL_KINDS, _every_piece, singular_pairing
 from test_refusals import REFUSALS
+from test_serialize_cli import one_node_edits
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -481,10 +486,15 @@ def automorphisms_items():
                "table": automorphism_group(g).standard_action.table}
 
 
+def cli_items():
+    for kind, node, value, code, out in one_node_edits():
+        yield {"kind": kind, "path": list(node), "value": value, "exit": code, "stdout": out}
+
+
 SECTIONS = {"evaluator": evaluator_items, "pieces": pieces_items, "relations": relations_items,
             "typecheck": typecheck_items, "pushforward": pushforward_items,
             "checkers": checkers_items, "mutants": mutants_items, "linalg": linalg_items, "refusals": refusals_items,
-            "automorphisms": automorphisms_items}
+            "automorphisms": automorphisms_items, "cli": cli_items}
 
 
 def _sha256(text):

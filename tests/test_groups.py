@@ -280,3 +280,31 @@ def test_cocycles_normalized_for_all_fixture_surjections(cms):
             assert P.mul(f[g][h], f[G.mul(g, h)][k]) == \
                 P.product((sec(g), f[h][k], P.inv[sec(g)], f[g][G.mul(h, k)]))
     assert moved
+
+
+def _brute_force_inverses(g):
+    """For each a, the one b with ab = ba = e, found by a scan of every b."""
+    return tuple(next(b for b in g.elements() if g.mul(a, b) == 0 == g.mul(b, a))
+                 for a in g.elements())
+
+
+def test_inverses_are_the_two_sided_inverses_of_every_built_group(cms):
+    """`FiniteGroup` reads each inverse off its own row; it is the two-sided
+    inverse, for the fixture groups, the top and base of each fixture
+    crossed module, their quotients by the image of d, and every subgroup of
+    each of these (`restrict_subgroup`)."""
+    from crossmod.crossed_modules import kernel_and_image
+    from crossmod.fixtures import std_groups
+    groups = list(std_groups().values()) + [_alternating_group_4()]
+    for cm in cms.values():
+        groups += [cm.top, cm.base, kernel_and_image(cm)[2]]
+    subgroups = 0
+    for g in list(groups):
+        for members in itertools.product((False, True), repeat=g.order):
+            chosen = [x for x, keep in zip(g.elements(), members) if keep]
+            if is_subgroup(g, chosen):
+                groups.append(restrict_subgroup(g, chosen)[0])
+                subgroups += 1
+    assert subgroups
+    for g in groups:
+        assert g.inv == _brute_force_inverses(g), g

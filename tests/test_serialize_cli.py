@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import io
 import json
+import tempfile
 
 import pytest
 
@@ -591,25 +594,40 @@ PYTHON_WORDING = ("object is not", "indices must be", "not subscriptable", "unha
                   "not iterable")
 
 
-def test_cli_every_one_node_edit_exits_0_1_or_2_in_crossmod_words(tmp_path, capsys):
-    """Each node of one document of each kind, down to depth 3, replaced by
-    a number, null, a boolean, a string, an object and a list: `crossmod
-    check` exits 0, 1 or 2 (an exception would escape `main`), and no error
-    carries the interpreter's own TypeError wording."""
-    path = tmp_path / "doc.json"
-    for kind, doc in _sweep_docs().items():
-        text = json.dumps(doc)
-        for node in _node_paths(doc, 3):
-            for value in (5, None, True, "x", {}, []):
-                edited = json.loads(text)
-                _set(node, value)(edited)
-                path.write_text(json.dumps(edited))
-                code = main(["check", kind, str(path)])
-                out = capsys.readouterr().out
-                assert code in (0, 1, 2), (kind, node, value)
-                if code == 2:
-                    error = json.loads(out)["error"]
-                    assert not any(w in error for w in PYTHON_WORDING), (kind, node, value, error)
+@functools.lru_cache(maxsize=None)
+def one_node_edits():
+    """(kind, node path, value, exit code, stdout) of `crossmod check` on
+    each node of one document of each kind (`_sweep_docs`), down to depth 3,
+    replaced by a number, null, a boolean, a string, an object and a list;
+    run once per process, and pinned by the golden section `cli`. One file
+    is rewritten in place for each edit and cut to its new length after the
+    write, which costs a fraction of opening it anew or emptying it first."""
+    results = []
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as doc_file:
+        for kind, doc in _sweep_docs().items():
+            text = json.dumps(doc)
+            for node in _node_paths(doc, 3):
+                for value in (5, None, True, "x", {}, []):
+                    edited = json.loads(text)
+                    _set(node, value)(edited)
+                    doc_file.seek(0)
+                    doc_file.write(json.dumps(edited))
+                    doc_file.truncate()
+                    with contextlib.redirect_stdout(io.StringIO()) as out:
+                        code = main(["check", kind, doc_file.name])
+                    results.append((kind, node, value, code, out.getvalue()))
+    return tuple(results)
+
+
+def test_cli_every_one_node_edit_exits_0_1_or_2_in_crossmod_words():
+    """Each edit of `one_node_edits`: `crossmod check` exits 0, 1 or 2 (an
+    exception would escape `main`), and no error carries the interpreter's
+    own TypeError wording."""
+    for kind, node, value, code, out in one_node_edits():
+        assert code in (0, 1, 2), (kind, node, value)
+        if code == 2:
+            error = json.loads(out)["error"]
+            assert not any(w in error for w in PYTHON_WORDING), (kind, node, value, error)
 
 
 @pytest.mark.parametrize("make_argv, error", [
